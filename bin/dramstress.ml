@@ -284,10 +284,13 @@ let telemetry_setup metrics metrics_out trace =
               ens.Dramstress_engine.Ensemble.lane_failures
               (O.lane_fallbacks ())
           ^ Printf.sprintf
-              "sparse LU: %d analyses (+%d stale reruns), %d numeric \
-               refactors, %d symbolic reuses\n"
+              "sparse LU: %d analyses (+%d stale reruns, %d pivot \
+               revalidations), %d numeric refactors, %d symbolic reuses\n"
               slu.Dramstress_util.Sparse_lu.analyses
               slu.Dramstress_util.Sparse_lu.reanalyses
+              (Option.value ~default:0
+                 (List.assoc_opt "util.sparse_lu.pivot_revalidations"
+                    snap.Tel.counters))
               slu.Dramstress_util.Sparse_lu.numeric_refactor
               slu.Dramstress_util.Sparse_lu.symbolic_reuse)
       | `Json ->

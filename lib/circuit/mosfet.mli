@@ -58,3 +58,19 @@ type eval = { id : float; gm : float; gds : float }
     exchanged internally for reverse bias; PMOS is handled by sign
     reflection. [gm = dId/dVgs], [gds = dId/dVds]. *)
 val ids : model -> temp:float -> vgs:float -> vds:float -> eval
+
+(** Temperature-resolved device constants: threshold, scaled
+    transconductance and thermal voltage, computed once per (model,
+    temperature) instead of on every evaluation. *)
+type prepared
+
+val prepare : model -> temp:float -> prepared
+
+(** [ids_into p v ~d ~g ~s out] evaluates the device with drain, gate
+    and source at voltages [v.(d)], [v.(g)], [v.(s)] and writes [id],
+    [gm], [gds] to [out.(0)], [out.(1)], [out.(2)], without allocating.
+    The results are bitwise those of
+    [ids model ~temp ~vgs:(v.(g) -. v.(s)) ~vds:(v.(d) -. v.(s))] for
+    [p = prepare model ~temp]. *)
+val ids_into :
+  prepared -> float array -> d:int -> g:int -> s:int -> float array -> unit

@@ -68,14 +68,14 @@ let eval_pwl arr t =
   if t <= fst arr.(0) then snd arr.(0)
   else if t >= fst arr.(n - 1) then snd arr.(n - 1)
   else begin
-    let rec find lo hi =
-      if hi - lo <= 1 then lo
-      else begin
-        let m = (lo + hi) / 2 in
-        if fst arr.(m) <= t then find m hi else find lo m
-      end
-    in
-    let i = find 0 (n - 1) in
+    (* bisection as a loop: a local recursive closure would be
+       allocated on every evaluation, once per control per time step *)
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !hi - !lo > 1 do
+      let m = (!lo + !hi) / 2 in
+      if fst arr.(m) <= t then lo := m else hi := m
+    done;
+    let i = !lo in
     let t0, v0 = arr.(i) and t1, v1 = arr.(i + 1) in
     v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
   end

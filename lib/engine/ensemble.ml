@@ -268,11 +268,7 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
     let x = xw.(li) in
     Array.blit x 0 xs.(li) 0 size;
     Mna.cap_currents_into sys ~opts ~x ~reactive:reacts.(li) ~out:pcs.(li);
-    let pv = pvs.(li) in
-    for n = 1 to n_nodes - 1 do
-      pv.(n) <- x.(n - 1)
-    done;
-    pv.(0) <- 0.0
+    Mna.voltages_into sys x ~out:pvs.(li)
   in
   (* initial quasi-static solve: a near-zero BE step pins capacitor
      voltages at their ICs while making resistive nodes consistent —

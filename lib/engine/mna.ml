@@ -173,10 +173,16 @@ let structural_pattern sys =
     sys.mosfets;
   pat
 
-let node_voltage _sys x node = if node = 0 then 0.0 else x.(node - 1)
+let[@inline] node_voltage _sys x node = if node = 0 then 0.0 else x.(node - 1)
 
 let voltages sys x =
   Array.init sys.n_nodes (fun n -> if n = 0 then 0.0 else x.(n - 1))
+
+let voltages_into sys x ~out =
+  out.(0) <- 0.0;
+  for n = 1 to sys.n_nodes - 1 do
+    out.(n) <- x.(n - 1)
+  done
 
 let pack sys node_voltages =
   Array.init sys.size (fun i ->
@@ -200,9 +206,11 @@ let init_reactive sys ~prev_v =
   { dt = 0.0; prev_v; prev_cap_current = Array.make sys.n_caps 0.0 }
 
 (* Stamping helpers. Node indices map to matrix rows as [node - 1];
-   ground (0) contributions are dropped. *)
+   ground (0) contributions are dropped. All [@inline]: without flambda
+   a float argument to a call that is not inlined is boxed, once per
+   stamp per Newton iteration. *)
 
-let stamp_g g mat a b =
+let[@inline] stamp_g g mat a b =
   let ia = a - 1 and ib = b - 1 in
   if ia >= 0 then mat.(ia).(ia) <- mat.(ia).(ia) +. g;
   if ib >= 0 then mat.(ib).(ib) <- mat.(ib).(ib) +. g;
@@ -212,22 +220,22 @@ let stamp_g g mat a b =
   end
 
 (* current [i] injected INTO node [n] appears on the RHS *)
-let stamp_i i rhs n = if n > 0 then rhs.(n - 1) <- rhs.(n - 1) +. i
+let[@inline] stamp_i i rhs n = if n > 0 then rhs.(n - 1) <- rhs.(n - 1) +. i
 
 (* VCCS: current g * (v_cp - v_cn) flows from node [p] to node [n]
    (leaves p, enters n). First-order function on purpose — an inner
    closure here would allocate once per MOSFET per Newton iteration. *)
-let stamp_vccs_set mat r c v =
+let[@inline] stamp_vccs_set mat r c v =
   if r > 0 && c > 0 then mat.(r - 1).(c - 1) <- mat.(r - 1).(c - 1) +. v
 
-let stamp_vccs g mat p n cp cn =
+let[@inline] stamp_vccs g mat p n cp cn =
   stamp_vccs_set mat p cp g;
   stamp_vccs_set mat p cn (-.g);
   stamp_vccs_set mat n cp (-.g);
   stamp_vccs_set mat n cn g
 
 (* capacitor companion conductance for one time step *)
-let cap_g ~(opts : Options.t) ~dt c =
+let[@inline] cap_g ~(opts : Options.t) ~dt c =
   match opts.integrator with
   | Options.Backward_euler -> c /. dt
   | Options.Trapezoidal -> 2.0 *. c /. dt
@@ -346,6 +354,12 @@ type workspace = {
   perm : int array;
   scratch : float array;
   mutable slu : Sp.t option;  (* lazily built on the first sparse solve *)
+  (* per-MOSFET temperature-resolved constants, valid for [mos_temp]
+     (nan until the first assembly) *)
+  mutable mos_temp : float;
+  mutable mos_prep : C.Mosfet.prepared array;
+  node_v : float array;   (* per-node voltages of the iterate *)
+  mos_eval : float array; (* id, gm, gds of the device being stamped *)
 }
 
 let make_workspace sys =
@@ -368,6 +382,10 @@ let make_workspace sys =
     perm = Array.make n 0;
     scratch = Array.make n 0.0;
     slu = None;
+    mos_temp = Float.nan;
+    mos_prep = [||];
+    node_v = Array.make sys.n_nodes 0.0;
+    mos_eval = Array.make 3 0.0;
   }
 
 let set_resistor_override ws ~index ~g =
@@ -491,27 +509,28 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     stamp_i (-.i_src) rhs p.i_pos;
     stamp_i i_src rhs p.i_neg
   done;
-  let temp = opts.temp in
+  if not (ws.mos_temp = opts.temp) then begin
+    ws.mos_prep <-
+      Array.map
+        (fun p -> C.Mosfet.prepare p.model ~temp:opts.temp)
+        sys.mosfets;
+    ws.mos_temp <- opts.temp
+  end;
+  let v = ws.node_v and e = ws.mos_eval in
+  if Array.length sys.mosfets > 0 then voltages_into sys x ~out:v;
   for i = 0 to Array.length sys.mosfets - 1 do
     let p = sys.mosfets.(i) in
-    let vd = node_voltage sys x p.m_d
-    and vg = node_voltage sys x p.m_g
-    and vs = node_voltage sys x p.m_s in
-    let vgs = vg -. vs and vds = vd -. vs in
-    let e = C.Mosfet.ids p.model ~temp ~vgs ~vds in
-    let id = e.C.Mosfet.id *. p.mult
-    and gm = e.C.Mosfet.gm *. p.mult
-    and gds = e.C.Mosfet.gds *. p.mult in
+    C.Mosfet.ids_into ws.mos_prep.(i) v ~d:p.m_d ~g:p.m_g ~s:p.m_s e;
+    let vgs = v.(p.m_g) -. v.(p.m_s) and vds = v.(p.m_d) -. v.(p.m_s) in
+    let id = e.(0) *. p.mult
+    and gm = e.(1) *. p.mult
+    and gds = e.(2) *. p.mult in
     let ieq = id -. (gm *. vgs) -. (gds *. vds) in
     stamp_g gds mat p.m_d p.m_s;
     stamp_vccs gm mat p.m_d p.m_s p.m_g p.m_s;
     stamp_i (-.ieq) rhs p.m_d;
     stamp_i ieq rhs p.m_s
   done
-
-let assemble_into sys ws ~(opts : Options.t) ~t_now ~x ~reactive =
-  eval_controls_into sys ws ~t_now;
-  assemble_into_pre sys ws ~opts ~x ~reactive
 
 module Chaos = Dramstress_util.Chaos
 
@@ -547,21 +566,22 @@ let solution ws = ws.rhs
    only its own slot's previous current before overwriting that same
    slot, so the in-place update is well-defined. *)
 let cap_currents_into sys ~(opts : Options.t) ~x ~reactive ~out =
-  if reactive.dt > 0.0 then
-    Array.iter
-      (fun p ->
-        let vab = node_voltage sys x p.c_a -. node_voltage sys x p.c_b in
-        let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-        let i =
-          match opts.integrator with
-          | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
-          | Options.Trapezoidal ->
-            (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
-            -. reactive.prev_cap_current.(p.slot)
-        in
-        out.(p.slot) <- i)
-      sys.caps
-  else Array.iter (fun p -> out.(p.slot) <- 0.0) sys.caps
+  for k = 0 to Array.length sys.caps - 1 do
+    let p = sys.caps.(k) in
+    if reactive.dt > 0.0 then begin
+      let vab = node_voltage sys x p.c_a -. node_voltage sys x p.c_b in
+      let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
+      let i =
+        match opts.integrator with
+        | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
+        | Options.Trapezoidal ->
+          (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
+          -. reactive.prev_cap_current.(p.slot)
+      in
+      out.(p.slot) <- i
+    end
+    else out.(p.slot) <- 0.0
+  done
 
 let cap_currents sys ~(opts : Options.t) ~x ~reactive =
   let out = Array.make sys.n_caps 0.0 in

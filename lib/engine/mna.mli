@@ -27,6 +27,10 @@ val node_voltage : t -> float array -> Dramstress_circuit.Device.node -> float
     array indexed by node id (entry 0 is ground = 0.0). *)
 val voltages : t -> float array -> float array
 
+(** [voltages_into sys x ~out] is {!voltages} written into [out]
+    (length [n_nodes]). *)
+val voltages_into : t -> float array -> out:float array -> unit
+
 (** [pack sys node_voltages] builds an unknown vector from per-node
     voltages (branch currents zeroed). *)
 val pack : t -> float array -> float array
@@ -110,33 +114,23 @@ val clear_resistor_override : workspace -> unit
 
 (** [eval_controls_into sys ws ~t_now] evaluates every control waveform
     (switch controls, source values) at [t_now] into workspace buffers
-    consumed by {!assemble_into_pre}. Split from assembly so ensemble
-    lanes sharing a time grid walk each waveform once per time point,
-    not once per lane. *)
+    consumed by {!assemble_into_pre}. Split from assembly so each time
+    point walks each waveform once, not once per Newton iteration or
+    ensemble lane. *)
 val eval_controls_into : t -> workspace -> t_now:float -> unit
 
 (** [assemble_into_pre sys ws ~opts ~x ~reactive] stamps the system from
     the control values left by the last {!eval_controls_into}: template
     copy (rebuilt only when [(dt, gmin, integrator, override)] changed),
     then dynamic stamps — switch states, source values, capacitor
-    history, MOSFET linearization around [x]. *)
+    history, MOSFET linearization around [x] (device constants resolved
+    once per temperature, see {!Dramstress_circuit.Mosfet.prepare}).
+    Produces systems identical to {!assemble} without heap
+    allocation. *)
 val assemble_into_pre :
   t ->
   workspace ->
   opts:Options.t ->
-  x:float array ->
-  reactive:reactive ->
-  unit
-
-(** [assemble_into sys ws ~opts ~t_now ~x ~reactive] is
-    {!eval_controls_into} followed by {!assemble_into_pre} — the
-    single-lane spelling, producing systems identical to {!assemble}
-    without heap allocation. *)
-val assemble_into :
-  t ->
-  workspace ->
-  opts:Options.t ->
-  t_now:float ->
   x:float array ->
   reactive:reactive ->
   unit
@@ -154,7 +148,7 @@ val solve_in_place : t -> workspace -> opts:Options.t -> unit
 
 (** [solution ws] is the workspace RHS buffer, holding the solution
     after {!solve_in_place}. The array is reused by the next
-    {!assemble_into}; copy anything that must survive. *)
+    {!assemble_into_pre}; copy anything that must survive. *)
 val solution : workspace -> float array
 
 (** [cap_currents sys ~opts ~x ~reactive] computes each capacitor's branch

@@ -34,20 +34,29 @@ let h_iterations =
   Tel.Histogram.make ~unit_:"iters" ~lo:1.0 ~hi:128.0 ~buckets:14
     "engine.newton.iterations_per_solve"
 
+(* [Float.max acc a] for [acc] and [a] that are NaN or >= +0.0 (what
+   [Float.abs] yields): a NaN, once seen, sticks *)
+let[@inline] max_abs (acc : float) (a : float) =
+  if a > acc || a <> a then a else acc
+
 (* shared convergence bookkeeping: apply the clamped update from [x_new]
-   onto [x] and return the worst node-voltage move *)
+   onto [x] and return the worst node-voltage move. Plain comparisons
+   instead of [Float.min]/[Float.max] (which box their result even when
+   inlined) and indexed loops instead of a fold keep this per-iteration
+   path allocation-free. For a clamp [max_step_v >= 0] the result is
+   [Float.max (-.m) (Float.min m dx)] for every [dx], signed zeros and
+   NaN (which passes through unclamped, and so is counted) included. *)
 let apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
+  let m = opts.max_step_v in
   let worst = ref 0.0 in
   let clamped = ref 0 in
   for i = 0 to Array.length x - 1 do
     let dx = x_new.(i) -. x.(i) in
     if i < n_node_unknowns then begin
-      let dx_clamped =
-        Float.max (-.opts.max_step_v) (Float.min opts.max_step_v dx)
-      in
+      let dx_clamped = if dx > m then m else if dx < -.m then -.m else dx in
       if dx_clamped <> dx then incr clamped;
       x.(i) <- x.(i) +. dx_clamped;
-      worst := Float.max !worst (Float.abs dx)
+      worst := max_abs !worst (Float.abs dx)
     end
     else x.(i) <- x_new.(i)
   done;
@@ -55,9 +64,11 @@ let apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
   !worst
 
 let tolerance ~(opts : Options.t) x =
-  opts.abstol
-  +. (opts.reltol
-     *. Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x)
+  let acc = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    acc := max_abs !acc (Float.abs x.(i))
+  done;
+  opts.abstol +. (opts.reltol *. !acc)
 
 let record_solve iterations =
   Tel.Counter.incr c_solves;
@@ -161,9 +172,12 @@ let solve_ws sys ws ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
   let n_node_unknowns = Mna.n_nodes sys - 1 in
   let x = Array.copy x0 in
   let diverge = chaos_diverge () in
+  (* t_now is fixed for the whole solve: walk the control waveforms
+     once, not once per iteration *)
+  Mna.eval_controls_into sys ws ~t_now;
   let rec iterate iter =
     check_deadline ~deadline_at ~t_now ~iter;
-    Mna.assemble_into sys ws ~opts ~t_now ~x ~reactive;
+    Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
     (match Mna.solve_in_place sys ws ~opts with
     | () -> ()
     | exception L.Singular { row; pivot } ->

@@ -114,15 +114,16 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
     ref (Newton.solve sys ~ws ?deadline_at ~opts ~t_now:0.0
            ~reactive:reactive0 ~x0:(Mna.pack sys v) ())
   in
-  let prev_v = ref (Mna.voltages sys !x) in
-  let prev_cap =
-    ref (Mna.cap_currents sys ~opts ~x:!x ~reactive:reactive0)
-  in
+  (* committed node voltages and capacitor history: one row each for
+     the whole run, updated in place on every accepted step the way
+     [Ensemble] commits a lane *)
+  let prev_v = Mna.voltages sys !x in
+  let prev_cap = Mna.cap_currents sys ~opts ~x:!x ~reactive:reactive0 in
   let times = ref [ 0.0 ] in
-  let samples = ref [ Array.map (fun id -> !prev_v.(id)) probe_ids ] in
+  let samples = ref [ Array.map (fun id -> prev_v.(id)) probe_ids ] in
   let record t =
     times := t :: !times;
-    samples := Array.map (fun id -> !prev_v.(id)) probe_ids :: !samples
+    samples := Array.map (fun id -> prev_v.(id)) probe_ids :: !samples
   in
   let max_retries = 4 in
   (* one accepted step from the current state to t_next, with halving
@@ -131,17 +132,16 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
   let advance ~seg_start ~seg_end t_prev t_next =
     let rec attempt t_prev dt retries =
       let t_now = t_prev +. dt in
-      let reactive =
-        { Mna.dt; prev_v = !prev_v; prev_cap_current = !prev_cap }
-      in
+      let reactive = { Mna.dt; prev_v; prev_cap_current = prev_cap } in
       match Newton.solve sys ~ws ?deadline_at ~opts ~t_now ~reactive ~x0:!x ()
       with
       | x_new ->
         Tel.Counter.incr c_accepted;
         Tel.Histogram.observe h_dt dt;
         x := x_new;
-        prev_cap := Mna.cap_currents sys ~opts ~x:x_new ~reactive;
-        prev_v := Mna.voltages sys x_new;
+        (* history first: it reads the previous voltages *)
+        Mna.cap_currents_into sys ~opts ~x:x_new ~reactive ~out:prev_cap;
+        Mna.voltages_into sys x_new ~out:prev_v;
         if t_now >= t_next -. 1e-21 then ()
         else attempt t_now (t_next -. t_now) retries
       | exception Newton.No_convergence { t; iterations; worst } ->
@@ -196,6 +196,6 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
     times = times_arr;
     probe_names;
     probe_values;
-    final_v = !prev_v;
+    final_v = prev_v;
     probe_interps = make_interps times_arr probe_names probe_values;
   }

@@ -6,6 +6,10 @@ let c_reuse = Tel.Counter.make "util.sparse_lu.symbolic_reuse"
 let c_refactor = Tel.Counter.make "util.sparse_lu.numeric_refactor"
 let c_reanalyses = Tel.Counter.make "util.sparse_lu.reanalyses"
 
+(* stale refactors rescued by pivot revalidation instead of a dense
+   re-analysis; telemetry only, no always-on mirror *)
+let c_revalidations = Tel.Counter.make "util.sparse_lu.pivot_revalidations"
+
 (* always-on mirrors of the counters above, so [--metrics] can reconcile
    the telemetry block against an independent tally (the same contract
    [Ops.cache_stats] provides for the memo cache) *)
@@ -70,9 +74,6 @@ let make ~n ~pattern =
     analysis = None;
   }
 
-(* internal: a guarded pivot fell below the staleness threshold *)
-exception Stale
-
 let check_finite_matrix a n =
   for i = 0 to n - 1 do
     let row = a.(i) in
@@ -88,8 +89,8 @@ let check_finite_matrix a n =
     done
   done
 
+(* callers run [check_finite_matrix] first *)
 let analyse t a =
-  check_finite_matrix a t.n;
   let n = t.n in
   (* pivot order from one dense partially-pivoted factorization at the
      current values; raises L.Singular for rank-deficient systems *)
@@ -149,14 +150,19 @@ let analyse t a =
               Array.of_list !acc);
       }
 
+(* internal: a pivot fell below the dense threshold under a stored order *)
+exception Stale
+
 (* Numeric refactorization under a fixed analysis: copy rows in pivot
-   order, then eliminate walking only the structural index lists. With
-   [strict = false] a pivot below [scale * 1e-10] raises [Stale] —
-   values have drifted too far from the analysis point for its pivot
-   order to be trusted. With [strict = true] (used right after a fresh
-   analysis, whose dense factorization accepted these exact pivots at
-   its own [scale * 1e-14] threshold) the dense threshold applies, so
-   the pass cannot loop: what dense accepted, strict accepts. *)
+   order, then eliminate walking only the structural index lists. Every
+   pivot must clear the dense factorization's own [scale * 1e-14]
+   threshold: below it, [strict = true] (right after a fresh analysis,
+   whose dense factorization accepted these exact pivots, so the pass
+   cannot loop) raises [L.Singular] and [strict = false] raises [Stale].
+   With [strict = false] a pivot below the tighter [scale * 1e-10] guard
+   is let through but reported: the result is [true] when some pivot
+   fell under the guard, and the caller must then revalidate the order
+   ({!unique_pivots}) before trusting the factors. *)
 let refactor t an a ~strict =
   let n = t.n and f = t.f in
   let scale = ref 0.0 in
@@ -181,16 +187,21 @@ let refactor t an a ~strict =
       Array.unsafe_set fi (Array.unsafe_get fills jj) 0.0
     done
   done;
-  let threshold =
-    Float.max 1e-300 (!scale *. if strict then 1e-14 else 1e-10)
+  let threshold = Float.max 1e-300 (!scale *. 1e-14) in
+  let guard =
+    if strict then threshold else Float.max 1e-300 (!scale *. 1e-10)
   in
+  let small = ref false in
   for k = 0 to n - 1 do
     let fk = f.(k) in
     let pkk = fk.(k) in
     (* [not >=] rather than [<] so a NaN pivot is also caught *)
-    if not (Float.abs pkk >= threshold) then
-      if strict then raise (L.Singular { row = k; pivot = pkk })
-      else raise_notrace Stale;
+    if not (Float.abs pkk >= guard) then begin
+      if not (Float.abs pkk >= threshold) then
+        if strict then raise (L.Singular { row = k; pivot = pkk })
+        else raise_notrace Stale;
+      small := true
+    end;
     let low = an.lower.(k) and up = an.upper.(k) in
     for ii = 0 to Array.length low - 1 do
       let fi = f.(Array.unsafe_get low ii) in
@@ -203,7 +214,32 @@ let refactor t an a ~strict =
             (Array.unsafe_get fi j -. (m *. Array.unsafe_get fk j))
         done
     done
-  done
+  done;
+  !small
+
+(* Pivot revalidation after a refactor: is every pivot strictly larger
+   in magnitude than each entry below it in its column (entries off
+   [lower] are exactly 0.0)? The refactor has already replaced those
+   entries by their multipliers [m = f.(i).(k) /. pivot], and for a
+   finite non-zero pivot IEEE division gives [|m| < 1] exactly when
+   [|f.(i).(k)| < |pivot|]: even the largest float below [|pivot|]
+   divides to at most the largest float below 1.0. NaN fails the test.
+
+   When it holds at every step, each pivot is the unique column
+   maximum, so [Linalg.lu_factor] — first maximum wins, the same
+   [m <> 0.0] elimination, the same threshold — would choose this very
+   permutation, and the factors equal bit for bit those a fresh
+   analysis would produce. *)
+let unique_pivots t an =
+  let ok = ref true in
+  for k = 0 to t.n - 1 do
+    let low = an.lower.(k) in
+    for ii = 0 to Array.length low - 1 do
+      if not (Float.abs t.f.(Array.unsafe_get low ii).(k) < 1.0) then
+        ok := false
+    done
+  done;
+  !ok
 
 let record_refactor ~reused =
   Tel.Counter.incr c_refactor;
@@ -213,29 +249,47 @@ let record_refactor ~reused =
     Atomic.incr g_reuse
   end
 
+(* A fresh analysis at the current values. Callers run
+   [check_finite_matrix] first: it raises L.Singular before [analyse]
+   mutates [t.analysis], so a poisoned matrix leaves the stored pivot
+   order untouched for the next healthy solve. *)
+let reanalyse t a =
+  analyse t a;
+  let an = Option.get t.analysis in
+  ignore (refactor t an a ~strict:true : bool);
+  record_refactor ~reused:false
+
+let stale t a =
+  Tel.Counter.incr c_reanalyses;
+  Atomic.incr g_reanalyses;
+  reanalyse t a
+
 let factor t a =
   match t.analysis with
   | None ->
+    check_finite_matrix a t.n;
     Tel.Counter.incr c_analyses;
     Atomic.incr g_analyses;
-    analyse t a;
-    let an = Option.get t.analysis in
-    refactor t an a ~strict:true;
-    record_refactor ~reused:false
-  | Some an -> begin
+    reanalyse t a
+  | Some an -> (
     match refactor t an a ~strict:false with
-    | () -> record_refactor ~reused:true
+    | false -> record_refactor ~reused:true
+    | true ->
+      (* a small pivot is not a wrong pivot: on long holds C/dt sinks
+         below the guard while the stored order is still the
+         partial-pivot order. Revalidate it exactly before paying for a
+         dense analysis that would pick the same permutation again. *)
+      check_finite_matrix a t.n;
+      if unique_pivots t an then begin
+        Tel.Counter.incr c_revalidations;
+        record_refactor ~reused:true
+      end
+      else stale t a
     | exception Stale ->
-      Tel.Counter.incr c_reanalyses;
-      Atomic.incr g_reanalyses;
-      (* [analyse] validates finiteness and raises L.Singular before
-         mutating [t.analysis], so a poisoned matrix leaves the stored
-         pivot order untouched for the next healthy solve *)
-      analyse t a;
-      let an = Option.get t.analysis in
-      refactor t an a ~strict:true;
-      record_refactor ~reused:false
-  end
+      check_finite_matrix a t.n;
+      stale t a)
+
+let perm t = Option.map (fun an -> Array.copy an.perm) t.analysis
 
 let solve t ~scratch b =
   let an =

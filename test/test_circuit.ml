@@ -96,6 +96,39 @@ let nmos = M.nmos ~name:"n" ~vt0:0.5 ~kp:1e-4 ()
 let pmos = M.pmos ~name:"p" ~vt0:0.5 ~kp:1e-4 ()
 let temp = 300.15
 
+(* the Newton stamp loop evaluates through [prepare] + [ids_into]; it
+   must reproduce [ids] to the bit, reverse bias and both polarities
+   included *)
+let test_mosfet_prepared_bitwise () =
+  let bits e = List.map Int64.bits_of_float [ e.M.id; e.M.gm; e.M.gds ] in
+  let out = Array.make 3 0.0 in
+  let levels = List.init 13 (fun i -> -2.4 +. (0.4 *. float_of_int i)) in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun temp ->
+          let p = M.prepare model ~temp in
+          List.iter
+            (fun vs ->
+              List.iter
+                (fun vg ->
+                  List.iter
+                    (fun vd ->
+                      M.ids_into p [| vd; vg; vs |] ~d:0 ~g:1 ~s:2 out;
+                      let e =
+                        M.ids model ~temp ~vgs:(vg -. vs) ~vds:(vd -. vs)
+                      in
+                      Alcotest.(check (list int64))
+                        (Printf.sprintf "%s T=%g vg=%g vd=%g vs=%g"
+                           model.M.name temp vg vd vs)
+                        (bits e)
+                        (bits { M.id = out.(0); gm = out.(1); gds = out.(2) }))
+                    levels)
+                levels)
+            [ 0.0; 0.7 ])
+        [ 233.15; 300.15; 398.15 ])
+    [ nmos; pmos ]
+
 let test_mosfet_off () =
   let e = M.ids nmos ~temp ~vgs:0.0 ~vds:1.0 in
   Alcotest.(check bool) "leakage small" true (e.M.id < 1e-9 && e.M.id >= 0.0)
@@ -417,6 +450,7 @@ let () =
         ] );
       ( "mosfet",
         [
+          tc "prepared evaluation bitwise" test_mosfet_prepared_bitwise;
           tc "off leakage" test_mosfet_off;
           tc "saturation magnitude" test_mosfet_on_saturation;
           tc "triode vs saturation" test_mosfet_triode_vs_saturation;

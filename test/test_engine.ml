@@ -415,6 +415,106 @@ let test_deadline_generous_budget_unobtrusive () =
     a.E.Transient.final_v
 
 (* ------------------------------------------------------------------ *)
+(* Bitwise pins                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module O = Dramstress_dram.Ops
+module Sc = Dramstress_dram.Sim_config
+module D = Dramstress_defect.Defect
+
+let bits = Array.map Int64.bits_of_float
+
+(* the hot-path clamp and maxima are hand-written comparisons; they must
+   return what [Float.min]/[Float.max] return, NaN and signed zeros
+   included *)
+let test_newton_update_matches_float_minmax () =
+  let specials =
+    [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0;
+      1e-300; -1e-300; 0.25; -0.25; 1.0; -1.0; Float.succ 1.0;
+      Float.pred (-1.0); 3.0; -3.0 ]
+  in
+  List.iter
+    (fun m ->
+      let opts = { E.Options.default with E.Options.max_step_v = m } in
+      List.iter
+        (fun dx ->
+          let x = [| 0.0; 5.0 |] in
+          let worst =
+            E.Newton.apply_update ~opts ~n_node_unknowns:1 x [| dx; dx |]
+          in
+          let clamped = 0.0 +. Float.max (-.m) (Float.min m dx) in
+          Alcotest.(check (array int64))
+            (Printf.sprintf "m=%h dx=%h update" m dx)
+            (bits [| clamped; dx |]) (bits x);
+          Alcotest.(check (array int64))
+            (Printf.sprintf "m=%h dx=%h worst" m dx)
+            (bits [| Float.max 0.0 (Float.abs dx) |])
+            (bits [| worst |]))
+        specials)
+    [ 0.0; 0.25; 1.0; Float.infinity ];
+  (* a NaN, once seen, sticks through the running maximum *)
+  List.iter
+    (fun x ->
+      let fold =
+        Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
+      in
+      let opts = E.Options.default in
+      Alcotest.(check (array int64)) "tolerance"
+        (bits [| opts.E.Options.abstol +. (opts.E.Options.reltol *. fold) |])
+        (bits [| E.Newton.tolerance ~opts x |]))
+    [
+      [| 1.0; Float.nan; 2.0 |];
+      [| -3.0; 0.5; -0.0 |];
+      [| Float.neg_infinity; 1.0 |];
+    ]
+
+let digest_traces traces =
+  let b = Buffer.create 65536 in
+  let add a =
+    Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) a
+  in
+  List.iter
+    (fun (r : E.Transient.result) ->
+      add r.E.Transient.times;
+      Array.iter add r.E.Transient.probe_values;
+      add r.E.Transient.final_v)
+    traces;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let o1 r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r
+
+(* Digests of the times, probe samples and final state of two reference
+   runs, recorded before the sparse LU learned pivot revalidation and
+   the Newton iteration stopped allocating: neither moved a bit. A
+   change that moves these moves stored results too, and must change
+   the engine identity. *)
+let test_retention_waveform_pinned () =
+  let oc =
+    O.run ~config:(Sc.v ~deadline:600.0 ())
+      ~cache:(O.Cache.create ~enabled:false ())
+      ~stress:Dramstress_dram.Stress.nominal ~defect:(o1 200e3) ~vc_init:0.0
+      [ O.W1; O.Pause 2.0; O.R ]
+  in
+  Alcotest.(check string) "scalar retention digest"
+    "662b40b7e9c0a12c6c682311a27c7823" (digest_traces [ oc.O.trace ])
+
+let test_ensemble_waveform_pinned () =
+  let lanes =
+    List.map
+      (fun r -> { O.defect = Some (o1 r); vc_init = 0.0 })
+      [ 50e3; 150e3; 400e3; 1e6 ]
+  in
+  let traces =
+    List.map
+      (function Ok oc -> oc.O.trace | Error e -> raise e)
+      (O.run_batch ~cache:(O.Cache.create ~enabled:false ())
+         ~stress:Dramstress_dram.Stress.nominal ~lanes
+         [ O.W1; O.W1; O.W0; O.R ])
+  in
+  Alcotest.(check string) "4-lane ensemble digest"
+    "bc32c80087d0d7baa7253bb8be5d0f72" (digest_traces traces)
+
+(* ------------------------------------------------------------------ *)
 (* DC sweep                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -509,6 +609,13 @@ let () =
           tc "deadline cuts the solve" test_deadline_cuts_solve;
           tc "generous deadline unobtrusive"
             test_deadline_generous_budget_unobtrusive;
+        ] );
+      ( "bitwise",
+        [
+          tc "Newton update matches Float.min/max"
+            test_newton_update_matches_float_minmax;
+          tc "scalar retention waveform pinned" test_retention_waveform_pinned;
+          tc "4-lane ensemble waveform pinned" test_ensemble_waveform_pinned;
         ] );
       ( "sweep",
         [

@@ -1502,6 +1502,143 @@ let test_store_merge_rules () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Sparse LU: stale pivots and revalidation                            *)
+(* ------------------------------------------------------------------ *)
+
+module Sp = Dramstress_util.Sparse_lu
+module Hm = Hold_matrices
+
+let c_revalidations = Tel.Counter.make "util.sparse_lu.pivot_revalidations"
+
+(* structural pattern: every position non-zero in any of [mats] *)
+let pattern_of mats =
+  let n = Array.length (List.hd mats) in
+  Array.init n (fun i ->
+      Array.init n (fun j -> List.exists (fun a -> a.(i).(j) <> 0.0) mats))
+
+let handle_for mats =
+  let pattern = pattern_of mats in
+  Sp.make ~n:(Array.length pattern) ~pattern
+
+(* (pivot revalidations, dense re-analyses) during [f] *)
+let lu_activity f =
+  let r0 = Tel.Counter.value c_revalidations
+  and a0 = (Sp.stats ()).Sp.reanalyses in
+  f ();
+  ( Tel.Counter.value c_revalidations - r0,
+    (Sp.stats ()).Sp.reanalyses - a0 )
+
+let sparse_solution h n =
+  let x = Array.init n (fun i -> float_of_int (i + 1)) in
+  Sp.solve h ~scratch:(Array.make n 0.0) x;
+  Array.map Int64.bits_of_float x
+
+let check_dense_perm h a =
+  Alcotest.(check (option (array int)))
+    "partial-pivot order" (Some (L.lu_perm (L.lu_factor a))) (Sp.perm h)
+
+(* the retention-hold storm: the pivots of a 2 s hold fall under the
+   refactor guard, yet the stored order is still the dense order, so it
+   is revalidated instead of re-analysed, and the factors are the ones a
+   fresh handle computes *)
+let test_sparse_hold_revalidates () =
+  with_tel @@ fun () ->
+  let mats = [ Hm.hold_analysed; Hm.hold_stale; Hm.hold_next ] in
+  let n = Array.length Hm.hold_stale in
+  let h = handle_for mats in
+  Sp.factor h Hm.hold_analysed;
+  List.iter
+    (fun a ->
+      Alcotest.(check (pair int int))
+        "revalidated, not re-analysed" (1, 0)
+        (lu_activity (fun () -> Sp.factor h a));
+      check_dense_perm h a;
+      let fresh = handle_for mats in
+      Sp.factor fresh a;
+      Alcotest.(check (array int64))
+        "bitwise the fresh solve" (sparse_solution fresh n)
+        (sparse_solution h n))
+    [ Hm.hold_stale; Hm.hold_next ]
+
+(* a voltage source puts +1 and -1 in one column: the stored pivot ties
+   with the entry below it, so only a dense analysis may decide *)
+let vsource_system g =
+  [| [| 1.0; g; 0.0 |]; [| -1.0; 0.0; g |]; [| 0.0; 1.0; -1.0 |] |]
+
+let test_sparse_tie_falls_back () =
+  with_tel @@ fun () ->
+  let a = vsource_system 1e-12 in
+  let h = handle_for [ vsource_system 1e-3 ] in
+  Sp.factor h (vsource_system 1e-3);
+  Alcotest.(check (pair int int))
+    "re-analysed" (0, 1)
+    (lu_activity (fun () -> Sp.factor h a));
+  check_dense_perm h a
+
+let full2 = [| [| 1.0; 0.5 |]; [| 0.5; 1.0 |] |]
+
+let test_sparse_reordered_falls_back () =
+  with_tel @@ fun () ->
+  let a = [| [| 1e-11; 1.0 |]; [| 1.0; 1.0 |] |] in
+  let h = handle_for [ full2; a ] in
+  Sp.factor h full2;
+  Alcotest.(check (pair int int))
+    "re-analysed" (0, 1)
+    (lu_activity (fun () -> Sp.factor h a));
+  Alcotest.(check (option (array int))) "rows swapped" (Some [| 1; 0 |])
+    (Sp.perm h);
+  check_dense_perm h a
+
+(* a NaN pivot (stale path) and a NaN the elimination never divides by,
+   next to a pivot inside the revalidation band *)
+let test_sparse_nan_keeps_analysis () =
+  with_tel @@ fun () ->
+  let h = handle_for [ full2 ] in
+  Sp.factor h full2;
+  let before = Sp.perm h in
+  List.iter
+    (fun a ->
+      (match lu_activity (fun () -> Sp.factor h a) with
+      | _ -> Alcotest.fail "non-finite system factored"
+      | exception L.Singular _ -> ());
+      Alcotest.(check (option (array int))) "analysis untouched" before
+        (Sp.perm h))
+    [
+      [| [| Float.nan; 0.5 |]; [| 0.5; 1.0 |] |];
+      [| [| 1e-11; Float.nan |]; [| 0.0; 1.0 |] |];
+    ];
+  let reuse0 = (Sp.stats ()).Sp.symbolic_reuse in
+  Sp.factor h full2;
+  Alcotest.(check int) "next healthy factor reuses" (reuse0 + 1)
+    (Sp.stats ()).Sp.symbolic_reuse
+
+(* revalidation reads [|m| < 1] off the multipliers in place of
+   [|entry| < |pivot|]; the two agree for every finite pair *)
+let multiplier_agrees a p =
+  (Float.abs a < Float.abs p) = (Float.abs (a /. p) < 1.0)
+
+let test_multiplier_test_exact () =
+  let edges =
+    [ 1.0; 2.0; 3.0; 1e-300; 4.9e-324; 1e-11; Float.max_float;
+      Float.min_float; 0x1.fffffffffffffp-1; 0x1.0000000000001p+0 ]
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun a ->
+          if not (multiplier_agrees a p && multiplier_agrees (-.a) p) then
+            Alcotest.failf "a = %h, p = %h" a p)
+        [ 0.0; p; Float.pred p; Float.succ p; p /. 2.0; Float.pred (p /. 2.0) ])
+    edges
+
+let prop_multiplier_test_exact =
+  QCheck.Test.make ~count:2000 ~name:"sparse lu: |a/p| < 1 iff |a| < |p|"
+    QCheck.(pair float float)
+    (fun (a, p) ->
+      QCheck.assume (Float.is_finite a && Float.is_finite p && p <> 0.0);
+      multiplier_agrees a p)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dramstress_util"
@@ -1522,6 +1659,15 @@ let () =
           tc "in-place LU pivoting" test_lu_in_place_pivoting;
           tc "in-place LU buffer reuse" test_lu_in_place_reuse;
           QCheck_alcotest.to_alcotest prop_lu_roundtrip;
+        ] );
+      ( "sparse_lu",
+        [
+          tc "hold pivots revalidated" test_sparse_hold_revalidates;
+          tc "tied pivot re-analysed" test_sparse_tie_falls_back;
+          tc "reordered pivots re-analysed" test_sparse_reordered_falls_back;
+          tc "NaN keeps the analysis" test_sparse_nan_keeps_analysis;
+          tc "multiplier test exact at edges" test_multiplier_test_exact;
+          QCheck_alcotest.to_alcotest prop_multiplier_test_exact;
         ] );
       ( "lru",
         [
