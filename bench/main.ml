@@ -299,7 +299,7 @@ let perf_engine_ab () =
   let sim_fast = Dramstress_engine.Options.default in
   let defect = D.v open_kind D.True_bl 200e3 in
   (* --- transient step cost, ns per accepted time point ------------- *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let trace_points sim =
     let oc = O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
     Array.length oc.O.trace.Dramstress_engine.Transient.times
@@ -337,10 +337,10 @@ let perf_engine_ab () =
   let rops = Dramstress_util.Grid.logspace 1e3 1e6 4 in
   (* the naive/incremental A/B is pinned to one lane so its meaning is
      unchanged by the ensemble engine: both sides sweep the plane one
-     scalar transient at a time, and the speedup isolates the
+     one-lane transient at a time, and the speedup isolates the
      assembly/caching wins exactly as before. The batched measurement
      below lifts the lane pin. *)
-  let scalar_cfg = Sc.v ~lanes:1 () in
+  let one_lane_cfg = Sc.v ~lanes:1 () in
   let batched_cfg = Sc.v ~lanes:16 () in
   let plane_sweep ~config sim () =
     (* the full Figure 2 plane set: w0 and w1 write planes plus the read
@@ -357,29 +357,29 @@ let perf_engine_ab () =
       (C.Plane.read_plane ~sim ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
          ~kind:open_kind ~placement:D.True_bl ())
   in
-  O.set_caching false;
-  let plane_naive = wall (plane_sweep ~config:scalar_cfg sim_naive) in
-  O.set_caching true;
-  O.set_cache_capacity 512 (* fresh cache: zero stats, cold start *);
-  let plane_fast = wall (plane_sweep ~config:scalar_cfg sim_fast) in
-  let cache = O.cache_stats () in
+  O.Cache.set_enabled O.Cache.default false;
+  let plane_naive = wall (plane_sweep ~config:one_lane_cfg sim_naive) in
+  O.Cache.set_enabled O.Cache.default true;
+  O.Cache.resize O.Cache.default 512 (* fresh cache: zero stats, cold start *);
+  let plane_fast = wall (plane_sweep ~config:one_lane_cfg sim_fast) in
+  let cache = O.Cache.stats O.Cache.default in
   let hit_rate =
-    let total = cache.O.hits + cache.O.misses in
-    if total = 0 then 0.0 else float_of_int cache.O.hits /. float_of_int total
+    let total = cache.O.Cache.hits + cache.O.Cache.misses in
+    if total = 0 then 0.0 else float_of_int cache.O.Cache.hits /. float_of_int total
   in
-  (* --- batched ensemble sweep vs both scalar paths ------------------ *)
+  (* --- batched ensemble sweep vs both one-lane sweeps ---------------- *)
   (* same plane set, same single domain, fresh cache: resistances travel
      as ensemble lanes through the shared sparse LU instead of one
      transient per point. The tripwire is the tentpole acceptance: the
      batched sweep must beat the naive baseline by >= 5x. *)
-  O.set_cache_capacity 512;
+  O.Cache.resize O.Cache.default 512;
   let plane_batched = wall (plane_sweep ~config:batched_cfg sim_fast) in
   let batch_speedup = ratio plane_naive plane_batched in
   let batch_speedup_limit = 5.0 in
   let batch_speedup_ok = batch_speedup >= batch_speedup_limit in
   (* --- per-lane allocation of the batched path ---------------------- *)
   (* Acceptance check for the ensemble engine: amortised over the batch,
-     a lane must allocate no more than the scalar incremental path does
+     a lane must allocate no more than a one-lane incremental run does
      per accepted time point (the SoA state rows are shared, bisection
      bookkeeping is amortised). Measured on a fresh 16-lane w0 batch with
      the memo cache off and one domain (Gc.minor_words is per-domain);
@@ -416,7 +416,7 @@ let perf_engine_ab () =
   (* One NaN, one lane: [inject_nan_state@+1] fires on the very first
      Newton chaos query of the run, which is lane 0's initial
      quasi-static solve. The lane dies inside the ensemble, falls back
-     to the full scalar ladder (the one-shot fault is already spent, so
+     to the full one-lane ladder (the one-shot fault is already spent, so
      the fallback converges), and every other lane must finish
      untouched — bitwise equal to the clean batch. *)
   let vc_ends = function
@@ -444,7 +444,7 @@ let perf_engine_ab () =
       (List.tl clean_batch) (List.tl poisoned_batch)
   in
   (* and a lane that exhausts retries for real: an infinite initial
-     voltage fails the ensemble and the whole scalar ladder, so its slot
+     voltage fails the ensemble and the whole one-lane ladder, so its slot
      must surface [Exhausted_retries] while its batch mates still match
      the clean run bitwise *)
   let fallbacks1 = O.lane_fallbacks () in
@@ -492,12 +492,12 @@ let perf_engine_ab () =
            ())
     done
   in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let shmoo_naive = wall (shmoo_row sim_naive) in
-  O.set_cache_capacity 512;
-  O.set_caching true;
+  O.Cache.resize O.Cache.default 512;
+  O.Cache.set_enabled O.Cache.default true;
   let shmoo_fast = wall (shmoo_row sim_fast) in
-  O.set_cache_capacity 512;
+  O.Cache.resize O.Cache.default 512;
   (* --- adaptive planner tripwire ------------------------------------ *)
   (* The PR-7 acceptance: on a dense border window the adaptive campaign
      planner must reach the exact grid-strategy borders from >= 5x fewer
@@ -558,7 +558,7 @@ let perf_engine_ab () =
          planner_grid.Cr.results planner_adaptive.Cr.results
   in
   let planner_ok = planner_ratio >= planner_limit && planner_parity in
-  O.set_cache_capacity 512;
+  O.Cache.resize O.Cache.default 512;
   (* --- disabled-telemetry overhead guard ---------------------------- *)
   (* The probes are compiled into the hot path, so there is no probe-free
      build to A/B against. Bound the overhead arithmetically instead:
@@ -582,7 +582,7 @@ let perf_engine_ab () =
     in
     1e9 *. dt /. float_of_int (2 * probe_reps)
   in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   Tel.set_enabled true;
   Tel.reset ();
   ignore (O.run ~sim:sim_fast ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
@@ -606,7 +606,7 @@ let perf_engine_ab () =
     + (3 * cval "dram.ops.requests")
   in
   Tel.reset ();
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   (* wall time of the same op with telemetry off: step_fast ns/point *)
   let op_wall_s = step_fast *. float_of_int n_pts /. 1e9 in
   let overhead_pct =
@@ -647,7 +647,7 @@ let perf_engine_ab () =
     (if alloc_ok then "ok" else "EXCEEDED");
   Printf.printf "  cache hit rate over the plane sweep: %.0f%% (%d hits, %d \
                  misses)\n"
-    (100.0 *. hit_rate) cache.O.hits cache.O.misses;
+    (100.0 *. hit_rate) cache.O.Cache.hits cache.O.Cache.misses;
   Printf.printf
     "  disabled telemetry: %.2f ns/probe x %d probes/op = %.4f%% of the op \
      (limit %.1f%%: %s)\n"
@@ -691,7 +691,7 @@ let perf_engine_ab () =
       shmoo_fast
       (ratio shmoo_naive shmoo_fast)
       planner_grid_sims planner_adaptive_sims planner_ratio planner_limit
-      planner_parity planner_ok cache.O.hits cache.O.misses hit_rate
+      planner_parity planner_ok cache.O.Cache.hits cache.O.Cache.misses hit_rate
       words_naive words_fast alloc_limit alloc_ok probe_ns probe_calls
       overhead_pct overhead_limit_pct overhead_ok
   in
@@ -721,7 +721,7 @@ let resilience () =
   in
   (* memo cache off so the replay speedup measures the checkpoint store,
      not the in-process LRU *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let plain = wall (sweep ?checkpoint:None) in
   let path = Filename.temp_file "dramstress_bench" ".ckpt" in
   let ck = Ck.open_ path in
@@ -731,7 +731,7 @@ let resilience () =
   let resumed = wall (sweep ~checkpoint:ck) in
   Ck.close ck;
   Sys.remove path;
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   (* retry ladder: a solver starved to one Newton iteration per solve
      fails immediately; a damped-Newton stage rescues it *)
   let sim_tight = { Dramstress_engine.Options.default with max_newton = 1 } in
@@ -745,7 +745,7 @@ let resilience () =
       ()
   in
   let defect = D.v open_kind D.True_bl 200e3 in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let direct =
     wall (fun () ->
         ignore (O.run ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]))
@@ -756,7 +756,7 @@ let resilience () =
           (O.run ~config:rescue_cfg ~stress:nominal ~defect ~vc_init:2.4
              [ O.W0 ]))
   in
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   let ratio a b = if b > 0.0 then a /. b else Float.nan in
   Printf.printf "  %-40s %10.4f s\n" "plane sweep, no checkpoint" plain;
   Printf.printf "  %-40s %10.4f s   (overhead %+.1f%%)\n"
@@ -800,8 +800,8 @@ let health () =
   let sim_off =
     { Dramstress_engine.Options.default with health_guards = false }
   in
-  (* one lane everywhere: a deadline forces the scalar path, so the
-     guarded/unguarded/deadline triple must all run scalar for a
+  (* one lane everywhere: a deadline forces one-lane ensembles, so the
+     guarded/unguarded/deadline triple must all run one lane wide for a
      like-for-like comparison *)
   let cfg_off = Sc.v ~sim:sim_off ~retry:Sc.no_retry ~lanes:1 () in
   let cfg_on = Sc.v ~retry:Sc.no_retry ~lanes:1 () in
@@ -809,7 +809,7 @@ let health () =
      deadline never trips, so only the clock reads are priced in *)
   let cfg_deadline = Sc.v ~retry:Sc.no_retry ~deadline:3600.0 ~lanes:1 () in
   let defect = D.v open_kind D.True_bl 200e3 in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   (* --- single-op cost, best of several trials to shed scheduler noise *)
   let reps = 20 and trials = 5 in
   let op_s config =
@@ -891,7 +891,7 @@ let health () =
   in
   let iters = cval "engine.newton.iterations" in
   Tel.reset ();
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   (* the deadline clock is read once per 16 checks, with the poll phase
      carried across solves, so an op of k total Newton iterations reads
      the clock ~k/16 times *)
@@ -973,7 +973,7 @@ let campaign () =
   let n = List.length points in
   (* the in-process LRU would serve repeat runs from memory and hide the
      store entirely; disable it so every number prices the store *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   (* fork the sandbox worker now, while this process is still
      fork-capable and with caching disabled so the worker prices the
      same physics; a process that already spawned domains (earlier
@@ -996,8 +996,10 @@ let campaign () =
               | _ -> assert false
             in
             ignore
-              (C.Border.search ~config:m.Cp.Manifest.config ~r_min:1e4
-                 ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05
+              (C.Border.search ~config:m.Cp.Manifest.config
+                 ~window:
+                   (C.Border.Window.v ~r_min:1e4 ~r_max:1e8 ~grid_points:5
+                      ~rel_tol:0.05 ())
                  ~stress:p.Cp.Plan.stress ~kind:p.Cp.Plan.defect.D.kind
                  ~placement:p.Cp.Plan.placement d))
           points)
@@ -1089,7 +1091,7 @@ let campaign () =
   in
   let w_cold, _ = wall run_wait in
   let w_warm, w_warm_sum = wall run_wait in
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   let ratio a b = if b > 0.0 then a /. b else Float.nan in
   let write_overhead_pct = 100.0 *. (ratio cold direct -. 1.0) in
   let warm_speedup = ratio cold warm in
@@ -1219,9 +1221,9 @@ let perf () =
   in
   (* memoization off: the micro-benchmarks time the simulation itself,
      not cache lookups *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let raw = Benchmark.all cfg instances tests in
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   Hashtbl.iter
     (fun name ols_result ->

@@ -172,7 +172,7 @@ let adaptive_arg =
 
 let window_term =
   let v r_min r_max grid_points rel_tol adaptive =
-    C.Border.Window.over ?r_min ?r_max ?grid_points ?rel_tol
+    C.Border.Window.v ?r_min ?r_max ?grid_points ?rel_tol
       ~strategy:
         (if adaptive then C.Border.Window.Adaptive else C.Border.Window.Grid)
       ()
@@ -208,11 +208,12 @@ let trace_arg =
                  $(b,pretty)) for human-readable lines, anything else as \
                  a JSON-lines file path. Overrides DRAMSTRESS_TRACE.")
 
-let cache_stats_json (c : O.cache_stats) =
+let cache_stats_json (c : O.Cache.stats) =
   Printf.sprintf
     "{ \"requests\": %d, \"hits\": %d, \"misses\": %d, \"evictions\": %d, \
      \"entries\": %d, \"capacity\": %d }"
-    c.O.requests c.O.hits c.O.misses c.O.evictions c.O.entries c.O.capacity
+    c.O.Cache.requests c.O.Cache.hits c.O.Cache.misses c.O.Cache.evictions
+    c.O.Cache.entries c.O.Cache.capacity
 
 (* always-on mirrors of the batched-solver counters, reported next to
    [cache_stats] so the engine ledgers reconcile with telemetry off:
@@ -253,7 +254,7 @@ let telemetry_setup metrics metrics_out trace =
     | None -> ()
     | Some fmt ->
       let snap = Tel.snapshot () in
-      let cache = O.cache_stats () in
+      let cache = O.Cache.(stats default) in
       let ens = Dramstress_engine.Ensemble.stats () in
       let slu = Dramstress_util.Sparse_lu.stats () in
       let write_to default_channel out =
@@ -273,11 +274,12 @@ let telemetry_setup metrics metrics_out trace =
           ^ Printf.sprintf
               "cache: %d requests, %d hits, %d misses, %d evictions \
                (%d/%d entries)\n"
-              cache.O.requests cache.O.hits cache.O.misses cache.O.evictions
-              cache.O.entries cache.O.capacity
+              cache.O.Cache.requests cache.O.Cache.hits cache.O.Cache.misses
+              cache.O.Cache.evictions cache.O.Cache.entries
+              cache.O.Cache.capacity
           ^ Printf.sprintf
               "ensemble: %d lanes in %d batches, %d masked lane-iters, \
-               %d lane failures, %d scalar fallbacks\n"
+               %d lane failures, %d one-lane fallbacks\n"
               ens.Dramstress_engine.Ensemble.lanes
               ens.Dramstress_engine.Ensemble.batches
               ens.Dramstress_engine.Ensemble.masked_lane_iters
@@ -654,9 +656,15 @@ let sim_cmd =
     let nl = Dramstress_circuit.Spice.parse_file deck in
     let compiled = Dramstress_circuit.Netlist.compile nl in
     let result =
-      Dramstress_engine.Transient.run compiled
-        ~segments:[ (tstop, dt) ]
-        ~ics ~probes ()
+      match
+        Dramstress_engine.Ensemble.run compiled
+          ~segments:[ (tstop, dt) ]
+          ~lanes:[| { Dramstress_engine.Ensemble.ics; override = None } |]
+          ~probes ()
+      with
+      | [| Ok result |] -> result
+      | [| Error e |] -> raise e
+      | _ -> assert false
     in
     let rows =
       Array.to_list

@@ -7,7 +7,6 @@ module Sc = Dramstress_dram.Sim_config
 module E = Dramstress_engine
 module Ck = Dramstress_util.Checkpoint
 module Par = Dramstress_util.Par
-module Chaos = Dramstress_util.Chaos
 module Tel = Dramstress_util.Telemetry
 
 let c_skipped = Tel.Counter.make "core.border.skipped_samples"
@@ -135,22 +134,7 @@ module Window = struct
 
   let default = v ()
 
-  let adaptive ?r_min ?r_max ?grid_points ?rel_tol () =
-    v ?r_min ?r_max ?grid_points ?rel_tol ~strategy:Adaptive ()
-
   let with_strategy strategy w = { w with strategy }
-
-  (* legacy-optional merge: the deprecated [?r_min ?r_max ?grid_points
-     ?rel_tol] spellings override the matching fields of [base] *)
-  let over ?(base = default) ?r_min ?r_max ?grid_points ?rel_tol ?strategy ()
-      =
-    v
-      ~r_min:(Option.value r_min ~default:base.r_min)
-      ~r_max:(Option.value r_max ~default:base.r_max)
-      ~grid_points:(Option.value grid_points ~default:base.grid_points)
-      ~rel_tol:(Option.value rel_tol ~default:base.rel_tol)
-      ~strategy:(Option.value strategy ~default:base.strategy)
-      ()
 
   let strategy_name = function Grid -> "grid" | Adaptive -> "adaptive"
 
@@ -320,9 +304,8 @@ let decode_probe = function
   | "x" -> Some None
   | _ -> None
 
-let search ?tech ?config ?checkpoint ?window ?r_min ?r_max ?grid_points
-    ?rel_tol ?(hint = []) ~stress ~kind ~placement cond =
-  let w = Window.over ?base:window ?r_min ?r_max ?grid_points ?rel_tol () in
+let search ?tech ?config ?checkpoint ?window:(w = Window.default)
+    ?(hint = []) ~stress ~kind ~placement cond =
   (* the physics fingerprint: everything a single probe's boolean
      outcome depends on, excluding the window (a probe at resistance r
      is the same simulation whatever window asked for it) *)
@@ -336,61 +319,44 @@ let search ?tech ?config ?checkpoint ?window ?r_min ?r_max ?grid_points
       Detection.detects ~config:cfg ~stress ~defect:(D.v kind placement r)
         cond
     in
-    let try_detect r =
-      match detect r with
-      | b -> Some b
-      | exception e when is_solver_failure e ->
-        Tel.Counter.incr c_skipped;
-        None
-    in
     let grid =
       Array.of_list (G.logspace w.Window.r_min w.Window.r_max w.Window.grid_points)
     in
     let n = Array.length grid in
-    let lanes_max = Sc.resolve_lanes cfg in
-    let use_batch =
-      lanes_max > 1 && cfg.Sc.deadline = None && not (Chaos.armed ())
-    in
-    (* [scan rs] simulates each resistance of [rs] in order. Batched by
-       default: the resistances become lanes of shared ensembles
-       ([O.run_batch]) judged per lane; scalar for [lanes = 1],
-       per-point deadlines, or an armed chaos harness — same values,
-       same cache keys, either way. The refinement bisections below stay
-       scalar: each walks its own resistance trajectory, and caching
-       makes revisits free. *)
+    (* [scan rs] simulates each resistance of [rs]: the resistances are
+       lanes of ensemble-width chunks ([O.run_batch], {!Sc.sweep_lanes})
+       judged per lane. The refinement bisections below walk one
+       resistance trajectory each, and caching makes revisits free. *)
     let scan rs =
-      if use_batch && List.length rs > 1 then begin
-        let defects = List.map (fun r -> D.v kind placement r) rs in
-        let vc_init =
-          Detection.initial_vc cond ~stress ~defect:(List.hd defects)
-        in
-        let results =
-          List.concat
-            (Par.parallel_map ~jobs:(Sc.resolve_jobs cfg)
-               (fun chunk ->
-                 let lanes =
-                   List.map (fun d -> { O.defect = Some d; O.vc_init }) chunk
-                 in
-                 Tel.Counter.add c_probes (List.length lanes);
-                 match
-                   O.run_batch ~config:cfg ~stress ~lanes
-                     (Detection.ops cond)
-                 with
-                 | res -> res
-                 | exception e -> List.map (fun _ -> Error e) lanes)
-               (Par.chunks ~size:lanes_max defects))
-        in
-        List.map2
-          (fun r res ->
-            match res with
-            | Ok outcome -> (r, Some (Detection.judge cond outcome))
-            | Error e when is_solver_failure e ->
-              Tel.Counter.incr c_skipped;
-              (r, None)
-            | Error e -> raise e)
-          rs results
-      end
-      else List.map (fun r -> (r, try_detect r)) rs
+      let defects = List.map (fun r -> D.v kind placement r) rs in
+      let results =
+        List.concat
+          (Par.parallel_map ~jobs:(Sc.resolve_jobs cfg)
+             (fun chunk ->
+               let lanes =
+                 List.map
+                   (fun defect ->
+                     { O.defect = Some defect;
+                       vc_init = Detection.initial_vc cond ~stress ~defect })
+                   chunk
+               in
+               Tel.Counter.add c_probes (List.length lanes);
+               match
+                 O.run_batch ~config:cfg ~stress ~lanes (Detection.ops cond)
+               with
+               | res -> res
+               | exception e -> List.map (fun _ -> Error e) lanes)
+             (Par.chunks ~size:(Sc.sweep_lanes cfg) defects))
+      in
+      List.map2
+        (fun r res ->
+          match res with
+          | Ok outcome -> (r, Some (Detection.judge cond outcome))
+          | Error e when is_solver_failure e ->
+            Tel.Counter.incr c_skipped;
+            (r, None)
+          | Error e -> raise e)
+        rs results
     in
     let samples =
       match w.Window.strategy with

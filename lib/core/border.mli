@@ -62,23 +62,10 @@ val of_samples :
 (** Search windows — the first-class description of {e where} and {e how
     finely} {!search} looks for the border.
 
-    [Window.t] collapses the former [?r_min ?r_max ?grid_points ?rel_tol]
-    optional-argument sprawl into one value that can be stored in
-    manifests, fingerprinted into campaign store keys, and threaded
-    unchanged through {!Plane}, {!Exhaustive}, {!Table1},
-    {!Sc_eval.best_detection} and the CLI.
-
-    {2 Migration from the deprecated optionals}
-
-    Old spelling (still accepted for one release):
-    {[ Border.search ~r_min:1e4 ~r_max:1e8 ~grid_points:25 ~rel_tol:0.05 ... ]}
-    New spelling:
-    {[ Border.search ~window:(Border.Window.v ~r_min:1e4 ~r_max:1e8
-         ~grid_points:25 ~rel_tol:0.05 ()) ... ]}
-    When both are given, the explicit optionals override the matching
-    fields of [window] ({!Window.over} semantics), so partial migrations
-    behave predictably. The deprecated optionals will be removed in the
-    release after next. *)
+    A [Window.t] is one value that can be stored in manifests,
+    fingerprinted into campaign store keys, and threaded unchanged
+    through {!Plane}, {!Exhaustive}, {!Table1},
+    {!Sc_eval.best_detection} and the CLI. *)
 module Window : sig
   (** How the window is scanned.
 
@@ -117,19 +104,7 @@ module Window : sig
 
   val default : t
 
-  (** [adaptive ()] is [v ~strategy:Adaptive ()]. *)
-  val adaptive :
-    ?r_min:float -> ?r_max:float -> ?grid_points:int -> ?rel_tol:float ->
-    unit -> t
-
   val with_strategy : strategy -> t -> t
-
-  (** [over ?base ...] rebuilds [base] (default {!default}) with any
-      explicitly given fields replaced — the merge rule behind the
-      deprecated optional arguments. *)
-  val over :
-    ?base:t -> ?r_min:float -> ?r_max:float -> ?grid_points:int ->
-    ?rel_tol:float -> ?strategy:strategy -> unit -> t
 
   val strategy_name : strategy -> string
   val strategy_of_name : string -> strategy option
@@ -177,7 +152,9 @@ val adaptive_scan :
     13 points over [1 kOhm, 100 GOhm]) for detection-outcome changes and
     refines each edge by bisection to the window's [rel_tol]. One edge
     yields {!Br}; an interior detected region yields {!Faulty_band};
-    multiple regions or unrefinable edges yield {!Bands}.
+    multiple regions or unrefinable edges yield {!Bands}. Scanned
+    samples run as the lanes of ensemble-width chunks
+    ({!Dramstress_dram.Sim_config.sweep_lanes}).
 
     With [window.strategy = Adaptive] only a sparse subset of the grid
     is simulated (see {!Window.strategy} for the oracle relationship and
@@ -187,10 +164,6 @@ val adaptive_scan :
     coarse pass. Hints only add probes — a warm-started search never
     sees fewer samples than a cold adaptive one. [hint] is ignored under
     [Grid].
-
-    The deprecated [?r_min ?r_max ?grid_points ?rel_tol] optionals
-    override the matching [window] fields ({!Window.over}) and will be
-    removed in the release after next.
 
     Grid samples and edge refinements that fail with a solver error
     ([Transient.Step_failed], [Newton.No_convergence],
@@ -211,10 +184,6 @@ val search :
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Window.t ->
-  ?r_min:float ->
-  ?r_max:float ->
-  ?grid_points:int ->
-  ?rel_tol:float ->
   ?hint:float list ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->

@@ -23,7 +23,7 @@ let optimize ?tech ?jobs ?config ?checkpoint ?window
     ?(vdd_values = [ 2.1; 2.4; 2.7 ]) ~nominal ~kind ~placement detection =
   let config = Sc.resolve ?tech ?jobs ?config () in
   let polarity = D.polarity kind in
-  let before = O.run_count () in
+  let before = O.Cache.(requests default) in
   let combos =
     List.concat_map
       (fun tcyc ->
@@ -71,7 +71,7 @@ let optimize ?tech ?jobs ?config ?checkpoint ?window
       best;
       best_br;
       grid_size = List.length combos;
-      simulations = O.run_count () - before;
+      simulations = O.Cache.(requests default) - before;
       ranking;
       failures;
     }
@@ -93,12 +93,12 @@ let compare_methods ?tech ?config ?checkpoint ?window ~nominal ~kind
     optimize ?tech ?config ?checkpoint ?window ~nominal ~kind ~placement
       detection
   in
-  let before = O.run_count () in
+  let before = O.Cache.(requests default) in
   let e =
     Sc_eval.evaluate ?tech ?config ?checkpoint ?window ~nominal ~kind
       ~placement ()
   in
-  let probe_simulations = O.run_count () - before in
+  let probe_simulations = O.Cache.(requests default) - before in
   let close a b rel = Float.abs (a -. b) <= rel *. Float.abs b +. 1e-12 in
   let agreement =
     let p = e.Sc_eval.stressed and x = exhaustive.best in

@@ -2,25 +2,12 @@ module O = Dramstress_dram.Ops
 module S = Dramstress_dram.Stress
 module Sc = Dramstress_dram.Sim_config
 module D = Dramstress_defect.Defect
-module B = Dramstress_util.Bisect
 module I = Dramstress_util.Interp
 module G = Dramstress_util.Grid
 module Par = Dramstress_util.Par
 module Out = Dramstress_util.Outcome
 module Ck = Dramstress_util.Checkpoint
 module Tel = Dramstress_util.Telemetry
-
-(* shared by every sweep layer: wall time of one independent sweep point
-   (one resistance: its bisections and transients) *)
-let h_point =
-  Tel.Histogram.make ~unit_:"ms" ~lo:1e-2 ~hi:1e6 ~buckets:40
-    "core.sweep.point_ms"
-
-(* per-point probe used by all resistance sweeps in this module: the
-   histogram feeds metrics, the span feeds the trace sink *)
-let sweep_point ~r f =
-  Tel.Histogram.time_ms h_point (fun () ->
-      Tel.with_span "plane.point" ~attrs:(fun () -> [ ("r", Tel.Float r) ]) f)
 
 type point = { r : float; vc : float }
 
@@ -51,39 +38,6 @@ let resolve_rops ?window ?rops () =
     G.logspace w.Border.Window.r_min w.Border.Window.r_max
       w.Border.Window.grid_points
   | None, None -> default_rops
-
-(* physical read result for an initial storage voltage: a single read op,
-   unwrapping the logical inversion of complementary placement *)
-let read_physical ~config ~stress ?defect vc =
-  let outcome = O.run ~config ~stress ?defect ~vc_init:vc [ O.R ] in
-  let logical =
-    match O.sensed_bits outcome with [ b ] -> b | _ -> assert false
-  in
-  match defect with
-  | Some { D.placement = D.Comp_bl; _ } -> 1 - logical
-  | Some { D.placement = D.True_bl; _ } | None -> logical
-
-let vmp ?tech ?sim ?config ~stress () =
-  let config = Sc.resolve ?tech ?sim ?config () in
-  match
-    B.guarded_threshold ~tol:5e-3
-      (fun vc -> read_physical ~config ~stress vc = 0)
-      0.0 stress.S.vdd
-  with
-  | B.Crossing v -> v
-  | B.All_true -> 0.0
-  | B.All_false -> stress.S.vdd
-
-let vsa ?tech ?sim ?config ~stress ~defect () =
-  let config = Sc.resolve ?tech ?sim ?config () in
-  match
-    B.guarded_threshold ~tol:5e-3
-      (fun vc -> read_physical ~config ~stress ~defect vc = 0)
-      0.0 stress.S.vdd
-  with
-  | B.Crossing v -> Vsa v
-  | B.All_false -> Reads_all_1
-  | B.All_true -> Reads_all_0
 
 let vsa_substitute stress = function
   | Vsa v -> v
@@ -152,28 +106,16 @@ let decode_read_point s =
 (* Batched evaluation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Planes batch by default: every resistance of a sweep becomes one lane
-   of a shared ensemble integration ([O.run_batch]) instead of an
-   independent transient, so topology planning, symbolic sparse-LU
-   analysis and waveform evaluation are paid once per batch. The scalar
-   path remains for [lanes = 1] ([DRAMSTRESS_LANES=1] or
-   [Sim_config.lanes = Some 1]), for per-point wall-clock deadlines (a
-   budget has no meaning inside a shared solve) and under an armed chaos
-   harness (whose fault plans reason about scalar per-point runs). Both
-   paths produce identical values and share cache and checkpoint keys,
-   so sweeps can switch paths mid-campaign. *)
-
-let batching config =
-  Sc.resolve_lanes config > 1
-  && config.Sc.deadline = None
-  && not (Dramstress_util.Chaos.armed ())
-
-(* one batched evaluation round: [pts] are [(key, lane)] pairs; lanes
-   are cut into ensemble-width chunks that fan out over domains. A raise
-   from [O.run_batch] itself (e.g. a topology build failure, which would
-   fail each lane of the batch identically on the scalar path) degrades
-   to per-lane [Error]s instead of aborting the sweep. *)
-let run_rounds ~config ~jobs ~lanes_max ~stress ~ops pts =
+(* Every plane evaluation runs in rounds: each resistance of a sweep is
+   one lane of a shared ensemble integration ([O.run_batch]), so
+   topology planning, symbolic sparse-LU analysis and waveform
+   evaluation are paid once per batch. [pts] are [(key, lane)] pairs,
+   cut into ensemble-width chunks ({!Sc.sweep_lanes}: one lane per run
+   under a per-point deadline or an armed chaos harness) that fan out
+   over domains. A raise from [O.run_batch] itself (e.g. a topology
+   build failure, which would fail each of its lanes identically)
+   degrades to per-lane [Error]s instead of aborting the sweep. *)
+let run_rounds ~config ~jobs ~stress ~ops pts =
   List.concat
     (Par.parallel_map ~jobs
        (fun chunk ->
@@ -187,17 +129,18 @@ let run_rounds ~config ~jobs ~lanes_max ~stress ~ops pts =
                | exception e -> List.map (fun _ -> Error e) lanes
              in
              List.map2 (fun (k, _) r -> (k, r)) chunk res))
-       (Par.chunks ~size:lanes_max pts))
+       (Par.chunks ~size:(Sc.sweep_lanes config) pts))
 
-(* batched [vsa]: every lane follows the exact guarded-bisection
-   trajectory of the scalar version — same brackets, same midpoints,
-   same [tol] and iteration cap as {!B.guarded_threshold} — but each
-   predicate round evaluates all still-active lanes in one ensemble.
-   All Crossing lanes share the bracket [0, vdd], so they stay in
-   lockstep and the whole bisection costs [log2 (vdd / tol)] rounds for
-   the entire batch. A lane whose simulation fails carries its
-   exception out as [Error] without disturbing its batch mates. *)
-let vsa_many ~config ~jobs ~lanes_max ~stress defects =
+(* The guarded V_sa bisection on the initial storage voltage, for
+   every lane at once ([None] = the defect-free column): probe both ends
+   of [0, vdd]; equal verdicts saturate, otherwise bisect to [tol] (the
+   iteration cap of {!Dramstress_util.Bisect.threshold}). Each predicate
+   round evaluates all still-active lanes in one [run_rounds], and all
+   Crossing lanes share the bracket, so they stay in lockstep and the
+   whole bisection costs [log2 (vdd / tol)] rounds for the entire
+   batch. A lane whose simulation fails carries its exception out as
+   [Error] without disturbing its batch mates. *)
+let vsa_many ~config ~jobs ~stress defects =
   let n = Array.length defects in
   let vdd = stress.S.vdd in
   let tol = 5e-3 and max_iter = 200 in
@@ -214,16 +157,15 @@ let vsa_many ~config ~jobs ~lanes_max ~stress defects =
                 | _ -> assert false
               in
               let physical =
-                match defects.(i).D.placement with
-                | D.Comp_bl -> 1 - logical
-                | D.True_bl -> logical
+                match defects.(i) with
+                | Some { D.placement = D.Comp_bl; _ } -> 1 - logical
+                | Some { D.placement = D.True_bl; _ } | None -> logical
               in
               physical = 0)
             r ))
-      (run_rounds ~config ~jobs ~lanes_max ~stress ~ops:[ O.R ]
+      (run_rounds ~config ~jobs ~stress ~ops:[ O.R ]
          (List.map
-            (fun ((i : int), vc) ->
-              (i, { O.defect = Some defects.(i); O.vc_init = vc }))
+            (fun ((i : int), vc) -> (i, { O.defect = defects.(i); vc_init = vc }))
             pts))
   in
   let plo = Array.make n false in
@@ -276,13 +218,27 @@ let vsa_many ~config ~jobs ~lanes_max ~stress defects =
   done;
   Array.map Option.get out
 
-(* shared scaffolding of the batched planes: checkpoint replay into
-   [slots], per-point defect construction with [D.v] failures captured
-   as point failures, and the final assembly into [Outcome.t] slots in
-   input order — all under the exact keys and payload codecs of the
-   scalar [Ck.memo] path, so a checkpointed sweep can resume on either
-   path bit-identically. *)
-let batched_slots ~checkpoint ~decode ~kind ~placement ~keys rops_arr =
+let vsa_one ~config ~stress defect =
+  match vsa_many ~config ~jobs:1 ~stress [| defect |] with
+  | [| Ok v |] -> v
+  | [| Error e |] -> raise e
+  | _ -> assert false
+
+let vmp ?tech ?sim ?config ~stress () =
+  match vsa_one ~config:(Sc.resolve ?tech ?sim ?config ()) ~stress None with
+  | Vsa v -> v
+  | Reads_all_0 -> 0.0
+  | Reads_all_1 -> stress.S.vdd
+
+let vsa ?tech ?sim ?config ~stress ~defect () =
+  vsa_one ~config:(Sc.resolve ?tech ?sim ?config ()) ~stress (Some defect)
+
+(* shared scaffolding of the planes: checkpoint replay into [slots],
+   per-point defect construction with [D.v] failures captured as point
+   failures, and the final assembly into [Outcome.t] slots in input
+   order. Each point's checkpoint record is independent of the batch
+   width, so a checkpointed sweep resumes at any width bit-identically. *)
+let plane_slots ~checkpoint ~decode ~kind ~placement ~keys rops_arr =
   let n = Array.length rops_arr in
   let slots = Array.make n None in
   (match checkpoint with
@@ -332,12 +288,6 @@ let assemble_outcomes ~slots rops_arr =
 (* Plane sweeps                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* the resistance axis is embarrassingly parallel: each point is an
-   independent bisection / transient, so sweeps fan out over domains.
-   Each point runs through [parallel_map_outcomes]: a point whose
-   simulation still fails after the retry policy becomes a [Failed]
-   slot in [t.failures] instead of aborting the whole plane. *)
-
 let curves_of ~n_ops ~label points =
   List.init n_ops (fun k ->
       {
@@ -345,49 +295,8 @@ let curves_of ~n_ops ~label points =
         points = List.map (fun (r, vcs) -> { r; vc = List.nth vcs k }) points;
       })
 
-(* batched write plane: checkpoint-missing resistances become lanes of
-   shared ensembles — one round of [n_ops] writes, then the lockstep
-   Vsa bisection — instead of independent per-point transients *)
-let write_plane_batched ~config ~jobs ~lanes_max ~checkpoint ~n_ops ~stress
-    ~kind ~placement ~op ~vc_init ~base_key rops =
-  let rops_arr = Array.of_list rops in
-  let keys = Array.map (fun r -> Printf.sprintf "%s|%h" base_key r) rops_arr in
-  let descr i = Printf.sprintf "write plane r=%g" rops_arr.(i) in
-  let slots, defects =
-    batched_slots ~checkpoint ~decode:decode_write_point ~kind ~placement
-      ~keys rops_arr
-  in
-  (* write trajectories: one ensemble run of [n_ops] writes per chunk *)
-  let vcs_arr = Array.make (Array.length rops_arr) [] in
-  List.iter
-    (fun (i, r) ->
-      match r with
-      | Ok outcome ->
-        vcs_arr.(i) <- List.map (fun res -> res.O.vc_end) outcome.O.results
-      | Error e -> slots.(i) <- Some (Error e))
-    (run_rounds ~config ~jobs ~lanes_max ~stress
-       ~ops:(List.init n_ops (fun _ -> op))
-       (List.map
-          (fun i -> (i, { O.defect = defects.(i); O.vc_init }))
-          (live_indices slots)));
-  (* sense-amp thresholds of the surviving points, batched bisection *)
-  let live = live_indices slots in
-  let vsas =
-    vsa_many ~config ~jobs ~lanes_max ~stress
-      (Array.of_list (List.map (fun i -> Option.get defects.(i)) live))
-  in
-  List.iteri
-    (fun k i ->
-      match vsas.(k) with
-      | Ok v ->
-        commit_point ~checkpoint ~encode:encode_write_point ~descr ~keys
-          ~slots i (vcs_arr.(i), v)
-      | Error e -> slots.(i) <- Some (Error e))
-    live;
-  List.map
-    (fun o -> Out.map (fun (r, (vcs, v)) -> (r, vcs, v)) o)
-    (assemble_outcomes ~slots rops_arr)
-
+(* write plane: checkpoint-missing resistances become lanes — one round
+   of [n_ops] writes, then the lockstep Vsa bisection *)
 let write_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 4)
     ?rops ~stress ~kind ~placement ~op () =
   let rops = resolve_rops ?window ?rops () in
@@ -404,66 +313,81 @@ let write_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 4)
   let base_key =
     Ck.fingerprint ("plane.write", config, stress, kind, placement, op, n_ops)
   in
-  let outcomes =
-    if batching config then
-      write_plane_batched ~config ~jobs ~lanes_max:(Sc.resolve_lanes config)
-        ~checkpoint ~n_ops ~stress ~kind ~placement ~op ~vc_init ~base_key
-        rops
-    else
-      Par.parallel_map_outcomes ~jobs ~retries_of:O.retries_of
-      (fun r ->
-        sweep_point ~r (fun () ->
-            let vcs, v =
-              Ck.memo checkpoint
-                ~key:(Printf.sprintf "%s|%h" base_key r)
-                ~descr:(Printf.sprintf "write plane r=%g" r)
-                ~encode:encode_write_point ~decode:decode_write_point
-                (fun () ->
-                  let defect = D.v kind placement r in
-                  let outcome =
-                    O.run ~config ~stress ~defect ~vc_init
-                      (List.init n_ops (fun _ -> op))
-                  in
-                  ( List.map (fun res -> res.O.vc_end) outcome.O.results,
-                    vsa ~config ~stress ~defect () ))
-            in
-            (r, vcs, v)))
-      rops
+  let rops_arr = Array.of_list rops in
+  let keys = Array.map (fun r -> Printf.sprintf "%s|%h" base_key r) rops_arr in
+  let descr i = Printf.sprintf "write plane r=%g" rops_arr.(i) in
+  let slots, defects =
+    plane_slots ~checkpoint ~decode:decode_write_point ~kind ~placement ~keys
+      rops_arr
   in
-  let points, failures = Out.partition outcomes in
+  (* write trajectories: one ensemble run of [n_ops] writes per chunk *)
+  let vcs_arr = Array.make (Array.length rops_arr) [] in
+  List.iter
+    (fun (i, r) ->
+      match r with
+      | Ok outcome ->
+        vcs_arr.(i) <- List.map (fun res -> res.O.vc_end) outcome.O.results
+      | Error e -> slots.(i) <- Some (Error e))
+    (run_rounds ~config ~jobs ~stress
+       ~ops:(List.init n_ops (fun _ -> op))
+       (List.map
+          (fun i -> (i, { O.defect = defects.(i); O.vc_init }))
+          (live_indices slots)));
+  (* sense-amp thresholds of the surviving points *)
+  let live = live_indices slots in
+  let vsas =
+    vsa_many ~config ~jobs ~stress
+      (Array.of_list (List.map (fun i -> defects.(i)) live))
+  in
+  List.iteri
+    (fun k i ->
+      match vsas.(k) with
+      | Ok v ->
+        commit_point ~checkpoint ~encode:encode_write_point ~descr ~keys
+          ~slots i (vcs_arr.(i), v)
+      | Error e -> slots.(i) <- Some (Error e))
+    live;
+  let points, failures = Out.partition (assemble_outcomes ~slots rops_arr) in
   {
     op;
     curves =
       curves_of ~n_ops
         ~label:(fun k -> Format.asprintf "(%d) %a" (k + 1) O.pp_op op)
-        (List.map (fun (r, vcs, _) -> (r, vcs)) points);
-    vsa_curve = List.map (fun (r, _, v) -> { r_sa = r; vsa = v }) points;
+        (List.map (fun (r, (vcs, _)) -> (r, vcs)) points);
+    vsa_curve = List.map (fun (r, (_, v)) -> { r_sa = r; vsa = v }) points;
     (* the shared defect-free midpoint is a plane prerequisite, not a
        sweep point: the per-point deadline does not apply to it *)
     vmp = vmp ~config:{ config with Sc.deadline = None } ~stress ();
-    rops = List.map (fun (r, _, _) -> r) points;
+    rops = List.map fst points;
     failures;
     stress;
   }
 
-(* batched read plane: the lockstep Vsa bisection first, then two
-   ensemble rounds of [n_ops] reads seeded just below / above each
-   lane's own threshold *)
-let read_plane_batched ~config ~jobs ~lanes_max ~checkpoint ~n_ops ~offset
-    ~stress ~kind ~placement ~base_key rops =
+(* read plane: the lockstep Vsa bisection first, then two rounds of
+   [n_ops] reads seeded just below / above each lane's own threshold *)
+let read_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 3)
+    ?rops ?(offset = 0.2) ~stress ~kind ~placement () =
+  let rops = resolve_rops ?window ?rops () in
+  if n_ops < 1 then invalid_arg "Plane.read_plane: n_ops < 1";
+  let config = Sc.resolve ?tech ?sim ?jobs ?config () in
+  let jobs = Sc.resolve_jobs config in
+  let base_key =
+    Ck.fingerprint
+      ("plane.read", config, stress, kind, placement, n_ops, offset)
+  in
   let rops_arr = Array.of_list rops in
   let n = Array.length rops_arr in
   let keys = Array.map (fun r -> Printf.sprintf "%s|%h" base_key r) rops_arr in
   let descr i = Printf.sprintf "read plane r=%g" rops_arr.(i) in
   let slots, defects =
-    batched_slots ~checkpoint ~decode:decode_read_point ~kind ~placement ~keys
+    plane_slots ~checkpoint ~decode:decode_read_point ~kind ~placement ~keys
       rops_arr
   in
   let vsas = Array.make n Reads_all_1 in
   let live = live_indices slots in
   let res =
-    vsa_many ~config ~jobs ~lanes_max ~stress
-      (Array.of_list (List.map (fun i -> Option.get defects.(i)) live))
+    vsa_many ~config ~jobs ~stress
+      (Array.of_list (List.map (fun i -> defects.(i)) live))
   in
   List.iteri
     (fun k i ->
@@ -479,7 +403,7 @@ let read_plane_batched ~config ~jobs ~lanes_max ~checkpoint ~n_ops ~offset
         | Ok outcome ->
           vcs.(i) <- List.map (fun res -> res.O.vc_end) outcome.O.results
         | Error e -> slots.(i) <- Some (Error e))
-      (run_rounds ~config ~jobs ~lanes_max ~stress
+      (run_rounds ~config ~jobs ~stress
          ~ops:(List.init n_ops (fun _ -> O.R))
          (List.map
             (fun i ->
@@ -499,67 +423,18 @@ let read_plane_batched ~config ~jobs ~lanes_max ~checkpoint ~n_ops ~offset
       commit_point ~checkpoint ~encode:encode_read_point ~descr ~keys ~slots i
         (vsas.(i), below.(i), above.(i)))
     (live_indices slots);
-  List.map
-    (fun o -> Out.map (fun (r, (v, b, a)) -> (r, v, b, a)) o)
-    (assemble_outcomes ~slots rops_arr)
-
-let read_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 3)
-    ?rops ?(offset = 0.2) ~stress ~kind ~placement () =
-  let rops = resolve_rops ?window ?rops () in
-  if n_ops < 1 then invalid_arg "Plane.read_plane: n_ops < 1";
-  let config = Sc.resolve ?tech ?sim ?jobs ?config () in
-  let jobs = Sc.resolve_jobs config in
-  let base_key =
-    Ck.fingerprint
-      ("plane.read", config, stress, kind, placement, n_ops, offset)
-  in
-  let outcomes =
-    if batching config then
-      read_plane_batched ~config ~jobs ~lanes_max:(Sc.resolve_lanes config)
-        ~checkpoint ~n_ops ~offset ~stress ~kind ~placement ~base_key rops
-    else
-      Par.parallel_map_outcomes ~jobs ~retries_of:O.retries_of
-      (fun r ->
-        sweep_point ~r (fun () ->
-            let v, below, above =
-              Ck.memo checkpoint
-                ~key:(Printf.sprintf "%s|%h" base_key r)
-                ~descr:(Printf.sprintf "read plane r=%g" r)
-                ~encode:encode_read_point ~decode:decode_read_point
-                (fun () ->
-                  let defect = D.v kind placement r in
-                  let v = vsa ~config ~stress ~defect () in
-                  let trajectory seed_of =
-                    let seed =
-                      Float.max 0.0
-                        (Float.min stress.S.vdd
-                           (seed_of (vsa_substitute stress v)))
-                    in
-                    let outcome =
-                      O.run ~config ~stress ~defect ~vc_init:seed
-                        (List.init n_ops (fun _ -> O.R))
-                    in
-                    List.map (fun res -> res.O.vc_end) outcome.O.results
-                  in
-                  ( v,
-                    trajectory (fun vsa -> vsa -. offset),
-                    trajectory (fun vsa -> vsa +. offset) ))
-            in
-            (r, v, below, above)))
-      rops
-  in
-  let points, failures = Out.partition outcomes in
-  let below = List.map (fun (r, _, b, _) -> (r, b)) points in
-  let above = List.map (fun (r, _, _, a) -> (r, a)) points in
+  let points, failures = Out.partition (assemble_outcomes ~slots rops_arr) in
+  let below = List.map (fun (r, (_, b, _)) -> (r, b)) points in
+  let above = List.map (fun (r, (_, _, a)) -> (r, a)) points in
   let label tag k = Printf.sprintf "(%d) r %s" (k + 1) tag in
   {
     op = O.R;
     curves =
       curves_of ~n_ops ~label:(label "from below Vsa") below
       @ curves_of ~n_ops ~label:(label "from above Vsa") above;
-    vsa_curve = List.map (fun (r, v, _, _) -> { r_sa = r; vsa = v }) points;
+    vsa_curve = List.map (fun (r, (v, _, _)) -> { r_sa = r; vsa = v }) points;
     vmp = vmp ~config:{ config with Sc.deadline = None } ~stress ();
-    rops = List.map (fun (r, _, _, _) -> r) points;
+    rops = List.map fst points;
     failures;
     stress;
   }

@@ -55,8 +55,9 @@ val vmp :
   unit -> float
 
 (** [vsa ?tech ?sim ?config ~stress ~defect ()] is the sense threshold
-    for the given defect instance (bisection on the initial storage
-    voltage, 10 mV resolution). *)
+    for the given defect instance (guarded bisection on the initial
+    storage voltage to 5 mV; {!vmp} is the same bisection on the
+    defect-free column). *)
 val vsa :
   ?tech:Dramstress_dram.Tech.t ->
   ?sim:Dramstress_engine.Options.t ->
@@ -75,16 +76,15 @@ val vsa :
     campaign share an axis); otherwise 12 points over [1 kOhm, 1 MOhm].
     Raises [Invalid_argument] if [op] is a read or pause.
 
-    [jobs] caps the number of domains used for the resistance sweep
-    (each point is an independent simulation); it defaults to
+    Each resistance is one lane of ensemble-width chunks
+    ({!Dramstress_dram.Sim_config.sweep_lanes}): one round of writes,
+    then a lockstep [V_sa] bisection. [jobs] caps the number of domains
+    the chunks fan out over; it defaults to
     [Dramstress_util.Par.resolve_jobs] (which honours the
     [DRAMSTRESS_JOBS] environment variable), and [~jobs:1] forces a
     sequential sweep. [sim] overrides the solver options of every
-    underlying run.
-
-    When {!Dramstress_util.Telemetry} is enabled, each resistance point
-    observes the shared [core.sweep.point_ms] histogram and emits a
-    [plane.point] span.
+    underlying run. When {!Dramstress_util.Telemetry} is enabled, each
+    chunk emits a [plane.batch] span.
 
     A point that raises — even after {!Dramstress_dram.Ops.run}'s retry
     ladder — lands in [t.failures] instead of aborting the sweep.

@@ -31,16 +31,15 @@ let candidate_detections ?(allow_pause = true) ?(pause = 1e-3) ~placement
   | D.Bridge_to_neighbour ->
     standards
 
-let best_detection ?tech ?config ?checkpoint ?window ?r_min ?r_max
-    ?grid_points ?rel_tol ?hint ?allow_pause ?pause ~stress ~kind ~placement
-    () =
+let best_detection ?tech ?config ?checkpoint ?window ?hint ?allow_pause
+    ?pause ~stress ~kind ~placement () =
   let polarity = D.polarity kind in
   let scored =
     List.map
       (fun cond ->
         ( cond,
-          Border.search ?tech ?config ?checkpoint ?window ?r_min ?r_max
-            ?grid_points ?rel_tol ?hint ~stress ~kind ~placement cond ))
+          Border.search ?tech ?config ?checkpoint ?window ?hint ~stress
+            ~kind ~placement cond ))
       (candidate_detections ?allow_pause ?pause ~placement kind)
   in
   match scored with

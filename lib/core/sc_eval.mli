@@ -35,18 +35,12 @@ val candidate_detections :
     winning condition with its BR. [window] passes through to every
     underlying {!Border.search} (campaign manifests narrow it to bound
     cost), as does [hint] (warm-start border estimates from adjacent
-    campaign points). The [?r_min ?r_max ?grid_points ?rel_tol]
-    optionals are deprecated spellings of [window]'s fields and override
-    them when given ({!Border.Window.over}). *)
+    campaign points). *)
 val best_detection :
   ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
-  ?r_min:float ->
-  ?r_max:float ->
-  ?grid_points:int ->
-  ?rel_tol:float ->
   ?hint:float list ->
   ?allow_pause:bool ->
   ?pause:float ->

@@ -222,7 +222,7 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
    a shared cache lets parallel sweep workers reuse each other's results
    mid-sweep — per-domain caches would only merge after the sweep ends,
    too late to save anything. Outcomes are immutable once constructed
-   (the trace's interp table is built eagerly in Transient.run), so
+   (the trace's interp table is built eagerly by the integrator), so
    handing the same outcome to several domains is safe. *)
 
 type cache_key = {
@@ -300,28 +300,11 @@ module Cache = struct
   let reset_requests t = Atomic.set t.request_count 0
 end
 
-type cache_stats = Cache.stats = {
-  requests : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;
-  capacity : int;
-}
-
-(* -- backward-compatible wrappers over [Cache.default] -------------- *)
-
-let run_count () = Cache.requests Cache.default
-let reset_run_count () = Cache.reset_requests Cache.default
-let set_caching on = Cache.set_enabled Cache.default on
-let caching_enabled () = Cache.is_enabled Cache.default
-let set_cache_capacity n = Cache.resize Cache.default n
 let clear_cache () = Cache.clear Cache.default
-let cache_stats () = Cache.stats Cache.default
 
 (* the planner's cost metric: requests that actually reached the solver
-   (scalar transient runs plus ensemble lanes), i.e. what the paper
-   counts as "simulations". Cached replays are free and excluded. *)
+   (ensemble lanes), i.e. what the paper counts as "simulations". Cached
+   replays are free and excluded. *)
 let simulations () = (Cache.stats Cache.default).misses
 
 (* ------------------------------------------------------------------ *)
@@ -355,9 +338,7 @@ let degrade_config (cfg : Sim_config.t) stage =
             max_newton = base_sim.E.Options.max_newton * max_newton_scale } }
 
 (* interpret one simulated trace against the op schedule: per-op sensed
-   bit, sense separation and end-of-op cell voltage. Shared verbatim by
-   the scalar and the batched execution paths — an outcome must not
-   depend on which path produced the trace. *)
+   bit, sense separation and end-of-op cell voltage *)
 let interpret ~inverted ~schedule ~(ph : Timing.t) ~(built : Column.built)
     trace =
   let vc = E.Transient.probe trace built.Column.vc_node in
@@ -405,37 +386,71 @@ let neighbour_of_pattern ~(stress : Stress.t) ~vc_init v_neighbour =
 let netlist_knobs ~(tech : Tech.t) ~(stress : Stress.t) =
   (stress.Stress.leak, stress.Stress.couple *. tech.Tech.c_cell)
 
-let execute ~tech ?sim ~steps_per_cycle ?deadline_at ?defect ~vc_init
-    ?v_neighbour ~stress ops =
+type lane = { defect : D.t option; vc_init : float }
+
+(* one ensemble run of [lanes] over a shared topology (defect kind and
+   placement fixed across lanes): the column is built once, with the
+   first lane's defect. In a multi-lane run every lane (the first
+   included) overrides [r_defect] with its own resistance as an {!Mna}
+   resistor override, so the netlist value never leaks into any lane; a
+   single lane simply runs on its own netlist value. Per-lane initial
+   cell voltages travel as lane ICs. *)
+let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes
+    ops =
+  let tech = cfg.Sim_config.tech in
   let vdd = stress.Stress.vdd in
-  let v_neighbour = neighbour_of_pattern ~stress ~vc_init v_neighbour in
+  let defect0 = (List.hd lanes).defect in
   let inverted =
-    match defect with
+    match defect0 with
     | Some { D.placement = D.Comp_bl; _ } -> true
     | Some { D.placement = D.True_bl; _ } | None -> false
   in
   let controls, segments, schedule, ph =
-    plan ~tech ~stress ~inverted ~steps_per_cycle ops
+    plan ~tech ~stress ~inverted
+      ~steps_per_cycle:cfg.Sim_config.steps_per_cycle ops
   in
   let leak_g, couple = netlist_knobs ~tech ~stress in
-  let built = Column.build ~tech ~vdd ~controls ~leak_g ~couple ?defect () in
+  let built =
+    Column.build ~tech ~vdd ~controls ~leak_g ~couple ?defect:defect0 ()
+  in
   let opts =
-    let base = Option.value sim ~default:E.Options.default in
+    let base = Option.value cfg.Sim_config.sim ~default:E.Options.default in
     { base with E.Options.temp = Stress.temp_kelvin stress }
   in
-  let ics = Column.initial_conditions built ~vdd ~vc_init ~v_neighbour in
-  let trace =
-    E.Transient.run built.Column.compiled ~opts ?deadline_at ~segments ~ics
-      ~probes:built.Column.probes ()
+  let single = List.compare_length_with lanes 1 = 0 in
+  let elanes =
+    Array.of_list
+      (List.map
+         (fun l ->
+           (* per-lane pattern resolution: a checkerboard neighbour
+              depends on the lane's own vc_init *)
+           let v_nb =
+             neighbour_of_pattern ~stress ~vc_init:l.vc_init v_neighbour
+           in
+           {
+             E.Ensemble.ics =
+               Column.initial_conditions built ~vdd ~vc_init:l.vc_init
+                 ~v_neighbour:v_nb;
+             override =
+               (if single then None
+                else Option.map (fun d -> ("r_defect", d.D.r)) l.defect);
+           })
+         lanes)
   in
-  interpret ~inverted ~schedule ~ph ~built trace
+  Array.map
+    (Result.map (fun trace -> interpret ~inverted ~schedule ~ph ~built trace))
+    (E.Ensemble.run built.Column.compiled ~opts ?deadline_at ~segments
+       ~lanes:elanes ~probes:built.Column.probes ())
 
-let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?defect ~vc_init
-    ?v_neighbour ~stress ops =
+(* one lane through the configured retry/degradation ladder *)
+let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress
+    ~lane ops =
   let exec (c : Sim_config.t) =
-    execute ~tech:c.Sim_config.tech ?sim:c.Sim_config.sim
-      ~steps_per_cycle:c.Sim_config.steps_per_cycle ?deadline_at ?defect
-      ~vc_init ?v_neighbour ~stress ops
+    match execute ~cfg:c ?deadline_at ?v_neighbour ~stress ~lanes:[ lane ] ops
+    with
+    | [| Ok outcome |] -> outcome
+    | [| Error e |] -> raise e
+    | _ -> assert false
   in
   (* Newton.Timeout is deliberately absent: a point that exhausted its
      wall-clock budget must not walk the ladder (each stage only costs
@@ -482,12 +497,11 @@ let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?defect ~vc_init
       attempt cfg 1 [] e stages
     end
 
-(* the full scalar miss path of [run] minus the cache: deadline
-   pinning, tracing span, deadline counting and the retry ladder.
-   Shared by [run] and the per-lane fallback of [run_batch], so a lane
-   that falls out of an ensemble gets exactly the scalar treatment. *)
-let execute_with_ladder ~(cfg : Sim_config.t) ?defect ~vc_init ?v_neighbour
-    ~stress ops =
+(* the full one-lane treatment minus the cache: deadline pinning,
+   tracing span, deadline counting and the retry ladder. A lane that
+   misses alone, runs under a deadline, or falls out of a multi-lane
+   ensemble takes this path. *)
+let execute_with_ladder ~(cfg : Sim_config.t) ?v_neighbour ~stress ~lane ops =
   (* the wall-clock budget covers the whole request — base attempt
      plus every retry stage — so it is pinned to an absolute instant
      here, once, rather than restarting per attempt *)
@@ -500,8 +514,7 @@ let execute_with_ladder ~(cfg : Sim_config.t) ?defect ~vc_init ?v_neighbour
     ~attrs:(fun () -> [ ("seq", Tel.Str (seq_to_string ops)) ])
     (fun () ->
       match
-        execute_resilient ~cfg ?deadline_at ?defect ~vc_init ?v_neighbour
-          ~stress ops
+        execute_resilient ~cfg ?deadline_at ?v_neighbour ~stress ~lane ops
       with
       | outcome -> outcome
       | exception (E.Newton.Timeout _ as e) ->
@@ -517,44 +530,6 @@ let store_outcome cache key outcome =
         let d = Lru.evictions c - ev0 in
         if d > 0 then Tel.Counter.add c_evictions d)
 
-let run ?tech ?sim ?steps_per_cycle ?defect ?(vc_init = 0.0) ?v_neighbour
-    ?config ?(cache = Cache.default) ~stress ops =
-  if ops = [] then invalid_arg "Ops.run: empty sequence";
-  Stress.validate stress;
-  let cfg = Sim_config.resolve ?tech ?sim ?steps_per_cycle ?config () in
-  Atomic.incr cache.Cache.request_count;
-  Tel.Counter.incr c_requests;
-  let key =
-    { k_tech = cfg.Sim_config.tech; k_stress = stress;
-      k_sim = cfg.Sim_config.sim; k_steps = cfg.Sim_config.steps_per_cycle;
-      k_defect = defect; k_vc_init = vc_init; k_v_neighbour = v_neighbour;
-      k_ops = ops }
-  in
-  let cached =
-    if Cache.is_enabled cache then
-      Cache.with_lru cache (fun c -> Lru.find c key)
-    else None
-  in
-  match cached with
-  | Some outcome ->
-    Tel.Counter.incr c_hits;
-    outcome
-  | None ->
-    Tel.Counter.incr c_misses;
-    let outcome =
-      execute_with_ladder ~cfg ?defect ~vc_init ?v_neighbour ~stress ops
-    in
-    (* a run rescued by a degraded stage is cached under the BASE config
-       key on purpose: the base configuration cannot produce an outcome
-       at all (it fails), and repeat requests should get the degraded
-       result instantly instead of re-walking the failure ladder *)
-    store_outcome cache key outcome;
-    outcome
-
-(* ------------------------------------------------------------------ *)
-(* Batched execution                                                   *)
-(* ------------------------------------------------------------------ *)
-
 let c_lane_fallbacks = Tel.Counter.make "dram.ops.lane_fallbacks"
 
 (* always-on mirror for [--metrics] reconciliation *)
@@ -562,66 +537,6 @@ let g_lane_fallbacks = Atomic.make 0
 
 let lane_fallbacks () = Atomic.get g_lane_fallbacks
 let reset_lane_fallbacks () = Atomic.set g_lane_fallbacks 0
-
-type lane = { defect : D.t option; vc_init : float }
-
-(* every miss lane of one batch through a single ensemble run: shared
-   topology (defect kind + placement fixed across lanes), per-lane
-   resistance as an {!Mna} resistor override and per-lane initial cell
-   voltage as lane ICs *)
-let execute_batch ~(cfg : Sim_config.t) ?v_neighbour ~stress ~lanes ops =
-  let tech = cfg.Sim_config.tech in
-  let vdd = stress.Stress.vdd in
-  let defect0 = (List.hd lanes).defect in
-  let inverted =
-    match defect0 with
-    | Some { D.placement = D.Comp_bl; _ } -> true
-    | Some { D.placement = D.True_bl; _ } | None -> false
-  in
-  let controls, segments, schedule, ph =
-    plan ~tech ~stress ~inverted
-      ~steps_per_cycle:cfg.Sim_config.steps_per_cycle ops
-  in
-  (* the column is built once, with the first lane's defect; every lane
-     (including the first) then overrides [r_defect] with its own
-     resistance, so the netlist value never leaks into any lane *)
-  let leak_g, couple = netlist_knobs ~tech ~stress in
-  let built =
-    Column.build ~tech ~vdd ~controls ~leak_g ~couple ?defect:defect0 ()
-  in
-  let opts =
-    let base = Option.value cfg.Sim_config.sim ~default:E.Options.default in
-    { base with E.Options.temp = Stress.temp_kelvin stress }
-  in
-  let elanes =
-    Array.of_list
-      (List.map
-         (fun l ->
-           (* per-lane pattern resolution keeps lane/scalar parity exact:
-              a checkerboard neighbour depends on the lane's own vc_init *)
-           let v_nb =
-             neighbour_of_pattern ~stress ~vc_init:l.vc_init v_neighbour
-           in
-           {
-             E.Ensemble.ics =
-               Column.initial_conditions built ~vdd ~vc_init:l.vc_init
-                 ~v_neighbour:v_nb;
-             override = Option.map (fun d -> ("r_defect", d.D.r)) l.defect;
-           })
-         lanes)
-  in
-  let traces =
-    Tel.with_span "ops.run_batch"
-      ~attrs:(fun () ->
-        [ ("seq", Tel.Str (seq_to_string ops));
-          ("lanes", Tel.Int (Array.length elanes)) ])
-      (fun () ->
-        E.Ensemble.run built.Column.compiled ~opts ~segments ~lanes:elanes
-          ~probes:built.Column.probes ())
-  in
-  Array.map
-    (Result.map (fun trace -> interpret ~inverted ~schedule ~ph ~built trace))
-    traces
 
 let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
     ?(cache = Cache.default) ~stress ~lanes ops =
@@ -642,9 +557,8 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
   let cfg = Sim_config.resolve ?tech ?sim ?steps_per_cycle ?config () in
   let lanes_arr = Array.of_list lanes in
   let n = Array.length lanes_arr in
-  (* per-lane keys and request/hit/miss accounting identical to scalar
-     [run]: a batched lane and a scalar call are interchangeable in the
-     cache, and [requests = hits + misses] keeps holding *)
+  (* one cache key and one request/hit/miss tick per lane, whatever the
+     batch width: [requests = hits + misses] keeps holding *)
   let keys =
     Array.map
       (fun l ->
@@ -674,45 +588,65 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
   for i = n - 1 downto 0 do
     if Option.is_none slots.(i) then missing := i :: !missing
   done;
+  (* a run rescued by a degraded stage is cached under the BASE config
+     key on purpose: the base configuration cannot produce an outcome
+     at all (it fails), and repeat requests should get the degraded
+     result instantly instead of re-walking the failure ladder *)
   let finish i outcome =
     store_outcome cache keys.(i) outcome;
     slots.(i) <- Some (Ok outcome)
   in
-  let scalar i =
-    let l = lanes_arr.(i) in
+  let one_lane i =
     match
-      execute_with_ladder ~cfg ?defect:l.defect ~vc_init:l.vc_init
-        ?v_neighbour ~stress ops
+      execute_with_ladder ~cfg ?v_neighbour ~stress ~lane:lanes_arr.(i) ops
     with
     | outcome -> finish i outcome
     | exception e -> slots.(i) <- Some (Error e)
   in
-  (match !missing with
-  | [] -> ()
-  | [ i ] -> scalar i (* a single miss: an ensemble of one is overhead *)
-  | missing when cfg.Sim_config.deadline <> None ->
-    (* the wall-clock budget is a per-point contract; inside a shared
-       ensemble one slow lane would burn every lane's budget, so
-       deadline-bound requests take the scalar path per lane *)
-    List.iter scalar missing
-  | missing ->
-    let results =
-      execute_batch ~cfg ?v_neighbour ~stress
-        ~lanes:(List.map (fun i -> lanes_arr.(i)) missing)
-        ops
-    in
-    List.iteri
-      (fun j i ->
-        match results.(j) with
-        | Ok outcome -> finish i outcome
-        | Error _ ->
-          (* the lane died inside the ensemble (after its in-batch
-             dt-halving retries); give it the full scalar treatment —
-             base attempt plus retry ladder — exactly what a scalar miss
-             would get. Non-convergent lanes end up as [Error
-             Exhausted_retries] slots without disturbing batch mates. *)
-          Tel.Counter.incr c_lane_fallbacks;
-          Atomic.incr g_lane_fallbacks;
-          scalar i)
-      missing);
+  let ensemble = function
+    | [] -> ()
+    | [ i ] -> one_lane i
+    | group ->
+      let results =
+        Tel.with_span "ops.run_batch"
+          ~attrs:(fun () ->
+            [ ("seq", Tel.Str (seq_to_string ops));
+              ("lanes", Tel.Int (List.length group)) ])
+          (fun () ->
+            execute ~cfg ?v_neighbour ~stress
+              ~lanes:(List.map (fun i -> lanes_arr.(i)) group)
+              ops)
+      in
+      List.iteri
+        (fun j i ->
+          match results.(j) with
+          | Ok outcome -> finish i outcome
+          | Error _ ->
+            (* the lane died inside the ensemble (after its in-batch
+               dt-halving retries), where the pivot order its batch mates
+               shaped may fail where its own would not: retry it alone —
+               base attempt plus retry ladder. Non-convergent lanes end
+               up as [Error Exhausted_retries] slots without disturbing
+               batch mates. *)
+            Tel.Counter.incr c_lane_fallbacks;
+            Atomic.incr g_lane_fallbacks;
+            one_lane i)
+        group
+  in
+  (* the wall-clock budget is a per-point contract; inside a shared
+     ensemble one slow lane would burn every lane's budget, so
+     deadline-bound requests run one lane per ensemble *)
+  if cfg.Sim_config.deadline = None then ensemble !missing
+  else List.iter one_lane !missing;
   Array.to_list (Array.map Option.get slots)
+
+let run ?tech ?sim ?steps_per_cycle ?defect ?(vc_init = 0.0) ?v_neighbour
+    ?config ?cache ~stress ops =
+  if ops = [] then invalid_arg "Ops.run: empty sequence";
+  match
+    run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config ?cache ~stress
+      ~lanes:[ { defect; vc_init } ] ops
+  with
+  | [ Ok outcome ] -> outcome
+  | [ Error e ] -> raise e
+  | _ -> assert false

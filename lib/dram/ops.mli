@@ -157,54 +157,20 @@ module Cache : sig
   val reset_requests : t -> unit
 end
 
-type cache_stats = Cache.stats = {
-  requests : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;
-  capacity : int;
-}
-
-(** {3 Deprecated global wrappers}
-
-    These operate on {!Cache.default} and exist for source compatibility
-    with the original global-state API; new code should hold a
-    {!Cache.t} and call its functions directly. *)
-
-(** [run_count ()] is [Cache.requests Cache.default] — the number of
-    simulation requests made through {!run} since start-up (or the last
-    {!reset_run_count}), the cost metric the paper's method optimizes
-    against exhaustive per-SC fault analysis. Requests served from the
-    memo cache are counted too; {!cache_stats} separates actual
-    electrical simulations (misses) from cached replays (hits). *)
-val run_count : unit -> int
-
-val reset_run_count : unit -> unit
-
-(** [set_caching on] is [Cache.set_enabled Cache.default on]. *)
-val set_caching : bool -> unit
-
-val caching_enabled : unit -> bool
-
-(** [set_cache_capacity n] is [Cache.resize Cache.default n]. *)
-val set_cache_capacity : int -> unit
-
 (** [clear_cache ()] is [Cache.clear Cache.default]. *)
 val clear_cache : unit -> unit
 
-val cache_stats : unit -> cache_stats
-
-(** [simulations ()] is [(cache_stats ()).misses] — the number of
-    requests that actually reached the electrical solver (scalar
-    transient runs plus ensemble lanes; cached replays excluded) since
-    start-up or the last {!clear_cache}. This is the cost metric the
-    adaptive campaign planner minimises and the bench tripwires
-    compare, named so call sites read as what they measure. *)
+(** [simulations ()] is the [misses] of [Cache.stats Cache.default] —
+    the number of requests that actually reached the electrical solver
+    (ensemble lanes; cached replays excluded) since start-up or the
+    last {!clear_cache}. This is the cost metric the adaptive campaign
+    planner minimises and the bench tripwires compare, named so call
+    sites read as what they measure. *)
 val simulations : unit -> int
 
 (** [run ?tech ?sim ?steps_per_cycle ?defect ?vc_init ?v_neighbour
-    ?config ?cache ~stress ops] executes the sequence.
+    ?config ?cache ~stress ops] executes the sequence: a one-lane
+    {!run_batch}, whose lane error it raises.
 
     - [vc_init] (default [0.0]): initial storage voltage, V — the paper's
       floating-cell initialisation.
@@ -273,18 +239,18 @@ type lane = {
     ~stress ~lanes ops] is the batched [run]: one result slot per lane,
     in lane order.
 
-    Each lane is accounted exactly like a scalar {!run} call — its own
-    cache key (interchangeable with scalar keys), its own request /
-    hit / miss tick — so cache statistics reconcile identically on
-    either path. Lanes that miss are integrated together in one
-    ensemble; a lane that fails inside the ensemble falls back to the
-    full scalar treatment (base attempt plus retry ladder, counted on
-    [dram.ops.lane_fallbacks]) and surfaces as [Error] (typically
-    {!Exhausted_retries}) only if that fails too, without disturbing
-    its batch mates. With a wall-clock [deadline] configured, or for a
-    single-lane miss, every miss takes the scalar path (a per-point
-    budget has no meaning inside a shared ensemble; an ensemble of one
-    is overhead).
+    Each lane has its own cache key (a lane of any batch and a {!run}
+    call are interchangeable in the cache) and its own request / hit /
+    miss tick. Lanes that miss are integrated together in one ensemble;
+    a lane that fails inside a multi-lane ensemble is retried alone —
+    its own base attempt plus the retry ladder, counted on
+    [dram.ops.lane_fallbacks], because the pivot order its batch mates
+    shaped can fail where its own would not — and surfaces as [Error]
+    (typically {!Exhausted_retries}) only if that fails too, without
+    disturbing its batch mates. A lane that misses alone, and every
+    miss of a request with a wall-clock [deadline] configured, runs as
+    a one-lane ensemble with that treatment from the start (a per-point
+    budget has no meaning inside a shared ensemble).
 
     Raises [Invalid_argument] for an empty [lanes] or [ops] list, or
     for lanes mixing defect kinds/placements. *)
@@ -300,8 +266,8 @@ val run_batch :
   op list ->
   (outcome, exn) result list
 
-(** [lane_fallbacks ()] — always-on count of lanes that fell out of an
-    ensemble into the scalar retry ladder (mirror of the
+(** [lane_fallbacks ()] — always-on count of lanes that fell out of a
+    multi-lane ensemble into the one-lane retry ladder (mirror of the
     [dram.ops.lane_fallbacks] counter, readable with telemetry off). *)
 val lane_fallbacks : unit -> int
 

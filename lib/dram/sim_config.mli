@@ -60,8 +60,8 @@ type t = {
           one {!Ops.run_batch} integrates simultaneously; [None] defers
           to [DRAMSTRESS_LANES] then
           {!Dramstress_util.Par.default_lanes}
-          ({!Dramstress_util.Par.resolve_lanes}). [Some 1] disables
-          batching (every point takes the scalar path). *)
+          ({!Dramstress_util.Par.resolve_lanes}). [Some 1] runs every
+          point as its own one-lane ensemble. *)
   retry : retry_policy;
       (** what {!Ops.run} tries when the solver fails on a point *)
   deadline : float option;
@@ -121,3 +121,9 @@ val resolve_jobs : t -> int
     junk or non-positive env values fall back to the default, explicit
     values are clamped to at least 1. *)
 val resolve_lanes : t -> int
+
+(** [sweep_lanes t] is the ensemble width sweeps cut their points into:
+    1 under a per-point [deadline] (a budget has no meaning inside a
+    shared solve) or an armed chaos harness (whose fault plans reason
+    about per-point runs), else {!resolve_lanes}. *)
+val sweep_lanes : t -> int

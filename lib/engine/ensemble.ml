@@ -1,11 +1,20 @@
 module C = Dramstress_circuit
-module L = Dramstress_util.Linalg
 module Tel = Dramstress_util.Telemetry
 
 let c_lanes = Tel.Counter.make "engine.ensemble.lanes"
 let c_batches = Tel.Counter.make "engine.ensemble.batches"
 let c_masked = Tel.Counter.make "engine.ensemble.masked_lane_iters"
 let c_lane_failures = Tel.Counter.make "engine.ensemble.lane_failures"
+
+(* per-lane transient accounting: one run per lane, one accepted or
+   rejected step per lane-solve *)
+let c_runs = Tel.Counter.make "engine.transient.runs"
+let c_accepted = Tel.Counter.make "engine.transient.steps_accepted"
+let c_rejected = Tel.Counter.make "engine.transient.steps_rejected"
+
+let h_dt =
+  Tel.Histogram.make ~unit_:"s" ~lo:1e-15 ~hi:1e-3 ~buckets:48
+    "engine.transient.dt_s"
 
 (* always-on mirrors, the [--metrics] reconciliation source (same
    contract as [Ops.cache_stats] and [Sparse_lu.stats]) *)
@@ -40,15 +49,38 @@ type lane = {
   override : (string * float) option;
 }
 
-let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
+(* one segment of the fixed piecewise-uniform grid: for each of its
+   steps, in order, [span.(0)] and [span.(1)] are set to the step's start
+   and end and [f ()] runs; returns the time the next segment starts
+   from. The step times travel through [span] rather than as arguments,
+   so the walk allocates nothing per step and a run can count its grid
+   before committing memory to it. [Float.min] and [Float.max] are
+   spelled as comparisons: same values, no boxing. *)
+let walk_segment f span t0 (t_end, dt) =
+  let t = ref t0 in
+  while !t < t_end -. (dt /. 2.0) do
+    let s = !t +. dt in
+    let t_next = if s < t_end then s else t_end in
+    span.(0) <- !t;
+    span.(1) <- t_next;
+    f ();
+    t := t_next
+  done;
+  if !t > t_end then !t else t_end
+
+let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
+    ~probes () =
   let n_lanes = Array.length lanes in
   if n_lanes = 0 then invalid_arg "Ensemble.run: no lanes";
   Tel.Counter.incr c_batches;
   Tel.Counter.add c_lanes n_lanes;
+  Tel.Counter.add c_runs n_lanes;
   Atomic.incr g_batches;
   ignore (Atomic.fetch_and_add g_lanes n_lanes);
   if not (opts.Options.dt_scale > 0.0) then
     invalid_arg "Ensemble.run: dt_scale must be positive";
+  (* the degradation knob: refine every segment's nominal step uniformly
+     without touching the segment plan itself *)
   let segments =
     if opts.Options.dt_scale = 1.0 then segments
     else
@@ -69,7 +101,6 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
   let sys = Mna.make compiled in
   let ws = Mna.make_workspace sys in
   let n_nodes = Mna.n_nodes sys in
-  let n_node_unknowns = n_nodes - 1 in
   let size = Mna.size sys in
   let n_caps = Mna.n_capacitors sys in
   (* one shared topology: every overriding lane must name the same
@@ -108,27 +139,6 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
          probes)
   in
   let n_probes = Array.length probe_ids in
-  (* the shared grid, precomputed with the same arithmetic as the
-     [Transient.run] segment walk so the accepted times are identical *)
-  let steps = ref [] in
-  let n_steps = ref 0 in
-  let t = ref 0.0 in
-  ignore
-    (List.fold_left
-       (fun seg_start (t_end, dt) ->
-         while !t < t_end -. (dt /. 2.0) do
-           let t_next = Float.min t_end (!t +. dt) in
-           steps := (seg_start, t_end, !t, t_next) :: !steps;
-           incr n_steps;
-           t := t_next
-         done;
-         t := Float.max !t t_end;
-         t_end)
-       0.0 segments);
-  let steps = List.rev !steps in
-  let n_pts = !n_steps + 1 in
-  let times_arr = Array.make n_pts 0.0 in
-  List.iteri (fun i (_, _, _, t_next) -> times_arr.(i + 1) <- t_next) steps;
   (* per-lane state rows: committed unknowns, working Newton iterate,
      previous accepted node voltages, capacitor history. Row identity is
      stable for the whole run — the Newton loop and [Mna] read and write
@@ -156,18 +166,10 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
       Array.blit (Mna.pack sys v) 0 xs.(li) 0 size)
     lanes;
   let dead : exn option array = Array.make n_lanes None in
-  let samples =
-    Array.init n_lanes (fun _ -> Array.make_matrix n_probes n_pts 0.0)
-  in
-  let record li pt =
-    let lane_samples = samples.(li) in
-    let pv = pvs.(li) in
-    for p = 0 to n_probes - 1 do
-      lane_samples.(p).(pt) <- pv.(probe_ids.(p))
-    done
-  in
+  let n_live = ref n_lanes in
   let lane_failed li e =
     dead.(li) <- Some e;
+    decr n_live;
     Tel.Counter.incr c_lane_failures;
     Atomic.incr g_lane_failures
   in
@@ -185,10 +187,11 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
   in
   (* Masked batched Newton solve at one time point for the lanes chosen
      by [sel] (dead lanes are always skipped). Each sweep of the loop
-     performs one Newton iteration per still-running lane — per lane the
-     arithmetic is exactly [Newton.solve_ws]'s, staged through the
-     shared workspace. On exit [lane_done]/[lane_err] hold the per-lane
-     verdicts; a converged lane's iterate is in its [xw] row. *)
+     performs one [Newton.iterate] per still-running lane, with the
+     deadline polled before each; lanes that converged sit the rest
+     out. On exit [lane_done]/[lane_err] hold the per-lane verdicts; a
+     converged lane's iterate is in its [xw] row. [Newton.Timeout] is
+     not a lane verdict: it leaves the whole run. *)
   let solve_batch ~t_now ~dt' ~sel =
     Mna.eval_controls_into sys ws ~t_now;
     let n_active = ref 0 in
@@ -221,23 +224,12 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
       for li = 0 to n_lanes - 1 do
         if active.(li) && (not lane_done.(li)) && lane_err.(li) = None then begin
           if iter = 1 then lane_diverge.(li) <- Newton.chaos_diverge ();
+          Newton.check_deadline ~deadline_at ~t_now;
           let x = xw.(li) in
           if override_index >= 0 then
             Mna.set_resistor_override ws ~index:override_index
               ~g:override_g.(li);
-          match
-            Mna.assemble_into_pre sys ws ~opts ~x ~reactive:reacts.(li);
-            (match Mna.solve_in_place sys ws ~opts with
-            | () -> ()
-            | exception L.Singular { row; pivot } ->
-              Newton.sick_singular ~t_now ~iter ~row ~pivot);
-            let worst =
-              Newton.apply_update ~opts ~n_node_unknowns x (Mna.solution ws)
-            in
-            Newton.chaos_nan x;
-            if opts.Options.health_guards then
-              Newton.check_finite ~t_now ~iter x;
-            worst
+          match Newton.iterate sys ws ~opts ~t_now ~reactive:reacts.(li) ~iter x
           with
           | worst ->
             if (not lane_diverge.(li)) && worst <= Newton.tolerance ~opts x
@@ -251,8 +243,7 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
                with e -> lane_err.(li) <- Some e);
               decr remaining
             end
-          | exception ((Newton.No_convergence _ | Newton.Numerical_health _) as e)
-            ->
+          | exception (Newton.Numerical_health _ as e) ->
             lane_err.(li) <- Some e;
             decr remaining
         end
@@ -271,95 +262,149 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
     Mna.voltages_into sys x ~out:pvs.(li)
   in
   (* initial quasi-static solve: a near-zero BE step pins capacitor
-     voltages at their ICs while making resistive nodes consistent —
-     the batch analogue of [Transient.run]'s init solve. A lane whose
-     init solve fails carries the Newton error itself (no step retries
-     exist at t=0), exactly like the scalar path. *)
+     voltages at their ICs while making resistive nodes consistent. A
+     lane whose init solve fails carries the Newton error itself (no
+     step retries exist at t=0). *)
   let dt0_qs = 1e-18 in
   solve_batch ~t_now:0.0 ~dt':dt0_qs ~sel:(fun _ -> true);
   for li = 0 to n_lanes - 1 do
     match lane_err.(li) with
     | Some e -> lane_failed li e
-    | None ->
-      commit li;
-      record li 0
+    | None -> commit li
   done;
-  let max_retries = 4 in
-  (* per-lane catch-up after a failed batch step, replicating
-     [Transient.advance]'s halving recursion: the batch attempt at the
-     full grid step was attempt #1 with the full retry budget *)
-  let catchup li ~seg_start ~seg_end ~t_next ~t_prev0 ~dt0 ~first_err =
-    let sel i = i = li in
-    let rec attempt t_prev dt retries =
-      let t_now = t_prev +. dt in
-      solve_batch ~t_now ~dt':dt ~sel;
-      if lane_done.(li) then begin
-        commit li;
-        if t_now >= t_next -. 1e-21 then ()
-        else attempt t_now (t_next -. t_now) retries
-      end
-      else handle t_prev dt retries (Option.get lane_err.(li))
-    and handle t_prev dt retries err =
-      match err with
-      | Newton.No_convergence { t; iterations; worst } ->
-        if retries > 0 then attempt t_prev (dt /. 2.0) (retries - 1)
-        else
-          raise
-            (Transient.Step_failed
-               { seg_start; seg_end; t; dt; retries = max_retries; iterations;
-                 worst })
-      | Newton.Numerical_health _ ->
-        if retries > 0 then attempt t_prev (dt /. 2.0) (retries - 1)
-        else raise err
-      | _ -> raise err
-    in
-    handle t_prev0 dt0 max_retries first_err
-  in
-  (* snapshot of the batch attempt's per-lane verdicts, taken before any
-     catch-up (whose solves reuse the shared flag arrays) *)
-  let step_ok = Array.make n_lanes false in
-  let step_err : exn option array = Array.make n_lanes None in
-  let pt = ref 0 in
-  List.iter
-    (fun (seg_start, seg_end, t_prev, t_next) ->
-      let dt0 = t_next -. t_prev in
-      solve_batch ~t_now:t_next ~dt':dt0 ~sel:(fun _ -> true);
-      for li = 0 to n_lanes - 1 do
-        step_ok.(li) <- lane_done.(li);
-        step_err.(li) <- lane_err.(li)
-      done;
-      for li = 0 to n_lanes - 1 do
-        if dead.(li) = None && step_ok.(li) then commit li
-      done;
-      for li = 0 to n_lanes - 1 do
-        if dead.(li) = None && not step_ok.(li) then begin
-          let first_err = Option.get step_err.(li) in
-          match
-            catchup li ~seg_start ~seg_end ~t_next ~t_prev0:t_prev ~dt0
-              ~first_err
-          with
-          | () -> ()
-          | exception e -> lane_failed li e
-        end
-      done;
-      incr pt;
-      for li = 0 to n_lanes - 1 do
-        if dead.(li) = None then record li !pt
-      done)
-    steps;
   let probe_names = Array.of_list probes in
-  Array.init n_lanes (fun li ->
-      match dead.(li) with
-      | Some e -> Error e
-      | None ->
-        let probe_values = samples.(li) in
-        let final_v = Array.copy pvs.(li) in
-        Ok
-          {
-            Transient.times = times_arr;
-            probe_names;
-            probe_values;
-            final_v;
-            probe_interps =
-              Transient.make_interps times_arr probe_names probe_values;
-          })
+  if !n_live = 0 then
+    (* nothing to integrate: no grid, times or sample rows are ever
+       allocated for a batch that died at t=0 *)
+    Array.map (fun d -> Error (Option.get d)) dead
+  else begin
+    let span = [| 0.0; 0.0 |] in
+    let n_steps = ref 0 in
+    ignore
+      (List.fold_left
+         (fun t seg -> walk_segment (fun () -> incr n_steps) span t seg)
+         0.0 segments);
+    let n_pts = !n_steps + 1 in
+    let times = Array.make n_pts 0.0 in
+    let samples =
+      Array.init n_lanes (fun li ->
+          if dead.(li) = None then Array.make_matrix n_probes n_pts 0.0
+          else [||])
+    in
+    let record li pt =
+      let lane_samples = samples.(li) in
+      let pv = pvs.(li) in
+      for p = 0 to n_probes - 1 do
+        lane_samples.(p).(pt) <- pv.(probe_ids.(p))
+      done
+    in
+    for li = 0 to n_lanes - 1 do
+      if dead.(li) = None then record li 0
+    done;
+    let accepted dt =
+      Tel.Counter.incr c_accepted;
+      Tel.Histogram.observe h_dt dt
+    in
+    let max_retries = 4 in
+    (* per-lane catch-up after a failed batch step: the halving
+       recursion, where the batch attempt at the full grid step was
+       attempt #1 with the full retry budget. An exhausted budget
+       surfaces as Step_failed so sweep-level callers can report which
+       point died; a numerically sick step gets the same halving
+       retries — a smaller step often routes around the sick region —
+       but re-raises the typed health error itself when they run out. *)
+    let catchup li ~seg_start ~seg_end ~t_next ~t_prev0 ~dt0 ~first_err =
+      let sel i = i = li in
+      let rec attempt t_prev dt retries =
+        let t_now = t_prev +. dt in
+        solve_batch ~t_now ~dt':dt ~sel;
+        if lane_done.(li) then begin
+          accepted dt;
+          commit li;
+          if t_now >= t_next -. 1e-21 then ()
+          else attempt t_now (t_next -. t_now) retries
+        end
+        else handle t_prev dt retries (Option.get lane_err.(li))
+      and handle t_prev dt retries err =
+        Tel.Counter.incr c_rejected;
+        match err with
+        | Newton.No_convergence { t; iterations; worst } ->
+          if retries > 0 then attempt t_prev (dt /. 2.0) (retries - 1)
+          else
+            raise
+              (Transient.Step_failed
+                 { seg_start; seg_end; t; dt; retries = max_retries;
+                   iterations; worst })
+        | _ ->
+          if retries > 0 then attempt t_prev (dt /. 2.0) (retries - 1)
+          else raise err
+      in
+      handle t_prev0 dt0 max_retries first_err
+    in
+    (* snapshot of the batch attempt's per-lane verdicts, taken before
+       any catch-up (whose solves reuse the shared flag arrays) *)
+    let step_ok = Array.make n_lanes false in
+    let step_err : exn option array = Array.make n_lanes None in
+    let pt = ref 0 in
+    let step ~seg_start ~seg_end () =
+      if !n_live > 0 then begin
+        let t_prev = span.(0) and t_next = span.(1) in
+        let dt0 = t_next -. t_prev in
+        solve_batch ~t_now:t_next ~dt':dt0 ~sel:(fun _ -> true);
+        for li = 0 to n_lanes - 1 do
+          step_ok.(li) <- lane_done.(li);
+          step_err.(li) <- lane_err.(li)
+        done;
+        for li = 0 to n_lanes - 1 do
+          if dead.(li) = None && step_ok.(li) then begin
+            accepted dt0;
+            commit li
+          end
+        done;
+        for li = 0 to n_lanes - 1 do
+          if dead.(li) = None && not step_ok.(li) then begin
+            let first_err = Option.get step_err.(li) in
+            match
+              catchup li ~seg_start ~seg_end ~t_next ~t_prev0:t_prev ~dt0
+                ~first_err
+            with
+            | () -> ()
+            | exception
+                ((Transient.Step_failed _ | Newton.Numerical_health _) as e) ->
+              lane_failed li e
+          end
+        done;
+        incr pt;
+        times.(!pt) <- t_next;
+        for li = 0 to n_lanes - 1 do
+          if dead.(li) = None then record li !pt
+        done
+      end
+    in
+    ignore
+      (List.fold_left
+         (fun (seg_start, t) ((t_end, dt) as seg) ->
+           ( t_end,
+             Tel.with_span "transient.segment"
+               ~attrs:(fun () ->
+                 [ ("t_start", Tel.Float seg_start);
+                   ("t_end", Tel.Float t_end);
+                   ("dt", Tel.Float dt) ])
+               (fun () ->
+                 walk_segment (step ~seg_start ~seg_end:t_end) span t seg) ))
+         (0.0, 0.0) segments);
+    Array.init n_lanes (fun li ->
+        match dead.(li) with
+        | Some e -> Error e
+        | None ->
+          let probe_values = samples.(li) in
+          Ok
+            {
+              Transient.times;
+              probe_names;
+              probe_values;
+              final_v = Array.copy pvs.(li);
+              probe_interps =
+                Transient.make_interps times probe_names probe_values;
+            })
+  end

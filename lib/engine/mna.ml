@@ -265,7 +265,7 @@ let mosfet_stamps ~temp mat rhs x sys (m : C.Device.t) =
 (* Reference from-scratch assembly (the seed implementation). Kept alive
    as the golden baseline: the incremental workspace path below must
    produce identical systems, which the regression tests assert. *)
-let assemble sys ~(opts : Options.t) ~t_now ~x ~reactive =
+let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
   let n = sys.size in
   let mat = L.create n n in
   let rhs = Array.make n 0.0 in
@@ -274,10 +274,18 @@ let assemble sys ~(opts : Options.t) ~t_now ~x ~reactive =
     mat.(node - 1).(node - 1) <- mat.(node - 1).(node - 1) +. opts.gmin
   done;
   let branch_row name = sys.n_nodes - 1 + Hashtbl.find sys.vsrc_branch name in
+  let res_plan = ref 0 in
   Array.iter
     (fun d ->
       match d with
-      | C.Device.Resistor { a; b; r; _ } -> stamp_g (1.0 /. r) mat a b
+      | C.Device.Resistor { a; b; r; _ } ->
+        let g =
+          match override with
+          | Some (index, g) when index = !res_plan -> g
+          | Some _ | None -> 1.0 /. r
+        in
+        incr res_plan;
+        stamp_g g mat a b
       | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
         let g = if C.Waveform.eval ctrl t_now > threshold then g_on else g_off in
         stamp_g g mat a b
@@ -392,9 +400,8 @@ let set_resistor_override ws ~index ~g =
   ws.excluded_res <- index;
   ws.override_g <- g
 
-let clear_resistor_override ws =
-  ws.excluded_res <- -1;
-  ws.override_g <- 0.0
+let resistor_override ws =
+  if ws.excluded_res < 0 then None else Some (ws.excluded_res, ws.override_g)
 
 (* static-linear part: gmin regularization, resistors, voltage-source
    topology and — for a fixed (dt, integrator) — the capacitor companion

@@ -76,11 +76,14 @@ val resistor_g : t -> int -> float
     iterate). Input for {!Dramstress_util.Sparse_lu.make}. *)
 val structural_pattern : t -> bool array array
 
-(** [assemble sys ~opts ~t ~x ~reactive] stamps the full linearized
-    system at time [t] around iterate [x] and returns freshly allocated
-    [(g, b)]. This is the reference from-scratch path; the workspace API
-    below produces identical systems without allocating. *)
+(** [assemble ?override sys ~opts ~t ~x ~reactive] stamps the full
+    linearized system at time [t] around iterate [x] and returns freshly
+    allocated [(g, b)]. [override = (index, g)] stamps conductance [g]
+    for resistor plan [index] (see {!set_resistor_override}). This is
+    the reference from-scratch path; the workspace API below produces
+    identical systems without allocating. *)
 val assemble :
+  ?override:int * float ->
   t ->
   opts:Options.t ->
   t_now:float ->
@@ -109,8 +112,10 @@ val make_workspace : t -> workspace
     its own defect resistance over one shared topology. *)
 val set_resistor_override : workspace -> index:int -> g:float -> unit
 
-(** [clear_resistor_override ws] restores the netlist resistance. *)
-val clear_resistor_override : workspace -> unit
+(** [resistor_override ws] is the [(index, g)] set by
+    {!set_resistor_override}, if any — what the reference {!assemble}
+    needs to reproduce a lane. *)
+val resistor_override : workspace -> (int * float) option
 
 (** [eval_controls_into sys ws ~t_now] evaluates every control waveform
     (switch controls, source values) at [t_now] into workspace buffers

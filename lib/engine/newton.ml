@@ -92,9 +92,9 @@ let sick_singular ~t_now ~iter ~row ~pivot =
   sick ~t_now ~iter
     (Printf.sprintf "singular system (row %d, pivot %.3g)" row pivot)
 
-(* runtime health monitor, shared by both solve paths. All three checks
-   raise typed errors that the retry ladder above understands — a sick
-   state never leaves the solver as a plausible-looking voltage. *)
+(* runtime health monitor. All three checks raise typed errors that the
+   retry ladder understands — a sick state never leaves the solver as a
+   plausible-looking voltage. *)
 
 let check_finite ~t_now ~iter x =
   let n = Array.length x in
@@ -118,11 +118,11 @@ let check_finite ~t_now ~iter x =
    iterations regardless of solve boundaries. A hung (or already
    expired) run is cut within 16 iterations of the deadline — tens of
    microseconds against seconds-scale budgets. The counter is a plain
-   ref: deadline runs are scalar/per-domain, and a racy phase merely
-   shifts when the next poll lands. *)
+   ref: deadline runs are one-lane and per-domain, and a racy phase
+   merely shifts when the next poll lands. *)
 let poll_phase = ref 0
 
-let check_deadline ~deadline_at ~t_now ~iter:_ =
+let check_deadline ~deadline_at ~t_now =
   match deadline_at with
   | None -> ()
   | Some (at, budget_s) ->
@@ -139,64 +139,55 @@ let chaos_nan x =
   if Chaos.armed () && Chaos.fire Chaos.Inject_nan_state then
     x.(0) <- Float.nan
 
-(* reference path: allocate and factor a fresh system every iteration *)
-let solve_naive sys ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
-  let n_node_unknowns = Mna.n_nodes sys - 1 in
-  let x = Array.copy x0 in
-  let diverge = chaos_diverge () in
-  let rec iterate iter =
-    check_deadline ~deadline_at ~t_now ~iter;
-    let mat, rhs = Mna.assemble sys ~opts ~t_now ~x ~reactive in
-    Mna.record_factor_solve ();
-    let x_new =
+(* One Newton iteration on [x], in place. The incremental path works
+   entirely inside [ws] (zero per-iteration matrix allocation) from the
+   controls left by the last [Mna.eval_controls_into]; with
+   [naive_assembly] the reference path allocates and factors a fresh
+   system instead, honouring the workspace's resistor override. *)
+let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter x =
+  let x_new =
+    if opts.naive_assembly then begin
+      let mat, rhs =
+        Mna.assemble ?override:(Mna.resistor_override ws) sys ~opts ~t_now ~x
+          ~reactive
+      in
+      Mna.record_factor_solve ();
       match L.lu_solve (L.lu_factor mat) rhs with
       | x_new -> x_new
       | exception L.Singular { row; pivot } ->
         sick_singular ~t_now ~iter ~row ~pivot
-    in
-    let worst = apply_update ~opts ~n_node_unknowns x x_new in
-    chaos_nan x;
-    if opts.health_guards then check_finite ~t_now ~iter x;
-    if (not diverge) && worst <= tolerance ~opts x then begin
-      record_solve iter;
-      x
     end
-    else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
-    else iterate (iter + 1)
+    else begin
+      Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
+      (match Mna.solve_in_place sys ws ~opts with
+      | () -> ()
+      | exception L.Singular { row; pivot } ->
+        sick_singular ~t_now ~iter ~row ~pivot);
+      Mna.solution ws
+    end
   in
-  iterate 1
+  let worst =
+    apply_update ~opts ~n_node_unknowns:(Mna.n_nodes sys - 1) x x_new
+  in
+  chaos_nan x;
+  if opts.health_guards then check_finite ~t_now ~iter x;
+  worst
 
-(* incremental path: all matrix work happens inside the caller-provided
-   (or one-shot) workspace — zero per-iteration matrix allocation *)
-let solve_ws sys ws ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
-  let n_node_unknowns = Mna.n_nodes sys - 1 in
+let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =
+  let ws = match ws with Some w -> w | None -> Mna.make_workspace sys in
   let x = Array.copy x0 in
   let diverge = chaos_diverge () in
   (* t_now is fixed for the whole solve: walk the control waveforms
      once, not once per iteration *)
   Mna.eval_controls_into sys ws ~t_now;
-  let rec iterate iter =
-    check_deadline ~deadline_at ~t_now ~iter;
-    Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
-    (match Mna.solve_in_place sys ws ~opts with
-    | () -> ()
-    | exception L.Singular { row; pivot } ->
-      sick_singular ~t_now ~iter ~row ~pivot);
-    let worst = apply_update ~opts ~n_node_unknowns x (Mna.solution ws) in
-    chaos_nan x;
-    if opts.health_guards then check_finite ~t_now ~iter x;
+  let rec loop iter =
+    check_deadline ~deadline_at ~t_now;
+    let worst = iterate sys ws ~opts ~t_now ~reactive ~iter x in
     if (not diverge) && worst <= tolerance ~opts x then begin
       record_solve iter;
       x
     end
     else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
-    else iterate (iter + 1)
+    else loop (iter + 1)
   in
-  iterate 1
-
-let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =
-  if opts.naive_assembly then
-    solve_naive sys ~opts ?deadline_at ~t_now ~reactive ~x0 ()
-  else
-    let ws = match ws with Some w -> w | None -> Mna.make_workspace sys in
-    solve_ws sys ws ~opts ?deadline_at ~t_now ~reactive ~x0 ()
+  loop 1

@@ -21,29 +21,20 @@ exception Timeout of { t : float; budget_s : float }
     sweep outcome. *)
 
 (** [solve sys ?ws ?deadline_at ~opts ~t_now ~reactive ~x0 ()] iterates
-    assemble/solve from initial guess [x0] until every node-voltage
-    update is below [abstol + reltol * |v|]. Node-voltage updates are
-    clamped to [opts.max_step_v] per iteration. Returns the converged
-    unknown vector (freshly allocated; independent of [x0] and [ws]).
-
-    With [opts.health_guards] (the default) the state vector is checked
-    for NaN/Inf after every update and a singular LU factorization is
-    converted into {!Numerical_health} — a few flat array scans per
-    iteration, negligible against the O(n^3) factorization.
+    {!iterate} from initial guess [x0] until every node-voltage update is
+    below [abstol + reltol * |v|]. Returns the converged unknown vector
+    (freshly allocated; independent of [x0] and [ws]). Used by the DC
+    analyses ({!Dcop}, {!Sweep}); transient lanes iterate through
+    {!Ensemble}'s masked sweep instead.
 
     [deadline_at], when given as [(at, budget_s)], is an absolute
-    [Unix.gettimeofday]-clock instant polled once per iteration; past
-    it the solve raises [Timeout { t; budget_s }]. The poll costs one
-    [gettimeofday] per iteration and nothing when [None].
+    [Unix.gettimeofday]-clock instant checked once per iteration
+    ({!check_deadline}); past it the solve raises [Timeout { t; budget_s }].
 
     [ws] supplies reusable assembly/factorization buffers
     ({!Mna.make_workspace}); when omitted a workspace is allocated for
-    this call. Callers solving many systems of the same layout (time
-    stepping, sweeps, homotopy) should create one workspace and pass it
-    to every call — the steady-state iteration then performs no matrix
-    allocation at all. With [opts.naive_assembly] set, the reference
-    from-scratch assembly and allocating LU are used instead and [ws]
-    is ignored. *)
+    this call. Callers solving many systems of the same layout should
+    create one workspace and pass it to every call. *)
 val solve :
   Mna.t ->
   ?ws:Mna.workspace ->
@@ -58,9 +49,37 @@ val solve :
 (** {2 Iteration building blocks}
 
     Exposed for {!Ensemble}, which interleaves the iterations of many
-    lanes and therefore cannot call {!solve} — but must remain
-    step-for-step identical to it per lane. Not a stable API for other
-    callers. *)
+    lanes and therefore cannot call {!solve} — but iterates each lane
+    through the same {!iterate}. Not a stable API for other callers. *)
+
+(** [iterate sys ws ~opts ~t_now ~reactive ~iter x] performs Newton
+    iteration number [iter] on [x] in place and returns the worst
+    node-voltage move (before clamping). The default path assembles
+    into [ws] from the controls left by the last
+    {!Mna.eval_controls_into} and factors with {!Mna.solve_in_place}
+    (no matrix allocation); with [opts.naive_assembly] the reference
+    from-scratch assembly ({!Mna.assemble}, honouring the workspace's
+    resistor override) and allocating LU run instead. Node-voltage
+    updates are clamped to [opts.max_step_v].
+
+    With [opts.health_guards] (the default) the state vector is checked
+    for NaN/Inf after the update, and a singular LU is converted into
+    {!Numerical_health} either way. *)
+val iterate :
+  Mna.t ->
+  Mna.workspace ->
+  opts:Options.t ->
+  t_now:float ->
+  reactive:Mna.reactive ->
+  iter:int ->
+  float array ->
+  float
+
+(** [check_deadline ~deadline_at ~t_now] raises {!Timeout} once the
+    wall clock is past [deadline_at]. The clock is read on one call in
+    16, with the phase carried across solves and lanes, so the poll is
+    amortized and an expired budget is noticed within 16 calls. *)
+val check_deadline : deadline_at:(float * float) option -> t_now:float -> unit
 
 (** [apply_update ~opts ~n_node_unknowns x x_new] applies the clamped
     Newton update from [x_new] onto [x] and returns the worst
@@ -79,21 +98,6 @@ val record_solve : int -> unit
 (** [fail ~t_now ~iter ~worst] counts and raises {!No_convergence}. *)
 val fail : t_now:float -> iter:int -> worst:float -> 'a
 
-(** [sick ~t_now ~iter what] counts and raises {!Numerical_health}. *)
-val sick : t_now:float -> iter:int -> string -> 'a
-
-(** [sick_singular ~t_now ~iter ~row ~pivot] counts a singular LU on
-    [engine.health.singular_lu] and raises {!Numerical_health}. *)
-val sick_singular : t_now:float -> iter:int -> row:int -> pivot:float -> 'a
-
-(** [check_finite ~t_now ~iter x] raises {!Numerical_health} (counting
-    [engine.health.nan_detected]) if [x] holds a NaN or infinity. *)
-val check_finite : t_now:float -> iter:int -> float array -> unit
-
 (** [chaos_diverge ()] queries the [Force_newton_diverge] chaos site —
     [true] forces this solve to run to its iteration cap. *)
 val chaos_diverge : unit -> bool
-
-(** [chaos_nan x] queries the [Inject_nan_state] chaos site and, when it
-    fires, poisons [x.(0)] with a NaN. *)
-val chaos_nan : float array -> unit

@@ -1,9 +1,6 @@
-(** Transient analysis over a piecewise-uniform time grid.
-
-    The grid is given as segments [(t_end, dt)]: the solver steps with
-    time step [dt] until [t_end], then switches to the next segment. This
-    supports microsecond retention pauses next to sub-nanosecond switching
-    activity without an adaptive controller. *)
+(** Transient results: the sampled waveforms one integration lane
+    produces ({!Ensemble.run} is the integrator), and the step-failure
+    error it reports. *)
 
 type result = {
   times : float array;
@@ -35,8 +32,7 @@ exception
     sweep-level callers to report which operating point diverged. *)
 
 (** [make_interps times probe_names probe_values] builds the interpolant
-    table of a {!result} from strictly increasing sample times. Exposed
-    for {!Ensemble}, which assembles per-lane results itself. *)
+    table of a {!result} from strictly increasing sample times. *)
 val make_interps :
   float array ->
   string array ->
@@ -49,32 +45,3 @@ val probe : result -> string -> Dramstress_util.Interp.t
 
 (** [value_at result name t] is the probe value at time [t]. *)
 val value_at : result -> string -> float -> float
-
-(** [run compiled ?opts ?deadline_at ~segments ~ics ~probes ()]
-    integrates the circuit.
-
-    - [segments]: ordered [(t_end, dt)] list; [t_end] strictly increases
-      and [dt > 0].
-    - [ics]: initial node voltages by node name; unnamed nodes start at
-      0 V and are made consistent by an initial quasi-static solve (a
-      backward-Euler step of essentially zero length, which pins
-      capacitor voltages at their ICs while solving resistive nodes).
-    - [probes]: node names to record at every accepted point.
-    - [deadline_at]: absolute wall-clock cutoff [(at, budget_s)] threaded
-      into every {!Newton.solve}; past it the run raises
-      {!Newton.Timeout} immediately (no halving retries).
-
-    Raises {!Step_failed} if a time point fails to converge after the
-    built-in step-halving retries (4 halvings). A step that trips the
-    runtime health monitor gets the same halving retries but re-raises
-    {!Newton.Numerical_health} (with its original context) when they
-    are exhausted. *)
-val run :
-  Dramstress_circuit.Netlist.compiled ->
-  ?opts:Options.t ->
-  ?deadline_at:float * float ->
-  segments:(float * float) list ->
-  ics:(string * float) list ->
-  probes:string list ->
-  unit ->
-  result

@@ -87,8 +87,6 @@ let resolve_lanes ?lanes () =
   clamp_count ?explicit:lanes ~env:"DRAMSTRESS_LANES"
     ~default:(fun () -> default_lanes) ()
 
-let default_jobs () = resolve_jobs ()
-
 (* order-preserving split into consecutive runs of at most [size]; used
    by batched sweeps to cut a lane list into ensemble-width chunks that
    then fan out over domains *)

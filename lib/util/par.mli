@@ -49,16 +49,13 @@ val reset_env_warnings : unit -> unit
       positive integer,
     + {!default_lanes}.
 
-    A resolved value of [1] disables the batched ensemble path. *)
+    A resolved value of [1] runs every point as its own one-lane
+    ensemble. *)
 val resolve_lanes : ?lanes:int -> unit -> int
 
 (** The default ensemble batch width ([16]) when neither an explicit
     lane count nor [DRAMSTRESS_LANES] is given. *)
 val default_lanes : int
-
-(** [default_jobs ()] is [resolve_jobs ()] — kept for callers of the
-    original API; new code should use {!resolve_jobs}. *)
-val default_jobs : unit -> int
 
 (** [chunks ~size xs] splits [xs] into consecutive runs of at most
     [size] elements, preserving order ([List.concat (chunks ~size xs) =

@@ -18,6 +18,9 @@ module St = Dramstress_util.Store
 module Outcome = Dramstress_util.Outcome
 module W = C.Border.Window
 
+(* the narrowed window the diff/adaptive manifests below pin *)
+let window5 = W.v ~r_min:1e4 ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05 ()
+
 let with_store_dir f =
   let dir = Filename.temp_file "dramstress_campaign" "" in
   Sys.remove dir;
@@ -508,8 +511,8 @@ let test_diff_stress_pair_parity () =
        the same grid, bit for bit *)
     let entry = Option.get (D.find_entry "O1") in
     let direct stress =
-      C.Border.search ~config:m.Manifest.config ~r_min:1e4 ~r_max:1e8
-        ~grid_points:5 ~rel_tol:0.05 ~stress ~kind:entry.D.kind
+      C.Border.search ~config:m.Manifest.config ~window:window5 ~stress
+        ~kind:entry.D.kind
         ~placement:D.True_bl
         (C.Detection.v
            [ C.Detection.Write 1; C.Detection.Write 1; C.Detection.Write 0;
@@ -559,8 +562,8 @@ let test_best_point_parity () =
   | [ (_, stored) ] ->
     let entry = Option.get (D.find_entry "O1") in
     let detection, br =
-      C.Sc_eval.best_detection ~config:m.Manifest.config ~r_min:1e4
-        ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05 ~allow_pause:false
+      C.Sc_eval.best_detection ~config:m.Manifest.config ~window:window5
+        ~allow_pause:false
         ~stress:S.nominal ~kind:entry.D.kind ~placement:D.True_bl ()
     in
     Alcotest.(check bool) "same border" true
@@ -639,8 +642,8 @@ let test_cross_axis_campaign_diff () =
       { S.nominal with S.vdd = 2.1; wait = 1.0; hammer = 100 }
     in
     let direct =
-      C.Border.search ~config:m.Manifest.config ~r_min:1e4 ~r_max:1e8
-        ~grid_points:5 ~rel_tol:0.05 ~stress:stressed ~kind:entry.D.kind
+      C.Border.search ~config:m.Manifest.config ~window:window5
+        ~stress:stressed ~kind:entry.D.kind
         ~placement:D.True_bl
         (C.Detection.v
            [ C.Detection.Write 1; C.Detection.Write 0; C.Detection.Read 0 ])
@@ -973,6 +976,9 @@ let test_service_slowloris_dropped () =
 (* enough electrical work (4 points, fine grid, tight tolerance) that a
    submission reliably holds its admission slot while the test pokes
    the server from other connections *)
+(* a submission that must still be in flight a few tenths of a second
+   after it starts: a fine grid and a tight tolerance keep its four
+   points busy for well over a second *)
 let slow_manifest =
   {|
 (campaign
@@ -981,7 +987,7 @@ let slow_manifest =
   (stress nominal)
   (stress low-vdd (vdd 2.1))
   (detections (seq "w1 w1 w0 r0"))
-  (border (r-min 1e4) (r-max 1e8) (grid-points 9) (rel-tol 0.01)))
+  (border (r-min 1e4) (r-max 1e8) (grid-points 65) (rel-tol 0.001)))
 |}
 
 (* wait until the server has admitted a submission AND is simulating:

@@ -61,10 +61,13 @@ let test_detects_open () =
 (* Border                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* the default window capped at 100 MOhm *)
+let window_1e8 = C.Border.Window.v ~r_max:1e8 ()
+
 let test_border_open () =
   let cond = C.Detection.standard ~victim:0 ~primes:2 in
   match
-    C.Border.search ~r_max:1e8 ~stress:nominal ~kind:open_kind
+    C.Border.search ~window:window_1e8 ~stress:nominal ~kind:open_kind
       ~placement:D.True_bl cond
   with
   | C.Border.Br r ->
@@ -79,7 +82,7 @@ let test_border_open () =
 let test_border_true_comp_symmetry () =
   let br placement victim =
     let cond = C.Detection.standard ~victim ~primes:2 in
-    C.Border.search ~r_max:1e8 ~stress:nominal ~kind:open_kind ~placement cond
+    C.Border.search ~window:window_1e8 ~stress:nominal ~kind:open_kind ~placement cond
   in
   match (br D.True_bl 0, br D.Comp_bl 1) with
   | C.Border.Br a, C.Border.Br b ->
@@ -377,7 +380,7 @@ let test_br_geometric_matches_search () =
   | Some br_geo ->
     let cond = C.Detection.standard ~victim:0 ~primes:2 in
     (match
-       C.Border.search ~r_max:1e8 ~stress:nominal ~kind:open_kind
+       C.Border.search ~window:window_1e8 ~stress:nominal ~kind:open_kind
          ~placement:D.True_bl cond
      with
     | C.Border.Br br_search ->
@@ -632,7 +635,7 @@ let test_candidate_detections_placement () =
 
 let test_exhaustive_small_grid () =
   let detection = C.Detection.standard ~victim:0 ~primes:2 in
-  let before = Dramstress_dram.Ops.run_count () in
+  let before = Dramstress_dram.Ops.(Cache.requests Cache.default) in
   let result =
     C.Exhaustive.optimize ~tcyc_values:[ 55e-9; 60e-9 ] ~temp_values:[ 27.0 ]
       ~vdd_values:[ 2.4 ] ~nominal ~kind:open_kind ~placement:D.True_bl
@@ -643,7 +646,7 @@ let test_exhaustive_small_grid () =
     (List.length result.C.Exhaustive.ranking);
   Alcotest.(check bool) "simulations counted" true
     (result.C.Exhaustive.simulations > 0
-    && Dramstress_dram.Ops.run_count () - before
+    && Dramstress_dram.Ops.(Cache.requests Cache.default) - before
        >= result.C.Exhaustive.simulations);
   (* the shorter cycle must win for an open *)
   Alcotest.(check (float 1e-12)) "best tcyc" 55e-9
@@ -653,10 +656,10 @@ let test_exhaustive_small_grid () =
   | _ -> Alcotest.fail "expected a boundary"
 
 let test_run_counter () =
-  Dramstress_dram.Ops.reset_run_count ();
+  Dramstress_dram.Ops.(Cache.reset_requests Cache.default);
   ignore (Dramstress_dram.Ops.run ~stress:nominal [ Dramstress_dram.Ops.W0 ]);
   ignore (Dramstress_dram.Ops.run ~stress:nominal [ Dramstress_dram.Ops.R ]);
-  Alcotest.(check int) "two runs" 2 (Dramstress_dram.Ops.run_count ())
+  Alcotest.(check int) "two runs" 2 (Dramstress_dram.Ops.(Cache.requests Cache.default))
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -716,35 +719,36 @@ let test_table1_quick () =
     (String.length csv > 50 && String.sub csv 0 6 = "defect")
 
 (* ------------------------------------------------------------------ *)
-(* Batched sweeps: golden parity with the scalar path                  *)
+(* Lane parity: sweeps at ensemble width 8 against width 1             *)
 (* ------------------------------------------------------------------ *)
 
-let test_batched_sweeps_match_scalar () =
+let test_lane_sweeps_match_one_lane () =
   (* with memoization off so both configurations really simulate, a
      border search and a write plane must come out identical whether
-     the points run through the scalar path (lanes = 1) or the batched
-     ensemble (lanes = 8) *)
+     every point runs as its own one-lane ensemble (lanes = 1) or as a
+     lane of an 8-lane ensemble *)
   let module Sc = Dramstress_dram.Sim_config in
-  let scalar = Sc.v ~lanes:1 () in
+  let one_lane = Sc.v ~lanes:1 () in
   let batched = Sc.v ~lanes:8 () in
-  O.set_caching false;
-  Fun.protect ~finally:(fun () -> O.set_caching true) @@ fun () ->
+  O.Cache.set_enabled O.Cache.default false;
+  Fun.protect ~finally:(fun () -> O.Cache.set_enabled O.Cache.default true)
+  @@ fun () ->
   let cond = C.Detection.standard ~victim:0 ~primes:2 in
   let br config =
-    C.Border.search ~config ~r_max:1e8 ~stress:nominal ~kind:open_kind
+    C.Border.search ~config ~window:window_1e8 ~stress:nominal ~kind:open_kind
       ~placement:D.True_bl cond
   in
   Alcotest.(check bool) "border search identical" true
-    (C.Border.equal_result (br scalar) (br batched));
+    (C.Border.equal_result (br one_lane) (br batched));
   let plane config =
     C.Plane.write_plane ~config ~jobs:1 ~n_ops:2
       ~rops:[ 1e4; 1e5; 1e6; 1e7 ] ~stress:nominal ~kind:D.Short_to_gnd
       ~placement:D.True_bl ~op:O.W0 ()
   in
-  let ps = plane scalar and pb = plane batched in
+  let ps = plane one_lane and pb = plane batched in
   (* the shared-ensemble LU uses one pivot order for the whole batch
-     while each scalar point factors with its own, so voltages agree to
-     rounding (1e-9), not bit-exactly; the grid itself is exact *)
+     while each one-lane point factors with its own, so voltages agree
+     to rounding (1e-9), not bit-exactly; the grid itself is exact *)
   Alcotest.(check (float 1e-9)) "vmp matches" ps.C.Plane.vmp pb.C.Plane.vmp;
   Alcotest.(check (list (float 0.0)))
     "surviving resistances identical" ps.C.Plane.rops pb.C.Plane.rops;
@@ -947,8 +951,8 @@ let test_border_adaptive_simulates_fewer () =
   let c_probes = Tel.Counter.make "core.border.probes" in
   Tel.set_enabled true;
   Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
-  O.set_caching false;
-  Fun.protect ~finally:(fun () -> O.set_caching true) @@ fun () ->
+  O.Cache.set_enabled O.Cache.default false;
+  Fun.protect ~finally:(fun () -> O.Cache.set_enabled O.Cache.default true) @@ fun () ->
   let cond = C.Detection.standard ~victim:0 ~primes:2 in
   let probes strategy =
     let before = Tel.Counter.value c_probes in
@@ -1041,10 +1045,6 @@ let test_window_smart_constructors () =
   Alcotest.check_raises "rel_tol <= 0 rejected"
     (Invalid_argument "Border.Window.v: rel_tol <= 0") (fun () ->
       ignore (W.v ~rel_tol:0.0 ()));
-  (* deprecated optionals override the matching window fields *)
-  let w = W.over ~base:(W.v ~r_min:1e4 ~grid_points:25 ()) ~r_min:1e5 () in
-  Alcotest.(check (float 0.0)) "override wins" 1e5 w.W.r_min;
-  Alcotest.(check int) "untouched field kept" 25 w.W.grid_points;
   (* fingerprint: provably-grid adaptive windows share the grid address *)
   let g = W.v ~grid_points:5 () in
   let a5 = W.v ~grid_points:5 ~strategy:W.Adaptive () in
@@ -1135,7 +1135,7 @@ let () =
             test_plane_all_points_failed_renders;
           slow "checkpoint resume is byte-identical"
             test_plane_checkpoint_resume_identical;
-          slow "batched sweeps match scalar" test_batched_sweeps_match_scalar;
+          slow "N-lane sweeps match one-lane" test_lane_sweeps_match_one_lane;
         ] );
       ( "stressor",
         [

@@ -282,13 +282,45 @@ let test_temperature_leakage_direction () =
 
 module E = Dramstress_engine
 
+let compare_naive_incremental a b =
+  Alcotest.(check (list int))
+    "sensed bits agree" (O.sensed_bits a) (O.sensed_bits b);
+  let ta = a.O.trace and tb = b.O.trace in
+  Alcotest.(check int)
+    "same point count"
+    (Array.length ta.E.Transient.times)
+    (Array.length tb.E.Transient.times);
+  let close eps v w = Float.abs (v -. w) <= eps *. (1.0 +. Float.abs w) in
+  Array.iteri
+    (fun i v ->
+      let w = tb.E.Transient.final_v.(i) in
+      if not (close 1e-9 v w) then
+        Alcotest.failf "final_v.(%d): naive %.12g vs incremental %.12g" i v w)
+    ta.E.Transient.final_v;
+  (* mid-trace points pass through sense-amp regeneration, whose
+     positive feedback amplifies last-ulp summation-order differences
+     before the rails collapse them again — hence the looser bound here;
+     summation-order-independent trace equality at 1e-9 is covered by
+     the engine-level pass-gate test *)
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun k v ->
+          let w = tb.E.Transient.probe_values.(i).(k) in
+          if not (close 1e-6 v w) then
+            Alcotest.failf "probe %s at %d: naive %.12g vs incremental %.12g"
+              ta.E.Transient.probe_names.(i) k v w)
+        row)
+    ta.E.Transient.probe_values
+
 let test_incremental_matches_naive () =
   (* the optimized workspace path must reproduce the allocating baseline
-     on a full DRAM column with a defect, for both integrators *)
-  let d = D.v D.Short_to_gnd D.True_bl 500e3 in
+     on a full DRAM column with a defect, for both integrators, in a
+     one-lane run and in a two-lane ensemble (where each lane's defect
+     resistance is a resistor override) *)
   let ops = [ O.W1; O.R; O.W0; O.Pause 1e-5; O.R ] in
   List.iter
-    (fun integrator ->
+    (fun (integrator, rs) ->
       let run naive =
         (* tight Newton tolerances: the fixed point is then unique to far
            below the 1e-9 comparison, so the check is about the assembly
@@ -297,65 +329,47 @@ let test_incremental_matches_naive () =
           { E.Options.default with E.Options.naive_assembly = naive;
             integrator; abstol = 1e-12; reltol = 1e-10 }
         in
-        O.run ~sim ~stress:nominal ~defect:d ~vc_init:1.0 ops
+        List.map
+          (function Ok oc -> oc | Error e -> raise e)
+          (O.run_batch ~sim ~cache:(O.Cache.create ~enabled:false ())
+             ~stress:nominal
+             ~lanes:
+               (List.map
+                  (fun r ->
+                    { O.defect = Some (D.v D.Short_to_gnd D.True_bl r);
+                      vc_init = 1.0 })
+                  rs)
+             ops)
       in
-      let a = run true and b = run false in
-      Alcotest.(check (list int))
-        "sensed bits agree" (O.sensed_bits a) (O.sensed_bits b);
-      let ta = a.O.trace and tb = b.O.trace in
-      Alcotest.(check int)
-        "same point count"
-        (Array.length ta.E.Transient.times)
-        (Array.length tb.E.Transient.times);
-      let close eps v w = Float.abs (v -. w) <= eps *. (1.0 +. Float.abs w) in
-      Array.iteri
-        (fun i v ->
-          let w = tb.E.Transient.final_v.(i) in
-          if not (close 1e-9 v w) then
-            Alcotest.failf "final_v.(%d): naive %.12g vs incremental %.12g" i v
-              w)
-        ta.E.Transient.final_v;
-      (* mid-trace points pass through sense-amp regeneration, whose
-         positive feedback amplifies last-ulp summation-order differences
-         before the rails collapse them again — hence the looser bound
-         here; summation-order-independent trace equality at 1e-9 is
-         covered by the engine-level pass-gate test *)
-      Array.iteri
-        (fun i row ->
-          Array.iteri
-            (fun k v ->
-              let w = tb.E.Transient.probe_values.(i).(k) in
-              if not (close 1e-6 v w) then
-                Alcotest.failf "probe %s at %d: naive %.12g vs incremental %.12g"
-                  ta.E.Transient.probe_names.(i) k v w)
-            row)
-        ta.E.Transient.probe_values)
-    [ E.Options.Backward_euler; E.Options.Trapezoidal ]
+      List.iter2 compare_naive_incremental (run true) (run false))
+    [ (E.Options.Backward_euler, [ 500e3 ]);
+      (E.Options.Trapezoidal, [ 500e3 ]);
+      (E.Options.Backward_euler, [ 500e3; 2e6 ]) ]
 
 let test_memo_cache_replays () =
   (* identical requests are served from the cache: run_count still counts
      them, but only the first one simulates *)
-  O.set_cache_capacity 64;
+  O.Cache.resize O.Cache.default 64;
   (* fresh cache, stats zeroed *)
-  let before = O.run_count () in
+  let before = O.Cache.requests O.Cache.default in
   let oc1 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
   let oc2 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
-  Alcotest.(check int) "both requests counted" (before + 2) (O.run_count ());
+  Alcotest.(check int) "both requests counted" (before + 2) (O.Cache.requests O.Cache.default);
   Alcotest.(check bool) "replayed outcome is shared" true (oc1 == oc2);
-  let s = O.cache_stats () in
-  Alcotest.(check int) "one simulation" 1 s.O.misses;
-  Alcotest.(check int) "one replay" 1 s.O.hits;
+  let s = O.Cache.stats O.Cache.default in
+  Alcotest.(check int) "one simulation" 1 s.O.Cache.misses;
+  Alcotest.(check int) "one replay" 1 s.O.Cache.hits;
   (* a different request misses *)
   let oc3 = O.run ~stress:nominal ~vc_init:0.1 [ O.W1; O.R ] in
   Alcotest.(check bool) "different key simulates" true (oc3 != oc1);
-  Alcotest.(check int) "second miss" 2 (O.cache_stats ()).O.misses;
+  Alcotest.(check int) "second miss" 2 (O.Cache.stats O.Cache.default).O.Cache.misses;
   (* disabling caching bypasses the table entirely *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let oc4 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
   Alcotest.(check bool) "bypass returns a fresh outcome" true (oc4 != oc1);
-  Alcotest.(check int) "no new hit" 1 (O.cache_stats ()).O.hits;
-  O.set_caching true;
-  O.set_cache_capacity 512
+  Alcotest.(check int) "no new hit" 1 (O.Cache.stats O.Cache.default).O.Cache.hits;
+  O.Cache.set_enabled O.Cache.default true;
+  O.Cache.resize O.Cache.default 512
 
 (* ------------------------------------------------------------------ *)
 (* Retry / degradation ladder                                          *)
@@ -469,6 +483,41 @@ let test_deadline_timeout_propagates () =
       let snap = Tel.snapshot () in
       Alcotest.(check (option int)) "deadline counter" (Some 1)
         (List.assoc_opt "dram.ops.deadline_exceeded" snap.Tel.counters))
+
+(* under a deadline every lane of a batch is its own one-lane run with
+   its own budget; an expired budget fails each lane with Timeout and
+   never walks the retry ladder *)
+let test_deadline_lanes_skip_ladder () =
+  let module Tel = Dramstress_util.Telemetry in
+  let was = Tel.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Tel.set_enabled was)
+    (fun () ->
+      Tel.set_enabled true;
+      Tel.reset ();
+      let config = Sc.v ~deadline:1e-9 () in
+      let lanes =
+        List.map
+          (fun r -> { O.defect = Some (open_defect r); vc_init = 2.4 })
+          [ 1e5; 2e5; 4e5; 8e5 ]
+      in
+      List.iter
+        (function
+          | Error (E.Newton.Timeout _) -> ()
+          | Error e ->
+            Alcotest.failf "expected Timeout, got %s" (Printexc.to_string e)
+          | Ok _ -> Alcotest.fail "expected Timeout")
+        (O.run_batch ~config ~cache:(O.Cache.create ()) ~stress:nominal
+           ~lanes [ O.W0 ]);
+      let counters = (Tel.snapshot ()).Tel.counters in
+      let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+      Alcotest.(check int) "one-lane ensembles" 4
+        (count "engine.ensemble.batches");
+      Alcotest.(check int) "no ladder stage" 0
+        (count "dram.ops.retry_attempts");
+      Alcotest.(check int) "no fallback" 0 (count "dram.ops.lane_fallbacks");
+      Alcotest.(check int) "every lane counted" 4
+        (count "dram.ops.deadline_exceeded"))
 
 let test_deadline_generous_is_unobtrusive () =
   let config = Sc.v ~deadline:3600.0 () in
@@ -584,14 +633,14 @@ let test_sweep_survives_singular_chaos () =
     outcomes
 
 (* ------------------------------------------------------------------ *)
-(* Batched execution: golden parity with the scalar path               *)
+(* Lane parity: an N-lane ensemble against one-lane runs               *)
 (* ------------------------------------------------------------------ *)
 
 let rel_close eps a b = Float.abs (a -. b) <= eps *. (1.0 +. Float.abs b)
 
 let check_op_parity ~ctx (br : O.op_result) (sr : O.op_result) =
   Alcotest.(check bool)
-    (ctx ^ ": vc_end matches scalar")
+    (ctx ^ ": vc_end matches one-lane")
     true
     (rel_close 1e-9 br.O.vc_end sr.O.vc_end);
   (match (br.O.sensed, sr.O.sensed) with
@@ -604,9 +653,9 @@ let check_op_parity ~ctx (br : O.op_result) (sr : O.op_result) =
   | None, None -> ()
   | _ -> Alcotest.failf "%s: separation presence differs" ctx
 
-(* batched and scalar runs of one defect class, both with memoization
-   off so every lane really simulates on its own path *)
-let batch_vs_scalar ?(stress = nominal) ~tag ~kind ~placement ~rs ops =
+(* one N-lane batch and N one-lane runs of one defect class, both with
+   memoization off so every lane really simulates *)
+let lanes_vs_one_lane ?(stress = nominal) ~tag ~kind ~placement ~rs ops =
   let lanes =
     List.mapi
       (fun i r ->
@@ -622,7 +671,7 @@ let batch_vs_scalar ?(stress = nominal) ~tag ~kind ~placement ~rs ops =
   List.iteri
     (fun i lane ->
       let ctx = Printf.sprintf "%s lane %d" tag i in
-      let scalar =
+      let one_lane =
         O.run ~cache:scache ?defect:lane.O.defect ~vc_init:lane.O.vc_init
           ~stress ops
       in
@@ -631,19 +680,19 @@ let batch_vs_scalar ?(stress = nominal) ~tag ~kind ~placement ~rs ops =
       | Ok oc ->
         Alcotest.(check int)
           (ctx ^ ": op count")
-          (List.length scalar.O.results)
+          (List.length one_lane.O.results)
           (List.length oc.O.results);
-        List.iter2 (check_op_parity ~ctx) oc.O.results scalar.O.results)
+        List.iter2 (check_op_parity ~ctx) oc.O.results one_lane.O.results)
     lanes
 
-let test_batch_matches_scalar_all_classes () =
+let test_lanes_match_one_lane_all_classes () =
   (* every defect class (and both placements for the open), through the
      paper's detection sequence: per-lane cycle-end voltages, sensed
-     bits and sense separations agree with the scalar path to 1e-9 *)
+     bits and sense separations agree with one-lane runs to 1e-9 *)
   let ops = [ O.W1; O.W1; O.W0; O.R ] in
   let rs = [ 1e4; 3e5; 1e7; 1e8 ] in
   List.iter
-    (fun (tag, kind, placement) -> batch_vs_scalar ~tag ~kind ~placement ~rs ops)
+    (fun (tag, kind, placement) -> lanes_vs_one_lane ~tag ~kind ~placement ~rs ops)
     [
       ("O1", D.Open_cell D.At_bitline_contact, D.True_bl);
       ("O2", D.Open_cell D.At_capacitor_contact, D.True_bl);
@@ -655,19 +704,19 @@ let test_batch_matches_scalar_all_classes () =
       ("O1/comp", D.Open_cell D.At_bitline_contact, D.Comp_bl);
     ]
 
-let test_batch_matches_scalar_retention_stream () =
+let test_lanes_match_one_lane_retention_stream () =
   (* a stream with an idle retention segment and two reads — the grid
      has multi-scale segments, the reads exercise the sense path twice *)
   let ops = [ O.W1; O.Pause 1e-4; O.R; O.W0; O.R ] in
   let rs = [ 2e5; 5e7 ] in
-  batch_vs_scalar ~tag:"Sg/pause" ~kind:D.Short_to_gnd ~placement:D.True_bl
+  lanes_vs_one_lane ~tag:"Sg/pause" ~kind:D.Short_to_gnd ~placement:D.True_bl
     ~rs ops;
-  batch_vs_scalar ~tag:"B2/pause" ~kind:D.Bridge_to_neighbour
+  lanes_vs_one_lane ~tag:"B2/pause" ~kind:D.Bridge_to_neighbour
     ~placement:D.True_bl ~rs ops
 
 let test_batch_exhausted_lane_isolated () =
   (* a lane with a non-finite initial state dies inside the ensemble,
-     falls back to the scalar ladder, exhausts it, and surfaces as an
+     is retried alone through the ladder, exhausts it, and surfaces as an
      [Error] slot — its batch mates must be bit-identical to the same
      batch run without the doomed lane's poison *)
   let ops = [ O.W0; O.R ] in
@@ -696,7 +745,7 @@ let test_batch_exhausted_lane_isolated () =
       ~stress:nominal ~lanes:poisoned_lanes ops
   in
   Alcotest.(check int)
-    "exactly one lane fell back to the scalar ladder" (fb0 + 1)
+    "exactly one lane fell back to the one-lane ladder" (fb0 + 1)
     (O.lane_fallbacks ());
   List.iteri
     (fun i (c, p) ->
@@ -830,8 +879,8 @@ let test_couple_hammer_disturb () =
     true
     (coupled < uncoupled -. 0.05)
 
-let test_batch_matches_scalar_extended_stress () =
-  (* lane/scalar parity must survive every extension hook at once:
+let test_lanes_match_one_lane_extended_stress () =
+  (* N-lane/one-lane parity must survive every extension hook at once:
      leakage devices, coupling elements, pattern-driven neighbour
      state, and the inserted pause/hammer ops *)
   let stress =
@@ -840,9 +889,9 @@ let test_batch_matches_scalar_extended_stress () =
       couple = 0.2 }
   in
   let ops = O.effective_ops ~stress [ O.W1; O.W0; O.R ] in
-  batch_vs_scalar ~stress ~tag:"O1/ext" ~kind:(D.Open_cell D.At_bitline_contact)
+  lanes_vs_one_lane ~stress ~tag:"O1/ext" ~kind:(D.Open_cell D.At_bitline_contact)
     ~placement:D.True_bl ~rs:[ 1e5; 1e7 ] ops;
-  batch_vs_scalar ~stress ~tag:"B2/ext" ~kind:D.Bridge_to_neighbour
+  lanes_vs_one_lane ~stress ~tag:"B2/ext" ~kind:D.Bridge_to_neighbour
     ~placement:D.True_bl ~rs:[ 2e5; 5e7 ] ops
 
 (* ------------------------------------------------------------------ *)
@@ -938,6 +987,7 @@ let () =
       ( "deadlines+chaos",
         [
           tc "timeout propagates untried" test_deadline_timeout_propagates;
+          tc "deadline lanes skip the ladder" test_deadline_lanes_skip_ladder;
           tc "generous deadline unobtrusive"
             test_deadline_generous_is_unobtrusive;
           tc "deadline validation" test_deadline_validation;
@@ -945,12 +995,11 @@ let () =
           tc "transient NaN rescued by halving" test_nan_once_rescued_by_halving;
           tc "sweep survives singular chaos" test_sweep_survives_singular_chaos;
         ] );
-      ( "batched parity",
+      ( "lane parity",
         [
-          tc "all defect classes match scalar"
-            test_batch_matches_scalar_all_classes;
-          tc "retention stream matches scalar"
-            test_batch_matches_scalar_retention_stream;
+          tc "all classes match one lane" test_lanes_match_one_lane_all_classes;
+          tc "retention matches one lane"
+            test_lanes_match_one_lane_retention_stream;
           tc "exhausted lane isolated" test_batch_exhausted_lane_isolated;
         ] );
       ( "extended stress axes",
@@ -964,7 +1013,7 @@ let () =
           tc "leak + wait decays a stored 1" test_leak_wait_decay;
           tc "coupled hammer disturbs the victim" test_couple_hammer_disturb;
           tc "batch parity under every extension hook"
-            test_batch_matches_scalar_extended_stress;
+            test_lanes_match_one_lane_extended_stress;
         ] );
       ( "properties",
         [

@@ -61,6 +61,18 @@ let test_dcop_bad_guess_node () =
 (* Transient                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* one simulation is a one-lane run of the integrator; the lane's error
+   surfaces as the exception it carries *)
+let run1 c ?opts ?deadline_at ~segments ~ics ~probes () =
+  match
+    E.Ensemble.run c ?opts ?deadline_at ~segments
+      ~lanes:[| { E.Ensemble.ics; override = None } |]
+      ~probes ()
+  with
+  | [| Ok r |] -> r
+  | [| Error e |] -> raise e
+  | _ -> assert false
+
 let rc_circuit ~r ~c_farad =
   let nl = N.create () in
   N.vsource nl ~name:"v" "in" "0" (W.dc 1.0);
@@ -72,7 +84,7 @@ let test_rc_charge () =
   (* tau = 1 us; after 1 tau the capacitor reaches 1 - e^-1 *)
   let c = rc_circuit ~r:1000.0 ~c_farad:1e-9 in
   let res =
-    E.Transient.run c
+    run1 c
       ~segments:[ (1e-6, 1e-9) ]
       ~ics:[ ("out", 0.0) ]
       ~probes:[ "out" ] ()
@@ -86,7 +98,7 @@ let test_rc_discharge_ic () =
   N.capacitor nl ~name:"c" "out" "0" 1e-9;
   let c = N.compile nl in
   let res =
-    E.Transient.run c
+    run1 c
       ~segments:[ (2e-6, 1e-9) ]
       ~ics:[ ("out", 2.0) ]
       ~probes:[ "out" ] ()
@@ -99,7 +111,7 @@ let test_rc_trapezoidal_more_accurate () =
   let run integrator =
     let opts = { E.Options.default with E.Options.integrator } in
     let res =
-      E.Transient.run c ~opts
+      run1 c ~opts
         ~segments:[ (1e-6, 2e-8) ]  (* coarse on purpose *)
         ~ics:[ ("out", 0.0) ]
         ~probes:[ "out" ] ()
@@ -121,7 +133,7 @@ let test_initial_consistency () =
   N.capacitor nl ~name:"c" "mid" "0" 1e-15;
   let c = N.compile nl in
   let res =
-    E.Transient.run c
+    run1 c
       ~segments:[ (1e-9, 1e-10) ]
       ~ics:[]
       ~probes:[ "mid" ] ()
@@ -141,7 +153,7 @@ let test_pulse_through_switch () =
   N.capacitor nl ~name:"c" "out" "0" 1e-13;
   let c = N.compile nl in
   let res =
-    E.Transient.run c
+    run1 c
       ~segments:[ (2e-8, 1e-11) ]
       ~ics:[ ("out", 0.0) ]
       ~probes:[ "out" ] ()
@@ -163,7 +175,7 @@ let test_nmos_pass_gate_writes_degraded_one () =
   N.capacitor nl ~name:"cs" "cell" "0" 1e-13;
   let c = N.compile nl in
   let res =
-    E.Transient.run c
+    run1 c
       ~segments:[ (2e-7, 1e-10) ]
       ~ics:[ ("cell", 0.0) ]
       ~probes:[ "cell" ] ()
@@ -183,7 +195,7 @@ let test_nmos_pass_gate_writes_full_zero () =
   N.capacitor nl ~name:"cs" "cell" "0" 1e-13;
   let c = N.compile nl in
   let res =
-    E.Transient.run c
+    run1 c
       ~segments:[ (2e-7, 1e-10) ]
       ~ics:[ ("cell", 2.4) ]
       ~probes:[ "cell" ] ()
@@ -202,7 +214,7 @@ let test_segmented_timestep () =
   N.capacitor nl ~name:"cs" "cell" "0" 1e-13;
   let c = N.compile nl in
   let res =
-    E.Transient.run c
+    run1 c
       ~segments:[ (1e-9, 1e-10); (1e-4, 1e-7) ]
       ~ics:[ ("cell", 2.0) ]
       ~probes:[ "cell" ] ()
@@ -213,13 +225,13 @@ let test_segmented_timestep () =
 let test_probe_errors () =
   let c = rc_circuit ~r:1.0 ~c_farad:1e-12 in
   Alcotest.check_raises "bad probe"
-    (Invalid_argument "Transient.run: unknown probe node nope") (fun () ->
+    (Invalid_argument "Ensemble.run: unknown probe node nope") (fun () ->
       ignore
-        (E.Transient.run c ~segments:[ (1e-9, 1e-10) ] ~ics:[]
+        (run1 c ~segments:[ (1e-9, 1e-10) ] ~ics:[]
            ~probes:[ "nope" ] ()));
   Alcotest.check_raises "bad segments"
-    (Invalid_argument "Transient.run: no segments") (fun () ->
-      ignore (E.Transient.run c ~segments:[] ~ics:[] ~probes:[] ()))
+    (Invalid_argument "Ensemble.run: no segments") (fun () ->
+      ignore (run1 c ~segments:[] ~ics:[] ~probes:[] ()))
 
 let prop_rc_matches_analytic =
   QCheck.Test.make ~count:25 ~name:"RC decay matches exp() for random tau"
@@ -232,7 +244,7 @@ let prop_rc_matches_analytic =
       let tau = r *. 1e-9 in
       let t_end = tau in
       let res =
-        E.Transient.run c
+        run1 c
           ~segments:[ (t_end, tau /. 400.0) ]
           ~ics:[ ("out", v0) ]
           ~probes:[ "out" ] ()
@@ -254,7 +266,7 @@ let test_step_failed_context () =
   let c = N.compile nl in
   let opts = { E.Options.default with E.Options.max_newton = 1 } in
   match
-    E.Transient.run c ~opts
+    run1 c ~opts
       ~segments:[ (2e-9, 1e-10) ]
       ~ics:[] ~probes:[ "out" ] ()
   with
@@ -285,7 +297,7 @@ let test_naive_assembly_matches_incremental () =
     let opts =
       { E.Options.default with E.Options.naive_assembly = naive; integrator }
     in
-    E.Transient.run c ~opts
+    run1 c ~opts
       ~segments:[ (3e-8, 5e-11) ]
       ~ics:[ ("cell", 0.0) ]
       ~probes:[ "cell"; "bl" ] ()
@@ -325,7 +337,7 @@ let rc_fixture () =
   N.compile nl
 
 let run_rc ?deadline_at c =
-  E.Transient.run c ?deadline_at
+  run1 c ?deadline_at
     ~segments:[ (5e-9, 1e-10) ]
     ~ics:[] ~probes:[ "out" ] ()
 
@@ -355,7 +367,7 @@ let test_health_guards_can_be_disabled () =
   let c = rc_fixture () in
   let opts = { E.Options.default with E.Options.health_guards = false } in
   match
-    E.Transient.run c ~opts ~segments:[ (5e-10, 1e-10) ] ~ics:[]
+    run1 c ~opts ~segments:[ (5e-10, 1e-10) ] ~ics:[]
       ~probes:[ "out" ] ()
   with
   | r ->
@@ -413,6 +425,63 @@ let test_deadline_generous_budget_unobtrusive () =
   Array.iteri
     (fun i v -> check_float ~eps:0.0 "identical trace" v b.E.Transient.final_v.(i))
     a.E.Transient.final_v
+
+(* an already expired budget is noticed by the amortized poll within
+   16 lane-iterations, whatever the lane count: every iteration factors
+   once, so the LU counter bounds the iterations spent *)
+let test_expired_deadline_within_16_iterations () =
+  let module Tel = Dramstress_util.Telemetry in
+  let c = rc_fixture () in
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled true;
+  List.iter
+    (fun n_lanes ->
+      Tel.reset ();
+      let deadline_at = (Unix.gettimeofday () -. 1.0, 0.5) in
+      (match
+         E.Ensemble.run c ~deadline_at
+           ~segments:[ (5e-9, 1e-10) ]
+           ~lanes:
+             (Array.init n_lanes (fun i ->
+                  { E.Ensemble.ics = [ ("out", 0.1 *. float_of_int i) ];
+                    override = None }))
+           ~probes:[ "out" ] ()
+       with
+      | _ -> Alcotest.failf "%d lanes: expected Timeout" n_lanes
+      | exception E.Newton.Timeout { budget_s; _ } ->
+        Alcotest.(check (float 0.0)) "budget echoed" 0.5 budget_s);
+      let factors =
+        Option.value ~default:0
+          (List.assoc_opt "engine.mna.lu_factors"
+             (Tel.snapshot ()).Tel.counters)
+      in
+      if factors > 16 then
+        Alcotest.failf "%d lanes: %d iterations before the timeout" n_lanes
+          factors)
+    [ 1; 4 ]
+
+(* a run that dies at t=0 must not pay for its grid: the words it
+   allocates are the same for a 10-step and a 10^6-step plan *)
+let test_dead_at_t0_allocates_no_grid () =
+  let c = rc_fixture () in
+  let words steps =
+    let minor0, promoted0, major0 = Gc.counters () in
+    (match
+       E.Ensemble.run c
+         ~segments:[ (1e-10 *. float_of_int steps, 1e-10) ]
+         ~lanes:[| { E.Ensemble.ics = [ ("out", Float.nan) ]; override = None } |]
+         ~probes:[ "out" ] ()
+     with
+    | [| Error (E.Newton.Numerical_health _) |] -> ()
+    | _ -> Alcotest.fail "expected a health failure at t=0");
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  ignore (words 10);
+  let small = words 10 and big = words 1_000_000 in
+  if Float.abs (big -. small) > 64.0 then
+    Alcotest.failf "10 steps: %.0f words, 10^6 steps: %.0f words" small big
 
 (* ------------------------------------------------------------------ *)
 (* Bitwise pins                                                        *)
@@ -609,6 +678,9 @@ let () =
           tc "deadline cuts the solve" test_deadline_cuts_solve;
           tc "generous deadline unobtrusive"
             test_deadline_generous_budget_unobtrusive;
+          tc "expired deadline stops 1 and 4 lanes within 16 iterations"
+            test_expired_deadline_within_16_iterations;
+          tc "t=0 failure allocates no grid" test_dead_at_t0_allocates_no_grid;
         ] );
       ( "bitwise",
         [

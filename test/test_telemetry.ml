@@ -184,7 +184,7 @@ let test_jsonl_roundtrip () =
     lines
 
 (* ------------------------------------------------------------------ *)
-(* Cache counters vs Ops.cache_stats on a repeated plane sweep        *)
+(* Cache counters vs Ops.Cache.stats on a repeated plane sweep       *)
 (* ------------------------------------------------------------------ *)
 
 let cval snap name =
@@ -194,10 +194,10 @@ let cval snap name =
 
 let test_cache_counters_reconcile () =
   (* start both ledgers from zero so they must agree exactly *)
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   O.clear_cache ();
   O.Cache.reset_stats O.Cache.default;
-  O.reset_run_count ();
+  O.Cache.reset_requests O.Cache.default;
   O.reset_lane_fallbacks ();
   Tel.reset ();
   Tel.set_enabled true;
@@ -207,11 +207,11 @@ let test_cache_counters_reconcile () =
       ~placement:D.True_bl ~op:O.W0 ()
   in
   let p1 = plane () in
-  let mid = O.cache_stats () in
+  let mid = O.Cache.stats O.Cache.default in
   Alcotest.(check bool) "first sweep ran simulations" true (mid.misses > 0);
   let p2 = plane () in
   Tel.set_enabled false;
-  let st = O.cache_stats () in
+  let st = O.Cache.stats O.Cache.default in
   let snap = Tel.snapshot () in
   Alcotest.(check int) "telemetry requests = cache requests" st.requests
     (cval snap "dram.ops.requests");
@@ -227,12 +227,15 @@ let test_cache_counters_reconcile () =
   Alcotest.(check int) "repeat sweep adds no misses" mid.misses st.misses;
   Alcotest.(check bool) "repeat sweep hits the cache" true
     (st.hits > mid.hits);
-  (* every electrical simulation is one transient run (scalar path) or
-     one ensemble lane (batched path); with no retries or lane
-     fallbacks in this healthy sweep the ledgers reconcile exactly *)
-  Alcotest.(check int) "misses = transient runs + ensemble lanes" st.misses
-    (cval snap "engine.transient.runs" + cval snap "engine.ensemble.lanes");
-  Alcotest.(check int) "no lane fell back to the scalar ladder" 0
+  (* every electrical simulation is one ensemble lane, counted as one
+     transient run; with no retries or lane fallbacks in this healthy
+     sweep the ledgers reconcile exactly *)
+  Alcotest.(check int) "misses = ensemble lanes" st.misses
+    (cval snap "engine.ensemble.lanes");
+  Alcotest.(check int) "transient runs = ensemble lanes"
+    (cval snap "engine.ensemble.lanes")
+    (cval snap "engine.transient.runs");
+  Alcotest.(check int) "no lane fell back to the one-lane ladder" 0
     (O.lane_fallbacks ());
   (* and the planes themselves agree *)
   Alcotest.(check (float 1e-12)) "cached sweep reproduces vmp" p1.vmp p2.vmp

@@ -488,7 +488,7 @@ let test_par_empty_and_singleton () =
     (Par.parallel_map ~jobs:4 succ [ 1 ])
 
 let test_par_default_jobs () =
-  Alcotest.(check bool) "at least one domain" true (Par.default_jobs () >= 1)
+  Alcotest.(check bool) "at least one domain" true (Par.resolve_jobs () >= 1)
 
 let test_par_chunks () =
   let check_split ~size xs =
