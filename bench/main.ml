@@ -224,8 +224,10 @@ let ablation () =
   let defect = D.v open_kind D.True_bl 200e3 in
   (* integrator choice: backward Euler vs trapezoidal on a full op *)
   let residual integrator =
-    let sim = { Dramstress_engine.Options.default with integrator } in
-    let oc = O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
+    let config =
+      Sc.v ~sim:{ Dramstress_engine.Options.default with integrator } ()
+    in
+    let oc = O.run ~config ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
     (List.hd oc.O.results).O.vc_end
   in
   let r_be = residual Dramstress_engine.Options.Backward_euler in
@@ -239,12 +241,15 @@ let ablation () =
     (fun c_ref ->
       let tech = { T.default with T.c_ref } in
       Printf.printf "  c_ref = %sF: Vmp = %.2f V\n" (U.si_string c_ref)
-        (C.Plane.vmp ~tech ~stress:nominal ()))
+        (C.Plane.vmp ~config:(Sc.v ~tech ()) ~stress:nominal ()))
     [ 20e-15; 34e-15; 50e-15 ];
   (* the fixed write-command latency is the timing-stress mechanism:
      making it scale with tcyc kills the Figure-3 effect *)
   let residual_with tech stress =
-    let oc = O.run ~tech ~stress ~defect ~vc_init:stress.S.vdd [ O.W0 ] in
+    let oc =
+      O.run ~config:(Sc.v ~tech ()) ~stress ~defect ~vc_init:stress.S.vdd
+        [ O.W0 ]
+    in
     (List.hd oc.O.results).O.vc_end
   in
   let scaled_tech tcyc =
@@ -270,8 +275,8 @@ let ablation () =
   List.iter
     (fun spc ->
       let oc =
-        O.run ~steps_per_cycle:spc ~stress:nominal ~defect ~vc_init:2.4
-          [ O.W0 ]
+        O.run ~config:(Sc.v ~steps_per_cycle:spc ()) ~stress:nominal ~defect
+          ~vc_init:2.4 [ O.W0 ]
       in
       Printf.printf "  steps/cycle %4d: w0 residual %.4f V\n" spc
         (List.hd oc.O.results).O.vc_end)
@@ -298,10 +303,14 @@ let perf_engine_ab () =
   in
   let sim_fast = Dramstress_engine.Options.default in
   let defect = D.v open_kind D.True_bl 200e3 in
+  let run_w0 sim =
+    O.run ~config:(Sc.v ~sim ()) ~stress:nominal ~defect ~vc_init:2.4
+      [ O.W0 ]
+  in
   (* --- transient step cost, ns per accepted time point ------------- *)
   O.Cache.set_enabled O.Cache.default false;
   let trace_points sim =
-    let oc = O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
+    let oc = run_w0 sim in
     Array.length oc.O.trace.Dramstress_engine.Transient.times
   in
   let n_pts = trace_points sim_fast in
@@ -310,7 +319,7 @@ let perf_engine_ab () =
     let dt =
       wall (fun () ->
           for _ = 1 to reps do
-            ignore (O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ])
+            ignore (run_w0 sim)
           done)
     in
     1e9 *. dt /. float_of_int (reps * n_pts)
@@ -327,7 +336,7 @@ let perf_engine_ab () =
   let alloc_limit = 1500.0 in
   let words_per_point sim =
     let w0 = Gc.minor_words () in
-    ignore (O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
+    ignore (run_w0 sim);
     (Gc.minor_words () -. w0) /. float_of_int n_pts
   in
   let words_fast = words_per_point sim_fast in
@@ -340,9 +349,8 @@ let perf_engine_ab () =
      one-lane transient at a time, and the speedup isolates the
      assembly/caching wins exactly as before. The batched measurement
      below lifts the lane pin. *)
-  let one_lane_cfg = Sc.v ~lanes:1 () in
-  let batched_cfg = Sc.v ~lanes:16 () in
-  let plane_sweep ~config sim () =
+  let plane_sweep ~lanes sim () =
+    let config = Sc.v ~sim ~jobs:1 ~lanes () in
     (* the full Figure 2 plane set: w0 and w1 write planes plus the read
        plane for one defect kind. The three planes share the defect-free
        V_mp bisection and the per-resistance V_sa bisections, which is
@@ -350,18 +358,18 @@ let perf_engine_ab () =
     List.iter
       (fun op ->
         ignore
-          (C.Plane.write_plane ~sim ~config ~jobs:1 ~n_ops:2 ~rops
-             ~stress:nominal ~kind:open_kind ~placement:D.True_bl ~op ()))
+          (C.Plane.write_plane ~config ~n_ops:2 ~rops ~stress:nominal
+             ~kind:open_kind ~placement:D.True_bl ~op ()))
       [ O.W0; O.W1 ];
     ignore
-      (C.Plane.read_plane ~sim ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
+      (C.Plane.read_plane ~config ~n_ops:2 ~rops ~stress:nominal
          ~kind:open_kind ~placement:D.True_bl ())
   in
   O.Cache.set_enabled O.Cache.default false;
-  let plane_naive = wall (plane_sweep ~config:one_lane_cfg sim_naive) in
+  let plane_naive = wall (plane_sweep ~lanes:1 sim_naive) in
   O.Cache.set_enabled O.Cache.default true;
   O.Cache.resize O.Cache.default 512 (* fresh cache: zero stats, cold start *);
-  let plane_fast = wall (plane_sweep ~config:one_lane_cfg sim_fast) in
+  let plane_fast = wall (plane_sweep ~lanes:1 sim_fast) in
   let cache = O.Cache.stats O.Cache.default in
   let hit_rate =
     let total = cache.O.Cache.hits + cache.O.Cache.misses in
@@ -373,7 +381,7 @@ let perf_engine_ab () =
      transient per point. The tripwire is the tentpole acceptance: the
      batched sweep must beat the naive baseline by >= 5x. *)
   O.Cache.resize O.Cache.default 512;
-  let plane_batched = wall (plane_sweep ~config:batched_cfg sim_fast) in
+  let plane_batched = wall (plane_sweep ~lanes:16 sim_fast) in
   let batch_speedup = ratio plane_naive plane_batched in
   let batch_speedup_limit = 5.0 in
   let batch_speedup_ok = batch_speedup >= batch_speedup_limit in
@@ -486,7 +494,8 @@ let perf_engine_ab () =
        assembly wins only). *)
     for _ = 1 to 2 do
       ignore
-        (M.Shmoo.generate ~sim ~jobs:1 ~stress:nominal ~defect ~detection
+        (M.Shmoo.generate ~config:(Sc.v ~sim ~jobs:1 ()) ~stress:nominal
+           ~defect ~detection
            ~x:(S.Cycle_time, Dramstress_util.Grid.linspace 50e-9 75e-9 6)
            ~y:(S.Supply_voltage, [ 2.4 ])
            ())
@@ -585,7 +594,7 @@ let perf_engine_ab () =
   O.Cache.set_enabled O.Cache.default false;
   Tel.set_enabled true;
   Tel.reset ();
-  ignore (O.run ~sim:sim_fast ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
+  ignore (run_w0 sim_fast);
   Tel.set_enabled false;
   let snap = Tel.snapshot () in
   let cval name =
@@ -716,8 +725,9 @@ let resilience () =
   let rops = Dramstress_util.Grid.logspace 1e3 1e6 6 in
   let sweep ?checkpoint () =
     ignore
-      (C.Plane.write_plane ?checkpoint ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
-         ~kind:open_kind ~placement:D.True_bl ~op:O.W0 ())
+      (C.Plane.write_plane ~config:(Sc.v ~jobs:1 ()) ?checkpoint ~n_ops:2
+         ~rops ~stress:nominal ~kind:open_kind ~placement:D.True_bl ~op:O.W0
+         ())
   in
   (* memo cache off so the replay speedup measures the checkpoint store,
      not the in-process LRU *)
@@ -803,11 +813,13 @@ let health () =
   (* one lane everywhere: a deadline forces one-lane ensembles, so the
      guarded/unguarded/deadline triple must all run one lane wide for a
      like-for-like comparison *)
-  let cfg_off = Sc.v ~sim:sim_off ~retry:Sc.no_retry ~lanes:1 () in
-  let cfg_on = Sc.v ~retry:Sc.no_retry ~lanes:1 () in
+  let cfg_off = Sc.v ~sim:sim_off ~retry:Sc.no_retry ~jobs:1 ~lanes:1 () in
+  let cfg_on = Sc.v ~retry:Sc.no_retry ~jobs:1 ~lanes:1 () in
   (* a generous budget: the poll fires every Newton iteration but the
      deadline never trips, so only the clock reads are priced in *)
-  let cfg_deadline = Sc.v ~retry:Sc.no_retry ~deadline:3600.0 ~lanes:1 () in
+  let cfg_deadline =
+    Sc.v ~retry:Sc.no_retry ~deadline:3600.0 ~jobs:1 ~lanes:1 ()
+  in
   let defect = D.v open_kind D.True_bl 200e3 in
   O.Cache.set_enabled O.Cache.default false;
   (* --- single-op cost, best of several trials to shed scheduler noise *)
@@ -835,11 +847,11 @@ let health () =
     List.iter
       (fun op ->
         ignore
-          (C.Plane.write_plane ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
+          (C.Plane.write_plane ~config ~n_ops:2 ~rops ~stress:nominal
              ~kind:open_kind ~placement:D.True_bl ~op ()))
       [ O.W0; O.W1 ];
     ignore
-      (C.Plane.read_plane ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
+      (C.Plane.read_plane ~config ~n_ops:2 ~rops ~stress:nominal
          ~kind:open_kind ~placement:D.True_bl ())
   in
   let plane_s config =

@@ -304,16 +304,19 @@ let decode_probe = function
   | "x" -> Some None
   | _ -> None
 
-let search ?tech ?config ?checkpoint ?window:(w = Window.default)
+let search ?config ?checkpoint ?window:(w = Window.default)
     ?(hint = []) ~stress ~kind ~placement cond =
   (* the physics fingerprint: everything a single probe's boolean
      outcome depends on, excluding the window (a probe at resistance r
-     is the same simulation whatever window asked for it) *)
+     is the same simulation whatever window asked for it). The caller's
+     [config] option is digested as given, and the leading [None] fills
+     the slot a separate technology argument once held, so stored keys
+     keep their bytes. *)
   let fp =
-    lazy (Ck.fingerprint (tech, config, stress, kind, placement, cond))
+    lazy (Ck.fingerprint (None, config, stress, kind, placement, cond))
   in
   let compute () =
-    let cfg = Sc.resolve ?tech ?config () in
+    let cfg = Option.value config ~default:Sc.default in
     let detect r =
       Tel.Counter.incr c_probes;
       Detection.detects ~config:cfg ~stress ~defect:(D.v kind placement r)

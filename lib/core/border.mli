@@ -147,14 +147,15 @@ val adaptive_scan :
   (int list -> (int * bool option) list) ->
   (int * bool option) list
 
-(** [search ?tech ?config ?checkpoint ?window ?hint ~stress ~kind
-    ~placement cond] scans [window]'s log grid (default {!Window.default}:
+(** [search ?config ?checkpoint ?window ?hint ~stress ~kind ~placement
+    cond] scans [window]'s log grid (default {!Window.default}:
     13 points over [1 kOhm, 100 GOhm]) for detection-outcome changes and
     refines each edge by bisection to the window's [rel_tol]. One edge
     yields {!Br}; an interior detected region yields {!Faulty_band};
     multiple regions or unrefinable edges yield {!Bands}. Scanned
     samples run as the lanes of ensemble-width chunks
-    ({!Dramstress_dram.Sim_config.sweep_lanes}).
+    ({!Dramstress_dram.Sim_config.sweep_lanes}). Every simulation runs
+    under [config] (default {!Dramstress_dram.Sim_config.default}).
 
     With [window.strategy = Adaptive] only a sparse subset of the grid
     is simulated (see {!Window.strategy} for the oracle relationship and
@@ -180,7 +181,6 @@ val adaptive_scan :
     run killed mid-refinement resumes by re-simulating only the probes
     and brackets it had not finished. *)
 val search :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Window.t ->

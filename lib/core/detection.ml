@@ -75,9 +75,9 @@ let judge ?(min_separation = 0.5) cond outcome =
     (fun (actual, separation) e -> actual <> e || separation < min_separation)
     reads expected
 
-let detects ?tech ?sim ?config ?min_separation ~stress ~defect cond =
+let detects ?config ?min_separation ~stress ~defect cond =
   let vc_init = initial_vc cond ~stress ~defect in
-  let outcome = O.run ?tech ?sim ?config ~stress ~defect ~vc_init (ops cond) in
+  let outcome = O.run ?config ~stress ~defect ~vc_init (ops cond) in
   judge ?min_separation cond outcome
 
 let pp ppf cond =

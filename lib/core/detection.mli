@@ -60,16 +60,14 @@ val initial_vc :
 val judge :
   ?min_separation:float -> t -> Dramstress_dram.Ops.outcome -> bool
 
-(** [detects ?tech ?sim ?min_separation ~stress ~defect cond] runs the
+(** [detects ?config ?min_separation ~stress ~defect cond] runs the
     condition electrically and reports whether any read fails: a wrong
     bit, or a bit-line separation at strobe time below [min_separation]
     (default 0.5 V) — a metastable output that a tester's VOH/VOL levels
-    reject. [sim] overrides the solver options of the underlying run.
-    Equivalent to simulating [ops cond] from [initial_vc] and applying
-    {!judge}. *)
+    reject. [config] (default {!Dramstress_dram.Sim_config.default})
+    parameterises the underlying run. Equivalent to simulating
+    [ops cond] from [initial_vc] and applying {!judge}. *)
 val detects :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?min_separation:float ->
   stress:Dramstress_dram.Stress.t ->

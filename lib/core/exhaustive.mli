@@ -19,16 +19,16 @@ type t = {
           built from the surviving points *)
 }
 
-(** [optimize ?tech ?tcyc_values ?temp_values ?vdd_values ~nominal ~kind
-    ~placement detection] evaluates the BR of [detection] at every
+(** [optimize ?config ?tcyc_values ?temp_values ?vdd_values ~nominal
+    ~kind ~placement detection] evaluates the BR of [detection] at every
     combination. Default grids: t_cyc {55, 60, 65 ns} x T {-33, 27,
     87 C} x V_dd {2.1, 2.4, 2.7 V}.
 
-    [jobs] caps the domains used to evaluate grid points in parallel
-    (default [Dramstress_util.Par.resolve_jobs]; [~jobs:1] is
-    sequential). [config] bundles the simulation parameters
-    ({!Dramstress_dram.Sim_config.t}); explicit [?tech ?jobs] override
-    matching [config] fields. Each grid point observes the shared
+    [config] (default {!Dramstress_dram.Sim_config.default})
+    parameterises every border search; its [jobs] caps the domains
+    used to evaluate grid points in parallel
+    ({!Dramstress_dram.Sim_config.resolve_jobs}; [Some 1] is
+    sequential). Each grid point observes the shared
     [core.sweep.point_ms] telemetry histogram and emits an
     [exhaustive.point] span.
 
@@ -37,8 +37,6 @@ type t = {
     still fails lands in [t.failures]; [Invalid_argument] is raised only
     when the grid is empty or {e no} point survived. *)
 val optimize :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
@@ -62,11 +60,10 @@ type comparison = {
           exhaustive optimum on every axis *)
 }
 
-(** [compare_methods ?tech ~nominal ~kind ~placement ()] runs both the
-    exhaustive baseline and the paper's probe method ({!Sc_eval}) and
-    reports the simulation budgets. *)
+(** [compare_methods ?config ~nominal ~kind ~placement ()] runs both
+    the exhaustive baseline and the paper's probe method ({!Sc_eval})
+    under one [config] and reports the simulation budgets. *)
 val compare_methods :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->

@@ -224,14 +224,14 @@ let vsa_one ~config ~stress defect =
   | [| Error e |] -> raise e
   | _ -> assert false
 
-let vmp ?tech ?sim ?config ~stress () =
-  match vsa_one ~config:(Sc.resolve ?tech ?sim ?config ()) ~stress None with
+let vmp ?(config = Sc.default) ~stress () =
+  match vsa_one ~config ~stress None with
   | Vsa v -> v
   | Reads_all_0 -> 0.0
   | Reads_all_1 -> stress.S.vdd
 
-let vsa ?tech ?sim ?config ~stress ~defect () =
-  vsa_one ~config:(Sc.resolve ?tech ?sim ?config ()) ~stress (Some defect)
+let vsa ?(config = Sc.default) ~stress ~defect () =
+  vsa_one ~config ~stress (Some defect)
 
 (* shared scaffolding of the planes: checkpoint replay into [slots],
    per-point defect construction with [D.v] failures captured as point
@@ -297,7 +297,7 @@ let curves_of ~n_ops ~label points =
 
 (* write plane: checkpoint-missing resistances become lanes — one round
    of [n_ops] writes, then the lockstep Vsa bisection *)
-let write_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 4)
+let write_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 4)
     ?rops ~stress ~kind ~placement ~op () =
   let rops = resolve_rops ?window ?rops () in
   (match op with
@@ -305,7 +305,6 @@ let write_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 4)
   | O.R | O.Pause _ | O.Ham _ ->
     invalid_arg "Plane.write_plane: op must be a write");
   if n_ops < 1 then invalid_arg "Plane.write_plane: n_ops < 1";
-  let config = Sc.resolve ?tech ?sim ?jobs ?config () in
   let jobs = Sc.resolve_jobs config in
   let vc_init =
     if physical_target placement op = 0 then stress.S.vdd else 0.0
@@ -365,11 +364,10 @@ let write_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 4)
 
 (* read plane: the lockstep Vsa bisection first, then two rounds of
    [n_ops] reads seeded just below / above each lane's own threshold *)
-let read_plane ?tech ?sim ?jobs ?config ?checkpoint ?window ?(n_ops = 3)
+let read_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 3)
     ?rops ?(offset = 0.2) ~stress ~kind ~placement () =
   let rops = resolve_rops ?window ?rops () in
   if n_ops < 1 then invalid_arg "Plane.read_plane: n_ops < 1";
-  let config = Sc.resolve ?tech ?sim ?jobs ?config () in
   let jobs = Sc.resolve_jobs config in
   let base_key =
     Ck.fingerprint

@@ -39,36 +39,30 @@ type t = {
   stress : Dramstress_dram.Stress.t;
 }
 
-(** [vmp ?tech ?sim ?config ~stress ()] is the read threshold of the
-    defect-free column — the voltage border between a stored 0 and 1.
+(** [vmp ?config ~stress ()] is the read threshold of the defect-free
+    column — the voltage border between a stored 0 and 1.
 
-    Everywhere in this module, [config] bundles the simulation
-    parameters ({!Dramstress_dram.Sim_config.t}); the loose
-    [?tech ?sim ?jobs] optionals are the original spelling, kept for
-    compatibility, and override matching [config] fields when both are
-    given. *)
+    Everywhere in this module, [config] (default
+    {!Dramstress_dram.Sim_config.default}) parameterises every
+    simulation. *)
 val vmp :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   stress:Dramstress_dram.Stress.t ->
   unit -> float
 
-(** [vsa ?tech ?sim ?config ~stress ~defect ()] is the sense threshold
+(** [vsa ?config ~stress ~defect ()] is the sense threshold
     for the given defect instance (guarded bisection on the initial
     storage voltage to 5 mV; {!vmp} is the same bisection on the
     defect-free column). *)
 val vsa :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   stress:Dramstress_dram.Stress.t ->
   defect:Dramstress_defect.Defect.t ->
   unit ->
   vsa_value
 
-(** [write_plane ?tech ?window ?n_ops ?rops ~stress ~kind ~placement ~op
-    ()] generates the plane for a repeated write ([W0] planes start from
+(** [write_plane ?config ?window ?n_ops ?rops ~stress ~kind ~placement
+    ~op ()] generates the plane for a repeated write ([W0] planes start from
     a floating full-1 cell, [W1] planes from a full-0 cell, following
     the paper). [n_ops] defaults to 4. The resistance axis is [rops]
     when given; otherwise it derives from [window] ({!Border.Window.t}
@@ -78,13 +72,11 @@ val vsa :
 
     Each resistance is one lane of ensemble-width chunks
     ({!Dramstress_dram.Sim_config.sweep_lanes}): one round of writes,
-    then a lockstep [V_sa] bisection. [jobs] caps the number of domains
-    the chunks fan out over; it defaults to
-    [Dramstress_util.Par.resolve_jobs] (which honours the
-    [DRAMSTRESS_JOBS] environment variable), and [~jobs:1] forces a
-    sequential sweep. [sim] overrides the solver options of every
-    underlying run. When {!Dramstress_util.Telemetry} is enabled, each
-    chunk emits a [plane.batch] span.
+    then a lockstep [V_sa] bisection. [config.jobs] caps the number of
+    domains the chunks fan out over
+    ({!Dramstress_dram.Sim_config.resolve_jobs}; [Some 1] forces a
+    sequential sweep). When {!Dramstress_util.Telemetry} is enabled,
+    each chunk emits a [plane.batch] span.
 
     A point that raises — even after {!Dramstress_dram.Ops.run}'s retry
     ladder — lands in [t.failures] instead of aborting the sweep.
@@ -92,9 +84,6 @@ val vsa :
     planes are byte-identical) in a {!Dramstress_util.Checkpoint} store
     and replays it on resume. *)
 val write_plane :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
@@ -107,15 +96,12 @@ val write_plane :
   unit ->
   t
 
-(** [read_plane ?tech ?n_ops ?rops ?offset ~stress ~kind ~placement ()]
+(** [read_plane ?config ?n_ops ?rops ?offset ~stress ~kind ~placement ()]
     generates the repeated-read plane: two trajectories per resistance,
     seeded just below and just above [V_sa] (offset defaults to 0.2 V,
-    the paper's choice). [sim], [jobs], [config], [checkpoint] and
-    failure handling as in {!write_plane}. *)
+    the paper's choice). [config], [checkpoint] and failure handling as
+    in {!write_plane}. *)
 val read_plane :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->

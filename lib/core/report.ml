@@ -27,18 +27,18 @@ let plane_chart ~title (plane : Plane.t) =
     ~title
     (List.mapi series_of_curve plane.Plane.curves @ [ vsa_series ])
 
-let figure2_with_failures ?tech ?config ?checkpoint ?rops ~stress ~kind
+let figure2_with_failures ?config ?checkpoint ?rops ~stress ~kind
     ~placement () =
   let w0 =
-    Plane.write_plane ?tech ?config ?checkpoint ?rops ~stress ~kind
+    Plane.write_plane ?config ?checkpoint ?rops ~stress ~kind
       ~placement ~op:O.W0 ()
   in
   let w1 =
-    Plane.write_plane ?tech ?config ?checkpoint ?rops ~stress ~kind
+    Plane.write_plane ?config ?checkpoint ?rops ~stress ~kind
       ~placement ~op:O.W1 ()
   in
   let r =
-    Plane.read_plane ?tech ?config ?checkpoint ?rops ~stress ~kind
+    Plane.read_plane ?config ?checkpoint ?rops ~stress ~kind
       ~placement ()
   in
   let br_line =
@@ -79,12 +79,12 @@ let figure2_with_failures ?tech ?config ?checkpoint ?rops ~stress ~kind
       @ failure_lines),
     failures )
 
-let figure2 ?tech ?config ?checkpoint ?rops ~stress ~kind ~placement () =
+let figure2 ?config ?checkpoint ?rops ~stress ~kind ~placement () =
   fst
-    (figure2_with_failures ?tech ?config ?checkpoint ?rops ~stress ~kind
+    (figure2_with_failures ?config ?checkpoint ?rops ~stress ~kind
        ~placement ())
 
-let figure_st_panels ?tech ~stress ~axis ~values ~kind ~placement
+let figure_st_panels ?config ~stress ~axis ~values ~kind ~placement
     ?(analysis_r = 200e3) () =
   let defect = D.v kind placement analysis_r in
   let victim = D.logical_victim kind placement in
@@ -97,7 +97,7 @@ let figure_st_panels ?tech ~stress ~axis ~values ~kind ~placement
         let st = S.set stress axis v in
         let vc_init = if physical_target = 0 then st.S.vdd else 0.0 in
         A.series ~glyph:glyphs.(i mod Array.length glyphs) (label v)
-          (Stressor.trace_vc ?tech ~stress:st ~defect ~vc_init victim_op))
+          (Stressor.trace_vc ?config ~stress:st ~defect ~vc_init victim_op))
       values
   in
   let read_series =
@@ -105,7 +105,7 @@ let figure_st_panels ?tech ~stress ~axis ~values ~kind ~placement
       (fun i v ->
         let st = S.set stress axis v in
         let vsa =
-          match Plane.vsa ?tech ~stress:st ~defect () with
+          match Plane.vsa ?config ~stress:st ~defect () with
           | Plane.Vsa x -> x
           | Plane.Reads_all_1 -> 0.0
           | Plane.Reads_all_0 -> st.S.vdd
@@ -117,7 +117,7 @@ let figure_st_panels ?tech ~stress ~axis ~values ~kind ~placement
           else Float.max 0.0 (vsa -. 0.1)
         in
         A.series ~glyph:glyphs.(i mod Array.length glyphs) (label v)
-          (Stressor.trace_vc ?tech ~stress:st ~defect ~vc_init:seed O.R))
+          (Stressor.trace_vc ?config ~stress:st ~defect ~vc_init:seed O.R))
       values
   in
   String.concat "\n"

@@ -30,14 +30,13 @@ val candidate_detections :
   placement:Dramstress_defect.Defect.placement ->
   Dramstress_defect.Defect.kind -> Detection.t list
 
-(** [best_detection ?tech ?window ~stress ~kind ~placement ()] picks the
-    candidate with the most covering BR at the given SC, returning the
-    winning condition with its BR. [window] passes through to every
-    underlying {!Border.search} (campaign manifests narrow it to bound
-    cost), as does [hint] (warm-start border estimates from adjacent
-    campaign points). *)
+(** [best_detection ?config ?window ~stress ~kind ~placement ()] picks
+    the candidate with the most covering BR at the given SC, returning
+    the winning condition with its BR. [config] and [window] pass
+    through to every underlying {!Border.search} (campaign manifests
+    narrow the window to bound cost), as does [hint] (warm-start border
+    estimates from adjacent campaign points). *)
 val best_detection :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
@@ -50,13 +49,14 @@ val best_detection :
   unit ->
   Detection.t * Border.result
 
-(** [evaluate ?tech ?axes ?analysis_r ~nominal ~kind ~placement ()] runs
-    the complete flow. [axes] defaults to cycle time, temperature and
-    supply voltage (the paper's three STs). [checkpoint] memoizes every
-    border search of the flow, so interrupted campaigns (e.g. Table 1)
-    resume without repeating finished searches. *)
+(** [evaluate ?config ?axes ?analysis_r ~nominal ~kind ~placement ()]
+    runs the complete flow. Every border search and every stress probe
+    runs under [config] (default {!Dramstress_dram.Sim_config.default}).
+    [axes] defaults to cycle time, temperature and supply voltage (the
+    paper's three STs). [checkpoint] memoizes every border search of
+    the flow, so interrupted campaigns (e.g. Table 1) resume without
+    repeating finished searches. *)
 val evaluate :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->

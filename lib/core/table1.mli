@@ -17,15 +17,15 @@ type t = {
   nominal : Dramstress_dram.Stress.t;
 }
 
-(** [generate ?tech ?jobs ?nominal ?entries ?placements ()] runs the full
+(** [generate ?config ?nominal ?entries ?placements ()] runs the full
     optimization for every catalog entry and placement. The three opens
     are electrically equivalent; pass [entries] to restrict (e.g. one
-    open representative) when compute time matters. Rows are evaluated
-    in parallel over at most [jobs] domains (default
-    [Dramstress_util.Par.resolve_jobs]; [~jobs:1] is sequential).
-    [config] bundles the simulation parameters
-    ({!Dramstress_dram.Sim_config.t}); explicit [?tech ?jobs] override
-    matching [config] fields. Each row observes the shared
+    open representative) when compute time matters. Every simulation of
+    every row — border searches and stress probes alike — runs under
+    [config] (default {!Dramstress_dram.Sim_config.default}); rows are
+    evaluated in parallel over at most [config.jobs] domains
+    ({!Dramstress_dram.Sim_config.resolve_jobs}; [Some 1] is
+    sequential). Each row observes the shared
     [core.sweep.point_ms] telemetry histogram and emits a [table1.row]
     span.
 
@@ -39,8 +39,6 @@ type t = {
     {!Dramstress_stressaxis.Stressaxis} works; the rendered/CSV
     direction columns follow the probed axes. *)
 val generate :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->

@@ -15,20 +15,6 @@ type controls = {
   colsel : W.t;
 }
 
-let idle_controls =
-  {
-    wl = W.dc 0.0;
-    wl_ref = W.dc 0.0;
-    wl_nb = W.dc 0.0;
-    pre = W.dc 1.0;
-    sae = W.dc 0.0;
-    wr_acc_hi = W.dc 0.0;
-    wr_acc_lo = W.dc 0.0;
-    wr_ref_hi = W.dc 0.0;
-    wr_ref_lo = W.dc 0.0;
-    colsel = W.dc 0.0;
-  }
-
 (* parasitic bridge in parallel with the inter-cell coupling capacitor
    (the Rcouple_cells element): fixed and weak — the sweepable knob is
    the capacitance, which dominates the disturb *)

@@ -26,10 +26,6 @@ type controls = {
   colsel : Dramstress_circuit.Waveform.t;   (** output-buffer connect *)
 }
 
-(** [idle_controls] holds every signal at its resting value (precharge
-    on, word lines low). *)
-val idle_controls : controls
-
 type built = {
   compiled : Dramstress_circuit.Netlist.compiled;
   acc_bl : string;   (** node name of the accessed bit line *)

@@ -538,7 +538,7 @@ let g_lane_fallbacks = Atomic.make 0
 let lane_fallbacks () = Atomic.get g_lane_fallbacks
 let reset_lane_fallbacks () = Atomic.set g_lane_fallbacks 0
 
-let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
+let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
     ?(cache = Cache.default) ~stress ~lanes ops =
   if ops = [] then invalid_arg "Ops.run_batch: empty sequence";
   if lanes = [] then invalid_arg "Ops.run_batch: no lanes";
@@ -554,7 +554,7 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
         invalid_arg
           "Ops.run_batch: lanes must share one defect kind and placement")
     lanes;
-  let cfg = Sim_config.resolve ?tech ?sim ?steps_per_cycle ?config () in
+  Sim_config.validate cfg;
   let lanes_arr = Array.of_list lanes in
   let n = Array.length lanes_arr in
   (* one cache key and one request/hit/miss tick per lane, whatever the
@@ -640,11 +640,10 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
   else List.iter one_lane !missing;
   Array.to_list (Array.map Option.get slots)
 
-let run ?tech ?sim ?steps_per_cycle ?defect ?(vc_init = 0.0) ?v_neighbour
-    ?config ?cache ~stress ops =
+let run ?defect ?(vc_init = 0.0) ?v_neighbour ?config ?cache ~stress ops =
   if ops = [] then invalid_arg "Ops.run: empty sequence";
   match
-    run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config ?cache ~stress
+    run_batch ?v_neighbour ?config ?cache ~stress
       ~lanes:[ { defect; vc_init } ] ops
   with
   | [ Ok outcome ] -> outcome

@@ -168,8 +168,8 @@ val clear_cache : unit -> unit
     sites read as what they measure. *)
 val simulations : unit -> int
 
-(** [run ?tech ?sim ?steps_per_cycle ?defect ?vc_init ?v_neighbour
-    ?config ?cache ~stress ops] executes the sequence: a one-lane
+(** [run ?defect ?vc_init ?v_neighbour ?config ?cache ~stress ops]
+    executes the sequence: a one-lane
     {!run_batch}, whose lane error it raises.
 
     - [vc_init] (default [0.0]): initial storage voltage, V — the paper's
@@ -177,17 +177,15 @@ val simulations : unit -> int
     - [v_neighbour] (default: derived from [stress.pattern] — all-1
       pins it to the supply, the historical behaviour): initial
       neighbour-cell voltage (bridge aggressor / data background).
-    - [config] bundles technology / solver options / step resolution
-      ({!Sim_config.t}); the loose [?tech ?sim ?steps_per_cycle]
-      optionals are the original spelling, kept for compatibility, and
-      override the matching [config] fields when both are given
-      ({!Sim_config.resolve}).
+    - [config] (default {!Sim_config.default}) bundles technology,
+      solver options, step resolution, retry policy and deadline
+      ({!Sim_config.t}).
     - [cache] (default {!Cache.default}) selects the memo cache.
     - The solver temperature is always taken from [stress]
       ({!Stress.temp_kelvin}), overriding any [sim] temperature.
 
     On [Transient.Step_failed] / [Newton.No_convergence] /
-    [Newton.Numerical_health] the resolved config's retry policy is
+    [Newton.Numerical_health] the config's retry policy is
     walked: each stage piles a further concession onto the previous
     ones (halved dt scale, multiplied steps-per-cycle, damped Newton)
     and the simulation is retried. A stage that converges returns its
@@ -206,9 +204,6 @@ val simulations : unit -> int
     layers surface it as a [Failed] outcome slot while the rest of the
     campaign proceeds. *)
 val run :
-  ?tech:Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?steps_per_cycle:int ->
   ?defect:Dramstress_defect.Defect.t ->
   ?vc_init:float ->
   ?v_neighbour:float ->
@@ -235,8 +230,8 @@ type lane = {
   vc_init : float;
 }
 
-(** [run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config ?cache
-    ~stress ~lanes ops] is the batched [run]: one result slot per lane,
+(** [run_batch ?v_neighbour ?config ?cache ~stress ~lanes ops] is the
+    batched [run]: one result slot per lane,
     in lane order.
 
     Each lane has its own cache key (a lane of any batch and a {!run}
@@ -252,12 +247,10 @@ type lane = {
     a one-lane ensemble with that treatment from the start (a per-point
     budget has no meaning inside a shared ensemble).
 
-    Raises [Invalid_argument] for an empty [lanes] or [ops] list, or
-    for lanes mixing defect kinds/placements. *)
+    Raises [Invalid_argument] for an empty [lanes] or [ops] list, for
+    lanes mixing defect kinds/placements, or for a [config] that
+    {!Sim_config.validate} rejects. *)
 val run_batch :
-  ?tech:Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?steps_per_cycle:int ->
   ?v_neighbour:float ->
   ?config:Sim_config.t ->
   ?cache:Cache.t ->

@@ -1,14 +1,13 @@
 (** Bundled simulation configuration.
 
-    Every sweep layer historically took the same loose optional
-    arguments — [?tech ?sim ?steps_per_cycle ?jobs] — and threaded them
-    down to {!Ops.run} by hand. [Sim_config.t] bundles them into one
-    value that can be built once and passed through any depth of sweep
-    calls as [?config].
-
-    The loose optionals remain accepted everywhere for compatibility;
-    when both are given, an explicit optional overrides the
-    corresponding [config] field ({!resolve}). *)
+    [Sim_config.t] is the one way to parameterise a simulation: the
+    technology, solver options, step resolution, sweep width, retry
+    policy and per-point deadline travel together as one value. Every
+    simulating entry point — {!Ops.run}/{!Ops.run_batch} and each sweep
+    layer above them — takes it as [?config] (default {!default}) and
+    passes it down whole, so every simulation a sweep triggers runs
+    under the same settings. {!v} is the only constructor with
+    per-field optionals. *)
 
 (** {1 Retry / degradation policy}
 
@@ -79,10 +78,9 @@ type t = {
     deadline. *)
 val default : t
 
-(** [v ?tech ?sim ?steps_per_cycle ?jobs ?retry ?deadline ()] builds a
-    config; omitted fields take their {!default} values. Raises
-    [Invalid_argument] if [steps_per_cycle < 1], the retry policy has
-    an invalid stage, or [deadline <= 0]. *)
+(** [v ?tech ?sim ?steps_per_cycle ?jobs ?lanes ?retry ?deadline ()]
+    builds a config; omitted fields take their {!default} values.
+    Raises [Invalid_argument] as {!validate} does. *)
 val v :
   ?tech:Tech.t ->
   ?sim:Dramstress_engine.Options.t ->
@@ -94,22 +92,12 @@ val v :
   unit ->
   t
 
-(** [resolve ?tech ?sim ?steps_per_cycle ?jobs ?retry ?config ()] merges
-    the legacy loose optionals with a bundled [config]: an explicit
-    optional wins over the matching [config] field, which wins over
-    {!default}. This is the single merge point used by every API that
-    accepts both styles. *)
-val resolve :
-  ?tech:Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?steps_per_cycle:int ->
-  ?jobs:int ->
-  ?lanes:int ->
-  ?retry:retry_policy ->
-  ?deadline:float ->
-  ?config:t ->
-  unit ->
-  t
+(** [validate t] raises [Invalid_argument] if [steps_per_cycle < 1], the
+    retry policy has an invalid stage, or [deadline <= 0]. {!v} checks
+    the records it builds; {!Ops.run_batch} checks every config it is
+    handed, so a hand-built record ([{ default with ... }]) is held to
+    the same rules. *)
+val validate : t -> unit
 
 (** [resolve_jobs t] is the effective domain count:
     [Par.resolve_jobs ?jobs:t.jobs ()]. *)

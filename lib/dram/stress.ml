@@ -118,10 +118,6 @@ type axis =
   | Twr_trim
   | Tras_trim
 
-let all_axes =
-  [ Cycle_time; Duty_cycle; Supply_voltage; Temperature; Wait_time; Pattern;
-    Hammer; Leak; Couple; Twr_trim; Tras_trim ]
-
 let pp_axis ppf = function
   | Cycle_time -> Format.pp_print_string ppf "t_cyc"
   | Duty_cycle -> Format.pp_print_string ppf "duty"

@@ -106,9 +106,6 @@ type axis =
   | Twr_trim
   | Tras_trim
 
-(** Every axis, paper order first, extensions after. *)
-val all_axes : axis list
-
 val pp_axis : Format.formatter -> axis -> unit
 
 (** [set sc axis v] returns [sc] with one axis replaced. Discrete axes

@@ -201,10 +201,6 @@ let dc_reactive sys =
   { dt = 0.0; prev_v = Array.make sys.n_nodes 0.0;
     prev_cap_current = Array.make sys.n_caps 0.0 }
 
-let init_reactive sys ~prev_v =
-  assert (Array.length prev_v = sys.n_nodes);
-  { dt = 0.0; prev_v; prev_cap_current = Array.make sys.n_caps 0.0 }
-
 (* Stamping helpers. Node indices map to matrix rows as [node - 1];
    ground (0) contributions are dropped. All [@inline]: without flambda
    a float argument to a call that is not inlined is boxed, once per
@@ -359,7 +355,6 @@ type workspace = {
   sw_g : float array;
   vs_v : float array;
   is_i : float array;
-  perm : int array;
   scratch : float array;
   mutable slu : Sp.t option;  (* lazily built on the first sparse solve *)
   (* per-MOSFET temperature-resolved constants, valid for [mos_temp]
@@ -387,7 +382,6 @@ let make_workspace sys =
     sw_g = Array.make (Array.length sys.switches) 0.0;
     vs_v = Array.make (Array.length sys.vsrcs) 0.0;
     is_i = Array.make (Array.length sys.isrcs) 0.0;
-    perm = Array.make n 0;
     scratch = Array.make n 0.0;
     slu = None;
     mos_temp = Float.nan;
@@ -541,31 +535,22 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
 
 module Chaos = Dramstress_util.Chaos
 
-let solve_in_place sys ws ~(opts : Options.t) =
+let solve_in_place sys ws =
   record_factor_solve ();
   if Chaos.armed () && Chaos.fire Chaos.Perturb_jacobian then
     (* zero a row: crisply rank-deficient, so the factorization's pivot
        guard must catch it — the detection the chaos harness asserts *)
     Array.fill ws.mat.(0) 0 ws.w_size 0.0;
-  if opts.dense_lu then begin
-    (* golden oracle: the dense in-place LU with per-factor partial
-       pivoting, selected like [naive_assembly] selects the reference
-       assembly *)
-    let lu = L.lu_factor_in_place ws.mat ~perm:ws.perm in
-    L.lu_solve_in_place lu ~scratch:ws.scratch ws.rhs
-  end
-  else begin
-    let slu =
-      match ws.slu with
-      | Some s -> s
-      | None ->
-        let s = Sp.make ~n:ws.w_size ~pattern:(structural_pattern sys) in
-        ws.slu <- Some s;
-        s
-    in
-    Sp.factor slu ws.mat;
-    Sp.solve slu ~scratch:ws.scratch ws.rhs
-  end
+  let slu =
+    match ws.slu with
+    | Some s -> s
+    | None ->
+      let s = Sp.make ~n:ws.w_size ~pattern:(structural_pattern sys) in
+      ws.slu <- Some s;
+      s
+  in
+  Sp.factor slu ws.mat;
+  Sp.solve slu ~scratch:ws.scratch ws.rhs
 
 let solution ws = ws.rhs
 
@@ -590,7 +575,3 @@ let cap_currents_into sys ~(opts : Options.t) ~x ~reactive ~out =
     else out.(p.slot) <- 0.0
   done
 
-let cap_currents sys ~(opts : Options.t) ~x ~reactive =
-  let out = Array.make sys.n_caps 0.0 in
-  cap_currents_into sys ~opts ~x ~reactive ~out;
-  out

@@ -54,10 +54,6 @@ type reactive = {
 (** [dc_reactive sys] is a [reactive] that disables capacitor stamps. *)
 val dc_reactive : t -> reactive
 
-(** [init_reactive sys ~prev_v] builds a reactive record for transient
-    stepping starting from the given node voltages. *)
-val init_reactive : t -> prev_v:float array -> reactive
-
 (** [n_capacitors sys] — size of [prev_cap_current]. *)
 val n_capacitors : t -> int
 
@@ -140,32 +136,25 @@ val assemble_into_pre :
   reactive:reactive ->
   unit
 
-(** [solve_in_place sys ws ~opts] factors the assembled matrix and
-    overwrites the assembled RHS with the solution ({!solution}). The
-    default path is the sparsity-aware factorization
-    ({!Dramstress_util.Sparse_lu}) reusing one symbolic analysis per
-    topology, held in the workspace; with [opts.dense_lu] the dense
-    in-place LU with per-factor partial pivoting runs instead — the
-    golden oracle, selected exactly like [naive_assembly]. Raises
-    [Dramstress_util.Linalg.Singular] on a rank-deficient (or
+(** [solve_in_place sys ws] factors the assembled matrix and
+    overwrites the assembled RHS with the solution ({!solution}) through
+    the sparsity-aware factorization ({!Dramstress_util.Sparse_lu}),
+    reusing one symbolic analysis per topology, held in the workspace.
+    Raises [Dramstress_util.Linalg.Singular] on a rank-deficient (or
     non-finite) system. *)
-val solve_in_place : t -> workspace -> opts:Options.t -> unit
+val solve_in_place : t -> workspace -> unit
 
 (** [solution ws] is the workspace RHS buffer, holding the solution
     after {!solve_in_place}. The array is reused by the next
     {!assemble_into_pre}; copy anything that must survive. *)
 val solution : workspace -> float array
 
-(** [cap_currents sys ~opts ~x ~reactive] computes each capacitor's branch
-    current at the just-solved point (needed to advance the trapezoidal
-    rule). *)
-val cap_currents :
-  t -> opts:Options.t -> x:float array -> reactive:reactive -> float array
-
-(** Allocation-free variant writing into [out] (length >= n_capacitors).
+(** [cap_currents_into sys ~opts ~x ~reactive ~out] writes each
+    capacitor's branch current at the just-solved point (needed to
+    advance the trapezoidal rule) into [out] (length >= n_capacitors).
     [out] may alias [reactive.prev_cap_current]: each capacitor reads only
     its own slot before overwriting it. With [reactive.dt <= 0] the slots
-    are zeroed, matching {!cap_currents}. *)
+    are zeroed. *)
 val cap_currents_into :
   t ->
   opts:Options.t ->

@@ -159,7 +159,7 @@ let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter x =
     end
     else begin
       Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
-      (match Mna.solve_in_place sys ws ~opts with
+      (match Mna.solve_in_place sys ws with
       | () -> ()
       | exception L.Singular { row; pivot } ->
         sick_singular ~t_now ~iter ~row ~pivot);

@@ -12,12 +12,12 @@ let standard_faults =
     { label = "CFid<w1;1>"; fault = Memsim.Coupling_idem (0, 1) };
   ]
 
-let electrical_faults ?tech ?(rs = [ 50e3; 200e3; 500e3; 1e6 ]) ~stress ~kind
+let electrical_faults ?config ?(rs = [ 50e3; 200e3; 500e3; 1e6 ]) ~stress ~kind
     ~placement () =
   List.map
     (fun r ->
       let defect = D.v kind placement r in
-      let weak = Memsim.Weak.of_electrical ?tech ~stress ~defect () in
+      let weak = Memsim.Weak.of_electrical ?config ~stress ~defect () in
       {
         label =
           Format.asprintf "%a@%a" D.pp_kind kind Dramstress_util.Units.pp_si r;

@@ -22,12 +22,12 @@ module Weak : sig
 
   val ideal : vdd:float -> t
 
-  (** [of_electrical ?tech ~stress ~defect ()] fits the behavioural
+  (** [of_electrical ?config ~stress ~defect ()] fits the behavioural
       parameters by running single-operation electrical simulations of
-      the defective column: one w0 from full charge, one w1 from empty,
-      the sense threshold, and a 1 ms retention drift. *)
+      the defective column under [config]: one w0 from full charge, one
+      w1 from empty, the sense threshold, and a 1 ms retention drift. *)
   val of_electrical :
-    ?tech:Dramstress_dram.Tech.t ->
+    ?config:Dramstress_dram.Sim_config.t ->
     stress:Dramstress_dram.Stress.t ->
     defect:Dramstress_defect.Defect.t ->
     unit ->

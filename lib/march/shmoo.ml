@@ -42,11 +42,13 @@ let is_solver_failure = function
     true
   | _ -> false
 
-let generate ?tech ?sim ?jobs ?config ?checkpoint ~stress ~defect ~detection
+let generate ?(config = Sc.default) ?checkpoint ~stress ~defect ~detection
     ~x:(x_axis, x_values) ~y:(y_axis, y_values) () =
   if x_values = [] || y_values = [] then
     invalid_arg "Shmoo.generate: empty axis";
-  let config = Sc.resolve ?tech ?sim ?jobs ?config () in
+  (* checked up front: every cell maps [Invalid_argument] to [Invalid],
+     which would turn a bad config into a plot of inoperable SCs *)
+  Sc.validate config;
   let base_key =
     Ck.fingerprint
       ("shmoo", config, stress, defect, detection, x_axis, y_axis)

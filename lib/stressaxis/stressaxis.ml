@@ -4,12 +4,6 @@ type scale = Linear | Log
 
 let scale_name = function Linear -> "lin" | Log -> "log"
 
-let scale_of_name s =
-  match String.lowercase_ascii s with
-  | "lin" | "linear" -> Some Linear
-  | "log" -> Some Log
-  | _ -> None
-
 type t = {
   axis : S.axis;
   name : string;
@@ -217,8 +211,6 @@ let find name =
 let names () = List.map (fun e -> e.name) all
 
 let name_of_axis axis = (of_axis axis).name
-
-let default_of e = S.get S.nominal e.axis
 
 (* ------------------------------------------------------------------ *)
 (* fingerprint extension                                               *)

@@ -15,7 +15,6 @@
 type scale = Linear | Log
 
 val scale_name : scale -> string
-val scale_of_name : string -> scale option
 
 type t = {
   axis : Dramstress_dram.Stress.axis;
@@ -49,9 +48,6 @@ val find : string -> t option
 val names : unit -> string list
 
 val name_of_axis : Dramstress_dram.Stress.axis -> string
-
-(** [default_of e] is the axis's neutral value ([S.get S.nominal]). *)
-val default_of : t -> float
 
 (** [fingerprint_ext sc] is the content-address suffix contributed by
     extension axes: [""] when every extension axis sits at its neutral

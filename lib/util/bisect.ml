@@ -56,6 +56,3 @@ let guarded generic pred lo hi =
 
 let guarded_threshold ?tol ?max_iter pred lo hi =
   guarded (fun p a b -> threshold ?tol ?max_iter p a b) pred lo hi
-
-let guarded_threshold_log ?rel_tol ?max_iter pred lo hi =
-  guarded (fun p a b -> threshold_log ?rel_tol ?max_iter p a b) pred lo hi

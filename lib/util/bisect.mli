@@ -41,8 +41,3 @@ type 'a guarded =
 val guarded_threshold :
   ?tol:float -> ?max_iter:int -> (float -> bool) -> float -> float ->
   float guarded
-
-(** [guarded_threshold_log ?rel_tol pred lo hi] log-axis variant. *)
-val guarded_threshold_log :
-  ?rel_tol:float -> ?max_iter:int -> (float -> bool) -> float -> float ->
-  float guarded

@@ -176,11 +176,6 @@ let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 
 
 let norm_2 x = sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x)
 
-let axpy alpha x y =
-  for i = 0 to Array.length y - 1 do
-    y.(i) <- (alpha *. x.(i)) +. y.(i)
-  done
-
 let sub x y = Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
 
 let residual a x b = sub (mat_vec a x) b

@@ -71,9 +71,6 @@ val norm_inf : float array -> float
 (** [norm_2 x] is the Euclidean norm of [x]. *)
 val norm_2 : float array -> float
 
-(** [axpy alpha x y] computes [y.(i) <- alpha *. x.(i) +. y.(i)] in place. *)
-val axpy : float -> float array -> float array -> unit
-
 (** [sub x y] is the fresh vector [x - y]. *)
 val sub : float array -> float array -> float array
 

@@ -11,7 +11,6 @@ type 'p failure = { point : 'p; error : exn; retries : int }
 type ('p, 'a) t = Ok of 'a | Failed of 'p failure
 
 let ok = function Ok v -> Some v | Failed _ -> None
-let is_ok = function Ok _ -> true | Failed _ -> false
 
 let value ~default = function Ok v -> v | Failed _ -> default
 
@@ -23,10 +22,6 @@ let map_point f = function
   | Ok _ as outcome -> outcome
   | Failed { point; error; retries } ->
     Failed { point = f point; error; retries }
-
-let to_result = function
-  | Ok v -> Stdlib.Ok v
-  | Failed f -> Stdlib.Error f
 
 (* one pass, both orders preserved *)
 let partition outcomes =

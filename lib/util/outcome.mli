@@ -16,11 +16,9 @@ type 'p failure = {
 type ('p, 'a) t = Ok of 'a | Failed of 'p failure
 
 val ok : ('p, 'a) t -> 'a option
-val is_ok : ('p, 'a) t -> bool
 val value : default:'a -> ('p, 'a) t -> 'a
 val map : ('a -> 'b) -> ('p, 'a) t -> ('p, 'b) t
 val map_point : ('p -> 'q) -> ('p, 'a) t -> ('q, 'a) t
-val to_result : ('p, 'a) t -> ('a, 'p failure) result
 
 (** [partition outcomes] splits into payloads and failures, both in
     input order. *)

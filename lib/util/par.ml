@@ -161,9 +161,6 @@ let parallel_map ?jobs f xs =
     Array.to_list
       (Array.map (function Some y -> y | None -> assert false) out)
 
-let parallel_iter ?jobs f xs =
-  ignore (parallel_map ?jobs (fun x -> f x) xs)
-
 (* Thread-based sibling of [parallel_map], for callers that block
    outside the OCaml runtime (pipe/socket waits) AND must never spawn a
    domain — once any domain has run, the runtime refuses Unix.fork, and

@@ -78,9 +78,6 @@ val chunks : size:int -> 'a list -> 'a list list
     shows where the failure actually originated. *)
 val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [parallel_iter ?jobs f xs] is {!parallel_map} ignoring results. *)
-val parallel_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-
 (** [concurrent_map ?jobs f xs] is {!parallel_map} fanned out over
     {e systhreads} instead of domains: same self-scheduling cursor, same
     order guarantee, same first-failure semantics (backtrace preserved).

@@ -11,8 +11,6 @@ let variance xs =
   Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
   /. float_of_int (Array.length xs)
 
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   check xs "min_max";
   Array.fold_left

@@ -6,9 +6,6 @@ val mean : float array -> float
 (** [variance xs] is the population variance. *)
 val variance : float array -> float
 
-(** [stddev xs] is the population standard deviation. *)
-val stddev : float array -> float
-
 (** [min_max xs] — raises [Invalid_argument] on an empty array. *)
 val min_max : float array -> float * float
 

@@ -1,10 +1,6 @@
 let kilo x = x *. 1e3
-let mega x = x *. 1e6
-let giga x = x *. 1e9
-let milli x = x *. 1e-3
 let micro x = x *. 1e-6
 let nano x = x *. 1e-9
-let pico x = x *. 1e-12
 let femto x = x *. 1e-15
 
 let celsius_to_kelvin t = t +. 273.15

@@ -1,12 +1,8 @@
 (** Unit helpers and physical constants (SI throughout the library). *)
 
 val kilo : float -> float
-val mega : float -> float
-val giga : float -> float
-val milli : float -> float
 val micro : float -> float
 val nano : float -> float
-val pico : float -> float
 val femto : float -> float
 
 (** [celsius_to_kelvin t] converts a temperature. *)

@@ -407,8 +407,9 @@ let test_plane_survives_injected_failure () =
   let bad_r = -1.0 in
   let rops = [ 1e3; bad_r; 1e5; 1e6 ] in
   let plane =
-    C.Plane.write_plane ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
-      ~kind:open_kind ~placement:D.True_bl ~op:Dramstress_dram.Ops.W0 ()
+    C.Plane.write_plane ~config:(Dramstress_dram.Sim_config.v ~jobs:1 ())
+      ~n_ops:2 ~rops ~stress:nominal ~kind:open_kind ~placement:D.True_bl
+      ~op:Dramstress_dram.Ops.W0 ()
   in
   let module Out = Dramstress_util.Outcome in
   (match plane.C.Plane.failures with
@@ -468,9 +469,9 @@ let test_plane_checkpoint_resume_identical () =
     (fun () ->
       let module Ck = Dramstress_util.Checkpoint in
       let sweep ?checkpoint () =
-        C.Plane.write_plane ~jobs:1 ~n_ops:2 ~rops:small_rops ?checkpoint
-          ~stress:nominal ~kind:open_kind ~placement:D.True_bl
-          ~op:Dramstress_dram.Ops.W0 ()
+        C.Plane.write_plane ~config:(Dramstress_dram.Sim_config.v ~jobs:1 ())
+          ~n_ops:2 ~rops:small_rops ?checkpoint ~stress:nominal ~kind:open_kind
+          ~placement:D.True_bl ~op:Dramstress_dram.Ops.W0 ()
       in
       let reference = sweep () in
       let ck = Ck.open_ path in
@@ -705,6 +706,29 @@ let test_plane_csv () =
   in
   Alcotest.(check int) "rows" (1 + List.length small_rops) lines
 
+let test_table1_probes_honour_config () =
+  (* the stress probes run under the caller's config, like the border
+     searches: under a deadline no simulation can meet, every border
+     sample is skipped (a [Timeout] is a skipped sample there), so the
+     row can only fail in the probe phase, on the probe's own timeout *)
+  O.clear_cache ();
+  let entries =
+    List.filter (fun (e : D.entry) -> e.D.id = "O1") D.catalog
+  in
+  let table =
+    C.Table1.generate
+      ~config:(Dramstress_dram.Sim_config.v ~deadline:1e-9 ())
+      ~entries ~placements:[ D.True_bl ] ~axes:[ S.Cycle_time ] ()
+  in
+  Alcotest.(check int) "no row" 0 (List.length table.C.Table1.rows);
+  match table.C.Table1.failures with
+  | [ { Dramstress_util.Outcome.error = Dramstress_engine.Newton.Timeout _;
+        _ } ] ->
+    ()
+  | fs ->
+    Alcotest.failf "expected one Timeout failure, got %d failure(s)"
+      (List.length fs)
+
 let test_table1_quick () =
   let entries =
     List.filter (fun (e : D.entry) -> e.D.id = "O1") D.catalog
@@ -728,8 +752,8 @@ let test_lane_sweeps_match_one_lane () =
      every point runs as its own one-lane ensemble (lanes = 1) or as a
      lane of an 8-lane ensemble *)
   let module Sc = Dramstress_dram.Sim_config in
-  let one_lane = Sc.v ~lanes:1 () in
-  let batched = Sc.v ~lanes:8 () in
+  let one_lane = Sc.v ~jobs:1 ~lanes:1 () in
+  let batched = Sc.v ~jobs:1 ~lanes:8 () in
   O.Cache.set_enabled O.Cache.default false;
   Fun.protect ~finally:(fun () -> O.Cache.set_enabled O.Cache.default true)
   @@ fun () ->
@@ -741,7 +765,7 @@ let test_lane_sweeps_match_one_lane () =
   Alcotest.(check bool) "border search identical" true
     (C.Border.equal_result (br one_lane) (br batched));
   let plane config =
-    C.Plane.write_plane ~config ~jobs:1 ~n_ops:2
+    C.Plane.write_plane ~config ~n_ops:2
       ~rops:[ 1e4; 1e5; 1e6; 1e7 ] ~stress:nominal ~kind:D.Short_to_gnd
       ~placement:D.True_bl ~op:O.W0 ()
   in
@@ -1156,5 +1180,7 @@ let () =
           slow "exhaustive baseline" test_exhaustive_small_grid;
           tc "simulation counter" test_run_counter;
           slow "table 1 generation" test_table1_quick;
+          tc "table 1 probes honour the config"
+            test_table1_probes_honour_config;
         ] );
     ]

@@ -331,7 +331,8 @@ let test_incremental_matches_naive () =
         in
         List.map
           (function Ok oc -> oc | Error e -> raise e)
-          (O.run_batch ~sim ~cache:(O.Cache.create ~enabled:false ())
+          (O.run_batch ~config:(Dramstress_dram.Sim_config.v ~sim ())
+             ~cache:(O.Cache.create ~enabled:false ())
              ~stress:nominal
              ~lanes:
                (List.map
@@ -531,6 +532,21 @@ let test_deadline_validation () =
   Alcotest.check_raises "non-positive deadline"
     (Invalid_argument "Sim_config: deadline must be > 0") (fun () ->
       ignore (Sc.v ~deadline:0.0 ()))
+
+let test_run_validates_config () =
+  (* [Sc.v] is not the only way to build a config: a hand-built record
+     meets the same checks where every simulation starts *)
+  List.iter
+    (fun (name, msg, config) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (O.run ~config ~stress:nominal [ O.W1 ])))
+    [ ( "zero steps", "Sim_config: steps_per_cycle < 1",
+        { Sc.default with Sc.steps_per_cycle = 0 } );
+      ( "zero deadline", "Sim_config: deadline must be > 0",
+        { Sc.default with Sc.deadline = Some 0.0 } );
+      ( "bad retry stage", "Sim_config: Raise_steps factor < 2",
+        { Sc.default with Sc.retry = { Sc.stages = [ Sc.Raise_steps 1 ] } } )
+    ]
 
 (* the acceptance scenario: one chaos-hung point is cut off by the
    deadline and reported as Failed {error = Timeout} while the rest of
@@ -991,6 +1007,7 @@ let () =
           tc "generous deadline unobtrusive"
             test_deadline_generous_is_unobtrusive;
           tc "deadline validation" test_deadline_validation;
+          tc "run validates hand-built configs" test_run_validates_config;
           tc "hung point cut off, sweep finishes" test_sweep_hung_point_cut_off;
           tc "transient NaN rescued by halving" test_nan_once_rescued_by_halving;
           tc "sweep survives singular chaos" test_sweep_survives_singular_chaos;

@@ -1,5 +1,6 @@
 (* Tests for the march-test DSL, the behavioural memory simulator and
-   the coverage/Shmoo tooling. *)
+   the coverage/Shmoo tooling, plus the pinned checkpoint keys of the
+   border, plane and Shmoo sweeps. *)
 
 module M = Dramstress_march.March
 module Mem = Dramstress_march.Memsim
@@ -323,6 +324,65 @@ let test_shmoo_invalid_points () =
   | Sh.Invalid -> ()
   | Sh.Pass | Sh.Fail | Sh.Errored -> Alcotest.fail "expected invalid SC"
 
+(* ------------------------------------------------------------------ *)
+(* Stored checkpoint keys                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [keys_written f] is the sorted list of checkpoint keys [f] records
+   into a fresh store *)
+let keys_written f =
+  let module Ck = Dramstress_util.Checkpoint in
+  let path = Filename.temp_file "dramstress_keys" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let ck = Ck.open_ path in
+      f ck;
+      Ck.close ck;
+      let keys = ref [] in
+      Ck.scan path (fun ~descr:_ ~engine:_ ~key ~value:_ ->
+          keys := key :: !keys);
+      List.sort String.compare !keys)
+
+let test_store_keys_pinned () =
+  (* a key is the content address of a stored result: if one moves,
+     every store written before silently stops being reused, so an API
+     refactoring must leave these literals unchanged *)
+  let config = Dramstress_dram.Sim_config.v ~jobs:1 () in
+  let kind = D.Open_cell D.At_bitline_contact in
+  Alcotest.(check (list string))
+    "adaptive border search: probe, edge and whole-result keys"
+    [ "06999d41b7f1167380fcc4f491de2052"; "3507f0cdee9ce3d6cd4fc4b44a5b49b6";
+      "35d0000231961e52a84b9e29b45f23ab"; "50e0bf41708881af7aa87a3fe695fab4";
+      "75063656f21e7636f13671d38d06d49b"; "859eb412e96a5e078709ee0db9ef3a70";
+      "97421acac135999c61c82f99f835d8b4"; "a1cc02f787e6c54cc1a398a7b3947b80" ]
+    (keys_written (fun ck ->
+         ignore
+           (C.Border.search ~config ~checkpoint:ck
+              ~window:
+                (C.Border.Window.v ~r_min:1e3 ~r_max:1e8 ~grid_points:9
+                   ~rel_tol:0.05 ~strategy:C.Border.Window.Adaptive ())
+              ~stress:S.nominal ~kind ~placement:D.True_bl
+              (C.Detection.standard ~victim:0 ~primes:2))));
+  Alcotest.(check (list string))
+    "write plane keys"
+    [ "61680a0566bffc1e43f9c2cbb79ce74f"; "d16698d0f3648f1fbe9222e1aa8797a4" ]
+    (keys_written (fun ck ->
+         ignore
+           (C.Plane.write_plane ~config ~checkpoint:ck ~n_ops:1
+              ~rops:[ 1e4; 1e6 ] ~stress:S.nominal ~kind ~placement:D.True_bl
+              ~op:Dramstress_dram.Ops.W0 ())));
+  Alcotest.(check (list string))
+    "shmoo cell key" [ "2d0daf8d89997e04cc4110a3d1f8e29f" ]
+    (keys_written (fun ck ->
+         ignore
+           (Sh.generate ~config ~checkpoint:ck ~stress:S.nominal
+              ~defect:(D.v kind D.True_bl 200e3)
+              ~detection:(C.Detection.standard ~victim:0 ~primes:1)
+              ~x:(S.Cycle_time, [ 60e-9 ])
+              ~y:(S.Supply_voltage, [ 2.4 ])
+              ())))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -367,4 +427,5 @@ let () =
           slow "timing edge" test_shmoo_timing_axis;
           tc "invalid SCs marked" test_shmoo_invalid_points;
         ] );
+      ("store keys", [ tc "pinned across refactors" test_store_keys_pinned ]);
     ]
