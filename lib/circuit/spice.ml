@@ -33,12 +33,11 @@ let parse_raw s =
 
 let parse_value s =
   let s = String.lowercase_ascii (String.trim s) in
-  if s = "" then failwith "Spice.parse_value: empty";
-  match parse_raw s with
-  | Some v -> v
-  | None -> begin
-    (* retry with one unit tail stripped: "2.4v", "60ns", "100ff" *)
-    let stripped =
+  let number =
+    match parse_raw s with
+    | Some v -> Some v
+    | None ->
+      (* retry with one unit tail stripped: "2.4v", "60ns", "100ff" *)
       List.find_map
         (fun u ->
           let n = String.length s and m = String.length u in
@@ -46,11 +45,16 @@ let parse_value s =
             parse_raw (String.sub s 0 (n - m))
           else None)
         units
-    in
-    match stripped with
-    | Some v -> v
-    | None -> failwith ("Spice.parse_value: bad value " ^ s)
-  end
+  in
+  match number with
+  | _ when s = "" -> Error "empty value"
+  | Some v when Float.is_finite v -> Ok v
+  | Some _ -> Error ("non-finite value " ^ s)
+  | None -> Error ("bad value " ^ s)
+
+(* a value on card [lineno], or its typed error *)
+let value lineno s =
+  match parse_value s with Ok v -> v | Error m -> fail lineno "%s" m
 
 (* ------------------------------------------------------------------ *)
 (* tokenization: split a card into words, keeping (...) groups whole    *)
@@ -95,14 +99,15 @@ let call_args lineno tok =
   match String.index_opt tok '(' with
   | None -> None
   | Some i ->
+    let n = String.length tok in
+    if tok.[n - 1] <> ')' then fail lineno "text after ')' in %s" tok;
     let name = String.lowercase_ascii (String.sub tok 0 i) in
-    let inner = String.sub tok (i + 1) (String.length tok - i - 2) in
+    let inner = String.sub tok (i + 1) (n - i - 2) in
     let args =
       String.split_on_char ' ' inner
       |> List.concat_map (String.split_on_char ',')
       |> List.filter (( <> ) "")
     in
-    ignore lineno;
     Some (name, args)
 
 let parse_wave lineno toks =
@@ -112,13 +117,13 @@ let parse_wave lineno toks =
     match String.lowercase_ascii first with
     | "dc" -> begin
       match rest with
-      | [ v ] -> Waveform.dc (parse_value v)
+      | [ v ] -> Waveform.dc (value lineno v)
       | _ -> fail lineno "DC takes one value"
     end
     | _ -> begin
       match call_args lineno first with
       | Some ("pulse", args) -> begin
-        match List.map parse_value args with
+        match List.map (value lineno) args with
         | [ v0; v1; delay; rise; width; fall ] ->
           Waveform.pulse ~v0 ~v1 ~delay ~rise ~width ~fall ()
         | [ v0; v1; delay; rise; width; fall; period ] ->
@@ -126,7 +131,7 @@ let parse_wave lineno toks =
         | _ -> fail lineno "PULSE takes 6 or 7 values"
       end
       | Some ("pwl", args) -> begin
-        let values = List.map parse_value args in
+        let values = List.map (value lineno) args in
         let rec pair = function
           | [] -> []
           | t :: v :: rest -> (t, v) :: pair rest
@@ -140,7 +145,7 @@ let parse_wave lineno toks =
       | None -> begin
         (* bare value = DC *)
         match rest with
-        | [] -> Waveform.dc (parse_value first)
+        | [] -> Waveform.dc (value lineno first)
         | _ -> fail lineno "unexpected tokens after source value"
       end
     end
@@ -186,7 +191,7 @@ let parse_model lineno toks : string * model_entry =
     let ps = params lineno rest in
     let get key default =
       match List.assoc_opt key ps with
-      | Some v -> parse_value v
+      | Some v -> value lineno v
       | None -> default
     in
     let vt0 = get "vt0" 0.5 and kp = get "kp" 1e-4 in
@@ -206,96 +211,98 @@ let parse_model lineno toks : string * model_entry =
 let parse source =
   let nl = Netlist.create () in
   let models = Hashtbl.create 8 in
+  let parse_card lineno line =
+    let toks = tokenize lineno line in
+    match toks with
+    | [] -> ()
+    | card :: rest -> begin
+      let kind = Char.lowercase_ascii card.[0] in
+      match kind with
+      | '.' -> begin
+        match String.lowercase_ascii card with
+        | ".model" ->
+          let name, model = parse_model lineno rest in
+          Hashtbl.replace models name model
+        | ".end" | ".ends" -> ()
+        | directive -> fail lineno "unsupported directive %s" directive
+      end
+      | 'r' -> begin
+        match rest with
+        | [ a; b; v ] -> Netlist.resistor nl ~name:card a b (value lineno v)
+        | _ -> fail lineno "R card: R<name> a b value"
+      end
+      | 'c' -> begin
+        match rest with
+        | [ a; b; v ] ->
+          Netlist.capacitor nl ~name:card a b (value lineno v)
+        | _ -> fail lineno "C card: C<name> a b value"
+      end
+      | 'v' -> begin
+        match rest with
+        | a :: b :: wave_toks ->
+          Netlist.vsource nl ~name:card a b (parse_wave lineno wave_toks)
+        | _ -> fail lineno "V card: V<name> pos neg <source>"
+      end
+      | 'i' -> begin
+        match rest with
+        | a :: b :: wave_toks ->
+          Netlist.isource nl ~name:card a b (parse_wave lineno wave_toks)
+        | _ -> fail lineno "I card: I<name> pos neg <source>"
+      end
+      | 'm' -> begin
+        match rest with
+        | d :: g :: s :: model_name :: extra ->
+          let model =
+            match
+              Hashtbl.find_opt models (String.lowercase_ascii model_name)
+            with
+            | Some m -> m
+            | None -> fail lineno "unknown model %s" model_name
+          in
+          let m =
+            match params lineno extra with
+            | [] -> 1.0
+            | ps -> begin
+              match List.assoc_opt "m" ps with
+              | Some v ->
+                let m = value lineno v in
+                if m <= 0.0 then fail lineno "M must be positive";
+                m
+              | None -> fail lineno "unknown MOSFET parameters"
+            end
+          in
+          Netlist.mosfet nl ~name:card ~d ~g ~s ~model ~m ()
+        | _ -> fail lineno "M card: M<name> d g s model [M=n]"
+      end
+      | 's' -> begin
+        match rest with
+        | a :: b :: wave_tok :: extra ->
+          let ctrl = parse_wave lineno [ wave_tok ] in
+          let ps = params lineno extra in
+          let get key default =
+            match List.assoc_opt key ps with
+            | Some v -> value lineno v
+            | None -> default
+          in
+          Netlist.switch nl ~name:card a b ~ctrl ~g_on:(get "gon" 1e-2)
+            ~g_off:(get "goff" 1e-12) ~threshold:(get "vt" 0.5) ()
+        | _ -> fail lineno "S card: S<name> a b <ctrl> [GON= GOFF= VT=]"
+      end
+      | c -> fail lineno "unsupported card '%c'" c
+    end
+  in
   let lines = String.split_on_char '\n' source in
   List.iteri
     (fun idx raw ->
       let lineno = idx + 1 in
       let line = String.trim (strip_comment raw) in
       if line = "" || line.[0] = '*' then ()
-      else begin
-        let toks = tokenize lineno line in
-        match toks with
-        | [] -> ()
-        | card :: rest -> begin
-          let kind = Char.lowercase_ascii card.[0] in
-          match kind with
-          | '.' -> begin
-            match String.lowercase_ascii card with
-            | ".model" ->
-              let name, model = parse_model lineno rest in
-              Hashtbl.replace models name model
-            | ".end" | ".ends" -> ()
-            | directive -> fail lineno "unsupported directive %s" directive
-          end
-          | 'r' -> begin
-            match rest with
-            | [ a; b; v ] -> begin
-              match parse_value v with
-              | value -> Netlist.resistor nl ~name:card a b value
-              | exception Failure m -> fail lineno "%s" m
-            end
-            | _ -> fail lineno "R card: R<name> a b value"
-          end
-          | 'c' -> begin
-            match rest with
-            | [ a; b; v ] -> begin
-              match parse_value v with
-              | value -> Netlist.capacitor nl ~name:card a b value
-              | exception Failure m -> fail lineno "%s" m
-            end
-            | _ -> fail lineno "C card: C<name> a b value"
-          end
-          | 'v' -> begin
-            match rest with
-            | a :: b :: wave_toks ->
-              Netlist.vsource nl ~name:card a b (parse_wave lineno wave_toks)
-            | _ -> fail lineno "V card: V<name> pos neg <source>"
-          end
-          | 'i' -> begin
-            match rest with
-            | a :: b :: wave_toks ->
-              Netlist.isource nl ~name:card a b (parse_wave lineno wave_toks)
-            | _ -> fail lineno "I card: I<name> pos neg <source>"
-          end
-          | 'm' -> begin
-            match rest with
-            | d :: g :: s :: model_name :: extra ->
-              let model =
-                match
-                  Hashtbl.find_opt models (String.lowercase_ascii model_name)
-                with
-                | Some m -> m
-                | None -> fail lineno "unknown model %s" model_name
-              in
-              let m =
-                match params lineno extra with
-                | [] -> 1.0
-                | ps -> begin
-                  match List.assoc_opt "m" ps with
-                  | Some v -> parse_value v
-                  | None -> fail lineno "unknown MOSFET parameters"
-                end
-              in
-              Netlist.mosfet nl ~name:card ~d ~g ~s ~model ~m ()
-            | _ -> fail lineno "M card: M<name> d g s model [M=n]"
-          end
-          | 's' -> begin
-            match rest with
-            | a :: b :: wave_tok :: extra ->
-              let ctrl = parse_wave lineno [ wave_tok ] in
-              let ps = params lineno extra in
-              let get key default =
-                match List.assoc_opt key ps with
-                | Some v -> parse_value v
-                | None -> default
-              in
-              Netlist.switch nl ~name:card a b ~ctrl ~g_on:(get "gon" 1e-2)
-                ~g_off:(get "goff" 1e-12) ~threshold:(get "vt" 0.5) ()
-            | _ -> fail lineno "S card: S<name> a b <ctrl> [GON= GOFF= VT=]"
-          end
-          | c -> fail lineno "unsupported card '%c'" c
-        end
-      end)
+      else
+        (* the constructors' own preconditions (a non-positive R or C,
+           a duplicate name, a pulse with a negative duration, PWL
+           times that do not increase, a model with KP <= 0) are
+           malformed cards too *)
+        try parse_card lineno line with Invalid_argument m -> fail lineno "%s" m)
     lines;
   nl
 

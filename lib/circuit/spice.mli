@@ -26,16 +26,24 @@
     v}
 
     MOSFET cards take three nodes (drain gate source; the model supplies
-    the bulk behaviour). The PULSE period argument is optional. *)
+    the bulk behaviour). The PULSE period argument is optional.
+
+    A deck is outside input: a malformed card of any kind — a bad or
+    non-finite value, a wrong argument count, a non-positive R, C or
+    M, a duplicate device name, a PULSE with a negative duration, PWL
+    times that do not strictly increase, a model with a negative VT0 or
+    a non-positive KP — raises {!Parse_error} and nothing else. *)
 
 exception Parse_error of { line : int; message : string }
 
 (** [parse_value s] reads a number with SI suffix: ["200k"] is 2e5,
-    ["100f"] is 1e-13, ["3meg"] is 3e6. Raises [Failure] on junk. *)
-val parse_value : string -> float
+    ["100f"] is 1e-13, ["3meg"] is 3e6. Empty input, junk and
+    non-finite values (["nan"], ["inf"], ["1e400"]) are an [Error]
+    with a message. *)
+val parse_value : string -> (float, string) result
 
-(** [parse source] builds a netlist from a deck. Line numbers in errors
-    are 1-based. *)
+(** [parse source] builds a netlist from a deck. Raises {!Parse_error}
+    on the first malformed card; line numbers are 1-based. *)
 val parse : string -> Netlist.t
 
 (** [parse_file path] reads and parses a deck file. *)

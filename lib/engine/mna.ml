@@ -12,36 +12,60 @@ let record_factor_solve () =
   Tel.Counter.incr c_lu_factors;
   Tel.Counter.incr c_lu_solves
 
-(* Pre-resolved stamp plans: every name lookup and node-to-row mapping is
-   done once at [make] time, so the per-iteration hot path only walks
-   flat arrays of integers and floats. Devices split into a
+module Sp = Dramstress_util.Sparse_lu
+
+(* Pre-resolved stamp plans: every name lookup, node-to-row mapping and
+   matrix position is resolved once at [make] time, so the per-iteration
+   hot path only walks flat arrays of integers and floats. The system
+   matrix is a flat vector of {!Sp} slot values, and each plan carries
+   the slots its stamps add into ([-1] where a stamp would touch the
+   ground row or column, which is dropped). Devices split into a
    *static-linear* part (resistors, voltage-source topology, capacitor
    conductances — fixed for a given time step and integrator) that is
    pre-stamped into a cached template, and a *dynamic* part (switches,
    source values, capacitor history, MOSFET linearizations) restamped on
-   top of a row-wise copy of the template. *)
+   top of a copy of the template. *)
 
-type res_plan = { r_a : int; r_b : int; g_res : float }
+(* the slots of a conductance between nodes a and b: (a,a), (b,b),
+   (a,b) and (b,a) *)
+type g4 = { aa : int; bb : int; ab : int; ba : int }
+
+type res_plan = { r_slots : g4; g_res : float }
 
 type switch_plan = {
-  s_a : int;
-  s_b : int;
+  s_slots : g4;
   ctrl : C.Waveform.t;
   g_on : float;
   g_off : float;
   threshold : float;
 }
 
-type cap_plan = { c_a : int; c_b : int; slot : int; cap : float }
-type vsrc_plan = { v_pos : int; v_neg : int; row : int; v_wave : C.Waveform.t }
+type cap_plan = { c_a : int; c_b : int; c_slots : g4; hist : int; cap : float }
+
+(* [row] is the branch row; the ±1 incidences sit at (pos,row),
+   (row,pos), (neg,row) and (row,neg) *)
+type vsrc_plan = {
+  row : int;
+  pos_row : int;
+  row_pos : int;
+  neg_row : int;
+  row_neg : int;
+  v_wave : C.Waveform.t;
+}
+
 type isrc_plan = { i_pos : int; i_neg : int; i_wave : C.Waveform.t }
 
+(* gds stamps like a conductance d-s; the gm VCCS adds at (d,g), (d,s),
+   (s,g) and (s,s), the second and fourth shared with [m_gds] *)
 type mos_plan = {
   m_d : int;
   m_g : int;
   m_s : int;
   model : C.Mosfet.model;
   mult : float;
+  m_gds : g4;
+  m_dg : int;
+  m_sg : int;
 }
 
 type t = {
@@ -50,9 +74,12 @@ type t = {
   n_vsources : int;
   size : int;
   vsrc_branch : (string, int) Hashtbl.t;  (* vsource name -> branch index *)
-  cap_index : (string, int) Hashtbl.t;    (* capacitor name -> slot *)
   res_index : (string, int) Hashtbl.t;    (* resistor name -> plan index *)
   n_caps : int;
+  pattern : bool array array;  (* structural pattern, see [make] *)
+  nnz : int;                   (* slot count *)
+  gmin_slots : int array;      (* per node 1..n_nodes-1: its diagonal *)
+  row0_slots : int array;      (* the slots of row 0 (chaos site) *)
   resistors : res_plan array;
   switches : switch_plan array;
   caps : cap_plan array;
@@ -61,10 +88,51 @@ type t = {
   mosfets : mos_plan array;
 }
 
+(* The structural nonzero pattern of every system any assembly can
+   produce — derived from the devices, never from numeric values: a
+   MOSFET's gm is zero below threshold and nonzero above, a switch
+   conductance swings between g_on and g_off, but the stamped POSITIONS
+   are fixed. This is what {!Sp} numbers into slots and analyses once
+   per topology. *)
+let structural_pattern (compiled : C.Netlist.compiled) ~size ~branch_row =
+  let pat = Array.make_matrix size size false in
+  (* matrix indices; ground's [-1] is dropped *)
+  let mark r c = if r >= 0 && c >= 0 then pat.(r).(c) <- true in
+  let mark_g a b =
+    let ia = a - 1 and ib = b - 1 in
+    mark ia ia;
+    mark ib ib;
+    mark ia ib;
+    mark ib ia
+  in
+  for node = 1 to compiled.n_nodes - 1 do
+    mark (node - 1) (node - 1) (* gmin *)
+  done;
+  Array.iter
+    (fun d ->
+      match d with
+      | C.Device.Resistor { a; b; _ }
+      | C.Device.Switch { a; b; _ }
+      | C.Device.Capacitor { a; b; _ } ->
+        mark_g a b
+      | C.Device.Vsource { name; pos; neg; _ } ->
+        let row = branch_row name in
+        mark (pos - 1) row;
+        mark row (pos - 1);
+        mark (neg - 1) row;
+        mark row (neg - 1)
+      | C.Device.Isource _ -> ()
+      | C.Device.Mosfet { d; g; s; _ } ->
+        (* gds between d and s, plus the gm VCCS controlled by (g, s) *)
+        mark_g d s;
+        mark (d - 1) (g - 1);
+        mark (s - 1) (g - 1))
+    compiled.devices;
+  pat
+
 let make (compiled : C.Netlist.compiled) =
   let n_nodes = compiled.n_nodes in
   let vsrc_branch = Hashtbl.create 8 in
-  let cap_index = Hashtbl.create 8 in
   let nv = ref 0 and nc = ref 0 in
   Array.iter
     (fun d ->
@@ -72,50 +140,72 @@ let make (compiled : C.Netlist.compiled) =
       | C.Device.Vsource { name; _ } ->
         Hashtbl.add vsrc_branch name !nv;
         incr nv
-      | C.Device.Capacitor { name; _ } ->
-        Hashtbl.add cap_index name !nc;
-        incr nc
+      | C.Device.Capacitor _ -> incr nc
       | C.Device.Resistor _ | C.Device.Isource _ | C.Device.Switch _
       | C.Device.Mosfet _ ->
         ())
     compiled.devices;
+  let size = n_nodes - 1 + !nv in
+  let branch_row name = n_nodes - 1 + Hashtbl.find vsrc_branch name in
+  let pattern = structural_pattern compiled ~size ~branch_row in
+  (* the numbering depends only on the pattern: every workspace's own
+     handle agrees with these slots *)
+  let sp = Sp.make ~n:size ~pattern in
+  let at r c = if r >= 0 && c >= 0 then Sp.slot sp r c else -1 in
+  let g4 a b =
+    let ia = a - 1 and ib = b - 1 in
+    { aa = at ia ia; bb = at ib ib; ab = at ia ib; ba = at ib ia }
+  in
   let resistors = ref [] and switches = ref [] and caps = ref [] in
   let vsrcs = ref [] and isrcs = ref [] and mosfets = ref [] in
   let res_index = Hashtbl.create 8 in
-  let nr = ref 0 in
+  let nr = ref 0 and hist = ref 0 in
   Array.iter
     (fun d ->
       match d with
       | C.Device.Resistor { name; a; b; r; _ } ->
         Hashtbl.add res_index name !nr;
         incr nr;
-        resistors := { r_a = a; r_b = b; g_res = 1.0 /. r } :: !resistors
+        resistors := { r_slots = g4 a b; g_res = 1.0 /. r } :: !resistors
       | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
-        switches := { s_a = a; s_b = b; ctrl; g_on; g_off; threshold } :: !switches
-      | C.Device.Capacitor { name; a; b; c; _ } ->
-        caps :=
-          { c_a = a; c_b = b; slot = Hashtbl.find cap_index name; cap = c }
-          :: !caps
+        switches :=
+          { s_slots = g4 a b; ctrl; g_on; g_off; threshold } :: !switches
+      | C.Device.Capacitor { a; b; c; _ } ->
+        caps := { c_a = a; c_b = b; c_slots = g4 a b; hist = !hist; cap = c }
+                :: !caps;
+        incr hist
       | C.Device.Vsource { name; pos; neg; wave } ->
+        let row = branch_row name in
         vsrcs :=
-          { v_pos = pos; v_neg = neg;
-            row = n_nodes - 1 + Hashtbl.find vsrc_branch name; v_wave = wave }
+          { row; pos_row = at (pos - 1) row; row_pos = at row (pos - 1);
+            neg_row = at (neg - 1) row; row_neg = at row (neg - 1);
+            v_wave = wave }
           :: !vsrcs
       | C.Device.Isource { pos; neg; wave; _ } ->
         isrcs := { i_pos = pos; i_neg = neg; i_wave = wave } :: !isrcs
       | C.Device.Mosfet { d; g; s; model; m; _ } ->
-        mosfets := { m_d = d; m_g = g; m_s = s; model; mult = m } :: !mosfets)
+        mosfets :=
+          { m_d = d; m_g = g; m_s = s; model; mult = m; m_gds = g4 d s;
+            m_dg = at (d - 1) (g - 1); m_sg = at (s - 1) (g - 1) }
+          :: !mosfets)
     compiled.devices;
   let arr l = Array.of_list (List.rev !l) in
   {
     compiled;
     n_nodes;
     n_vsources = !nv;
-    size = n_nodes - 1 + !nv;
+    size;
     vsrc_branch;
-    cap_index;
     res_index;
     n_caps = !nc;
+    pattern;
+    nnz = Sp.nnz sp;
+    gmin_slots = Array.init (n_nodes - 1) (fun i -> at i i);
+    row0_slots =
+      Array.of_list
+        (List.filter_map
+           (fun j -> if pattern.(0).(j) then Some (at 0 j) else None)
+           (List.init size Fun.id));
     resistors = arr resistors;
     switches = arr switches;
     caps = arr caps;
@@ -129,49 +219,6 @@ let n_nodes sys = sys.n_nodes
 let n_capacitors sys = sys.n_caps
 let resistor_index sys name = Hashtbl.find_opt sys.res_index name
 let resistor_g sys index = sys.resistors.(index).g_res
-
-(* The structural nonzero pattern of every system any assembly of [sys]
-   can produce — derived from the stamp PLANS, never from numeric
-   values: a MOSFET's gm is zero below threshold and nonzero above, a
-   switch conductance swings between g_on and g_off, but the stamped
-   POSITIONS are fixed. This is what {!Dramstress_util.Sparse_lu}
-   analyses once per topology. *)
-let structural_pattern sys =
-  let n = sys.size in
-  let pat = Array.make_matrix n n false in
-  let mark r c = if r > 0 && c > 0 then pat.(r - 1).(c - 1) <- true in
-  let mark_g a b =
-    mark a a;
-    mark b b;
-    mark a b;
-    mark b a
-  in
-  for node = 1 to sys.n_nodes - 1 do
-    pat.(node - 1).(node - 1) <- true (* gmin *)
-  done;
-  Array.iter (fun p -> mark_g p.r_a p.r_b) sys.resistors;
-  Array.iter (fun p -> mark_g p.s_a p.s_b) sys.switches;
-  Array.iter (fun p -> mark_g p.c_a p.c_b) sys.caps;
-  Array.iter
-    (fun p ->
-      (* branch rows/cols land past the node block; mark them directly *)
-      if p.v_pos > 0 then begin
-        pat.(p.v_pos - 1).(p.row) <- true;
-        pat.(p.row).(p.v_pos - 1) <- true
-      end;
-      if p.v_neg > 0 then begin
-        pat.(p.v_neg - 1).(p.row) <- true;
-        pat.(p.row).(p.v_neg - 1) <- true
-      end)
-    sys.vsrcs;
-  Array.iter
-    (fun p ->
-      (* gds between d and s, plus the gm VCCS controlled by (g, s) *)
-      mark_g p.m_d p.m_s;
-      mark p.m_d p.m_g;
-      mark p.m_s p.m_g)
-    sys.mosfets;
-  pat
 
 let[@inline] node_voltage _sys x node = if node = 0 then 0.0 else x.(node - 1)
 
@@ -270,7 +317,7 @@ let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
     mat.(node - 1).(node - 1) <- mat.(node - 1).(node - 1) +. opts.gmin
   done;
   let branch_row name = sys.n_nodes - 1 + Hashtbl.find sys.vsrc_branch name in
-  let res_plan = ref 0 in
+  let res_plan = ref 0 and cap_hist = ref 0 in
   Array.iter
     (fun d ->
       match d with
@@ -285,10 +332,11 @@ let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
       | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
         let g = if C.Waveform.eval ctrl t_now > threshold then g_on else g_off in
         stamp_g g mat a b
-      | C.Device.Capacitor { name; a; b; c; _ } ->
+      | C.Device.Capacitor { a; b; c; _ } ->
+        let slot = !cap_hist in
+        incr cap_hist;
         if reactive.dt > 0.0 then begin
           let vab_prev = reactive.prev_v.(a) -. reactive.prev_v.(b) in
-          let slot = Hashtbl.find sys.cap_index name in
           let g = cap_g ~opts ~dt:reactive.dt c in
           let i_hist =
             match opts.integrator with
@@ -327,13 +375,25 @@ let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
 (* Incremental assembly workspace                                      *)
 (* ------------------------------------------------------------------ *)
 
-module Sp = Dramstress_util.Sparse_lu
+(* Slot stamps: the same additions, in the same order, as the dense
+   [stamp_g] / [stamp_vccs] above, into the slot vector. A [-1] slot is
+   a ground row or column. *)
+
+let[@inline] stamp_at v s x = if s >= 0 then v.(s) <- v.(s) +. x
+
+let[@inline] stamp_g4 g v q =
+  if q.aa >= 0 then v.(q.aa) <- v.(q.aa) +. g;
+  if q.bb >= 0 then v.(q.bb) <- v.(q.bb) +. g;
+  if q.ab >= 0 then begin
+    v.(q.ab) <- v.(q.ab) -. g;
+    v.(q.ba) <- v.(q.ba) -. g
+  end
 
 type workspace = {
   w_size : int;
-  mat : L.matrix;          (* stamped system, factored in place *)
+  vals : float array;      (* stamped system by slot, factored from here *)
   rhs : float array;       (* stamped RHS, overwritten with the solution *)
-  tmpl : L.matrix;         (* cached static-linear template *)
+  tmpl : float array;      (* cached static-linear template, by slot *)
   (* scalar fields rather than a key tuple: the validity check runs every
      Newton iteration and must not allocate *)
   mutable tmpl_valid : bool;
@@ -356,7 +416,7 @@ type workspace = {
   vs_v : float array;
   is_i : float array;
   scratch : float array;
-  mutable slu : Sp.t option;  (* lazily built on the first sparse solve *)
+  slu : Sp.t;  (* same pattern as [sys], so the same slots *)
   (* per-MOSFET temperature-resolved constants, valid for [mos_temp]
      (nan until the first assembly) *)
   mutable mos_temp : float;
@@ -369,9 +429,9 @@ let make_workspace sys =
   let n = sys.size in
   {
     w_size = n;
-    mat = L.create n n;
+    vals = Array.make sys.nnz 0.0;
     rhs = Array.make n 0.0;
-    tmpl = L.create n n;
+    tmpl = Array.make sys.nnz 0.0;
     tmpl_valid = false;
     tmpl_dt = 0.0;
     tmpl_gmin = 0.0;
@@ -383,7 +443,7 @@ let make_workspace sys =
     vs_v = Array.make (Array.length sys.vsrcs) 0.0;
     is_i = Array.make (Array.length sys.isrcs) 0.0;
     scratch = Array.make n 0.0;
-    slu = None;
+    slu = Sp.make ~n ~pattern:sys.pattern;
     mos_temp = Float.nan;
     mos_prep = [||];
     node_v = Array.make sys.n_nodes 0.0;
@@ -404,30 +464,25 @@ let resistor_override ws =
    stamped fresh after each template copy instead). *)
 let rebuild_template sys ws ~(opts : Options.t) ~dt =
   let tmpl = ws.tmpl in
-  for i = 0 to ws.w_size - 1 do
-    Array.fill tmpl.(i) 0 ws.w_size 0.0
-  done;
-  for node = 1 to sys.n_nodes - 1 do
-    tmpl.(node - 1).(node - 1) <- tmpl.(node - 1).(node - 1) +. opts.gmin
-  done;
+  Array.fill tmpl 0 (Array.length tmpl) 0.0;
+  Array.iter (fun s -> stamp_at tmpl s opts.gmin) sys.gmin_slots;
   Array.iteri
-    (fun i p ->
-      if i <> ws.excluded_res then stamp_g p.g_res tmpl p.r_a p.r_b)
+    (fun i p -> if i <> ws.excluded_res then stamp_g4 p.g_res tmpl p.r_slots)
     sys.resistors;
   Array.iter
     (fun p ->
-      if p.v_pos > 0 then begin
-        tmpl.(p.v_pos - 1).(p.row) <- tmpl.(p.v_pos - 1).(p.row) +. 1.0;
-        tmpl.(p.row).(p.v_pos - 1) <- tmpl.(p.row).(p.v_pos - 1) +. 1.0
+      if p.pos_row >= 0 then begin
+        tmpl.(p.pos_row) <- tmpl.(p.pos_row) +. 1.0;
+        tmpl.(p.row_pos) <- tmpl.(p.row_pos) +. 1.0
       end;
-      if p.v_neg > 0 then begin
-        tmpl.(p.v_neg - 1).(p.row) <- tmpl.(p.v_neg - 1).(p.row) -. 1.0;
-        tmpl.(p.row).(p.v_neg - 1) <- tmpl.(p.row).(p.v_neg - 1) -. 1.0
+      if p.neg_row >= 0 then begin
+        tmpl.(p.neg_row) <- tmpl.(p.neg_row) -. 1.0;
+        tmpl.(p.row_neg) <- tmpl.(p.row_neg) -. 1.0
       end)
     sys.vsrcs;
   if dt > 0.0 then
     Array.iter
-      (fun p -> stamp_g (cap_g ~opts ~dt p.cap) tmpl p.c_a p.c_b)
+      (fun p -> stamp_g4 (cap_g ~opts ~dt p.cap) tmpl p.c_slots)
       sys.caps
 
 (* Evaluate every control waveform at [t_now] into the workspace
@@ -471,21 +526,17 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
      ws.tmpl_trapezoidal <- trapezoidal;
      ws.tmpl_excluded <- ws.excluded_res
    end);
-  let mat = ws.mat and rhs = ws.rhs in
-  for i = 0 to n - 1 do
-    Array.blit ws.tmpl.(i) 0 mat.(i) 0 n
-  done;
+  let v = ws.vals and rhs = ws.rhs in
+  Array.blit ws.tmpl 0 v 0 sys.nnz;
   Array.fill rhs 0 n 0.0;
   (if ws.excluded_res >= 0 then
-     let p = sys.resistors.(ws.excluded_res) in
-     stamp_g ws.override_g mat p.r_a p.r_b);
+     stamp_g4 ws.override_g v sys.resistors.(ws.excluded_res).r_slots);
   (* dynamic stamps: switch state and source values at t_now, capacitor
      history currents, MOSFET linearization around x. Indexed loops, not
      [Array.iter]: this body runs every Newton iteration and a closure per
      device class would be allocated on each call. *)
   for i = 0 to Array.length sys.switches - 1 do
-    let p = sys.switches.(i) in
-    stamp_g ws.sw_g.(i) mat p.s_a p.s_b
+    stamp_g4 ws.sw_g.(i) v sys.switches.(i).s_slots
   done;
   if reactive.dt > 0.0 then
     for i = 0 to Array.length sys.caps - 1 do
@@ -496,7 +547,7 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
         match opts.integrator with
         | Options.Backward_euler -> g *. vab_prev
         | Options.Trapezoidal ->
-          (g *. vab_prev) +. reactive.prev_cap_current.(p.slot)
+          (g *. vab_prev) +. reactive.prev_cap_current.(p.hist)
       in
       stamp_i i_hist rhs p.c_a;
       stamp_i (-.i_hist) rhs p.c_b
@@ -517,18 +568,23 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
         sys.mosfets;
     ws.mos_temp <- opts.temp
   end;
-  let v = ws.node_v and e = ws.mos_eval in
-  if Array.length sys.mosfets > 0 then voltages_into sys x ~out:v;
+  let nv = ws.node_v and e = ws.mos_eval in
+  if Array.length sys.mosfets > 0 then voltages_into sys x ~out:nv;
   for i = 0 to Array.length sys.mosfets - 1 do
     let p = sys.mosfets.(i) in
-    C.Mosfet.ids_into ws.mos_prep.(i) v ~d:p.m_d ~g:p.m_g ~s:p.m_s e;
-    let vgs = v.(p.m_g) -. v.(p.m_s) and vds = v.(p.m_d) -. v.(p.m_s) in
+    C.Mosfet.ids_into ws.mos_prep.(i) nv ~d:p.m_d ~g:p.m_g ~s:p.m_s e;
+    let vgs = nv.(p.m_g) -. nv.(p.m_s) and vds = nv.(p.m_d) -. nv.(p.m_s) in
     let id = e.(0) *. p.mult
     and gm = e.(1) *. p.mult
     and gds = e.(2) *. p.mult in
     let ieq = id -. (gm *. vgs) -. (gds *. vds) in
-    stamp_g gds mat p.m_d p.m_s;
-    stamp_vccs gm mat p.m_d p.m_s p.m_g p.m_s;
+    let q = p.m_gds in
+    stamp_g4 gds v q;
+    (* the gm VCCS, in [stamp_vccs] order *)
+    stamp_at v p.m_dg gm;
+    stamp_at v q.ab (-.gm);
+    stamp_at v p.m_sg (-.gm);
+    stamp_at v q.bb gm;
     stamp_i (-.ieq) rhs p.m_d;
     stamp_i ieq rhs p.m_s
   done
@@ -540,17 +596,9 @@ let solve_in_place sys ws =
   if Chaos.armed () && Chaos.fire Chaos.Perturb_jacobian then
     (* zero a row: crisply rank-deficient, so the factorization's pivot
        guard must catch it — the detection the chaos harness asserts *)
-    Array.fill ws.mat.(0) 0 ws.w_size 0.0;
-  let slu =
-    match ws.slu with
-    | Some s -> s
-    | None ->
-      let s = Sp.make ~n:ws.w_size ~pattern:(structural_pattern sys) in
-      ws.slu <- Some s;
-      s
-  in
-  Sp.factor slu ws.mat;
-  Sp.solve slu ~scratch:ws.scratch ws.rhs
+    Array.iter (fun s -> ws.vals.(s) <- 0.0) sys.row0_slots;
+  Sp.factor ws.slu ws.vals;
+  Sp.solve ws.slu ~scratch:ws.scratch ws.rhs
 
 let solution ws = ws.rhs
 
@@ -568,10 +616,9 @@ let cap_currents_into sys ~(opts : Options.t) ~x ~reactive ~out =
         | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
         | Options.Trapezoidal ->
           (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
-          -. reactive.prev_cap_current.(p.slot)
+          -. reactive.prev_cap_current.(p.hist)
       in
-      out.(p.slot) <- i
+      out.(p.hist) <- i
     end
-    else out.(p.slot) <- 0.0
+    else out.(p.hist) <- 0.0
   done
-

@@ -10,7 +10,8 @@
 
 type t
 
-(** [make compiled] precomputes the layout. *)
+(** [make compiled] precomputes the layout, the structural pattern and
+    the slot of every stamp. *)
 val make : Dramstress_circuit.Netlist.compiled -> t
 
 (** [size sys] is the number of unknowns. *)
@@ -65,13 +66,6 @@ val resistor_index : t -> string -> int option
 (** [resistor_g sys index] is the base conductance of plan [index]. *)
 val resistor_g : t -> int -> float
 
-(** [structural_pattern sys] is the [size x size] boolean nonzero
-    pattern of every system any assembly of [sys] can produce, derived
-    from the stamp plans (never from numeric values — a MOSFET [gm] or
-    switch conductance being zero {e now} says nothing about the next
-    iterate). Input for {!Dramstress_util.Sparse_lu.make}. *)
-val structural_pattern : t -> bool array array
-
 (** [assemble ?override sys ~opts ~t ~x ~reactive] stamps the full
     linearized system at time [t] around iterate [x] and returns freshly
     allocated [(g, b)]. [override = (index, g)] stamps conductance [g]
@@ -87,13 +81,18 @@ val assemble :
   reactive:reactive ->
   Dramstress_util.Linalg.matrix * float array
 
-(** Reusable per-solve buffers for the incremental assembly path: the
-    work matrix and RHS, the cached static-linear template (gmin,
-    resistors, voltage-source topology, capacitor conductances for the
-    current [(dt, gmin, integrator)]), and the pivot/substitution
-    scratch used by the in-place LU. One workspace serves any number of
-    sequential solves on the same system; it must not be shared between
-    domains. *)
+(** Reusable per-solve buffers for the incremental assembly path. The
+    system matrix is one flat vector of {!Dramstress_util.Sparse_lu}
+    slot values over the structural pattern of [sys] (every position
+    any assembly can write, derived from the devices, never from
+    numeric values); {!make} resolves the slots of every stamp once per
+    topology. The workspace holds that vector and the RHS, the cached
+    static-linear template in the same slots (gmin, resistors,
+    voltage-source topology, capacitor conductances for the current
+    [(dt, gmin, integrator)]), restored by one blit, and the sparse LU
+    handle with its substitution scratch. One workspace serves any
+    number of sequential solves on the same system; it must not be
+    shared between domains. *)
 type workspace
 
 (** [make_workspace sys] allocates buffers sized for [sys]. *)
@@ -122,7 +121,7 @@ val eval_controls_into : t -> workspace -> t_now:float -> unit
 
 (** [assemble_into_pre sys ws ~opts ~x ~reactive] stamps the system from
     the control values left by the last {!eval_controls_into}: template
-    copy (rebuilt only when [(dt, gmin, integrator, override)] changed),
+    blit (rebuilt only when [(dt, gmin, integrator, override)] changed),
     then dynamic stamps — switch states, source values, capacitor
     history, MOSFET linearization around [x] (device constants resolved
     once per temperature, see {!Dramstress_circuit.Mosfet.prepare}).

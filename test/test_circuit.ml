@@ -332,29 +332,62 @@ let test_terminal_ops () =
 
 module Sp = Dramstress_circuit.Spice
 
-let test_parse_value () =
-  check_float "kilo" 2.0e5 (Sp.parse_value "200k");
-  check_float "femto" 1e-13 (Sp.parse_value "100f");
-  check_float "meg" 3e6 (Sp.parse_value "3meg");
-  check_float "plain" 42.0 (Sp.parse_value "42");
-  check_float "negative nano" (-6e-8) (Sp.parse_value "-60n");
-  check_float "volts unit" 2.4 (Sp.parse_value "2.4v");
-  check_float "nano with unit" 6e-8 (Sp.parse_value "60ns");
-  Alcotest.(check bool) "junk raises" true
-    (match Sp.parse_value "xyz" with
-    | exception Failure _ -> true
-    | _ -> false)
+let value s =
+  match Sp.parse_value s with
+  | Ok v -> v
+  | Error m -> Alcotest.failf "%S: %s" s m
 
-let test_parse_basic_deck () =
-  let deck =
-    {|* a divider with a capacitor
+let test_parse_value () =
+  check_float "kilo" 2.0e5 (value "200k");
+  check_float "femto" 1e-13 (value "100f");
+  check_float "meg" 3e6 (value "3meg");
+  check_float "plain" 42.0 (value "42");
+  check_float "negative nano" (-6e-8) (value "-60n");
+  check_float "volts unit" 2.4 (value "2.4v");
+  check_float "nano with unit" 6e-8 (value "60ns");
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is a typed error" s)
+        true
+        (Result.is_error (Sp.parse_value s)))
+    [ "xyz"; ""; "  "; "nan"; "inf"; "-inf"; "1e400"; "1e300t"; "k" ]
+
+(* the decks the parser tests read, and the seeds of the mutation
+   property below *)
+let deck_basic =
+  {|* a divider with a capacitor
 Vdd vdd 0 DC 2.4
 R1 vdd mid 1k
 R2 mid 0 3k  ; load
 C1 mid 0 100f
 |}
-  in
-  let nl = Sp.parse deck in
+
+let deck_sources =
+  {|Vp a 0 PULSE(0 3.2 6n 0.5n 48n 0.5n 60n)
+Vw b 0 PWL(0 0 1n 1 2n 0)
+Ix a b DC 1m
+R1 a b 1k
+|}
+
+let deck_mosfet =
+  {|.MODEL nch NMOS (VT0=0.7 KP=1e-4 TC=1m MU=2)
+Vd d 0 DC 2.4
+M1 d g s nch
+Ms d g s2 nch M=2
+S1 s 0 PULSE(0 1 10n 1n 20n 1n) GON=1e-3 GOFF=1e-12
+C1 s 0 1p
+C2 s2 0 1p
+Vg g 0 DC 2.4
+|}
+
+let deck_rc = {|V1 in 0 DC 1
+R1 in out 1k
+C1 out 0 1n
+|}
+
+let test_parse_basic_deck () =
+  let nl = Sp.parse deck_basic in
   let c = N.compile nl in
   Alcotest.(check int) "devices" 4 (Array.length c.N.devices);
   Alcotest.(check int) "nodes" 3 c.N.n_nodes;
@@ -363,14 +396,7 @@ C1 mid 0 100f
   | _ -> Alcotest.fail "R2 missing"
 
 let test_parse_sources () =
-  let deck =
-    {|Vp a 0 PULSE(0 3.2 6n 0.5n 48n 0.5n 60n)
-Vw b 0 PWL(0 0 1n 1 2n 0)
-Ix a b DC 1m
-R1 a b 1k
-|}
-  in
-  let nl = Sp.parse deck in
+  let nl = Sp.parse deck_sources in
   (match N.find_device nl "Vp" with
   | Some (D.Vsource { wave; _ }) ->
     check_float "pulse plateau" 3.2 (W.eval wave 10e-9);
@@ -381,18 +407,7 @@ R1 a b 1k
   | _ -> Alcotest.fail "Vw missing"
 
 let test_parse_mosfet_and_switch () =
-  let deck =
-    {|.MODEL nch NMOS (VT0=0.7 KP=1e-4 TC=1m MU=2)
-Vd d 0 DC 2.4
-M1 d g s nch
-Ms d g s2 nch M=2
-S1 s 0 PULSE(0 1 10n 1n 20n 1n) GON=1e-3 GOFF=1e-12
-C1 s 0 1p
-C2 s2 0 1p
-Vg g 0 DC 2.4
-|}
-  in
-  let nl = Sp.parse deck in
+  let nl = Sp.parse deck_mosfet in
   (match N.find_device nl "M1" with
   | Some (D.Mosfet { model; m; _ }) ->
     check_float "vt0" 0.7 model.M.vt0;
@@ -408,26 +423,99 @@ Vg g 0 DC 2.4
     check_float "default vt" 0.5 threshold
   | _ -> Alcotest.fail "S1 missing"
 
+(* every malformed card raises [Parse_error] naming its own line *)
 let test_parse_errors () =
-  let expect_error deck =
+  let expect_error ?(line = 1) deck =
     match Sp.parse deck with
-    | exception Sp.Parse_error _ -> ()
+    | exception Sp.Parse_error { line = l; _ } ->
+      Alcotest.(check int) (Printf.sprintf "line of %S" deck) line l
     | _ -> Alcotest.failf "deck should not parse: %s" deck
   in
   expect_error "R1 a b";
   expect_error "Vx a 0 PULSE(1 2)";
   expect_error "M1 d g s unknown_model";
   expect_error "Q1 a b c";
-  expect_error ".tran 1n 60n"
+  expect_error ".tran 1n 60n";
+  expect_error "R1 a b -1k";
+  expect_error "C1 a 0 0";
+  expect_error "V1 a 0 DC junk";
+  expect_error "V1 a 0 junk";
+  expect_error "V1 a 0 PWL(1n 0 0 1)";
+  expect_error "V1 a 0 PULSE(0 1 -1n 1n 1n 1n)";
+  expect_error "V1 a 0 PULSE(0 1 x 1n 1n 1n)";
+  expect_error ".MODEL n NMOS (KP=-1)";
+  expect_error ".MODEL n NMOS (VT0=abc)";
+  expect_error ~line:2 ".MODEL n NMOS\nM1 d g s n M=x";
+  expect_error ~line:2 "R1 a b 1k\nR1 a b 2k";
+  expect_error "R1 a b nan";
+  expect_error "I1 a 0 PWL(0 nan)"
 
 let test_parse_roundtrip_simulation () =
   (* the parsed deck must simulate identically to a built netlist *)
-  let deck = {|V1 in 0 DC 1
-R1 in out 1k
-C1 out 0 1n
-|} in
-  let c = N.compile (Sp.parse deck) in
+  let c = N.compile (Sp.parse deck_rc) in
   Alcotest.(check int) "compiled" 3 c.N.n_nodes
+
+(* Mutated decks: one to four byte flips, token drops, token swaps and
+   truncations of the decks above. Whatever comes out, [parse] returns
+   a netlist or raises [Parse_error] — any other exception fails the
+   property — and it returns promptly. *)
+let mutate st deck =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let tokens s = List.filter (( <> ) "") (String.split_on_char ' ' s) in
+  let lines s = String.split_on_char '\n' s in
+  let unlines = String.concat "\n" in
+  let op s =
+    let n = String.length s in
+    match Random.State.int st 4 with
+    | 0 when n > 0 ->
+      let b = Bytes.of_string s in
+      Bytes.set b (Random.State.int st n) (Char.chr (Random.State.int st 256));
+      Bytes.to_string b
+    | 1 ->
+      (* drop one token of one line *)
+      let ls = lines s in
+      let i = Random.State.int st (List.length ls) in
+      unlines
+        (List.mapi
+           (fun k l ->
+             let ts = tokens l in
+             if k <> i || ts = [] then l
+             else
+               let d = Random.State.int st (List.length ts) in
+               String.concat " " (List.filteri (fun j _ -> j <> d) ts))
+           ls)
+    | 2 ->
+      (* swap two tokens anywhere in the deck *)
+      let ls = List.map tokens (lines s) in
+      let all = List.concat ls in
+      if all = [] then s
+      else
+        let x = pick all and y = pick all in
+        unlines
+          (List.map
+             (fun ts ->
+               String.concat " "
+                 (List.map
+                    (fun t -> if t = x then y else if t = y then x else t)
+                    ts))
+             ls)
+    | _ -> String.sub s 0 (Random.State.int st (n + 1))
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (op s) in
+  go (1 + Random.State.int st 4) deck
+
+let prop_parse_mutated_decks =
+  let gen st =
+    mutate st (List.nth [ deck_basic; deck_sources; deck_mosfet; deck_rc ]
+                 (Random.State.int st 4))
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"spice: mutated decks parse or raise Parse_error, promptly"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun deck ->
+      let t0 = Unix.gettimeofday () in
+      (match Sp.parse deck with _ -> () | exception Sp.Parse_error _ -> ());
+      Unix.gettimeofday () -. t0 < 1.0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -471,6 +559,7 @@ let () =
           tc "mosfet models and switches" test_parse_mosfet_and_switch;
           tc "error reporting" test_parse_errors;
           tc "compiles for simulation" test_parse_roundtrip_simulation;
+          QCheck_alcotest.to_alcotest prop_parse_mutated_decks;
         ] );
       ( "netlist",
         [

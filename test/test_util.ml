@@ -1521,6 +1521,17 @@ let handle_for mats =
   let pattern = pattern_of mats in
   Sp.make ~n:(Array.length pattern) ~pattern
 
+(* the slot values of dense [a] under [h]'s pattern, through [Sp.slot] *)
+let slot_values h a =
+  let v = Array.make (Sp.nnz h) 0.0 in
+  Array.iteri
+    (fun i row ->
+      Array.iteri (fun j x -> if x <> 0.0 then v.(Sp.slot h i j) <- x) row)
+    a;
+  v
+
+let factor h a = Sp.factor h (slot_values h a)
+
 (* (pivot revalidations, dense re-analyses) during [f] *)
 let lu_activity f =
   let r0 = Tel.Counter.value c_revalidations
@@ -1547,15 +1558,15 @@ let test_sparse_hold_revalidates () =
   let mats = [ Hm.hold_analysed; Hm.hold_stale; Hm.hold_next ] in
   let n = Array.length Hm.hold_stale in
   let h = handle_for mats in
-  Sp.factor h Hm.hold_analysed;
+  factor h Hm.hold_analysed;
   List.iter
     (fun a ->
       Alcotest.(check (pair int int))
         "revalidated, not re-analysed" (1, 0)
-        (lu_activity (fun () -> Sp.factor h a));
+        (lu_activity (fun () -> factor h a));
       check_dense_perm h a;
       let fresh = handle_for mats in
-      Sp.factor fresh a;
+      factor fresh a;
       Alcotest.(check (array int64))
         "bitwise the fresh solve" (sparse_solution fresh n)
         (sparse_solution h n))
@@ -1570,10 +1581,10 @@ let test_sparse_tie_falls_back () =
   with_tel @@ fun () ->
   let a = vsource_system 1e-12 in
   let h = handle_for [ vsource_system 1e-3 ] in
-  Sp.factor h (vsource_system 1e-3);
+  factor h (vsource_system 1e-3);
   Alcotest.(check (pair int int))
     "re-analysed" (0, 1)
-    (lu_activity (fun () -> Sp.factor h a));
+    (lu_activity (fun () -> factor h a));
   check_dense_perm h a
 
 let full2 = [| [| 1.0; 0.5 |]; [| 0.5; 1.0 |] |]
@@ -1582,10 +1593,10 @@ let test_sparse_reordered_falls_back () =
   with_tel @@ fun () ->
   let a = [| [| 1e-11; 1.0 |]; [| 1.0; 1.0 |] |] in
   let h = handle_for [ full2; a ] in
-  Sp.factor h full2;
+  factor h full2;
   Alcotest.(check (pair int int))
     "re-analysed" (0, 1)
-    (lu_activity (fun () -> Sp.factor h a));
+    (lu_activity (fun () -> factor h a));
   Alcotest.(check (option (array int))) "rows swapped" (Some [| 1; 0 |])
     (Sp.perm h);
   check_dense_perm h a
@@ -1595,11 +1606,11 @@ let test_sparse_reordered_falls_back () =
 let test_sparse_nan_keeps_analysis () =
   with_tel @@ fun () ->
   let h = handle_for [ full2 ] in
-  Sp.factor h full2;
+  factor h full2;
   let before = Sp.perm h in
   List.iter
     (fun a ->
-      (match lu_activity (fun () -> Sp.factor h a) with
+      (match lu_activity (fun () -> factor h a) with
       | _ -> Alcotest.fail "non-finite system factored"
       | exception L.Singular _ -> ());
       Alcotest.(check (option (array int))) "analysis untouched" before
@@ -1609,7 +1620,7 @@ let test_sparse_nan_keeps_analysis () =
       [| [| 1e-11; Float.nan |]; [| 0.0; 1.0 |] |];
     ];
   let reuse0 = (Sp.stats ()).Sp.symbolic_reuse in
-  Sp.factor h full2;
+  factor h full2;
   Alcotest.(check int) "next healthy factor reuses" (reuse0 + 1)
     (Sp.stats ()).Sp.symbolic_reuse
 
@@ -1638,6 +1649,105 @@ let prop_multiplier_test_exact =
     (fun (a, p) ->
       QCheck.assume (Float.is_finite a && Float.is_finite p && p <> 0.0);
       multiplier_agrees a p)
+
+(* slots number the pattern row by row, columns ascending *)
+let test_sparse_slot_numbering () =
+  let pattern =
+    [| [| true; false; true |]; [| false; false; false |];
+       [| true; true; true |] |]
+  in
+  let h = Sp.make ~n:3 ~pattern in
+  Alcotest.(check int) "nnz" 5 (Sp.nnz h);
+  Alcotest.(check (list int)) "CSR order" [ 0; 1; 2; 3; 4 ]
+    (List.map (fun (i, j) -> Sp.slot h i j)
+       [ (0, 0); (0, 2); (2, 0); (2, 1); (2, 2) ]);
+  match Sp.slot h 1 1 with
+  | _ -> Alcotest.fail "off-pattern position has a slot"
+  | exception Invalid_argument _ -> ()
+
+(* Random sparse systems: a pattern of density ~0.3 with a mostly
+   structural diagonal, values in [-1, 1] with exact zeros and the
+   voltage-source +-1 ties mixed in, and a second value set on the same
+   pattern whose rows and columns of a few random nodes are scaled into
+   the revalidation band (C/dt sinking on a hold), so its refactor under
+   the first order takes every path: a plain refactor, a revalidation,
+   a dense re-analysis. *)
+let gen_sparse_case st =
+  let n = 1 + Random.State.int st 10 in
+  let pattern =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            Random.State.float st 1.0 < if i = j then 0.95 else 0.3))
+  in
+  let value () =
+    match Random.State.int st 10 with
+    | 0 -> 0.0
+    | 1 -> 1.0
+    | 2 -> -1.0
+    | _ -> Random.State.float st 2.0 -. 1.0
+  in
+  let values scale =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            if pattern.(i).(j) then value () *. scale i j else 0.0))
+  in
+  let a = values (fun _ _ -> 1.0) in
+  let held = Array.init n (fun _ -> Random.State.int st 3 = 0) in
+  let s = 10.0 ** -.float_of_int (11 + Random.State.int st 3) in
+  let b = values (fun i j -> if held.(i) || held.(j) then s else 1.0) in
+  (pattern, a, b)
+
+let print_sparse_case (_, a, b) =
+  let mat m =
+    String.concat "\n"
+      (Array.to_list
+         (Array.map
+            (fun r ->
+              String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r)))
+            m))
+  in
+  Printf.sprintf "a =\n%s\nb =\n%s" (mat a) (mat b)
+
+(* equal bit for bit, signed zeros aside (the dense elimination also
+   subtracts the structural zeros the sparse one skips) *)
+let same_float x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  || (x = 0.0 && y = 0.0)
+
+let prop_sparse_matches_dense =
+  QCheck.Test.make ~count:500
+    ~name:"sparse lu: dense pivot order and solution, bit for bit"
+    (QCheck.make ~print:print_sparse_case gen_sparse_case)
+    (fun (pattern, a, b) ->
+      with_tel @@ fun () ->
+      let n = Array.length pattern in
+      let h = Sp.make ~n ~pattern in
+      let rhs = Array.init n (fun i -> float_of_int (i + 1)) in
+      let dense_singular m =
+        match L.lu_factor m with
+        | _ -> false
+        | exception L.Singular _ -> true
+      in
+      (* [h] holds a factorization of [m]: is it the dense one? *)
+      let matches_dense m =
+        let d = L.lu_factor m in
+        let x = Array.copy rhs in
+        Sp.solve h ~scratch:(Array.make n 0.0) x;
+        Sp.perm h = Some (L.lu_perm d)
+        && Array.for_all2 same_float x (L.lu_solve d rhs)
+      in
+      (* every factor of a fresh analysis, a revalidated order or a
+         re-analysis is the dense one; a plain refactor keeps an order
+         the dense LU need not pick, and is not compared *)
+      let checked m =
+        let fresh = Sp.perm h = None in
+        match lu_activity (fun () -> factor h m) with
+        | revalidated, reanalysed ->
+          (not (fresh || revalidated > 0 || reanalysed > 0))
+          || matches_dense m
+        | exception L.Singular _ -> dense_singular m
+      in
+      checked a && checked b)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -1668,6 +1778,8 @@ let () =
           tc "NaN keeps the analysis" test_sparse_nan_keeps_analysis;
           tc "multiplier test exact at edges" test_multiplier_test_exact;
           QCheck_alcotest.to_alcotest prop_multiplier_test_exact;
+          tc "slots number the pattern in CSR order" test_sparse_slot_numbering;
+          QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
         ] );
       ( "lru",
         [
