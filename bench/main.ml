@@ -5,7 +5,7 @@
    Run everything:        dune exec bench/main.exe
    Run one experiment:    dune exec bench/main.exe -- fig3 table1 ...
    Available targets: fig2 fig3 fig4 fig5 fig6 fig7 table1 shmoo perf
-                      ablation resilience health *)
+                      ablation health *)
 
 module S = Dramstress_dram.Stress
 module T = Dramstress_dram.Tech
@@ -710,91 +710,6 @@ let perf_engine_ab () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Cost of the resilience layer: checkpoint write overhead on a cold
-   plane sweep, replay speedup on resume, and the price of rescuing a
-   non-converging run through the retry ladder. Results land in
-   BENCH_resilience.json. *)
-let resilience () =
-  heading "resilience" "checkpoint/resume and retry-policy cost";
-  let module Ck = Dramstress_util.Checkpoint in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let rops = Dramstress_util.Grid.logspace 1e3 1e6 6 in
-  let sweep ?checkpoint () =
-    ignore
-      (C.Plane.write_plane ~config:(Sc.v ~jobs:1 ()) ?checkpoint ~n_ops:2
-         ~rops ~stress:nominal ~kind:open_kind ~placement:D.True_bl ~op:O.W0
-         ())
-  in
-  (* memo cache off so the replay speedup measures the checkpoint store,
-     not the in-process LRU *)
-  O.Cache.set_enabled O.Cache.default false;
-  let plain = wall (sweep ?checkpoint:None) in
-  let path = Filename.temp_file "dramstress_bench" ".ckpt" in
-  let ck = Ck.open_ path in
-  let cold = wall (sweep ~checkpoint:ck) in
-  Ck.close ck;
-  let ck = Ck.open_ ~resume:true path in
-  let resumed = wall (sweep ~checkpoint:ck) in
-  Ck.close ck;
-  Sys.remove path;
-  O.Cache.set_enabled O.Cache.default true;
-  (* retry ladder: a solver starved to one Newton iteration per solve
-     fails immediately; a damped-Newton stage rescues it *)
-  let sim_tight = { Dramstress_engine.Options.default with max_newton = 1 } in
-  let rescue_cfg =
-    Sc.v ~sim:sim_tight
-      ~retry:
-        {
-          Sc.stages =
-            [ Sc.Damped_newton { max_step_v = 1.0; max_newton_scale = 100 } ];
-        }
-      ()
-  in
-  let defect = D.v open_kind D.True_bl 200e3 in
-  O.Cache.set_enabled O.Cache.default false;
-  let direct =
-    wall (fun () ->
-        ignore (O.run ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]))
-  in
-  let rescued =
-    wall (fun () ->
-        ignore
-          (O.run ~config:rescue_cfg ~stress:nominal ~defect ~vc_init:2.4
-             [ O.W0 ]))
-  in
-  O.Cache.set_enabled O.Cache.default true;
-  let ratio a b = if b > 0.0 then a /. b else Float.nan in
-  Printf.printf "  %-40s %10.4f s\n" "plane sweep, no checkpoint" plain;
-  Printf.printf "  %-40s %10.4f s   (overhead %+.1f%%)\n"
-    "plane sweep, cold checkpoint" cold
-    (100.0 *. (ratio cold plain -. 1.0));
-  Printf.printf "  %-40s %10.4f s   (replay speedup %.0fx)\n"
-    "plane sweep, resumed checkpoint" resumed (ratio plain resumed);
-  Printf.printf "  %-40s %10.4f s\n" "healthy run, direct" direct;
-  Printf.printf "  %-40s %10.4f s   (ladder cost %.2fx)\n"
-    "starved run, rescued by retry ladder" rescued (ratio rescued direct);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"jobs\": 1,\n\
-      \  \"plane_sweep_s\": { \"plain\": %.5f, \"cold_checkpoint\": %.5f, \
-       \"resumed\": %.5f, \"replay_speedup\": %.1f },\n\
-      \  \"retry_ladder_s\": { \"direct\": %.5f, \"rescued\": %.5f, \
-       \"cost_ratio\": %.2f }\n\
-       }\n"
-      plain cold resumed (ratio plain resumed) direct rescued
-      (ratio rescued direct)
-  in
-  Out_channel.with_open_text "BENCH_resilience.json" (fun oc ->
-      output_string oc json);
-  Printf.printf "  wrote BENCH_resilience.json\n"
-
-(* ------------------------------------------------------------------ *)
-
 (* Cost of the numerical health layer: the per-iteration finiteness scan
    of the Newton state and the per-iteration deadline poll must stay
    within 2% of the unguarded hot path. Chaos is dormant unless armed
@@ -1253,7 +1168,7 @@ let all_targets =
     ("fig2", fig2); ("fig3", fig3); ("fig4", fig4); ("fig5", fig5);
     ("fig6", fig6); ("fig7", fig7); ("table1", table1); ("shmoo", shmoo);
     ("methods", methods); ("ablation", ablation); ("perf", perf);
-    ("resilience", resilience); ("health", health); ("campaign", campaign);
+    ("health", health); ("campaign", campaign);
   ]
 
 let () =

@@ -319,39 +319,35 @@ let with_telemetry finish f =
     raise e
 
 (* ------------------------------------------------------------------ *)
-(* checkpointing: --checkpoint / --resume on every subcommand          *)
+(* persistence: --store DIR on the sweep subcommands                   *)
 (* ------------------------------------------------------------------ *)
 
-module Ck = Dramstress_util.Checkpoint
+module Store = Dramstress_util.Store
 
-let checkpoint_arg =
+(* the store is closed (flushed, index rewritten) whether the command
+   succeeds or dies mid-sweep: the next run picks up whatever was
+   recorded *)
+let with_store ~name dir f =
+  let store = Store.open_ ~name dir in
+  Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
+
+let sweep_store_arg =
   Arg.(value & opt (some string) None
-       & info [ "checkpoint" ] ~docv:"FILE"
-           ~doc:"Record per-point sweep results to FILE (JSON lines) as \
-                 the command progresses, so an interrupted run can be \
-                 resumed with $(b,--resume).")
+       & info [ "store" ] ~docv:"DIR"
+           ~doc:"Record per-point sweep results in the campaign store DIR \
+                 (created if needed) as the command progresses. An \
+                 existing store is replayed first, so rerunning an \
+                 interrupted command with the same $(b,--store) \
+                 recomputes only what is missing.")
 
-let resume_arg =
-  Arg.(value & flag
-       & info [ "resume" ]
-           ~doc:"Resume from the $(b,--checkpoint) file: replay its \
-                 finished points and append new ones. Without \
-                 $(b,--resume) an existing checkpoint file is \
-                 truncated.")
-
-let checkpoint_setup path resume =
-  match (path, resume) with
-  | None, true -> failwith "--resume requires --checkpoint FILE"
-  | None, false -> None
-  | Some path, resume -> Some (Ck.open_ ~resume path)
-
-let checkpoint_term =
-  Term.(const checkpoint_setup $ checkpoint_arg $ resume_arg)
-
-(* the store must be closed (flushed) whether the command succeeds or
-   dies mid-sweep: the next --resume picks up whatever was recorded *)
-let with_checkpoint ck f =
-  Fun.protect ~finally:(fun () -> Option.iter Ck.close ck) (fun () -> f ck)
+(* a sweep subcommand's memos go through the handle its own name routes
+   to, so single-file and sharded stores both work *)
+let with_sweep_store ~cmd dir f =
+  match dir with
+  | None -> f None
+  | Some dir ->
+    with_store ~name:cmd dir (fun store ->
+        f (Some (Store.checkpoint_for store ~key:cmd)))
 
 (* ------------------------------------------------------------------ *)
 (* failed-point exit policy: --fail-on-error on sweep subcommands      *)
@@ -379,7 +375,7 @@ let deadline_arg =
 let config_of_deadline =
   Option.map (fun d -> Dramstress_dram.Sim_config.v ~deadline:d ())
 
-(* called AFTER the telemetry/checkpoint wrappers have unwound, so
+(* called AFTER the telemetry/store wrappers have unwound, so
    [exit] cannot skip their finalizers *)
 let failures_exit ~fail_on_error errors =
   if fail_on_error && errors <> [] then begin
@@ -403,9 +399,8 @@ let run_cmd =
   let vc_arg =
     Arg.(value & opt float 0.0 & info [ "vc" ] ~docv:"V" ~doc:"Initial cell voltage.")
   in
-  let run tel ck seq kind placement r vc stress =
+  let run tel seq kind placement r vc stress =
     with_telemetry tel @@ fun () ->
-    with_checkpoint ck @@ fun _ck ->
     let defect = D.v kind placement r in
     let ops = O.parse_seq seq in
     let outcome = O.run ~stress ~defect ~vc_init:vc ops in
@@ -421,7 +416,7 @@ let run_cmd =
       outcome.O.results
   in
   Cmd.v (Cmd.info "run" ~doc:"Run an operation sequence on a defective column")
-    Term.(const run $ telemetry_term $ checkpoint_term $ seq_arg $ kind_arg
+    Term.(const run $ telemetry_term $ seq_arg $ kind_arg
           $ placement_arg $ r_arg $ vc_arg $ stress_term)
 
 (* ------------------------------------------------------------------ *)
@@ -435,10 +430,10 @@ let plane_cmd =
              ~doc:"Number of resistance points per plane (default 12); \
                    small values make quick smoke runs.")
   in
-  let run tel ck fail_on_error deadline kind placement points stress =
+  let run tel store fail_on_error deadline kind placement points stress =
     let failures =
       with_telemetry tel @@ fun () ->
-      with_checkpoint ck @@ fun checkpoint ->
+      with_sweep_store ~cmd:"plane" store @@ fun checkpoint ->
       let rops =
         Option.map
           (fun n ->
@@ -457,7 +452,7 @@ let plane_cmd =
     failures_exit ~fail_on_error failures
   in
   Cmd.v (Cmd.info "plane" ~doc:"Generate the w0/w1/r result planes (Figures 2 and 6)")
-    Term.(const run $ telemetry_term $ checkpoint_term $ fail_on_error_arg
+    Term.(const run $ telemetry_term $ sweep_store_arg $ fail_on_error_arg
           $ deadline_arg $ kind_arg $ placement_arg $ points_arg
           $ stress_term)
 
@@ -466,35 +461,24 @@ let plane_cmd =
 (* ------------------------------------------------------------------ *)
 
 let br_cmd =
-  let cond_arg =
-    Arg.(value & opt (some string) None
-         & info [ "condition" ] ~docv:"SEQ"
-             ~doc:"Detection condition, e.g. 'w1 w1 w0 r0'; reads carry \
-                   their expected bit. Default: synthesized best.")
+  let detection_conv =
+    let parse s =
+      Result.map_error (fun msg -> `Msg msg) (C.Detection.of_string s)
+    in
+    Arg.conv (parse, C.Detection.pp)
   in
-  let run tel ck window kind placement cond stress =
+  let cond_arg =
+    Arg.(value & opt (some detection_conv) None
+         & info [ "condition" ] ~docv:"SEQ"
+             ~doc:"Detection condition, e.g. 'w1 w1 w0 r0' or 'w1,p1e-3,r'; \
+                   reads carry their expected bit (a bare $(b,r) expects \
+                   the last written one). Default: synthesized best.")
+  in
+  let run tel store window kind placement cond stress =
     with_telemetry tel @@ fun () ->
-    with_checkpoint ck @@ fun checkpoint ->
+    with_sweep_store ~cmd:"br" store @@ fun checkpoint ->
     match cond with
-    | Some s ->
-      let steps =
-        List.map
-          (fun tok ->
-            match String.lowercase_ascii tok with
-            | "w0" -> C.Detection.Write 0
-            | "w1" -> C.Detection.Write 1
-            | "r0" -> C.Detection.Read 0
-            | "r1" -> C.Detection.Read 1
-            | "ham" -> C.Detection.Hammer 1
-            | t when String.length t > 3 && String.sub t 0 3 = "ham" ->
-              C.Detection.Hammer
-                (int_of_string (String.sub t 3 (String.length t - 3)))
-            | t when String.length t > 1 && t.[0] = 'p' ->
-              C.Detection.Wait (float_of_string (String.sub t 1 (String.length t - 1)))
-            | t -> failwith ("bad detection token: " ^ t))
-          (String.split_on_char ' ' s |> List.filter (( <> ) ""))
-      in
-      let detection = C.Detection.v steps in
+    | Some detection ->
       let br =
         C.Border.search ?checkpoint ~window ~stress ~kind ~placement
           detection
@@ -510,7 +494,7 @@ let br_cmd =
         detection S.pp stress C.Border.pp_result br
   in
   Cmd.v (Cmd.info "br" ~doc:"Search the border resistance of a defect")
-    Term.(const run $ telemetry_term $ checkpoint_term $ window_term
+    Term.(const run $ telemetry_term $ sweep_store_arg $ window_term
           $ kind_arg $ placement_arg $ cond_arg $ stress_term)
 
 (* ------------------------------------------------------------------ *)
@@ -518,9 +502,9 @@ let br_cmd =
 (* ------------------------------------------------------------------ *)
 
 let stress_cmd =
-  let run tel ck window kind placement nominal axes =
+  let run tel store window kind placement nominal axes =
     with_telemetry tel @@ fun () ->
-    with_checkpoint ck @@ fun checkpoint ->
+    with_sweep_store ~cmd:"stress" store @@ fun checkpoint ->
     let e =
       C.Sc_eval.evaluate ?checkpoint ~window ?axes ~nominal ~kind ~placement
         ()
@@ -528,7 +512,7 @@ let stress_cmd =
     Format.printf "%a@." C.Sc_eval.pp e
   in
   Cmd.v (Cmd.info "stress" ~doc:"Optimize the stress combination for one defect (Section 4)")
-    Term.(const run $ telemetry_term $ checkpoint_term $ window_term
+    Term.(const run $ telemetry_term $ sweep_store_arg $ window_term
           $ kind_arg $ placement_arg $ stress_term $ axes_term)
 
 (* ------------------------------------------------------------------ *)
@@ -544,10 +528,10 @@ let table1_cmd =
     Arg.(value & opt (some string) None
          & info [ "csv" ] ~docv:"FILE" ~doc:"Also write CSV to FILE.")
   in
-  let run tel ck fail_on_error deadline quick csv axes =
+  let run tel store fail_on_error deadline quick csv axes =
     let failures =
       with_telemetry tel @@ fun () ->
-      with_checkpoint ck @@ fun checkpoint ->
+      with_sweep_store ~cmd:"table1" store @@ fun checkpoint ->
       let entries =
         if quick then
           List.filter (fun (e : D.entry) -> e.D.id <> "O2" && e.D.id <> "O3")
@@ -571,7 +555,7 @@ let table1_cmd =
     failures_exit ~fail_on_error failures
   in
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce the paper's Table 1 over the defect catalog")
-    Term.(const run $ telemetry_term $ checkpoint_term $ fail_on_error_arg
+    Term.(const run $ telemetry_term $ sweep_store_arg $ fail_on_error_arg
           $ deadline_arg $ quick_arg $ csv_arg $ axes_term)
 
 (* ------------------------------------------------------------------ *)
@@ -579,9 +563,9 @@ let table1_cmd =
 (* ------------------------------------------------------------------ *)
 
 let shmoo_cmd =
-  let run tel ck kind placement r =
+  let run tel store kind placement r =
     with_telemetry tel @@ fun () ->
-    with_checkpoint ck @@ fun checkpoint ->
+    with_sweep_store ~cmd:"shmoo" store @@ fun checkpoint ->
     let stress = S.nominal in
     let defect = D.v kind placement r in
     let detection =
@@ -597,7 +581,7 @@ let shmoo_cmd =
     Printf.printf "fail fraction: %.2f\n" (M.Shmoo.fail_fraction shmoo)
   in
   Cmd.v (Cmd.info "shmoo" ~doc:"Traditional Shmoo plot (Section 2) for a defect")
-    Term.(const run $ telemetry_term $ checkpoint_term $ kind_arg
+    Term.(const run $ telemetry_term $ sweep_store_arg $ kind_arg
           $ placement_arg $ r_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -605,9 +589,9 @@ let shmoo_cmd =
 (* ------------------------------------------------------------------ *)
 
 let march_cmd =
-  let run tel ck kind placement =
+  let run tel store kind placement =
     with_telemetry tel @@ fun () ->
-    with_checkpoint ck @@ fun checkpoint ->
+    with_sweep_store ~cmd:"march" store @@ fun checkpoint ->
     let stress = S.nominal in
     let cases =
       M.Coverage.standard_faults
@@ -624,7 +608,7 @@ let march_cmd =
     print_string (M.Coverage.render (M.Coverage.compare_tests tests cases))
   in
   Cmd.v (Cmd.info "march" ~doc:"Fault coverage of standard march tests vs the synthesized condition")
-    Term.(const run $ telemetry_term $ checkpoint_term $ kind_arg
+    Term.(const run $ telemetry_term $ sweep_store_arg $ kind_arg
           $ placement_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -650,9 +634,8 @@ let sim_cmd =
     Arg.(value & opt_all (pair ~sep:'=' string float) []
          & info [ "ic" ] ~docv:"NODE=V" ~doc:"Initial condition (repeatable).")
   in
-  let run tel ck deck tstop dt probes ics =
+  let run tel deck tstop dt probes ics =
     with_telemetry tel @@ fun () ->
-    with_checkpoint ck @@ fun _ck ->
     let nl = Dramstress_circuit.Spice.parse_file deck in
     let compiled = Dramstress_circuit.Netlist.compile nl in
     let result =
@@ -682,7 +665,7 @@ let sim_cmd =
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Transient-simulate a SPICE deck, CSV to stdout")
-    Term.(const run $ telemetry_term $ checkpoint_term $ deck_arg $ tstop_arg
+    Term.(const run $ telemetry_term $ deck_arg $ tstop_arg
           $ dt_arg $ probes_arg $ ic_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -702,10 +685,9 @@ let chaos_cmd =
                    of the campaigns but every seed must satisfy the \
                    same invariants.")
   in
-  let run tel ck seed =
+  let run tel seed =
     let violations =
       with_telemetry tel @@ fun () ->
-      with_checkpoint ck @@ fun _ck ->
       Fun.protect ~finally:(fun () -> Chaos.disarm ()) @@ fun () ->
       (* reconciliation reads the telemetry counters, so the harness
          runs with telemetry on regardless of --metrics *)
@@ -829,18 +811,23 @@ let chaos_cmd =
       O.clear_cache ();
       Chaos.disarm ();
       let clean = C.Report.figure2 ~rops ~stress ~kind ~placement () in
-      let path = Filename.temp_file "dramstress_chaos_ck" ".jsonl" in
+      let dir = Filename.temp_dir "dramstress_chaos" ".store" in
+      (* the sweep runs against a store, as [plane --store] does *)
+      let figure2_in_store () =
+        with_sweep_store ~cmd:"chaos" (Some dir) @@ fun checkpoint ->
+        C.Report.figure2 ?checkpoint ~rops ~stress ~kind ~placement ()
+      in
       Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        ~finally:(fun () ->
+          Array.iter
+            (fun f ->
+              try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+            (Sys.readdir dir);
+          try Sys.rmdir dir with Sys_error _ -> ())
         (fun () ->
           Chaos.configure ~seed "truncate_checkpoint@2";
           O.clear_cache ();
-          let store = Ck.open_ path in
-          let chaotic =
-            C.Report.figure2 ~checkpoint:store ~rops ~stress ~kind ~placement
-              ()
-          in
-          Ck.close store;
+          let chaotic = figure2_in_store () in
           let inj = Chaos.injected Chaos.Truncate_checkpoint in
           check "chaos struck" (inj > 0);
           check "running campaign unaffected by truncation"
@@ -848,12 +835,7 @@ let chaos_cmd =
           finish_class Chaos.Truncate_checkpoint;
           Chaos.disarm ();
           O.clear_cache ();
-          let store = Ck.open_ ~resume:true path in
-          let resumed =
-            C.Report.figure2 ~checkpoint:store ~rops ~stress ~kind ~placement
-              ()
-          in
-          Ck.close store;
+          let resumed = figure2_in_store () in
           check "resume after truncation is byte-identical"
             (String.equal resumed clean));
 
@@ -879,14 +861,13 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Self-test the failure paths with deterministic fault injection")
-    Term.(const run $ telemetry_term $ checkpoint_term $ seed_arg)
+    Term.(const run $ telemetry_term $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* campaign: manifest-driven studies over a persistent result store    *)
 (* ------------------------------------------------------------------ *)
 
 module Cp = Dramstress_campaign
-module Store = Dramstress_util.Store
 module B = Dramstress_util.Build_info
 
 let manifest_pos idx docv =
@@ -902,10 +883,6 @@ let store_opt_arg =
 let store_dir_of manifest = function
   | Some dir -> dir
   | None -> Filename.remove_extension manifest ^ ".campaign"
-
-let with_store ~name dir f =
-  let store = Store.open_ ~name dir in
-  Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
 
 let jobs_arg =
   Arg.(value & opt (some int) None
@@ -1316,12 +1293,8 @@ let store_merge_cmd =
     with_telemetry tel @@ fun () ->
     if not (Sys.file_exists src && Sys.is_directory src) then
       failwith (src ^ " is not a store directory");
-    let dst_name =
-      match Store.index dst with
-      | Some ix -> ix.Store.ix_name
-      | None -> "store"
-    in
-    let dst_store = Store.open_ ~name:dst_name dst in
+    (* an existing store keeps its own name; a fresh DST is "store" *)
+    let dst_store = Store.open_ ~name:"store" dst in
     let src_store = Store.open_ ~name:"merge-src" src in
     Fun.protect
       ~finally:(fun () ->
@@ -1366,12 +1339,11 @@ let version_cmd =
 (* ------------------------------------------------------------------ *)
 
 let catalog_cmd =
-  let run tel ck () =
-    with_telemetry tel @@ fun () ->
-    with_checkpoint ck @@ fun _ck -> print_string (D.describe_figure7 ())
+  let run tel =
+    with_telemetry tel @@ fun () -> print_string (D.describe_figure7 ())
   in
   Cmd.v (Cmd.info "catalog" ~doc:"Show the defect catalog (Figure 7)")
-    Term.(const run $ telemetry_term $ checkpoint_term $ const ())
+    Term.(const run $ telemetry_term)
 
 let () =
   (* opt into fault injection when DRAMSTRESS_CHAOS is set; dormant

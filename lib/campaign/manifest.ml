@@ -328,64 +328,10 @@ let of_string ?(source = "<string>") src =
     | Atom ("best-no-pause" | "best-nopause") ->
       detections := Best_no_pause :: !detections
     | List [ Atom "seq"; Atom s ] -> begin
-      match Dramstress_dram.Ops.parse_seq s with
-      | exception Invalid_argument msg ->
+      match Det.of_string s with
+      | Ok d -> detections := Seq d :: !detections
+      | Error msg ->
         diag (Bad_value { section = "detections"; field = "seq"; value = s; msg })
-      | _ ->
-        (* parse_seq validated the tokens; rebuild as a detection with
-           expected read values (rN tokens carry them; bare r reads the
-           last written bit) *)
-        let steps, _ =
-          List.fold_left
-            (fun (acc, last) tok ->
-              match String.lowercase_ascii tok with
-              | "" -> (acc, last)
-              | "w0" -> (Det.Write 0 :: acc, 0)
-              | "w1" -> (Det.Write 1 :: acc, 1)
-              | "r0" -> (Det.Read 0 :: acc, last)
-              | "r1" -> (Det.Read 1 :: acc, last)
-              | "r" -> (Det.Read last :: acc, last)
-              | "ham" -> (Det.Hammer 1 :: acc, last)
-              | t when String.length t > 3 && String.sub t 0 3 = "ham" -> begin
-                match
-                  int_of_string_opt (String.sub t 3 (String.length t - 3))
-                with
-                | Some n when n > 0 -> (Det.Hammer n :: acc, last)
-                | Some _ | None ->
-                  diag
-                    (Bad_value
-                       {
-                         section = "detections";
-                         field = "seq";
-                         value = t;
-                         msg = "bad hammer count";
-                       });
-                  (acc, last)
-              end
-              | t when String.length t > 1 && t.[0] = 'p' -> begin
-                match float_of_string_opt (String.sub t 1 (String.length t - 1)) with
-                | Some p -> (Det.Wait p :: acc, last)
-                | None -> (acc, last)
-              end
-              | t ->
-                diag
-                  (Bad_value
-                     {
-                       section = "detections";
-                       field = "seq";
-                       value = t;
-                       msg = "expected w0|w1|r|r0|r1|p<seconds>|ham<n>";
-                     });
-                (acc, last))
-            ([], 0)
-            (String.split_on_char ' '
-               (String.map (function ',' -> ' ' | c -> c) s))
-        in
-        (match Det.v (List.rev steps) with
-        | d -> detections := Seq d :: !detections
-        | exception Invalid_argument msg ->
-          diag
-            (Bad_value { section = "detections"; field = "seq"; value = s; msg }))
     end
     | List [ Atom "march"; Atom s ] -> begin
       match M.parse ~name:s s with

@@ -55,7 +55,8 @@ type detection_spec =
           allowed *)
   | Best_no_pause  (** as [Best] but pause-free (nominal-test style) *)
   | Seq of Dramstress_core.Detection.t
-      (** an explicit operation sequence, e.g. ["w1 w1 w0 r0"] *)
+      (** an explicit operation sequence, e.g. ["w1 w1 w0 r0"], parsed by
+          {!Dramstress_core.Detection.of_string} *)
   | March of Dramstress_march.March.t
       (** a march test, lowered to its per-cell operation stream
           ({!Dramstress_march.March.to_detection}) *)

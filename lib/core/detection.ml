@@ -19,6 +19,51 @@ let v steps =
     steps;
   { steps }
 
+(* tokens split on blanks and commas; [r] reads the last written bit
+   (0 before any write), [p<s>] pauses, [ham] / [ham<n>] hammers *)
+let of_string s =
+  let tokens =
+    String.map (function ',' | '\t' | '\n' | '\r' -> ' ' | c -> c) s
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+  in
+  let suffix t k = String.sub t k (String.length t - k) in
+  let step last tok =
+    match String.lowercase_ascii tok with
+    | "w0" -> Ok (Write 0, 0)
+    | "w1" -> Ok (Write 1, 1)
+    | "r0" -> Ok (Read 0, last)
+    | "r1" -> Ok (Read 1, last)
+    | "r" -> Ok (Read last, last)
+    | "ham" -> Ok (Hammer 1, last)
+    | t when String.starts_with ~prefix:"ham" t -> (
+      match int_of_string_opt (suffix t 3) with
+      | Some n when n >= 1 -> Ok (Hammer n, last)
+      | Some _ | None ->
+        Error
+          (Printf.sprintf "bad hammer count in %S (need ham<n>, n >= 1)" tok))
+    | t when String.starts_with ~prefix:"p" t -> (
+      match float_of_string_opt (suffix t 1) with
+      | Some d when Float.is_finite d && d > 0.0 -> Ok (Wait d, last)
+      | Some _ | None ->
+        Error
+          (Printf.sprintf "bad pause in %S (need p<seconds>, finite and > 0)"
+             tok))
+    | _ ->
+      Error
+        (Printf.sprintf
+           "bad token %S (expected w0|w1|r|r0|r1|p<seconds>|ham<n>)" tok)
+  in
+  let rec go acc last = function
+    | [] when acc = [] -> Error "empty detection condition"
+    | [] -> Ok (v (List.rev acc))
+    | tok :: rest -> (
+      match step last tok with
+      | Ok (st, last) -> go (st :: acc) last rest
+      | Error _ as e -> e)
+  in
+  go [] 0 tokens
+
 let standard ~victim ~primes =
   if primes < 1 then invalid_arg "Detection.standard: primes < 1";
   if victim <> 0 && victim <> 1 then invalid_arg "Detection.standard: victim";

@@ -20,6 +20,17 @@ type t = { steps : step list }
     >= 1. *)
 val v : step list -> t
 
+(** [of_string s] parses the condition text of [br --condition] and of
+    a manifest's [(seq "...")] item, e.g. ["w1 w1 w0 r0"] or
+    ["w1,p1e-3,r"]. Tokens are separated by blanks or commas and are
+    case-insensitive: [w0] [w1] write; [r0] [r1] read expecting that
+    bit; a bare [r] expects the last written bit (0 before any write);
+    [p<seconds>] pauses (finite, > 0); [ham] / [ham<n>] hammers the
+    aggressor once / n >= 1 times. Any other token, a bad count or
+    pause, or an empty condition is an [Error] naming the problem;
+    nothing raises. *)
+val of_string : string -> (t, string) result
+
 (** [standard ~victim ~primes] is the paper's shape:
     [primes] writes of the complement, one write of [victim], one read of
     [victim]. [primes >= 1]. *)

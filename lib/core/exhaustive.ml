@@ -17,7 +17,7 @@ type t = {
   failures : S.t Dramstress_util.Outcome.failure list;
 }
 
-let optimize ?(config = Sc.default) ?checkpoint ?window
+let optimize ?(config = Sc.default) ?window
     ?(tcyc_values = [ 55e-9; 60e-9; 65e-9 ])
     ?(temp_values = [ -33.0; 27.0; 87.0 ])
     ?(vdd_values = [ 2.1; 2.4; 2.7 ]) ~nominal ~kind ~placement detection =
@@ -51,7 +51,7 @@ let optimize ?(config = Sc.default) ?checkpoint ?window
                      ("vdd", Tel.Float sc.S.vdd) ])
                  (fun () ->
                    ( sc,
-                     Border.search ?checkpoint ?window ~config ~stress:sc
+                     Border.search ?window ~config ~stress:sc
                        ~kind ~placement detection ))))
          combos)
   in
@@ -83,19 +83,16 @@ type comparison = {
   agreement : bool;
 }
 
-let compare_methods ?config ?checkpoint ?window ~nominal ~kind
-    ~placement () =
+let compare_methods ?config ?window ~nominal ~kind ~placement () =
   let detection =
     Detection.standard ~victim:(D.logical_victim kind placement) ~primes:2
   in
   let exhaustive =
-    optimize ?config ?checkpoint ?window ~nominal ~kind ~placement
-      detection
+    optimize ?config ?window ~nominal ~kind ~placement detection
   in
   let before = O.Cache.(requests default) in
   let e =
-    Sc_eval.evaluate ?config ?checkpoint ?window ~nominal ~kind
-      ~placement ()
+    Sc_eval.evaluate ?config ?window ~nominal ~kind ~placement ()
   in
   let probe_simulations = O.Cache.(requests default) - before in
   let close a b rel = Float.abs (a -. b) <= rel *. Float.abs b +. 1e-12 in

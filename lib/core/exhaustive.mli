@@ -32,13 +32,11 @@ type t = {
     [core.sweep.point_ms] telemetry histogram and emits an
     [exhaustive.point] span.
 
-    [checkpoint] memoizes each grid point's whole border search, so an
-    interrupted optimization resumes where it stopped. A grid point that
-    still fails lands in [t.failures]; [Invalid_argument] is raised only
-    when the grid is empty or {e no} point survived. *)
+    A grid point whose border search fails lands in [t.failures];
+    [Invalid_argument] is raised only when the grid is empty or {e no}
+    point survived. *)
 val optimize :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
   ?tcyc_values:float list ->
   ?temp_values:float list ->
@@ -65,7 +63,6 @@ type comparison = {
     under one [config] and reports the simulation budgets. *)
 val compare_methods :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
   nominal:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->

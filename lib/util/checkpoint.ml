@@ -1,11 +1,11 @@
-(* Incremental JSONL checkpoint store for resumable sweeps.
+(* The record file of a campaign store: incremental JSONL, one record
+   per completed sweep point.
 
-   One record per completed sweep point, appended and flushed as soon as
-   the point finishes, so a killed process loses at most the points that
-   were still in flight. Records are keyed by a stable digest of a
-   canonical point descriptor; on resume the file is replayed into a
-   hash table and already-completed points are served from it instead of
-   being recomputed.
+   Each record is appended and flushed as soon as the point finishes, so
+   a killed process loses at most the points that were still in flight.
+   Records are keyed by a stable digest of a canonical point descriptor;
+   on open the file is replayed into a hash table and already-completed
+   points are served from it instead of being recomputed.
 
    A truncated final line — the signature of a kill mid-write — is
    skipped on load rather than failing the resume. *)
@@ -88,6 +88,22 @@ let field line name =
   in
   find 0
 
+(* a record cut mid-append has no newline, so the record appended after
+   it lands on the same line: keep the line from its last record start.
+   String fields are JSON-escaped, so a brace followed by an unescaped
+   quote only ever opens a record. The dropped prefix counts as a
+   malformed line. *)
+let last_record line =
+  let rec back i =
+    if i <= 0 then line
+    else if line.[i] = '{' && line.[i + 1] = '"' then begin
+      Tel.Counter.incr c_skipped;
+      String.sub line i (String.length line - i)
+    end
+    else back (i - 1)
+  in
+  back (String.length line - 2)
+
 let load_into table path =
   match open_in path with
   | exception Sys_error _ -> ()
@@ -97,7 +113,7 @@ let load_into table path =
       (fun () ->
         try
           while true do
-            let line = input_line ic in
+            let line = last_record (input_line ic) in
             (* one sick line must never strand the records behind it: a
                mid-file record whose extraction raises is skipped and
                counted, and the load carries on to the tail *)
@@ -124,7 +140,7 @@ let scan path f =
       (fun () ->
         try
           while true do
-            let line = input_line ic in
+            let line = last_record (input_line ic) in
             match (field line "key", field line "value") with
             | Some key, Some value ->
               f ~descr:(field line "descr") ~engine:(field line "engine") ~key
@@ -134,16 +150,11 @@ let scan path f =
           done
         with End_of_file -> ())
 
-let open_ ?(resume = false) ?(extra = []) path =
+let open_ ?(extra = []) path =
   let table = Hashtbl.create 256 in
-  if resume then load_into table path;
-  (* resume appends behind the loaded entries; a fresh run truncates any
-     stale file so old points cannot leak into the new campaign *)
-  let flags =
-    if resume then [ Open_wronly; Open_creat; Open_append ]
-    else [ Open_wronly; Open_creat; Open_trunc ]
-  in
-  let oc = open_out_gen flags 0o644 path in
+  load_into table path;
+  (* new records append behind the replayed ones *)
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
   { path; lock = Mutex.create (); table; extra; oc = Some oc }
 
 let path t = t.path

@@ -1,19 +1,24 @@
-(** Incremental JSONL checkpoint store for resumable sweeps.
+(** The record file of a campaign store ({!Store}): incremental JSONL,
+    one record per completed sweep point.
 
-    Long sweep campaigns (planes, Table 1, Shmoo grids) write one JSONL
-    record per completed point, flushed immediately, so an interrupted
-    run can restart from where it left off: opening the same file with
-    [resume = true] replays the completed points into memory and
-    {!memo} serves them without recomputation.
+    Long sweeps (planes, Table 1, Shmoo grids, border searches) write
+    one record per completed point, flushed immediately, so an
+    interrupted run can restart from where it left off: opening the file
+    replays the completed points into memory and {!memo} serves them
+    without recomputation. A store keeps this file as
+    [DIR/records.jsonl] (one per shard when sharded); {!Store.open_} is
+    the front end, {!Store.checkpoint_for} hands out the handle.
 
     Records are [{"descr": ..., "key": ..., "value": ...}] where [key]
     is a stable digest of a canonical point descriptor ({!digest_key})
     and [value] is the layer's own compact payload encoding (hex floats,
-    so decoded results are bit-identical to computed ones). A truncated
-    final line — the signature of a kill mid-write — is skipped on load.
+    so decoded results are bit-identical to computed ones). A store
+    stamps an [engine] field as well; unknown fields are ignored on
+    load. A truncated final line — the signature of a kill mid-write —
+    is skipped on load.
 
     Handles are domain-safe: {!find}/{!record} take an internal lock, so
-    parallel sweep workers ({!Par.parallel_map}) may share one store.
+    parallel sweep workers ({!Par.parallel_map}) may share one file.
 
     When {!Telemetry} is enabled, activity feeds the
     [util.checkpoint.hits] / [misses] / [records] / [loaded] /
@@ -27,16 +32,15 @@
 
 type t
 
-(** [open_ ?resume ?extra path] opens a store. With [resume = false]
-    (the default) any existing file at [path] is truncated — a fresh
-    campaign. With [resume = true] existing records are loaded first and
-    new records appended behind them. [extra] is a list of constant
-    [(field, value)] string pairs stamped onto every record line written
-    through this handle — e.g. the engine identity of the producing
+(** [open_ ?extra path] opens the record file at [path], creating it if
+    needed. Existing records are replayed first and new records are
+    appended behind them; nothing is ever truncated. [extra] is a list
+    of constant [(field, value)] string pairs stamped onto every record
+    line written through this handle — e.g. the engine identity of the producing
     binary ({!Build_info.identity}), so stale results are detectable
     after an engine upgrade. Loading tolerates (and ignores) unknown
     fields, so stores written with different [extra] sets interoperate. *)
-val open_ : ?resume:bool -> ?extra:(string * string) list -> string -> t
+val open_ : ?extra:(string * string) list -> string -> t
 
 val path : t -> string
 

@@ -196,7 +196,7 @@ let open_checkpoint ~engine ~name ~shards dirpath =
   clean_orphan_tmps dirpath;
   let prior = index dirpath in
   let ck =
-    Checkpoint.open_ ~resume:true
+    Checkpoint.open_
       ~extra:[ ("engine", engine) ]
       (Filename.concat dirpath records_file)
   in
@@ -241,6 +241,9 @@ let open_ ?engine ?shards ~name dirpath =
   in
   mkdir_p dirpath;
   clean_orphan_tmps dirpath;
+  (* a store keeps the name it was created with: reopening under another
+     name must not relabel it when the index is rewritten *)
+  let name = match index dirpath with Some ix -> ix.ix_name | None -> name in
   let sh_dir = Filename.concat dirpath shards_dirname in
   let existing_sharded =
     if Sys.file_exists sh_dir && Sys.is_directory sh_dir then
@@ -349,12 +352,6 @@ let route_digest t digest =
   match t.backend with
   | Single ck -> ck
   | Sharded { count; _ } -> shard_checkpoint t (shard_of_digest count digest)
-
-let checkpoint t =
-  match t.backend with
-  | Single ck -> ck
-  | Sharded _ ->
-    invalid_arg "Store.checkpoint: store is sharded; use checkpoint_for"
 
 let checkpoint_for t ~key = route_digest t (Checkpoint.digest_key key)
 

@@ -1,15 +1,16 @@
 (** Content-addressed persistent result store — a campaign directory.
 
-    Where {!Checkpoint} is a single resumable file owned by one run, a
-    [Store] is a durable directory meant to outlive any number of runs:
-    results accumulate append-only across processes and are shared by
-    fingerprint, so two campaigns (or a campaign and a direct sweep)
-    that need the same simulated point compute it once.
+    A [Store] is a durable directory meant to outlive any number of
+    runs: results accumulate append-only across processes and are
+    shared by fingerprint, so two campaigns (or a campaign and a direct
+    sweep) that need the same simulated point compute it once. It is
+    the one place a campaign or a CLI sweep ([--store DIR]) persists
+    to.
 
     Layout under the store directory, single-file mode (the default):
 
-    - [records.jsonl] — the {!Checkpoint} machinery opened in
-      append-only mode: one record per completed point, hex-float
+    - [records.jsonl] — a {!Checkpoint} record file: one record per
+      completed point, replayed on open and appended to, hex-float
       payloads, flushed per record, truncated-final-line tolerance,
       domain-safe. Every record is stamped with the engine identity of
       the binary that produced it ({!Build_info.identity} unless
@@ -56,8 +57,10 @@ type t
 (** [open_ ?engine ?shards ~name dir] opens (creating if needed) the
     store directory [dir]. Existing records are loaded (single mode) or
     mapped lazily (sharded mode); new records append. [name] labels the
-    store in [index.json]; [engine] (default {!Build_info.identity}) is
-    stamped onto every record written through this handle.
+    store in [index.json] when [dir] is created; an existing store keeps
+    the name its index already holds, whatever [name] is given.
+    [engine] (default {!Build_info.identity}) is stamped onto every
+    record written through this handle.
 
     [shards >= 2] creates a fresh store sharded that many ways; [shards]
     absent (or [<= 1]) creates single-file. An existing store's layout
@@ -68,6 +71,8 @@ type t
 val open_ : ?engine:string -> ?shards:int -> name:string -> string -> t
 
 val dir : t -> string
+
+(** [name t] is the name the store was created with (see {!open_}). *)
 val name : t -> string
 
 (** [engine t] is the identity stamped on records this handle writes. *)
@@ -81,19 +86,15 @@ val shards : t -> int
     a sharded store this opens every shard that has records on disk. *)
 val entries : t -> int
 
-(** [checkpoint t] is the underlying {!Checkpoint} handle of a
-    single-file store — the reuse hook: pass it as [?checkpoint] to
-    {!Dramstress_core.Border.search}, Table 1 generation or any other
-    sweep layer and their per-point memoization lands in this store,
-    content-addressed alongside the campaign's own records. Raises
-    [Invalid_argument] on a sharded store — use {!checkpoint_for}. *)
-val checkpoint : t -> Checkpoint.t
-
 (** [checkpoint_for t ~key] is the {!Checkpoint} handle that holds (or
     would hold) descriptor [key] — on a sharded store, the key's shard,
-    opened lazily; on a single-file store, the one handle. Sweep layers
-    working on one point should pass this as their [?checkpoint], so
-    the point's probe memos shard together with its result. *)
+    opened lazily; on a single-file store, the one handle. This is the
+    reuse hook: pass it as [?checkpoint] to
+    {!Dramstress_core.Border.search}, Table 1 generation or any other
+    sweep layer and their per-point memoization lands in this store,
+    content-addressed alongside the campaign's own records. A campaign
+    point passes its own descriptor, so the point's probe memos shard
+    together with its result; a CLI sweep passes its subcommand name. *)
 val checkpoint_for : t -> key:string -> Checkpoint.t
 
 (** [find t ~key] looks up the raw (undigested) descriptor [key]. *)

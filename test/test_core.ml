@@ -30,6 +30,41 @@ let test_detection_validation () =
   Alcotest.check_raises "primes" (Invalid_argument "Detection.standard: primes < 1")
     (fun () -> ignore (C.Detection.standard ~victim:0 ~primes:0))
 
+let test_detection_of_string () =
+  let open C.Detection in
+  let good =
+    [
+      ("w1 w1 w0 r0", [ Write 1; Write 1; Write 0; Read 0 ]);
+      ("W1 W0 R0", [ Write 1; Write 0; Read 0 ]);
+      ("w1,w0,r", [ Write 1; Write 0; Read 0 ]);
+      ("  w0 ,, w1  r ", [ Write 0; Write 1; Read 1 ]);
+      ("r", [ Read 0 ]);
+      ("w1 p1e-3 r1", [ Write 1; Wait 1e-3; Read 1 ]);
+      ("w0 ham r0", [ Write 0; Hammer 1; Read 0 ]);
+      ("w0 ham12 r0", [ Write 0; Hammer 12; Read 0 ]);
+    ]
+  in
+  List.iter
+    (fun (text, steps) ->
+      match of_string text with
+      | Ok d -> Alcotest.(check bool) text true (d.steps = steps)
+      | Error msg -> Alcotest.failf "%S rejected: %s" text msg)
+    good;
+  let bad =
+    [ ""; " , "; "w2"; "w1 x r0"; "w1 pjunk r0"; "w1 p r0"; "w1 p0 r0";
+      "w1 p-1 r0"; "w1 pnan r0"; "w1 pinf r0"; "w1 ham0 r0"; "w1 ham-2 r0";
+      "w1 hamx r0"; "r2"; "w1 w0 r0x" ]
+  in
+  List.iter
+    (fun text ->
+      match of_string text with
+      | Ok d -> Alcotest.failf "%S accepted as %s" text (to_string d)
+      | Error msg ->
+        Alcotest.(check bool) (text ^ " has a message") true (msg <> "")
+      | exception e ->
+        Alcotest.failf "%S raised %s" text (Printexc.to_string e))
+    bad
+
 let test_detection_lowering () =
   let cond = C.Detection.retention ~victim:1 ~pause:1e-3 in
   (match C.Detection.ops cond with
@@ -498,16 +533,111 @@ let test_plane_checkpoint_resume_identical () =
       List.iter (fun l -> output_string oc (l ^ "\n")) keep;
       close_out oc;
       (* resume: recomputes the dropped tail, serves the kept head *)
-      let ck = Ck.open_ ~resume:true path in
+      let ck = Ck.open_ path in
       Alcotest.(check int) "partial store" 3 (Ck.entries ck);
       let resumed = sweep ~checkpoint:ck () in
       Ck.close ck;
       Alcotest.(check bool) "resumed plane identical to uninterrupted" true
         (resumed = reference);
-      let ck = Ck.open_ ~resume:true path in
+      let ck = Ck.open_ path in
       Alcotest.(check int) "store complete again" (List.length small_rops)
         (Ck.entries ck);
       Ck.close ck)
+
+(* a campaign store is the one place a CLI sweep persists to; these
+   pin that a bare record file migrates into one by a copy, and that
+   the same sweep resumes through a sharded store *)
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+
+let write_lines path lines =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
+let with_tmp_dir f =
+  let dir = Filename.temp_dir "dramstress_store" "" in
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect
+    ~finally:(fun () -> try rm dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+let plane_config = Dramstress_dram.Sim_config.v ~jobs:1 ()
+
+let plane_sweep ?checkpoint () =
+  C.Plane.write_plane ~config:plane_config ~n_ops:2 ~rops:small_rops
+    ?checkpoint ~stress:nominal ~kind:open_kind ~placement:D.True_bl
+    ~op:O.W0 ()
+
+(* the sweep through [dir]'s store, as [dramstress plane --store dir]
+   routes it, with the simulations its points spent from a cold cache
+   (the plane's V_mp bisection is not a sweep point and is warmed
+   first) *)
+let plane_sweep_in_store dir =
+  let module St = Dramstress_util.Store in
+  O.clear_cache ();
+  ignore (C.Plane.vmp ~config:plane_config ~stress:nominal ());
+  let before = O.simulations () in
+  let st = St.open_ ~name:"plane" dir in
+  let plane =
+    Fun.protect ~finally:(fun () -> St.close st) (fun () ->
+        plane_sweep ~checkpoint:(St.checkpoint_for st ~key:"plane") ())
+  in
+  (plane, O.simulations () - before)
+
+let test_plane_checkpoint_file_migrates_to_store () =
+  let module Ck = Dramstress_util.Checkpoint in
+  with_tmp_dir @@ fun tmp ->
+  let old_file = Filename.concat tmp "plane_ck.jsonl" in
+  let ck = Ck.open_ old_file in
+  let recorded = plane_sweep ~checkpoint:ck () in
+  Ck.close ck;
+  let dir = Filename.concat tmp "store" in
+  Sys.mkdir dir 0o755;
+  write_lines (Filename.concat dir "records.jsonl") (read_lines old_file);
+  let replayed, sims = plane_sweep_in_store dir in
+  Alcotest.(check int) "zero new simulations" 0 sims;
+  Alcotest.(check bool) "replayed plane identical" true (replayed = recorded)
+
+let test_plane_sharded_store_resume () =
+  with_tmp_dir @@ fun dir ->
+  let module St = Dramstress_util.Store in
+  St.close (St.open_ ~shards:4 ~name:"plane" dir);
+  let cold, cold_sims = plane_sweep_in_store dir in
+  let shard_files =
+    let root = Filename.concat dir "shards" in
+    Sys.readdir root |> Array.to_list
+    |> List.map (fun sh ->
+           Filename.concat (Filename.concat root sh) "records.jsonl")
+    |> List.filter Sys.file_exists
+  in
+  (* every record routes through the one handle "plane" names *)
+  let file =
+    match shard_files with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "expected one shard file, found %d" (List.length fs)
+  in
+  let lines = read_lines file in
+  Alcotest.(check int) "one record per point" (List.length small_rops)
+    (List.length lines);
+  write_lines file (List.filteri (fun i _ -> 2 * i < List.length lines) lines);
+  let resumed, resumed_sims = plane_sweep_in_store dir in
+  Alcotest.(check bool) "resumed plane identical" true (resumed = cold);
+  Alcotest.(check bool)
+    (Printf.sprintf "only the cut half re-simulated: 0 < %d < %d" resumed_sims
+       cold_sims)
+    true
+    (resumed_sims > 0 && resumed_sims < cold_sims);
+  Alcotest.(check int) "store complete again" (List.length small_rops)
+    (List.length (read_lines file))
 
 (* ------------------------------------------------------------------ *)
 (* Stressor                                                            *)
@@ -1041,7 +1171,7 @@ let test_border_adaptive_checkpoint_resume () =
       let oc = open_out path in
       List.iter (fun l -> output_string oc (l ^ "\n")) keep;
       close_out oc;
-      let ck = Ck.open_ ~resume:true path in
+      let ck = Ck.open_ path in
       let resumed, resumed_probes = search (Some ck) in
       Ck.close ck;
       Alcotest.(check bool) "resumed result identical" true
@@ -1052,7 +1182,7 @@ let test_border_adaptive_checkpoint_resume () =
         true
         (resumed_probes > 0 && resumed_probes < cold_probes);
       (* a third run replays the completed whole-result record: free *)
-      let ck = Ck.open_ ~resume:true path in
+      let ck = Ck.open_ path in
       let replayed, replay_probes = search (Some ck) in
       Ck.close ck;
       Alcotest.(check bool) "warm replay is free and identical" true
@@ -1106,6 +1236,7 @@ let () =
         [
           tc "standard shape" test_detection_standard_shape;
           tc "validation" test_detection_validation;
+          tc "of_string table" test_detection_of_string;
           tc "lowering to ops" test_detection_lowering;
           tc "initial voltage per placement" test_detection_initial_vc;
           tc "detects an open" test_detects_open;
@@ -1159,6 +1290,10 @@ let () =
             test_plane_all_points_failed_renders;
           slow "checkpoint resume is byte-identical"
             test_plane_checkpoint_resume_identical;
+          slow "checkpoint file migrates into a store"
+            test_plane_checkpoint_file_migrates_to_store;
+          slow "sharded store resume is bit-identical"
+            test_plane_sharded_store_resume;
           slow "N-lane sweeps match one-lane" test_lane_sweeps_match_one_lane;
         ] );
       ( "stressor",
