@@ -16,7 +16,6 @@ module M = Dramstress_march
 module U = Dramstress_util.Units
 module Tel = Dramstress_util.Telemetry
 module Sc = Dramstress_dram.Sim_config
-module Chaos = Dramstress_util.Chaos
 
 let nominal = S.nominal
 let open_kind = D.Open_cell D.At_bitline_contact
@@ -420,66 +419,6 @@ let perf_engine_ab () =
     (Gc.minor_words () -. w0) /. float_of_int (lanes_n * batch_pts)
   in
   let lane_alloc_ok = words_lane <= lane_words_limit in
-  (* --- chaos smoke: per-lane failure isolation in a batch ----------- *)
-  (* One NaN, one lane: [inject_nan_state@+1] fires on the very first
-     Newton chaos query of the run, which is lane 0's initial
-     quasi-static solve. The lane dies inside the ensemble, falls back
-     to the full one-lane ladder (the one-shot fault is already spent, so
-     the fallback converges), and every other lane must finish
-     untouched — bitwise equal to the clean batch. *)
-  let vc_ends = function
-    | Ok oc -> List.map (fun (r : O.op_result) -> r.O.vc_end) oc.O.results
-    | Error _ -> []
-  in
-  let bitwise_eq a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-         a b
-  in
-  let fallbacks0 = O.lane_fallbacks () in
-  Chaos.configure ~seed:7 "inject_nan_state@+1";
-  let poisoned_batch = batch_run () in
-  Chaos.disarm ();
-  let chaos_injected = Chaos.injected Chaos.Inject_nan_state in
-  let chaos_fallbacks = O.lane_fallbacks () - fallbacks0 in
-  let chaos_all_ok =
-    List.for_all (function Ok _ -> true | Error _ -> false) poisoned_batch
-  in
-  let chaos_others_bitwise =
-    List.for_all2
-      (fun c p -> bitwise_eq (vc_ends c) (vc_ends p))
-      (List.tl clean_batch) (List.tl poisoned_batch)
-  in
-  (* and a lane that exhausts retries for real: an infinite initial
-     voltage fails the ensemble and the whole one-lane ladder, so its slot
-     must surface [Exhausted_retries] while its batch mates still match
-     the clean run bitwise *)
-  let fallbacks1 = O.lane_fallbacks () in
-  let doomed_batch =
-    O.run_batch ~cache:batch_cache ~stress:nominal
-      ~lanes:
-        (List.mapi
-           (fun i l ->
-             if i = 3 then { l with O.vc_init = Float.infinity } else l)
-           batch_lanes)
-      [ O.W0 ]
-  in
-  let doomed_fallbacks = O.lane_fallbacks () - fallbacks1 in
-  let doomed_isolated =
-    List.for_all2
-      (fun i c ->
-        match (i, List.nth doomed_batch i) with
-        | 3, Error (O.Exhausted_retries _) -> true
-        | 3, _ -> false
-        | _, Ok _ -> bitwise_eq (vc_ends c) (vc_ends (List.nth doomed_batch i))
-        | _, Error _ -> false)
-      (List.init lanes_n Fun.id) clean_batch
-  in
-  let chaos_ok =
-    chaos_injected = 1 && chaos_fallbacks = 1 && chaos_all_ok
-    && chaos_others_bitwise && doomed_fallbacks = 1 && doomed_isolated
-  in
   (* --- one shmoo row ------------------------------------------------ *)
   let detection =
     C.Detection.v
@@ -506,67 +445,6 @@ let perf_engine_ab () =
   O.Cache.resize O.Cache.default 512;
   O.Cache.set_enabled O.Cache.default true;
   let shmoo_fast = wall (shmoo_row sim_fast) in
-  O.Cache.resize O.Cache.default 512;
-  (* --- adaptive planner tripwire ------------------------------------ *)
-  (* The PR-7 acceptance: on a dense border window the adaptive campaign
-     planner must reach the exact grid-strategy borders from >= 5x fewer
-     simulated points. Two campaigns identical but for the strategy
-     field, each against a fresh store and a cleared solver cache;
-     [O.simulations] counts solver cache misses — the honest cost metric
-     (store reuse and LRU hits are free). *)
-  let module Cm = Dramstress_campaign.Manifest in
-  let module Cr = Dramstress_campaign.Runner in
-  let module St = Dramstress_util.Store in
-  let planner_manifest strategy =
-    Printf.sprintf
-      "(campaign (name adapt-bench) (defects (O1 true)) (stress nominal) \
-       (sweep (vdd 2.1 2.4 2.7)) (detections (seq \"w1 w1 w0 r0\")) \
-       (border (r-min 1e4) (r-max 1e8) (grid-points 65) (rel-tol 0.05) \
-       (strategy %s)))"
-      strategy
-  in
-  let with_temp_store name f =
-    let dir = Filename.temp_file "dramstress_bench" "" in
-    Sys.remove dir;
-    let rec rm p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Sys.rmdir p
-        end
-        else Sys.remove p
-    in
-    Fun.protect
-      ~finally:(fun () -> try rm dir with Sys_error _ -> ())
-      (fun () ->
-        let store = St.open_ ~engine:"bench" ~name dir in
-        Fun.protect ~finally:(fun () -> St.close store) (fun () -> f store))
-  in
-  let run_planner strategy =
-    let m = Cm.of_string (planner_manifest strategy) in
-    with_temp_store m.Cm.name @@ fun store ->
-    O.clear_cache ();
-    let before = O.simulations () in
-    let r = Cr.run ~jobs:1 ~store m in
-    (r, O.simulations () - before)
-  in
-  let planner_grid, planner_grid_sims = run_planner "grid" in
-  let planner_adaptive, planner_adaptive_sims = run_planner "adaptive" in
-  let planner_ratio =
-    ratio (float_of_int planner_grid_sims) (float_of_int planner_adaptive_sims)
-  in
-  let planner_limit = 5.0 in
-  let planner_parity =
-    List.length planner_grid.Cr.results = 4
-    && List.length planner_adaptive.Cr.results = 4
-    && List.for_all2
-         (fun (_, (g : Dramstress_campaign.Plan.result))
-              (_, (a : Dramstress_campaign.Plan.result)) ->
-           C.Border.equal_result g.Dramstress_campaign.Plan.br
-             a.Dramstress_campaign.Plan.br)
-         planner_grid.Cr.results planner_adaptive.Cr.results
-  in
-  let planner_ok = planner_ratio >= planner_limit && planner_parity in
   O.Cache.resize O.Cache.default 512;
   (* --- disabled-telemetry overhead guard ---------------------------- *)
   (* The probes are compiled into the hot path, so there is no probe-free
@@ -637,20 +515,9 @@ let perf_engine_ab () =
   Printf.printf "  %-34s %10.0f words (limit %.0f: %s)\n"
     "batched alloc / lane / point" words_lane lane_words_limit
     (if lane_alloc_ok then "ok" else "EXCEEDED");
-  Printf.printf
-    "  batch chaos smoke: %d injected, %d+%d fallbacks, isolation %s\n"
-    chaos_injected chaos_fallbacks doomed_fallbacks
-    (if chaos_ok then "ok" else "VIOLATED");
   Printf.printf "  %-34s naive %10.3f   incremental %10.3f   speedup %5.2fx\n"
     "shmoo row, plot + re-plot (s)" shmoo_naive shmoo_fast
     (ratio shmoo_naive shmoo_fast);
-  Printf.printf
-    "  %-34s grid  %10d   adaptive    %10d   ratio %6.2fx (limit %.0fx, \
-     parity %s: %s)\n"
-    "planner simulated points" planner_grid_sims planner_adaptive_sims
-    planner_ratio planner_limit
-    (if planner_parity then "ok" else "VIOLATED")
-    (if planner_ok then "ok" else "BELOW");
   Printf.printf "  %-34s naive %10.0f   incremental %10.0f   (limit %.0f: %s)\n"
     "minor words / point" words_naive words_fast alloc_limit
     (if alloc_ok then "ok" else "EXCEEDED");
@@ -675,15 +542,8 @@ let perf_engine_ab () =
        %b },\n\
       \  \"minor_words_per_lane\": { \"batched\": %.0f, \"limit\": %.0f, \
        \"within_limit\": %b },\n\
-      \  \"batch_chaos_smoke\": { \"injected\": %d, \"nan_lane_fallbacks\": \
-       %d, \"exhausted_lane_fallbacks\": %d, \"all_lanes_recovered\": %b, \
-       \"unpoisoned_lanes_bitwise_equal\": %b, \"exhausted_lane_isolated\": \
-       %b, \"ok\": %b },\n\
       \  \"shmoo_plot_replot_s\": { \"naive\": %.4f, \"incremental\": %.4f, \
        \"speedup\": %.2f },\n\
-      \  \"adaptive_planner\": { \"grid_simulations\": %d, \
-       \"adaptive_simulations\": %d, \"ratio\": %.2f, \"limit\": %.1f, \
-       \"parity\": %b, \"within_limit\": %b },\n\
       \  \"plane_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f \
        },\n\
       \  \"minor_words_per_point\": { \"naive\": %.0f, \"incremental\": %.0f, \
@@ -695,12 +555,9 @@ let perf_engine_ab () =
       step_naive step_fast (ratio step_naive step_fast) plane_naive plane_fast
       (ratio plane_naive plane_fast) plane_naive plane_batched 16 batch_speedup
       batch_speedup_limit batch_speedup_ok words_lane lane_words_limit
-      lane_alloc_ok chaos_injected chaos_fallbacks doomed_fallbacks
-      chaos_all_ok chaos_others_bitwise doomed_isolated chaos_ok shmoo_naive
-      shmoo_fast
+      lane_alloc_ok shmoo_naive shmoo_fast
       (ratio shmoo_naive shmoo_fast)
-      planner_grid_sims planner_adaptive_sims planner_ratio planner_limit
-      planner_parity planner_ok cache.O.Cache.hits cache.O.Cache.misses hit_rate
+      cache.O.Cache.hits cache.O.Cache.misses hit_rate
       words_naive words_fast alloc_limit alloc_ok probe_ns probe_calls
       overhead_pct overhead_limit_pct overhead_ok
   in

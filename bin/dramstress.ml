@@ -215,25 +215,6 @@ let cache_stats_json (c : O.Cache.stats) =
     c.O.Cache.requests c.O.Cache.hits c.O.Cache.misses c.O.Cache.evictions
     c.O.Cache.entries c.O.Cache.capacity
 
-(* always-on mirrors of the batched-solver counters, reported next to
-   [cache_stats] so the engine ledgers reconcile with telemetry off:
-   misses = transient runs + ensemble lanes (modulo retries/fallbacks) *)
-let ensemble_stats_json (e : Dramstress_engine.Ensemble.stats) =
-  Printf.sprintf
-    "{ \"lanes\": %d, \"batches\": %d, \"masked_lane_iters\": %d, \
-     \"lane_failures\": %d, \"lane_fallbacks\": %d }"
-    e.Dramstress_engine.Ensemble.lanes e.Dramstress_engine.Ensemble.batches
-    e.Dramstress_engine.Ensemble.masked_lane_iters
-    e.Dramstress_engine.Ensemble.lane_failures (O.lane_fallbacks ())
-
-let sparse_lu_stats_json (s : Dramstress_util.Sparse_lu.stats) =
-  Printf.sprintf
-    "{ \"analyses\": %d, \"reanalyses\": %d, \"numeric_refactor\": %d, \
-     \"symbolic_reuse\": %d }"
-    s.Dramstress_util.Sparse_lu.analyses s.Dramstress_util.Sparse_lu.reanalyses
-    s.Dramstress_util.Sparse_lu.numeric_refactor
-    s.Dramstress_util.Sparse_lu.symbolic_reuse
-
 (* returns the finish hook that renders the metrics report; the command
    body runs inside [with_telemetry] so the report happens on both
    success and failure *)
@@ -255,8 +236,6 @@ let telemetry_setup metrics metrics_out trace =
     | Some fmt ->
       let snap = Tel.snapshot () in
       let cache = O.Cache.(stats default) in
-      let ens = Dramstress_engine.Ensemble.stats () in
-      let slu = Dramstress_util.Sparse_lu.stats () in
       let write_to default_channel out =
         match metrics_out with
         | Some file ->
@@ -276,35 +255,10 @@ let telemetry_setup metrics metrics_out trace =
                (%d/%d entries)\n"
               cache.O.Cache.requests cache.O.Cache.hits cache.O.Cache.misses
               cache.O.Cache.evictions cache.O.Cache.entries
-              cache.O.Cache.capacity
-          ^ Printf.sprintf
-              "ensemble: %d lanes in %d batches, %d masked lane-iters, \
-               %d lane failures, %d one-lane fallbacks\n"
-              ens.Dramstress_engine.Ensemble.lanes
-              ens.Dramstress_engine.Ensemble.batches
-              ens.Dramstress_engine.Ensemble.masked_lane_iters
-              ens.Dramstress_engine.Ensemble.lane_failures
-              (O.lane_fallbacks ())
-          ^ Printf.sprintf
-              "sparse LU: %d analyses (+%d stale reruns, %d pivot \
-               revalidations), %d numeric refactors, %d symbolic reuses\n"
-              slu.Dramstress_util.Sparse_lu.analyses
-              slu.Dramstress_util.Sparse_lu.reanalyses
-              (Option.value ~default:0
-                 (List.assoc_opt "util.sparse_lu.pivot_revalidations"
-                    snap.Tel.counters))
-              slu.Dramstress_util.Sparse_lu.numeric_refactor
-              slu.Dramstress_util.Sparse_lu.symbolic_reuse)
+              cache.O.Cache.capacity)
       | `Json ->
         write_to stdout
-          (Tel.to_json
-             ~extra:
-               [
-                 ("cache_stats", cache_stats_json cache);
-                 ("ensemble_stats", ensemble_stats_json ens);
-                 ("sparse_lu_stats", sparse_lu_stats_json slu);
-               ]
-             snap))
+          (Tel.to_json ~extra:[ ("cache_stats", cache_stats_json cache) ] snap))
 
 let telemetry_term =
   Term.(const telemetry_setup $ metrics_arg $ metrics_out_arg $ trace_arg)

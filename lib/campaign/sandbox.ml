@@ -116,7 +116,7 @@ let worker ~attempt payload =
 
 (* ---- parent side ---- *)
 
-let executor ?(on_poison = fun _ -> ()) pool ~manifest_text m =
+let executor pool ~manifest_text m =
   (* the runner hands us points, the wire wants indices: key the plan's
      deterministic order by descriptor once per submission *)
   let index_of = Hashtbl.create 64 in
@@ -136,6 +136,4 @@ let executor ?(on_poison = fun _ -> ()) pool ~manifest_text m =
       | None -> failwith "sandbox: worker returned an undecodable result"
     end
     | Error (`Worker_error msg) -> failwith msg
-    | Error (`Worker_lost n) ->
-      on_poison p;
-      raise (Procpool.Worker_lost n)
+    | Error (`Worker_lost n) -> raise (Procpool.Worker_lost n)

@@ -35,14 +35,14 @@ val decode_task : string -> (string * int * float list, string) result
     cached across tasks keyed on its text. *)
 val worker : attempt:int -> string -> string
 
-(** [executor ?on_poison pool ~manifest_text m] adapts the pool into
+(** [executor pool ~manifest_text m] adapts the pool into
     {!Runner.run}'s [?executor] hook for one submission. A
     [`Worker_error] (the point raised inside the worker) re-raises as
-    [Failure msg]; a [`Worker_lost] quarantine calls [on_poison] and
-    raises {!Dramstress_util.Procpool.Worker_lost} — both become the
-    point's [Failed] outcome in the runner. *)
+    [Failure msg]; a [`Worker_lost] quarantine (counted on
+    [util.procpool.tasks_lost]) raises
+    {!Dramstress_util.Procpool.Worker_lost} — both become the point's
+    [Failed] outcome in the runner. *)
 val executor :
-  ?on_poison:(Plan.point -> unit) ->
   Dramstress_util.Procpool.t ->
   manifest_text:string ->
   Manifest.t ->

@@ -49,9 +49,8 @@ let c_requests = Tel.Counter.make "campaign.service.requests"
 let c_dedup = Tel.Counter.make "campaign.service.inflight_dedup"
 let c_streamed = Tel.Counter.make "campaign.service.points_streamed"
 
-(* supervision + overload accounting, reconciled by [--counters] *)
-let c_worker_restarts = Tel.Counter.make "campaign.service.worker_restarts"
-let c_poison = Tel.Counter.make "campaign.service.poison_points"
+(* overload accounting, reconciled by [--counters]; worker supervision
+   is counted by the pool's own [util.procpool.*] counters *)
 let c_busy = Tel.Counter.make "campaign.service.busy_rejections"
 let c_draining = Tel.Counter.make "campaign.service.draining_rejections"
 let c_read_timeouts = Tel.Counter.make "campaign.service.read_timeouts"
@@ -177,7 +176,6 @@ let create ?jobs ?(sandbox = true) ?(max_task_deaths = 3) ?task_timeout
     else
       Some
         (Procpool.create ~max_task_deaths ?task_timeout
-           ~on_worker_restart:(fun () -> Tel.Counter.incr c_worker_restarts)
            ~workers:(Par.resolve_jobs ?jobs ())
            ~worker:Sandbox.worker ())
   in
@@ -338,9 +336,7 @@ let handle_submit srv ~send ~manifest ~jobs =
                  and width comes from the pool — per-submission [jobs]
                  cannot exceed the workers that exist *)
               let executor =
-                Sandbox.executor
-                  ~on_poison:(fun _ -> Tel.Counter.incr c_poison)
-                  pool ~manifest_text:manifest m
+                Sandbox.executor pool ~manifest_text:manifest m
               in
               Runner.run ~jobs:(Procpool.size pool) ~gate:(gate srv)
                 ~on_point ~executor ~fanout:`Threads ~store:srv.store m

@@ -38,8 +38,9 @@
 
     Counters: [campaign.service.connections] / [requests] /
     [submissions] / [inflight_dedup] / [points_streamed] /
-    [worker_restarts] / [poison_points] / [busy_rejections] /
-    [draining_rejections] / [read_timeouts]. *)
+    [busy_rejections] / [draining_rejections] / [read_timeouts]; a
+    sandboxed daemon's worker restarts and quarantined points are the
+    pool's [util.procpool.worker_restarts] / [tasks_lost]. *)
 
 type t
 

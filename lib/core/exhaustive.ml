@@ -22,7 +22,7 @@ let optimize ?(config = Sc.default) ?window
     ?(temp_values = [ -33.0; 27.0; 87.0 ])
     ?(vdd_values = [ 2.1; 2.4; 2.7 ]) ~nominal ~kind ~placement detection =
   let polarity = D.polarity kind in
-  let before = O.Cache.(requests default) in
+  let before = O.Cache.(stats default).requests in
   let combos =
     List.concat_map
       (fun tcyc ->
@@ -70,7 +70,7 @@ let optimize ?(config = Sc.default) ?window
       best;
       best_br;
       grid_size = List.length combos;
-      simulations = O.Cache.(requests default) - before;
+      simulations = O.Cache.(stats default).requests - before;
       ranking;
       failures;
     }
@@ -90,11 +90,11 @@ let compare_methods ?config ?window ~nominal ~kind ~placement () =
   let exhaustive =
     optimize ?config ?window ~nominal ~kind ~placement detection
   in
-  let before = O.Cache.(requests default) in
+  let before = O.Cache.(stats default).requests in
   let e =
     Sc_eval.evaluate ?config ?window ~nominal ~kind ~placement ()
   in
-  let probe_simulations = O.Cache.(requests default) - before in
+  let probe_simulations = O.Cache.(stats default).requests - before in
   let close a b rel = Float.abs (a -. b) <= rel *. Float.abs b +. 1e-12 in
   let agreement =
     let p = e.Sc_eval.stressed and x = exhaustive.best in

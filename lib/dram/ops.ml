@@ -252,7 +252,8 @@ module Cache = struct
     lock : Mutex.t;
     mutable lru : (cache_key, outcome) Lru.t;
     enabled : bool Atomic.t;
-    request_count : int Atomic.t;
+    hits : int Atomic.t;
+    misses : int Atomic.t;
   }
 
   let env_enabled () =
@@ -267,7 +268,8 @@ module Cache = struct
       enabled =
         Atomic.make
           (match enabled with Some b -> b | None -> env_enabled ());
-      request_count = Atomic.make 0;
+      hits = Atomic.make 0;
+      misses = Atomic.make 0;
     }
 
   let default = create ()
@@ -276,35 +278,39 @@ module Cache = struct
   let is_enabled t = Atomic.get t.enabled
   let with_lru t f = Mutex.protect t.lock (fun () -> f t.lru)
 
-  (* a fresh LRU means fresh hit/miss/eviction statistics (the original
-     [set_cache_capacity] semantics); the request counter is independent
-     of the storage and survives *)
+  let reset_stats t =
+    with_lru t (fun c ->
+        Lru.reset_stats c;
+        Atomic.set t.hits 0;
+        Atomic.set t.misses 0)
+
+  (* a fresh LRU means fresh hit/miss/eviction statistics *)
   let resize t capacity =
-    Mutex.protect t.lock (fun () -> t.lru <- Lru.create ~capacity ())
+    Mutex.protect t.lock (fun () ->
+        t.lru <- Lru.create ~capacity ();
+        Atomic.set t.hits 0;
+        Atomic.set t.misses 0)
 
   let clear t = with_lru t Lru.clear
 
   let stats t =
     with_lru t (fun c ->
+        let hits = Atomic.get t.hits and misses = Atomic.get t.misses in
         {
-          requests = Atomic.get t.request_count;
-          hits = Lru.hits c;
-          misses = Lru.misses c;
+          requests = hits + misses;
+          hits;
+          misses;
           evictions = Lru.evictions c;
           entries = Lru.length c;
           capacity = Lru.capacity c;
         })
-
-  let reset_stats t = with_lru t Lru.reset_stats
-  let requests t = Atomic.get t.request_count
-  let reset_requests t = Atomic.set t.request_count 0
 end
 
 let clear_cache () = Cache.clear Cache.default
 
 (* the planner's cost metric: requests that actually reached the solver
-   (ensemble lanes), i.e. what the paper counts as "simulations". Cached
-   replays are free and excluded. *)
+   (ensemble lanes), i.e. what the paper counts as "simulations", with
+   the cache on or off. Cached replays are free and excluded. *)
 let simulations () = (Cache.stats Cache.default).misses
 
 (* ------------------------------------------------------------------ *)
@@ -532,12 +538,6 @@ let store_outcome cache key outcome =
 
 let c_lane_fallbacks = Tel.Counter.make "dram.ops.lane_fallbacks"
 
-(* always-on mirror for [--metrics] reconciliation *)
-let g_lane_fallbacks = Atomic.make 0
-
-let lane_fallbacks () = Atomic.get g_lane_fallbacks
-let reset_lane_fallbacks () = Atomic.set g_lane_fallbacks 0
-
 let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
     ?(cache = Cache.default) ~stress ~lanes ops =
   if ops = [] then invalid_arg "Ops.run_batch: empty sequence";
@@ -557,8 +557,8 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
   Sim_config.validate cfg;
   let lanes_arr = Array.of_list lanes in
   let n = Array.length lanes_arr in
-  (* one cache key and one request/hit/miss tick per lane, whatever the
-     batch width: [requests = hits + misses] keeps holding *)
+  (* one cache key and one hit-or-miss tick per lane, whatever the batch
+     width or whether caching is on: a bypassed lookup is a miss *)
   let keys =
     Array.map
       (fun l ->
@@ -571,7 +571,6 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
   let slots : (outcome, exn) result option array = Array.make n None in
   Array.iteri
     (fun i key ->
-      Atomic.incr cache.Cache.request_count;
       Tel.Counter.incr c_requests;
       let cached =
         if Cache.is_enabled cache then
@@ -580,9 +579,12 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
       in
       match cached with
       | Some o ->
+        Atomic.incr cache.Cache.hits;
         Tel.Counter.incr c_hits;
         slots.(i) <- Some (Ok o)
-      | None -> Tel.Counter.incr c_misses)
+      | None ->
+        Atomic.incr cache.Cache.misses;
+        Tel.Counter.incr c_misses)
     keys;
   let missing = ref [] in
   for i = n - 1 downto 0 do
@@ -629,7 +631,6 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
                up as [Error Exhausted_retries] slots without disturbing
                batch mates. *)
             Tel.Counter.incr c_lane_fallbacks;
-            Atomic.incr g_lane_fallbacks;
             one_lane i)
         group
   in

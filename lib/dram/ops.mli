@@ -109,15 +109,16 @@ val sensed_bits : outcome -> int list
 
 module Cache : sig
   type t
-  (** A memo-cache handle: bounded LRU storage plus its own request
-      counter and enable flag. *)
+  (** A memo-cache handle: bounded LRU storage plus its hit/miss ledger
+      and enable flag. *)
 
-  (** Point-in-time statistics ({!stats}). [requests] counts every
-      {!Ops.run} call routed through this handle — the paper's
-      simulation-cost metric; [hits]/[misses]/[evictions] describe the
-      LRU since creation, the last {!resize} or {!reset_stats}. *)
+  (** Point-in-time statistics ({!stats}), counted per lane request
+      routed through this handle since creation, the last {!resize} or
+      {!reset_stats}. Every request is a hit or a miss, so [requests] is
+      always [hits + misses]; with caching disabled every request is a
+      miss. [misses] is the paper's simulation-cost metric. *)
   type stats = {
-    requests : int;   (** run requests, cached or not *)
+    requests : int;   (** run requests, cached or not: [hits + misses] *)
     hits : int;       (** requests served from the cache *)
     misses : int;     (** requests that ran an electrical simulation *)
     evictions : int;  (** entries dropped by capacity pressure *)
@@ -138,8 +139,7 @@ module Cache : sig
   val is_enabled : t -> bool
 
   (** [resize t n] replaces the storage with an empty LRU holding at
-      most [n] outcomes. Hit/miss/eviction statistics reset; the request
-      counter is kept. *)
+      most [n] outcomes. Statistics reset. *)
   val resize : t -> int -> unit
 
   (** [clear t] drops every cached outcome (statistics kept). *)
@@ -147,14 +147,9 @@ module Cache : sig
 
   val stats : t -> stats
 
-  (** [reset_stats t] zeroes hit/miss/eviction statistics without
-      touching the stored outcomes or the request counter. *)
+  (** [reset_stats t] zeroes the statistics without touching the stored
+      outcomes. *)
   val reset_stats : t -> unit
-
-  (** [requests t] / [reset_requests t] — the request counter alone. *)
-  val requests : t -> int
-
-  val reset_requests : t -> unit
 end
 
 (** [clear_cache ()] is [Cache.clear Cache.default]. *)
@@ -162,10 +157,10 @@ val clear_cache : unit -> unit
 
 (** [simulations ()] is the [misses] of [Cache.stats Cache.default] —
     the number of requests that actually reached the electrical solver
-    (ensemble lanes; cached replays excluded) since start-up or the
-    last {!clear_cache}. This is the cost metric the adaptive campaign
-    planner minimises and the bench tripwires compare, named so call
-    sites read as what they measure. *)
+    (ensemble lanes; cached replays excluded), with caching on or off.
+    This is the cost metric the adaptive campaign planner minimises,
+    named so call sites read as what they measure; callers take
+    deltas. *)
 val simulations : unit -> int
 
 (** [run ?defect ?vc_init ?v_neighbour ?config ?cache ~stress ops]
@@ -235,8 +230,8 @@ type lane = {
     in lane order.
 
     Each lane has its own cache key (a lane of any batch and a {!run}
-    call are interchangeable in the cache) and its own request / hit /
-    miss tick. Lanes that miss are integrated together in one ensemble;
+    call are interchangeable in the cache) and its own hit-or-miss
+    tick. Lanes that miss are integrated together in one ensemble;
     a lane that fails inside a multi-lane ensemble is retried alone —
     its own base attempt plus the retry ladder, counted on
     [dram.ops.lane_fallbacks], because the pivot order its batch mates
@@ -258,10 +253,3 @@ val run_batch :
   lanes:lane list ->
   op list ->
   (outcome, exn) result list
-
-(** [lane_fallbacks ()] — always-on count of lanes that fell out of a
-    multi-lane ensemble into the one-lane retry ladder (mirror of the
-    [dram.ops.lane_fallbacks] counter, readable with telemetry off). *)
-val lane_fallbacks : unit -> int
-
-val reset_lane_fallbacks : unit -> unit

@@ -16,34 +16,6 @@ let h_dt =
   Tel.Histogram.make ~unit_:"s" ~lo:1e-15 ~hi:1e-3 ~buckets:48
     "engine.transient.dt_s"
 
-(* always-on mirrors, the [--metrics] reconciliation source (same
-   contract as [Ops.cache_stats] and [Sparse_lu.stats]) *)
-let g_lanes = Atomic.make 0
-let g_batches = Atomic.make 0
-let g_masked = Atomic.make 0
-let g_lane_failures = Atomic.make 0
-
-type stats = {
-  lanes : int;
-  batches : int;
-  masked_lane_iters : int;
-  lane_failures : int;
-}
-
-let stats () =
-  {
-    lanes = Atomic.get g_lanes;
-    batches = Atomic.get g_batches;
-    masked_lane_iters = Atomic.get g_masked;
-    lane_failures = Atomic.get g_lane_failures;
-  }
-
-let reset_stats () =
-  Atomic.set g_lanes 0;
-  Atomic.set g_batches 0;
-  Atomic.set g_masked 0;
-  Atomic.set g_lane_failures 0
-
 type lane = {
   ics : (string * float) list;
   override : (string * float) option;
@@ -75,8 +47,6 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   Tel.Counter.incr c_batches;
   Tel.Counter.add c_lanes n_lanes;
   Tel.Counter.add c_runs n_lanes;
-  Atomic.incr g_batches;
-  ignore (Atomic.fetch_and_add g_lanes n_lanes);
   if not (opts.Options.dt_scale > 0.0) then
     invalid_arg "Ensemble.run: dt_scale must be positive";
   (* the degradation knob: refine every segment's nominal step uniformly
@@ -170,8 +140,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let lane_failed li e =
     dead.(li) <- Some e;
     decr n_live;
-    Tel.Counter.incr c_lane_failures;
-    Atomic.incr g_lane_failures
+    Tel.Counter.incr c_lane_failures
   in
   (* per-solve flags, reused across solves *)
   let active = Array.make n_lanes false in
@@ -216,10 +185,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
       if iter > 1 then begin
         (* lanes that already converged sit this sweep out *)
         let masked = !n_active - !remaining in
-        if masked > 0 then begin
-          Tel.Counter.add c_masked masked;
-          ignore (Atomic.fetch_and_add g_masked masked)
-        end
+        if masked > 0 then Tel.Counter.add c_masked masked
       end;
       for li = 0 to n_lanes - 1 do
         if active.(li) && (not lane_done.(li)) && lane_err.(li) = None then begin

@@ -54,21 +54,6 @@ type lane = {
   override : (string * float) option;
 }
 
-(** Always-on run totals (independent of telemetry being enabled), the
-    reconciliation source for [--metrics] — same contract as
-    [Ops.Cache.stats] and [Sparse_lu.stats]. *)
-type stats = {
-  lanes : int;  (** lanes integrated across all batches *)
-  batches : int;  (** ensemble runs *)
-  masked_lane_iters : int;
-      (** lane-iterations skipped because the lane had already converged
-          while batch mates were still iterating *)
-  lane_failures : int;  (** lanes that exhausted their retry ladder *)
-}
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
 (** [run compiled ?opts ?deadline_at ~segments ~lanes ~probes ()]
     integrates every lane over the shared grid and returns one result
     slot per lane, in lane order: [Ok result] holds the lane's sampled

@@ -15,20 +15,16 @@ type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;  (* most recently used *)
   mutable tail : ('k, 'v) node option;  (* least recently used *)
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
 let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1";
   { capacity; tbl = Hashtbl.create (2 * capacity); head = None; tail = None;
-    hits = 0; misses = 0; evictions = 0 }
+    evictions = 0 }
 
 let capacity c = c.capacity
 let length c = Hashtbl.length c.tbl
-let hits c = c.hits
-let misses c = c.misses
 let evictions c = c.evictions
 
 let unlink c node =
@@ -50,16 +46,13 @@ let push_front c node =
 
 let find c key =
   match Hashtbl.find_opt c.tbl key with
-  | None ->
-    c.misses <- c.misses + 1;
-    None
+  | None -> None
   | Some node ->
-    c.hits <- c.hits + 1;
     unlink c node;
     push_front c node;
     Some node.value
 
-(* membership probe that does not touch recency or hit statistics *)
+(* membership probe that does not touch recency *)
 let mem c key = Hashtbl.mem c.tbl key
 
 let evict_lru c =
@@ -87,10 +80,7 @@ let clear c =
   c.head <- None;
   c.tail <- None
 
-let reset_stats c =
-  c.hits <- 0;
-  c.misses <- 0;
-  c.evictions <- 0
+let reset_stats c = c.evictions <- 0
 
 (* keys from most to least recently used, for tests and debugging *)
 let keys c =

@@ -15,11 +15,10 @@ type ('k, 'v) t
     Raises [Invalid_argument] if [capacity < 1]. *)
 val create : ?capacity:int -> unit -> ('k, 'v) t
 
-(** [find c k] returns the cached value and marks it most recently used.
-    Updates the hit/miss statistics. *)
+(** [find c k] returns the cached value and marks it most recently used. *)
 val find : ('k, 'v) t -> 'k -> 'v option
 
-(** [mem c k] probes membership without touching recency or stats. *)
+(** [mem c k] probes membership without touching recency. *)
 val mem : ('k, 'v) t -> 'k -> bool
 
 (** [add c k v] inserts or overwrites the binding and marks it most
@@ -29,18 +28,14 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
-(** Cumulative {!find} statistics since creation or {!reset_stats}. *)
-val hits : ('k, 'v) t -> int
-
-val misses : ('k, 'v) t -> int
-
 (** [evictions c] counts entries silently dropped by capacity pressure
     since creation or {!reset_stats}. *)
 val evictions : ('k, 'v) t -> int
 
+(** [reset_stats c] zeroes the eviction count. *)
 val reset_stats : ('k, 'v) t -> unit
 
-(** [clear c] drops every entry (statistics are kept). *)
+(** [clear c] drops every entry (the eviction count is kept). *)
 val clear : ('k, 'v) t -> unit
 
 (** [keys c] lists keys from most to least recently used. *)

@@ -89,7 +89,6 @@ type t = {
   backoff_base : float;
   backoff_cap : float;
   task_timeout : float option;
-  on_worker_restart : unit -> unit;
   rng : Random.State.t;  (* guarded by [lock] *)
   mutable shutting_down : bool;
   mutable supervisor : Thread.t option;
@@ -204,7 +203,6 @@ let supervise pool =
                     fork_worker pool s;
                     s.status <- Idle;
                     Tel.Counter.incr c_restarts;
-                    pool.on_worker_restart ();
                     Condition.broadcast pool.cond
                   end
                 | Dead _ -> ())
@@ -217,7 +215,7 @@ let supervise pool =
   loop ()
 
 let create ?(max_task_deaths = 3) ?(backoff = (0.1, 5.0)) ?task_timeout
-    ?(on_worker_restart = fun () -> ()) ~workers ~worker () =
+    ~workers ~worker () =
   if workers < 1 then invalid_arg "Procpool.create: workers < 1";
   if max_task_deaths < 1 then invalid_arg "Procpool.create: max_task_deaths < 1";
   (* a worker dying mid-write must be an EPIPE for its exec thread, not
@@ -243,7 +241,6 @@ let create ?(max_task_deaths = 3) ?(backoff = (0.1, 5.0)) ?task_timeout
       backoff_base = base;
       backoff_cap = cap;
       task_timeout;
-      on_worker_restart;
       rng =
         Random.State.make
           [| Unix.getpid (); int_of_float (Unix.gettimeofday () *. 1e6) |];

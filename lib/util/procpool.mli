@@ -52,13 +52,13 @@ exception Worker_lost of int
       than this is SIGKILLed by the supervisor and the death counts
       like any crash (default: no limit; per-point wall-clock budgets
       inside the worker are the first line of defence).
-    - [on_worker_restart] is called (from the supervisor thread) each
-      time a replacement worker is forked. *)
+
+    Each replacement worker forked counts on
+    [util.procpool.worker_restarts]. *)
 val create :
   ?max_task_deaths:int ->
   ?backoff:float * float ->
   ?task_timeout:float ->
-  ?on_worker_restart:(unit -> unit) ->
   workers:int ->
   worker:(attempt:int -> string -> string) ->
   unit ->

@@ -7,37 +7,8 @@ let c_refactor = Tel.Counter.make "util.sparse_lu.numeric_refactor"
 let c_reanalyses = Tel.Counter.make "util.sparse_lu.reanalyses"
 
 (* stale refactors rescued by pivot revalidation instead of a dense
-   re-analysis; telemetry only, no always-on mirror *)
+   re-analysis *)
 let c_revalidations = Tel.Counter.make "util.sparse_lu.pivot_revalidations"
-
-(* always-on mirrors of the counters above, so [--metrics] can reconcile
-   the telemetry block against an independent tally (the same contract
-   [Ops.cache_stats] provides for the memo cache) *)
-let g_analyses = Atomic.make 0
-let g_reuse = Atomic.make 0
-let g_refactor = Atomic.make 0
-let g_reanalyses = Atomic.make 0
-
-type stats = {
-  analyses : int;
-  reanalyses : int;
-  numeric_refactor : int;
-  symbolic_reuse : int;
-}
-
-let stats () =
-  {
-    analyses = Atomic.get g_analyses;
-    reanalyses = Atomic.get g_reanalyses;
-    numeric_refactor = Atomic.get g_refactor;
-    symbolic_reuse = Atomic.get g_reuse;
-  }
-
-let reset_stats () =
-  Atomic.set g_analyses 0;
-  Atomic.set g_reuse 0;
-  Atomic.set g_refactor 0;
-  Atomic.set g_reanalyses 0
 
 (* The factors live in one flat [lu] vector over the permuted pattern
    closed under fill-in, and every loop of a refactor or a substitution
@@ -316,11 +287,7 @@ let unique_pivots an =
 
 let record_refactor ~reused =
   Tel.Counter.incr c_refactor;
-  Atomic.incr g_refactor;
-  if reused then begin
-    Tel.Counter.incr c_reuse;
-    Atomic.incr g_reuse
-  end
+  if reused then Tel.Counter.incr c_reuse
 
 (* A fresh analysis at the current values. Callers run [check_finite]
    first: it raises L.Singular before [analyse] mutates [t.analysis],
@@ -334,7 +301,6 @@ let reanalyse t a =
 
 let stale t a =
   Tel.Counter.incr c_reanalyses;
-  Atomic.incr g_reanalyses;
   reanalyse t a
 
 let factor t a =
@@ -343,7 +309,6 @@ let factor t a =
   | None ->
     check_finite t a;
     Tel.Counter.incr c_analyses;
-    Atomic.incr g_analyses;
     reanalyse t a
   | Some an -> (
     match refactor an a ~strict:false with

@@ -54,10 +54,8 @@
 
     Activity feeds the [util.sparse_lu.symbolic_analyses] /
     [symbolic_reuse] / [numeric_refactor] / [reanalyses] telemetry
-    counters and the always-on process-wide {!stats} block (the
-    [--metrics] reconciliation mirror of [Ops.cache_stats]). A
-    successful revalidation counts as a numeric refactor with symbolic
-    reuse, and on the telemetry-only
+    counters. A successful revalidation counts as a numeric refactor
+    with symbolic reuse, and on the
     [util.sparse_lu.pivot_revalidations] counter; [reanalyses] counts
     dense re-analyses only.
 
@@ -97,18 +95,3 @@ val perm : t -> int array option
     {!factor}. [scratch] must hold at least [n] floats. *)
 val solve : t -> scratch:float array -> float array -> unit
 
-(** Process-wide activity totals, readable regardless of whether
-    telemetry is enabled (like [Ops.cache_stats]): [analyses] counts
-    first-time symbolic analyses, [reanalyses] the dense re-analyses of
-    a stale pivot order (revalidated orders excluded),
-    [numeric_refactor] every successful numeric factorization and
-    [symbolic_reuse] the subset that reused an existing analysis. *)
-type stats = {
-  analyses : int;
-  reanalyses : int;
-  numeric_refactor : int;
-  symbolic_reuse : int;
-}
-
-val stats : unit -> stats
-val reset_stats : unit -> unit

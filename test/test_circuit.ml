@@ -455,67 +455,14 @@ let test_parse_roundtrip_simulation () =
   let c = N.compile (Sp.parse deck_rc) in
   Alcotest.(check int) "compiled" 3 c.N.n_nodes
 
-(* Mutated decks: one to four byte flips, token drops, token swaps and
-   truncations of the decks above. Whatever comes out, [parse] returns
-   a netlist or raises [Parse_error] — any other exception fails the
-   property — and it returns promptly. *)
-let mutate st deck =
-  let pick l = List.nth l (Random.State.int st (List.length l)) in
-  let tokens s = List.filter (( <> ) "") (String.split_on_char ' ' s) in
-  let lines s = String.split_on_char '\n' s in
-  let unlines = String.concat "\n" in
-  let op s =
-    let n = String.length s in
-    match Random.State.int st 4 with
-    | 0 when n > 0 ->
-      let b = Bytes.of_string s in
-      Bytes.set b (Random.State.int st n) (Char.chr (Random.State.int st 256));
-      Bytes.to_string b
-    | 1 ->
-      (* drop one token of one line *)
-      let ls = lines s in
-      let i = Random.State.int st (List.length ls) in
-      unlines
-        (List.mapi
-           (fun k l ->
-             let ts = tokens l in
-             if k <> i || ts = [] then l
-             else
-               let d = Random.State.int st (List.length ts) in
-               String.concat " " (List.filteri (fun j _ -> j <> d) ts))
-           ls)
-    | 2 ->
-      (* swap two tokens anywhere in the deck *)
-      let ls = List.map tokens (lines s) in
-      let all = List.concat ls in
-      if all = [] then s
-      else
-        let x = pick all and y = pick all in
-        unlines
-          (List.map
-             (fun ts ->
-               String.concat " "
-                 (List.map
-                    (fun t -> if t = x then y else if t = y then x else t)
-                    ts))
-             ls)
-    | _ -> String.sub s 0 (Random.State.int st (n + 1))
-  in
-  let rec go k s = if k = 0 then s else go (k - 1) (op s) in
-  go (1 + Random.State.int st 4) deck
-
+(* Mutated decks: whatever comes out of {!Mutate.mutate}, [parse]
+   returns a netlist or raises [Parse_error] — any other exception fails
+   the property — and it returns promptly. *)
 let prop_parse_mutated_decks =
-  let gen st =
-    mutate st (List.nth [ deck_basic; deck_sources; deck_mosfet; deck_rc ]
-                 (Random.State.int st 4))
-  in
-  QCheck.Test.make ~count:2000
-    ~name:"spice: mutated decks parse or raise Parse_error, promptly"
-    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+  Mutate.prop ~name:"spice: mutated decks parse or raise Parse_error, promptly"
+    [ deck_basic; deck_sources; deck_mosfet; deck_rc ]
     (fun deck ->
-      let t0 = Unix.gettimeofday () in
-      (match Sp.parse deck with _ -> () | exception Sp.Parse_error _ -> ());
-      Unix.gettimeofday () -. t0 < 1.0)
+      match Sp.parse deck with _ -> () | exception Sp.Parse_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 

@@ -766,7 +766,8 @@ let test_candidate_detections_placement () =
 
 let test_exhaustive_small_grid () =
   let detection = C.Detection.standard ~victim:0 ~primes:2 in
-  let before = Dramstress_dram.Ops.(Cache.requests Cache.default) in
+  let requests () = Dramstress_dram.Ops.(Cache.stats Cache.default).requests in
+  let before = requests () in
   let result =
     C.Exhaustive.optimize ~tcyc_values:[ 55e-9; 60e-9 ] ~temp_values:[ 27.0 ]
       ~vdd_values:[ 2.4 ] ~nominal ~kind:open_kind ~placement:D.True_bl
@@ -777,8 +778,7 @@ let test_exhaustive_small_grid () =
     (List.length result.C.Exhaustive.ranking);
   Alcotest.(check bool) "simulations counted" true
     (result.C.Exhaustive.simulations > 0
-    && Dramstress_dram.Ops.(Cache.requests Cache.default) - before
-       >= result.C.Exhaustive.simulations);
+    && requests () - before >= result.C.Exhaustive.simulations);
   (* the shorter cycle must win for an open *)
   Alcotest.(check (float 1e-12)) "best tcyc" 55e-9
     result.C.Exhaustive.best.S.tcyc;
@@ -787,10 +787,11 @@ let test_exhaustive_small_grid () =
   | _ -> Alcotest.fail "expected a boundary"
 
 let test_run_counter () =
-  Dramstress_dram.Ops.(Cache.reset_requests Cache.default);
+  let requests () = Dramstress_dram.Ops.(Cache.stats Cache.default).requests in
+  let before = requests () in
   ignore (Dramstress_dram.Ops.run ~stress:nominal [ Dramstress_dram.Ops.W0 ]);
   ignore (Dramstress_dram.Ops.run ~stress:nominal [ Dramstress_dram.Ops.R ]);
-  Alcotest.(check int) "two runs" 2 (Dramstress_dram.Ops.(Cache.requests Cache.default))
+  Alcotest.(check int) "two runs" 2 (requests () - before)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

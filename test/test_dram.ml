@@ -352,10 +352,10 @@ let test_memo_cache_replays () =
      them, but only the first one simulates *)
   O.Cache.resize O.Cache.default 64;
   (* fresh cache, stats zeroed *)
-  let before = O.Cache.requests O.Cache.default in
   let oc1 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
   let oc2 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
-  Alcotest.(check int) "both requests counted" (before + 2) (O.Cache.requests O.Cache.default);
+  Alcotest.(check int) "both requests counted" 2
+    (O.Cache.stats O.Cache.default).O.Cache.requests;
   Alcotest.(check bool) "replayed outcome is shared" true (oc1 == oc2);
   let s = O.Cache.stats O.Cache.default in
   Alcotest.(check int) "one simulation" 1 s.O.Cache.misses;
@@ -371,6 +371,22 @@ let test_memo_cache_replays () =
   Alcotest.(check int) "no new hit" 1 (O.Cache.stats O.Cache.default).O.Cache.hits;
   O.Cache.set_enabled O.Cache.default true;
   O.Cache.resize O.Cache.default 512
+
+(* [Ops.simulations] is the paper's cost metric, so it counts with the
+   memo cache off too: every bypassed lookup is a miss *)
+let test_simulations_count_with_cache_off () =
+  let was = O.Cache.is_enabled O.Cache.default in
+  let sims0 = O.simulations () in
+  O.Cache.set_enabled O.Cache.default false;
+  Fun.protect
+    ~finally:(fun () -> O.Cache.set_enabled O.Cache.default was)
+    (fun () ->
+      ignore (O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ]);
+      ignore (O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ]));
+  Alcotest.(check int) "both runs simulated" 2 (O.simulations () - sims0);
+  let s = O.Cache.stats O.Cache.default in
+  Alcotest.(check int) "requests = hits + misses" s.O.Cache.requests
+    (s.O.Cache.hits + s.O.Cache.misses)
 
 (* ------------------------------------------------------------------ *)
 (* Retry / degradation ladder                                          *)
@@ -730,6 +746,27 @@ let test_lanes_match_one_lane_retention_stream () =
   lanes_vs_one_lane ~tag:"B2/pause" ~kind:D.Bridge_to_neighbour
     ~placement:D.True_bl ~rs ops
 
+(* the lane-fallback count is the [dram.ops.lane_fallbacks] counter *)
+let with_fallback_count f =
+  let module Tel = Dramstress_util.Telemetry in
+  let c = Tel.Counter.make "dram.ops.lane_fallbacks" in
+  let was = Tel.enabled () in
+  Tel.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Tel.set_enabled was)
+    (fun () ->
+      let fb0 = Tel.Counter.value c in
+      f (fun () -> Tel.Counter.value c - fb0))
+
+let vc_ends_bitwise_equal ~ctx (c : O.outcome) (p : O.outcome) =
+  List.iter2
+    (fun (cr : O.op_result) (pr : O.op_result) ->
+      Alcotest.(check bool) ctx true
+        (Int64.equal
+           (Int64.bits_of_float cr.O.vc_end)
+           (Int64.bits_of_float pr.O.vc_end)))
+    c.O.results p.O.results
+
 let test_batch_exhausted_lane_isolated () =
   (* a lane with a non-finite initial state dies inside the ensemble,
      is retried alone through the ladder, exhausts it, and surfaces as an
@@ -748,21 +785,20 @@ let test_batch_exhausted_lane_isolated () =
       (fun i l -> if i = 2 then { l with O.vc_init = Float.infinity } else l)
       clean_lanes
   in
-  let fb0 = O.lane_fallbacks () in
+  with_fallback_count @@ fun fallbacks ->
   let clean =
     O.run_batch
       ~cache:(O.Cache.create ~enabled:false ())
       ~stress:nominal ~lanes:clean_lanes ops
   in
-  Alcotest.(check int) "clean batch: no fallback" fb0 (O.lane_fallbacks ());
+  Alcotest.(check int) "clean batch: no fallback" 0 (fallbacks ());
   let poisoned =
     O.run_batch
       ~cache:(O.Cache.create ~enabled:false ())
       ~stress:nominal ~lanes:poisoned_lanes ops
   in
   Alcotest.(check int)
-    "exactly one lane fell back to the one-lane ladder" (fb0 + 1)
-    (O.lane_fallbacks ());
+    "exactly one lane fell back to the one-lane ladder" 1 (fallbacks ());
   List.iteri
     (fun i (c, p) ->
       match (i, c, p) with
@@ -771,16 +807,54 @@ let test_batch_exhausted_lane_isolated () =
         Alcotest.failf "doomed lane: unexpected error %s" (Printexc.to_string e)
       | 2, _, Ok _ -> Alcotest.fail "doomed lane unexpectedly converged"
       | _, Ok co, Ok po ->
-        List.iter2
-          (fun (cr : O.op_result) (pr : O.op_result) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "lane %d vc_end bitwise-unaffected" i)
-              true
-              (Int64.equal
-                 (Int64.bits_of_float cr.O.vc_end)
-                 (Int64.bits_of_float pr.O.vc_end)))
-          co.O.results po.O.results
+        vc_ends_bitwise_equal
+          ~ctx:(Printf.sprintf "lane %d vc_end bitwise-unaffected" i)
+          co po
       | _, _, _ -> Alcotest.failf "lane %d failed unexpectedly" i)
+    (List.combine clean poisoned)
+
+(* one NaN, one lane: [inject_nan_state@+1] fires on the very first
+   Newton chaos query of the run, lane 0's initial quasi-static solve,
+   in a 16-lane w0 batch. The lane dies inside the ensemble and falls
+   back to the one-lane ladder, where the spent one-shot fault lets it
+   converge; every other lane finishes bitwise as in the clean batch. *)
+let test_batch_nan_lane_falls_back () =
+  let lanes =
+    List.init 16 (fun i ->
+        {
+          O.defect =
+            Some
+              (D.v (D.Open_cell D.At_bitline_contact) D.True_bl
+                 (1e3 *. Float.pow 10.0 (float_of_int i /. 5.0)));
+          vc_init = 2.4;
+        })
+  in
+  let batch () =
+    O.run_batch
+      ~cache:(O.Cache.create ~enabled:false ())
+      ~stress:nominal ~lanes [ O.W0 ]
+  in
+  let clean = batch () in
+  with_fallback_count @@ fun fallbacks ->
+  let poisoned =
+    with_chaos (fun () ->
+        Chaos.configure ~seed:7 "inject_nan_state@+1";
+        batch ())
+  in
+  Alcotest.(check int) "one injection" 1
+    (Chaos.injected Chaos.Inject_nan_state);
+  Alcotest.(check int) "one lane fell back" 1 (fallbacks ());
+  List.iteri
+    (fun i (c, p) ->
+      match (c, p) with
+      | Ok _, Ok _ when i = 0 -> ()
+      | Ok co, Ok po ->
+        vc_ends_bitwise_equal
+          ~ctx:(Printf.sprintf "lane %d bitwise the clean batch" i)
+          co po
+      | _, Error e ->
+        Alcotest.failf "lane %d failed: %s" i (Printexc.to_string e)
+      | Error _, Ok _ -> Alcotest.failf "clean lane %d failed" i)
     (List.combine clean poisoned)
 
 (* ------------------------------------------------------------------ *)
@@ -992,6 +1066,8 @@ let () =
         [
           tc "incremental matches naive assembly" test_incremental_matches_naive;
           tc "memo cache replays identical runs" test_memo_cache_replays;
+          tc "simulations count with the cache off"
+            test_simulations_count_with_cache_off;
         ] );
       ( "retry ladder",
         [
@@ -1018,6 +1094,8 @@ let () =
           tc "retention matches one lane"
             test_lanes_match_one_lane_retention_stream;
           tc "exhausted lane isolated" test_batch_exhausted_lane_isolated;
+          tc "NaN lane falls back, batch mates bitwise"
+            test_batch_nan_lane_falls_back;
         ] );
       ( "extended stress axes",
         [

@@ -4,6 +4,7 @@
    its own binary that never spawns a domain. *)
 
 module Procpool = Dramstress_util.Procpool
+module Tel = Dramstress_util.Telemetry
 
 (* The worker function is interpreted from the task payload so one
    pool shape serves every scenario:
@@ -38,11 +39,10 @@ let worker ~attempt payload =
 
 let fast_backoff = (0.01, 0.05)
 
-let with_pool ?(workers = 2) ?(max_task_deaths = 3) ?task_timeout
-    ?on_worker_restart f =
+let with_pool ?(workers = 2) ?(max_task_deaths = 3) ?task_timeout f =
   let pool =
     Procpool.create ~max_task_deaths ~backoff:fast_backoff ?task_timeout
-      ?on_worker_restart ~workers ~worker ()
+      ~workers ~worker ()
   in
   Fun.protect ~finally:(fun () -> Procpool.shutdown pool) (fun () -> f pool)
 
@@ -88,25 +88,28 @@ let test_worker_error_is_not_a_death () =
     (ok (Procpool.exec pool "echo:after"))
 
 let test_crash_retry_and_restart () =
-  let restarts = ref 0 in
-  with_pool ~workers:1 ~max_task_deaths:3
-    ~on_worker_restart:(fun () -> incr restarts)
-  @@ fun pool ->
+  let c_restarts = Tel.Counter.make "util.procpool.worker_restarts" in
+  let was = Tel.enabled () in
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  let restarts0 = Tel.Counter.value c_restarts in
+  let restarts () = Tel.Counter.value c_restarts - restarts0 in
+  with_pool ~workers:1 ~max_task_deaths:3 @@ fun pool ->
   (* kills the first two workers that pick it up, third attempt lands *)
   Alcotest.(check string) "third attempt survives" "survived:2"
     (ok (Procpool.exec pool "die-under:2"));
   (* both corpses are replaced (asynchronously) by the supervisor *)
   let rec await n =
-    if !restarts >= 2 then ()
+    if restarts () >= 2 then ()
     else if n = 0 then
-      Alcotest.failf "only %d restart(s) after two deaths" !restarts
+      Alcotest.failf "only %d restart(s) after two deaths" (restarts ())
     else begin
       Unix.sleepf 0.05;
       await (n - 1)
     end
   in
   await 100;
-  Alcotest.(check int) "exactly one restart per death" 2 !restarts;
+  Alcotest.(check int) "exactly one restart per death" 2 (restarts ());
   Alcotest.(check string) "pool serves after restarts" "alive"
     (ok (Procpool.exec pool "echo:alive"))
 

@@ -177,7 +177,7 @@ let counter cs name =
    until the restart counter catches up with the deaths we caused *)
 let await_restarts ~socket want =
   let rec go n =
-    let got = counter (counters ~socket) "campaign.service.worker_restarts" in
+    let got = counter (counters ~socket) "util.procpool.worker_restarts" in
     if got >= want then got
     else if n = 0 then
       Alcotest.failf "only %d worker restart(s), want >= %d" got want
@@ -223,7 +223,7 @@ let test_sandbox_worker_kill_survives () =
   Alcotest.(check int) "exactly one restart per kill" 2 restarts;
   let cs = counters ~socket in
   Alcotest.(check int) "a retried point is not poison" 0
-    (counter cs "campaign.service.poison_points");
+    (counter cs "util.procpool.tasks_lost");
   shutdown_clean ~socket server;
   try Sys.remove socket with Sys_error _ -> ()
 
@@ -251,7 +251,7 @@ let test_sandbox_poison_point_quarantined () =
   ignore (await_restarts ~socket 3);
   let cs = counters ~socket in
   Alcotest.(check int) "poison quarantined once" 1
-    (counter cs "campaign.service.poison_points");
+    (counter cs "util.procpool.tasks_lost");
   (* graceful degradation: the daemon still answers *)
   (match Svc.Client.request ~socket Pr.Status with
   | Pr.Status_report _ -> ()

@@ -197,8 +197,6 @@ let test_cache_counters_reconcile () =
   O.Cache.set_enabled O.Cache.default true;
   O.clear_cache ();
   O.Cache.reset_stats O.Cache.default;
-  O.Cache.reset_requests O.Cache.default;
-  O.reset_lane_fallbacks ();
   Tel.reset ();
   Tel.set_enabled true;
   let plane () =
@@ -237,7 +235,7 @@ let test_cache_counters_reconcile () =
     (cval snap "engine.ensemble.lanes")
     (cval snap "engine.transient.runs");
   Alcotest.(check int) "no lane fell back to the one-lane ladder" 0
-    (O.lane_fallbacks ());
+    (cval snap "dram.ops.lane_fallbacks");
   (* and the planes themselves agree *)
   Alcotest.(check (float 1e-12)) "cached sweep reproduces vmp" p1.vmp p2.vmp
 

@@ -406,9 +406,8 @@ let test_lru_basic () =
   Lru.add c "b" 2;
   Alcotest.(check (option int)) "a" (Some 1) (Lru.find c "a");
   Alcotest.(check (option int)) "b" (Some 2) (Lru.find c "b");
-  Alcotest.(check int) "hits" 2 (Lru.hits c);
   Alcotest.(check (option int)) "miss" None (Lru.find c "z");
-  Alcotest.(check int) "misses" 1 (Lru.misses c)
+  Alcotest.(check int) "no eviction within capacity" 0 (Lru.evictions c)
 
 let test_lru_eviction_order () =
   let c = Lru.create ~capacity:2 () in
@@ -1528,6 +1527,8 @@ module Sp = Dramstress_util.Sparse_lu
 module Hm = Hold_matrices
 
 let c_revalidations = Tel.Counter.make "util.sparse_lu.pivot_revalidations"
+let c_reanalyses = Tel.Counter.make "util.sparse_lu.reanalyses"
+let c_reuse = Tel.Counter.make "util.sparse_lu.symbolic_reuse"
 
 (* structural pattern: every position non-zero in any of [mats] *)
 let pattern_of mats =
@@ -1553,10 +1554,10 @@ let factor h a = Sp.factor h (slot_values h a)
 (* (pivot revalidations, dense re-analyses) during [f] *)
 let lu_activity f =
   let r0 = Tel.Counter.value c_revalidations
-  and a0 = (Sp.stats ()).Sp.reanalyses in
+  and a0 = Tel.Counter.value c_reanalyses in
   f ();
   ( Tel.Counter.value c_revalidations - r0,
-    (Sp.stats ()).Sp.reanalyses - a0 )
+    Tel.Counter.value c_reanalyses - a0 )
 
 let sparse_solution h n =
   let x = Array.init n (fun i -> float_of_int (i + 1)) in
@@ -1637,10 +1638,10 @@ let test_sparse_nan_keeps_analysis () =
       [| [| Float.nan; 0.5 |]; [| 0.5; 1.0 |] |];
       [| [| 1e-11; Float.nan |]; [| 0.0; 1.0 |] |];
     ];
-  let reuse0 = (Sp.stats ()).Sp.symbolic_reuse in
+  let reuse0 = Tel.Counter.value c_reuse in
   factor h full2;
   Alcotest.(check int) "next healthy factor reuses" (reuse0 + 1)
-    (Sp.stats ()).Sp.symbolic_reuse
+    (Tel.Counter.value c_reuse)
 
 (* revalidation reads [|m| < 1] off the multipliers in place of
    [|entry| < |pivot|]; the two agree for every finite pair *)
