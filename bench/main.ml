@@ -384,41 +384,6 @@ let perf_engine_ab () =
   let batch_speedup = ratio plane_naive plane_batched in
   let batch_speedup_limit = 5.0 in
   let batch_speedup_ok = batch_speedup >= batch_speedup_limit in
-  (* --- per-lane allocation of the batched path ---------------------- *)
-  (* Acceptance check for the ensemble engine: amortised over the batch,
-     a lane must allocate no more than a one-lane incremental run does
-     per accepted time point (the SoA state rows are shared, bisection
-     bookkeeping is amortised). Measured on a fresh 16-lane w0 batch with
-     the memo cache off and one domain (Gc.minor_words is per-domain);
-     the limit is the measured figure plus 10% headroom. *)
-  let lane_words_limit = 1175.0 in
-  let lanes_n = 16 in
-  let batch_lanes =
-    List.init lanes_n (fun i ->
-        {
-          O.defect =
-            Some
-              (D.v open_kind D.True_bl
-                 (1e3 *. Float.pow 10.0 (float_of_int i /. 5.0)));
-          vc_init = 2.4;
-        })
-  in
-  let batch_cache = O.Cache.create ~enabled:false () in
-  let batch_run () =
-    O.run_batch ~cache:batch_cache ~stress:nominal ~lanes:batch_lanes [ O.W0 ]
-  in
-  let clean_batch = batch_run () in
-  let batch_pts =
-    match List.hd clean_batch with
-    | Ok oc -> Array.length oc.O.trace.Dramstress_engine.Transient.times
-    | Error _ -> n_pts
-  in
-  let words_lane =
-    let w0 = Gc.minor_words () in
-    ignore (batch_run ());
-    (Gc.minor_words () -. w0) /. float_of_int (lanes_n * batch_pts)
-  in
-  let lane_alloc_ok = words_lane <= lane_words_limit in
   (* --- one shmoo row ------------------------------------------------ *)
   let detection =
     C.Detection.v
@@ -512,9 +477,6 @@ let perf_engine_ab () =
     "fig2 plane sweep, 16 lanes (s)" plane_naive plane_batched batch_speedup
     batch_speedup_limit
     (if batch_speedup_ok then "ok" else "BELOW");
-  Printf.printf "  %-34s %10.0f words (limit %.0f: %s)\n"
-    "batched alloc / lane / point" words_lane lane_words_limit
-    (if lane_alloc_ok then "ok" else "EXCEEDED");
   Printf.printf "  %-34s naive %10.3f   incremental %10.3f   speedup %5.2fx\n"
     "shmoo row, plot + re-plot (s)" shmoo_naive shmoo_fast
     (ratio shmoo_naive shmoo_fast);
@@ -540,8 +502,6 @@ let perf_engine_ab () =
       \  \"fig2_plane_batched_s\": { \"naive\": %.4f, \"batched\": %.4f, \
        \"lanes\": %d, \"speedup\": %.2f, \"limit\": %.1f, \"within_limit\": \
        %b },\n\
-      \  \"minor_words_per_lane\": { \"batched\": %.0f, \"limit\": %.0f, \
-       \"within_limit\": %b },\n\
       \  \"shmoo_plot_replot_s\": { \"naive\": %.4f, \"incremental\": %.4f, \
        \"speedup\": %.2f },\n\
       \  \"plane_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f \
@@ -554,8 +514,7 @@ let perf_engine_ab () =
        }\n"
       step_naive step_fast (ratio step_naive step_fast) plane_naive plane_fast
       (ratio plane_naive plane_fast) plane_naive plane_batched 16 batch_speedup
-      batch_speedup_limit batch_speedup_ok words_lane lane_words_limit
-      lane_alloc_ok shmoo_naive shmoo_fast
+      batch_speedup_limit batch_speedup_ok shmoo_naive shmoo_fast
       (ratio shmoo_naive shmoo_fast)
       cache.O.Cache.hits cache.O.Cache.misses hit_rate
       words_naive words_fast alloc_limit alloc_ok probe_ns probe_calls

@@ -104,7 +104,13 @@ let last_record line =
   in
   back (String.length line - 2)
 
-let load_into table path =
+(* Every record line of the file at [path], in order: [f line ~key
+   ~value] for each usable one. One sick line must never strand the
+   records behind it: a non-blank line without a key and a value is
+   skipped and counted as malformed, and one whose extraction raises is
+   skipped and counted as an unusable record. A missing file has no
+   lines. *)
+let iter_records path f =
   match open_in path with
   | exception Sys_error _ -> ()
   | ic ->
@@ -114,41 +120,25 @@ let load_into table path =
         try
           while true do
             let line = last_record (input_line ic) in
-            (* one sick line must never strand the records behind it: a
-               mid-file record whose extraction raises is skipped and
-               counted, and the load carries on to the tail *)
             match (field line "key", field line "value") with
-            | Some k, Some v ->
-              Hashtbl.replace table k v;
-              Tel.Counter.incr c_loaded
+            | Some key, Some value -> f line ~key ~value
             | _, _ -> if String.trim line <> "" then Tel.Counter.incr c_skipped
             | exception _ -> Tel.Counter.incr c_skipped_records
           done
         with End_of_file -> ())
 
-(* tolerant scan of a records file on disk, without opening a handle:
-   the raw view ([Store.merge] and the engine tally need the stamped
-   [extra] fields, which the replay table drops). Later records for a
-   key follow earlier ones, so replaying [f] in order reproduces the
-   last-wins semantics of {!load_into}. *)
+let load_into table path =
+  iter_records path (fun _ ~key ~value ->
+      Hashtbl.replace table key value;
+      Tel.Counter.incr c_loaded)
+
+(* the raw view, without opening a handle ([Store.merge] and the engine
+   tally need the stamped [extra] fields, which the replay table
+   drops). Later records for a key follow earlier ones, so replaying
+   [f] in order reproduces the last-wins semantics of {!load_into}. *)
 let scan path f =
-  match open_in path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try
-          while true do
-            let line = last_record (input_line ic) in
-            match (field line "key", field line "value") with
-            | Some key, Some value ->
-              f ~descr:(field line "descr") ~engine:(field line "engine") ~key
-                ~value
-            | _, _ -> ()
-            | exception _ -> Tel.Counter.incr c_skipped_records
-          done
-        with End_of_file -> ())
+  iter_records path (fun line ~key ~value ->
+      f ~descr:(field line "descr") ~engine:(field line "engine") ~key ~value)
 
 let open_ ?(extra = []) path =
   let table = Hashtbl.create 256 in

@@ -51,32 +51,50 @@ let mat_mul a b =
   done;
   c
 
-type lu = { lu : matrix; perm : int array }
+type lu = { lu : matrix; perm : int array; thresholds : float array }
 
 (* Doolittle LU with partial pivoting, factoring [lu] destructively.
-   [perm] must come in as the identity permutation.
+   [perm] must come in as the identity permutation; [thresholds] (one
+   float per row, contents ignored) comes out holding the rank threshold
+   each pivot was judged against.
 
-   The pivot threshold is relative to the matrix's largest entry at
-   factor time: a pivot below [scale * 1e-14] is cancellation residue,
-   not signal, and dividing through it would fill the factors with
-   garbage that only surfaces as a wrong answer much later. The
-   relative scale matters — MNA matrices carry gmin entries (~1e-12 S)
-   that are legitimate pivots against an O(1) scale, while a 1e-16
-   residue of an O(1) cancellation is not. An absolute 1e-300 floor
-   still covers the all-tiny-matrix corner. *)
-let pivot_threshold lu n =
-  let scale = ref 0.0 in
+   A pivot below its threshold is cancellation residue, not signal, and
+   dividing through it would fill the factors with garbage that only
+   surfaces as a wrong answer much later. The threshold is relative,
+   1e-14 times the pivot row's own scale, capped at the matrix's largest
+   entry: MNA matrices carry gmin entries (~1e-12 S) that are legitimate
+   pivots against an O(1) scale, and at t = 0 a quasi-static step puts
+   capacitor companions C/dt near 1e5 S beside a high-resistance open
+   whose node row is only 1/R + gmin (~1e-9) — well posed, and judged
+   against its own row rather than the capacitors'. A 1e-16 residue of
+   an O(1) cancellation is still rejected, because a row's scale also
+   grows with what elimination subtracts from it: an update by pivot
+   row k with multiplier f subtracts terms no larger than
+   |f| * scale(k), so a row of tiny entries filled by O(1) updates has
+   an O(1) scale. An absolute 1e-300 floor still covers the
+   all-tiny-matrix corner.
+
+   Pivot choice (the column maximum) never reads the threshold, and the
+   threshold is never above the matrix-scale one, so any finite matrix
+   that rule accepts gets the same permutation and the same arithmetic.
+   A non-finite entry is rejected up front, as {!Sparse_lu} does: an
+   infinite entry made every finite pivot fail the matrix-scale rule,
+   and a finite row scale must not let such a matrix through. *)
+let factor_loop lu perm ~thresholds n =
+  let global = ref 0.0 in
   for i = 0 to n - 1 do
-    let row = lu.(i) in
+    let row = lu.(i) and s = ref 0.0 in
     for j = 0 to n - 1 do
-      let v = Float.abs row.(j) in
-      if v > !scale then scale := v
-    done
+      let v = row.(j) in
+      if not (v -. v = 0.0) then raise (Singular { row = i; pivot = v });
+      if Float.abs v > !s then s := Float.abs v
+    done;
+    thresholds.(i) <- !s;
+    if !s > !global then global := !s
   done;
-  Float.max 1e-300 (!scale *. 1e-14)
-
-let factor_loop lu perm n =
-  let threshold = pivot_threshold lu n in
+  (* [thresholds.(i)] holds row i's scale until step i overwrites it
+     with the threshold its pivot was judged against *)
+  let scale = thresholds in
   for k = 0 to n - 1 do
     let pivot = ref k in
     let best = ref (Float.abs lu.(k).(k)) in
@@ -87,6 +105,8 @@ let factor_loop lu perm n =
         pivot := i
       end
     done;
+    let row_scale = scale.(!pivot) in
+    let threshold = Float.max 1e-300 (1e-14 *. Float.min !global row_scale) in
     if not (!best >= threshold) then
       (* [not >=] rather than [<] so a NaN pivot column is also caught *)
       raise (Singular { row = k; pivot = !best });
@@ -94,10 +114,12 @@ let factor_loop lu perm n =
       let tmp = lu.(k) in
       lu.(k) <- lu.(!pivot);
       lu.(!pivot) <- tmp;
+      scale.(!pivot) <- scale.(k);
       let tp = perm.(k) in
       perm.(k) <- perm.(!pivot);
       perm.(!pivot) <- tp
     end;
+    thresholds.(k) <- threshold;
     let pkk = lu.(k).(k) in
     for i = k + 1 to n - 1 do
       let f = lu.(i).(k) /. pkk in
@@ -106,20 +128,25 @@ let factor_loop lu perm n =
         let ri = lu.(i) and rk = lu.(k) in
         for j = k + 1 to n - 1 do
           ri.(j) <- ri.(j) -. (f *. rk.(j))
-        done
+        done;
+        let grown = Float.abs f *. row_scale in
+        if grown > scale.(i) then scale.(i) <- grown
       end
     done
   done
 
 let lu_perm { perm; _ } = perm
 
+let lu_thresholds { thresholds; _ } = thresholds
+
 let lu_factor a =
   let n, m = dims a in
   assert (n = m);
   let lu = copy a in
   let perm = Array.init n (fun i -> i) in
-  factor_loop lu perm n;
-  { lu; perm }
+  let thresholds = Array.make n 0.0 in
+  factor_loop lu perm ~thresholds n;
+  { lu; perm; thresholds }
 
 let lu_factor_in_place a ~perm =
   let n, m = dims a in
@@ -128,8 +155,9 @@ let lu_factor_in_place a ~perm =
   for i = 0 to n - 1 do
     perm.(i) <- i
   done;
-  factor_loop a perm n;
-  { lu = a; perm }
+  let thresholds = Array.make n 0.0 in
+  factor_loop a perm ~thresholds n;
+  { lu = a; perm; thresholds }
 
 (* forward/back substitution over a dense LU, solving destructively
    into [x] (which must already hold the permuted RHS) *)
@@ -153,7 +181,7 @@ let substitute lu x n =
     x.(i) <- !s /. row.(i)
   done
 
-let lu_solve_in_place { lu; perm } ~scratch b =
+let lu_solve_in_place { lu; perm; _ } ~scratch b =
   let n = Array.length perm in
   assert (Array.length b = n);
   assert (Array.length scratch >= n);
@@ -163,7 +191,7 @@ let lu_solve_in_place { lu; perm } ~scratch b =
   substitute lu scratch n;
   Array.blit scratch 0 b 0 n
 
-let lu_solve { lu; perm } b =
+let lu_solve { lu; perm; _ } b =
   let n = Array.length perm in
   assert (Array.length b = n);
   let x = Array.init n (fun i -> b.(perm.(i))) in

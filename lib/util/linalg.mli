@@ -34,11 +34,24 @@ val lu_factor : matrix -> lu
 
 exception Singular of { row : int; pivot : float }
 (** Raised when factorization meets a pivot column whose largest entry
-    [pivot] falls below the rank threshold (the matrix's largest entry
-    times 1e-14, floored at 1e-300) at elimination step [row] — the
-    matrix is structurally singular or rank-deficient to working
-    precision. NaN pivots are reported the same way rather than being
-    divided through. *)
+    [pivot] falls below the rank threshold at elimination step [row] —
+    the matrix is structurally singular or rank-deficient to working
+    precision. The threshold is 1e-14 times the scale of the pivot's
+    own row, capped at the matrix's largest entry and floored at
+    1e-300. A row's scale is its largest original entry, grown by
+    every elimination update it receives (multiplier times the
+    updating row's scale), so a well-posed row of small conductances
+    beside large ones is accepted while the residue of an O(1)
+    cancellation is not. Pivot choice never reads the threshold. A
+    matrix with a non-finite entry is rejected before elimination
+    ([row] is that entry's row, [pivot] its value), and a NaN pivot is
+    reported rather than divided through. *)
+
+(** [lu_thresholds f] is the rank threshold each pivot of [f] was
+    judged against, by elimination step. {!Sparse_lu} applies the same
+    thresholds when it replays this factorization. The array aliases
+    the factorization's own state — do not mutate. *)
+val lu_thresholds : lu -> float array
 
 (** [lu_solve lu b] solves [a * x = b] for the [a] given to [lu_factor].
     [b] is not modified. *)

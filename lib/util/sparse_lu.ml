@@ -19,6 +19,9 @@ let c_revalidations = Tel.Counter.make "util.sparse_lu.pivot_revalidations"
    straight copy followed by zeroing the fill. *)
 type analysis = {
   perm : int array;   (* factored row i holds A's row perm.(i) *)
+  thresholds : float array;
+      (* per pivot k: the rank threshold the dense analysis judged it
+         against ({!Linalg.lu_thresholds}) *)
   lu : float array;   (* L (unit diagonal implied) and U, by factor slot *)
   diag : int array;   (* per pivot k: factor slot of (k, k) *)
   mult_start : int array;
@@ -97,11 +100,10 @@ let check_finite t a =
     for s = t.row_start.(i) to t.row_start.(i + 1) - 1 do
       let v = a.(s) in
       if not (v -. v = 0.0) then
-        (* a non-finite system is as unusable as a singular one, and —
-           critically — must NOT reach the dense analysis below: an
-           all-Inf matrix can factor "successfully" into a garbage pivot
-           order that would then poison every later solve sharing this
-           handle *)
+        (* a non-finite system is as unusable as a singular one. The
+           dense analysis rejects it too, but a revalidated order never
+           reaches that analysis, and a poisoned system must neither
+           cost nor count as one *)
         raise (L.Singular { row = i; pivot = v })
     done
   done
@@ -118,7 +120,8 @@ let analyse t a =
       dense.(i).(t.col.(s)) <- a.(s)
     done
   done;
-  let perm = Array.copy (L.lu_perm (L.lu_factor dense)) in
+  let d = L.lu_factor dense in
+  let perm = Array.copy (L.lu_perm d) in
   let inv = Array.make n 0 in
   Array.iteri (fun k r -> inv.(r) <- k) perm;
   (* permuted structural pattern, closed under elimination fill-in; the
@@ -181,6 +184,7 @@ let analyse t a =
     Some
       {
         perm;
+        thresholds = L.lu_thresholds d;
         lu = Array.make !nf 0.0;
         diag = Array.init n (fun k -> fslot.(k).(k));
         mult_start;
@@ -194,20 +198,26 @@ let analyse t a =
         upper_col;
       }
 
-(* internal: a pivot fell below the dense threshold under a stored order *)
+(* internal: a pivot fell below the matrix-scale threshold under a
+   stored order *)
 exception Stale
 
 (* Numeric refactorization under a fixed analysis: load the slot values
    and zero the fill-in, then eliminate walking the compiled
    schedule — pivots in order, rows below ascending, columns ascending,
-   exactly the order of the dense elimination. Every pivot must clear
-   the dense factorization's own [scale * 1e-14] threshold: below it,
-   [strict = true] (right after a fresh analysis, whose dense
-   factorization accepted these exact pivots, so the pass cannot loop)
-   raises [L.Singular] and [strict = false] raises [Stale]. With
-   [strict = false] a pivot below the tighter [scale * 1e-10] guard is
-   let through but reported: the result is [true] when some pivot fell
-   under the guard, and the caller must then revalidate the order
+   exactly the order of the dense elimination.
+
+   [strict = true] runs right after a fresh analysis, at the values
+   the dense factorization accepted: every pivot must clear the
+   row-scaled threshold that factorization recorded for it, else
+   [L.Singular] (one rule for both paths; the pivots are the dense
+   ones bit for bit, so the pass cannot loop). [strict = false] judges
+   the pivots against the matrix scale instead, which only chooses
+   between keeping the stored order and re-analysing — both give the
+   same factors. A pivot below [scale * 1e-14] raises [Stale]; one
+   below the tighter [scale * 1e-10] guard is let through but
+   reported: the result is [true] when some pivot fell under the
+   guard, and the caller must then revalidate the order
    ({!unique_pivots}) before trusting the factors. *)
 let refactor an a ~strict =
   (* unchecked accesses: [factor] checked that [a] holds [nnz] values,
@@ -226,9 +236,7 @@ let refactor an a ~strict =
     Array.unsafe_set lu s 0.0
   done;
   let threshold = Float.max 1e-300 (!scale *. 1e-14) in
-  let guard =
-    if strict then threshold else Float.max 1e-300 (!scale *. 1e-10)
-  in
+  let guard = Float.max 1e-300 (!scale *. 1e-10) in
   let small = ref false in
   let diag = an.diag and mult_start = an.mult_start in
   let mult_slot = an.mult_slot and upd_dst = an.upd_dst in
@@ -237,10 +245,12 @@ let refactor an a ~strict =
   for k = 0 to Array.length diag - 1 do
     let pkk = Array.unsafe_get lu (Array.unsafe_get diag k) in
     (* [not >=] rather than [<] so a NaN pivot is also caught *)
-    if not (Float.abs pkk >= guard) then begin
-      if not (Float.abs pkk >= threshold) then
-        if strict then raise (L.Singular { row = k; pivot = pkk })
-        else raise_notrace Stale;
+    if strict then begin
+      if not (Float.abs pkk >= Array.unsafe_get an.thresholds k) then
+        raise (L.Singular { row = k; pivot = pkk })
+    end
+    else if not (Float.abs pkk >= guard) then begin
+      if not (Float.abs pkk >= threshold) then raise_notrace Stale;
       small := true
     end;
     let u0 = Array.unsafe_get upper_start k in
@@ -274,7 +284,7 @@ let refactor an a ~strict =
 
    When it holds at every step, each pivot is the unique column
    maximum, so [Linalg.lu_factor] — first maximum wins, the same
-   [m <> 0.0] elimination, the same threshold — would choose this very
+   [m <> 0.0] elimination, a threshold no higher — would choose this very
    permutation, and the factors equal bit for bit those a fresh
    analysis would produce. *)
 let unique_pivots an =

@@ -31,9 +31,15 @@
     A fixed pivot order can go stale when the matrix values drift far
     from the analysis point (a switch toggling between its on and off
     conductance, say). Every refactorization therefore guards its
-    pivots. A pivot below the dense factorization's own
-    [scale * 1e-14] threshold triggers a fresh analysis at the current
-    values. A pivot between that and [scale * 1e-10] is often still
+    pivots against the matrix scale (its largest entry). A pivot below
+    [scale * 1e-14] — the cap of the dense factorization's row-scaled
+    rank threshold — triggers a fresh analysis at the current values,
+    which accepts or rejects the system by the dense rule itself: each
+    pivot against 1e-14 times its own row's scale (see
+    {!Linalg.Singular}). The numeric pass right after an analysis
+    applies exactly the thresholds the dense factorization recorded
+    ({!Linalg.lu_thresholds}), so both paths share one rule. A pivot
+    between [scale * 1e-14] and [scale * 1e-10] is often still
     the right one (on a long retention hold, C/dt sinks to ~1e-11 S
     while the order is unchanged), so the stored order is
     {e revalidated} first: if every pivot is strictly larger in

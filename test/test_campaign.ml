@@ -17,6 +17,7 @@ module M = Dramstress_march.March
 module St = Dramstress_util.Store
 module Outcome = Dramstress_util.Outcome
 module W = C.Border.Window
+module Tel = Dramstress_util.Telemetry
 
 (* the narrowed window the diff/adaptive manifests below pin *)
 let window5 = W.v ~r_min:1e4 ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05 ()
@@ -701,13 +702,64 @@ let test_adaptive_parity_wait_axis () =
     true
     (adaptive_sims > 0 && adaptive_sims < grid_sims)
 
+(* The retention-deadline shape: adaptive O1/true searches over the full
+   1e3..1e11 window at two holds, each simulation a one-lane run under a
+   deadline. The high-resistance skeleton samples used to die at t = 0
+   (a ~1e-9 S open row read as singular against ~1e5 S capacitor
+   companions), and one skipped skeleton sample escalates a search to
+   the full 13-point grid: 21 simulations per point. Judged against its
+   own row, every sample simulates and no search escalates. *)
+let retention_manifest strategy =
+  Printf.sprintf
+    {|
+(campaign
+  (name plan-r)
+  (defects (O1 true))
+  (sweep (wait 0.03 3.0))
+  (detections (seq "w1 w0 r0"))
+  (sim (deadline 600))
+  (border (r-min 1e3) (r-max 1e11) (grid-points 13) (rel-tol 0.01)
+          (strategy %s)))
+|}
+    strategy
+
+let test_adaptive_retention_no_escalation () =
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled true;
+  let run strategy =
+    with_store_dir @@ fun dir ->
+    O.clear_cache ();
+    Tel.reset ();
+    let before = O.simulations () in
+    let _, r = run_campaign dir (retention_manifest strategy) in
+    let skipped =
+      Option.value ~default:0
+        (List.assoc_opt "core.border.skipped_samples"
+           (Tel.snapshot ()).Tel.counters)
+    in
+    (r, O.simulations () - before, skipped)
+  in
+  let grid, _, _ = run "grid" in
+  let adaptive, sims, skipped = run "adaptive" in
+  Alcotest.(check int) "two points" 2 adaptive.Runner.simulated;
+  Alcotest.(check int) "no skipped sample" 0 skipped;
+  List.iter2
+    (fun (_, (g : Plan.result)) (_, (a : Plan.result)) ->
+      Alcotest.(check bool) "borders identical" true
+        (C.Border.equal_result g.Plan.br a.Plan.br))
+    grid.Runner.results adaptive.Runner.results;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d simulations for 2 points (full-grid escalation: 42)"
+       sims)
+    true (sims <= 28)
+
 (* ------------------------------------------------------------------ *)
 (* protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
 module Pr = Cp.Protocol
 module Svc = Cp.Service
-module Tel = Dramstress_util.Telemetry
 
 let test_protocol_sexp_roundtrip () =
   let nasty = "a \"quoted\" (atom)\nwith\\slashes\tand spaces" in
@@ -1378,6 +1430,8 @@ let () =
             test_golden_store_reuse;
           tc "adaptive parity holds on the wait axis"
             test_adaptive_parity_wait_axis;
+          tc "adaptive retention searches never escalate"
+            test_adaptive_retention_no_escalation;
         ] );
       ( "diff",
         [

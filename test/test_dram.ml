@@ -465,6 +465,41 @@ let test_retry_telemetry_reconciles () =
       Alcotest.(check int) "degraded_runs" 1 (counter "dram.ops.degraded_runs");
       Alcotest.(check int) "failed_runs" 1 (counter "dram.ops.failed_runs"))
 
+(* A high-resistance open leaves the node between the bit line and the
+   access drain tied only by 1/R + gmin at the t = 0 quasi-static step,
+   beside capacitor companions near 1e5 S. Judged against the matrix
+   scale that well-posed row read as singular, and every retry stage
+   (none touches the t = 0 step) failed the same way; judged against
+   its own row it factors at once. *)
+let test_high_r_open_solves_at_t0 () =
+  let module Tel = Dramstress_util.Telemetry in
+  let was = Tel.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Tel.set_enabled was)
+    (fun () ->
+      Tel.set_enabled true;
+      Tel.reset ();
+      List.iter
+        (fun r ->
+          match
+            O.run ~cache:(O.Cache.create ()) ~stress:nominal
+              ~defect:(open_defect r) (O.parse_seq "w1 w1 w0 r0")
+          with
+          | oc ->
+            Alcotest.(check int)
+              (Printf.sprintf "R = %g: one sensed bit" r)
+              1
+              (List.length (O.sensed_bits oc))
+          | exception e ->
+            Alcotest.failf "R = %g: %s" r (Printexc.to_string e))
+        [ 1e9; 1e10; 1e11 ];
+      let counters = (Tel.snapshot ()).Tel.counters in
+      let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+      Alcotest.(check int) "no singular LU" 0
+        (count "engine.health.singular_lu");
+      Alcotest.(check int) "no ladder stage" 0
+        (count "dram.ops.retry_attempts"))
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines and chaos at the operation level                          *)
 (* ------------------------------------------------------------------ *)
@@ -857,6 +892,43 @@ let test_batch_nan_lane_falls_back () =
       | Error _, Ok _ -> Alcotest.failf "clean lane %d failed" i)
     (List.combine clean poisoned)
 
+(* Per-lane allocation of the batched path: amortised over the batch, a
+   lane must allocate no more than a one-lane incremental run did per
+   accepted time point when the ensemble engine landed (the SoA state
+   rows are shared, bisection bookkeeping is amortised). Measured on a
+   warm 16-lane w0 batch with the memo cache off in one domain
+   (Gc.minor_words is per-domain); the limit is that figure plus 10%
+   headroom. *)
+let test_batch_minor_words_per_lane () =
+  let lanes_n = 16 in
+  let lanes =
+    List.init lanes_n (fun i ->
+        {
+          O.defect =
+            Some
+              (D.v (D.Open_cell D.At_bitline_contact) D.True_bl
+                 (1e3 *. Float.pow 10.0 (float_of_int i /. 5.0)));
+          vc_init = 2.4;
+        })
+  in
+  let cache = O.Cache.create ~enabled:false () in
+  let batch () = O.run_batch ~cache ~stress:nominal ~lanes [ O.W0 ] in
+  let points =
+    match batch () with
+    | Ok oc :: _ -> Array.length oc.O.trace.E.Transient.times
+    | _ -> Alcotest.fail "first lane failed"
+  in
+  let w0 = Gc.minor_words () in
+  ignore (batch ());
+  let words =
+    (Gc.minor_words () -. w0) /. float_of_int (lanes_n * points)
+  in
+  let limit = 1175.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per lane per point (limit %.0f)" words
+       limit)
+    true (words <= limit)
+
 (* ------------------------------------------------------------------ *)
 (* Extended stress axes: retention, disturb, timing trim               *)
 (* ------------------------------------------------------------------ *)
@@ -1075,6 +1147,7 @@ let () =
           tc "damped stage rescues the run" test_retry_ladder_rescues;
           tc "exhausted ladder raises" test_retry_ladder_exhausts;
           tc "telemetry counters reconcile" test_retry_telemetry_reconciles;
+          tc "high-R open solves its t=0 step" test_high_r_open_solves_at_t0;
         ] );
       ( "deadlines+chaos",
         [
@@ -1096,6 +1169,8 @@ let () =
           tc "exhausted lane isolated" test_batch_exhausted_lane_isolated;
           tc "NaN lane falls back, batch mates bitwise"
             test_batch_nan_lane_falls_back;
+          tc "batched allocation per lane within budget"
+            test_batch_minor_words_per_lane;
         ] );
       ( "extended stress axes",
         [

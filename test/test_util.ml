@@ -79,6 +79,134 @@ let test_lu_nan_pivot_rejected () =
       Alcotest.fail "NaN leaked into the solution"
   | exception L.Singular _ -> ()
 
+(* the t = 0 quasi-static system of a high-resistance open: capacitor
+   companions C/dt0 near 3e5 S beside the open's node row, tied only by
+   1/R + gmin (~1e-10 S at R = 1e10). The row is well posed, but its
+   pivot sits below 1e-14 of the matrix scale (3e-9). *)
+let open_at_t0 =
+  [| [| 3e5 +. 1e-10; -1e-10; 0.0 |];
+     [| -1e-10; 1e-10 +. 1e-12; -1e-12 |];
+     [| 0.0; -1e-12; 3e5 +. 1e-12 |] |]
+
+let with_entry m i j v =
+  let m = L.copy m in
+  m.(i).(j) <- v;
+  m
+
+let zero_row m i =
+  Array.mapi (fun k r -> if k = i then Array.make (Array.length r) 0.0 else r) m
+
+(* systems the rank test must still reject, beside the open above *)
+let rank_rejects =
+  [ ("zeroed row", zero_row open_at_t0 1);
+    ( "O(1) cancellation residue",
+      [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |]; [| 5.0; 7.0; 9.0 |] |] );
+    (* a row of ~1e-9 entries that elimination fills with O(1) values
+       (row 1 minus row 0) and then cancels to a 1e-16 residue against
+       row 2: its original entries alone would pass the residue *)
+    ( "tiny row filled by O(1) updates",
+      [| [| 1e-9; 0.1; 0.3 |]; [| 1e-9; 1e-9; 3e-9 |];
+         [| 0.0; 0.7; 2.1 |] |] );
+    ("NaN entry", with_entry open_at_t0 1 2 Float.nan);
+    ("infinite entry", with_entry open_at_t0 2 2 Float.infinity) ]
+
+let test_lu_row_scaled_threshold () =
+  let d = L.lu_factor open_at_t0 in
+  Alcotest.(check (array int)) "diagonal pivots" [| 0; 1; 2 |] (L.lu_perm d);
+  let x = L.lu_solve d [| 1.0; 1e-10; 1.0 |] in
+  let r = L.residual open_at_t0 x [| 1.0; 1e-10; 1.0 |] in
+  Alcotest.(check bool) "tiny row solved to its own scale" true
+    (Float.abs r.(1) < 1e-22);
+  List.iter
+    (fun (name, m) ->
+      match L.lu_factor m with
+      | _ -> Alcotest.failf "%s: expected Singular" name
+      | exception L.Singular _ -> ())
+    rank_rejects
+
+(* the matrix-scale rank rule that the row-scaled one refines, as a
+   reference: partial pivoting with every pivot judged against 1e-14 of
+   the largest entry; the factors and permutation, or [None] *)
+let global_rule_factor a =
+  let n = Array.length a in
+  let lu = L.copy a and perm = Array.init n Fun.id in
+  let scale =
+    Array.fold_left
+      (Array.fold_left (fun m v -> Float.max m (Float.abs v)))
+      0.0 lu
+  in
+  let threshold = Float.max 1e-300 (scale *. 1e-14) in
+  match
+    for k = 0 to n - 1 do
+      let p = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs lu.(i).(k) > Float.abs lu.(!p).(k) then p := i
+      done;
+      if not (Float.abs lu.(!p).(k) >= threshold) then raise Exit;
+      let r = lu.(k) and q = perm.(k) in
+      lu.(k) <- lu.(!p);
+      lu.(!p) <- r;
+      perm.(k) <- perm.(!p);
+      perm.(!p) <- q;
+      for i = k + 1 to n - 1 do
+        let f = lu.(i).(k) /. lu.(k).(k) in
+        lu.(i).(k) <- f;
+        if f <> 0.0 then
+          for j = k + 1 to n - 1 do
+            lu.(i).(j) <- lu.(i).(j) -. (f *. lu.(k).(j))
+          done
+      done
+    done
+  with
+  | () -> Some (perm, lu)
+  | exception Exit -> None
+
+(* MNA-like systems: entries in [-1, 1] with exact zeros, scaled by a
+   row and a column factor each between 1e-12 and 1e6, and sometimes a
+   row that is the sum of two others, so elimination meets cancellation
+   residues *)
+let gen_scaled_matrix st =
+  let n = 1 + Random.State.int st 8 in
+  let factor () = 10.0 ** float_of_int (Random.State.int st 19 - 12) in
+  let rs = Array.init n (fun _ -> factor ())
+  and cs = Array.init n (fun _ -> factor ()) in
+  let m =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            if i <> j && Random.State.int st 10 < 4 then 0.0
+            else (Random.State.float st 2.0 -. 1.0) *. rs.(i) *. cs.(j)))
+  in
+  if n >= 3 && Random.State.bool st then begin
+    let pick () = Random.State.int st n in
+    m.(pick ()) <- Array.map2 ( +. ) m.(pick ()) m.(pick ())
+  end;
+  m
+
+let print_matrix m =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map
+          (fun r ->
+            String.concat " "
+              (Array.to_list (Array.map (Printf.sprintf "%h") r)))
+          m))
+
+let prop_lu_row_scale_keeps_accepted =
+  QCheck.Test.make ~count:2000
+    ~name:"lu: a matrix-scale-accepted system factors bit for bit as before"
+    (QCheck.make ~print:print_matrix gen_scaled_matrix)
+    (fun a ->
+      match global_rule_factor a with
+      | None -> true
+      | Some (perm, factors) ->
+        let work = L.copy a and p = Array.make (Array.length a) 0 in
+        ignore (L.lu_factor_in_place work ~perm:p);
+        p = perm
+        && Array.for_all2
+             (Array.for_all2 (fun x y ->
+                  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)))
+             work factors)
+
 let test_lu_does_not_mutate () =
   let a = [| [| 4.0; 1.0 |]; [| 1.0; 3.0 |] |] in
   let saved = L.copy a in
@@ -1520,6 +1648,123 @@ let test_store_merge_rules () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
+(* Mutated record files and store indexes                              *)
+(* ------------------------------------------------------------------ *)
+
+(* a records file as a store writes it: descriptors (one with an
+   escaped quote and newline), an engine stamp, hex payloads *)
+let ck_seed =
+  with_ck_file @@ fun path ->
+  let t = Ck.open_ ~extra:[ ("engine", "git 0123abc") ] path in
+  List.iter
+    (fun (d, v) -> Ck.record t ~key:(Ck.digest_key d) ~descr:d v)
+    [ ("O1 true nominal", "0x1.8p+17 0x1.4p+19");
+      ("Sg \"comp\"\nstressed", "unknown");
+      ("B2 banded", "0x1p+10;0x1p+12") ];
+  Ck.close t;
+  In_channel.with_open_bin path In_channel.input_all
+
+let c_ck_loaded = Tel.Counter.make "util.checkpoint.loaded"
+let c_ck_malformed = Tel.Counter.make "util.checkpoint.malformed_lines"
+let c_ck_unusable = Tel.Counter.make "util.checkpoint.skipped_records"
+
+let non_blank_lines text =
+  List.length
+    (List.filter
+       (fun l -> String.trim l <> "")
+       (String.split_on_char '\n' text))
+
+(* [read path] on a file holding [text], with telemetry on: what it
+   returned and how many lines it skipped (malformed or unusable) *)
+let read_mutated text read =
+  with_tel @@ fun () ->
+  with_ck_file @@ fun path ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let skipped () =
+    Tel.Counter.value c_ck_malformed + Tel.Counter.value c_ck_unusable
+  in
+  let s0 = skipped () in
+  let r = read path in
+  (r, skipped () - s0)
+
+(* every non-blank line of a mutated file is replayed or skipped and
+   counted, and the replay table holds no more than was replayed *)
+let prop_ck_replay_mutated =
+  Mutate.prop ~name:"checkpoint: mutated record files replay or count"
+    [ ck_seed ] (fun text ->
+      let (loaded, entries), skipped =
+        read_mutated text (fun path ->
+            let l0 = Tel.Counter.value c_ck_loaded in
+            let t = Ck.open_ path in
+            let entries = Ck.entries t in
+            Ck.close t;
+            (Tel.Counter.value c_ck_loaded - l0, entries))
+      in
+      if loaded + skipped < non_blank_lines text || entries > loaded then
+        failwith
+          (Printf.sprintf "%d lines: %d replayed, %d skipped, %d entries"
+             (non_blank_lines text) loaded skipped entries))
+
+(* the raw scan accounts for every line the same way, and field
+   extraction on any mutated line answers without raising *)
+let prop_ck_scan_mutated =
+  Mutate.prop ~name:"checkpoint: mutated lines scan and extract or count"
+    [ ck_seed ] (fun text ->
+      let seen, skipped =
+        read_mutated text (fun path ->
+            let n = ref 0 in
+            Ck.scan path (fun ~descr:_ ~engine:_ ~key:_ ~value:_ -> incr n);
+            !n)
+      in
+      if seen + skipped < non_blank_lines text then
+        failwith
+          (Printf.sprintf "%d lines: %d scanned, %d skipped"
+             (non_blank_lines text) seen skipped);
+      List.iter
+        (fun line ->
+          List.iter
+            (fun name -> ignore (Ck.field line name : string option))
+            [ "descr"; "engine"; "key"; "value" ])
+        (String.split_on_char '\n' text))
+
+(* the case the scan property found: a line that is no record was
+   skipped by the scan but, unlike on replay, never counted *)
+let test_ck_scan_counts_malformed () =
+  let text =
+    match String.split_on_char '\n' ck_seed with
+    | l1 :: _ :: rest -> String.concat "\n" (l1 :: "not a record" :: rest)
+    | _ -> Alcotest.fail "seed has fewer than two lines"
+  in
+  let seen, skipped =
+    read_mutated text (fun path ->
+        let n = ref 0 in
+        Ck.scan path (fun ~descr:_ ~engine:_ ~key:_ ~value:_ -> incr n);
+        !n)
+  in
+  Alcotest.(check (pair int int)) "two scanned, one counted" (2, 1)
+    (seen, skipped)
+
+(* an index.json as a store writes it *)
+let index_seed =
+  with_store_dir @@ fun dir ->
+  St.close (St.open_ ~engine:"git 0123abc" ~name:"seed \"store\"" dir);
+  In_channel.with_open_bin (Filename.concat dir "index.json")
+    In_channel.input_all
+
+let prop_store_index_mutated =
+  Mutate.prop ~name:"store: mutated index files read back or None"
+    [ index_seed ] (fun text ->
+      with_store_dir @@ fun dir ->
+      Sys.mkdir dir 0o755;
+      Out_channel.with_open_bin (Filename.concat dir "index.json") (fun oc ->
+          output_string oc text);
+      match St.index dir with
+      | None -> ()
+      | Some ix ->
+        if ix.St.ix_records < 0 || ix.St.ix_shards < 0 then
+          failwith "negative count read back")
+
+(* ------------------------------------------------------------------ *)
 (* Sparse LU: stale pivots and revalidation                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1643,6 +1888,38 @@ let test_sparse_nan_keeps_analysis () =
   Alcotest.(check int) "next healthy factor reuses" (reuse0 + 1)
     (Tel.Counter.value c_reuse)
 
+(* one rank rule on both paths: the open's t = 0 system factors on a
+   fresh handle (its numeric pass applies the thresholds the dense
+   analysis recorded) and again under the stored order, where its pivot
+   sits below the matrix-scale guard and is re-analysed, not rejected;
+   the systems the dense factorization rejects raise on a fresh handle
+   and after a healthy analysis alike, leaving that analysis in place *)
+let test_sparse_row_scaled_threshold () =
+  with_tel @@ fun () ->
+  let h = handle_for [ open_at_t0 ] in
+  factor h open_at_t0;
+  check_dense_perm h open_at_t0;
+  let first = sparse_solution h 3 in
+  Alcotest.(check (pair int int))
+    "re-analysed" (0, 1)
+    (lu_activity (fun () -> factor h open_at_t0));
+  Alcotest.(check (array int64)) "same solve" first (sparse_solution h 3);
+  List.iter
+    (fun (name, m) ->
+      let singular h =
+        match factor h m with
+        | () -> Alcotest.failf "%s: expected Singular" name
+        | exception L.Singular _ -> ()
+      in
+      singular (handle_for [ m ]);
+      let h = handle_for [ open_at_t0; m ] in
+      factor h open_at_t0;
+      let before = Sp.perm h in
+      singular h;
+      Alcotest.(check (option (array int))) "analysis untouched" before
+        (Sp.perm h))
+    rank_rejects
+
 (* revalidation reads [|m| < 1] off the multipliers in place of
    [|entry| < |pivot|]; the two agree for every finite pair *)
 let multiplier_agrees a p =
@@ -1717,15 +1994,7 @@ let gen_sparse_case st =
   (pattern, a, b)
 
 let print_sparse_case (_, a, b) =
-  let mat m =
-    String.concat "\n"
-      (Array.to_list
-         (Array.map
-            (fun r ->
-              String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r)))
-            m))
-  in
-  Printf.sprintf "a =\n%s\nb =\n%s" (mat a) (mat b)
+  Printf.sprintf "a =\n%s\nb =\n%s" (print_matrix a) (print_matrix b)
 
 (* equal bit for bit, signed zeros aside (the dense elimination also
    subtracts the structural zeros the sparse one skips) *)
@@ -1782,6 +2051,9 @@ let () =
           tc "near-singular gmin system solves" test_lu_near_singular_ok;
           tc "NaN pivot rejected" test_lu_nan_pivot_rejected;
           tc "solve does not mutate input" test_lu_does_not_mutate;
+          tc "pivots judged against their own row"
+            test_lu_row_scaled_threshold;
+          QCheck_alcotest.to_alcotest prop_lu_row_scale_keeps_accepted;
           tc "mat_vec and mat_mul" test_mat_vec_mul;
           tc "norms" test_norms;
           tc "in-place LU matches solve" test_lu_in_place_matches_solve;
@@ -1799,6 +2071,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_multiplier_test_exact;
           tc "slots number the pattern in CSR order" test_sparse_slot_numbering;
           QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
+          tc "pivots judged against their own row"
+            test_sparse_row_scaled_threshold;
         ] );
       ( "lru",
         [
@@ -1836,6 +2110,9 @@ let () =
             test_ck_bad_middle_line_tail_replays;
           tc "refused payload recomputed and repaired"
             test_ck_corrupt_payload_repaired;
+          tc "scan counts a malformed line" test_ck_scan_counts_malformed;
+          QCheck_alcotest.to_alcotest prop_ck_replay_mutated;
+          QCheck_alcotest.to_alcotest prop_ck_scan_mutated;
         ] );
       ( "store",
         [
@@ -1855,6 +2132,7 @@ let () =
           tc "orphan index temp files swept" test_store_orphan_tmp_cleanup;
           tc "stale index recovered from records"
             test_store_index_recovery;
+          QCheck_alcotest.to_alcotest prop_store_index_mutated;
           tc "merge union and staleness rules" test_store_merge_rules;
         ] );
       ( "chaos",
