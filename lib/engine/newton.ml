@@ -143,7 +143,8 @@ let chaos_nan x =
    entirely inside [ws] (zero per-iteration matrix allocation) from the
    controls left by the last [Mna.eval_controls_into]; with
    [naive_assembly] the reference path allocates and factors a fresh
-   system instead, honouring the workspace's resistor override. *)
+   system instead, honouring the workspace's resistor override. The
+   updated state is always scanned for NaN/Inf. *)
 let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter x =
   let x_new =
     if opts.naive_assembly then begin
@@ -170,7 +171,7 @@ let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter x =
     apply_update ~opts ~n_node_unknowns:(Mna.n_nodes sys - 1) x x_new
   in
   chaos_nan x;
-  if opts.health_guards then check_finite ~t_now ~iter x;
+  check_finite ~t_now ~iter x;
   worst
 
 let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =

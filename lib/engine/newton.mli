@@ -62,9 +62,8 @@ val solve :
     resistor override) and allocating LU run instead. Node-voltage
     updates are clamped to [opts.max_step_v].
 
-    With [opts.health_guards] (the default) the state vector is checked
-    for NaN/Inf after the update, and a singular LU is converted into
-    {!Numerical_health} either way. *)
+    The state vector is checked for NaN/Inf after every update, and a
+    singular LU is converted into {!Numerical_health}. *)
 val iterate :
   Mna.t ->
   Mna.workspace ->
@@ -80,6 +79,12 @@ val iterate :
     16, with the phase carried across solves and lanes, so the poll is
     amortized and an expired budget is noticed within 16 calls. *)
 val check_deadline : deadline_at:(float * float) option -> t_now:float -> unit
+
+(** [check_finite ~t_now ~iter x] raises {!Numerical_health} when [x]
+    holds a NaN or an infinity; {!iterate} runs it after every update.
+    Exposed so the bench can price the scan it adds to each
+    iteration. *)
+val check_finite : t_now:float -> iter:int -> float array -> unit
 
 (** [apply_update ~opts ~n_node_unknowns x x_new] applies the clamped
     Newton update from [x_new] onto [x] and returns the worst

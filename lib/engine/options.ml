@@ -10,7 +10,6 @@ type t = {
   integrator : integrator;
   naive_assembly : bool;
   dt_scale : float;
-  health_guards : bool;
 }
 
 let default =
@@ -24,5 +23,4 @@ let default =
     integrator = Backward_euler;
     naive_assembly = false;
     dt_scale = 1.0;
-    health_guards = true;
   }

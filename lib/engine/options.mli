@@ -22,16 +22,9 @@ type t = {
           the knob the retry/degradation policy
           ({!Dramstress_dram.Sim_config.retry_policy}) uses to halve the
           initial dt after a Newton failure. *)
-  health_guards : bool;
-      (** per-iteration numerical health checks in {!Newton}: the state
-          vector is scanned for NaN/Inf after every update and a
-          singular LU is converted into a typed
-          {!Newton.Numerical_health} error instead of propagating
-          garbage. Default [true]; the [false] setting exists for the
-          guard-overhead A/B benchmark, not for production use. *)
 }
 
 (** Defaults: abstol 1e-6 V, reltol 1e-4, 80 Newton iterations, gmin 1e-12 S,
     1.0 V step clamp, 300.15 K, backward Euler, incremental assembly,
-    dt_scale 1.0, health guards on. *)
+    dt_scale 1.0. *)
 val default : t

@@ -2,7 +2,7 @@
    every probe starts with [Atomic.get enabled_flag] and a branch, so an
    instrumented hot loop (a Newton iteration, an accepted transient
    step) pays a few nanoseconds when nobody is watching. The bench
-   harness measures this and guards it (`bench … perf`).
+   harness measures this and guards it (`bench guards`).
 
    Handles are registered globally at [make] time so a snapshot can walk
    every metric in the process without the instrumented modules knowing

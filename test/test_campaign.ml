@@ -355,32 +355,53 @@ let run_manifest =
   (border (r-min 1e4) (r-max 1e8) (grid-points 5) (rel-tol 0.05)))
 |}
 
+(* a wait-axis (retention) sweep: its records carry the extended
+   fingerprint, so warm reuse must hold for them too *)
+let wait_manifest =
+  {|
+(campaign
+  (name run-w)
+  (defects (O1 true))
+  (sweep (wait (range 0.01 1.0 3)))
+  (detections (seq "w1 w0 r0"))
+  (border (r-min 1e4) (r-max 1e8) (grid-points 5) (rel-tol 0.05)))
+|}
+
 let test_runner_cold_then_warm () =
-  with_store_dir @@ fun dir ->
-  let m = Manifest.of_string run_manifest in
-  (* cold *)
-  let s1 = St.open_ ~engine:"e" ~name:"run-t" dir in
-  let r1 = Runner.run ~jobs:1 ~store:s1 m in
-  St.close s1;
-  Alcotest.(check int) "planned" 2 r1.Runner.planned;
-  Alcotest.(check int) "cold: nothing reused" 0 r1.Runner.reused;
-  Alcotest.(check int) "cold: everything simulated" 2 r1.Runner.simulated;
-  Alcotest.(check int) "no failures" 0 (List.length r1.Runner.failures);
-  Alcotest.(check int) "all results" 2 (List.length r1.Runner.results);
-  (* warm, across a fresh handle AND a cleared LRU: the reuse must come
-     from the persistent store, not the in-memory cache *)
-  O.clear_cache ();
-  let s2 = St.open_ ~engine:"e" ~name:"run-t" dir in
-  let r2 = Runner.run ~jobs:1 ~store:s2 m in
-  St.close s2;
-  Alcotest.(check int) "warm: everything reused" 2 r2.Runner.reused;
-  Alcotest.(check int) "warm: nothing simulated" 0 r2.Runner.simulated;
-  (* and byte-identical results *)
-  List.iter2
-    (fun (_, a) (_, b) ->
-      Alcotest.(check bool) "same border" true
-        (C.Border.equal_result a.Plan.br b.Plan.br))
-    r1.Runner.results r2.Runner.results
+  (* the two-point study on a single-file and on a 16-shard store, and
+     the retention sweep *)
+  List.iter
+    (fun (what, shards, text, planned) ->
+      with_store_dir @@ fun dir ->
+      let m = Manifest.of_string text in
+      let name = m.Manifest.name in
+      let check label = Alcotest.(check int) (what ^ ": " ^ label) in
+      (* cold *)
+      let s1 = St.open_ ~engine:"e" ?shards ~name dir in
+      let r1 = Runner.run ~jobs:1 ~store:s1 m in
+      St.close s1;
+      check "planned" planned r1.Runner.planned;
+      check "cold: nothing reused" 0 r1.Runner.reused;
+      check "cold: everything simulated" planned r1.Runner.simulated;
+      check "no failures" 0 (List.length r1.Runner.failures);
+      check "all results" planned (List.length r1.Runner.results);
+      (* warm, across a fresh handle AND a cleared LRU: the reuse must
+         come from the persistent store, not the in-memory cache *)
+      O.clear_cache ();
+      let s2 = St.open_ ~engine:"e" ?shards ~name dir in
+      let r2 = Runner.run ~jobs:1 ~store:s2 m in
+      St.close s2;
+      check "warm: everything reused" planned r2.Runner.reused;
+      check "warm: nothing simulated" 0 r2.Runner.simulated;
+      (* and byte-identical results *)
+      List.iter2
+        (fun (_, a) (_, b) ->
+          Alcotest.(check bool) (what ^ ": same border") true
+            (C.Border.equal_result a.Plan.br b.Plan.br))
+        r1.Runner.results r2.Runner.results)
+    [ ("single-file", None, run_manifest, 2);
+      ("16 shards", Some 16, run_manifest, 2);
+      ("wait sweep", None, wait_manifest, 3) ]
 
 let test_runner_failure_retry () =
   let module Chaos = Dramstress_util.Chaos in

@@ -898,36 +898,44 @@ let test_batch_nan_lane_falls_back () =
    rows are shared, bisection bookkeeping is amortised). Measured on a
    warm 16-lane w0 batch with the memo cache off in one domain
    (Gc.minor_words is per-domain); the limit is that figure plus 10%
-   headroom. *)
+   headroom. The one-lane input bounds a single w0 op (70 words per
+   point); the naive reference path, which allocates and factors a
+   fresh system every Newton iteration, reads ~2,500. *)
 let test_batch_minor_words_per_lane () =
-  let lanes_n = 16 in
-  let lanes =
-    List.init lanes_n (fun i ->
-        {
-          O.defect =
-            Some
-              (D.v (D.Open_cell D.At_bitline_contact) D.True_bl
-                 (1e3 *. Float.pow 10.0 (float_of_int i /. 5.0)));
-          vc_init = 2.4;
-        })
+  let words_per_lane_point resistances =
+    let lanes =
+      List.map
+        (fun r ->
+          {
+            O.defect =
+              Some (D.v (D.Open_cell D.At_bitline_contact) D.True_bl r);
+            vc_init = 2.4;
+          })
+        resistances
+    in
+    let cache = O.Cache.create ~enabled:false () in
+    let batch () = O.run_batch ~cache ~stress:nominal ~lanes [ O.W0 ] in
+    let points =
+      match batch () with
+      | Ok oc :: _ -> Array.length oc.O.trace.E.Transient.times
+      | _ -> Alcotest.fail "first lane failed"
+    in
+    let w0 = Gc.minor_words () in
+    ignore (batch ());
+    (Gc.minor_words () -. w0)
+    /. float_of_int (List.length lanes * points)
   in
-  let cache = O.Cache.create ~enabled:false () in
-  let batch () = O.run_batch ~cache ~stress:nominal ~lanes [ O.W0 ] in
-  let points =
-    match batch () with
-    | Ok oc :: _ -> Array.length oc.O.trace.E.Transient.times
-    | _ -> Alcotest.fail "first lane failed"
-  in
-  let w0 = Gc.minor_words () in
-  ignore (batch ());
-  let words =
-    (Gc.minor_words () -. w0) /. float_of_int (lanes_n * points)
-  in
-  let limit = 1175.0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words per lane per point (limit %.0f)" words
-       limit)
-    true (words <= limit)
+  List.iter
+    (fun (resistances, limit) ->
+      let words = words_per_lane_point resistances in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%d lanes: %.0f minor words per lane per point (limit %.0f)"
+           (List.length resistances) words limit)
+        true (words <= limit))
+    [ (List.init 16 (fun i -> 1e3 *. Float.pow 10.0 (float_of_int i /. 5.0)),
+       1175.0);
+      ([ 200e3 ], 1500.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Extended stress axes: retention, disturb, timing trim               *)

@@ -357,29 +357,6 @@ let test_health_nan_state_detected () =
   Alcotest.(check bool) "injections recorded" true
     (Chaos.injected Chaos.Inject_nan_state > 0)
 
-let test_health_guards_can_be_disabled () =
-  (* with health_guards off the chaos NaN sails through unchecked: the
-     run must NOT raise Numerical_health (this is the A/B the bench
-     overhead target relies on). The result is garbage, which is the
-     point: the guard is what stands between NaN and the caller. *)
-  with_chaos @@ fun () ->
-  Chaos.configure ~seed:0 "inject_nan_state";
-  let c = rc_fixture () in
-  let opts = { E.Options.default with E.Options.health_guards = false } in
-  match
-    run1 c ~opts ~segments:[ (5e-10, 1e-10) ] ~ics:[]
-      ~probes:[ "out" ] ()
-  with
-  | r ->
-    Alcotest.(check bool) "NaN reached the trace" true
-      (Array.exists
-         (fun row -> Array.exists (fun v -> Float.is_nan v) row)
-         r.E.Transient.probe_values)
-  | exception E.Newton.Numerical_health _ ->
-    Alcotest.fail "guards fired while disabled"
-  | exception E.Transient.Step_failed _ -> ()
-  | exception E.Newton.No_convergence _ -> ()
-
 let test_health_singular_lu_detected () =
   with_chaos @@ fun () ->
   Chaos.configure ~seed:0 "perturb_jacobian";
@@ -671,7 +648,8 @@ let () =
       ( "health",
         [
           tc "NaN state detected" test_health_nan_state_detected;
-          tc "guards can be disabled" test_health_guards_can_be_disabled;
+          (* second, so the cases after it keep their indices *)
+          tc "t=0 failure allocates no grid" test_dead_at_t0_allocates_no_grid;
           tc "singular LU detected" test_health_singular_lu_detected;
           tc "forced divergence is structured"
             test_health_forced_divergence_is_structured;
@@ -680,7 +658,6 @@ let () =
             test_deadline_generous_budget_unobtrusive;
           tc "expired deadline stops 1 and 4 lanes within 16 iterations"
             test_expired_deadline_within_16_iterations;
-          tc "t=0 failure allocates no grid" test_dead_at_t0_allocates_no_grid;
         ] );
       ( "bitwise",
         [
