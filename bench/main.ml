@@ -526,8 +526,18 @@ let history_line guards =
 
 let failed = ref false
 
+external pin : unit -> int = "dramstress_bench_pin"
+external unpin : unit -> unit = "dramstress_bench_unpin"
+
 let guards () =
   heading "guards" (Printf.sprintf "timing limits on medians of %d runs" runs);
+  (* one CPU for this process and the worker it forks: on a shared host
+     the CPUs run at different speeds from one second to the next, and a
+     sandboxed side whose worker ran on the other CPU timed that CPU's
+     speed, not the sandbox's cost *)
+  (match pin () with
+  | -1 -> Printf.printf "  not pinned: this platform cannot pin a process\n"
+  | cpu -> Printf.printf "  pinned to CPU %d with its sandbox worker\n" cpu);
   (* fork the sandbox worker first, while no domain has been spawned
      (a process with domains cannot fork), and after the memo cache is
      off, so the worker inherits it off *)
@@ -543,6 +553,7 @@ let guards () =
         let ops = op_guards () in
         fig2 :: ops @ campaign_guards pool)
   in
+  unpin ();
   O.Cache.set_enabled O.Cache.default true;
   List.iter
     (fun g ->

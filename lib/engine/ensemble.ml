@@ -110,14 +110,19 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   in
   let n_probes = Array.length probe_ids in
   (* per-lane state rows: committed unknowns, working Newton iterate,
-     previous accepted node voltages, capacitor history. Row identity is
-     stable for the whole run — the Newton loop and [Mna] read and write
-     the rows directly, so a solve allocates nothing per lane per
-     iteration (only the per-solve [reactive] records below). *)
+     previous accepted node voltages, capacitor history, and the
+     predictor's history. Row identity is stable for the whole run — the
+     Newton loop and [Mna] read and write the rows directly, so a solve
+     allocates nothing per lane per iteration (only the per-solve
+     [reactive] records below). *)
   let xs = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   let xw = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   let pvs = Array.init n_lanes (fun _ -> Array.make n_nodes 0.0) in
   let pcs = Array.init n_lanes (fun _ -> Array.make (Int.max 1 n_caps) 0.0) in
+  (* predictor history: the unknowns before the lane's last accepted
+     step, and that step's length (0 while there is none) *)
+  let xp = Array.init n_lanes (fun _ -> Array.make size 0.0) in
+  let hdt = Array.make n_lanes 0.0 in
   (* per-lane ICs -> committed state *)
   Array.iteri
     (fun li lane ->
@@ -154,6 +159,24 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     Array.make n_lanes
       { Mna.dt = 0.0; prev_v = [||]; prev_cap_current = [||] }
   in
+  (* Newton's starting point for a step of length [dt'] from lane [li]'s
+     committed state x_n: the linear extrapolation
+     x_n + (x_n - x_{n-1}) dt'/dt_n along its last accepted step when
+     there is one and [dt'] is not longer than it, x_n itself otherwise.
+     A growing step (active cycle -> pause, a ratio of ~2e7) would
+     extrapolate far past anything the last step saw. The slack absorbs
+     grid steps [t_next - t_prev] that differ from their segment's
+     nominal step in the last bits. *)
+  let predict li dt' =
+    let x = xs.(li) and w = xw.(li) and h = hdt.(li) in
+    if h > 0.0 && dt' <= h *. (1.0 +. 1e-9) then begin
+      let p = xp.(li) and r = dt' /. h in
+      for i = 0 to size - 1 do
+        w.(i) <- x.(i) +. ((x.(i) -. p.(i)) *. r)
+      done
+    end
+    else Array.blit x 0 w 0 size
+  in
   (* Masked batched Newton solve at one time point for the lanes chosen
      by [sel] (dead lanes are always skipped). Each sweep of the loop
      performs one [Newton.iterate] per still-running lane, with the
@@ -172,7 +195,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
       lane_diverge.(li) <- false;
       if a then begin
         incr n_active;
-        Array.blit xs.(li) 0 xw.(li) 0 size;
+        predict li dt';
         reacts.(li) <-
           { Mna.dt = dt'; prev_v = pvs.(li); prev_cap_current = pcs.(li) }
       end
@@ -223,6 +246,8 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
      each slot's previous current is read before it is overwritten *)
   let commit li =
     let x = xw.(li) in
+    Array.blit xs.(li) 0 xp.(li) 0 size;
+    hdt.(li) <- reacts.(li).Mna.dt;
     Array.blit x 0 xs.(li) 0 size;
     Mna.cap_currents_into sys ~opts ~x ~reactive:reacts.(li) ~out:pcs.(li);
     Mna.voltages_into sys x ~out:pvs.(li)
@@ -238,6 +263,8 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     | Some e -> lane_failed li e
     | None -> commit li
   done;
+  (* the quasi-static step is no history to extrapolate from *)
+  Array.fill hdt 0 n_lanes 0.0;
   let probe_names = Array.of_list probes in
   if !n_live = 0 then
     (* nothing to integrate: no grid, times or sample rows are ever

@@ -21,18 +21,36 @@
       ([engine.ensemble.masked_lane_iters] counts those skipped
       iterations).
 
+    Each Newton solve of a step of length [dt'] starts from a
+    {e predicted} state. A lane whose last accepted step took it from
+    [x_{n-1}] to [x_n] in [dt_n] starts from the linear extrapolation
+    [x_n + (x_n - x_{n-1}) dt'/dt_n] when [dt'] is not longer than
+    [dt_n] (up to a 1e-9 relative slack: a grid step
+    [t_next - t_prev] differs from its segment's nominal step in the
+    last bits), and from [x_n] otherwise: at t=0, on the first step
+    after it (whose history is the quasi-static step), and on every step
+    that grows, such as an active cycle into a retention pause, where
+    the ratio is ~2e7 and an extrapolation would land far outside the
+    update clamp's reach. A retry attempt predicts from the same
+    committed state with its halved step. The prediction changes only
+    where Newton starts: a converged solution moves within the Newton
+    tolerance, and the iteration count per accepted step falls by
+    about a third.
+
     Per lane, the iterate sequence does not depend on its batch mates:
-    the same assembly, the same update clamping and convergence test,
-    the same dt-halving retry ladder on step failure (4 halvings), and
-    the same health guards. A lane that fails — Newton divergence after
+    the same assembly, the same prediction from the lane's own history,
+    the same update clamping and convergence test, the same dt-halving
+    retry ladder on step failure (4 halvings), and the same health
+    guards. A lane that fails — Newton divergence after
     retries ({!Transient.Step_failed}), a numerical-health trip, a
     poisoned state — is masked out and reported in its own result slot;
     the surviving lanes are unaffected.
 
     Lane state lives in per-lane [float array] rows (committed unknowns,
-    Newton iterate, node voltages, capacitor history) that the solver
-    reads and writes in place, so a 16-lane run costs one workspace plus
-    [16 x 4] rows, not 16 workspaces. Sample times and probe rows are
+    Newton iterate, node voltages, capacitor history, the unknowns
+    before the last accepted step) that the solver reads and writes in
+    place, so a 16-lane run costs one workspace plus [16 x 5] rows, not
+    16 workspaces. Sample times and probe rows are
     allocated only once the initial solve leaves a live lane.
 
     Telemetry keeps per-lane meaning: [engine.transient.runs] counts

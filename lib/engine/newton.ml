@@ -96,16 +96,29 @@ let sick_singular ~t_now ~iter ~row ~pivot =
    retry ladder understands — a sick state never leaves the solver as a
    plausible-looking voltage. *)
 
+(* v -. v is 0 for finite v and nan for nan/inf, and a nan, once added,
+   sticks: two running sums (independent, so their adds overlap) judge
+   the whole state with no branch per unknown, and only a sick state
+   pays for a second pass to find its first bad unknown. Local floats
+   keep the scan unboxed without flambda, unlike Float.is_finite calls;
+   the loop bounds keep the unsafe reads in range. *)
 let check_finite ~t_now ~iter x =
   let n = Array.length x in
-  let bad = ref (-1) in
-  for i = 0 to n - 1 do
-    (* v -. v is 0 for finite v, nan for nan/inf; the local float keeps
-       the scan unboxed without flambda, unlike a Float.is_finite call *)
-    let v = x.(i) in
-    if !bad < 0 && not (v -. v = 0.0) then bad := i
+  let a = ref 0.0 and b = ref 0.0 in
+  let i = ref 0 in
+  while !i + 1 < n do
+    let v = Array.unsafe_get x !i and w = Array.unsafe_get x (!i + 1) in
+    a := !a +. (v -. v);
+    b := !b +. (w -. w);
+    i := !i + 2
   done;
-  if !bad >= 0 then begin
+  if !i < n then begin
+    let v = x.(!i) in
+    a := !a +. (v -. v)
+  end;
+  if not (!a +. !b = 0.0) then begin
+    let bad = ref 0 in
+    while (let v = x.(!bad) in v -. v = 0.0) do incr bad done;
     Tel.Counter.incr c_nan;
     sick ~t_now ~iter
       (Printf.sprintf "non-finite state (%h at unknown %d)" x.(!bad) !bad)

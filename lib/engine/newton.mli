@@ -80,8 +80,9 @@ val iterate :
     amortized and an expired budget is noticed within 16 calls. *)
 val check_deadline : deadline_at:(float * float) option -> t_now:float -> unit
 
-(** [check_finite ~t_now ~iter x] raises {!Numerical_health} when [x]
-    holds a NaN or an infinity; {!iterate} runs it after every update.
+(** [check_finite ~t_now ~iter x] raises {!Numerical_health} naming the
+    first unknown of [x] that holds a NaN or an infinity; {!iterate}
+    runs it after every update.
     Exposed so the bench can price the scan it adds to each
     iteration. *)
 val check_finite : t_now:float -> iter:int -> float array -> unit

@@ -127,6 +127,26 @@ let test_border_true_comp_symmetry () =
       (Float.abs (a -. b) /. a < 0.05)
   | _ -> Alcotest.fail "expected boundaries on both placements"
 
+(* The [%h] bits of two O1/true borders, recorded before the Newton
+   predictor landed: at nominal with the paper's two-prime detection and
+   at the Figure-6 stressed SC (t_cyc 55 ns, +87 C, 2.1 V) with the three
+   primes Table 1 picks there. An engine change that moves a waveform
+   within the Newton tolerance must leave every bisection verdict, and so
+   these bits, where they are. *)
+let test_border_bits_pinned () =
+  let fig6 =
+    S.with_vdd (S.with_temp_c (S.with_tcyc nominal 55e-9) 87.0) 2.1
+  in
+  List.iter
+    (fun (what, stress, primes, expected) ->
+      let cond = C.Detection.standard ~victim:0 ~primes in
+      Alcotest.(check string) what expected
+        (C.Border.encode_result
+           (C.Border.search ~window:window_1e8 ~stress ~kind:open_kind
+              ~placement:D.True_bl cond)))
+    [ ("nominal", nominal, 2, "br 0x1.396ccf2e18b1dp+17");
+      ("Fig-6 stressed SC", fig6, 3, "br 0x1.702a8aa16e9c4p+16") ]
+
 let test_border_band_for_neighbour_bridge () =
   (* only an interior resistance band is detectable: a hard bridge zeroes
      the aggressor during the victim write, a weak one cannot couple in
@@ -1255,6 +1275,8 @@ let () =
           tc "of_samples unknown edges" test_of_samples_unknown_edge;
           tc "result codec roundtrip" test_border_codec_roundtrip;
           tc "improvement in log decades" test_improvement_log_decades;
+          tc "bits pinned at nominal and the Fig-6 SC"
+            test_border_bits_pinned;
         ] );
       ( "adaptive",
         [

@@ -357,6 +357,33 @@ let test_health_nan_state_detected () =
   Alcotest.(check bool) "injections recorded" true
     (Chaos.injected Chaos.Inject_nan_state > 0)
 
+(* the scan judges the state by running sums and searches only a sick
+   state, so check every length, position and kind of bad value, and
+   a second bad value behind the first, against the index it names *)
+let test_health_scan_names_first_bad () =
+  let finite = [| -0.0; Float.max_float; -.Float.max_float; 4e-324; 1.0 |] in
+  for n = 0 to 5 do
+    let x = Array.sub finite 0 n in
+    E.Newton.check_finite ~t_now:0.0 ~iter:1 x;
+    for p = 0 to n - 1 do
+      List.iter
+        (fun bad ->
+          List.iter
+            (fun second ->
+              let x = Array.copy x in
+              x.(p) <- bad;
+              if p + 1 < n then x.(n - 1) <- second;
+              match E.Newton.check_finite ~t_now:0.0 ~iter:1 x with
+              | () -> Alcotest.failf "n=%d: %h at %d not detected" n bad p
+              | exception E.Newton.Numerical_health { what; _ } ->
+                Alcotest.(check string) "names the first bad unknown"
+                  (Printf.sprintf "non-finite state (%h at unknown %d)" bad p)
+                  what)
+            [ 1.0; Float.nan ])
+        [ Float.nan; Float.infinity; Float.neg_infinity ]
+    done
+  done
+
 let test_health_singular_lu_detected () =
   with_chaos @@ fun () ->
   Chaos.configure ~seed:0 "perturb_jacobian";
@@ -530,10 +557,12 @@ let digest_traces traces =
 let o1 r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r
 
 (* Digests of the times, probe samples and final state of two reference
-   runs, recorded before the sparse LU learned pivot revalidation and
-   the Newton iteration stopped allocating: neither moved a bit. A
-   change that moves these moves stored results too, and must change
-   the engine identity. *)
+   runs. Pivot revalidation in the sparse LU and the allocation-free
+   Newton iteration moved no bit of them. The Newton predictor moved
+   every sample within the Newton tolerance (old digests 662b40b7... and
+   bc32c800...) and no stored border: a change that moves these must
+   show that the golden Table-1 store and the pinned borders in
+   test_core stay put, or change the engine identity. *)
 let test_retention_waveform_pinned () =
   let oc =
     O.run ~config:(Sc.v ~deadline:600.0 ())
@@ -542,7 +571,7 @@ let test_retention_waveform_pinned () =
       [ O.W1; O.Pause 2.0; O.R ]
   in
   Alcotest.(check string) "scalar retention digest"
-    "662b40b7e9c0a12c6c682311a27c7823" (digest_traces [ oc.O.trace ])
+    "051412822782390a8da77078f312eb28" (digest_traces [ oc.O.trace ])
 
 let test_ensemble_waveform_pinned () =
   let lanes =
@@ -558,7 +587,68 @@ let test_ensemble_waveform_pinned () =
          [ O.W1; O.W1; O.W0; O.R ])
   in
   Alcotest.(check string) "4-lane ensemble digest"
-    "bc32c80087d0d7baa7253bb8be5d0f72" (digest_traces traces)
+    "32a56ec62715ccd6052fe944b7eede6f" (digest_traces traces)
+
+(* ------------------------------------------------------------------ *)
+(* Newton predictor                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [counted f] runs [f] with telemetry on and returns a reader of the
+   counters it moved *)
+let counted f =
+  let module Tel = Dramstress_util.Telemetry in
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled true;
+  Tel.reset ();
+  f ();
+  let counters = (Tel.snapshot ()).Tel.counters in
+  fun name -> Option.value ~default:0 (List.assoc_opt name counters)
+
+let run_ops ?config ~stress ops =
+  ignore
+    (O.run ?config ~cache:(O.Cache.create ~enabled:false ()) ~stress
+       ~defect:(o1 200e3) ~vc_init:0.0 ops)
+
+(* Each step's Newton solve starts from the state extrapolated along the
+   lane's last step. On the Figure-6 stressed SC (t_cyc 55 ns, +87 C,
+   2.1 V) this test sequence took 2.08 iterations per accepted step when
+   every step started from the previous state; it takes 1.31 with the
+   predictor. *)
+let test_predictor_cuts_iterations () =
+  let module S = Dramstress_dram.Stress in
+  let stress =
+    S.with_vdd (S.with_temp_c (S.with_tcyc S.nominal 55e-9) 87.0) 2.1
+  in
+  let count = counted (fun () -> run_ops ~stress [ O.W1; O.W1; O.W0; O.R ]) in
+  let per_step =
+    float_of_int (count "engine.newton.iterations")
+    /. float_of_int (count "engine.transient.steps_accepted")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f Newton iterations per accepted step (limit 1.5)"
+       per_step)
+    true (per_step <= 1.5)
+
+(* The step after an active cycle is ~2e7 times longer when a pause
+   follows; extrapolating across that jump lands so far off that every
+   retry stage fails. A step that grows starts from the previous state,
+   so both retention sequences run without a rejected step or a retry. *)
+let test_no_extrapolation_across_jump () =
+  List.iter
+    (fun (what, config, ops) ->
+      let count =
+        counted (fun () ->
+            run_ops ?config ~stress:Dramstress_dram.Stress.nominal ops)
+      in
+      Alcotest.(check (pair int int))
+        (what ^ ": rejected steps, retry attempts")
+        (0, 0)
+        (count "engine.transient.steps_rejected",
+         count "dram.ops.retry_attempts"))
+    [ ("w1 p2.0 r under a deadline", Some (Sc.v ~deadline:600.0 ()),
+       [ O.W1; O.Pause 2.0; O.R ]);
+      ("w1 w0 p3 r0", None, [ O.W1; O.W0; O.Pause 3.0; O.R ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* DC sweep                                                            *)
@@ -658,6 +748,8 @@ let () =
             test_deadline_generous_budget_unobtrusive;
           tc "expired deadline stops 1 and 4 lanes within 16 iterations"
             test_expired_deadline_within_16_iterations;
+          tc "health scan names the first non-finite unknown"
+            test_health_scan_names_first_bad;
         ] );
       ( "bitwise",
         [
@@ -671,5 +763,11 @@ let () =
           tc "divider tracks the source" test_sweep_divider;
           tc "nmos transfer characteristic" test_sweep_nmos_transfer;
           tc "validation" test_sweep_validation;
+        ] );
+      ( "predictor",
+        [
+          tc "predictor cuts Newton iterations" test_predictor_cuts_iterations;
+          tc "no extrapolation across a step-size jump"
+            test_no_extrapolation_across_jump;
         ] );
     ]
