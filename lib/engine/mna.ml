@@ -76,8 +76,8 @@ type t = {
   vsrc_branch : (string, int) Hashtbl.t;  (* vsource name -> branch index *)
   res_index : (string, int) Hashtbl.t;    (* resistor name -> plan index *)
   n_caps : int;
-  pattern : bool array array;  (* structural pattern, see [make] *)
-  nnz : int;                   (* slot count *)
+  sp : Sp.t;  (* slots and column order of the pattern; never factored *)
+  nnz : int;  (* slot count *)
   gmin_slots : int array;      (* per node 1..n_nodes-1: its diagonal *)
   row0_slots : int array;      (* the slots of row 0 (chaos site) *)
   resistors : res_plan array;
@@ -148,8 +148,8 @@ let make (compiled : C.Netlist.compiled) =
   let size = n_nodes - 1 + !nv in
   let branch_row name = n_nodes - 1 + Hashtbl.find vsrc_branch name in
   let pattern = structural_pattern compiled ~size ~branch_row in
-  (* the numbering depends only on the pattern: every workspace's own
-     handle agrees with these slots *)
+  (* slots and column order, computed once per topology: every
+     workspace's handle is a [Sp.fresh] copy of this one *)
   let sp = Sp.make ~n:size ~pattern in
   let at r c = if r >= 0 && c >= 0 then Sp.slot sp r c else -1 in
   let g4 a b =
@@ -198,7 +198,7 @@ let make (compiled : C.Netlist.compiled) =
     vsrc_branch;
     res_index;
     n_caps = !nc;
-    pattern;
+    sp;
     nnz = Sp.nnz sp;
     gmin_slots = Array.init (n_nodes - 1) (fun i -> at i i);
     row0_slots =
@@ -416,7 +416,7 @@ type workspace = {
   vs_v : float array;
   is_i : float array;
   scratch : float array;
-  slu : Sp.t;  (* same pattern as [sys], so the same slots *)
+  slu : Sp.t;  (* [Sp.fresh] of [sys]'s: the same slots and order *)
   (* per-MOSFET temperature-resolved constants, valid for [mos_temp]
      (nan until the first assembly) *)
   mutable mos_temp : float;
@@ -443,7 +443,7 @@ let make_workspace sys =
     vs_v = Array.make (Array.length sys.vsrcs) 0.0;
     is_i = Array.make (Array.length sys.isrcs) 0.0;
     scratch = Array.make n 0.0;
-    slu = Sp.make ~n ~pattern:sys.pattern;
+    slu = Sp.fresh sys.sp;
     mos_temp = Float.nan;
     mos_prep = [||];
     node_v = Array.make sys.n_nodes 0.0;
@@ -601,6 +601,8 @@ let solve_in_place sys ws =
   Sp.solve ws.slu ~scratch:ws.scratch ws.rhs
 
 let solution ws = ws.rhs
+
+let lu_schedule ws = Sp.schedule ws.slu
 
 (* [out] may alias [reactive.prev_cap_current]: each capacitor reads
    only its own slot's previous current before overwriting that same

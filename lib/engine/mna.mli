@@ -10,8 +10,10 @@
 
 type t
 
-(** [make compiled] precomputes the layout, the structural pattern and
-    the slot of every stamp. *)
+(** [make compiled] precomputes the layout, the structural pattern,
+    the slot of every stamp and the sparse LU's column order
+    ({!Dramstress_util.Sparse_lu.col_order}), which every workspace of
+    [t] shares. *)
 val make : Dramstress_circuit.Netlist.compiled -> t
 
 (** [size sys] is the number of unknowns. *)
@@ -147,6 +149,11 @@ val solve_in_place : t -> workspace -> unit
     after {!solve_in_place}. The array is reused by the next
     {!assemble_into_pre}; copy anything that must survive. *)
 val solution : workspace -> float array
+
+(** [lu_schedule ws] reads the sizes of the refactor schedule the
+    workspace's factorization compiled ({!Dramstress_util.Sparse_lu.schedule}),
+    [None] before its first {!solve_in_place}. *)
+val lu_schedule : workspace -> Dramstress_util.Sparse_lu.schedule option
 
 (** [cap_currents_into sys ~opts ~x ~reactive ~out] writes each
     capacitor's branch current at the just-solved point (needed to

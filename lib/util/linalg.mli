@@ -48,9 +48,13 @@ exception Singular of { row : int; pivot : float }
     reported rather than divided through. *)
 
 (** [lu_thresholds f] is the rank threshold each pivot of [f] was
-    judged against, by elimination step. {!Sparse_lu} applies the same
-    thresholds when it replays this factorization. The array aliases
-    the factorization's own state — do not mutate. *)
+    judged against, by elimination step. {!Sparse_lu} factors its
+    system with the columns in its own fill-reducing order and applies
+    the thresholds this factorization of the column-permuted matrix
+    recorded when it replays it. A row's scale does not depend on the
+    column order, but the pivots do, so whether a near-singular system
+    is accepted can depend on the column order. The array aliases the
+    factorization's own state — do not mutate. *)
 val lu_thresholds : lu -> float array
 
 (** [lu_solve lu b] solves [a * x = b] for the [a] given to [lu_factor].

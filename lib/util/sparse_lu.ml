@@ -40,12 +40,16 @@ type analysis = {
   upper_col : int array;
 }
 
+(* Everything but [analysis] depends on the pattern alone and is never
+   mutated, so handles made by [fresh] share it. *)
 type t = {
   n : int;
   (* structural pattern in CSR, natural row order: input slot s holds
      row i, column [col.(s)] for [row_start.(i) <= s < row_start.(i+1)] *)
   row_start : int array;
   col : int array;
+  order : int array;  (* Q: column k of A·Q is column order.(k) of A *)
+  qcol : int array;   (* per input slot: its column in A·Q *)
   mutable analysis : analysis option;
 }
 
@@ -72,6 +76,98 @@ let csr n keep f =
   done;
   (start, v)
 
+(* Markowitz column order from the pattern alone: eliminate the pattern
+   symbolically, each step at the active position of least
+   (row count - 1) * (column count - 1), the first in column-major scan
+   order, and keep the sequence of pivot columns (the rows are left to
+   the dense partial pivoting). The scan walks per-column row lists and
+   the counts of the active submatrix are updated as the pivot row and
+   column leave and fill-in arrives, so a step costs about the nonzeros
+   it touches; a cost-0 position cannot be beaten and ends its scan. A
+   structurally singular remainder keeps its columns ascending. *)
+let markowitz_order n ~row_start ~col =
+  (* positions by column (rows ascending) and by row, from the CSR;
+     entries of eliminated rows and columns stay and are skipped *)
+  let col_rows = Array.make n [] and row_cols = Array.make n [] in
+  for i = n - 1 downto 0 do
+    for s = row_start.(i + 1) - 1 downto row_start.(i) do
+      col_rows.(col.(s)) <- i :: col_rows.(col.(s));
+      row_cols.(i) <- col.(s) :: row_cols.(i)
+    done
+  done;
+  let rows = Array.map List.length row_cols in
+  let cols = Array.map List.length col_rows in
+  let row_live = Array.make n true and col_live = Array.make n true in
+  let rec insert i = function
+    | r :: rest when r < i -> r :: insert i rest
+    | l -> i :: l
+  in
+  let best = ref 0 and bi = ref 0 and bj = ref 0 in
+  let rec scan j = function
+    | [] -> ()
+    | i :: rest ->
+      if row_live.(i) then begin
+        let cost = (rows.(i) - 1) * (cols.(j) - 1) in
+        if cost < !best then begin
+          best := cost;
+          bi := i;
+          bj := j;
+          if cost = 0 then raise_notrace Exit
+        end
+      end;
+      scan j rest
+  in
+  let pick () =
+    best := max_int;
+    bi := -1;
+    (try
+       for j = 0 to n - 1 do
+         if col_live.(j) then scan j col_rows.(j)
+       done
+     with Exit -> ());
+    (!bi, !bj)
+  in
+  let order = Array.make n 0 and k = ref 0 in
+  let rec eliminate () =
+    match pick () with
+    | -1, _ -> ()
+    | p, q ->
+      order.(!k) <- q;
+      incr k;
+      (* fill-in: (i, j) for every active (i, q) and (p, j) *)
+      List.iter
+        (fun i ->
+          if row_live.(i) && i <> p then begin
+            List.iter
+              (fun j ->
+                if col_live.(j) && j <> q && not (List.mem j row_cols.(i))
+                then begin
+                  col_rows.(j) <- insert i col_rows.(j);
+                  row_cols.(i) <- j :: row_cols.(i);
+                  rows.(i) <- rows.(i) + 1;
+                  cols.(j) <- cols.(j) + 1
+                end)
+              row_cols.(p);
+            rows.(i) <- rows.(i) - 1
+          end)
+        col_rows.(q);
+      List.iter
+        (fun j -> if col_live.(j) then cols.(j) <- cols.(j) - 1)
+        row_cols.(p);
+      row_live.(p) <- false;
+      col_live.(q) <- false;
+      eliminate ()
+  in
+  eliminate ();
+  Array.iteri
+    (fun j live ->
+      if live then begin
+        order.(!k) <- j;
+        incr k
+      end)
+    col_live;
+  order
+
 let make ~n ~pattern =
   if Array.length pattern <> n then invalid_arg "Sparse_lu.make: pattern rows";
   Array.iter
@@ -79,7 +175,15 @@ let make ~n ~pattern =
       if Array.length row <> n then invalid_arg "Sparse_lu.make: pattern cols")
     pattern;
   let row_start, col = csr n (fun i j -> pattern.(i).(j)) (fun _ j -> j) in
-  { n; row_start; col; analysis = None }
+  let order = markowitz_order n ~row_start ~col in
+  let pos = Array.make n 0 in
+  Array.iteri (fun k j -> pos.(j) <- k) order;
+  { n; row_start; col; order; qcol = Array.map (fun j -> pos.(j)) col;
+    analysis = None }
+
+let fresh t = { t with analysis = None }
+
+let col_order t = Array.copy t.order
 
 let nnz t = t.row_start.(t.n)
 
@@ -111,13 +215,14 @@ let check_finite t a =
 (* callers run [check_finite] first *)
 let analyse t a =
   let n = t.n in
-  (* pivot order from one dense partially-pivoted factorization at the
-     current values (the dense oracle); raises L.Singular for
-     rank-deficient systems *)
+  (* row pivot order from one dense partially-pivoted factorization of
+     A·Q at the current values (the dense oracle); raises L.Singular for
+     rank-deficient systems. From here on every column index is one of
+     A·Q *)
   let dense = L.create n n in
   for i = 0 to n - 1 do
     for s = t.row_start.(i) to t.row_start.(i + 1) - 1 do
-      dense.(i).(t.col.(s)) <- a.(s)
+      dense.(i).(t.qcol.(s)) <- a.(s)
     done
   done;
   let d = L.lu_factor dense in
@@ -129,7 +234,7 @@ let analyse t a =
   let pat = Array.make_matrix n n false in
   for i = 0 to n - 1 do
     for s = t.row_start.(i) to t.row_start.(i + 1) - 1 do
-      pat.(inv.(i)).(t.col.(s)) <- true
+      pat.(inv.(i)).(t.qcol.(s)) <- true
     done
   done;
   for k = 0 to n - 1 do
@@ -149,7 +254,7 @@ let analyse t a =
   let fslot = Array.make_matrix n n (-1) in
   for i = 0 to n - 1 do
     for s = t.row_start.(i) to t.row_start.(i + 1) - 1 do
-      fslot.(inv.(i)).(t.col.(s)) <- s
+      fslot.(inv.(i)).(t.qcol.(s)) <- s
     done
   done;
   let nf = ref (nnz t) in
@@ -340,6 +445,18 @@ let factor t a =
 
 let perm t = Option.map (fun an -> Array.copy an.perm) t.analysis
 
+type schedule = { fill_in : int; multipliers : int; updates : int }
+
+let schedule t =
+  Option.map
+    (fun an ->
+      {
+        fill_in = Array.length an.lu - nnz t;
+        multipliers = Array.length an.mult_slot;
+        updates = Array.length an.upd_dst;
+      })
+    t.analysis
+
 let solve t ~scratch b =
   let an =
     match t.analysis with
@@ -380,4 +497,8 @@ let solve t ~scratch b =
     done;
     scratch.(i) <- !s /. lu.(an.diag.(i))
   done;
-  Array.blit scratch 0 b 0 n
+  (* [scratch] solves A·Q y = b; x = Q y *)
+  let order = t.order in
+  for k = 0 to n - 1 do
+    b.(Array.unsafe_get order k) <- Array.unsafe_get scratch k
+  done

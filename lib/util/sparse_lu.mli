@@ -13,20 +13,33 @@
       Positions off the pattern are exactly 0.0 by construction. The
       numbering depends only on the pattern, so two handles made from
       the same pattern agree on every slot;
+    - {e column order} — {!make} also fixes a column order [Q]
+      ({!col_order}) from the pattern alone, by a symbolic Markowitz
+      pass: each step eliminates the structural position of least
+      (row count - 1) * (column count - 1) in the remaining
+      submatrix, the first in column-major scan order, and only its
+      column sequence is kept. Eliminating in that order keeps the
+      factors of an MNA matrix on or near its own pattern, where the
+      natural order eliminates the node rows before the voltage-source
+      branch rows and about doubles the DRAM column's factor slots. Every
+      handle made from one pattern has the same [Q], whatever values it
+      later factors;
     - {e symbolic analysis} — run once per topology: the slot values
-      are scattered into a dense scratch matrix and one dense
-      partially-pivoted factorization ({!Linalg.lu_factor}, the oracle)
-      picks the pivot order. The permuted pattern is closed under
-      elimination fill-in and the numeric refactor is compiled into
-      flat integer schedules: the load map from input slot to factor
-      slot, the fill slots to zero, the pivot slots, per pivot the
-      multiplier slots with their update destinations, and per row the
-      L and U lists of the two substitutions;
+      are scattered into a dense scratch matrix [A·Q] (column [k] holds
+      column [(col_order t).(k)] of the system) and one dense
+      partially-pivoted factorization of it ({!Linalg.lu_factor}, the
+      oracle) picks the row pivot order. The permuted pattern is closed
+      under elimination fill-in and the numeric refactor is compiled
+      into flat integer schedules: the load map from input slot to
+      factor slot, the fill slots to zero, the pivot slots, per pivot
+      the multiplier slots with their update destinations, and per row
+      the L and U lists of the two substitutions;
     - {e numeric refactorization} — run every {!factor}: load, then
       eliminate by walking the schedules, with no pivot search. Entries
       receive the same operations in the same order as the dense
-      elimination, so the factors and solutions are bit for bit the
-      dense ones under the same pivot order.
+      elimination of [A·Q], so the factors are bit for bit the dense
+      ones under the same pivot order, and {!solve} returns the dense
+      solution of [A·Q y = b] un-permuted, [x.(q.(k)) = y.(k)].
 
     A fixed pivot order can go stale when the matrix values drift far
     from the analysis point (a switch toggling between its on and off
@@ -43,16 +56,18 @@
     the right one (on a long retention hold, C/dt sinks to ~1e-11 S
     while the order is unchanged), so the stored order is
     {e revalidated} first: if every pivot is strictly larger in
-    magnitude than each entry below it in its column, it is the unique
-    column maximum, {!Linalg.lu_factor} would pick exactly this
+    magnitude than each entry below it in its column of [A·Q], it is
+    the unique column maximum, {!Linalg.lu_factor} would pick exactly this
     permutation, and the factors are kept — bit for bit those a fresh
     analysis would produce. A tie, a larger entry below a pivot, or a
     non-finite entry falls back to the fresh analysis. Both the
     finiteness scan and the revalidation walk the slots and the
     multipliers only, O(nnz). Either way the answer is never wrong, and
     a fresh analysis runs only when the order really changed. A system
-    that the dense factorization itself rejects raises
-    {!Linalg.Singular} exactly like the dense path, and a system
+    whose dense factorization of [A·Q] is rejected raises
+    {!Linalg.Singular} exactly like that factorization (the pivots, and
+    so the verdict on a nearly singular system, depend on [Q]), and a
+    system
     containing non-finite entries raises {!Linalg.Singular} without
     touching the stored analysis (so one poisoned solve cannot perturb
     the pivot order used by healthy ones — per-lane isolation in the
@@ -66,7 +81,7 @@
     dense re-analyses only.
 
     A handle must not be shared between domains; each workspace owns
-    its own. *)
+    its own, made by {!fresh} from one per topology. *)
 
 type t
 
@@ -76,6 +91,17 @@ type t
     write, independent of current values (a MOSFET's [gm] may be
     numerically zero at one iterate and not the next). *)
 val make : n:int -> pattern:bool array array -> t
+
+(** [fresh t] is a handle for the same pattern as [t], sharing its
+    slots and its {!col_order} without recomputing them, and with no
+    analysis yet: a second solver on one topology at the cost of an
+    allocation. *)
+val fresh : t -> t
+
+(** [col_order t] is a copy of the column order [Q]: column [k] of the
+    factored matrix [A·Q] is column [(col_order t).(k)] of the system.
+    It depends on the pattern alone. *)
+val col_order : t -> int array
 
 (** [nnz t] is the number of structural positions, the length of the
     value vector {!factor} takes. *)
@@ -92,10 +118,20 @@ val slot : t -> int -> int -> int
     contains non-finite entries. *)
 val factor : t -> float array -> unit
 
-(** [perm t] is a copy of the stored pivot order (factored row [i]
-    holds row [(perm t).(i)] of the matrix), [None] before the first
+(** [perm t] is a copy of the stored row pivot order (factored row [i]
+    holds row [(perm t).(i)] of [A·Q]), [None] before the first
     successful {!factor}. *)
 val perm : t -> int array option
+
+(** Sizes of the compiled refactor schedule: [fill_in] is the number
+    of factor slots beyond the {!nnz} structural ones, [multipliers]
+    the divisions per refactor and [updates] its scheduled
+    multiply-adds (a zero multiplier skips its row's). *)
+type schedule = { fill_in : int; multipliers : int; updates : int }
+
+(** [schedule t] reads the sizes of the stored analysis, [None] before
+    the first successful {!factor}. *)
+val schedule : t -> schedule option
 
 (** [solve t ~scratch b] overwrites [b] with the solution using the last
     {!factor}. [scratch] must hold at least [n] floats. *)

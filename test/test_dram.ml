@@ -500,6 +500,58 @@ let test_high_r_open_solves_at_t0 () =
       Alcotest.(check int) "no ladder stage" 0
         (count "dram.ops.retry_attempts"))
 
+(* The sparse LU's column order keeps the column's factors on its own
+   pattern: one system per Figure-7 entry x placement factors with no
+   fill-in, and at most 25 scheduled multiply-adds per refactor (the
+   natural column order reads 202-273 here). With the leak and coupling
+   devices added, O1's pattern admits no fill-free pivot sequence at
+   all, and the order fills 2 slots there; the others stay fill-free. *)
+let test_column_lu_fill_free () =
+  let module Col = Dramstress_dram.Column in
+  let module W = Dramstress_circuit.Waveform in
+  let tech = T.default and vdd = nominal.S.vdd in
+  let on = W.dc 1.0 and off = W.dc 0.0 in
+  let controls =
+    { Col.wl = W.dc (vdd +. tech.T.wl_boost); wl_ref = off; wl_nb = off;
+      pre = on; sae = off; wr_acc_hi = off; wr_acc_lo = off;
+      wr_ref_hi = off; wr_ref_lo = off; colsel = off }
+  in
+  List.iter
+    (fun (entry : D.entry) ->
+      List.iter
+        (fun placement ->
+          List.iter
+            (fun (leak_g, couple) ->
+              let defect = D.v entry.D.kind placement 200e3 in
+              let col =
+                Col.build ~tech ~vdd ~controls ~leak_g ~couple ~defect ()
+              in
+              let sys = E.Mna.make col.Col.compiled in
+              let ws = E.Mna.make_workspace sys in
+              let reactive =
+                { (E.Mna.dc_reactive sys) with E.Mna.dt = 1e-10 }
+              in
+              E.Mna.eval_controls_into sys ws ~t_now:0.0;
+              E.Mna.assemble_into_pre sys ws ~opts:E.Options.default
+                ~x:(Array.make (E.Mna.size sys) 0.0) ~reactive;
+              E.Mna.solve_in_place sys ws;
+              let name =
+                Format.asprintf "%s/%a%s" entry.D.id D.pp_placement placement
+                  (if leak_g > 0.0 then " leak+couple" else "")
+              in
+              match E.Mna.lu_schedule ws with
+              | None -> Alcotest.failf "%s: no schedule" name
+              | Some sc ->
+                let fill = sc.Dramstress_util.Sparse_lu.fill_in in
+                if fill > (if leak_g > 0.0 then 2 else 0) then
+                  Alcotest.failf "%s: %d fill-in slots" name fill;
+                if sc.updates > 25 then
+                  Alcotest.failf "%s: %d multiply-adds per refactor (limit 25)"
+                    name sc.updates)
+            [ (0.0, 0.0); (1e-12, 0.1 *. tech.T.c_cell) ])
+        [ D.True_bl; D.Comp_bl ])
+    D.catalog
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines and chaos at the operation level                          *)
 (* ------------------------------------------------------------------ *)
@@ -1149,6 +1201,7 @@ let () =
           tc "memo cache replays identical runs" test_memo_cache_replays;
           tc "simulations count with the cache off"
             test_simulations_count_with_cache_off;
+          tc "column LU factors without fill-in" test_column_lu_fill_free;
         ] );
       ( "retry ladder",
         [

@@ -560,7 +560,9 @@ let o1 r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r
    runs. Pivot revalidation in the sparse LU and the allocation-free
    Newton iteration moved no bit of them. The Newton predictor moved
    every sample within the Newton tolerance (old digests 662b40b7... and
-   bc32c800...) and no stored border: a change that moves these must
+   bc32c800...) and no stored border; the sparse LU's Markowitz column
+   order moved samples at the rounding level (old digests 05141282...
+   and 32a56ec6...) and no stored border. A change that moves these must
    show that the golden Table-1 store and the pinned borders in
    test_core stay put, or change the engine identity. *)
 let test_retention_waveform_pinned () =
@@ -571,7 +573,7 @@ let test_retention_waveform_pinned () =
       [ O.W1; O.Pause 2.0; O.R ]
   in
   Alcotest.(check string) "scalar retention digest"
-    "051412822782390a8da77078f312eb28" (digest_traces [ oc.O.trace ])
+    "fdb58a7f16b6591d780a448568a8c927" (digest_traces [ oc.O.trace ])
 
 let test_ensemble_waveform_pinned () =
   let lanes =
@@ -587,7 +589,7 @@ let test_ensemble_waveform_pinned () =
          [ O.W1; O.W1; O.W0; O.R ])
   in
   Alcotest.(check string) "4-lane ensemble digest"
-    "32a56ec62715ccd6052fe944b7eede6f" (digest_traces traces)
+    "6ec78c51ca249226c185f49aaca7c400" (digest_traces traces)
 
 (* ------------------------------------------------------------------ *)
 (* Newton predictor                                                    *)

@@ -1809,9 +1809,17 @@ let sparse_solution h n =
   Sp.solve h ~scratch:(Array.make n 0.0) x;
   Array.map Int64.bits_of_float x
 
+(* A·Q: the dense matrix the handle's analysis factors, column [k]
+   holding column [q.(k)] of [a] for [q = Sp.col_order h] *)
+let times_q h a =
+  let q = Sp.col_order h in
+  Array.map (fun row -> Array.map (fun j -> row.(j)) q) a
+
 let check_dense_perm h a =
   Alcotest.(check (option (array int)))
-    "partial-pivot order" (Some (L.lu_perm (L.lu_factor a))) (Sp.perm h)
+    "partial-pivot order of A·Q"
+    (Some (L.lu_perm (L.lu_factor (times_q h a))))
+    (Sp.perm h)
 
 (* the retention-hold storm: the pivots of a 2 s hold fall under the
    refactor guard, yet the stored order is still the dense order, so it
@@ -2012,17 +2020,21 @@ let prop_sparse_matches_dense =
       let h = Sp.make ~n ~pattern in
       let rhs = Array.init n (fun i -> float_of_int (i + 1)) in
       let dense_singular m =
-        match L.lu_factor m with
+        match L.lu_factor (times_q h m) with
         | _ -> false
         | exception L.Singular _ -> true
       in
-      (* [h] holds a factorization of [m]: is it the dense one? *)
+      (* [h] holds a factorization of [m]: is it the dense one of
+         A·Q, its solution [y] un-permuted to [x.(q.(k)) = y.(k)]? *)
       let matches_dense m =
-        let d = L.lu_factor m in
+        let d = L.lu_factor (times_q h m) in
         let x = Array.copy rhs in
         Sp.solve h ~scratch:(Array.make n 0.0) x;
+        let q = Sp.col_order h in
         Sp.perm h = Some (L.lu_perm d)
-        && Array.for_all2 same_float x (L.lu_solve d rhs)
+        && Array.for_all2
+             (fun k y -> same_float x.(k) y)
+             q (L.lu_solve d rhs)
       in
       (* every factor of a fresh analysis, a revalidated order or a
          re-analysis is the dense one; a plain refactor keeps an order
@@ -2036,6 +2048,29 @@ let prop_sparse_matches_dense =
         | exception L.Singular _ -> dense_singular m
       in
       checked a && checked b)
+
+(* the column order is a permutation fixed by the pattern: two handles
+   made from one pattern, and a [fresh] copy, agree on it before and
+   after factoring different values (singular ones included) *)
+let prop_col_order_from_pattern =
+  QCheck.Test.make ~count:500
+    ~name:"sparse lu: column order is a permutation of the pattern alone"
+    (QCheck.make ~print:print_sparse_case gen_sparse_case)
+    (fun (pattern, a, b) ->
+      with_tel @@ fun () ->
+      let n = Array.length pattern in
+      let h1 = Sp.make ~n ~pattern and h2 = Sp.make ~n ~pattern in
+      let h3 = Sp.fresh h1 in
+      let q = Sp.col_order h1 in
+      let try_factor h m =
+        match factor h m with () -> () | exception L.Singular _ -> ()
+      in
+      try_factor h1 a;
+      try_factor h2 b;
+      try_factor h3 b;
+      try_factor h1 b;
+      List.sort compare (Array.to_list q) = List.init n Fun.id
+      && List.for_all (fun h -> Sp.col_order h = q) [ h1; h2; h3 ])
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -2071,6 +2106,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_multiplier_test_exact;
           tc "slots number the pattern in CSR order" test_sparse_slot_numbering;
           QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
+          QCheck_alcotest.to_alcotest prop_col_order_from_pattern;
           tc "pivots judged against their own row"
             test_sparse_row_scaled_threshold;
         ] );
