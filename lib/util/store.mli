@@ -10,38 +10,33 @@
     Layout under the store directory, single-file mode (the default):
 
     - [records.jsonl] — a {!Checkpoint} record file: one record per
-      completed point, replayed on open and appended to, hex-float
-      payloads, flushed per record, truncated-final-line tolerance,
-      domain-safe. Every record is stamped with the engine identity of
-      the binary that produced it ({!Build_info.identity} unless
-      overridden), so stale-engine results are detectable.
-    - [index.json] — a small summary (store name, engine, record count,
-      shard count) rewritten atomically on {!close}; a convenience for
-      humans and status commands, never the source of truth. A missing
-      or stale index is rebuilt from [records.jsonl] (counted on
-      [util.store.index_recovered]).
+      completed point, replayed on first touch and appended to,
+      hex-float payloads, flushed per record, truncated-final-line
+      tolerance, domain-safe. Every record is stamped with the engine
+      identity of the binary that produced it ({!Build_info.identity}
+      unless overridden), so stale-engine results are detectable. The
+      record files are the whole store: record counts and engines are
+      read from them, never from a summary.
+    - [name] — the store's name, written once when the directory is
+      created ([O_EXCL]; a concurrent creator that loses the race reads
+      the winner's) and never rewritten. A store created before this
+      file existed has an [index.json] summary instead; its ["name"]
+      field supplies the name once, when [name] is first written, and
+      [index.json] itself is never written again.
     - [store.lock] — advisory inter-process lockfile: record appends
-      through {!put}/{!merge} and index rewrites hold a [lockf] region
-      on it, so concurrent processes sharing the directory cannot
-      interleave an index rewrite with each other's appends.
+      through {!put}/{!merge} hold a [lockf] region on it, so concurrent
+      processes sharing the directory append whole records.
 
     Sharded mode ([open_ ~shards:n] with [n >= 2], or autodetected on
-    reopen) replaces the single [records.jsonl]/[index.json] pair with
-    [shards/<xx>/records.jsonl] + [shards/<xx>/index.json], where a
-    record's shard is the first two hex digits of its content digest
-    modulo the shard count — a pure function of the key, so every
-    process routes identically and a point's result lands next to its
-    probe memos. Shards open lazily on first touch; the shard count is
-    pinned at creation ([shards/.count]) and reopening with a different
-    count is refused. The top-level [index.json] keeps the store-wide
-    summary with its [shards] field set.
-
-    Atomic index rewrites stage through a unique
-    [index.json.tmp.<pid>.<seq>] file created with [O_EXCL]; orphaned
-    temp files from killed writers are swept on open (counted on
-    [util.store.orphan_tmp_removed]). A staging file whose embedded pid
-    still names a live process is left alone — it belongs to another
-    process mid-rewrite, not to a dead one.
+    reopen) replaces the single [records.jsonl] with
+    [shards/<xx>/records.jsonl], where a record's shard is the first
+    two hex digits of its content digest modulo the shard count — a
+    pure function of the key, so every process routes identically and a
+    point's result lands next to its probe memos. The shard count is
+    pinned at creation in [shards/.count] (written once, like [name])
+    and reopening with a different count is refused. A single-file
+    store is the one-shard case whose shard directory is the store
+    root; every shard, that one included, opens on first touch.
 
     Records are keyed by {!Checkpoint.digest_key} of a canonical point
     descriptor — the content address. Unlike a checkpoint, {!put} may
@@ -50,15 +45,15 @@
     never recomputed.
 
     Activity feeds the same [util.checkpoint.*] telemetry counters as
-    the checkpoint layer, plus the [util.store.*] counters above. *)
+    the checkpoint layer, plus [util.store.merge_*] for {!merge}. *)
 
 type t
 
 (** [open_ ?engine ?shards ~name dir] opens (creating if needed) the
-    store directory [dir]. Existing records are loaded (single mode) or
-    mapped lazily (sharded mode); new records append. [name] labels the
-    store in [index.json] when [dir] is created; an existing store keeps
-    the name its index already holds, whatever [name] is given.
+    store directory [dir]. Existing records are loaded when their shard
+    is first touched; new records append. [name] is written to the
+    [name] file when [dir] is created; an existing store keeps the name
+    it was created with, whatever [name] is given.
     [engine] (default {!Build_info.identity}) is stamped onto every
     record written through this handle.
 
@@ -82,8 +77,9 @@ val engine : t -> string
     store. *)
 val shards : t -> int
 
-(** [entries t] is the number of distinct keys held (all engines). For
-    a sharded store this opens every shard that has records on disk. *)
+(** [entries t] is the number of distinct keys held (all engines),
+    counted from the records; this opens every shard that has records
+    on disk. *)
 val entries : t -> int
 
 (** [checkpoint_for t ~key] is the {!Checkpoint} handle that holds (or
@@ -140,24 +136,12 @@ type merge_stats = { added : int; replaced : int; kept : int }
 
     Keys absent from [dst] are appended (counted [added]). A copied
     record keeps its {e original} engine stamp, so staleness remains
-    detectable after any number of merges. [src] is read via raw file
-    scans and is never written. *)
+    detectable after any number of merges. [src]'s records are read via
+    raw file scans and never written; opening [src] as a store did
+    create its [store.lock], and its [name] if it had none. *)
 val merge : src:t -> dst:t -> merge_stats
 
-(** [close t] flushes, closes the record channel(s) and rewrites the
-    index summaries (atomically, via unique temp files + rename) under
-    the inter-process lock. *)
+(** [close t] closes the record channel(s) and the lockfile. Every
+    record was flushed when it was appended, so nothing else is
+    written. *)
 val close : t -> unit
-
-(** What {!index} reads back from [index.json]. [ix_shards] is [0] for
-    a single-file store. *)
-type index = {
-  ix_name : string;
-  ix_engine : string;
-  ix_records : int;
-  ix_shards : int;
-}
-
-(** [index dirpath] reads the summary of a store directory without
-    opening (or locking) the store; [None] if no readable index exists. *)
-val index : string -> index option

@@ -1169,21 +1169,19 @@ let test_store_roundtrip () =
 
 let test_store_index_and_engines () =
   with_store_dir @@ fun dir ->
-  Alcotest.(check bool) "no index before first close" true
-    (St.index dir = None);
   let s = St.open_ ~engine:"engine-A" ~name:"idx" dir in
   St.put s ~key:"k1" "v1";
   St.put s ~key:"k2" "v2";
   St.close s;
-  (match St.index dir with
-  | None -> Alcotest.fail "index.json missing after close"
-  | Some ix ->
-    Alcotest.(check string) "name" "idx" ix.St.ix_name;
-    Alcotest.(check string) "engine" "engine-A" ix.St.ix_engine;
-    Alcotest.(check int) "records" 2 ix.St.ix_records);
-  (* a second build appends under its own identity; the staleness
-     report tallies both *)
-  let s = St.open_ ~engine:"engine-B" ~name:"idx" dir in
+  (* a second build appends under its own identity; the reopened
+     handle reads name and count from the directory, and the staleness
+     report tallies both engines *)
+  let s = St.open_ ~engine:"engine-B" ~name:"other" dir in
+  Alcotest.(check string) "name" "idx" (St.name s);
+  Alcotest.(check int) "records" 2 (St.entries s);
+  Alcotest.(check (list (pair string int)))
+    "engine before the second build writes" [ ("engine-A", 2) ]
+    (St.engines s);
   St.put s ~key:"k3" "v3";
   Alcotest.(check (list (pair string int)))
     "engines, most frequent first"
@@ -1203,9 +1201,10 @@ let test_store_keeps_created_name () =
     Alcotest.(check string) "handle reports the created name" "a" (St.name s);
     St.put s ~key:"k2" "v2";
     St.close s;
-    match St.index dir with
-    | None -> Alcotest.fail "index.json missing after close"
-    | Some ix -> Alcotest.(check string) "index still reads a" "a" ix.St.ix_name
+    let s = St.open_ ~engine:"e" ~name:"c" dir in
+    Alcotest.(check string) "reopened after a write, still a" "a" (St.name s);
+    Alcotest.(check int) "both records" 2 (St.entries s);
+    St.close s
   in
   check_layout None;
   check_layout (Some 4)
@@ -1458,7 +1457,7 @@ let test_ck_corrupt_payload_repaired () =
   Ck.close t
 
 (* ------------------------------------------------------------------ *)
-(* Store: sharding, inter-process appends, recovery, merge             *)
+(* Store: sharding, layout, merge                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_store_sharded_roundtrip () =
@@ -1482,14 +1481,11 @@ let test_store_sharded_roundtrip () =
         (Ck.find ck (Ck.digest_key k)))
     keys;
   St.close s;
-  (match St.index dir with
-  | None -> Alcotest.fail "top index missing after close"
-  | Some ix ->
-    Alcotest.(check int) "index shards" 4 ix.St.ix_shards;
-    Alcotest.(check int) "index records" 20 ix.St.ix_records);
   (* reopen with no explicit count: the on-disk layout wins *)
-  let s = St.open_ ~engine:"e" ~name:"sh" dir in
+  let s = St.open_ ~engine:"e" ~name:"other" dir in
   Alcotest.(check int) "layout autodetected" 4 (St.shards s);
+  Alcotest.(check string) "created name" "sh" (St.name s);
+  Alcotest.(check int) "reopened entries" 20 (St.entries s);
   List.iter
     (fun k ->
       Alcotest.(check (option string)) "persisted" (Some ("v:" ^ k))
@@ -1507,86 +1503,74 @@ let test_store_sharded_roundtrip () =
       false)
 
 let test_store_layout_conflict_refused () =
-  with_store_dir @@ fun dir ->
-  let s = St.open_ ~engine:"e" ~name:"single" dir in
-  St.put s ~key:"k" "v";
-  St.close s;
-  Alcotest.(check bool) "shards on an existing single-file store" true
-    (match St.open_ ~engine:"e" ~shards:4 ~name:"single" dir with
-    | exception Invalid_argument _ -> true
-    | s ->
-      St.close s;
-      false)
-
-let test_store_orphan_tmp_cleanup () =
-  with_tel @@ fun () ->
-  with_store_dir @@ fun dir ->
-  let s = St.open_ ~engine:"e" ~name:"orph" dir in
-  St.put s ~key:"k" "v";
-  St.close s;
-  (* a writer killed between staging and rename leaves these behind;
-     pid 3999999 is comfortably above anything alive in a test box *)
-  let plant n =
-    let oc = open_out (Filename.concat dir n) in
-    output_string oc "{\"half\":";
-    close_out oc
+  (* with or without records: an existing store's layout is fixed *)
+  let check_refused ~put =
+    with_store_dir @@ fun dir ->
+    let s = St.open_ ~engine:"e" ~name:"single" dir in
+    if put then St.put s ~key:"k" "v";
+    St.close s;
+    Alcotest.(check bool) "shards on an existing single-file store" true
+      (match St.open_ ~engine:"e" ~shards:4 ~name:"single" dir with
+      | exception Invalid_argument _ -> true
+      | s ->
+        St.close s;
+        false)
   in
-  plant "index.json.tmp.3999999.0";
-  plant "index.json.tmp.3999999.1";
-  (* a staging file of a LIVE process (ours) must survive the sweep:
-     it belongs to a concurrent writer mid-rewrite, not a dead one *)
-  let live = Printf.sprintf "index.json.tmp.%d.7" (Unix.getpid ()) in
-  plant live;
-  let counter = Tel.Counter.make "util.store.orphan_tmp_removed" in
-  let before = Tel.Counter.value counter in
-  let s = St.open_ ~engine:"e" ~name:"orph" dir in
-  Alcotest.(check int) "dead writers' orphans counted" (before + 2)
-    (Tel.Counter.value counter);
-  Alcotest.(check bool) "dead writers' orphans removed" true
-    (Sys.readdir dir |> Array.to_list
-    |> List.for_all (fun n ->
-           n = live
-           || not
-                (String.length n >= 14
-                && String.sub n 0 14 = "index.json.tmp")));
-  Alcotest.(check bool) "live writer's staging file kept" true
-    (Sys.file_exists (Filename.concat dir live));
-  Sys.remove (Filename.concat dir live);
-  Alcotest.(check (option string)) "records untouched" (Some "v")
-    (St.find s ~key:"k");
-  St.close s
+  check_refused ~put:true;
+  check_refused ~put:false
 
-let test_store_index_recovery () =
-  with_tel @@ fun () ->
+(* the record files are the whole store: besides them a fresh store
+   writes only its name, its lockfile and (sharded) its pinned count,
+   and a store from before the name file reads its index.json once for
+   the name and never writes it *)
+let test_store_is_its_records () =
+  let listing dir = Sys.readdir dir |> Array.to_list |> List.sort compare in
+  (with_store_dir @@ fun dir ->
+   let s = St.open_ ~engine:"e" ~name:"single" dir in
+   St.put s ~key:"k" "v";
+   St.close s;
+   Alcotest.(check (list string)) "single-file layout"
+     [ "name"; "records.jsonl"; "store.lock" ]
+     (listing dir));
+  (with_store_dir @@ fun dir ->
+   let s = St.open_ ~engine:"e" ~shards:4 ~name:"sharded" dir in
+   List.iter (fun k -> St.put s ~key:k "v") (List.init 20 string_of_int);
+   St.close s;
+   Alcotest.(check (list string)) "sharded layout"
+     [ "name"; "shards"; "store.lock" ]
+     (listing dir);
+   Alcotest.(check (list string)) "shard directory"
+     [ ".count"; "00"; "01"; "02"; "03" ]
+     (listing (Filename.concat dir "shards"));
+   Array.iter
+     (fun sd ->
+       let sd = Filename.concat (Filename.concat dir "shards") sd in
+       if Sys.is_directory sd then
+         Alcotest.(check (list string)) "a shard holds its records"
+           [ "records.jsonl" ] (listing sd))
+     (Sys.readdir (Filename.concat dir "shards")));
   with_store_dir @@ fun dir ->
-  let s = St.open_ ~engine:"e" ~name:"rix" dir in
-  St.put s ~key:"k1" "v1";
+  (* a legacy directory: records and a summary, no name file *)
+  let s = St.open_ ~engine:"e" ~name:"old" dir in
+  St.put s ~key:"k" "v";
+  St.close s;
+  Sys.remove (Filename.concat dir "name");
+  let index = {|{"name":"old","engine":"e","records":1,"shards":0}|} in
+  Out_channel.with_open_bin (Filename.concat dir "index.json") (fun oc ->
+      output_string oc index);
+  let s = St.open_ ~engine:"e" ~name:"new" dir in
+  Alcotest.(check string) "legacy name kept" "old" (St.name s);
+  Alcotest.(check (option string)) "legacy record served" (Some "v")
+    (St.find s ~key:"k");
   St.put s ~key:"k2" "v2";
   St.close s;
-  (* a stale index (e.g. from a killed writer's last successful rename)
-     must lose to the records file, which is the source of truth *)
-  let oc = open_out (Filename.concat dir "index.json") in
-  output_string oc
-    {|{"name":"rix","engine":"e","records":7,"shards":0}|};
-  close_out oc;
-  let counter = Tel.Counter.make "util.store.index_recovered" in
-  let before = Tel.Counter.value counter in
-  let s = St.open_ ~engine:"e" ~name:"rix" dir in
-  Alcotest.(check int) "recovery counted" (before + 1)
-    (Tel.Counter.value counter);
-  Alcotest.(check int) "true record count" 2 (St.entries s);
-  Alcotest.(check (option string)) "records intact" (Some "v1")
-    (St.find s ~key:"k1");
+  let s = St.open_ ~engine:"e" ~name:"newer" dir in
+  Alcotest.(check string) "name file took the legacy name" "old" (St.name s);
+  Alcotest.(check int) "records counted from the log" 2 (St.entries s);
   St.close s;
-  (match St.index dir with
-  | None -> Alcotest.fail "index missing after recovery"
-  | Some ix -> Alcotest.(check int) "index rebuilt" 2 ix.St.ix_records);
-  (* a second open with the honest index is not a recovery *)
-  let before = Tel.Counter.value counter in
-  let s = St.open_ ~engine:"e" ~name:"rix" dir in
-  St.close s;
-  Alcotest.(check int) "no spurious recovery" before
-    (Tel.Counter.value counter)
+  Alcotest.(check string) "index.json never written" index
+    (In_channel.with_open_bin (Filename.concat dir "index.json")
+       In_channel.input_all)
 
 let test_store_merge_rules () =
   with_store_dir @@ fun dst_dir ->
@@ -1648,7 +1632,7 @@ let test_store_merge_rules () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* Mutated record files and store indexes                              *)
+(* Mutated record files                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* a records file as a store writes it: descriptors (one with an
@@ -1743,26 +1727,6 @@ let test_ck_scan_counts_malformed () =
   in
   Alcotest.(check (pair int int)) "two scanned, one counted" (2, 1)
     (seen, skipped)
-
-(* an index.json as a store writes it *)
-let index_seed =
-  with_store_dir @@ fun dir ->
-  St.close (St.open_ ~engine:"git 0123abc" ~name:"seed \"store\"" dir);
-  In_channel.with_open_bin (Filename.concat dir "index.json")
-    In_channel.input_all
-
-let prop_store_index_mutated =
-  Mutate.prop ~name:"store: mutated index files read back or None"
-    [ index_seed ] (fun text ->
-      with_store_dir @@ fun dir ->
-      Sys.mkdir dir 0o755;
-      Out_channel.with_open_bin (Filename.concat dir "index.json") (fun oc ->
-          output_string oc text);
-      match St.index dir with
-      | None -> ()
-      | Some ix ->
-        if ix.St.ix_records < 0 || ix.St.ix_shards < 0 then
-          failwith "negative count read back")
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU: stale pivots and revalidation                            *)
@@ -2165,10 +2129,7 @@ let () =
             test_store_sharded_roundtrip;
           tc "shards on a single-file store refused"
             test_store_layout_conflict_refused;
-          tc "orphan index temp files swept" test_store_orphan_tmp_cleanup;
-          tc "stale index recovered from records"
-            test_store_index_recovery;
-          QCheck_alcotest.to_alcotest prop_store_index_mutated;
+          tc "a store is its records" test_store_is_its_records;
           tc "merge union and staleness rules" test_store_merge_rules;
         ] );
       ( "chaos",
