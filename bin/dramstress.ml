@@ -278,12 +278,16 @@ let with_telemetry finish f =
 
 module Store = Dramstress_util.Store
 
-(* the store is closed (flushed, index rewritten) whether the command
-   succeeds or dies mid-sweep: the next run picks up whatever was
-   recorded *)
+(* the store is closed whether the command succeeds or dies mid-sweep
+   (every record was flushed as it was appended): the next run picks up
+   whatever was recorded. A sweep run without --store gets [None]. *)
 let with_store ~name dir f =
-  let store = Store.open_ ~name dir in
-  Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
+  match dir with
+  | None -> f None
+  | Some dir ->
+    let store = Store.open_ ~name dir in
+    Fun.protect ~finally:(fun () -> Store.close store) (fun () ->
+        f (Some store))
 
 let sweep_store_arg =
   Arg.(value & opt (some string) None
@@ -293,15 +297,6 @@ let sweep_store_arg =
                  existing store is replayed first, so rerunning an \
                  interrupted command with the same $(b,--store) \
                  recomputes only what is missing.")
-
-(* a sweep subcommand's memos go through the handle its own name routes
-   to, so single-file and sharded stores both work *)
-let with_sweep_store ~cmd dir f =
-  match dir with
-  | None -> f None
-  | Some dir ->
-    with_store ~name:cmd dir (fun store ->
-        f (Some (Store.checkpoint_for store ~key:cmd)))
 
 (* ------------------------------------------------------------------ *)
 (* failed-point exit policy: --fail-on-error on sweep subcommands      *)
@@ -387,7 +382,7 @@ let plane_cmd =
   let run tel store fail_on_error deadline kind placement points stress =
     let failures =
       with_telemetry tel @@ fun () ->
-      with_sweep_store ~cmd:"plane" store @@ fun checkpoint ->
+      with_store ~name:"plane" store @@ fun store ->
       let rops =
         Option.map
           (fun n ->
@@ -398,7 +393,7 @@ let plane_cmd =
       let rendered, failures =
         C.Report.figure2_with_failures
           ?config:(config_of_deadline deadline)
-          ?checkpoint ?rops ~stress ~kind ~placement ()
+          ?store ?rops ~stress ~kind ~placement ()
       in
       print_string rendered;
       List.map (fun f -> f.Dramstress_util.Outcome.error) failures
@@ -430,18 +425,18 @@ let br_cmd =
   in
   let run tel store window kind placement cond stress =
     with_telemetry tel @@ fun () ->
-    with_sweep_store ~cmd:"br" store @@ fun checkpoint ->
+    with_store ~name:"br" store @@ fun store ->
     match cond with
     | Some detection ->
       let br =
-        C.Border.search ?checkpoint ~window ~stress ~kind ~placement
+        C.Border.search ?store ~window ~stress ~kind ~placement
           detection
       in
       Format.printf "%a under %a: %a@." C.Detection.pp detection S.pp stress
         C.Border.pp_result br
     | None ->
       let detection, br =
-        C.Sc_eval.best_detection ?checkpoint ~window ~stress ~kind ~placement
+        C.Sc_eval.best_detection ?store ~window ~stress ~kind ~placement
           ()
       in
       Format.printf "best detection %a under %a: %a@." C.Detection.pp
@@ -458,9 +453,9 @@ let br_cmd =
 let stress_cmd =
   let run tel store window kind placement nominal axes =
     with_telemetry tel @@ fun () ->
-    with_sweep_store ~cmd:"stress" store @@ fun checkpoint ->
+    with_store ~name:"stress" store @@ fun store ->
     let e =
-      C.Sc_eval.evaluate ?checkpoint ~window ?axes ~nominal ~kind ~placement
+      C.Sc_eval.evaluate ?store ~window ?axes ~nominal ~kind ~placement
         ()
     in
     Format.printf "%a@." C.Sc_eval.pp e
@@ -485,7 +480,7 @@ let table1_cmd =
   let run tel store fail_on_error deadline quick csv axes =
     let failures =
       with_telemetry tel @@ fun () ->
-      with_sweep_store ~cmd:"table1" store @@ fun checkpoint ->
+      with_store ~name:"table1" store @@ fun store ->
       let entries =
         if quick then
           List.filter (fun (e : D.entry) -> e.D.id <> "O2" && e.D.id <> "O3")
@@ -495,7 +490,7 @@ let table1_cmd =
       let table =
         C.Table1.generate
           ?config:(config_of_deadline deadline)
-          ?checkpoint ?axes ~entries ()
+          ?store ?axes ~entries ()
       in
       print_string (C.Table1.render table);
       Option.iter
@@ -519,14 +514,14 @@ let table1_cmd =
 let shmoo_cmd =
   let run tel store kind placement r =
     with_telemetry tel @@ fun () ->
-    with_sweep_store ~cmd:"shmoo" store @@ fun checkpoint ->
+    with_store ~name:"shmoo" store @@ fun store ->
     let stress = S.nominal in
     let defect = D.v kind placement r in
     let detection =
       C.Detection.standard ~victim:(D.logical_victim kind placement) ~primes:2
     in
     let shmoo =
-      M.Shmoo.generate ?checkpoint ~stress ~defect ~detection
+      M.Shmoo.generate ?store ~stress ~defect ~detection
         ~x:(S.Cycle_time, Dramstress_util.Grid.linspace 45e-9 75e-9 13)
         ~y:(S.Supply_voltage, Dramstress_util.Grid.linspace 1.8 3.0 9)
         ()
@@ -545,14 +540,14 @@ let shmoo_cmd =
 let march_cmd =
   let run tel store kind placement =
     with_telemetry tel @@ fun () ->
-    with_sweep_store ~cmd:"march" store @@ fun checkpoint ->
+    with_store ~name:"march" store @@ fun store ->
     let stress = S.nominal in
     let cases =
       M.Coverage.standard_faults
       @ M.Coverage.electrical_faults ~stress ~kind ~placement ()
     in
     let detection, _ =
-      C.Sc_eval.best_detection ?checkpoint ~stress ~kind ~placement ()
+      C.Sc_eval.best_detection ?store ~stress ~kind ~placement ()
     in
     let tests =
       [ M.March.mats_plus; M.March.march_x; M.March.march_y;
@@ -768,8 +763,8 @@ let chaos_cmd =
       let dir = Filename.temp_dir "dramstress_chaos" ".store" in
       (* the sweep runs against a store, as [plane --store] does *)
       let figure2_in_store () =
-        with_sweep_store ~cmd:"chaos" (Some dir) @@ fun checkpoint ->
-        C.Report.figure2 ?checkpoint ~rops ~stress ~kind ~placement ()
+        with_store ~name:"chaos" (Some dir) @@ fun store ->
+        C.Report.figure2 ?store ~rops ~stress ~kind ~placement ()
       in
       Fun.protect
         ~finally:(fun () ->
@@ -894,8 +889,8 @@ let campaign_run_cmd =
         with_telemetry tel @@ fun () ->
         let m = Cp.Manifest.load manifest in
         let dir = store_dir_of manifest store_dir in
-        with_store ~name:m.Cp.Manifest.name dir @@ fun store ->
-        let s = Cp.Runner.run ?jobs ~store m in
+        with_store ~name:m.Cp.Manifest.name (Some dir) @@ fun store ->
+        let s = Cp.Runner.run ?jobs ~store:(Option.get store) m in
         Format.printf "%a@." Cp.Runner.pp_summary s;
         List.map
           (fun f -> f.Dramstress_util.Outcome.error)
@@ -916,7 +911,8 @@ let campaign_status_cmd =
     with_telemetry tel @@ fun () ->
     let m = Cp.Manifest.load manifest in
     let dir = store_dir_of manifest store_dir in
-    with_store ~name:m.Cp.Manifest.name dir @@ fun store ->
+    with_store ~name:m.Cp.Manifest.name (Some dir) @@ fun store ->
+    let store = Option.get store in
     let states = Cp.Runner.states ~store m in
     let count f = List.length (List.filter f states) in
     let done_ = count (fun (_, s) -> match s with `Done _ -> true | _ -> false) in
@@ -960,7 +956,8 @@ let campaign_query_cmd =
     with_telemetry tel @@ fun () ->
     let m = Cp.Manifest.load manifest in
     let dir = store_dir_of manifest store_dir in
-    with_store ~name:m.Cp.Manifest.name dir @@ fun store ->
+    with_store ~name:m.Cp.Manifest.name (Some dir) @@ fun store ->
+    let store = Option.get store in
     Cp.Runner.states ~store m
     |> List.filter (fun ((p : Cp.Plan.point), _) ->
            (match defect with

@@ -73,96 +73,7 @@ let () =
            ds)
     | _ -> None)
 
-(* ------------------------------------------------------------------ *)
-(* s-expression reader                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type sexp = Atom of string | List of sexp list
-
-exception Parse_failed of int * string
-
-let parse_sexps src =
-  let n = String.length src in
-  let line = ref 1 in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () =
-    (if !pos < n && src.[!pos] = '\n' then incr line);
-    incr pos
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
-      while peek () <> None && peek () <> Some '\n' do advance () done;
-      skip_ws ()
-    | _ -> ()
-  in
-  let read_string () =
-    advance () (* opening quote *);
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> raise (Parse_failed (!line, "unterminated string"))
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some c ->
-          Buffer.add_char buf (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
-          advance ()
-        | None -> raise (Parse_failed (!line, "unterminated escape")));
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let read_atom () =
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | Some (' ' | '\t' | '\r' | '\n' | '(' | ')' | ';' | '"') | None -> ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec read_sexp () =
-    skip_ws ();
-    match peek () with
-    | None -> raise (Parse_failed (!line, "unexpected end of input"))
-    | Some '(' ->
-      advance ();
-      let items = ref [] in
-      let rec loop () =
-        skip_ws ();
-        match peek () with
-        | None -> raise (Parse_failed (!line, "unclosed '('"))
-        | Some ')' -> advance ()
-        | _ ->
-          items := read_sexp () :: !items;
-          loop ()
-      in
-      loop ();
-      List (List.rev !items)
-    | Some ')' -> raise (Parse_failed (!line, "unexpected ')'"))
-    | Some '"' -> Atom (read_string ())
-    | _ -> Atom (read_atom ())
-  in
-  let rec read_all acc =
-    skip_ws ();
-    if !pos >= n then List.rev acc else read_all (read_sexp () :: acc)
-  in
-  read_all []
+type sexp = Sexp.t = Atom of string | List of sexp list
 
 (* ------------------------------------------------------------------ *)
 (* validation                                                          *)
@@ -190,8 +101,9 @@ let of_string ?(source = "<string>") src =
   let diags = ref [] in
   let diag d = diags := d :: !diags in
   let sexps =
-    try parse_sexps src
-    with Parse_failed (line, msg) -> raise (Invalid [ Parse_error { line; msg } ])
+    match Sexp.parse_all src with
+    | Ok xs -> xs
+    | Error (line, msg) -> raise (Invalid [ Parse_error { line; msg } ])
   in
   let body =
     match sexps with

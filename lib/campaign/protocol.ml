@@ -6,122 +6,7 @@
    width and human-greppable in captures; the length prefix means
    neither side ever scans for a terminator inside manifest text. *)
 
-type sexp = Atom of string | List of sexp list
-
-(* ---- rendering ---- *)
-
-let needs_quoting s =
-  s = ""
-  || String.exists
-       (function
-         | ' ' | '(' | ')' | '"' | '\n' | '\t' | '\r' | '\\' -> true
-         | _ -> false)
-       s
-
-let rec print buf = function
-  | Atom s ->
-    if needs_quoting s then begin
-      Buffer.add_char buf '"';
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | '\t' -> Buffer.add_string buf "\\t"
-          | '\r' -> Buffer.add_string buf "\\r"
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"'
-    end
-    else Buffer.add_string buf s
-  | List xs ->
-    Buffer.add_char buf '(';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ' ';
-        print buf x)
-      xs;
-    Buffer.add_char buf ')'
-
-let to_string x =
-  let b = Buffer.create 256 in
-  print b x;
-  Buffer.contents b
-
-(* ---- parsing ---- *)
-
-exception Parse_error of string
-
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\n' | '\t' | '\r') ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let rec parse () =
-    skip_ws ();
-    match peek () with
-    | None -> raise (Parse_error "unexpected end of input")
-    | Some '(' ->
-      incr pos;
-      let items = ref [] in
-      let rec loop () =
-        skip_ws ();
-        match peek () with
-        | Some ')' -> incr pos
-        | None -> raise (Parse_error "unclosed list")
-        | Some _ ->
-          items := parse () :: !items;
-          loop ()
-      in
-      loop ();
-      List (List.rev !items)
-    | Some ')' -> raise (Parse_error "unexpected )")
-    | Some '"' ->
-      incr pos;
-      let b = Buffer.create 32 in
-      let rec qloop () =
-        if !pos >= n then raise (Parse_error "unclosed string");
-        let c = s.[!pos] in
-        incr pos;
-        match c with
-        | '"' -> ()
-        | '\\' ->
-          if !pos >= n then raise (Parse_error "dangling escape");
-          let e = s.[!pos] in
-          incr pos;
-          Buffer.add_char b
-            (match e with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c);
-          qloop ()
-        | c ->
-          Buffer.add_char b c;
-          qloop ()
-      in
-      qloop ();
-      Atom (Buffer.contents b)
-    | Some _ ->
-      let start = !pos in
-      let rec aloop () =
-        match peek () with
-        | Some (' ' | '\n' | '\t' | '\r' | '(' | ')' | '"') | None -> ()
-        | Some _ ->
-          incr pos;
-          aloop ()
-      in
-      aloop ();
-      Atom (String.sub s start (!pos - start))
-  in
-  match parse () with
-  | x ->
-    skip_ws ();
-    if !pos <> n then Error "trailing bytes after s-expression" else Ok x
-  | exception Parse_error m -> Error m
+type sexp = Sexp.t = Atom of string | List of sexp list
 
 (* ---- framing ---- *)
 
@@ -135,7 +20,7 @@ let rec write_all fd buf off len =
   end
 
 let write_frame fd x =
-  let payload = Bytes.of_string (to_string x) in
+  let payload = Bytes.of_string (Sexp.to_string x) in
   let header = Bytes.of_string (Printf.sprintf "%08x" (Bytes.length payload)) in
   write_all fd header 0 8;
   write_all fd payload 0 (Bytes.length payload)
@@ -208,7 +93,7 @@ let read_frame ?frame_timeout fd =
         | `Eof -> Error `Eof
         | `Timeout -> Error `Timeout
         | `Ok payload -> (
-          match of_string (Bytes.to_string payload) with
+          match Sexp.of_string (Bytes.to_string payload) with
           | Ok x -> Ok x
           | Error m -> Error (`Protocol m)))))
 
@@ -302,7 +187,7 @@ let decode_request = function
   | List [ Atom "merge"; Atom dir ] -> Ok (Merge dir)
   | List [ Atom "counters" ] -> Ok Counters
   | List [ Atom "shutdown" ] -> Ok Shutdown
-  | x -> Error ("unknown request: " ^ to_string x)
+  | x -> Error ("unknown request: " ^ Sexp.to_string x)
 
 let encode_response = function
   | Point { descr; status; payload } ->
@@ -408,4 +293,4 @@ let decode_response = function
   | List [ Atom "draining" ] -> Ok Draining
   | List [ Atom "bye" ] -> Ok Bye
   | List [ Atom "error"; Atom m ] -> Ok (Error_msg m)
-  | x -> Error ("unknown response: " ^ to_string x)
+  | x -> Error ("unknown response: " ^ Sexp.to_string x)

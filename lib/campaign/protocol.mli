@@ -1,21 +1,14 @@
 (** Wire protocol of the campaign service.
 
     Frames are an 8-hex-digit payload length followed by that many
-    bytes of rendered s-expression, exchanged over a local Unix-domain
-    socket. One request frame yields one response frame — except
+    bytes of rendered s-expression ({!Sexp}), exchanged over a local
+    Unix-domain socket. One request frame yields one response frame — except
     [submit], which streams any number of [point] frames before its
     final [done] (or [error]) frame. *)
 
-(** The s-expression carrier. Atoms containing whitespace, parens,
-    quotes or backslashes render quoted with C-style escapes, so
-    manifest text and rendered reports pass through verbatim. *)
-type sexp = Atom of string | List of sexp list
-
-val to_string : sexp -> string
-
-(** [of_string s] parses exactly one s-expression (plus surrounding
-    whitespace). *)
-val of_string : string -> (sexp, string) result
+(** The s-expression carrier; quoted atoms carry manifest text and
+    rendered reports verbatim. *)
+type sexp = Sexp.t = Atom of string | List of sexp list
 
 (** Frames larger than this (16 MiB) are refused — a corrupt header
     must not trigger a giant allocation. *)

@@ -95,15 +95,15 @@ let chains_of classified =
     classified;
   List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order
 
-(* The pure simulation of one point — no store access beyond the
-   optional checkpoint handle, so it can run behind a process boundary
+(* The pure simulation of one point — no store access beyond the memos
+   of the optional [store], so it can run behind a process boundary
    (the sandbox worker) exactly as it runs in a worker domain. *)
-let simulate_point ?checkpoint ?(hint = []) (m : Manifest.t) (p : Plan.point) =
+let simulate_point ?store ?(hint = []) (m : Manifest.t) (p : Plan.point) =
   match p.Plan.detection with
   | Manifest.Best | Manifest.Best_no_pause ->
     let allow_pause = p.Plan.detection = Manifest.Best in
     let detection, br =
-      Sc_eval.best_detection ~config:m.Manifest.config ?checkpoint
+      Sc_eval.best_detection ~config:m.Manifest.config ?store
         ~window:m.Manifest.window ~hint ~allow_pause ~stress:p.Plan.stress
         ~kind:p.Plan.defect.D.kind ~placement:p.Plan.placement ()
     in
@@ -116,7 +116,7 @@ let simulate_point ?checkpoint ?(hint = []) (m : Manifest.t) (p : Plan.point) =
       | _ -> assert false
     in
     let br =
-      Border.search ~config:m.Manifest.config ?checkpoint
+      Border.search ~config:m.Manifest.config ?store
         ~window:m.Manifest.window ~hint ~stress:p.Plan.stress
         ~kind:p.Plan.defect.D.kind ~placement:p.Plan.placement d
     in
@@ -145,19 +145,15 @@ let run ?jobs ?gate ?on_point ?executor ?(fanout = `Domains) ~store
     | Some j -> j
     | None -> Sc.resolve_jobs m.Manifest.config
   in
-  (* the store's checkpoint handle memoizes the border searches INSIDE
-     each point, so killing a run mid-point loses nothing but the
-     classification step; the point record itself is written from the
-     worker the moment its result exists. Routing by the point's own
-     descriptor keeps a point's probe memos in the same shard as its
-     result on a sharded store. *)
+  (* the store memoizes the border searches INSIDE each point, so
+     killing a run mid-point loses nothing but the classification step;
+     the point record itself is written from the worker the moment its
+     result exists *)
   let notify p ev = match on_point with Some f -> f p ev | None -> () in
   let simulate ~hint (p : Plan.point) =
     match executor with
     | Some ex -> ex ~hint p
-    | None ->
-      let checkpoint = Store.checkpoint_for store ~key:(Plan.descriptor m p) in
-      simulate_point ~checkpoint ~hint m p
+    | None -> simulate_point ~store ~hint m p
   in
   (* the active half of the planner: each chain walks its stress
      settings in manifest order, seeding every search with the previous

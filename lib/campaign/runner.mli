@@ -10,8 +10,7 @@
       never consult, and are overwritten in place on each new attempt;
     - success records are written from inside the worker domains as
       points finish, so a killed run keeps everything completed so far —
-      and the store's checkpoint handle is threaded into every border
-      search, so even a half-finished point resumes from its finished
+      and the store itself is threaded into every border search, so even a half-finished point resumes from its finished
       searches (under an adaptive window that includes per-probe and
       per-edge records, so a kill mid-refinement re-simulates only the
       unfinished brackets).
@@ -97,16 +96,17 @@ type event =
   | `Deduped of Plan.result
   | `Failed of string ]
 
-(** [simulate_point ?checkpoint ?hint m p] is the pure simulation of one
+(** [simulate_point ?store ?hint m p] is the pure simulation of one
     plan point — the border search (or best-detection scan) with no
-    store access beyond the optional [checkpoint] memo handle. This is
+    store access beyond the memos it reads and writes through [store]
+    (sandbox workers pass none). This is
     the unit of work the sandboxed service ships to a
     {!Dramstress_util.Procpool} worker; in-process execution goes
     through exactly the same function, so the two paths cannot diverge.
     [hint] seeds the adaptive search as in {!run}'s warm-start chains
     (default none). *)
 val simulate_point :
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?hint:float list ->
   Manifest.t ->
   Plan.point ->

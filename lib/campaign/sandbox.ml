@@ -5,7 +5,7 @@ module Procpool = Dramstress_util.Procpool
    exactly ---- *)
 
 let encode_task ~manifest_text ~index ~hint =
-  P.to_string
+  Sexp.to_string
     (P.List
        [
          P.Atom "task";
@@ -17,7 +17,7 @@ let encode_task ~manifest_text ~index ~hint =
        ])
 
 let decode_task s =
-  match P.of_string s with
+  match Sexp.of_string s with
   | Error msg -> Error msg
   | Ok (P.List (P.Atom "task" :: fields)) -> begin
     let text = ref None and index = ref None and hints = ref [] in

@@ -9,9 +9,10 @@
     {!Runner.simulate_point}, the same function the in-process path
     uses, so sandboxed and local results cannot diverge.
 
-    Trade-off (documented, deliberate): workers get no store checkpoint
-    handle, so the intra-point probe memos that soften a mid-point kill
-    in local runs are lost in sandbox mode. Results are unaffected —
+    Trade-off (documented, deliberate): workers get no store — the
+    [?store] of {!Runner.simulate_point} is left out — so the
+    intra-point probe memos that soften a mid-point kill in local runs
+    are lost in sandbox mode. Results are unaffected —
     the memos only skip re-simulation — and the whole-point record is
     still written by the parent the moment the result lands.
 

@@ -6,6 +6,7 @@ module O = Dramstress_dram.Ops
 module Sc = Dramstress_dram.Sim_config
 module E = Dramstress_engine
 module Ck = Dramstress_util.Checkpoint
+module St = Dramstress_util.Store
 module Par = Dramstress_util.Par
 module Tel = Dramstress_util.Telemetry
 
@@ -304,7 +305,7 @@ let decode_probe = function
   | "x" -> Some None
   | _ -> None
 
-let search ?config ?checkpoint ?window:(w = Window.default)
+let search ?config ?store ?window:(w = Window.default)
     ?(hint = []) ~stress ~kind ~placement cond =
   (* the physics fingerprint: everything a single probe's boolean
      outcome depends on, excluding the window (a probe at resistance r
@@ -367,21 +368,22 @@ let search ?config ?checkpoint ?window:(w = Window.default)
       | Window.Adaptive ->
         (* the adaptive scan probes a sparse subset of the SAME grid the
            oracle would, so any sample it does take is bit-identical to
-           the grid strategy's. Per-probe checkpoint records let an
+           the grid strategy's. Per-probe store records let an
            interrupted refinement resume re-simulating only the probes
            it had not finished. *)
         let probe_key i =
-          Ck.digest_key
-            (Printf.sprintf "border.probe|%s|%h" (Lazy.force fp) grid.(i))
+          Printf.sprintf "border.probe|%s|%h" (Lazy.force fp) grid.(i)
         in
         let probe_many idxs =
           let cached, missing =
-            match checkpoint with
+            match store with
             | None -> ([], idxs)
-            | Some ck ->
+            | Some st ->
               List.partition_map
                 (fun i ->
-                  match Option.bind (Ck.find ck (probe_key i)) decode_probe with
+                  match
+                    Option.bind (St.find st ~key:(probe_key i)) decode_probe
+                  with
                   | Some v -> Either.Left (i, v)
                   | None -> Either.Right i)
                 idxs
@@ -392,11 +394,11 @@ let search ?config ?checkpoint ?window:(w = Window.default)
               missing
               (scan (List.map (fun i -> grid.(i)) missing))
           in
-          (match checkpoint with
-          | Some ck ->
+          (match store with
+          | Some st ->
             List.iter
               (fun (i, v) ->
-                Ck.record ck ~key:(probe_key i)
+                St.put st ~key:(probe_key i)
                   ~descr:(Printf.sprintf "border probe @ %h Ohm" grid.(i))
                   (encode_probe v))
               fresh
@@ -441,17 +443,17 @@ let search ?config ?checkpoint ?window:(w = Window.default)
         Unknown { lo = r0; hi = r1 }
     in
     let refine =
-      match (w.Window.strategy, checkpoint) with
-      | Window.Adaptive, Some _ ->
+      match (w.Window.strategy, store) with
+      | Window.Adaptive, Some st ->
         fun r0 r1 ->
           (* per-edge memo: a resumed adaptive search replays finished
-             edge refinements from the checkpoint and re-simulates only
+             edge refinements from the store and re-simulates only
              the unfinished ones *)
           let key =
             Printf.sprintf "border.edge|%s|%h|%h|%h" (Lazy.force fp) r0 r1
               w.Window.rel_tol
           in
-          Ck.memo checkpoint ~key
+          St.memo st ~key
             ~descr:(Printf.sprintf "border edge %h..%h Ohm" r0 r1)
             ~encode:encode_edge ~decode:decode_edge
             (fun () -> refine_raw r0 r1)
@@ -459,9 +461,9 @@ let search ?config ?checkpoint ?window:(w = Window.default)
     in
     of_samples ~refine ~r_min:w.Window.r_min ~r_max:w.Window.r_max samples
   in
-  match checkpoint with
+  match store with
   | None -> compute ()
-  | Some _ ->
+  | Some st ->
     let key =
       Printf.sprintf "border.search|%s|%s" (Lazy.force fp)
         (Window.fingerprint w)
@@ -470,7 +472,7 @@ let search ?config ?checkpoint ?window:(w = Window.default)
       Format.asprintf "border %a/%a under %a" D.pp_kind kind D.pp_placement
         placement Dramstress_dram.Stress.pp stress
     in
-    Ck.memo checkpoint ~key ~descr ~encode:encode_result ~decode:decode_result
+    St.memo st ~key ~descr ~encode:encode_result ~decode:decode_result
       compute
 
 (* ------------------------------------------------------------------ *)

@@ -119,7 +119,7 @@ module Window : sig
       guaranteed, not merely expected. *)
   val provably_grid : t -> bool
 
-  (** Canonical fingerprint for store/checkpoint keys: hex-float exact.
+  (** Canonical fingerprint for store keys: hex-float exact.
       Windows with [provably_grid] true fingerprint identically to the
       plain grid window on the same bounds. *)
   val fingerprint : t -> string
@@ -147,7 +147,7 @@ val adaptive_scan :
   (int list -> (int * bool option) list) ->
   (int * bool option) list
 
-(** [search ?config ?checkpoint ?window ?hint ~stress ~kind ~placement
+(** [search ?config ?store ?window ?hint ~stress ~kind ~placement
     cond] scans [window]'s log grid (default {!Window.default}:
     13 points over [1 kOhm, 100 GOhm]) for detection-outcome changes and
     refines each edge by bisection to the window's [rel_tol]. One edge
@@ -174,7 +174,7 @@ val adaptive_scan :
     simulated sample (scan or bisection) counts on
     [core.border.probes].
 
-    [checkpoint] memoizes the whole result keyed by every input that can
+    [store] memoizes the whole result keyed by every input that can
     change it (including {!Window.fingerprint}), so interrupted
     campaigns resume without re-simulating finished searches. Adaptive
     searches additionally record each probe and each refined edge, so a
@@ -182,7 +182,7 @@ val adaptive_scan :
     and brackets it had not finished. *)
 val search :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?window:Window.t ->
   ?hint:float list ->
   stress:Dramstress_dram.Stress.t ->
@@ -199,7 +199,7 @@ val search :
 val equal_result : result -> result -> bool
 
 (** [encode_result] / [decode_result] — the compact stable string form
-    used by the checkpoint store ([%h] floats, so round-trips are exact).
+    used by the store ([%h] floats, so round-trips are exact).
     [decode_result] is total: it returns [None] on any foreign string. *)
 val encode_result : result -> string
 

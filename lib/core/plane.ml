@@ -7,6 +7,7 @@ module G = Dramstress_util.Grid
 module Par = Dramstress_util.Par
 module Out = Dramstress_util.Outcome
 module Ck = Dramstress_util.Checkpoint
+module St = Dramstress_util.Store
 module Tel = Dramstress_util.Telemetry
 
 type point = { r : float; vc : float }
@@ -233,20 +234,20 @@ let vmp ?(config = Sc.default) ~stress () =
 let vsa ?(config = Sc.default) ~stress ~defect () =
   vsa_one ~config ~stress (Some defect)
 
-(* shared scaffolding of the planes: checkpoint replay into [slots],
+(* shared scaffolding of the planes: store replay into [slots],
    per-point defect construction with [D.v] failures captured as point
    failures, and the final assembly into [Outcome.t] slots in input
-   order. Each point's checkpoint record is independent of the batch
-   width, so a checkpointed sweep resumes at any width bit-identically. *)
-let plane_slots ~checkpoint ~decode ~kind ~placement ~keys rops_arr =
+   order. Each point's store record is independent of the batch width,
+   so a sweep resumes from its store at any width bit-identically. *)
+let plane_slots ~store ~decode ~kind ~placement ~keys rops_arr =
   let n = Array.length rops_arr in
   let slots = Array.make n None in
-  (match checkpoint with
+  (match store with
   | None -> ()
-  | Some store ->
+  | Some st ->
     Array.iteri
       (fun i key ->
-        match Option.bind (Ck.find store (Ck.digest_key key)) decode with
+        match Option.bind (St.find st ~key) decode with
         | Some v -> slots.(i) <- Some (Ok v)
         | None -> ())
       keys);
@@ -265,12 +266,10 @@ let live_indices slots =
     (fun i -> Option.is_none slots.(i))
     (List.init (Array.length slots) Fun.id)
 
-let commit_point ~checkpoint ~encode ~descr ~keys ~slots i payload =
-  (match checkpoint with
-  | None -> ()
-  | Some store ->
-    Ck.record store ~key:(Ck.digest_key keys.(i)) ~descr:(descr i)
-      (encode payload));
+let commit_point ~store ~encode ~descr ~keys ~slots i payload =
+  Option.iter
+    (fun st -> St.put st ~key:keys.(i) ~descr:(descr i) (encode payload))
+    store;
   slots.(i) <- Some (Ok payload)
 
 let assemble_outcomes ~slots rops_arr =
@@ -295,9 +294,9 @@ let curves_of ~n_ops ~label points =
         points = List.map (fun (r, vcs) -> { r; vc = List.nth vcs k }) points;
       })
 
-(* write plane: checkpoint-missing resistances become lanes — one round
+(* write plane: store-missing resistances become lanes — one round
    of [n_ops] writes, then the lockstep Vsa bisection *)
-let write_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 4)
+let write_plane ?(config = Sc.default) ?store ?window ?(n_ops = 4)
     ?rops ~stress ~kind ~placement ~op () =
   let rops = resolve_rops ?window ?rops () in
   (match op with
@@ -316,7 +315,7 @@ let write_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 4)
   let keys = Array.map (fun r -> Printf.sprintf "%s|%h" base_key r) rops_arr in
   let descr i = Printf.sprintf "write plane r=%g" rops_arr.(i) in
   let slots, defects =
-    plane_slots ~checkpoint ~decode:decode_write_point ~kind ~placement ~keys
+    plane_slots ~store ~decode:decode_write_point ~kind ~placement ~keys
       rops_arr
   in
   (* write trajectories: one ensemble run of [n_ops] writes per chunk *)
@@ -342,7 +341,7 @@ let write_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 4)
     (fun k i ->
       match vsas.(k) with
       | Ok v ->
-        commit_point ~checkpoint ~encode:encode_write_point ~descr ~keys
+        commit_point ~store ~encode:encode_write_point ~descr ~keys
           ~slots i (vcs_arr.(i), v)
       | Error e -> slots.(i) <- Some (Error e))
     live;
@@ -364,7 +363,7 @@ let write_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 4)
 
 (* read plane: the lockstep Vsa bisection first, then two rounds of
    [n_ops] reads seeded just below / above each lane's own threshold *)
-let read_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 3)
+let read_plane ?(config = Sc.default) ?store ?window ?(n_ops = 3)
     ?rops ?(offset = 0.2) ~stress ~kind ~placement () =
   let rops = resolve_rops ?window ?rops () in
   if n_ops < 1 then invalid_arg "Plane.read_plane: n_ops < 1";
@@ -378,7 +377,7 @@ let read_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 3)
   let keys = Array.map (fun r -> Printf.sprintf "%s|%h" base_key r) rops_arr in
   let descr i = Printf.sprintf "read plane r=%g" rops_arr.(i) in
   let slots, defects =
-    plane_slots ~checkpoint ~decode:decode_read_point ~kind ~placement ~keys
+    plane_slots ~store ~decode:decode_read_point ~kind ~placement ~keys
       rops_arr
   in
   let vsas = Array.make n Reads_all_1 in
@@ -418,7 +417,7 @@ let read_plane ?(config = Sc.default) ?checkpoint ?window ?(n_ops = 3)
   let above = trajectory_round (fun vsa -> vsa +. offset) in
   List.iter
     (fun i ->
-      commit_point ~checkpoint ~encode:encode_read_point ~descr ~keys ~slots i
+      commit_point ~store ~encode:encode_read_point ~descr ~keys ~slots i
         (vsas.(i), below.(i), above.(i)))
     (live_indices slots);
   let points, failures = Out.partition (assemble_outcomes ~slots rops_arr) in

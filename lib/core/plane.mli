@@ -80,12 +80,12 @@ val vsa :
 
     A point that raises — even after {!Dramstress_dram.Ops.run}'s retry
     ladder — lands in [t.failures] instead of aborting the sweep.
-    [checkpoint] records each finished point ([%h] floats, so resumed
-    planes are byte-identical) in a {!Dramstress_util.Checkpoint} store
-    and replays it on resume. *)
+    [store] records each finished point ([%h] floats, so resumed
+    planes are byte-identical) in a {!Dramstress_util.Store} and
+    replays it on resume. *)
 val write_plane :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
   ?n_ops:int ->
   ?rops:float list ->
@@ -99,11 +99,11 @@ val write_plane :
 (** [read_plane ?config ?n_ops ?rops ?offset ~stress ~kind ~placement ()]
     generates the repeated-read plane: two trajectories per resistance,
     seeded just below and just above [V_sa] (offset defaults to 0.2 V,
-    the paper's choice). [config], [checkpoint] and failure handling as
+    the paper's choice). [config], [store] and failure handling as
     in {!write_plane}. *)
 val read_plane :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
   ?n_ops:int ->
   ?rops:float list ->

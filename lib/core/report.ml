@@ -27,18 +27,18 @@ let plane_chart ~title (plane : Plane.t) =
     ~title
     (List.mapi series_of_curve plane.Plane.curves @ [ vsa_series ])
 
-let figure2_with_failures ?config ?checkpoint ?rops ~stress ~kind
+let figure2_with_failures ?config ?store ?rops ~stress ~kind
     ~placement () =
   let w0 =
-    Plane.write_plane ?config ?checkpoint ?rops ~stress ~kind
+    Plane.write_plane ?config ?store ?rops ~stress ~kind
       ~placement ~op:O.W0 ()
   in
   let w1 =
-    Plane.write_plane ?config ?checkpoint ?rops ~stress ~kind
+    Plane.write_plane ?config ?store ?rops ~stress ~kind
       ~placement ~op:O.W1 ()
   in
   let r =
-    Plane.read_plane ?config ?checkpoint ?rops ~stress ~kind
+    Plane.read_plane ?config ?store ?rops ~stress ~kind
       ~placement ()
   in
   let br_line =
@@ -79,9 +79,9 @@ let figure2_with_failures ?config ?checkpoint ?rops ~stress ~kind
       @ failure_lines),
     failures )
 
-let figure2 ?config ?checkpoint ?rops ~stress ~kind ~placement () =
+let figure2 ?config ?store ?rops ~stress ~kind ~placement () =
   fst
-    (figure2_with_failures ?config ?checkpoint ?rops ~stress ~kind
+    (figure2_with_failures ?config ?store ?rops ~stress ~kind
        ~placement ())
 
 let figure_st_panels ?config ~stress ~axis ~values ~kind ~placement

@@ -8,7 +8,7 @@
     {!Plane.write_plane}. *)
 val figure2 :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?rops:float list ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
@@ -22,7 +22,7 @@ val figure2 :
     at the end of the rendering, never interpolated over. *)
 val figure2_with_failures :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?rops:float list ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->

@@ -31,14 +31,14 @@ let candidate_detections ?(allow_pause = true) ?(pause = 1e-3) ~placement
   | D.Bridge_to_neighbour ->
     standards
 
-let best_detection ?config ?checkpoint ?window ?hint ?allow_pause
+let best_detection ?config ?store ?window ?hint ?allow_pause
     ?pause ~stress ~kind ~placement () =
   let polarity = D.polarity kind in
   let scored =
     List.map
       (fun cond ->
         ( cond,
-          Border.search ?config ?checkpoint ?window ?hint ~stress
+          Border.search ?config ?store ?window ?hint ~stress
             ~kind ~placement cond ))
       (candidate_detections ?allow_pause ?pause ~placement kind)
   in
@@ -50,13 +50,13 @@ let best_detection ?config ?checkpoint ?window ?hint ?allow_pause
         if Border.better polarity b best_b then (c, b) else (best_c, best_b))
       first rest
 
-let evaluate ?config ?checkpoint ?window
+let evaluate ?config ?store ?window
     ?(axes = [ S.Cycle_time; S.Temperature; S.Supply_voltage ])
     ?(analysis_r = 200e3) ?pause ~nominal ~kind ~placement () =
   (* retention pauses are part of the stress repertoire, not the nominal
      test: the nominal detection is pause-free *)
   let nominal_detection, nominal_br =
-    best_detection ?config ?checkpoint ?window ~allow_pause:false
+    best_detection ?config ?store ?window ~allow_pause:false
       ?pause ~stress:nominal ~kind ~placement ()
   in
   (* probe each axis at the nominal point, resolving by BR against the
@@ -64,7 +64,7 @@ let evaluate ?config ?checkpoint ?window
   let probes =
     List.map
       (fun axis ->
-        Stressor.probe_axis ?config ?checkpoint ?window ~analysis_r
+        Stressor.probe_axis ?config ?store ?window ~analysis_r
           ~stress:nominal ~kind ~placement ~detection:nominal_detection axis
           (Stressor.default_values axis ~stress:nominal))
       axes
@@ -76,7 +76,7 @@ let evaluate ?config ?checkpoint ?window
   in
   (* Section 4.4: re-derive the detection condition under the applied SC *)
   let stressed_detection, stressed_br =
-    best_detection ?config ?checkpoint ?window ?pause ~stress:stressed
+    best_detection ?config ?store ?window ?pause ~stress:stressed
       ~kind ~placement ()
   in
   let improvement =

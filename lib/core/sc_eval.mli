@@ -38,7 +38,7 @@ val candidate_detections :
     estimates from adjacent campaign points). *)
 val best_detection :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
   ?hint:float list ->
   ?allow_pause:bool ->
@@ -53,12 +53,12 @@ val best_detection :
     runs the complete flow. Every border search and every stress probe
     runs under [config] (default {!Dramstress_dram.Sim_config.default}).
     [axes] defaults to cycle time, temperature and supply voltage (the
-    paper's three STs). [checkpoint] memoizes every border search of
+    paper's three STs). [store] memoizes every border search of
     the flow, so interrupted campaigns (e.g. Table 1) resume without
     repeating finished searches. *)
 val evaluate :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
   ?axes:Dramstress_dram.Stress.axis list ->
   ?analysis_r:float ->

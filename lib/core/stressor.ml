@@ -41,7 +41,7 @@ let victim_write kind placement =
   (* the physical level under attack is placement-independent *)
   (logical_op, D.victim_bit kind)
 
-let probe_axis ?config ?checkpoint ?window ?(analysis_r = 200e3)
+let probe_axis ?config ?store ?window ?(analysis_r = 200e3)
     ?(epsilon = 0.01)
     ?(force_br = false) ~stress ~kind ~placement ~detection axis values =
   if List.length values < 2 then
@@ -83,7 +83,7 @@ let probe_axis ?config ?checkpoint ?window ?(analysis_r = 200e3)
   let br_compare () =
     let br_of v =
       ( v,
-        Border.search ?config ?checkpoint ?window
+        Border.search ?config ?store ?window
           ~stress:(S.set stress axis v) ~kind ~placement detection )
     in
     let b_lo = br_of lo and b_hi = br_of hi in

@@ -45,13 +45,13 @@ type probe = {
     choice). [epsilon] is the significance floor for calling a direction
     (default 10 mV). [force_br] always resolves by BR comparison.
     Every probe simulation and fallback BR search runs under [config]
-    (default {!Dramstress_dram.Sim_config.default}). [checkpoint]
+    (default {!Dramstress_dram.Sim_config.default}). [store]
     memoizes the BR searches a conflicting verdict falls back to;
     [window] is the {!Border.Window} those searches run under (default
     {!Border.Window.default}). *)
 val probe_axis :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
   ?analysis_r:float ->
   ?epsilon:float ->

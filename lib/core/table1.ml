@@ -21,7 +21,7 @@ type t = {
   nominal : S.t;
 }
 
-let generate ?(config = Sc.default) ?checkpoint ?window ?(nominal = S.nominal)
+let generate ?(config = Sc.default) ?store ?window ?(nominal = S.nominal)
     ?(entries = D.catalog) ?(placements = [ D.True_bl; D.Comp_bl ]) ?axes
     ?pause () =
   (* one work item per (defect, placement) row; rows are independent.
@@ -49,7 +49,7 @@ let generate ?(config = Sc.default) ?checkpoint ?window ?(nominal = S.nominal)
                   defect_id = entry.D.id;
                   placement;
                   evaluation =
-                    Sc_eval.evaluate ~config ?checkpoint ?window ?axes ?pause
+                    Sc_eval.evaluate ~config ?store ?window ?axes ?pause
                       ~nominal ~kind:entry.D.kind ~placement ();
                 })))
       work

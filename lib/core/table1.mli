@@ -29,7 +29,7 @@ type t = {
     [core.sweep.point_ms] telemetry histogram and emits a [table1.row]
     span.
 
-    [checkpoint] threads a {!Dramstress_util.Checkpoint} store through
+    [store] threads a {!Dramstress_util.Store} through
     every border search of every row: an interrupted table regeneration
     resumes from the finished searches instead of starting over.
 
@@ -40,7 +40,7 @@ type t = {
     direction columns follow the probed axes. *)
 val generate :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
   ?nominal:Dramstress_dram.Stress.t ->
   ?entries:Dramstress_defect.Defect.entry list ->

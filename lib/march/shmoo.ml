@@ -4,6 +4,7 @@ module O = Dramstress_dram.Ops
 module E = Dramstress_engine
 module C = Dramstress_core
 module Ck = Dramstress_util.Checkpoint
+module St = Dramstress_util.Store
 module Tel = Dramstress_util.Telemetry
 
 let h_point =
@@ -42,7 +43,7 @@ let is_solver_failure = function
     true
   | _ -> false
 
-let generate ?(config = Sc.default) ?checkpoint ~stress ~defect ~detection
+let generate ?(config = Sc.default) ?store ~stress ~defect ~detection
     ~x:(x_axis, x_values) ~y:(y_axis, y_values) () =
   if x_values = [] || y_values = [] then
     invalid_arg "Shmoo.generate: empty axis";
@@ -53,29 +54,32 @@ let generate ?(config = Sc.default) ?checkpoint ~stress ~defect ~detection
     Ck.fingerprint
       ("shmoo", config, stress, defect, detection, x_axis, y_axis)
   in
+  let cell (yv, xv) () =
+    let sc = S.set (S.set stress x_axis xv) y_axis yv in
+    match C.Detection.detects ~config ~stress:sc ~defect detection with
+    | true -> Fail
+    | false -> Pass
+    | exception Invalid_argument _ -> Invalid
+    | exception e when is_solver_failure e ->
+      (* the SC is nominally operable but the solver cannot follow it
+         even degraded: an honest separate verdict, not a silent Pass or
+         Invalid *)
+      Tel.Counter.incr c_errored;
+      Errored
+  in
   let point (yv, xv) =
     Tel.Histogram.time_ms h_point (fun () ->
         Tel.with_span "shmoo.point"
           ~attrs:(fun () -> [ ("x", Tel.Float xv); ("y", Tel.Float yv) ])
           (fun () ->
-            Ck.memo checkpoint
-              ~key:(Printf.sprintf "%s|%h|%h" base_key yv xv)
-              ~descr:(Printf.sprintf "shmoo cell x=%g y=%g" xv yv)
-              ~encode:encode_outcome ~decode:decode_outcome
-              (fun () ->
-                let sc = S.set (S.set stress x_axis xv) y_axis yv in
-                match
-                  C.Detection.detects ~config ~stress:sc ~defect detection
-                with
-                | true -> Fail
-                | false -> Pass
-                | exception Invalid_argument _ -> Invalid
-                | exception e when is_solver_failure e ->
-                  (* the SC is nominally operable but the solver cannot
-                     follow it even degraded: an honest separate verdict,
-                     not a silent Pass or Invalid *)
-                  Tel.Counter.incr c_errored;
-                  Errored)))
+            match store with
+            | None -> cell (yv, xv) ()
+            | Some st ->
+              St.memo st
+                ~key:(Printf.sprintf "%s|%h|%h" base_key yv xv)
+                ~descr:(Printf.sprintf "shmoo cell x=%g y=%g" xv yv)
+                ~encode:encode_outcome ~decode:decode_outcome
+                (cell (yv, xv))))
   in
   (* flatten the grid so all y*x points share one domain pool instead of
      parallelizing row by row *)

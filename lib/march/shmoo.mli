@@ -35,11 +35,11 @@ type t = {
 
     A grid cell whose simulation fails with a solver error (even after
     the retry policy) renders as {!Errored} instead of aborting the
-    plot. [checkpoint] records each finished cell in a
-    {!Dramstress_util.Checkpoint} store so interrupted plots resume. *)
+    plot. [store] records each finished cell so interrupted plots
+    resume. *)
 val generate :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?checkpoint:Dramstress_util.Checkpoint.t ->
+  ?store:Dramstress_util.Store.t ->
   stress:Dramstress_dram.Stress.t ->
   defect:Dramstress_defect.Defect.t ->
   detection:Dramstress_core.Detection.t ->

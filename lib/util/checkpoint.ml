@@ -4,29 +4,27 @@
    Each record is appended and flushed as soon as the point finishes, so
    a killed process loses at most the points that were still in flight.
    Records are keyed by a stable digest of a canonical point descriptor;
-   on open the file is replayed into a hash table and already-completed
-   points are served from it instead of being recomputed.
+   on open the file is replayed into a hash table, from which the store
+   serves already-completed points instead of recomputing them.
 
    A truncated final line — the signature of a kill mid-write — is
    skipped on load rather than failing the resume. *)
 
 module Tel = Telemetry
 
-let c_hits = Tel.Counter.make "util.checkpoint.hits"
-let c_misses = Tel.Counter.make "util.checkpoint.misses"
 let c_records = Tel.Counter.make "util.checkpoint.records"
 let c_loaded = Tel.Counter.make "util.checkpoint.loaded"
 let c_skipped = Tel.Counter.make "util.checkpoint.malformed_lines"
 
 (* records that were syntactically fine but semantically unusable: a
-   line that raised during field extraction on load, or a stored payload
-   the caller's decoder refused.  Distinct from [malformed_lines]
-   (truncated/non-record lines): these looked like records and were
-   dropped anyway, so resumable layers must recompute them. *)
+   line that raised during field extraction on load ([Store.memo] also
+   counts a stored payload its decoder refused).  Distinct from
+   [malformed_lines] (truncated/non-record lines): these looked like
+   records and were dropped anyway, so resumable layers must recompute
+   them. *)
 let c_skipped_records = Tel.Counter.make "util.checkpoint.skipped_records"
 
 type t = {
-  path : string;
   lock : Mutex.t;
   table : (string, string) Hashtbl.t;
   extra : (string * string) list;
@@ -145,9 +143,8 @@ let open_ ?(extra = []) path =
   load_into table path;
   (* new records append behind the replayed ones *)
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
-  { path; lock = Mutex.create (); table; extra; oc = Some oc }
+  { lock = Mutex.create (); table; extra; oc = Some oc }
 
-let path t = t.path
 let entries t = Hashtbl.length t.table
 
 let find t key =
@@ -196,27 +193,3 @@ let close t =
       | Some oc ->
         t.oc <- None;
         close_out_noerr oc)
-
-(* the one helper sweep layers actually call *)
-let memo t ~key ?descr ~encode ~decode f =
-  match t with
-  | None -> f ()
-  | Some t ->
-    let k = digest_key key in
-    let payload = find t k in
-    let cached = Option.bind payload decode in
-    (match cached with
-    | Some v ->
-      Tel.Counter.incr c_hits;
-      v
-    | None ->
-      (* a stored payload the decoder refused is a corrupt/foreign
-         record: count it and REPAIR it — without [overwrite] the
-         recompute would never reach the file (the key is already in
-         the table) and every future resume would recompute it again *)
-      let corrupt = payload <> None in
-      if corrupt then Tel.Counter.incr c_skipped_records;
-      Tel.Counter.incr c_misses;
-      let v = f () in
-      record t ~key:k ?descr ~overwrite:corrupt (encode v);
-      v)

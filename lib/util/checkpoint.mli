@@ -4,10 +4,10 @@
     Long sweeps (planes, Table 1, Shmoo grids, border searches) write
     one record per completed point, flushed immediately, so an
     interrupted run can restart from where it left off: opening the file
-    replays the completed points into memory and {!memo} serves them
-    without recomputation. A store keeps this file as
-    [DIR/records.jsonl] (one per shard when sharded); {!Store.open_} is
-    the front end, {!Store.checkpoint_for} hands out the handle.
+    replays the completed points into memory, and {!Store.memo} serves
+    them without recomputation. A store keeps this file as
+    [DIR/records.jsonl] (one per shard when sharded); {!Store} is the
+    only writer — sweep layers never hold a handle of their own.
 
     Records are [{"descr": ..., "key": ..., "value": ...}] where [key]
     is a stable digest of a canonical point descriptor ({!digest_key})
@@ -21,14 +21,14 @@
     parallel sweep workers ({!Par.parallel_map}) may share one file.
 
     When {!Telemetry} is enabled, activity feeds the
-    [util.checkpoint.hits] / [misses] / [records] / [loaded] /
-    [malformed_lines] / [skipped_records] counters. [malformed_lines]
-    counts lines that are not records at all (the truncated-final-line
-    signature); [skipped_records] counts lines that {e looked} like
-    records but were unusable — a mid-file line whose field extraction
-    raised on load, or a stored payload the caller's {!memo} decoder
-    refused. Both are skipped, never fatal: the records behind a sick
-    line still replay. *)
+    [util.checkpoint.records] / [loaded] / [malformed_lines] /
+    [skipped_records] counters ({!Store.memo} adds [hits] and
+    [misses]). [malformed_lines] counts lines that are not records at
+    all (the truncated-final-line signature); [skipped_records] counts
+    lines that {e looked} like records but were unusable — a mid-file
+    line whose field extraction raised on load, or a stored payload a
+    {!Store.memo} decoder refused. Both are skipped, never fatal: the
+    records behind a sick line still replay. *)
 
 type t
 
@@ -41,8 +41,6 @@ type t
     after an engine upgrade. Loading tolerates (and ignores) unknown
     fields, so stores written with different [extra] sets interoperate. *)
 val open_ : ?extra:(string * string) list -> string -> t
-
-val path : t -> string
 
 (** [entries t] is the number of distinct completed points held. *)
 val entries : t -> int
@@ -106,17 +104,3 @@ val scan :
     (technology records, solver options, detection conditions) into a
     point descriptor. Stable across runs of the same binary. *)
 val fingerprint : 'a -> string
-
-(** [memo t ~key ?descr ~encode ~decode f] is the per-point resume hook:
-    with [t = None] it is just [f ()]; otherwise a decoded stored value
-    if present, else [f ()] recorded under [digest_key key]. [decode]
-    returning [None] (corrupt/foreign payload) falls back to
-    recomputation. *)
-val memo :
-  t option ->
-  key:string ->
-  ?descr:string ->
-  encode:('a -> string) ->
-  decode:(string -> 'a option) ->
-  (unit -> 'a) ->
-  'a

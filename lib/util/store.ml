@@ -24,6 +24,9 @@ let lock_file = "store.lock"
 let shards_dirname = "shards"
 let shard_count_file = ".count"
 
+let c_hits = Tel.Counter.make "util.checkpoint.hits"
+let c_misses = Tel.Counter.make "util.checkpoint.misses"
+let c_skipped_records = Tel.Counter.make "util.checkpoint.skipped_records"
 let c_merge_added = Tel.Counter.make "util.store.merge_added"
 let c_merge_replaced = Tel.Counter.make "util.store.merge_replaced"
 let c_merge_kept = Tel.Counter.make "util.store.merge_kept"
@@ -80,8 +83,8 @@ let shard_dir t ix =
     Filename.concat (Filename.concat t.dir shards_dirname) (Printf.sprintf "%02x" ix)
 
 (* route by the first two hex characters of the content digest, so a
-   record's shard is a pure function of its key — every process agrees,
-   and a point's border result and its probe memos land together *)
+   record's shard is a pure function of its key — every process, and
+   {!merge}, routes it to the same shard *)
 let shard_of_digest count digest =
   let prefix =
     if String.length digest >= 2 then
@@ -200,8 +203,6 @@ let shard_checkpoint t ix =
 let route_digest t digest =
   shard_checkpoint t (shard_of_digest (Array.length t.slots) digest)
 
-let checkpoint_for t ~key = route_digest t (Checkpoint.digest_key key)
-
 let records_path t ix = Filename.concat (shard_dir t ix) records_file
 
 let entries t =
@@ -217,18 +218,38 @@ let entries t =
     t.slots;
   !sum
 
-let find t ~key =
-  let d = Checkpoint.digest_key key in
-  Checkpoint.find (route_digest t d) d
+let find_digest t d = Checkpoint.find (route_digest t d) d
+
+let find t ~key = find_digest t (Checkpoint.digest_key key)
+
+(* every record reaches its digest's shard through here, under the
+   inter-process lock *)
+let append t d ?descr ?overwrite ?extra value =
+  let ck = route_digest t d in
+  with_flock t (fun () ->
+      Checkpoint.record ck ~key:d ?descr ?overwrite ?extra value)
 
 let put t ~key ?descr ?overwrite value =
-  let d = Checkpoint.digest_key key in
-  let ck = route_digest t d in
-  with_flock t (fun () -> Checkpoint.record ck ~key:d ?descr ?overwrite value)
+  append t (Checkpoint.digest_key key) ?descr ?overwrite value
 
 let memo t ~key ?descr ~encode ~decode f =
   let d = Checkpoint.digest_key key in
-  Checkpoint.memo (Some (route_digest t d)) ~key ?descr ~encode ~decode f
+  let payload = find_digest t d in
+  match Option.bind payload decode with
+  | Some v ->
+    Tel.Counter.incr c_hits;
+    v
+  | None ->
+    (* a stored payload the decoder refused is a corrupt/foreign record:
+       count it and REPAIR it — without [overwrite] the recompute would
+       never reach the file (the key is already held) and every future
+       resume would recompute it again *)
+    let corrupt = payload <> None in
+    if corrupt then Tel.Counter.incr c_skipped_records;
+    Tel.Counter.incr c_misses;
+    let v = f () in
+    append t d ?descr ~overwrite:corrupt (encode v);
+    v
 
 let record_files t =
   List.init (Array.length t.slots) (records_path t)
@@ -274,18 +295,14 @@ let merge ~src ~dst =
       let stamp = [ ("engine", Option.value ~default:"unknown" eng) ] in
       match Hashtbl.find_opt dmap key with
       | None ->
-        let ck = route_digest dst key in
-        with_flock dst (fun () ->
-            Checkpoint.record ck ~key ?descr ~extra:stamp v);
+        append dst key ?descr ~extra:stamp v;
         incr added
       | Some (dv, _, _) when dv = v -> incr kept
       | Some (_, deng, _) ->
         let src_is_current = eng = Some dst.engine in
         let dst_is_current = deng = Some dst.engine in
         if src_is_current && not dst_is_current then begin
-          let ck = route_digest dst key in
-          with_flock dst (fun () ->
-              Checkpoint.record ck ~key ?descr ~overwrite:true ~extra:stamp v);
+          append dst key ?descr ~overwrite:true ~extra:stamp v;
           incr replaced
         end
         else incr kept)

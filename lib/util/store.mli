@@ -23,29 +23,39 @@
       file existed has an [index.json] summary instead; its ["name"]
       field supplies the name once, when [name] is first written, and
       [index.json] itself is never written again.
-    - [store.lock] — advisory inter-process lockfile: record appends
-      through {!put}/{!merge} hold a [lockf] region on it, so concurrent
-      processes sharing the directory append whole records.
+    - [store.lock] — advisory inter-process lockfile: every record
+      append ({!put}, {!memo}, {!merge}) holds a [lockf] region on it,
+      so concurrent processes sharing the directory append whole
+      records.
 
     Sharded mode ([open_ ~shards:n] with [n >= 2], or autodetected on
     reopen) replaces the single [records.jsonl] with
     [shards/<xx>/records.jsonl], where a record's shard is the first
     two hex digits of its content digest modulo the shard count — a
-    pure function of the key, so every process routes identically and a
-    point's result lands next to its probe memos. The shard count is
-    pinned at creation in [shards/.count] (written once, like [name])
-    and reopening with a different count is refused. A single-file
-    store is the one-shard case whose shard directory is the store
-    root; every shard, that one included, opens on first touch.
+    pure function of the key, so every process routes identically and
+    {!merge} puts a record where a later lookup looks for it. The shard
+    count is pinned at creation in [shards/.count] (written once, like
+    [name]) and reopening with a different count is refused. A
+    single-file store is the one-shard case whose shard directory is
+    the store root; every shard, that one included, opens on first
+    touch.
+
+    The sweep layers ([?store] on [Border.search], Table 1, the planes,
+    Shmoo and the campaign runner) read and write their memos through
+    {!find}/{!put}/{!memo}, so each memo is routed by its own key like
+    any other record. Sharded stores written before that kept a sweep's
+    memos in the shard its caller's name routed to, where no lookup
+    looks now; {!merge} into a fresh store re-routes every record by
+    its own key.
 
     Records are keyed by {!Checkpoint.digest_key} of a canonical point
-    descriptor — the content address. Unlike a checkpoint, {!put} may
-    overwrite (last record wins on reload), which lets failure markers
-    be superseded by later successes while successes themselves are
-    never recomputed.
+    descriptor — the content address. {!put} may overwrite (last record
+    wins on reload), which lets failure markers be superseded by later
+    successes while successes themselves are never recomputed.
 
-    Activity feeds the same [util.checkpoint.*] telemetry counters as
-    the checkpoint layer, plus [util.store.merge_*] for {!merge}. *)
+    Activity feeds the [util.checkpoint.*] telemetry counters (loads,
+    appends and {!memo}'s hits and misses), plus [util.store.merge_*]
+    for {!merge}. *)
 
 type t
 
@@ -82,17 +92,6 @@ val shards : t -> int
     on disk. *)
 val entries : t -> int
 
-(** [checkpoint_for t ~key] is the {!Checkpoint} handle that holds (or
-    would hold) descriptor [key] — on a sharded store, the key's shard,
-    opened lazily; on a single-file store, the one handle. This is the
-    reuse hook: pass it as [?checkpoint] to
-    {!Dramstress_core.Border.search}, Table 1 generation or any other
-    sweep layer and their per-point memoization lands in this store,
-    content-addressed alongside the campaign's own records. A campaign
-    point passes its own descriptor, so the point's probe memos shard
-    together with its result; a CLI sweep passes its subcommand name. *)
-val checkpoint_for : t -> key:string -> Checkpoint.t
-
 (** [find t ~key] looks up the raw (undigested) descriptor [key]. *)
 val find : t -> key:string -> string option
 
@@ -102,8 +101,13 @@ val find : t -> key:string -> string option
     last record wins (used for failure markers). *)
 val put : t -> key:string -> ?descr:string -> ?overwrite:bool -> string -> unit
 
-(** [memo t ~key ?descr ~encode ~decode f] — serve the decoded stored
-    value if present, else compute, record and return it. *)
+(** [memo t ~key ?descr ~encode ~decode f] is the per-point resume
+    hook of every sweep layer: the decoded stored value of [key] if
+    present (a [util.checkpoint.hits] count), else [f ()] recorded
+    through {!put} (a [misses] count). A stored payload [decode] refuses
+    (corrupt or foreign) counts on [util.checkpoint.skipped_records] and
+    is recomputed and overwritten, so the next replay reads the repaired
+    record. *)
 val memo :
   t ->
   key:string ->

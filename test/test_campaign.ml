@@ -641,6 +641,123 @@ let test_golden_store_reuse () =
   Alcotest.(check int) "nothing simulated" 0 r.Runner.simulated;
   Alcotest.(check int) "no failures" 0 (List.length r.Runner.failures)
 
+(* The paper's qualitative Table-1 claims, asserted on the values of a
+   warm [Table1.generate] over a copy of the checked-in Table-1 store:
+   every border is read back, none is simulated, so the claims are
+   judged against a fixed reference rather than against whatever the
+   engine computes today. *)
+let test_golden_table1_claims () =
+  with_store_dir @@ fun dir ->
+  Sys.mkdir dir 0o755;
+  List.iter
+    (fun f ->
+      copy_file (Filename.concat "golden/table1_store" f) (Filename.concat dir f))
+    [ "records.jsonl"; "index.json" ];
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled true;
+  let misses = Tel.Counter.make "util.checkpoint.misses" in
+  let misses_before = Tel.Counter.value misses in
+  let table =
+    let s = St.open_ ~name:"table1" dir in
+    Fun.protect ~finally:(fun () -> St.close s) (fun () ->
+        C.Table1.generate ~store:s ())
+  in
+  Alcotest.(check int) "every border read from the store" misses_before
+    (Tel.Counter.value misses);
+  Alcotest.(check int) "no failed row" 0 (List.length table.C.Table1.failures);
+  let ev id placement =
+    match
+      List.find_opt
+        (fun r -> r.C.Table1.defect_id = id && r.C.Table1.placement = placement)
+        table.C.Table1.rows
+    with
+    | Some r -> r.C.Table1.evaluation
+    | None -> Alcotest.failf "no row %s" id
+  in
+  let verdict (e : C.Sc_eval.t) axis =
+    match List.find_opt (fun p -> p.C.Stressor.axis = axis) e.C.Sc_eval.probes with
+    | Some p -> p.C.Stressor.verdict
+    | None -> Alcotest.failf "axis not probed"
+  in
+  let br name = function
+    | C.Border.Br v -> v
+    | r -> Alcotest.failf "%s: expected one border, got %a" name C.Border.pp_result r
+  in
+  let same_br = C.Border.equal_result in
+  let flip (d : C.Detection.t) =
+    { C.Detection.steps =
+        List.map
+          (function
+            | C.Detection.Write b -> C.Detection.Write (1 - b)
+            | C.Detection.Read b -> C.Detection.Read (1 - b)
+            | (C.Detection.Wait _ | C.Detection.Hammer _) as st -> st)
+          d.C.Detection.steps }
+  in
+  let ids = [ "O1"; "O2"; "O3"; "Sg"; "Sv"; "B1"; "B2" ] in
+  (* opens: shorter cycle, hotter, lower supply *)
+  List.iter
+    (fun id ->
+      List.iter
+        (fun placement ->
+          let e = ev id placement in
+          Alcotest.(check bool) (id ^ ": tcyc -, T +, Vdd -") true
+            (verdict e S.Cycle_time = C.Stressor.Decrease
+            && verdict e S.Temperature = C.Stressor.Increase
+            && verdict e S.Supply_voltage = C.Stressor.Decrease))
+        [ D.True_bl; D.Comp_bl ])
+    [ "O1"; "O2"; "O3" ];
+  (* the complementary bit line mirrors the true one *)
+  List.iter
+    (fun id ->
+      let t = ev id D.True_bl and c = ev id D.Comp_bl in
+      Alcotest.(check bool) (id ^ ": true and comp borders equal") true
+        (same_br t.C.Sc_eval.nominal_br c.C.Sc_eval.nominal_br
+        && same_br t.C.Sc_eval.stressed_br c.C.Sc_eval.stressed_br);
+      Alcotest.(check bool) (id ^ ": comp detections are true's, 0/1 swapped")
+        true
+        (flip t.C.Sc_eval.nominal_detection = c.C.Sc_eval.nominal_detection
+        && flip t.C.Sc_eval.stressed_detection = c.C.Sc_eval.stressed_detection))
+    ids;
+  (* stressing the open lowers its border: 160.1 k -> 93.9 k *)
+  let o1 = ev "O1" D.True_bl in
+  let nom = br "O1 nominal" o1.C.Sc_eval.nominal_br
+  and str = br "O1 stressed" o1.C.Sc_eval.stressed_br in
+  Alcotest.(check bool)
+    (Printf.sprintf "O1 stressed %.4g < nominal %.4g" str nom)
+    true
+    (str < nom
+    && Float.abs (nom -. 160.1e3) < 0.05e3
+    && Float.abs (str -. 93.9e3) < 0.05e3);
+  (* the shorts' stressed borders climb past 1 GOhm *)
+  List.iter
+    (fun id ->
+      let v = br (id ^ " stressed") (ev id D.True_bl).C.Sc_eval.stressed_br in
+      Alcotest.(check bool) (Printf.sprintf "%s stressed %.4g >= 1 G" id v) true
+        (v >= 1e9))
+    [ "Sg"; "Sv" ];
+  (* B2 escapes the nominal test and is caught in a band under stress *)
+  let b2 = ev "B2" D.True_bl in
+  Alcotest.(check bool) "B2 never faulty at nominal" true
+    (b2.C.Sc_eval.nominal_br = C.Border.Never_faulty);
+  Alcotest.(check bool) "B2 banded under stress" true
+    (match b2.C.Sc_eval.stressed_br with
+    | C.Border.Faulty_band _ | C.Border.Bands _ -> true
+    | _ -> false);
+  (* O2 and O3 rows read the same *)
+  List.iter
+    (fun placement ->
+      let a = ev "O2" placement and b = ev "O3" placement in
+      Alcotest.(check bool) "O2 row equals O3 row" true
+        (same_br a.C.Sc_eval.nominal_br b.C.Sc_eval.nominal_br
+        && same_br a.C.Sc_eval.stressed_br b.C.Sc_eval.stressed_br
+        && a.C.Sc_eval.nominal_detection = b.C.Sc_eval.nominal_detection
+        && a.C.Sc_eval.stressed_detection = b.C.Sc_eval.stressed_detection
+        && a.C.Sc_eval.stressed = b.C.Sc_eval.stressed
+        && List.map (fun p -> p.C.Stressor.verdict) a.C.Sc_eval.probes
+           = List.map (fun p -> p.C.Stressor.verdict) b.C.Sc_eval.probes))
+    [ D.True_bl; D.Comp_bl ]
+
 let cross_axis_manifest =
   {|
 (campaign
@@ -789,9 +906,10 @@ let test_protocol_sexp_roundtrip () =
       [ Pr.Atom "submit";
         Pr.List [ Pr.Atom "manifest"; Pr.Atom nasty ];
         Pr.Atom "";
+        Pr.Atom "band;edges";
         Pr.Atom "plain" ]
   in
-  (match Pr.of_string (Pr.to_string x) with
+  (match Cp.Sexp.of_string (Cp.Sexp.to_string x) with
   | Ok y -> Alcotest.(check bool) "nasty atoms round-trip" true (x = y)
   | Error m -> Alcotest.failf "parse failed: %s" m);
   List.iter
@@ -799,8 +917,12 @@ let test_protocol_sexp_roundtrip () =
       Alcotest.(check bool)
         (Printf.sprintf "%S rejected" bad)
         true
-        (match Pr.of_string bad with Error _ -> true | Ok _ -> false))
-    [ "("; "a b"; "\"unclosed"; ")"; "" ]
+        (match Cp.Sexp.of_string bad with Error _ -> true | Ok _ -> false))
+    [ "("; "a b"; "\"unclosed"; ")"; ""; "; only a comment" ];
+  (* one reader for frames and manifests: comments are skipped *)
+  Alcotest.(check bool) "comments skipped" true
+    (Cp.Sexp.of_string "(a ; note (\n b) ; tail"
+    = Ok (Pr.List [ Pr.Atom "a"; Pr.Atom "b" ]))
 
 let sample_requests =
   [ Pr.Submit { manifest = full_manifest; jobs = Some 3 };
@@ -851,18 +973,18 @@ let test_protocol_response_roundtrip () =
 let decodes_to_result = function Ok _ | Error _ -> ()
 
 let request_texts =
-  List.map (fun r -> Pr.to_string (Pr.encode_request r)) sample_requests
+  List.map (fun r -> Cp.Sexp.to_string (Pr.encode_request r)) sample_requests
 
 let response_texts =
-  List.map (fun r -> Pr.to_string (Pr.encode_response r)) sample_responses
+  List.map (fun r -> Cp.Sexp.to_string (Pr.encode_response r)) sample_responses
 
 let prop_sexp_mutated =
   Mutate.prop ~name:"protocol: mutated s-expressions parse or error"
     (request_texts @ response_texts) (fun s ->
-      decodes_to_result (Pr.of_string s))
+      decodes_to_result (Cp.Sexp.of_string s))
 
 let decode_after_parse decode s =
-  match Pr.of_string s with
+  match Cp.Sexp.of_string s with
   | Error _ -> ()
   | Ok x -> decodes_to_result (decode x)
 
@@ -1449,6 +1571,8 @@ let () =
             test_runner_adaptive_planner_parity;
           tc "pre-extension golden store fully reused"
             test_golden_store_reuse;
+          tc "golden Table-1 store replays the paper's claims"
+            test_golden_table1_claims;
           tc "adaptive parity holds on the wait axis"
             test_adaptive_parity_wait_axis;
           tc "adaptive retention searches never escalate"

@@ -517,56 +517,10 @@ let test_plane_all_points_failed_renders () =
   Alcotest.(check bool) "BR degrades to no-crossing" true
     (contains "no crossing")
 
-let test_plane_checkpoint_resume_identical () =
-  let path = Filename.temp_file "dramstress_plane" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let module Ck = Dramstress_util.Checkpoint in
-      let sweep ?checkpoint () =
-        C.Plane.write_plane ~config:(Dramstress_dram.Sim_config.v ~jobs:1 ())
-          ~n_ops:2 ~rops:small_rops ?checkpoint ~stress:nominal ~kind:open_kind
-          ~placement:D.True_bl ~op:Dramstress_dram.Ops.W0 ()
-      in
-      let reference = sweep () in
-      let ck = Ck.open_ path in
-      let full = sweep ~checkpoint:ck () in
-      Ck.close ck;
-      Alcotest.(check bool) "checkpointed run matches plain run" true
-        (full = reference);
-      (* simulate a mid-sweep kill: keep only half the records *)
-      let lines =
-        let ic = open_in path in
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-        in
-        go []
-      in
-      Alcotest.(check int) "one record per point" (List.length small_rops)
-        (List.length lines);
-      let keep = List.filteri (fun i _ -> i < 3) lines in
-      let oc = open_out path in
-      List.iter (fun l -> output_string oc (l ^ "\n")) keep;
-      close_out oc;
-      (* resume: recomputes the dropped tail, serves the kept head *)
-      let ck = Ck.open_ path in
-      Alcotest.(check int) "partial store" 3 (Ck.entries ck);
-      let resumed = sweep ~checkpoint:ck () in
-      Ck.close ck;
-      Alcotest.(check bool) "resumed plane identical to uninterrupted" true
-        (resumed = reference);
-      let ck = Ck.open_ path in
-      Alcotest.(check int) "store complete again" (List.length small_rops)
-        (Ck.entries ck);
-      Ck.close ck)
-
-(* a campaign store is the one place a CLI sweep persists to; these
-   pin that a bare record file migrates into one by a copy, and that
-   the same sweep resumes through a sharded store *)
+(* a campaign store is the one place a sweep persists to; these pin
+   that a store-backed sweep resumes byte-identically, that a bare
+   record file migrates into a store by a copy, and that the same sweep
+   resumes through a sharded store and survives a merge *)
 
 let read_lines path =
   In_channel.with_open_text path In_channel.input_all
@@ -592,72 +546,124 @@ let with_tmp_dir f =
 
 let plane_config = Dramstress_dram.Sim_config.v ~jobs:1 ()
 
-let plane_sweep ?checkpoint () =
-  C.Plane.write_plane ~config:plane_config ~n_ops:2 ~rops:small_rops
-    ?checkpoint ~stress:nominal ~kind:open_kind ~placement:D.True_bl
-    ~op:O.W0 ()
+module St = Dramstress_util.Store
 
-(* the sweep through [dir]'s store, as [dramstress plane --store dir]
-   routes it, with the simulations its points spent from a cold cache
-   (the plane's V_mp bisection is not a sweep point and is warmed
-   first) *)
-let plane_sweep_in_store dir =
-  let module St = Dramstress_util.Store in
+let plane_sweep ?store () =
+  C.Plane.write_plane ~config:plane_config ~n_ops:2 ~rops:small_rops ?store
+    ~stress:nominal ~kind:open_kind ~placement:D.True_bl ~op:O.W0 ()
+
+(* [with_store_sims dir f] runs [f] on [dir]'s store, as [dramstress
+   plane --store dir] does, and counts the simulations it spent from a
+   cold cache (the plane's V_mp bisection is not a sweep point and is
+   warmed first) *)
+let with_store_sims dir f =
   O.clear_cache ();
   ignore (C.Plane.vmp ~config:plane_config ~stress:nominal ());
   let before = O.simulations () in
   let st = St.open_ ~name:"plane" dir in
-  let plane =
-    Fun.protect ~finally:(fun () -> St.close st) (fun () ->
-        plane_sweep ~checkpoint:(St.checkpoint_for st ~key:"plane") ())
-  in
-  (plane, O.simulations () - before)
+  let v = Fun.protect ~finally:(fun () -> St.close st) (fun () -> f st) in
+  (v, O.simulations () - before)
+
+let plane_sweep_in_store dir =
+  with_store_sims dir (fun store -> plane_sweep ~store ())
+
+(* the record files of [dir]'s store, whatever its layout *)
+let record_files dir =
+  let root = Filename.concat dir "shards" in
+  (if Sys.file_exists root then
+     Sys.readdir root |> Array.to_list
+     |> List.filter (fun sh -> sh <> ".count")
+     |> List.map (fun sh -> Filename.concat root sh)
+   else [ dir ])
+  |> List.map (fun d -> Filename.concat d "records.jsonl")
+  |> List.filter Sys.file_exists
+  |> List.sort String.compare
+
+let test_plane_checkpoint_resume_identical () =
+  with_tmp_dir @@ fun dir ->
+  let reference = plane_sweep () in
+  let full, _ = plane_sweep_in_store dir in
+  Alcotest.(check bool) "store-backed run matches plain run" true
+    (full = reference);
+  (* simulate a mid-sweep kill: keep only half the records *)
+  let file = Filename.concat dir "records.jsonl" in
+  let lines = read_lines file in
+  Alcotest.(check int) "one record per point" (List.length small_rops)
+    (List.length lines);
+  write_lines file (List.filteri (fun i _ -> i < 3) lines);
+  (* resume: recomputes the dropped tail, serves the kept head *)
+  let resumed, _ = plane_sweep_in_store dir in
+  Alcotest.(check bool) "resumed plane identical to uninterrupted" true
+    (resumed = reference);
+  Alcotest.(check int) "store complete again" (List.length small_rops)
+    (List.length (read_lines file))
 
 let test_plane_checkpoint_file_migrates_to_store () =
-  let module Ck = Dramstress_util.Checkpoint in
   with_tmp_dir @@ fun tmp ->
-  let old_file = Filename.concat tmp "plane_ck.jsonl" in
-  let ck = Ck.open_ old_file in
-  let recorded = plane_sweep ~checkpoint:ck () in
-  Ck.close ck;
+  let src = Filename.concat tmp "old" in
+  let recorded, _ = plane_sweep_in_store src in
+  (* the record file alone, copied into a fresh directory, is a store *)
   let dir = Filename.concat tmp "store" in
   Sys.mkdir dir 0o755;
-  write_lines (Filename.concat dir "records.jsonl") (read_lines old_file);
+  write_lines (Filename.concat dir "records.jsonl")
+    (read_lines (Filename.concat src "records.jsonl"));
   let replayed, sims = plane_sweep_in_store dir in
   Alcotest.(check int) "zero new simulations" 0 sims;
   Alcotest.(check bool) "replayed plane identical" true (replayed = recorded)
 
 let test_plane_sharded_store_resume () =
   with_tmp_dir @@ fun dir ->
-  let module St = Dramstress_util.Store in
   St.close (St.open_ ~shards:4 ~name:"plane" dir);
   let cold, cold_sims = plane_sweep_in_store dir in
-  let shard_files =
-    let root = Filename.concat dir "shards" in
-    Sys.readdir root |> Array.to_list
-    |> List.map (fun sh ->
-           Filename.concat (Filename.concat root sh) "records.jsonl")
-    |> List.filter Sys.file_exists
-  in
-  (* every record routes through the one handle "plane" names *)
-  let file =
-    match shard_files with
-    | [ f ] -> f
-    | fs -> Alcotest.failf "expected one shard file, found %d" (List.length fs)
-  in
-  let lines = read_lines file in
+  (* every record sits in the shard its own key routes to *)
+  let files = record_files dir in
+  let lines = List.concat_map read_lines files in
   Alcotest.(check int) "one record per point" (List.length small_rops)
     (List.length lines);
-  write_lines file (List.filteri (fun i _ -> 2 * i < List.length lines) lines);
+  Alcotest.(check bool) "records spread over more than one shard" true
+    (List.length files > 1);
+  (* cut the first record of every shard file *)
+  List.iter (fun f -> write_lines f (List.tl (read_lines f))) files;
+  let cut = List.length files in
   let resumed, resumed_sims = plane_sweep_in_store dir in
   Alcotest.(check bool) "resumed plane identical" true (resumed = cold);
   Alcotest.(check bool)
-    (Printf.sprintf "only the cut half re-simulated: 0 < %d < %d" resumed_sims
-       cold_sims)
+    (Printf.sprintf "only the %d cut records re-simulated: 0 < %d < %d" cut
+       resumed_sims cold_sims)
     true
     (resumed_sims > 0 && resumed_sims < cold_sims);
   Alcotest.(check int) "store complete again" (List.length small_rops)
-    (List.length (read_lines file))
+    (List.length (List.concat_map read_lines (record_files dir)))
+
+(* the memos of a sharded store, merged into another sharded store,
+   replay there with no simulation: each record is looked up where its
+   own key routes, which is where [Store.merge] put it *)
+let test_sharded_sweep_store_survives_merge () =
+  with_tmp_dir @@ fun tmp ->
+  let src = Filename.concat tmp "src" and dst = Filename.concat tmp "dst" in
+  St.close (St.open_ ~shards:4 ~name:"plane" src);
+  St.close (St.open_ ~shards:4 ~name:"plane" dst);
+  let window =
+    C.Border.Window.v ~r_min:1e3 ~r_max:1e8 ~grid_points:9 ~rel_tol:0.05
+      ~strategy:C.Border.Window.Adaptive ()
+  in
+  let cond = C.Detection.standard ~victim:0 ~primes:2 in
+  let sweeps store =
+    ( plane_sweep ~store (),
+      C.Border.search ~config:plane_config ~store ~window ~stress:nominal
+        ~kind:open_kind ~placement:D.True_bl cond )
+  in
+  let (cold_plane, cold_br), cold_sims = with_store_sims src sweeps in
+  Alcotest.(check bool) "the cold sweeps simulate" true (cold_sims > 0);
+  let s = St.open_ ~name:"src" src and d = St.open_ ~name:"dst" dst in
+  let merged = St.merge ~src:s ~dst:d in
+  St.close s;
+  St.close d;
+  Alcotest.(check bool) "every record merged" true (merged.St.added > 0);
+  let (plane, br), sims = with_store_sims dst sweeps in
+  Alcotest.(check int) "replay on the merged store simulates nothing" 0 sims;
+  Alcotest.(check bool) "replayed results identical" true
+    (plane = cold_plane && C.Border.equal_result br cold_br)
 
 (* ------------------------------------------------------------------ *)
 (* Stressor                                                            *)
@@ -1151,63 +1157,42 @@ let test_border_adaptive_checkpoint_resume () =
      edge record, resume, and assert the result is identical while only
      the unfinished bracket re-simulates *)
   let module Tel = Dramstress_util.Telemetry in
-  let module Ck = Dramstress_util.Checkpoint in
   let c_probes = Tel.Counter.make "core.border.probes" in
-  let path = Filename.temp_file "dramstress_adaptive" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Tel.set_enabled true;
-      Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
-      let cond = C.Detection.standard ~victim:0 ~primes:2 in
-      let search checkpoint =
-        let before = Tel.Counter.value c_probes in
-        let r =
-          C.Border.search ?checkpoint
-            ~window:
-              (C.Border.Window.v ~r_min:1e3 ~r_max:1e8 ~grid_points:17
-                 ~rel_tol:0.05 ~strategy:C.Border.Window.Adaptive ())
-            ~stress:nominal ~kind:open_kind ~placement:D.True_bl cond
-        in
-        (r, Tel.Counter.value c_probes - before)
-      in
-      let ck = Ck.open_ path in
-      let cold, cold_probes = search (Some ck) in
-      Ck.close ck;
-      let lines =
-        let ic = open_in path in
-        let rec go acc =
-          match input_line ic with
-          | l -> go (l :: acc)
-          | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-        in
-        go []
-      in
-      Alcotest.(check bool) "cold run wrote probe + edge + result records"
-        true
-        (List.length lines > 3);
-      let keep = List.filteri (fun i _ -> i < List.length lines - 2) lines in
-      let oc = open_out path in
-      List.iter (fun l -> output_string oc (l ^ "\n")) keep;
-      close_out oc;
-      let ck = Ck.open_ path in
-      let resumed, resumed_probes = search (Some ck) in
-      Ck.close ck;
-      Alcotest.(check bool) "resumed result identical" true
-        (C.Border.equal_result cold resumed);
-      Alcotest.(check bool)
-        (Printf.sprintf "resume re-simulated only the lost bracket: %d < %d"
-           resumed_probes cold_probes)
-        true
-        (resumed_probes > 0 && resumed_probes < cold_probes);
-      (* a third run replays the completed whole-result record: free *)
-      let ck = Ck.open_ path in
-      let replayed, replay_probes = search (Some ck) in
-      Ck.close ck;
-      Alcotest.(check bool) "warm replay is free and identical" true
-        (C.Border.equal_result cold replayed && replay_probes = 0))
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "records.jsonl" in
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
+  let cond = C.Detection.standard ~victim:0 ~primes:2 in
+  let search () =
+    let before = Tel.Counter.value c_probes in
+    let st = St.open_ ~name:"br" dir in
+    Fun.protect ~finally:(fun () -> St.close st) @@ fun () ->
+    let r =
+      C.Border.search ~store:st
+        ~window:
+          (C.Border.Window.v ~r_min:1e3 ~r_max:1e8 ~grid_points:17
+             ~rel_tol:0.05 ~strategy:C.Border.Window.Adaptive ())
+        ~stress:nominal ~kind:open_kind ~placement:D.True_bl cond
+    in
+    (r, Tel.Counter.value c_probes - before)
+  in
+  let cold, cold_probes = search () in
+  let lines = read_lines path in
+  Alcotest.(check bool) "cold run wrote probe + edge + result records" true
+    (List.length lines > 3);
+  write_lines path (List.filteri (fun i _ -> i < List.length lines - 2) lines);
+  let resumed, resumed_probes = search () in
+  Alcotest.(check bool) "resumed result identical" true
+    (C.Border.equal_result cold resumed);
+  Alcotest.(check bool)
+    (Printf.sprintf "resume re-simulated only the lost bracket: %d < %d"
+       resumed_probes cold_probes)
+    true
+    (resumed_probes > 0 && resumed_probes < cold_probes);
+  (* a third run replays the completed whole-result record: free *)
+  let replayed, replay_probes = search () in
+  Alcotest.(check bool) "warm replay is free and identical" true
+    (C.Border.equal_result cold replayed && replay_probes = 0)
 
 let test_window_smart_constructors () =
   let module W = C.Border.Window in
@@ -1315,6 +1300,8 @@ let () =
             test_plane_checkpoint_resume_identical;
           slow "checkpoint file migrates into a store"
             test_plane_checkpoint_file_migrates_to_store;
+          slow "sharded sweep store survives store merge"
+            test_sharded_sweep_store_survives_merge;
           slow "sharded store resume is bit-identical"
             test_plane_sharded_store_resume;
           slow "N-lane sweeps match one-lane" test_lane_sweeps_match_one_lane;

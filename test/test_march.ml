@@ -1,5 +1,5 @@
 (* Tests for the march-test DSL, the behavioural memory simulator and
-   the coverage/Shmoo tooling, plus the pinned checkpoint keys of the
+   the coverage/Shmoo tooling, plus the pinned store keys of the
    border, plane and Shmoo sweeps. *)
 
 module M = Dramstress_march.March
@@ -325,22 +325,28 @@ let test_shmoo_invalid_points () =
   | Sh.Pass | Sh.Fail | Sh.Errored -> Alcotest.fail "expected invalid SC"
 
 (* ------------------------------------------------------------------ *)
-(* Stored checkpoint keys                                              *)
+(* Stored keys                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [keys_written f] is the sorted list of checkpoint keys [f] records
-   into a fresh store *)
+(* [keys_written f] is the sorted list of keys [f] records into a fresh
+   single-file store *)
 let keys_written f =
   let module Ck = Dramstress_util.Checkpoint in
-  let path = Filename.temp_file "dramstress_keys" ".jsonl" in
+  let module St = Dramstress_util.Store in
+  let dir = Filename.temp_dir "dramstress_keys" "" in
+  let records = Filename.concat dir "records.jsonl" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      Array.iter
+        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Sys.rmdir dir with Sys_error _ -> ())
     (fun () ->
-      let ck = Ck.open_ path in
-      f ck;
-      Ck.close ck;
+      let st = St.open_ ~name:"keys" dir in
+      f st;
+      St.close st;
       let keys = ref [] in
-      Ck.scan path (fun ~descr:_ ~engine:_ ~key ~value:_ ->
+      Ck.scan records (fun ~descr:_ ~engine:_ ~key ~value:_ ->
           keys := key :: !keys);
       List.sort String.compare !keys)
 
@@ -356,9 +362,9 @@ let test_store_keys_pinned () =
       "35d0000231961e52a84b9e29b45f23ab"; "50e0bf41708881af7aa87a3fe695fab4";
       "75063656f21e7636f13671d38d06d49b"; "859eb412e96a5e078709ee0db9ef3a70";
       "97421acac135999c61c82f99f835d8b4"; "a1cc02f787e6c54cc1a398a7b3947b80" ]
-    (keys_written (fun ck ->
+    (keys_written (fun store ->
          ignore
-           (C.Border.search ~config ~checkpoint:ck
+           (C.Border.search ~config ~store
               ~window:
                 (C.Border.Window.v ~r_min:1e3 ~r_max:1e8 ~grid_points:9
                    ~rel_tol:0.05 ~strategy:C.Border.Window.Adaptive ())
@@ -367,16 +373,16 @@ let test_store_keys_pinned () =
   Alcotest.(check (list string))
     "write plane keys"
     [ "61680a0566bffc1e43f9c2cbb79ce74f"; "d16698d0f3648f1fbe9222e1aa8797a4" ]
-    (keys_written (fun ck ->
+    (keys_written (fun store ->
          ignore
-           (C.Plane.write_plane ~config ~checkpoint:ck ~n_ops:1
+           (C.Plane.write_plane ~config ~store ~n_ops:1
               ~rops:[ 1e4; 1e6 ] ~stress:S.nominal ~kind ~placement:D.True_bl
               ~op:Dramstress_dram.Ops.W0 ())));
   Alcotest.(check (list string))
     "shmoo cell key" [ "2d0daf8d89997e04cc4110a3d1f8e29f" ]
-    (keys_written (fun ck ->
+    (keys_written (fun store ->
          ignore
-           (Sh.generate ~config ~checkpoint:ck ~stress:S.nominal
+           (Sh.generate ~config ~store ~stress:S.nominal
               ~defect:(D.v kind D.True_bl 200e3)
               ~detection:(C.Detection.standard ~victim:0 ~primes:1)
               ~x:(S.Cycle_time, [ 60e-9 ])

@@ -862,42 +862,6 @@ let test_ck_glued_half_record () =
   Alcotest.(check int) "one entry" 1 (Ck.entries t);
   Ck.close t
 
-let test_ck_memo () =
-  with_ck_file @@ fun path ->
-  let calls = ref 0 in
-  let compute () =
-    incr calls;
-    3.25
-  in
-  let enc = Printf.sprintf "%h" in
-  let dec s = float_of_string_opt s in
-  (* no store: always computes *)
-  let v = Ck.memo None ~key:"k" ~encode:enc ~decode:dec compute in
-  Alcotest.(check (float 0.0)) "passthrough" 3.25 v;
-  Alcotest.(check int) "computed" 1 !calls;
-  let t = Ck.open_ path in
-  let v = Ck.memo (Some t) ~key:"k" ~encode:enc ~decode:dec compute in
-  Alcotest.(check (float 0.0)) "miss computes" 3.25 v;
-  Alcotest.(check int) "computed again" 2 !calls;
-  let v = Ck.memo (Some t) ~key:"k" ~encode:enc ~decode:dec compute in
-  Alcotest.(check (float 0.0)) "hit" 3.25 v;
-  Alcotest.(check int) "served from store" 2 !calls;
-  Ck.close t;
-  (* and across a resume *)
-  let t = Ck.open_ path in
-  let v = Ck.memo (Some t) ~key:"k" ~encode:enc ~decode:dec compute in
-  Alcotest.(check (float 0.0)) "hit after resume" 3.25 v;
-  Alcotest.(check int) "no recomputation" 2 !calls;
-  (* decode refusing the payload falls back to recomputation *)
-  let v =
-    Ck.memo (Some t) ~key:"k" ~encode:enc
-      ~decode:(fun _ -> None)
-      compute
-  in
-  Alcotest.(check (float 0.0)) "fallback value" 3.25 v;
-  Alcotest.(check int) "recomputed on decode failure" 3 !calls;
-  Ck.close t
-
 let test_ck_fingerprint_stable () =
   let a = Ck.fingerprint ("plane", 1.5, [ 1; 2; 3 ]) in
   let b = Ck.fingerprint ("plane", 1.5, [ 1; 2; 3 ]) in
@@ -1249,6 +1213,36 @@ let test_store_memo () =
   Alcotest.(check int) "still computed once" 1 !calls;
   St.close s
 
+(* the memo contract on its own: a miss computes, a hit and a hit after
+   reopening do not, and a payload the decoder refuses is recomputed *)
+let test_store_memo_hit_miss_fallback () =
+  with_store_dir @@ fun dir ->
+  let calls = ref 0 in
+  let compute () =
+    incr calls;
+    3.25
+  in
+  let enc = Printf.sprintf "%h" in
+  let dec s = float_of_string_opt s in
+  let s = St.open_ ~name:"m" dir in
+  let v = St.memo s ~key:"k" ~encode:enc ~decode:dec compute in
+  Alcotest.(check (float 0.0)) "miss computes" 3.25 v;
+  Alcotest.(check int) "computed" 1 !calls;
+  let v = St.memo s ~key:"k" ~encode:enc ~decode:dec compute in
+  Alcotest.(check (float 0.0)) "hit" 3.25 v;
+  Alcotest.(check int) "served from store" 1 !calls;
+  St.close s;
+  (* and across a resume *)
+  let s = St.open_ ~name:"m" dir in
+  let v = St.memo s ~key:"k" ~encode:enc ~decode:dec compute in
+  Alcotest.(check (float 0.0)) "hit after resume" 3.25 v;
+  Alcotest.(check int) "no recomputation" 1 !calls;
+  (* decode refusing the payload falls back to recomputation *)
+  let v = St.memo s ~key:"k" ~encode:enc ~decode:(fun _ -> None) compute in
+  Alcotest.(check (float 0.0)) "fallback value" 3.25 v;
+  Alcotest.(check int) "recomputed on decode failure" 2 !calls;
+  St.close s
+
 (* fingerprints are content addresses: distinct values must never
    collide, equal values must agree across domains and re-serialization *)
 
@@ -1407,26 +1401,28 @@ let test_ck_bad_middle_line_tail_replays () =
     (Ck.find t (Ck.digest_key "k2"));
   Ck.close t
 
-let test_ck_corrupt_payload_repaired () =
+let test_store_memo_repairs_refused_payload () =
   with_tel @@ fun () ->
-  with_ck_file @@ fun path ->
+  with_store_dir @@ fun dir ->
+  let counter name = Tel.Counter.value (Tel.Counter.make name) in
   let calls = ref 0 in
   let compute v () =
     incr calls;
     v
   in
   let memo t k v =
-    Ck.memo (Some t) ~key:k ~encode:string_of_int
-      ~decode:int_of_string_opt (compute v)
+    St.memo t ~key:k ~encode:string_of_int ~decode:int_of_string_opt
+      (compute v)
   in
-  let t = Ck.open_ path in
+  let t = St.open_ ~name:"m" dir in
   ignore (memo t "k1" 1);
   ignore (memo t "k2" 2);
   ignore (memo t "k3" 3);
-  Ck.close t;
+  St.close t;
   Alcotest.(check int) "three cold computes" 3 !calls;
   (* replace the middle record's payload with a well-formed line the
      decoder refuses: a mid-file corruption, not a truncated tail *)
+  let path = Filename.concat dir "records.jsonl" in
   (match file_lines path with
   | [ l1; _; l3 ] ->
     let bad =
@@ -1435,8 +1431,10 @@ let test_ck_corrupt_payload_repaired () =
     in
     write_file_lines path [ l1; bad; l3 ]
   | ls -> Alcotest.failf "expected 3 lines, found %d" (List.length ls));
-  let t = Ck.open_ path in
-  let skipped_before = Tel.Counter.value (Tel.Counter.make "util.checkpoint.skipped_records") in
+  let t = St.open_ ~name:"m" dir in
+  let skipped_before = counter "util.checkpoint.skipped_records" in
+  let hits_before = counter "util.checkpoint.hits" in
+  let misses_before = counter "util.checkpoint.misses" in
   calls := 0;
   Alcotest.(check int) "clean head is a hit" 1 (memo t "k1" 1);
   Alcotest.(check int) "clean tail replayed" 3 (memo t "k3" 3);
@@ -1444,17 +1442,20 @@ let test_ck_corrupt_payload_repaired () =
   Alcotest.(check int) "refused payload recomputed" 2 (memo t "k2" 2);
   Alcotest.(check int) "one recompute" 1 !calls;
   Alcotest.(check int) "skip counted" (skipped_before + 1)
-    (Tel.Counter.value (Tel.Counter.make "util.checkpoint.skipped_records"));
+    (counter "util.checkpoint.skipped_records");
   Alcotest.(check int) "repair served from memory" 2 (memo t "k2" 2);
   Alcotest.(check int) "still one recompute" 1 !calls;
-  Ck.close t;
+  Alcotest.(check (pair int int)) "three hits, one miss"
+    (hits_before + 3, misses_before + 1)
+    (counter "util.checkpoint.hits", counter "util.checkpoint.misses");
+  St.close t;
   (* the repair was appended (last record wins), so a fresh resume
      serves it without recomputation *)
-  let t = Ck.open_ path in
+  let t = St.open_ ~name:"m" dir in
   calls := 0;
   Alcotest.(check int) "repair persisted" 2 (memo t "k2" 2);
   Alcotest.(check int) "no recompute after repair" 0 !calls;
-  Ck.close t
+  St.close t
 
 (* ------------------------------------------------------------------ *)
 (* Store: sharding, layout, merge                                     *)
@@ -1472,15 +1473,22 @@ let test_store_sharded_roundtrip () =
         (St.find s ~key:k))
     keys;
   Alcotest.(check int) "entries across shards" 20 (St.entries s);
-  (* a sharded store has no single checkpoint; routing is per key *)
+  St.close s;
+  (* routing is per key: each record sits in the shard the first two
+     hex digits of its own digest pick *)
   List.iter
     (fun k ->
-      let ck = St.checkpoint_for s ~key:k in
+      let d = Ck.digest_key k in
+      let shard = int_of_string ("0x" ^ String.sub d 0 2) mod 4 in
+      let file =
+        Filename.concat dir (Printf.sprintf "shards/%02x/records.jsonl" shard)
+      in
+      let found = ref None in
+      Ck.scan file (fun ~descr:_ ~engine:_ ~key ~value ->
+          if key = d then found := Some value);
       Alcotest.(check (option string)) "routed shard holds the record"
-        (Some ("v:" ^ k))
-        (Ck.find ck (Ck.digest_key k)))
+        (Some ("v:" ^ k)) !found)
     keys;
-  St.close s;
   (* reopen with no explicit count: the on-disk layout wins *)
   let s = St.open_ ~engine:"e" ~name:"other" dir in
   Alcotest.(check int) "layout autodetected" 4 (St.shards s);
@@ -2103,13 +2111,10 @@ let () =
           tc "truncated final line skipped" test_ck_truncated_final_line;
           tc "glued half record skipped, next replays"
             test_ck_glued_half_record;
-          tc "memo hit/miss/fallback" test_ck_memo;
           tc "fingerprint stability" test_ck_fingerprint_stable;
           tc "truncation at every byte offset" test_ck_truncate_every_byte;
           tc "sick middle line skipped, tail replays"
             test_ck_bad_middle_line_tail_replays;
-          tc "refused payload recomputed and repaired"
-            test_ck_corrupt_payload_repaired;
           tc "scan counts a malformed line" test_ck_scan_counts_malformed;
           QCheck_alcotest.to_alcotest prop_ck_replay_mutated;
           QCheck_alcotest.to_alcotest prop_ck_scan_mutated;
@@ -2121,6 +2126,9 @@ let () =
           tc "truncated tail tolerated" test_store_truncated_tail;
           tc "reopen keeps the created name" test_store_keeps_created_name;
           tc "memo across reopen" test_store_memo;
+          tc "memo hit/miss/fallback" test_store_memo_hit_miss_fallback;
+          tc "refused payload recomputed and repaired"
+            test_store_memo_repairs_refused_payload;
           tc "fingerprint stable across domains"
             test_fingerprint_domain_stable;
           QCheck_alcotest.to_alcotest prop_fingerprint_injective;
