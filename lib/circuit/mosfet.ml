@@ -34,26 +34,21 @@ let[@inline] kp_t m ~temp = m.kp *. ((temp /. m.t_ref) ** -.m.mu_exp)
 
 type eval = { id : float; gm : float; gds : float }
 
-(* numerically stable softplus and its derivative (logistic sigmoid) *)
-let[@inline] softplus u =
-  if u > 30.0 then u else if u < -30.0 then exp u else log1p (exp u)
-
-let[@inline] sigmoid u =
-  if u > 30.0 then 1.0
-  else if u < -30.0 then exp u
-  else 1.0 /. (1.0 +. exp (-.u))
-
 (* Everything that depends only on (model, temperature): the ['**'] in
    [kp_t] alone is about a third of an evaluation, and a circuit
-   evaluates every device at one temperature for a whole run. All-float,
-   so the record is stored flat. *)
+   evaluates every device at one temperature for a whole run. The
+   divisions by n and the thermal voltage are taken here as reciprocals,
+   so an evaluation divides only for the two sigmoids. All-float, so the
+   record is stored flat. *)
 type prepared = {
   sgn : float;  (* +1 NMOS, -1 PMOS *)
-  n : float;
   lambda : float;
-  vt_th : float;
   vth : float;
   scale : float;
+  inv_n : float;
+  inv_vt : float;
+  inv_2vt : float;  (* 1 / (2 v_T): channel-end u per volt of vds *)
+  u_per_v : float;  (* 1 / (2 n v_T): u per volt of vgs *)
 }
 
 let prepare m ~temp =
@@ -62,11 +57,13 @@ let prepare m ~temp =
   let kp = kp_t m ~temp in
   {
     sgn = (match m.polarity with Nmos -> 1.0 | Pmos -> -1.0);
-    n;
     lambda = m.lambda;
-    vt_th;
     vth = vth_mag m ~temp;
     scale = 2.0 *. n *. kp *. vt_th *. vt_th;
+    inv_n = 1.0 /. n;
+    inv_vt = 1.0 /. vt_th;
+    inv_2vt = 1.0 /. (2.0 *. vt_th);
+    u_per_v = 1.0 /. (2.0 *. n *. vt_th);
   }
 
 (* Polarity reflection and source/drain exchange are folded into sign
@@ -87,21 +84,28 @@ let[@inline] eval_into p ~vgs ~vds (out : float array) =
   let reversed = vds_n < 0.0 in
   let vgs_f = if reversed then vgs_n -. vds_n else vgs_n in
   let vds_f = if reversed then -.vds_n else vds_n in
-  let vt_th = p.vt_th and n = p.n and scale = p.scale in
-  let vp = (vgs_f -. p.vth) /. n in
-  let uf = vp /. (2.0 *. vt_th) in
-  let ur = (vp -. vds_f) /. (2.0 *. vt_th) in
-  let ff = softplus uf and fr = softplus ur in
+  let scale = p.scale in
+  (* uf = vp / (2 v_T) and ur = (vp - vds) / (2 v_T), vp = (vgs - vth)/n *)
+  let uf = (vgs_f -. p.vth) *. p.u_per_v in
+  let ur = uf -. (vds_f *. p.inv_2vt) in
+  (* softplus u = ln (1 + e^u) and its derivative, the logistic
+     sigmoid, from one e = exp (-|u|) per channel end:
+     softplus u = max u 0 + log1p e, and sigmoid u is 1/(1+e) for
+     u >= 0 and e/(1+e) below. Neither overflows at any u. *)
+  let ef = exp (-.Float.abs uf) and er = exp (-.Float.abs ur) in
+  let ff = (if uf > 0.0 then uf else 0.0) +. log1p ef in
+  let fr = (if ur > 0.0 then ur else 0.0) +. log1p er in
+  let sf = (if uf >= 0.0 then 1.0 else ef) /. (1.0 +. ef) in
+  let sr = (if ur >= 0.0 then 1.0 else er) /. (1.0 +. er) in
   let i_f = ff *. ff and i_r = fr *. fr in
   let clm = 1.0 +. (p.lambda *. vds_f) in
   let id_f = scale *. (i_f -. i_r) *. clm in
   (* d i_f / d vp = ff * sigmoid(uf) / vt_th ; same pattern for i_r *)
-  let dif_dvp = ff *. sigmoid uf /. vt_th in
-  let dir_dvp = fr *. sigmoid ur /. vt_th in
-  let gm_f = scale *. clm *. (dif_dvp -. dir_dvp) /. n in
+  let dif_dvp = ff *. sf *. p.inv_vt in
+  let dir_dvp = fr *. sr *. p.inv_vt in
+  let gm_f = scale *. clm *. (dif_dvp -. dir_dvp) *. p.inv_n in
   let gds_f =
-    (scale *. clm *. (fr *. sigmoid ur /. vt_th))
-    +. (scale *. (i_f -. i_r) *. p.lambda)
+    (scale *. clm *. dir_dvp) +. (scale *. (i_f -. i_r) *. p.lambda)
   in
   let id_n = if reversed then -.id_f else id_f in
   out.(0) <- sgn *. id_n;

@@ -44,7 +44,7 @@ let pwl_steps ~t_edge v0 steps =
     let start = if t0 > 0.0 then [ (0.0, v0) ] else [] in
     pwl (start @ build v0 [] steps)
 
-let eval_pulse p t =
+let[@inline] eval_pulse p t =
   if t < p.delay then p.v0
   else begin
     let t' =
@@ -63,7 +63,7 @@ let eval_pulse p t =
     else p.v0
   end
 
-let eval_pwl arr t =
+let[@inline] eval_pwl arr t =
   let n = Array.length arr in
   if t <= fst arr.(0) then snd arr.(0)
   else if t >= fst arr.(n - 1) then snd arr.(n - 1)
@@ -80,11 +80,20 @@ let eval_pwl arr t =
     v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
   end
 
-let eval w t =
+let[@inline] eval_unboxed w t =
   match w with
   | Dc v -> v
   | Pulse p -> eval_pulse p t
   | Pwl arr -> eval_pwl arr t
+
+let eval w t = eval_unboxed w t
+
+(* the value is stored straight into a float array, so unlike [eval]'s
+   result it is never boxed *)
+let eval_into ws t out =
+  for i = 0 to Array.length ws - 1 do
+    out.(i) <- eval_unboxed ws.(i) t
+  done
 
 let shift dt = function
   | Dc v -> Dc v

@@ -23,6 +23,10 @@ and pulse = {
 (** [eval w t] is the waveform value at time [t]. *)
 val eval : t -> float -> float
 
+(** [eval_into ws t out] sets [out.(i)] to [eval ws.(i) t] for every
+    waveform of [ws], without allocating. *)
+val eval_into : t array -> float -> float array -> unit
+
 (** [dc v] is [Dc v]. *)
 val dc : float -> t
 

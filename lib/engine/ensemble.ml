@@ -111,18 +111,22 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let n_probes = Array.length probe_ids in
   (* per-lane state rows: committed unknowns, working Newton iterate,
      previous accepted node voltages, capacitor history, and the
-     predictor's history. Row identity is stable for the whole run — the
-     Newton loop and [Mna] read and write the rows directly, so a solve
-     allocates nothing per lane per iteration (only the per-solve
-     [reactive] records below). *)
+     predictor's history. The iterate, voltage and history rows keep
+     their identity for the whole run — the Newton loop and [Mna] (via
+     the [reactive] records below) read and write them directly, so a
+     solve allocates nothing per lane; the committed row rotates through
+     the predictor's rows instead of being copied into them. *)
   let xs = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   let xw = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   let pvs = Array.init n_lanes (fun _ -> Array.make n_nodes 0.0) in
   let pcs = Array.init n_lanes (fun _ -> Array.make (Int.max 1 n_caps) 0.0) in
   (* predictor history: the unknowns before the lane's last accepted
-     step, and that step's length (0 while there is none) *)
+     step and before the one ahead of it, and the two steps' lengths
+     (0 while there is none). [commit] rotates the three state rows. *)
   let xp = Array.init n_lanes (fun _ -> Array.make size 0.0) in
+  let xpp = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   let hdt = Array.make n_lanes 0.0 in
+  let hdt2 = Array.make n_lanes 0.0 in
   (* per-lane ICs -> committed state *)
   Array.iteri
     (fun li lane ->
@@ -152,28 +156,45 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let lane_done = Array.make n_lanes false in
   let lane_err : exn option array = Array.make n_lanes None in
   let lane_diverge = Array.make n_lanes false in
-  (* per-lane reactive records, rebuilt each solve (dt' changes); the
-     prev arrays alias the lane's state rows, so [Mna] reads them with
-     no copying *)
+  (* per-lane reactive records, one per lane for the whole run: each
+     solve sets its step length, and the prev arrays alias the lane's
+     state rows, so [Mna] reads them with no copying *)
   let reacts =
-    Array.make n_lanes
-      { Mna.dt = 0.0; prev_v = [||]; prev_cap_current = [||] }
+    Array.init n_lanes (fun li ->
+        { Mna.dt = 0.0; prev_v = pvs.(li); prev_cap_current = pcs.(li) })
   in
   (* Newton's starting point for a step of length [dt'] from lane [li]'s
-     committed state x_n: the linear extrapolation
-     x_n + (x_n - x_{n-1}) dt'/dt_n along its last accepted step when
-     there is one and [dt'] is not longer than it, x_n itself otherwise.
-     A growing step (active cycle -> pause, a ratio of ~2e7) would
-     extrapolate far past anything the last step saw. The slack absorbs
-     grid steps [t_next - t_prev] that differ from their segment's
-     nominal step in the last bits. *)
+     committed state x_n: the quadratic through its last three accepted
+     states x_{n-2}, x_{n-1}, x_n, extrapolated by [dt'], when neither
+     [dt'] nor the last step grew; the linear extrapolation
+     x_n + (x_n - x_{n-1}) dt'/h1 along the last step when only [dt']
+     did not grow; x_n itself otherwise. A growing step (active cycle ->
+     pause, a ratio of ~2e7) would extrapolate far past anything the
+     history saw. In Newton form, with h1 and h2 the last two steps,
+       x = x_n + (x_n - x_{n-1}) a - (x_{n-1} - x_{n-2}) b,
+       a = dt'/h1 + b h2/h1,  b = dt' (dt' + h1) / (h2 (h1 + h2)),
+     which is 3 x_n - 3 x_{n-1} + x_{n-2} on a uniform grid. The slack
+     absorbs grid steps [t_next - t_prev] that differ from their
+     segment's nominal step in the last bits. *)
   let predict li dt' =
-    let x = xs.(li) and w = xw.(li) and h = hdt.(li) in
-    if h > 0.0 && dt' <= h *. (1.0 +. 1e-9) then begin
-      let p = xp.(li) and r = dt' /. h in
-      for i = 0 to size - 1 do
-        w.(i) <- x.(i) +. ((x.(i) -. p.(i)) *. r)
-      done
+    let x = xs.(li) and w = xw.(li) and h1 = hdt.(li) and h2 = hdt2.(li) in
+    if h1 > 0.0 && dt' <= h1 *. (1.0 +. 1e-9) then begin
+      let p = xp.(li) in
+      if h2 > 0.0 && h1 <= h2 *. (1.0 +. 1e-9) then begin
+        let pp = xpp.(li) in
+        let b = dt' *. (dt' +. h1) /. (h2 *. (h1 +. h2)) in
+        let a = (dt' +. (b *. h2)) /. h1 in
+        for i = 0 to size - 1 do
+          let xi = x.(i) and pi = p.(i) in
+          w.(i) <- xi +. ((xi -. pi) *. a) -. ((pi -. pp.(i)) *. b)
+        done
+      end
+      else begin
+        let r = dt' /. h1 in
+        for i = 0 to size - 1 do
+          w.(i) <- x.(i) +. ((x.(i) -. p.(i)) *. r)
+        done
+      end
     end
     else Array.blit x 0 w 0 size
   in
@@ -196,8 +217,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
       if a then begin
         incr n_active;
         predict li dt';
-        reacts.(li) <-
-          { Mna.dt = dt'; prev_v = pvs.(li); prev_cap_current = pcs.(li) }
+        reacts.(li).Mna.dt <- dt'
       end
     done;
     let remaining = ref !n_active in
@@ -216,23 +236,18 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
           Newton.check_deadline ~deadline_at ~t_now;
           let x = xw.(li) in
           if override_index >= 0 then
-            Mna.set_resistor_override ws ~index:override_index
-              ~g:override_g.(li);
-          match Newton.iterate sys ws ~opts ~t_now ~reactive:reacts.(li) ~iter x
+            Mna.set_resistor_override ws ~index:override_index ~gs:override_g
+              ~lane:li;
+          match
+            Newton.iterate sys ws ~opts ~t_now ~reactive:reacts.(li) ~iter
+              ~diverge:lane_diverge.(li) x
           with
-          | worst ->
-            if (not lane_diverge.(li)) && worst <= Newton.tolerance ~opts x
-            then begin
-              Newton.record_solve iter;
-              lane_done.(li) <- true;
-              decr remaining
-            end
-            else if iter >= opts.Options.max_newton then begin
-              (try Newton.fail ~t_now ~iter ~worst
-               with e -> lane_err.(li) <- Some e);
-              decr remaining
-            end
-          | exception (Newton.Numerical_health _ as e) ->
+          | true ->
+            lane_done.(li) <- true;
+            decr remaining
+          | false -> ()
+          | exception
+              ((Newton.No_convergence _ | Newton.Numerical_health _) as e) ->
             lane_err.(li) <- Some e;
             decr remaining
         end
@@ -246,9 +261,13 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
      each slot's previous current is read before it is overwritten *)
   let commit li =
     let x = xw.(li) in
-    Array.blit xs.(li) 0 xp.(li) 0 size;
+    let oldest = xpp.(li) in
+    xpp.(li) <- xp.(li);
+    xp.(li) <- xs.(li);
+    xs.(li) <- oldest;
+    hdt2.(li) <- hdt.(li);
     hdt.(li) <- reacts.(li).Mna.dt;
-    Array.blit x 0 xs.(li) 0 size;
+    Array.blit x 0 oldest 0 size;
     Mna.cap_currents_into sys ~opts ~x ~reactive:reacts.(li) ~out:pcs.(li);
     Mna.voltages_into sys x ~out:pvs.(li)
   in
@@ -265,6 +284,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   done;
   (* the quasi-static step is no history to extrapolate from *)
   Array.fill hdt 0 n_lanes 0.0;
+  Array.fill hdt2 0 n_lanes 0.0;
   let probe_names = Array.of_list probes in
   if !n_live = 0 then
     (* nothing to integrate: no grid, times or sample rows are ever
@@ -294,9 +314,11 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     for li = 0 to n_lanes - 1 do
       if dead.(li) = None then record li 0
     done;
-    let accepted dt =
+    (* the histogram sample is a boxed float: build it only when it is
+       kept *)
+    let[@inline] accepted dt =
       Tel.Counter.incr c_accepted;
-      Tel.Histogram.observe h_dt dt
+      if Tel.enabled () then Tel.Histogram.observe h_dt dt
     in
     let max_retries = 4 in
     (* per-lane catch-up after a failed batch step: the halving

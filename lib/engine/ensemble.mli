@@ -22,20 +22,23 @@
       iterations).
 
     Each Newton solve of a step of length [dt'] starts from a
-    {e predicted} state. A lane whose last accepted step took it from
-    [x_{n-1}] to [x_n] in [dt_n] starts from the linear extrapolation
-    [x_n + (x_n - x_{n-1}) dt'/dt_n] when [dt'] is not longer than
-    [dt_n] (up to a 1e-9 relative slack: a grid step
-    [t_next - t_prev] differs from its segment's nominal step in the
-    last bits), and from [x_n] otherwise: at t=0, on the first step
-    after it (whose history is the quasi-static step), and on every step
-    that grows, such as an active cycle into a retention pause, where
-    the ratio is ~2e7 and an extrapolation would land far outside the
-    update clamp's reach. A retry attempt predicts from the same
-    committed state with its halved step. The prediction changes only
-    where Newton starts: a converged solution moves within the Newton
-    tolerance, and the iteration count per accepted step falls by
-    about a third.
+    {e predicted} state, extrapolated from the lane's last three
+    accepted states [x_{n-2}], [x_{n-1}], [x_n] (steps [h2], [h1]). When
+    neither [dt'] nor [h1] grew ([dt' <= h1 <= h2], up to a 1e-9
+    relative slack: a grid step [t_next - t_prev] differs from its
+    segment's nominal step in the last bits) it is the quadratic
+    through the three states, [3 x_n - 3 x_{n-1} + x_{n-2}] on a
+    uniform grid; when only [dt'] did not grow it is the linear
+    extrapolation [x_n + (x_n - x_{n-1}) dt'/h1]; otherwise it is [x_n]:
+    at t=0, on the first step after it (whose history is the
+    quasi-static step), and on every step that grows, such as an active
+    cycle into a retention pause, where the ratio is ~2e7 and an
+    extrapolation would land far outside the update clamp's reach. A
+    retry attempt predicts from the same committed state with its
+    halved step. The prediction changes only where Newton starts: a
+    converged solution moves within the Newton tolerance, and the
+    iteration count per accepted step falls by about 40% against
+    starting from [x_n].
 
     Per lane, the iterate sequence does not depend on its batch mates:
     the same assembly, the same prediction from the lane's own history,
@@ -48,9 +51,9 @@
 
     Lane state lives in per-lane [float array] rows (committed unknowns,
     Newton iterate, node voltages, capacitor history, the unknowns
-    before the last accepted step) that the solver reads and writes in
-    place, so a 16-lane run costs one workspace plus [16 x 5] rows, not
-    16 workspaces. Sample times and probe rows are
+    before the last two accepted steps) that the solver reads and
+    writes in place, so a 16-lane run costs one workspace plus
+    [16 x 6] rows, not 16 workspaces. Sample times and probe rows are
     allocated only once the initial solve leaves a live lane.
 
     Telemetry keeps per-lane meaning: [engine.transient.runs] counts

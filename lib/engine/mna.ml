@@ -32,9 +32,11 @@ type g4 = { aa : int; bb : int; ab : int; ba : int }
 
 type res_plan = { r_slots : g4; g_res : float }
 
+(* [s_wave], [v_wave] and [i_wave] index the system's distinct control
+   waveforms ([waves]) *)
 type switch_plan = {
   s_slots : g4;
-  ctrl : C.Waveform.t;
+  s_wave : int;
   g_on : float;
   g_off : float;
   threshold : float;
@@ -50,10 +52,10 @@ type vsrc_plan = {
   row_pos : int;
   neg_row : int;
   row_neg : int;
-  v_wave : C.Waveform.t;
+  v_wave : int;
 }
 
-type isrc_plan = { i_pos : int; i_neg : int; i_wave : C.Waveform.t }
+type isrc_plan = { i_pos : int; i_neg : int; i_wave : int }
 
 (* gds stamps like a conductance d-s; the gm VCCS adds at (d,g), (d,s),
    (s,g) and (s,s), the second and fourth shared with [m_gds] *)
@@ -80,6 +82,7 @@ type t = {
   nnz : int;  (* slot count *)
   gmin_slots : int array;      (* per node 1..n_nodes-1: its diagonal *)
   row0_slots : int array;      (* the slots of row 0 (chaos site) *)
+  waves : C.Waveform.t array;  (* distinct control waveforms *)
   resistors : res_plan array;
   switches : switch_plan array;
   caps : cap_plan array;
@@ -160,6 +163,19 @@ let make (compiled : C.Netlist.compiled) =
   let vsrcs = ref [] and isrcs = ref [] and mosfets = ref [] in
   let res_index = Hashtbl.create 8 in
   let nr = ref 0 and hist = ref 0 in
+  (* a column's switches and sources share a few control waveforms (six
+     switches read the precharge signal): each distinct one is evaluated
+     once per time point *)
+  let waves = ref [] and wave_ix = Hashtbl.create 16 in
+  let wave_index w =
+    match Hashtbl.find_opt wave_ix w with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length wave_ix in
+      Hashtbl.add wave_ix w i;
+      waves := w :: !waves;
+      i
+  in
   Array.iter
     (fun d ->
       match d with
@@ -169,7 +185,8 @@ let make (compiled : C.Netlist.compiled) =
         resistors := { r_slots = g4 a b; g_res = 1.0 /. r } :: !resistors
       | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
         switches :=
-          { s_slots = g4 a b; ctrl; g_on; g_off; threshold } :: !switches
+          { s_slots = g4 a b; s_wave = wave_index ctrl; g_on; g_off; threshold }
+          :: !switches
       | C.Device.Capacitor { a; b; c; _ } ->
         caps := { c_a = a; c_b = b; c_slots = g4 a b; hist = !hist; cap = c }
                 :: !caps;
@@ -179,10 +196,11 @@ let make (compiled : C.Netlist.compiled) =
         vsrcs :=
           { row; pos_row = at (pos - 1) row; row_pos = at row (pos - 1);
             neg_row = at (neg - 1) row; row_neg = at row (neg - 1);
-            v_wave = wave }
+            v_wave = wave_index wave }
           :: !vsrcs
       | C.Device.Isource { pos; neg; wave; _ } ->
-        isrcs := { i_pos = pos; i_neg = neg; i_wave = wave } :: !isrcs
+        isrcs :=
+          { i_pos = pos; i_neg = neg; i_wave = wave_index wave } :: !isrcs
       | C.Device.Mosfet { d; g; s; model; m; _ } ->
         mosfets :=
           { m_d = d; m_g = g; m_s = s; model; mult = m; m_gds = g4 d s;
@@ -206,6 +224,7 @@ let make (compiled : C.Netlist.compiled) =
         (List.filter_map
            (fun j -> if pattern.(0).(j) then Some (at 0 j) else None)
            (List.init size Fun.id));
+    waves = arr waves;
     resistors = arr resistors;
     switches = arr switches;
     caps = arr caps;
@@ -239,7 +258,7 @@ let branch_current sys x name =
   x.(sys.n_nodes - 1 + Hashtbl.find sys.vsrc_branch name)
 
 type reactive = {
-  dt : float;
+  mutable dt : float;
   prev_v : float array;
   prev_cap_current : float array;
 }
@@ -403,18 +422,21 @@ type workspace = {
   mutable tmpl_excluded : int;
   (* per-lane resistance override (ensemble sweeps): plan index of the
      resistor excluded from the template, and the conductance stamped in
-     its place after every template copy. [-1] = no override. Stamping
+     its place after every template copy, [override_gs.(override_lane)]:
+     the lanes' conductances stay in their flat array, so selecting a
+     lane boxes no float. [-1] = no override. Stamping
      the lane conductance directly — rather than adding a delta on top
      of the base stamp — keeps the lane's conductance exact across the
      full 1e3..1e11 Ohm sweep range (a delta cancels catastrophically
      when the lane and base conductances differ by orders of magnitude) *)
   mutable excluded_res : int;
-  mutable override_g : float;
+  mutable override_gs : float array;
+  mutable override_lane : int;
   (* cached control evaluations for the current t_now, shared across
-     ensemble lanes (one waveform walk per time point, not per lane) *)
+     ensemble lanes (one waveform walk per time point, not per lane):
+     each distinct waveform's value, and each switch's conductance *)
+  wave_v : float array;
   sw_g : float array;
-  vs_v : float array;
-  is_i : float array;
   scratch : float array;
   slu : Sp.t;  (* [Sp.fresh] of [sys]'s: the same slots and order *)
   (* per-MOSFET temperature-resolved constants, valid for [mos_temp]
@@ -438,10 +460,16 @@ let make_workspace sys =
     tmpl_trapezoidal = false;
     tmpl_excluded = -1;
     excluded_res = -1;
-    override_g = 0.0;
+    override_gs = [||];
+    override_lane = 0;
+    (* sized by the layout, not by how many waveforms happen to be
+       equal: a workspace serves every system of one layout *)
+    wave_v =
+      Array.make
+        (Array.length sys.switches + Array.length sys.vsrcs
+        + Array.length sys.isrcs)
+        0.0;
     sw_g = Array.make (Array.length sys.switches) 0.0;
-    vs_v = Array.make (Array.length sys.vsrcs) 0.0;
-    is_i = Array.make (Array.length sys.isrcs) 0.0;
     scratch = Array.make n 0.0;
     slu = Sp.fresh sys.sp;
     mos_temp = Float.nan;
@@ -450,12 +478,14 @@ let make_workspace sys =
     mos_eval = Array.make 3 0.0;
   }
 
-let set_resistor_override ws ~index ~g =
+let set_resistor_override ws ~index ~gs ~lane =
   ws.excluded_res <- index;
-  ws.override_g <- g
+  ws.override_gs <- gs;
+  ws.override_lane <- lane
 
 let resistor_override ws =
-  if ws.excluded_res < 0 then None else Some (ws.excluded_res, ws.override_g)
+  if ws.excluded_res < 0 then None
+  else Some (ws.excluded_res, ws.override_gs.(ws.override_lane))
 
 (* static-linear part: gmin regularization, resistors, voltage-source
    topology and — for a fixed (dt, integrator) — the capacitor companion
@@ -490,16 +520,11 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
    waveforms once per time point and share the values across all lanes
    (they integrate on one shared grid). *)
 let eval_controls_into sys ws ~t_now =
+  let wv = ws.wave_v in
+  C.Waveform.eval_into sys.waves t_now wv;
   for i = 0 to Array.length sys.switches - 1 do
     let p = sys.switches.(i) in
-    ws.sw_g.(i) <-
-      (if C.Waveform.eval p.ctrl t_now > p.threshold then p.g_on else p.g_off)
-  done;
-  for i = 0 to Array.length sys.vsrcs - 1 do
-    ws.vs_v.(i) <- C.Waveform.eval sys.vsrcs.(i).v_wave t_now
-  done;
-  for i = 0 to Array.length sys.isrcs - 1 do
-    ws.is_i.(i) <- C.Waveform.eval sys.isrcs.(i).i_wave t_now
+    ws.sw_g.(i) <- (if wv.(p.s_wave) > p.threshold then p.g_on else p.g_off)
   done
 
 (* assembly from pre-evaluated controls ([eval_controls_into]) *)
@@ -530,7 +555,8 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
   Array.blit ws.tmpl 0 v 0 sys.nnz;
   Array.fill rhs 0 n 0.0;
   (if ws.excluded_res >= 0 then
-     stamp_g4 ws.override_g v sys.resistors.(ws.excluded_res).r_slots);
+     stamp_g4 ws.override_gs.(ws.override_lane) v
+       sys.resistors.(ws.excluded_res).r_slots);
   (* dynamic stamps: switch state and source values at t_now, capacitor
      history currents, MOSFET linearization around x. Indexed loops, not
      [Array.iter]: this body runs every Newton iteration and a closure per
@@ -553,11 +579,12 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
       stamp_i (-.i_hist) rhs p.c_b
     done;
   for i = 0 to Array.length sys.vsrcs - 1 do
-    rhs.(sys.vsrcs.(i).row) <- ws.vs_v.(i)
+    let p = sys.vsrcs.(i) in
+    rhs.(p.row) <- ws.wave_v.(p.v_wave)
   done;
   for i = 0 to Array.length sys.isrcs - 1 do
     let p = sys.isrcs.(i) in
-    let i_src = ws.is_i.(i) in
+    let i_src = ws.wave_v.(p.i_wave) in
     stamp_i (-.i_src) rhs p.i_pos;
     stamp_i i_src rhs p.i_neg
   done;

@@ -47,9 +47,10 @@ val branch_current : t -> float array -> string -> float
     voltage array at the previous accepted time point; [prev_cap_current]
     stores per-capacitor branch current for the trapezoidal rule (indexed
     by capacitor order of appearance); [dt <= 0.0] means "no reactive
-    stamps" (pure DC). *)
+    stamps" (pure DC). [dt] is mutable so that a transient lane keeps one
+    record for its whole run and only sets each step's length. *)
 type reactive = {
-  dt : float;
+  mutable dt : float;
   prev_v : float array;
   prev_cap_current : float array;
 }
@@ -100,14 +101,17 @@ type workspace
 (** [make_workspace sys] allocates buffers sized for [sys]. *)
 val make_workspace : t -> workspace
 
-(** [set_resistor_override ws ~index ~g] makes every subsequent assembly
-    stamp conductance [g] for resistor plan [index] instead of its
-    netlist value: the resistor is dropped from the static template
-    (rebuilt on the next assembly) and [g] stamped fresh after each
-    template copy, so the lane conductance is exact — no cancellation
-    against the base value. This is how ensemble sweeps give each lane
-    its own defect resistance over one shared topology. *)
-val set_resistor_override : workspace -> index:int -> g:float -> unit
+(** [set_resistor_override ws ~index ~gs ~lane] makes every subsequent
+    assembly stamp conductance [gs.(lane)] for resistor plan [index]
+    instead of its netlist value: the resistor is dropped from the
+    static template (rebuilt on the next assembly) and the conductance
+    stamped fresh after each template copy, so the lane conductance is
+    exact — no cancellation against the base value. This is how
+    ensemble sweeps give each lane its own defect resistance over one
+    shared topology; [gs] holds every lane's conductance, so switching
+    lanes passes no float. *)
+val set_resistor_override :
+  workspace -> index:int -> gs:float array -> lane:int -> unit
 
 (** [resistor_override ws] is the [(index, g)] set by
     {!set_resistor_override}, if any — what the reference {!assemble}

@@ -46,7 +46,7 @@ let[@inline] max_abs (acc : float) (a : float) =
    path allocation-free. For a clamp [max_step_v >= 0] the result is
    [Float.max (-.m) (Float.min m dx)] for every [dx], signed zeros and
    NaN (which passes through unclamped, and so is counted) included. *)
-let apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
+let[@inline] apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
   let m = opts.max_step_v in
   let worst = ref 0.0 in
   let clamped = ref 0 in
@@ -63,7 +63,7 @@ let apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
   Tel.Counter.add c_clamps !clamped;
   !worst
 
-let tolerance ~(opts : Options.t) x =
+let[@inline] tolerance ~(opts : Options.t) x =
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do
     acc := max_abs !acc (Float.abs x.(i))
@@ -73,7 +73,9 @@ let tolerance ~(opts : Options.t) x =
 let record_solve iterations =
   Tel.Counter.incr c_solves;
   Tel.Counter.add c_iterations iterations;
-  Tel.Histogram.observe h_iterations (float_of_int iterations)
+  (* the sample is a boxed float: build it only when it is kept *)
+  if Tel.enabled () then
+    Tel.Histogram.observe h_iterations (float_of_int iterations)
 
 let fail ~t_now ~iter ~worst =
   Tel.Counter.incr c_failures;
@@ -157,8 +159,10 @@ let chaos_nan x =
    controls left by the last [Mna.eval_controls_into]; with
    [naive_assembly] the reference path allocates and factors a fresh
    system instead, honouring the workspace's resistor override. The
-   updated state is always scanned for NaN/Inf. *)
-let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter x =
+   updated state is always scanned for NaN/Inf. The verdict is a bool,
+   not the worst move: a float result would be boxed on every
+   iteration. *)
+let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter ~diverge x =
   let x_new =
     if opts.naive_assembly then begin
       let mat, rhs =
@@ -185,7 +189,12 @@ let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter x =
   in
   chaos_nan x;
   check_finite ~t_now ~iter x;
-  worst
+  if (not diverge) && worst <= tolerance ~opts x then begin
+    record_solve iter;
+    true
+  end
+  else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
+  else false
 
 let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =
   let ws = match ws with Some w -> w | None -> Mna.make_workspace sys in
@@ -196,12 +205,7 @@ let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =
   Mna.eval_controls_into sys ws ~t_now;
   let rec loop iter =
     check_deadline ~deadline_at ~t_now;
-    let worst = iterate sys ws ~opts ~t_now ~reactive ~iter x in
-    if (not diverge) && worst <= tolerance ~opts x then begin
-      record_solve iter;
-      x
-    end
-    else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
+    if iterate sys ws ~opts ~t_now ~reactive ~iter ~diverge x then x
     else loop (iter + 1)
   in
   loop 1

@@ -52,9 +52,14 @@ val solve :
     lanes and therefore cannot call {!solve} — but iterates each lane
     through the same {!iterate}. Not a stable API for other callers. *)
 
-(** [iterate sys ws ~opts ~t_now ~reactive ~iter x] performs Newton
-    iteration number [iter] on [x] in place and returns the worst
-    node-voltage move (before clamping). The default path assembles
+(** [iterate sys ws ~opts ~t_now ~reactive ~iter ~diverge x] performs
+    Newton iteration number [iter] on [x] in place and returns whether
+    the solve converged: whether the worst node-voltage move (before
+    clamping) is within {!tolerance} of the updated [x]. A converged
+    solve is counted in the solve/iteration telemetry. An iteration
+    that reaches [opts.max_newton] unconverged raises {!No_convergence};
+    [diverge] (the [Force_newton_diverge] chaos site) holds the solve
+    unconverged until then. The default path assembles
     into [ws] from the controls left by the last
     {!Mna.eval_controls_into} and factors with {!Mna.solve_in_place}
     (no matrix allocation); with [opts.naive_assembly] the reference
@@ -71,8 +76,9 @@ val iterate :
   t_now:float ->
   reactive:Mna.reactive ->
   iter:int ->
+  diverge:bool ->
   float array ->
-  float
+  bool
 
 (** [check_deadline ~deadline_at ~t_now] raises {!Timeout} once the
     wall clock is past [deadline_at]. The clock is read on one call in
@@ -96,13 +102,6 @@ val apply_update :
 (** [tolerance ~opts x] is the convergence bound
     [abstol + reltol * max_i |x_i|]. *)
 val tolerance : opts:Options.t -> float array -> float
-
-(** [record_solve iterations] feeds the solve/iteration telemetry for
-    one converged solve. *)
-val record_solve : int -> unit
-
-(** [fail ~t_now ~iter ~worst] counts and raises {!No_convergence}. *)
-val fail : t_now:float -> iter:int -> worst:float -> 'a
 
 (** [chaos_diverge ()] queries the [Force_newton_diverge] chaos site —
     [true] forces this solve to run to its iteration cap. *)

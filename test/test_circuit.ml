@@ -129,6 +129,134 @@ let test_mosfet_prepared_bitwise () =
         [ 233.15; 300.15; 398.15 ])
     [ nmos; pmos ]
 
+(* The EKV evaluation as it was before softplus and sigmoid came from one
+   exp per channel end: softplus u = log1p (exp u) and
+   sigmoid u = 1 / (1 + exp (-u)), each cut off beyond |u| = 30. Kept as
+   the reference the production formula must reproduce to rounding.
+   Returns the evaluation and its size: the same sums with every
+   difference of forward and reverse terms replaced by their sum, the
+   scale against which a rounding error in the difference is judged
+   (near vds = 0 the difference itself is cancellation residue). *)
+let reference_ids (m : M.model) ~temp ~vgs ~vds =
+  let softplus u =
+    if u > 30.0 then u else if u < -30.0 then exp u else log1p (exp u)
+  in
+  let sigmoid u =
+    if u > 30.0 then 1.0
+    else if u < -30.0 then exp u
+    else 1.0 /. (1.0 +. exp (-.u))
+  in
+  let sgn = match m.M.polarity with M.Nmos -> 1.0 | M.Pmos -> -1.0 in
+  let vt_th = Dramstress_util.Units.thermal_voltage temp in
+  let n = m.M.n_sub and vth = sgn *. M.vth m ~temp in
+  let scale = 2.0 *. n *. M.kp_t m ~temp *. vt_th *. vt_th in
+  let vgs_n = sgn *. vgs and vds_n = sgn *. vds in
+  let reversed = vds_n < 0.0 in
+  let vgs_f = if reversed then vgs_n -. vds_n else vgs_n in
+  let vds_f = if reversed then -.vds_n else vds_n in
+  let vp = (vgs_f -. vth) /. n in
+  let uf = vp /. (2.0 *. vt_th) and ur = (vp -. vds_f) /. (2.0 *. vt_th) in
+  let ff = softplus uf and fr = softplus ur in
+  let i_f = ff *. ff and i_r = fr *. fr in
+  let clm = 1.0 +. (m.M.lambda *. vds_f) in
+  let id_f = scale *. (i_f -. i_r) *. clm in
+  let dif = ff *. sigmoid uf /. vt_th and dir = fr *. sigmoid ur /. vt_th in
+  let gm_f = scale *. clm *. (dif -. dir) /. n in
+  let gds_f = (scale *. clm *. dir) +. (scale *. (i_f -. i_r) *. m.M.lambda) in
+  let gm_size = scale *. clm *. (dif +. dir) /. n in
+  let gds_size =
+    (scale *. clm *. dir) +. (scale *. (i_f +. i_r) *. m.M.lambda)
+  in
+  ( {
+      M.id = sgn *. (if reversed then -.id_f else id_f);
+      gm = (if reversed then -.gm_f else gm_f);
+      gds = (if reversed then gm_f +. gds_f else gds_f);
+    },
+    {
+      M.id = scale *. (i_f +. i_r) *. clm;
+      gm = gm_size;
+      gds = (if reversed then gm_size +. gds_size else gds_size);
+    } )
+
+(* (model, temp, vgs, vds): the 13x13x2 terminal grid of the bitwise
+   test at three temperatures for both polarities, plus biases that put
+   a channel end at u = 0 and just inside and outside the old cut-offs
+   u = +-30 *)
+let ekv_points =
+  let levels = List.init 13 (fun i -> -2.4 +. (0.4 *. float_of_int i)) in
+  List.concat_map
+    (fun model ->
+      List.concat_map
+        (fun temp ->
+          let grid =
+            List.concat_map
+              (fun vs ->
+                List.concat_map
+                  (fun vg ->
+                    List.map (fun vd -> (vg -. vs, vd -. vs)) levels)
+                  levels)
+              [ 0.0; 0.7 ]
+          in
+          let sgn =
+            match model.M.polarity with M.Nmos -> 1.0 | M.Pmos -> -1.0
+          in
+          let vth = sgn *. M.vth model ~temp and n = model.M.n_sub in
+          let two_vt = 2.0 *. Dramstress_util.Units.thermal_voltage temp in
+          (* forward end at u: vp = 2 vt u; reverse end: vp - vds = 2 vt u *)
+          let ends u =
+            [ (vth +. (n *. two_vt *. u), 0.5);
+              (vth +. (n *. ((two_vt *. u) +. 0.5)), 0.5) ]
+          in
+          let edges =
+            (vth, 0.0)
+            :: List.concat_map ends
+                 [ 0.0; 30.0 -. 1e-9; 30.0 +. 1e-9; -30.0 -. 1e-9;
+                   -30.0 +. 1e-9 ]
+          in
+          List.map
+            (fun (vgs, vds) -> (model, temp, vgs, vds))
+            (grid @ List.map (fun (g, d) -> (sgn *. g, sgn *. d)) edges))
+        [ 233.15; 300.15; 398.15 ])
+    [ nmos; pmos ]
+
+let check_rel ~tol ~size what expected actual =
+  if not (Float.abs (actual -. expected) <= tol *. size) then
+    Alcotest.failf "%s: expected %.17g, got %.17g (tolerance %g of %.17g)"
+      what expected actual tol size
+
+let test_mosfet_matches_reference () =
+  List.iter
+    (fun (model, temp, vgs, vds) ->
+      let e = M.ids model ~temp ~vgs ~vds in
+      let r, size = reference_ids model ~temp ~vgs ~vds in
+      let what q =
+        Printf.sprintf "%s %s T=%g vgs=%.17g vds=%.17g" q model.M.name temp
+          vgs vds
+      in
+      check_rel ~tol:1e-12 ~size:size.M.id (what "id") r.M.id e.M.id;
+      check_rel ~tol:1e-12 ~size:size.M.gm (what "gm") r.M.gm e.M.gm;
+      check_rel ~tol:1e-12 ~size:size.M.gds (what "gds") r.M.gds e.M.gds)
+    ekv_points
+
+let test_mosfet_derivatives_central_fd () =
+  let h = 1e-6 in
+  List.iter
+    (fun (model, temp, vgs, vds) ->
+      let id ~vgs ~vds = (M.ids model ~temp ~vgs ~vds).M.id in
+      let e = M.ids model ~temp ~vgs ~vds in
+      let _, size = reference_ids model ~temp ~vgs ~vds in
+      let what q =
+        Printf.sprintf "%s %s T=%g vgs=%.17g vds=%.17g" q model.M.name temp
+          vgs vds
+      in
+      check_rel ~tol:1e-5 ~size:size.M.gm (what "gm")
+        ((id ~vgs:(vgs +. h) ~vds -. id ~vgs:(vgs -. h) ~vds) /. (2.0 *. h))
+        e.M.gm;
+      check_rel ~tol:1e-5 ~size:size.M.gds (what "gds")
+        ((id ~vgs ~vds:(vds +. h) -. id ~vgs ~vds:(vds -. h)) /. (2.0 *. h))
+        e.M.gds)
+    ekv_points
+
 let test_mosfet_off () =
   let e = M.ids nmos ~temp ~vgs:0.0 ~vds:1.0 in
   Alcotest.(check bool) "leakage small" true (e.M.id < 1e-9 && e.M.id >= 0.0)
@@ -497,6 +625,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_gm_matches_fd;
           QCheck_alcotest.to_alcotest prop_gds_matches_fd;
           QCheck_alcotest.to_alcotest prop_current_sign;
+          tc "matches the two-exp reference" test_mosfet_matches_reference;
+          tc "gm and gds match central differences"
+            test_mosfet_derivatives_central_fd;
         ] );
       ( "spice",
         [

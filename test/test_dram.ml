@@ -947,11 +947,13 @@ let test_batch_nan_lane_falls_back () =
 (* Per-lane allocation of the batched path, in minor words per lane per
    accepted time point, on a warm w0 batch with the memo cache off in
    one domain (Gc.minor_words is per-domain). Each limit is its input's
-   reading plus 25%, rounded up: 16 lanes read 21.5 (limit 27), one lane
-   reads 67.7 (limit 85). Two scratch mutations fail both inputs:
-   allocating a 20x21 matrix in every [Newton.iterate] reads 710 and
-   738, and copying the committed state row in every predicted step
-   reads 42.5 and 88.7, so the limits also pin the Newton predictor as
+   reading plus 25%, rounded up: 16 lanes read 3.11 (limit 4), one lane
+   reads 30.3 (limit 38). They read 21.5 and 67.7 while every control
+   waveform was evaluated to a boxed float, each solve built its lanes'
+   reactive records and each Newton iteration returned a boxed move.
+   Two scratch mutations fail both inputs: allocating a 20x21 matrix in
+   every [Newton.iterate], and copying the committed state row in every
+   predicted step, so the limits also pin the Newton predictor as
    allocation-free per step. The naive reference path, which allocates
    and factors a fresh system every Newton iteration, reads ~2,500. *)
 let test_batch_minor_words_per_lane () =
@@ -987,8 +989,8 @@ let test_batch_minor_words_per_lane () =
            (List.length resistances) words limit)
         true (words <= limit))
     [ (List.init 16 (fun i -> 1e3 *. Float.pow 10.0 (float_of_int i /. 5.0)),
-       27.0);
-      ([ 200e3 ], 85.0) ]
+       4.0);
+      ([ 200e3 ], 38.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Extended stress axes: retention, disturb, timing trim               *)

@@ -558,38 +558,44 @@ let o1 r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r
 
 (* Digests of the times, probe samples and final state of two reference
    runs. Pivot revalidation in the sparse LU and the allocation-free
-   Newton iteration moved no bit of them. The Newton predictor moved
-   every sample within the Newton tolerance (old digests 662b40b7... and
-   bc32c800...) and no stored border; the sparse LU's Markowitz column
-   order moved samples at the rounding level (old digests 05141282...
-   and 32a56ec6...) and no stored border. A change that moves these must
-   show that the golden Table-1 store and the pinned borders in
-   test_core stay put, or change the engine identity. *)
-let test_retention_waveform_pinned () =
+   Newton iteration moved no bit of them. The linear Newton predictor
+   moved every sample within the Newton tolerance (old digests
+   662b40b7... and bc32c800...) and no stored border; the sparse LU's
+   Markowitz column order moved samples at the rounding level (old
+   digests 05141282... and 32a56ec6...) and no stored border. The
+   one-exp EKV evaluation (rounding level) and the second-order
+   predictor (within the Newton tolerance) moved them again (old digests
+   fdb58a7f... and 6ec78c51...) and no stored border. A change that
+   moves these must show that the golden Table-1 store and the pinned
+   borders in test_core stay put, or change the engine identity. *)
+let retention_run () =
   let oc =
     O.run ~config:(Sc.v ~deadline:600.0 ())
       ~cache:(O.Cache.create ~enabled:false ())
       ~stress:Dramstress_dram.Stress.nominal ~defect:(o1 200e3) ~vc_init:0.0
       [ O.W1; O.Pause 2.0; O.R ]
   in
-  Alcotest.(check string) "scalar retention digest"
-    "fdb58a7f16b6591d780a448568a8c927" (digest_traces [ oc.O.trace ])
+  [ oc.O.trace ]
 
-let test_ensemble_waveform_pinned () =
+let ensemble_run () =
   let lanes =
     List.map
       (fun r -> { O.defect = Some (o1 r); vc_init = 0.0 })
       [ 50e3; 150e3; 400e3; 1e6 ]
   in
-  let traces =
-    List.map
-      (function Ok oc -> oc.O.trace | Error e -> raise e)
-      (O.run_batch ~cache:(O.Cache.create ~enabled:false ())
-         ~stress:Dramstress_dram.Stress.nominal ~lanes
-         [ O.W1; O.W1; O.W0; O.R ])
-  in
+  List.map
+    (function Ok oc -> oc.O.trace | Error e -> raise e)
+    (O.run_batch ~cache:(O.Cache.create ~enabled:false ())
+       ~stress:Dramstress_dram.Stress.nominal ~lanes
+       [ O.W1; O.W1; O.W0; O.R ])
+
+let test_retention_waveform_pinned () =
+  Alcotest.(check string) "scalar retention digest"
+    "813c59fa6797eb11f92719c108b7d4dd" (digest_traces (retention_run ()))
+
+let test_ensemble_waveform_pinned () =
   Alcotest.(check string) "4-lane ensemble digest"
-    "6ec78c51ca249226c185f49aaca7c400" (digest_traces traces)
+    "6206fe7f8d10077e935c941af223b5dd" (digest_traces (ensemble_run ()))
 
 (* ------------------------------------------------------------------ *)
 (* Newton predictor                                                    *)
@@ -612,25 +618,35 @@ let run_ops ?config ~stress ops =
     (O.run ?config ~cache:(O.Cache.create ~enabled:false ()) ~stress
        ~defect:(o1 200e3) ~vc_init:0.0 ops)
 
-(* Each step's Newton solve starts from the state extrapolated along the
-   lane's last step. On the Figure-6 stressed SC (t_cyc 55 ns, +87 C,
-   2.1 V) this test sequence took 2.08 iterations per accepted step when
-   every step started from the previous state; it takes 1.31 with the
-   predictor. *)
+(* Each step's Newton solve starts from the state extrapolated through
+   the lane's last accepted states. On the Figure-6 stressed SC (t_cyc
+   55 ns, +87 C, 2.1 V) w1 w1 w0 r took 2.08 iterations per accepted
+   step when every step started from the previous state, 1.31 with a
+   linear predictor and 1.27 with the quadratic one (limit 1.5). The two
+   nominal sequences pin the quadratic predictor at its reading plus 5%:
+   the linear one reads 1.511 and 1.305 there, the quadratic one 1.259
+   and 1.168. *)
 let test_predictor_cuts_iterations () =
   let module S = Dramstress_dram.Stress in
-  let stress =
+  let fig6 =
     S.with_vdd (S.with_temp_c (S.with_tcyc S.nominal 55e-9) 87.0) 2.1
   in
-  let count = counted (fun () -> run_ops ~stress [ O.W1; O.W1; O.W0; O.R ]) in
-  let per_step =
-    float_of_int (count "engine.newton.iterations")
-    /. float_of_int (count "engine.transient.steps_accepted")
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.3f Newton iterations per accepted step (limit 1.5)"
-       per_step)
-    true (per_step <= 1.5)
+  List.iter
+    (fun (what, stress, ops, limit) ->
+      let count = counted (fun () -> run_ops ~stress ops) in
+      let per_step =
+        float_of_int (count "engine.newton.iterations")
+        /. float_of_int (count "engine.transient.steps_accepted")
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: %.3f Newton iterations per accepted step (limit %.3f)" what
+           per_step limit)
+        true (per_step <= limit))
+    [ ("Fig-6 SC w1 w1 w0 r", fig6, [ O.W1; O.W1; O.W0; O.R ], 1.5);
+      ("w1 w1 w0 r", S.nominal, [ O.W1; O.W1; O.W0; O.R ], 1.322);
+      ("w1 w0 p0.03 r", S.nominal,
+       [ O.W1; O.W0; O.Pause 0.03; O.R ], 1.226) ]
 
 (* The step after an active cycle is ~2e7 times longer when a pause
    follows; extrapolating across that jump lands so far off that every
@@ -651,6 +667,45 @@ let test_no_extrapolation_across_jump () =
     [ ("w1 p2.0 r under a deadline", Some (Sc.v ~deadline:600.0 ()),
        [ O.W1; O.Pause 2.0; O.R ]);
       ("w1 w0 p3 r0", None, [ O.W1; O.W0; O.Pause 3.0; O.R ]) ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per accepted time point (per lane) of the two digest runs,
+   memo cache and telemetry off, in this domain (Gc.minor_words is
+   per-domain); a first run warms up anything built once. Each run's
+   setup (netlist, MNA plans, symbolic LU) is included. Each limit is
+   the reading plus 25%: the scalar retention run reads 10.33 (limit
+   13.0), the 4-lane batch 3.19 (limit 4.0). What is left per step is
+   the step's time and length, boxed once per time point to pass them
+   on. Before the control waveforms were evaluated once each into a
+   float array, the Newton verdict became a bool and each lane kept one
+   reactive record, the runs read 47.6 and 27.2. *)
+let test_minor_words_per_step () =
+  let module Tel = Dramstress_util.Telemetry in
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled false;
+  List.iter
+    (fun (what, run, limit) ->
+      ignore (run ());
+      let w0 = Gc.minor_words () in
+      let traces = run () in
+      let words = Gc.minor_words () -. w0 in
+      let steps =
+        List.fold_left
+          (fun acc (r : E.Transient.result) ->
+            acc + Array.length r.E.Transient.times - 1)
+          0 traces
+      in
+      let per_step = words /. float_of_int steps in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per accepted step (limit %.1f)"
+           what per_step limit)
+        true (per_step <= limit))
+    [ ("scalar retention", retention_run, 13.0);
+      ("4-lane ensemble", ensemble_run, 4.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* DC sweep                                                            *)
@@ -772,4 +827,6 @@ let () =
           tc "no extrapolation across a step-size jump"
             test_no_extrapolation_across_jump;
         ] );
+      ( "alloc",
+        [ tc "minor words per accepted step" test_minor_words_per_step ] );
     ]
