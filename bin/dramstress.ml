@@ -1087,7 +1087,7 @@ let serve_cmd =
   let shards_serve_arg =
     Arg.(value & opt int 16
          & info [ "shards" ] ~docv:"N"
-             ~doc:"Shard a freshly created store N ways by fingerprint \
+             ~doc:"Shard a freshly created store N ways by record-key \
                    prefix. An existing store keeps its own layout.")
   in
   let name_arg =

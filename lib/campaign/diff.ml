@@ -30,14 +30,11 @@ type t = {
   unpaired : string list;
 }
 
-let lookup side ~stress_label ~defect ~placement ~detection =
+let lookup side make ~stress_label ~defect ~placement ~detection =
   match List.assoc_opt stress_label side.manifest.Manifest.stresses with
   | None -> None
   | Some stress ->
-    let point =
-      { Plan.defect; placement; stress_label; stress; detection }
-    in
-    (match Runner.state ~store:side.store side.manifest point with
+    (match Runner.state ~store:side.store (make ~defect ~placement ~stress_label ~stress detection) with
     | `Done r -> Some r
     | `Failed _ | `Missing -> None)
 
@@ -61,6 +58,7 @@ let v ?(pairing = Matched_stresses) ~a ~b () =
           (Printf.sprintf "Diff.v: stress %S not declared in %s" lb b.label);
       ([ (la, lb) ], [])
   in
+  let make_a = Plan.make a.manifest and make_b = Plan.make b.manifest in
   let rows =
     List.concat_map
       (fun (defect, placement) ->
@@ -68,8 +66,8 @@ let v ?(pairing = Matched_stresses) ~a ~b () =
           (fun (stress_a, stress_b) ->
             List.map
               (fun detection ->
-                let ra = lookup a ~stress_label:stress_a ~defect ~placement ~detection in
-                let rb = lookup b ~stress_label:stress_b ~defect ~placement ~detection in
+                let ra = lookup a make_a ~stress_label:stress_a ~defect ~placement ~detection in
+                let rb = lookup b make_b ~stress_label:stress_b ~defect ~placement ~detection in
                 let improvement =
                   match (ra, rb) with
                   | Some ra, Some rb ->

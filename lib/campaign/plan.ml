@@ -4,7 +4,6 @@ module Sc = Dramstress_dram.Sim_config
 module Det = Dramstress_core.Detection
 module Border = Dramstress_core.Border
 module M = Dramstress_march.March
-module Ck = Dramstress_util.Checkpoint
 
 type point = {
   defect : D.entry;
@@ -12,58 +11,17 @@ type point = {
   stress_label : string;
   stress : S.t;
   detection : Manifest.detection_spec;
+  key : string;
 }
 
 type result = { detection : Det.t; br : Border.result }
-
-let points (m : Manifest.t) =
-  List.concat_map
-    (fun (defect, placement) ->
-      List.concat_map
-        (fun (stress_label, stress) ->
-          List.map
-            (fun detection ->
-              { defect; placement; stress_label; stress; detection })
-            m.Manifest.detections)
-        m.Manifest.stresses)
-    m.Manifest.defects
 
 (* ------------------------------------------------------------------ *)
 (* codecs                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let encode_detection (d : Det.t) =
-  String.concat ","
-    (List.map
-       (function
-         | Det.Write b -> Printf.sprintf "w%d" b
-         | Det.Read b -> Printf.sprintf "r%d" b
-         | Det.Wait t -> Printf.sprintf "p%h" t
-         | Det.Hammer n -> Printf.sprintf "h%d" n)
-       d.Det.steps)
-
-let decode_detection s =
-  let step tok =
-    if tok = "" then None
-    else
-      let rest () = String.sub tok 1 (String.length tok - 1) in
-      match tok.[0] with
-      | 'w' -> Option.map (fun b -> Det.Write b) (int_of_string_opt (rest ()))
-      | 'r' -> Option.map (fun b -> Det.Read b) (int_of_string_opt (rest ()))
-      | 'p' -> Option.map (fun t -> Det.Wait t) (float_of_string_opt (rest ()))
-      | 'h' -> Option.map (fun n -> Det.Hammer n) (int_of_string_opt (rest ()))
-      | _ -> None
-  in
-  let toks = String.split_on_char ',' s in
-  let steps = List.map step toks in
-  if List.for_all Option.is_some steps then
-    match Det.v (List.filter_map Fun.id steps) with
-    | d -> Some d
-    | exception Invalid_argument _ -> None
-  else None
-
 let encode_result { detection; br } =
-  encode_detection detection ^ "|" ^ Border.encode_result br
+  Det.encode detection ^ "|" ^ Border.encode_result br
 
 let decode_result s =
   match String.index_opt s '|' with
@@ -71,8 +29,8 @@ let decode_result s =
   | Some i ->
     let det = String.sub s 0 i in
     let br = String.sub s (i + 1) (String.length s - i - 1) in
-    (match (decode_detection det, Border.decode_result br) with
-    | Some detection, Some br -> Some { detection; br }
+    (match (Det.of_string det, Border.decode_result br) with
+    | Ok detection, Some br -> Some { detection; br }
     | _, _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -86,33 +44,34 @@ let decode_result s =
 let detection_canon = function
   | Manifest.Best -> "best"
   | Manifest.Best_no_pause -> "best-nopause"
-  | Manifest.Seq d -> "seq:" ^ encode_detection d
-  | Manifest.March t -> "seq:" ^ encode_detection (M.to_detection t)
+  | Manifest.Seq d -> "seq:" ^ Det.encode d
+  | Manifest.March t -> "seq:" ^ Det.encode (M.to_detection t)
 
-let placement_tag = function D.True_bl -> "true" | D.Comp_bl -> "comp"
+(* the physics and the window print once per application to [m]; the
+   stress label and the campaign name stay out of the key *)
+let make (m : Manifest.t) =
+  let key = Sc.key m.Manifest.config "campaign.point" in
+  let window = Border.Window.key m.Manifest.window in
+  fun ~(defect : D.entry) ~placement ~stress_label ~stress detection ->
+    let key =
+      key ~stress ~kind:defect.D.kind ~placement
+        [ "detect=" ^ detection_canon detection; window ]
+    in
+    { defect; placement; stress_label; stress; detection; key }
 
-let descriptor (m : Manifest.t) p =
-  let c = m.Manifest.config in
-  (* only value-changing physics: scheduling knobs (jobs, deadline,
-     retry) are deliberately left out of the fingerprint. The window
-     part is [Window.fingerprint]: a [provably_grid] window prints
-     byte-identically to the historical v1 "rmin,rmax,n,tol" tail, so
-     pre-existing grid-mode stores stay valid, while a genuinely
-     adaptive window gets its own address — Grid and Adaptive share a
-     record only when their results are provably identical *)
-  let physics = Ck.fingerprint (c.Sc.tech, c.Sc.sim, c.Sc.steps_per_cycle) in
-  (* extension axes (wait, pattern, hammer, ...) contribute a suffix
-     only when off-neutral ([Stressaxis.fingerprint_ext] is "" for a
-     plain four-axis stress), so every pre-extension record keeps its
-     byte-identical v1 address and stays reusable *)
-  Printf.sprintf "campaign.point|v1|%s|%h,%h,%h,%h|%s|%s|%s|%s%s"
-    physics p.stress.S.tcyc p.stress.S.duty p.stress.S.vdd p.stress.S.temp_c
-    p.defect.D.id (placement_tag p.placement)
-    (detection_canon p.detection)
-    (Border.Window.fingerprint m.Manifest.window)
-    (Dramstress_stressaxis.Stressaxis.fingerprint_ext p.stress)
+let points (m : Manifest.t) =
+  let make = make m in
+  List.concat_map
+    (fun (defect, placement) ->
+      List.concat_map
+        (fun (stress_label, stress) ->
+          List.map
+            (make ~defect ~placement ~stress_label ~stress)
+            m.Manifest.detections)
+        m.Manifest.stresses)
+    m.Manifest.defects
 
-let fail_key m p = "campaign.fail|" ^ descriptor m p
+let fail_key p = "campaign.fail|" ^ p.key
 
 let pp_point ppf p =
   Format.fprintf ppf "%s/%a @@ %s [%s]" p.defect.D.id D.pp_placement

@@ -1,23 +1,13 @@
 (** Campaign planning: manifest → concrete simulation points, each with
     a stable content address into a {!Dramstress_util.Store}.
 
-    The address deliberately covers {e only} inputs that change the
-    simulated values: the physics fingerprint (technology, engine
-    options, transient resolution), the stress values, the defect and
-    its placement, the canonical detection text, and the border-search
-    window. It excludes the stress {e label} (a renamed setting reuses
-    its records), the campaign name, and scheduling knobs (jobs,
-    deadline, retry policy) — two campaigns that agree on the physics
-    share results byte for byte.
-
-    The window part of the address is
-    {!Dramstress_core.Border.Window.fingerprint}: a window whose scan is
-    provably identical to the grid oracle
-    ({!Dramstress_core.Border.Window.provably_grid}) addresses exactly
-    like the plain grid window on the same bounds — so Grid and
-    Adaptive strategies share store records only when identical results
-    are guaranteed, and stores written before the strategy field
-    existed remain valid for grid-mode campaigns. *)
+    A point's address is the one store-key format
+    ({!Dramstress_dram.Sim_config.key}, layer [campaign.point]) over
+    the manifest's physics, the stress, the defect and placement, the
+    canonical detection text and the border-search window
+    ({!Dramstress_core.Border.Window.key}). The stress {e label}, the
+    campaign name and scheduling knobs (jobs, lanes, deadline) stay
+    out, so campaigns that agree on the physics share results. *)
 
 type point = {
   defect : Dramstress_defect.Defect.entry;
@@ -25,6 +15,10 @@ type point = {
   stress_label : string;
   stress : Dramstress_dram.Stress.t;
   detection : Manifest.detection_spec;
+  key : string;
+      (** the point's content address under its manifest's physics —
+          the success-record key; hex floats throughout, stable across
+          processes and domains *)
 }
 (** One (defect placement x stress x detection) cell of the campaign. *)
 
@@ -37,33 +31,33 @@ type result = {
 (** What a finished point stores: the border result together with the
     operation sequence that produced it. *)
 
+(** [make m ~defect ~placement ~stress_label ~stress detection] is the
+    point with its {!field-key} under [m]'s physics and window. Apply
+    it to [m] once and reuse the result: the physics prefix is printed
+    at that application, not per point. *)
+val make :
+  Manifest.t ->
+  defect:Dramstress_defect.Defect.entry ->
+  placement:Dramstress_defect.Defect.placement ->
+  stress_label:string ->
+  stress:Dramstress_dram.Stress.t ->
+  Manifest.detection_spec ->
+  point
+
 (** [points m] expands the manifest into its full cross product, in
     manifest declaration order (defects outermost, detections
     innermost). *)
 val points : Manifest.t -> point list
 
-(** [descriptor m p] is the content address of [p] under manifest [m]'s
-    physics — the success-record key. Stable across processes and
-    domains; hex floats throughout, no locale or precision loss. *)
-val descriptor : Manifest.t -> point -> string
-
-(** [fail_key m p] is the failure-record key for [p] — a separate
+(** [fail_key p] is the failure-record key for [p] — a separate
     namespace so a recorded failure never shadows a later success and is
     retried on the next run. *)
-val fail_key : Manifest.t -> point -> string
+val fail_key : point -> string
 
 (** [encode_result] / [decode_result] — store payload codec for finished
     points ([%h] floats; round-trips exactly). [decode_result] is total. *)
 val encode_result : result -> string
 
 val decode_result : string -> result option
-
-(** [encode_detection] / [decode_detection] — canonical text form of a
-    concrete operation sequence (["w1,w0,r0"]; pauses as [p%h]). The
-    march and seq specs that lower to the same per-cell stream share it,
-    and therefore share store records. *)
-val encode_detection : Dramstress_core.Detection.t -> string
-
-val decode_detection : string -> Dramstress_core.Detection.t option
 
 val pp_point : Format.formatter -> point -> unit

@@ -18,21 +18,21 @@ let c_deduped = Tel.Counter.make "campaign.points_deduped"
 
 type state = [ `Done of Plan.result | `Failed of string | `Missing ]
 
-let state ~store (m : Manifest.t) p =
-  match Store.find store ~key:(Plan.descriptor m p) with
+let state ~store (p : Plan.point) =
+  match Store.find store ~key:p.Plan.key with
   | Some payload -> begin
     match Plan.decode_result payload with
     | Some r -> `Done r
     | None -> `Missing (* foreign payload: treat as absent, recompute *)
   end
   | None -> begin
-    match Store.find store ~key:(Plan.fail_key m p) with
+    match Store.find store ~key:(Plan.fail_key p) with
     | Some msg -> `Failed msg
     | None -> `Missing
   end
 
 let states ~store m =
-  List.map (fun p -> (p, state ~store m p)) (Plan.points m)
+  List.map (fun p -> (p, state ~store p)) (Plan.points m)
 
 type summary = {
   planned : int;
@@ -133,7 +133,7 @@ let run ?jobs ?gate ?on_point ?executor ?(fanout = `Domains) ~store
   let classified =
     List.map
       (fun p ->
-        match state ~store m p with
+        match state ~store p with
         | `Done r -> (p, Some r)
         | `Failed _ | `Missing -> (p, None))
       points
@@ -171,7 +171,7 @@ let run ?jobs ?gate ?on_point ?executor ?(fanout = `Domains) ~store
             notify p (`Reused r);
             (hints_of r, acc)
           | None -> begin
-            let key = Plan.descriptor m p in
+            let key = p.Plan.key in
             match
               match gate with None -> `Run | Some g -> g.claim key
             with
@@ -267,19 +267,19 @@ let run ?jobs ?gate ?on_point ?executor ?(fanout = `Domains) ~store
   List.iter
     (fun (f : Plan.point Outcome.failure) ->
       let descr = Format.asprintf "FAILED %a" Plan.pp_point f.Outcome.point in
-      Store.put store ~key:(Plan.fail_key m f.Outcome.point) ~descr
+      Store.put store ~key:(Plan.fail_key f.Outcome.point) ~descr
         ~overwrite:true
         (Printexc.to_string f.Outcome.error))
     failures;
   (* reassemble in plan order *)
   let by_point = Hashtbl.create 64 in
   List.iter
-    (fun (p, r) -> Hashtbl.replace by_point (Plan.descriptor m p) r)
+    (fun ((p : Plan.point), r) -> Hashtbl.replace by_point p.key r)
     (reused @ fresh @ deduped);
   let results =
     List.filter_map
-      (fun p ->
-        Option.map (fun r -> (p, r)) (Hashtbl.find_opt by_point (Plan.descriptor m p)))
+      (fun (p : Plan.point) ->
+        Option.map (fun r -> (p, r)) (Hashtbl.find_opt by_point p.key))
       points
   in
   {

@@ -42,9 +42,9 @@ type state =
   | `Failed of string  (** only a failure record present *)
   | `Missing  (** never attempted (or store was discarded) *) ]
 
-(** [state ~store m p] classifies one point against the store without
+(** [state ~store p] classifies one point against the store without
     simulating anything. *)
-val state : store:Dramstress_util.Store.t -> Manifest.t -> Plan.point -> state
+val state : store:Dramstress_util.Store.t -> Plan.point -> state
 
 (** [states ~store m] is {!state} over the whole plan, in plan order. *)
 val states :

@@ -118,14 +118,14 @@ let worker ~attempt payload =
 
 let executor pool ~manifest_text m =
   (* the runner hands us points, the wire wants indices: key the plan's
-     deterministic order by descriptor once per submission *)
+     deterministic order by point key once per submission *)
   let index_of = Hashtbl.create 64 in
   List.iteri
-    (fun i p -> Hashtbl.replace index_of (Plan.descriptor m p) i)
+    (fun i (p : Plan.point) -> Hashtbl.replace index_of p.key i)
     (Plan.points m);
   fun ~hint (p : Plan.point) ->
     let index =
-      match Hashtbl.find_opt index_of (Plan.descriptor m p) with
+      match Hashtbl.find_opt index_of p.key with
       | Some i -> i
       | None -> failwith "sandbox: point not in plan"
     in

@@ -5,7 +5,6 @@ module U = Dramstress_util.Units
 module O = Dramstress_dram.Ops
 module Sc = Dramstress_dram.Sim_config
 module E = Dramstress_engine
-module Ck = Dramstress_util.Checkpoint
 module St = Dramstress_util.Store
 module Par = Dramstress_util.Par
 module Tel = Dramstress_util.Telemetry
@@ -146,11 +145,10 @@ module Window = struct
 
   let provably_grid w = w.strategy = Grid || w.grid_points <= coarse_points
 
-  let fingerprint w =
-    Printf.sprintf "%h,%h,%d,%h%s" w.r_min w.r_max w.grid_points w.rel_tol
-      (if provably_grid w then "" else ",adaptive")
-
-  let equal (a : t) (b : t) = a = b
+  let key w =
+    Printf.sprintf "window=r_min=%h,r_max=%h,grid_points=%d,rel_tol=%h,scan=%s"
+      w.r_min w.r_max w.grid_points w.rel_tol
+      (if provably_grid w then "grid" else "adaptive")
 
   let pp ppf w =
     Format.fprintf ppf "%g..%g Ohm, %d grid points, %.2g rel tol [%s]"
@@ -223,12 +221,13 @@ let adaptive_scan ~n ~coarse ~seeds probe_many =
 (* ------------------------------------------------------------------ *)
 
 (* only genuine solver failures are skippable; anything else is a bug
-   and must propagate. Health-guard and deadline errors are solver
-   failures too: the point is untrustworthy, not the program. *)
+   and must propagate. Health-guard errors are solver failures too: the
+   point is untrustworthy, not the program. A deadline is not: a probe
+   it cuts short says nothing about the defect, so it fails the whole
+   search rather than leaving a skipped sample in a stored result. *)
 let is_solver_failure = function
   | E.Transient.Step_failed _ | E.Newton.No_convergence _
-  | E.Newton.Numerical_health _ | E.Newton.Timeout _
-  | O.Exhausted_retries _ ->
+  | E.Newton.Numerical_health _ | O.Exhausted_retries _ ->
     true
   | _ -> false
 
@@ -307,17 +306,16 @@ let decode_probe = function
 
 let search ?config ?store ?window:(w = Window.default)
     ?(hint = []) ~stress ~kind ~placement cond =
-  (* the physics fingerprint: everything a single probe's boolean
-     outcome depends on, excluding the window (a probe at resistance r
-     is the same simulation whatever window asked for it). The caller's
-     [config] option is digested as given, and the leading [None] fills
-     the slot a separate technology argument once held, so stored keys
-     keep their bytes. *)
-  let fp =
-    lazy (Ck.fingerprint (None, config, stress, kind, placement, cond))
+  let cfg = Option.value config ~default:Sc.default in
+  (* everything a single probe's outcome depends on; the window joins
+     only the whole-result key (a probe at resistance r is the same
+     simulation whatever window asked for it) *)
+  let config_key = lazy (Sc.key cfg) in
+  let key layer fields =
+    Lazy.force config_key layer ~stress ~kind ~placement
+      (("detect=" ^ Detection.encode cond) :: fields)
   in
   let compute () =
-    let cfg = Option.value config ~default:Sc.default in
     let detect r =
       Tel.Counter.incr c_probes;
       Detection.detects ~config:cfg ~stress ~defect:(D.v kind placement r)
@@ -372,7 +370,7 @@ let search ?config ?store ?window:(w = Window.default)
            interrupted refinement resume re-simulating only the probes
            it had not finished. *)
         let probe_key i =
-          Printf.sprintf "border.probe|%s|%h" (Lazy.force fp) grid.(i)
+          key "border.probe" [ Printf.sprintf "r=%h" grid.(i) ]
         in
         let probe_many idxs =
           let cached, missing =
@@ -449,11 +447,11 @@ let search ?config ?store ?window:(w = Window.default)
           (* per-edge memo: a resumed adaptive search replays finished
              edge refinements from the store and re-simulates only
              the unfinished ones *)
-          let key =
-            Printf.sprintf "border.edge|%s|%h|%h|%h" (Lazy.force fp) r0 r1
-              w.Window.rel_tol
-          in
-          St.memo st ~key
+          St.memo st
+            ~key:
+              (key "border.edge"
+                 [ Printf.sprintf "lo=%h,hi=%h,rel_tol=%h" r0 r1
+                     w.Window.rel_tol ])
             ~descr:(Printf.sprintf "border edge %h..%h Ohm" r0 r1)
             ~encode:encode_edge ~decode:decode_edge
             (fun () -> refine_raw r0 r1)
@@ -464,16 +462,13 @@ let search ?config ?store ?window:(w = Window.default)
   match store with
   | None -> compute ()
   | Some st ->
-    let key =
-      Printf.sprintf "border.search|%s|%s" (Lazy.force fp)
-        (Window.fingerprint w)
-    in
     let descr =
       Format.asprintf "border %a/%a under %a" D.pp_kind kind D.pp_placement
         placement Dramstress_dram.Stress.pp stress
     in
-    St.memo st ~key ~descr ~encode:encode_result ~decode:decode_result
-      compute
+    St.memo st
+      ~key:(key "border.search" [ Window.key w ])
+      ~descr ~encode:encode_result ~decode:decode_result compute
 
 (* ------------------------------------------------------------------ *)
 (* Coverage arithmetic                                                 *)
@@ -488,17 +483,6 @@ let covered_ranges polarity result ~r_min ~r_max =
     List.map (fun b -> (edge_mid b.b_lo, edge_mid b.b_hi)) bands
   | Br r, D.High_r_fails -> [ (r, r_max) ]
   | Br r, D.Low_r_fails -> [ (r_min, r) ]
-
-let covered_range polarity result ~r_min ~r_max =
-  match covered_ranges polarity result ~r_min ~r_max with
-  | [] -> None
-  | (lo0, hi0) :: rest ->
-    (* the hull: for multi-band results this overstates the covered area;
-       [covered_ranges] has the honest list *)
-    Some
-      (List.fold_left
-         (fun (lo, hi) (l, h) -> (Float.min lo l, Float.max hi h))
-         (lo0, hi0) rest)
 
 let notional_min = 1e3
 let notional_max = 1e11

@@ -63,7 +63,7 @@ val of_samples :
     finely} {!search} looks for the border.
 
     A [Window.t] is one value that can be stored in manifests,
-    fingerprinted into campaign store keys, and threaded unchanged
+    printed into store keys, and threaded unchanged
     through {!Plane}, {!Exhaustive}, {!Table1},
     {!Sc_eval.best_detection} and the CLI. *)
 module Window : sig
@@ -112,19 +112,17 @@ module Window : sig
   (** [provably_grid w] — true when a search under [w] provably
       simulates and classifies exactly as the grid oracle would: either
       [w.strategy = Grid], or the grid is no finer than the adaptive
-      skeleton (so every index is probed anyway). Campaign store
-      records are shared between two windows iff their {!fingerprint}s
-      agree, and the fingerprint folds this predicate in — so [Grid]
+      skeleton (so every index is probed anyway). Store records are
+      shared between two windows iff their {!key}s agree, and the key
+      folds this predicate in — so [Grid]
       and [Adaptive] share records only when identical results are
       guaranteed, not merely expected. *)
   val provably_grid : t -> bool
 
-  (** Canonical fingerprint for store keys: hex-float exact.
-      Windows with [provably_grid] true fingerprint identically to the
-      plain grid window on the same bounds. *)
-  val fingerprint : t -> string
+  (** [key w] is the window part of store keys, [%h]-exact; a
+      [provably_grid] window prints [scan=grid] whatever its strategy. *)
+  val key : t -> string
 
-  val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
 
@@ -168,14 +166,16 @@ val adaptive_scan :
 
     Grid samples and edge refinements that fail with a solver error
     ([Transient.Step_failed], [Newton.No_convergence],
-    [Ops.Exhausted_retries]) are skipped / degraded to {!Unknown} and
-    counted on [core.border.skipped_samples] /
-    [core.border.unknown_edges]; other exceptions propagate. Every
-    simulated sample (scan or bisection) counts on
+    [Newton.Numerical_health], [Ops.Exhausted_retries]) are skipped /
+    degraded to {!Unknown} and counted on [core.border.skipped_samples] /
+    [core.border.unknown_edges]; other exceptions propagate, a deadline's
+    [Newton.Timeout] included, so a cut-short result is never stored.
+    Every simulated sample (scan or bisection) counts on
     [core.border.probes].
 
     [store] memoizes the whole result keyed by every input that can
-    change it (including {!Window.fingerprint}), so interrupted
+    change it ({!Dramstress_dram.Sim_config.key} with the detection and
+    {!Window.key}), so interrupted
     campaigns resume without re-simulating finished searches. Adaptive
     searches additionally record each probe and each refined edge, so a
     run killed mid-refinement resumes by re-simulating only the probes
@@ -211,13 +211,6 @@ val decode_result : string -> result option
 val covered_ranges :
   Dramstress_defect.Defect.polarity -> result -> r_min:float -> r_max:float ->
   (float * float) list
-
-(** [covered_range polarity result ~r_min ~r_max] is the hull of
-    {!covered_ranges} — kept for compatibility; for {!Bands} results it
-    overstates the covered area. *)
-val covered_range :
-  Dramstress_defect.Defect.polarity -> result -> r_min:float -> r_max:float ->
-  (float * float) option
 
 (** [coverage_width polarity result] is the total covered width in log
     decades — summed across bands — over the notional

@@ -64,6 +64,17 @@ let of_string s =
   in
   go [] 0 tokens
 
+(* the canonical text, exact ([%h] pauses): [of_string] reads it back *)
+let encode cond =
+  String.concat ","
+    (List.map
+       (function
+         | Write b -> Printf.sprintf "w%d" b
+         | Read b -> Printf.sprintf "r%d" b
+         | Wait t -> Printf.sprintf "p%h" t
+         | Hammer n -> Printf.sprintf "ham%d" n)
+       cond.steps)
+
 let standard ~victim ~primes =
   if primes < 1 then invalid_arg "Detection.standard: primes < 1";
   if victim <> 0 && victim <> 1 then invalid_arg "Detection.standard: victim";

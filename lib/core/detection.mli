@@ -31,6 +31,10 @@ val v : step list -> t
     nothing raises. *)
 val of_string : string -> (t, string) result
 
+(** [encode cond] is the exact canonical text (["w1,p0x1p-10,r1"]) of
+    store keys and stored results; {!of_string} reads it back. *)
+val encode : t -> string
+
 (** [standard ~victim ~primes] is the paper's shape:
     [primes] writes of the complement, one write of [victim], one read of
     [victim]. [primes >= 1]. *)

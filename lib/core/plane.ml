@@ -6,7 +6,6 @@ module I = Dramstress_util.Interp
 module G = Dramstress_util.Grid
 module Par = Dramstress_util.Par
 module Out = Dramstress_util.Outcome
-module Ck = Dramstress_util.Checkpoint
 module St = Dramstress_util.Store
 module Tel = Dramstress_util.Telemetry
 
@@ -309,10 +308,11 @@ let write_plane ?(config = Sc.default) ?store ?window ?(n_ops = 4)
     if physical_target placement op = 0 then stress.S.vdd else 0.0
   in
   let base_key =
-    Ck.fingerprint ("plane.write", config, stress, kind, placement, op, n_ops)
+    Sc.key config "plane.write" ~stress ~kind ~placement
+      [ Format.asprintf "op=%a" O.pp_op op; Printf.sprintf "n_ops=%d" n_ops ]
   in
   let rops_arr = Array.of_list rops in
-  let keys = Array.map (fun r -> Printf.sprintf "%s|%h" base_key r) rops_arr in
+  let keys = Array.map (fun r -> Printf.sprintf "%s|r=%h" base_key r) rops_arr in
   let descr i = Printf.sprintf "write plane r=%g" rops_arr.(i) in
   let slots, defects =
     plane_slots ~store ~decode:decode_write_point ~kind ~placement ~keys
@@ -369,12 +369,12 @@ let read_plane ?(config = Sc.default) ?store ?window ?(n_ops = 3)
   if n_ops < 1 then invalid_arg "Plane.read_plane: n_ops < 1";
   let jobs = Sc.resolve_jobs config in
   let base_key =
-    Ck.fingerprint
-      ("plane.read", config, stress, kind, placement, n_ops, offset)
+    Sc.key config "plane.read" ~stress ~kind ~placement
+      [ Printf.sprintf "n_ops=%d" n_ops; Printf.sprintf "offset=%h" offset ]
   in
   let rops_arr = Array.of_list rops in
   let n = Array.length rops_arr in
-  let keys = Array.map (fun r -> Printf.sprintf "%s|%h" base_key r) rops_arr in
+  let keys = Array.map (fun r -> Printf.sprintf "%s|r=%h" base_key r) rops_arr in
   let descr i = Printf.sprintf "read plane r=%g" rops_arr.(i) in
   let slots, defects =
     plane_slots ~store ~decode:decode_read_point ~kind ~placement ~keys

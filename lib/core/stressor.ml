@@ -2,6 +2,8 @@ module O = Dramstress_dram.Ops
 module S = Dramstress_dram.Stress
 module D = Dramstress_defect.Defect
 module Ax = Dramstress_stressaxis.Stressaxis
+module Sc = Dramstress_dram.Sim_config
+module St = Dramstress_util.Store
 
 type direction = Increase | Decrease | Neutral
 
@@ -48,7 +50,8 @@ let probe_axis ?config ?store ?window ?(analysis_r = 200e3)
     invalid_arg "Stressor.probe_axis: need at least two values";
   let victim_op, physical_target = victim_write kind placement in
   let defect = D.v kind placement analysis_r in
-  let sample value =
+  let key = lazy (Sc.key (Option.value config ~default:Sc.default)) in
+  let measure value () =
     let st = S.set stress axis value in
     (* write probe: one victim write from the complementary full level *)
     let vc_init = if physical_target = 0 then st.S.vdd else 0.0 in
@@ -70,6 +73,24 @@ let probe_axis ?config ?store ?window ?(analysis_r = 200e3)
       if physical_target = 0 then -.vsa_raw else vsa_raw
     in
     { value; write_residual; vsa_shift }
+  in
+  let sample value =
+    match store with
+    | None -> measure value ()
+    | Some store ->
+      let st = S.set stress axis value in
+      St.memo store
+        ~key:
+          (Lazy.force key "stressor.sample" ~stress:st ~kind ~placement
+             [ Printf.sprintf "r=%h" analysis_r ])
+        ~descr:
+          (Format.asprintf "stress probe %a/%a under %a" D.pp_kind kind
+             D.pp_placement placement S.pp st)
+        ~encode:(fun s -> Printf.sprintf "%h %h" s.write_residual s.vsa_shift)
+        ~decode:(fun s ->
+          Scanf.sscanf_opt s "%h %h%!" (fun write_residual vsa_shift ->
+              { value; write_residual; vsa_shift }))
+        (measure value)
   in
   let samples = List.map sample values in
   let write_direction =

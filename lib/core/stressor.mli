@@ -46,7 +46,8 @@ type probe = {
     (default 10 mV). [force_br] always resolves by BR comparison.
     Every probe simulation and fallback BR search runs under [config]
     (default {!Dramstress_dram.Sim_config.default}). [store]
-    memoizes the BR searches a conflicting verdict falls back to;
+    memoizes each sample's two measurements and the BR searches a
+    conflicting verdict falls back to;
     [window] is the {!Border.Window} those searches run under (default
     {!Border.Window.default}). *)
 val probe_axis :

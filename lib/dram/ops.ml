@@ -212,7 +212,7 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
    re-running identical operation sequences: every plane recomputes the
    same defect-free Vmp bisection, and Vsa bisections share their probe
    reads across planes and stress axes. A bounded LRU keyed by the full
-   simulation fingerprint — everything [run] depends on — makes those
+   simulation key — everything [run] depends on — makes those
    repeats free.
 
    Domain-safety choice: ONE shared cache guarded by a mutex, rather

@@ -86,7 +86,7 @@ val sensed_bits : outcome -> int list
 (** {2 Transient memo cache}
 
     [run] memoizes outcomes in a bounded LRU keyed by the full simulation
-    fingerprint — technology, stress, solver options, step resolution,
+    key — technology, stress, solver options, step resolution,
     defect, initial voltages and the operation sequence. The sweep layers
     (planes, shmoo, Table 1) repeat identical sequences constantly, so
     the cache removes most transient runs.

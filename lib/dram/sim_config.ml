@@ -78,6 +78,64 @@ let v ?(tech = Tech.default) ?sim ?(steps_per_cycle = 400) ?jobs ?lanes
   validate t;
   t
 
+(* ------------------------------------------------------------------ *)
+(* Store keys                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Defect = Dramstress_defect.Defect
+module M = Dramstress_circuit.Mosfet
+module O = Dramstress_engine.Options
+
+(* Records are taken apart field by field, so a field added to [Tech.t],
+   [Mosfet.model] or [Options.t] does not compile here until the key
+   prints it. [temp] comes from the stress, which every key prints. *)
+let physics_key
+    { tech; sim; steps_per_cycle; retry; jobs = _; lanes = _; deadline = _ } =
+  let h k v = Printf.sprintf "%s=%h" k v and d k v = Printf.sprintf "%s=%d" k v in
+  let mos k { M.name; polarity; vt0; kp; lambda; vt_tc; mu_exp; n_sub; t_ref } =
+    Printf.sprintf "%s=(name=%s,%s,%s)" k name
+      (if polarity = M.Nmos then "nmos" else "pmos")
+      (String.concat ","
+         [ h "vt0" vt0; h "kp" kp; h "lambda" lambda; h "vt_tc" vt_tc;
+           h "mu_exp" mu_exp; h "n_sub" n_sub; h "t_ref" t_ref ])
+  in
+  let stage = function
+    | Halve_dt -> "halve-dt"
+    | Raise_steps n -> Printf.sprintf "steps-x%d" n
+    | Damped_newton { max_step_v; max_newton_scale } ->
+      Printf.sprintf "damped-newton(%h,x%d)" max_step_v max_newton_scale
+  in
+  let { Tech.c_bl; c_cell; c_ref; c_sa; c_out; access; sa_n; sa_p; wl_boost;
+        g_switch; g_write; g_off; t_wl_on; t_share; t_wr_cmd; t_margin0;
+        t_margin_duty; t_decide; t_edge } = tech
+  and { O.abstol; reltol; max_newton; gmin; max_step_v; temp = _; integrator;
+        naive_assembly; dt_scale } = Option.value sim ~default:O.default in
+  String.concat ","
+    [ d "epoch" O.epoch; h "c_bl" c_bl; h "c_cell" c_cell; h "c_ref" c_ref;
+      h "c_sa" c_sa; h "c_out" c_out; mos "access" access; mos "sa_n" sa_n;
+      mos "sa_p" sa_p; h "wl_boost" wl_boost; h "g_switch" g_switch;
+      h "g_write" g_write; h "g_off" g_off; h "t_wl_on" t_wl_on;
+      h "t_share" t_share; h "t_wr_cmd" t_wr_cmd; h "t_margin0" t_margin0;
+      h "t_margin_duty" t_margin_duty; h "t_decide" t_decide;
+      h "t_edge" t_edge; h "abstol" abstol; h "reltol" reltol;
+      d "max_newton" max_newton; h "gmin" gmin; h "max_step_v" max_step_v;
+      (if integrator = O.Backward_euler then "integrator=be"
+       else "integrator=trap");
+      Printf.sprintf "naive_assembly=%b" naive_assembly; h "dt_scale" dt_scale;
+      d "steps_per_cycle" steps_per_cycle;
+      "retry=" ^ String.concat ";" (List.map stage retry.stages) ]
+
+(* the physics enters a key as the digest of its text, printed once per
+   application to [t] *)
+let key t =
+  let physics = "physics=" ^ Digest.to_hex (Digest.string (physics_key t)) in
+  fun layer ~stress ~kind ~placement fields ->
+    String.concat "|"
+      (layer :: physics :: Stress.key stress
+      :: Format.asprintf "defect=%a/%s" Defect.pp_kind kind
+           (if placement = Defect.True_bl then "true" else "comp")
+      :: fields)
+
 let resolve_jobs t = Dramstress_util.Par.resolve_jobs ?jobs:t.jobs ()
 let resolve_lanes t = Dramstress_util.Par.resolve_lanes ?lanes:t.lanes ()
 

@@ -99,6 +99,27 @@ val v :
     the same rules. *)
 val validate : t -> unit
 
+(** [physics_key t] is the physics every stored value depends on: the
+    numerics epoch ({!Dramstress_engine.Options.epoch}), every
+    {!Tech.t} field, the solver options but [temp] (set from the
+    stress), [steps_per_cycle] and the retry ladder, as named [k=v]
+    fields with [%h] floats. [jobs], [lanes] and [deadline] never move
+    a stored value and stay out. *)
+val physics_key : t -> string
+
+(** [key t layer ~stress ~kind ~placement fields] is the store key of
+    every layer: ["layer|physics=<MD5 of physics_key t>|<Stress.key
+    stress>|defect=O1/true|field|..."]. Apply it to [t] once per sweep:
+    the physics is printed at that application. *)
+val key :
+  t ->
+  string ->
+  stress:Stress.t ->
+  kind:Dramstress_defect.Defect.kind ->
+  placement:Dramstress_defect.Defect.placement ->
+  string list ->
+  string
+
 (** [resolve_jobs t] is the effective domain count:
     [Par.resolve_jobs ?jobs:t.jobs ()]. *)
 val resolve_jobs : t -> int

@@ -69,13 +69,15 @@ let with_couple sc couple = { sc with couple }
 let with_twr_trim sc twr_trim = { sc with twr_trim }
 let with_tras_trim sc tras_trim = { sc with tras_trim }
 
-(* a stress setting is an extension of the paper's four-axis vector
-   exactly when any of the newer axes moved off its neutral default;
-   fingerprints and labels only mention them in that case, which is what
-   keeps pre-extension store records addressable *)
-let is_extended sc =
-  sc.wait <> 0.0 || sc.pattern <> All_1 || sc.hammer <> 0 || sc.leak <> 0.0
-  || sc.couple <> 0.0 || sc.twr_trim <> 0.0 || sc.tras_trim <> 0.0
+(* every axis, always, by name: the stress part of a store key *)
+let key
+    { tcyc; duty; vdd; temp_c; wait; pattern; hammer; leak; couple; twr_trim;
+      tras_trim } =
+  Printf.sprintf
+    "tcyc=%h,duty=%h,vdd=%h,temp_c=%h,wait=%h,pattern=%s,hammer=%d,leak=%h,\
+     couple=%h,twr_trim=%h,tras_trim=%h"
+    tcyc duty vdd temp_c wait (pattern_name pattern) hammer leak couple
+    twr_trim tras_trim
 
 let validate sc =
   if sc.tcyc <= 0.0 then invalid_arg "Stress: tcyc <= 0";

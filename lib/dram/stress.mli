@@ -2,9 +2,7 @@
     can modify at test time (Section 2 of the paper), extended beyond the
     paper's four axes with retention, coupling-disturb and timing-trim
     knobs. Every extension field defaults to a neutral value under which
-    the model behaves exactly as the four-axis original — and store
-    fingerprints only mention extension axes that moved off neutral, so
-    pre-extension records stay addressable. *)
+    the model behaves exactly as the four-axis original. *)
 
 (** Data background held by the neighbour cell during the victim's
     sequence (the retention-test patterns: all-0, all-1, checkerboard).
@@ -76,10 +74,9 @@ val with_couple : t -> float -> t
 val with_twr_trim : t -> float -> t
 val with_tras_trim : t -> float -> t
 
-(** [is_extended sc] is true when any post-paper axis moved off its
-    neutral default — the condition under which fingerprints grow an
-    extension suffix. *)
-val is_extended : t -> bool
+(** [key sc] prints every axis by name with [%h] floats, neutral or
+    not: the stress part of every store key ({!Sim_config.key}). *)
+val key : t -> string
 
 (** [validate sc] raises [Invalid_argument] for nonphysical values
     (non-positive cycle time or supply, duty outside (0,1), temperature

@@ -1,5 +1,7 @@
 type integrator = Backward_euler | Trapezoidal
 
+let epoch = 1
+
 type t = {
   abstol : float;
   reltol : float;

@@ -2,6 +2,10 @@
 
 type integrator = Backward_euler | Trapezoidal
 
+(** [epoch] is the numerics epoch, printed into every store key: a
+    change that deliberately moves waveform bits bumps it. *)
+val epoch : int
+
 type t = {
   abstol : float;       (** absolute voltage tolerance, V *)
   reltol : float;       (** relative tolerance *)

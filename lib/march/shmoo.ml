@@ -3,7 +3,7 @@ module Sc = Dramstress_dram.Sim_config
 module O = Dramstress_dram.Ops
 module E = Dramstress_engine
 module C = Dramstress_core
-module Ck = Dramstress_util.Checkpoint
+module D = Dramstress_defect.Defect
 module St = Dramstress_util.Store
 module Tel = Dramstress_util.Telemetry
 
@@ -50,12 +50,8 @@ let generate ?(config = Sc.default) ?store ~stress ~defect ~detection
   (* checked up front: every cell maps [Invalid_argument] to [Invalid],
      which would turn a bad config into a plot of inoperable SCs *)
   Sc.validate config;
-  let base_key =
-    Ck.fingerprint
-      ("shmoo", config, stress, defect, detection, x_axis, y_axis)
-  in
-  let cell (yv, xv) () =
-    let sc = S.set (S.set stress x_axis xv) y_axis yv in
+  let key = Sc.key config in
+  let cell sc () =
     match C.Detection.detects ~config ~stress:sc ~defect detection with
     | true -> Fail
     | false -> Pass
@@ -68,18 +64,22 @@ let generate ?(config = Sc.default) ?store ~stress ~defect ~detection
       Errored
   in
   let point (yv, xv) =
+    let sc = S.set (S.set stress x_axis xv) y_axis yv in
     Tel.Histogram.time_ms h_point (fun () ->
         Tel.with_span "shmoo.point"
           ~attrs:(fun () -> [ ("x", Tel.Float xv); ("y", Tel.Float yv) ])
           (fun () ->
             match store with
-            | None -> cell (yv, xv) ()
+            | None -> cell sc ()
             | Some st ->
               St.memo st
-                ~key:(Printf.sprintf "%s|%h|%h" base_key yv xv)
+                ~key:
+                  (key "shmoo" ~stress:sc
+                     ~kind:defect.D.kind ~placement:defect.D.placement
+                     [ Printf.sprintf "r=%h" defect.D.r;
+                       "detect=" ^ C.Detection.encode detection ])
                 ~descr:(Printf.sprintf "shmoo cell x=%g y=%g" xv yv)
-                ~encode:encode_outcome ~decode:decode_outcome
-                (cell (yv, xv))))
+                ~encode:encode_outcome ~decode:decode_outcome (cell sc)))
   in
   (* flatten the grid so all y*x points share one domain pool instead of
      parallelizing row by row *)

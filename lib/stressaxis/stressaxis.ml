@@ -12,7 +12,6 @@ type t = {
   scale : scale;
   lo : float;
   hi : float;
-  extension : bool;
   probe_values : S.t -> float list;
   nudge : S.t -> float -> S.t;
 }
@@ -37,7 +36,6 @@ let all =
       scale = Linear;
       lo = 20e-9;
       hi = 200e-9;
-      extension = false;
       probe_values =
         (fun st -> [ st.S.tcyc -. 5e-9; st.S.tcyc ]);
       nudge =
@@ -52,7 +50,6 @@ let all =
       scale = Linear;
       lo = 0.2;
       hi = 0.8;
-      extension = false;
       probe_values =
         (fun st -> [ st.S.duty -. 0.15; st.S.duty; st.S.duty +. 0.15 ]);
       nudge =
@@ -68,7 +65,6 @@ let all =
       scale = Linear;
       lo = 1.8;
       hi = 3.0;
-      extension = false;
       probe_values =
         (fun st -> [ st.S.vdd -. 0.3; st.S.vdd; st.S.vdd +. 0.3 ]);
       nudge = (fun st sign -> S.with_vdd st (st.S.vdd +. (sign *. 0.3)));
@@ -81,7 +77,6 @@ let all =
       scale = Linear;
       lo = -33.0;
       hi = 87.0;
-      extension = false;
       probe_values = (fun st -> [ -33.0; st.S.temp_c; 87.0 ]);
       nudge =
         (fun st sign -> S.with_temp_c st (if sign > 0.0 then 87.0 else -33.0));
@@ -95,7 +90,6 @@ let all =
       scale = Log;
       lo = 0.01;
       hi = 120.0;
-      extension = true;
       probe_values = (fun st -> [ 0.0; Float.max 0.01 st.S.wait ]);
       nudge =
         (fun st sign ->
@@ -109,7 +103,6 @@ let all =
       scale = Linear;
       lo = 0.0;
       hi = 1.0;
-      extension = true;
       probe_values = (fun _ -> [ 0.0; 0.5; 1.0 ]);
       nudge =
         (fun st sign ->
@@ -125,7 +118,6 @@ let all =
       scale = Log;
       lo = 1e-16;
       hi = 1e-10;
-      extension = true;
       probe_values = (fun st -> [ 0.0; Float.max 1e-13 st.S.leak ]);
       nudge =
         (fun st sign ->
@@ -140,7 +132,6 @@ let all =
       scale = Log;
       lo = 1.0;
       hi = 1000.0;
-      extension = true;
       probe_values =
         (fun st -> [ 0.0; Float.max 10.0 (float_of_int st.S.hammer) ]);
       nudge =
@@ -157,7 +148,6 @@ let all =
       scale = Linear;
       lo = 0.0;
       hi = 1.0;
-      extension = true;
       probe_values = (fun st -> [ 0.0; Float.max 0.2 st.S.couple ]);
       nudge =
         (fun st sign ->
@@ -173,7 +163,6 @@ let all =
       scale = Linear;
       lo = -20e-9;
       hi = 20e-9;
-      extension = true;
       probe_values = (fun st -> [ st.S.twr_trim; st.S.twr_trim +. 10e-9 ]);
       nudge =
         (fun st sign ->
@@ -189,7 +178,6 @@ let all =
       scale = Linear;
       lo = -20e-9;
       hi = 20e-9;
-      extension = true;
       probe_values = (fun st -> [ st.S.tras_trim -. 10e-9; st.S.tras_trim ]);
       nudge =
         (fun st sign ->
@@ -211,22 +199,6 @@ let find name =
 let names () = List.map (fun e -> e.name) all
 
 let name_of_axis axis = (of_axis axis).name
-
-(* ------------------------------------------------------------------ *)
-(* fingerprint extension                                               *)
-(* ------------------------------------------------------------------ *)
-
-let fingerprint_ext sc =
-  if not (S.is_extended sc) then ""
-  else
-    "|ext:"
-    ^ String.concat ","
-        (List.filter_map
-           (fun e ->
-             if e.extension then
-               Some (Printf.sprintf "%s=%h" e.name (S.get sc e.axis))
-             else None)
-           all)
 
 (* ------------------------------------------------------------------ *)
 (* sweep expansion                                                     *)
@@ -270,7 +242,6 @@ let value_string e v =
   | _ -> Printf.sprintf "%g" v
 
 let pp ppf e =
-  Format.fprintf ppf "%s [%s, %s, %g..%g]%s" e.name
+  Format.fprintf ppf "%s [%s, %s, %g..%g]" e.name
     (if e.unit_ = "" then "-" else e.unit_)
     (scale_name e.scale) e.lo e.hi
-    (if e.extension then " (ext)" else "")

@@ -4,11 +4,10 @@
     (retention wait/pattern/leak, coupling-disturb hammer/couple,
     tWR/tRAS timing trims). This registry is the single place that
     knows, per axis: its manifest/CSV name, unit, sane sweep range and
-    scale, the candidate values a direction probe samples, the
-    one-notch nudge the optimizer applies, and whether the axis is a
-    post-paper {e extension} (which governs the store-fingerprint
-    suffix). Every layer above — {!Dramstress_core.Stressor},
-    [Table1], campaign manifests — consults the registry instead of
+    scale, the candidate values a direction probe samples and the
+    one-notch nudge the optimizer applies. Every layer above —
+    {!Dramstress_core.Stressor}, [Table1], campaign manifests —
+    consults the registry instead of
     matching on axes, so a new axis registers here once and crosses
     with the rest everywhere. *)
 
@@ -24,9 +23,6 @@ type t = {
   scale : scale;           (** natural sweep spacing *)
   lo : float;              (** sane sweep range, low end *)
   hi : float;              (** sane sweep range, high end *)
-  extension : bool;
-    (** post-paper axis: participates in the fingerprint extension
-        suffix, never in the four-field v1 prefix *)
   probe_values : Dramstress_dram.Stress.t -> float list;
     (** candidate values for a direction probe around the given SC *)
   nudge : Dramstress_dram.Stress.t -> float -> Dramstress_dram.Stress.t;
@@ -48,13 +44,6 @@ val find : string -> t option
 val names : unit -> string list
 
 val name_of_axis : Dramstress_dram.Stress.axis -> string
-
-(** [fingerprint_ext sc] is the content-address suffix contributed by
-    extension axes: [""] when every extension axis sits at its neutral
-    default — which is what keeps pre-extension store records
-    addressable — and a deterministic ["|ext:name=%h,..."] listing of
-    all extension axes otherwise. *)
-val fingerprint_ext : Dramstress_dram.Stress.t -> string
 
 (** Errors a sweep-range request can produce. *)
 type range_error = Empty_range | Log_crosses_zero

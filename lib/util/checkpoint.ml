@@ -35,8 +35,6 @@ type t = {
 
 let digest_key s = Digest.to_hex (Digest.string s)
 
-let fingerprint v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
 (* minimal JSON-string unescape, inverse of Telemetry.json_escape *)
 let unescape s =
   let buf = Buffer.create (String.length s) in

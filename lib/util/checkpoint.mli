@@ -98,9 +98,3 @@ val scan :
   value:string ->
   unit) ->
   unit
-
-(** [fingerprint v] digests an arbitrary (closure-free) value via its
-    marshalled bytes — a convenient way to fold structured context
-    (technology records, solver options, detection conditions) into a
-    point descriptor. Stable across runs of the same binary. *)
-val fingerprint : 'a -> string

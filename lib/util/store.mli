@@ -2,7 +2,7 @@
 
     A [Store] is a durable directory meant to outlive any number of
     runs: results accumulate append-only across processes and are
-    shared by fingerprint, so two campaigns (or a campaign and a direct
+    shared by key, so two campaigns (or a campaign and a direct
     sweep) that need the same simulated point compute it once. It is
     the one place a campaign or a CLI sweep ([--store DIR]) persists
     to.
@@ -43,13 +43,11 @@
     The sweep layers ([?store] on [Border.search], Table 1, the planes,
     Shmoo and the campaign runner) read and write their memos through
     {!find}/{!put}/{!memo}, so each memo is routed by its own key like
-    any other record. Sharded stores written before that kept a sweep's
-    memos in the shard its caller's name routed to, where no lookup
-    looks now; {!merge} into a fresh store re-routes every record by
-    its own key.
+    any other record.
 
-    Records are keyed by {!Checkpoint.digest_key} of a canonical point
-    descriptor — the content address. {!put} may overwrite (last record
+    Records are keyed by {!Checkpoint.digest_key} of a printed key
+    ([Sim_config.key]: layer, physics, stress, defect, fields) — the
+    content address. {!put} may overwrite (last record
     wins on reload), which lets failure markers be superseded by later
     successes while successes themselves are never recomputed.
 

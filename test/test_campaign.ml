@@ -215,7 +215,7 @@ let test_plan_cross_product () =
 
 let test_descriptor_sensitivity () =
   let base = mini () in
-  let d m = Plan.descriptor m (List.hd (Plan.points m)) in
+  let d m = (List.hd (Plan.points m)).Plan.key in
   (* value-changing inputs move the address *)
   Alcotest.(check bool) "stress changes it" true
     (d base <> d (mini ~stress:"(stress hot (temp 87))" ()));
@@ -242,7 +242,7 @@ let test_descriptor_defect_injective () =
   (* distinct (defect, placement) pairs never share an address *)
   let m = Manifest.of_string full_manifest in
   let pts = Plan.points m in
-  let keys = List.map (Plan.descriptor m) pts in
+  let keys = List.map (fun (p : Plan.point) -> p.key) pts in
   let tbl = Hashtbl.create 97 in
   List.iter
     (fun k ->
@@ -254,8 +254,9 @@ let test_descriptor_defect_injective () =
 let test_descriptor_domain_stable () =
   let m = mini () in
   let p = List.hd (Plan.points m) in
-  let expected = Plan.descriptor m p in
-  List.init 4 (fun _ -> Domain.spawn (fun () -> Plan.descriptor m p))
+  let expected = p.Plan.key in
+  List.init 4 (fun _ ->
+      Domain.spawn (fun () -> (List.hd (Plan.points m)).Plan.key))
   |> List.map Domain.join
   |> List.iter
        (Alcotest.(check string) "same address in every domain" expected)
@@ -266,8 +267,8 @@ let test_march_seq_share_address () =
   let seq = mini ~detections:{|(detections (seq "w0 r0 w1"))|} () in
   let march = mini ~detections:{|(detections (march "{up(w0);up(r0,w1)}"))|} () in
   Alcotest.(check string) "shared content address"
-    (Plan.descriptor seq (List.hd (Plan.points seq)))
-    (Plan.descriptor march (List.hd (Plan.points march)))
+    (List.hd (Plan.points seq)).Plan.key
+    (List.hd (Plan.points march)).Plan.key
 
 let test_descriptor_strategy_sharing () =
   (* Grid and Adaptive records may share a store address only when the
@@ -275,7 +276,7 @@ let test_descriptor_strategy_sharing () =
      adaptive skeleton IS the grid, so the fingerprints collapse;
      beyond that the adaptive scan may legitimately skip points and the
      records must live apart *)
-  let d m = Plan.descriptor m (List.hd (Plan.points m)) in
+  let d m = (List.hd (Plan.points m)).Plan.key in
   let border ?(points = 5) strategy =
     Printf.sprintf
       "(border (r-min 1e4) (r-max 1e8) (grid-points %d) (rel-tol 0.05) \
@@ -289,26 +290,17 @@ let test_descriptor_strategy_sharing () =
     (d (mini ~border:(border ~points:13 "grid") ())
     <> d (mini ~border:(border ~points:13 "adaptive") ()))
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let test_descriptor_extension_suffix () =
-  let d m = Plan.descriptor m (List.hd (Plan.points m)) in
+  let d m = (List.hd (Plan.points m)).Plan.key in
   let base = mini () in
-  (* neutral points keep the pre-extension address shape... *)
-  Alcotest.(check bool) "neutral: no extension suffix" false
-    (contains_sub (d base) "|ext:");
-  (* ...spelling the neutral defaults out changes nothing... *)
+  (* spelling the neutral defaults out changes nothing... *)
   Alcotest.(check string) "explicit neutral collapses to the same address"
     (d base)
     (d (mini ~stress:"(stress n (wait 0) (hammer 0) (leak 0))" ()));
-  (* ...and any moved extension axis stamps the suffix in *)
+  (* ...and any moved extension axis moves the address *)
   let waited = mini ~stress:"(stress w (wait 1))" () in
-  Alcotest.(check bool) "moved axis grows the suffix" true
-    (contains_sub (d waited) "|ext:");
-  Alcotest.(check bool) "and relocates the record" true (d base <> d waited);
+  Alcotest.(check bool) "moved axis relocates the record" true
+    (d base <> d waited);
   Alcotest.(check bool) "different extension values differ" true
     (d waited <> d (mini ~stress:"(stress w (wait 2))" ()))
 
@@ -334,8 +326,8 @@ let test_result_codec_roundtrip () =
         Alcotest.(check bool) "border round-trips" true
           (C.Border.equal_result br r'.Plan.br);
         Alcotest.(check string) "detection round-trips"
-          (Plan.encode_detection det)
-          (Plan.encode_detection r'.Plan.detection))
+          (C.Detection.encode det)
+          (C.Detection.encode r'.Plan.detection))
     borders;
   Alcotest.(check (option string)) "foreign payload refused" None
     (Option.map Plan.encode_result (Plan.decode_result "gibberish"))
@@ -442,6 +434,34 @@ let test_runner_failure_retry () =
        (List.filter
           (fun (_, st) -> match st with `Done _ -> true | _ -> false)
           states))
+
+let test_deadline_result_not_stored () =
+  (* a border search a deadline cuts short is a failed point, never a
+     stored result: the rerun without the deadline on the same store
+     simulates it and finds the border a fresh store finds *)
+  with_store_dir @@ fun dir ->
+  let m ~sim =
+    mini ~sim
+      ~detections:{|(detections (seq "w1 w0 r0"))|}
+      ~border:"(border (r-min 1e4) (r-max 1e8) (grid-points 5) (rel-tol 0.05))"
+      ()
+  in
+  O.clear_cache ();
+  let s = St.open_ ~engine:"e" ~name:"deadline" dir in
+  let r = Runner.run ~jobs:1 ~store:s (m ~sim:"(sim (deadline 1e-4))") in
+  Alcotest.(check int) "cut short: one failure" 1
+    (List.length r.Runner.failures);
+  Alcotest.(check int) "cut short: no result" 0 (List.length r.Runner.results);
+  O.clear_cache ();
+  let r = Runner.run ~jobs:1 ~store:s (m ~sim:"") in
+  St.close s;
+  Alcotest.(check int) "rerun reuses nothing" 0 r.Runner.reused;
+  Alcotest.(check int) "rerun simulates the point" 1 r.Runner.simulated;
+  match r.Runner.results with
+  | [ (_, res) ] ->
+    Alcotest.(check string) "the fresh-store border" "br 0x1.4912be74ef73cp+17"
+      (C.Border.encode_result res.Plan.br)
+  | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
 
 let planner_manifest ~vdd ~grid_points strategy =
   (* a dense window over one warm-start chain: the sweep settings of the
@@ -603,8 +623,8 @@ let test_best_point_parity () =
     Alcotest.(check bool) "same border" true
       (C.Border.equal_result stored.Plan.br br);
     Alcotest.(check string) "same winning detection"
-      (Plan.encode_detection detection)
-      (Plan.encode_detection stored.Plan.detection)
+      (C.Detection.encode detection)
+      (C.Detection.encode stored.Plan.detection)
   | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
 
 (* ------------------------------------------------------------------ *)
@@ -621,8 +641,9 @@ let copy_file src dst =
 
 let test_golden_store_reuse () =
   (* the checked-in store was produced by the pre-extension binary
-     (engine stamp "git e8ceb9b"): the extended planner must address
-     every one of its records byte-for-byte, simulating nothing *)
+     (engine stamp "git e8ceb9b") and re-keyed, values untouched, to the
+     printed key format: the planner must address every one of its
+     records, simulating nothing *)
   with_store_dir @@ fun dir ->
   Sys.mkdir dir 0o755;
   List.iter
@@ -658,6 +679,8 @@ let test_golden_table1_claims () =
   Tel.set_enabled true;
   let misses = Tel.Counter.make "util.checkpoint.misses" in
   let misses_before = Tel.Counter.value misses in
+  let sims = Tel.Counter.make "dram.ops.cache_misses" in
+  let sims_before = Tel.Counter.value sims in
   let table =
     let s = St.open_ ~name:"table1" dir in
     Fun.protect ~finally:(fun () -> St.close s) (fun () ->
@@ -665,6 +688,8 @@ let test_golden_table1_claims () =
   in
   Alcotest.(check int) "every border read from the store" misses_before
     (Tel.Counter.value misses);
+  Alcotest.(check int) "every probe sample read from the store, nothing simulated"
+    sims_before (Tel.Counter.value sims);
   Alcotest.(check int) "no failed row" 0 (List.length table.C.Table1.failures);
   let ev id placement =
     match
@@ -1129,7 +1154,7 @@ let test_service_submit_cold_warm () =
   (* query verb: raw descriptor lookup against the live store *)
   let m = Manifest.of_string run_manifest in
   let p = List.hd (Plan.points m) in
-  (match Svc.Client.request ~socket (Pr.Query (Plan.descriptor m p)) with
+  (match Svc.Client.request ~socket (Pr.Query p.Plan.key) with
   | Pr.Found payload ->
     Alcotest.(check bool) "query payload decodes" true
       (Plan.decode_result payload <> None)
@@ -1519,7 +1544,7 @@ let test_store_merge_campaign_parity () =
   let m = Manifest.of_string run_manifest in
   List.iter
     (fun p ->
-      let key = Plan.descriptor m p in
+      let key = p.Plan.key in
       let merged = St.find dst ~key and reference = St.find rs ~key in
       Alcotest.(check bool) "point present on both sides" true
         (merged <> None && reference <> None);
@@ -1577,6 +1602,8 @@ let () =
             test_adaptive_parity_wait_axis;
           tc "adaptive retention searches never escalate"
             test_adaptive_retention_no_escalation;
+          tc "a result cut short by a deadline is not stored"
+            test_deadline_result_not_stored;
         ] );
       ( "diff",
         [

@@ -186,14 +186,14 @@ let test_border_helpers () =
     (C.Border.improvement pol ~nominal:C.Border.Never_faulty
        ~stressed:(C.Border.Br 1e5)
     = None);
-  (match
-     C.Border.covered_range D.Low_r_fails (C.Border.Br 1e6) ~r_min:1e3
-       ~r_max:1e9
-   with
-  | Some (lo, hi) ->
+  match
+    C.Border.covered_ranges D.Low_r_fails (C.Border.Br 1e6) ~r_min:1e3
+      ~r_max:1e9
+  with
+  | [ (lo, hi) ] ->
     Alcotest.(check (float 0.0)) "lo" 1e3 lo;
     Alcotest.(check (float 0.0)) "hi" 1e6 hi
-  | None -> Alcotest.fail "expected range")
+  | _ -> Alcotest.fail "expected one range"
 
 (* classification core: a synthetic [refine] that bisects geometrically,
    so expected edge positions are computable in the test *)
@@ -865,9 +865,9 @@ let test_plane_csv () =
 
 let test_table1_probes_honour_config () =
   (* the stress probes run under the caller's config, like the border
-     searches: under a deadline no simulation can meet, every border
-     sample is skipped (a [Timeout] is a skipped sample there), so the
-     row can only fail in the probe phase, on the probe's own timeout *)
+     searches: under a deadline no simulation can meet, the row's first
+     border search fails on its first [Timeout] (a sample a deadline
+     cuts short fails the search), and the row with it *)
   O.clear_cache ();
   let entries =
     List.filter (fun (e : D.entry) -> e.D.id = "O1") D.catalog
@@ -885,6 +885,42 @@ let test_table1_probes_honour_config () =
   | fs ->
     Alcotest.failf "expected one Timeout failure, got %d failure(s)"
       (List.length fs)
+
+let test_methods_cost_claim () =
+  (* Section 5: the paper's probe method reaches the exhaustive optimum
+     SC for the O1 true-bit-line open from fewer simulations than the
+     exhaustive per-SC fault analysis *)
+  O.clear_cache ();
+  let module Ex = C.Exhaustive in
+  let c =
+    Ex.compare_methods ~nominal ~kind:open_kind ~placement:D.True_bl ()
+  in
+  let at_optimum (sc : S.t) =
+    Float.abs (sc.S.tcyc -. 55e-9) < 1e-15
+    && Float.abs (sc.S.temp_c -. 87.0) < 1e-9
+    && Float.abs (sc.S.vdd -. 2.1) < 1e-9
+  in
+  Alcotest.(check bool) "agreement" true c.Ex.agreement;
+  Alcotest.(check bool) "exhaustive optimum at 55 ns, 87 C, 2.1 V" true
+    (at_optimum c.Ex.exhaustive.Ex.best);
+  Alcotest.(check bool) "probe method finds it" true (at_optimum c.Ex.probe_sc);
+  let w = C.Border.Window.default in
+  let notch =
+    (w.C.Border.Window.r_max /. w.C.Border.Window.r_min)
+    ** (1.0 /. float_of_int (w.C.Border.Window.grid_points - 1))
+  in
+  (match (c.Ex.probe_br, c.Ex.exhaustive.Ex.best_br) with
+  | C.Border.Br p, C.Border.Br e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "probe BR %.4g within one grid notch of %.4g" p e)
+      true
+      (Float.max p e /. Float.min p e <= notch)
+  | _, _ -> Alcotest.fail "expected a single border from both methods");
+  Alcotest.(check bool)
+    (Printf.sprintf "probe simulations %d < exhaustive %d"
+       c.Ex.probe_simulations c.Ex.exhaustive.Ex.simulations)
+    true
+    (c.Ex.probe_simulations < c.Ex.exhaustive.Ex.simulations)
 
 let test_table1_quick () =
   let entries =
@@ -1205,14 +1241,13 @@ let test_window_smart_constructors () =
   Alcotest.check_raises "rel_tol <= 0 rejected"
     (Invalid_argument "Border.Window.v: rel_tol <= 0") (fun () ->
       ignore (W.v ~rel_tol:0.0 ()));
-  (* fingerprint: provably-grid adaptive windows share the grid address *)
+  (* key: provably-grid adaptive windows share the grid address *)
   let g = W.v ~grid_points:5 () in
   let a5 = W.v ~grid_points:5 ~strategy:W.Adaptive () in
   let a13 = W.v ~strategy:W.Adaptive () in
-  Alcotest.(check string) "coarse adaptive == grid fingerprint"
-    (W.fingerprint g) (W.fingerprint a5);
+  Alcotest.(check string) "coarse adaptive == grid key" (W.key g) (W.key a5);
   Alcotest.(check bool) "fine adaptive addresses separately" true
-    (W.fingerprint a13 <> W.fingerprint (W.v ()));
+    (W.key a13 <> W.key (W.v ()));
   Alcotest.(check bool) "strategy names round-trip" true
     (W.strategy_of_name (W.strategy_name W.Adaptive) = Some W.Adaptive
     && W.strategy_of_name (W.strategy_name W.Grid) = Some W.Grid
@@ -1327,5 +1362,7 @@ let () =
           slow "table 1 generation" test_table1_quick;
           tc "table 1 probes honour the config"
             test_table1_probes_honour_config;
+          slow "probe method reaches the exhaustive optimum cheaper"
+            test_methods_cost_claim;
         ] );
     ]

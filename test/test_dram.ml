@@ -1000,17 +1000,17 @@ let no_cache () = O.Cache.create ~enabled:false ()
 
 let test_extension_neutral_identity () =
   (* a record spelling out every neutral default IS the nominal SC, and
-     its electrical results are bit-identical — the back-compat
-     contract behind reusable store fingerprints *)
+     its electrical results are bit-identical *)
   let explicit =
     { nominal with
       S.wait = 0.0; pattern = S.All_1; hammer = 0; leak = 0.0; couple = 0.0;
       twr_trim = 0.0; tras_trim = 0.0 }
   in
   Alcotest.(check bool) "explicit neutral = nominal" true (explicit = nominal);
-  Alcotest.(check bool) "nominal is not extended" false (S.is_extended nominal);
-  Alcotest.(check bool) "one moved axis is" true
-    (S.is_extended (S.with_wait nominal 1.0));
+  Alcotest.(check string) "explicit neutral prints the nominal key"
+    (S.key nominal) (S.key explicit);
+  Alcotest.(check bool) "one moved axis prints a different key" true
+    (S.key nominal <> S.key (S.with_wait nominal 1.0));
   let ops = [ O.W1; O.R; O.W0; O.R ] in
   let a = O.run ~cache:(no_cache ()) ~stress:nominal ~vc_init:0.0 ops in
   let b = O.run ~cache:(no_cache ()) ~stress:explicit ~vc_init:0.0 ops in

@@ -557,17 +557,28 @@ let digest_traces traces =
 let o1 r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r
 
 (* Digests of the times, probe samples and final state of two reference
-   runs. Pivot revalidation in the sparse LU and the allocation-free
-   Newton iteration moved no bit of them. The linear Newton predictor
-   moved every sample within the Newton tolerance (old digests
-   662b40b7... and bc32c800...) and no stored border; the sparse LU's
-   Markowitz column order moved samples at the rounding level (old
-   digests 05141282... and 32a56ec6...) and no stored border. The
-   one-exp EKV evaluation (rounding level) and the second-order
-   predictor (within the Newton tolerance) moved them again (old digests
-   fdb58a7f... and 6ec78c51...) and no stored border. A change that
-   moves these must show that the golden Table-1 store and the pinned
-   borders in test_core stay put, or change the engine identity. *)
+   runs, one entry per numerics epoch ([Options.epoch], printed into
+   every store key), the current epoch last. Pivot revalidation in the
+   sparse LU and the allocation-free Newton iteration moved no bit of
+   them. Before epochs were kept, the linear Newton predictor moved
+   every sample within the Newton tolerance (old digests 662b40b7...
+   and bc32c800...), the sparse LU's Markowitz column order moved
+   samples at the rounding level (05141282... and 32a56ec6...), and the
+   one-exp EKV evaluation with the second-order predictor moved them
+   again (fdb58a7f... and 6ec78c51...), none moving a stored border. A
+   change that moves these records the new digests as a new entry,
+   which moves the epoch and with it every store key: results of the
+   earlier numerics are then simulated afresh instead of reused. *)
+let epochs =
+  [ (1, "813c59fa6797eb11f92719c108b7d4dd", "6206fe7f8d10077e935c941af223b5dd") ]
+
+let current_epoch =
+  List.iteri
+    (fun i (e, _, _) ->
+      if e <> i + 1 then failwith "epochs must count 1, 2, ... in order")
+    epochs;
+  List.nth epochs (List.length epochs - 1)
+
 let retention_run () =
   let oc =
     O.run ~config:(Sc.v ~deadline:600.0 ())
@@ -590,12 +601,16 @@ let ensemble_run () =
        [ O.W1; O.W1; O.W0; O.R ])
 
 let test_retention_waveform_pinned () =
-  Alcotest.(check string) "scalar retention digest"
-    "813c59fa6797eb11f92719c108b7d4dd" (digest_traces (retention_run ()))
+  let epoch, retention, _ = current_epoch in
+  Alcotest.(check (pair int string)) "epoch and scalar retention digest"
+    (epoch, retention)
+    (E.Options.epoch, digest_traces (retention_run ()))
 
 let test_ensemble_waveform_pinned () =
-  Alcotest.(check string) "4-lane ensemble digest"
-    "6206fe7f8d10077e935c941af223b5dd" (digest_traces (ensemble_run ()))
+  let epoch, _, ensemble = current_epoch in
+  Alcotest.(check (pair int string)) "epoch and 4-lane ensemble digest"
+    (epoch, ensemble)
+    (E.Options.epoch, digest_traces (ensemble_run ()))
 
 (* ------------------------------------------------------------------ *)
 (* Newton predictor                                                    *)

@@ -350,18 +350,79 @@ let keys_written f =
           keys := key :: !keys);
       List.sort String.compare !keys)
 
+(* the printed physics of [Sim_config.v ~jobs:1 ()], which keys carry
+   as its MD5, and the printed nominal stress *)
+let pinned_physics =
+  "epoch=1,c_bl=0x1.51c51ce3718e1p-42,\
+     c_cell=0x1.6849b86a12b9bp-44,c_ref=0x1.323ea98d5cb77p-45,\
+     c_sa=0x1.6849b86a12b9bp-46,c_out=0x1.0e374a4f8e0b4p-45,\
+     access=(name=acc,nmos,vt0=0x1.6666666666666p-1,\
+     kp=0x1.a36e2eb1c432dp-14,lambda=0x1.999999999999ap-5,\
+     vt_tc=0x1.0624dd2f1a9fcp-10,mu_exp=0x1p+1,\
+     n_sub=0x1.6666666666666p+0,t_ref=0x1.2c26666666666p+8),\
+     sa_n=(name=sa_n,nmos,vt0=0x1p-1,kp=0x1.a36e2eb1c432dp-15,\
+     lambda=0x1.999999999999ap-5,vt_tc=0x1.3a92a30553261p-12,\
+     mu_exp=0x1.8p+1,n_sub=0x1.6666666666666p+0,\
+     t_ref=0x1.2c26666666666p+8),sa_p=(name=sa_p,pmos,vt0=0x1p-1,\
+     kp=0x1.3a92a30553261p-12,lambda=0x1.999999999999ap-5,\
+     vt_tc=0x1.3a92a30553261p-12,mu_exp=0x1p+0,\
+     n_sub=0x1.6666666666666p+0,t_ref=0x1.2c26666666666p+8),\
+     wl_boost=0x1.999999999999ap-1,g_switch=0x1.0624dd2f1a9fcp-10,\
+     g_write=0x1.47ae147ae147bp-8,g_off=0x1.19799812dea11p-40,\
+     t_wl_on=0x1.9c511dc3a41dfp-28,t_share=0x1.12e0be826d695p-27,\
+     t_wr_cmd=0x1.79f505f35670cp-25,\
+     t_margin0=0x1.12e0be826d695p-29,\
+     t_margin_duty=0x1.12e0be826d695p-28,\
+     t_decide=0x1.9c511dc3a41dfp-28,t_edge=0x1.12e0be826d695p-31,\
+     abstol=0x1.0c6f7a0b5ed8dp-20,reltol=0x1.a36e2eb1c432dp-14,\
+     max_newton=80,gmin=0x1.19799812dea11p-40,max_step_v=0x1p+0,\
+     integrator=be,naive_assembly=false,dt_scale=0x1p+0,\
+     steps_per_cycle=400,\
+     retry=halve-dt;steps-x4;damped-newton(0x1p-2,x4)"
+
+let pinned_nominal =
+  "tcyc=0x1.01b2b29a4692bp-24,duty=0x1p-1,vdd=0x1.3333333333333p+1,temp_c=0x1.bp+4,\
+     wait=0x0p+0,pattern=all1,hammer=0,leak=0x0p+0,\
+     couple=0x0p+0,twr_trim=0x0p+0,tras_trim=0x0p+0"
+
 let test_store_keys_pinned () =
   (* a key is the content address of a stored result: if one moves,
      every store written before silently stops being reused, so an API
-     refactoring must leave these literals unchanged *)
+     refactoring must leave these texts unchanged. A change that moves
+     waveform bits bumps [Options.epoch] instead, which moves them all *)
   let config = Dramstress_dram.Sim_config.v ~jobs:1 () in
   let kind = D.Open_cell D.At_bitline_contact in
+  let addresses layer fields =
+    List.sort String.compare
+      (List.map
+         (fun f ->
+           Dramstress_util.Checkpoint.digest_key
+             (String.concat "|"
+                [ layer;
+                  "physics=" ^ Digest.to_hex (Digest.string pinned_physics);
+                  pinned_nominal; "defect=O1/true"; f ]))
+         fields)
+  in
+  Alcotest.(check string) "printed physics" pinned_physics
+    (Dramstress_dram.Sim_config.physics_key config);
+  Alcotest.(check string) "nominal stress" pinned_nominal (S.key S.nominal);
+  let det = "detect=w1,w1,w0,r0|" in
   Alcotest.(check (list string))
     "adaptive border search: probe, edge and whole-result keys"
-    [ "06999d41b7f1167380fcc4f491de2052"; "3507f0cdee9ce3d6cd4fc4b44a5b49b6";
-      "35d0000231961e52a84b9e29b45f23ab"; "50e0bf41708881af7aa87a3fe695fab4";
-      "75063656f21e7636f13671d38d06d49b"; "859eb412e96a5e078709ee0db9ef3a70";
-      "97421acac135999c61c82f99f835d8b4"; "a1cc02f787e6c54cc1a398a7b3947b80" ]
+    (List.sort String.compare
+       (addresses "border.probe"
+          (List.map (fun r -> det ^ "r=" ^ r)
+             [ "0x1.f3ffffffffffep+9"; "0x1.15db2d28a706p+14";
+               "0x1.24ed6bc247fb7p+16"; "0x1.34d0f1066b7d1p+18";
+               "0x1.5739d501f2fd9p+22"; "0x1.7d7840000000cp+26" ])
+       @ addresses "border.edge"
+           [ det
+             ^ "lo=0x1.24ed6bc247fb7p+16,hi=0x1.34d0f1066b7d1p+18,\
+                rel_tol=0x1.999999999999ap-5" ]
+       @ addresses "border.search"
+           [ det
+             ^ "window=r_min=0x1.f4p+9,r_max=0x1.7d784p+26,grid_points=9,\
+                rel_tol=0x1.999999999999ap-5,scan=adaptive" ]))
     (keys_written (fun store ->
          ignore
            (C.Border.search ~config ~store
@@ -372,14 +433,16 @@ let test_store_keys_pinned () =
               (C.Detection.standard ~victim:0 ~primes:2))));
   Alcotest.(check (list string))
     "write plane keys"
-    [ "61680a0566bffc1e43f9c2cbb79ce74f"; "d16698d0f3648f1fbe9222e1aa8797a4" ]
+    (addresses "plane.write"
+       [ "op=w0|n_ops=1|r=0x1.388p+13"; "op=w0|n_ops=1|r=0x1.e848p+19" ])
     (keys_written (fun store ->
          ignore
            (C.Plane.write_plane ~config ~store ~n_ops:1
               ~rops:[ 1e4; 1e6 ] ~stress:S.nominal ~kind ~placement:D.True_bl
               ~op:Dramstress_dram.Ops.W0 ())));
   Alcotest.(check (list string))
-    "shmoo cell key" [ "2d0daf8d89997e04cc4110a3d1f8e29f" ]
+    "shmoo cell key"
+    (addresses "shmoo" [ "r=0x1.86ap+17|detect=w1,w0,r0" ])
     (keys_written (fun store ->
          ignore
            (Sh.generate ~config ~store ~stress:S.nominal
@@ -388,6 +451,61 @@ let test_store_keys_pinned () =
               ~x:(S.Cycle_time, [ 60e-9 ])
               ~y:(S.Supply_voltage, [ 2.4 ])
               ())))
+
+let test_keys_ignore_scheduling () =
+  (* the physics key holds what moves a stored value and nothing else:
+     every spelling of the default physics writes the same border,
+     plane, Shmoo and probe-sample keys, while the step resolution, a
+     technology field or the retry ladder moves them all *)
+  let module Sc = Dramstress_dram.Sim_config in
+  let kind = D.Open_cell D.At_bitline_contact in
+  let window = C.Border.Window.v ~r_min:1e4 ~r_max:1e6 ~grid_points:3 () in
+  let detection = C.Detection.standard ~victim:0 ~primes:1 in
+  let keys ?config () =
+    Dramstress_dram.Ops.clear_cache ();
+    keys_written (fun store ->
+        ignore
+          (C.Border.search ?config ~store ~window ~stress:S.nominal ~kind
+             ~placement:D.True_bl detection);
+        ignore
+          (C.Plane.write_plane ?config ~store ~n_ops:1 ~rops:[ 1e5 ]
+             ~stress:S.nominal ~kind ~placement:D.True_bl
+             ~op:Dramstress_dram.Ops.W0 ());
+        ignore
+          (Sh.generate ?config ~store ~stress:S.nominal
+             ~defect:(D.v kind D.True_bl 200e3) ~detection
+             ~x:(S.Cycle_time, [ 60e-9 ]) ~y:(S.Supply_voltage, [ 2.4 ]) ());
+        ignore
+          (C.Stressor.probe_axis ?config ~store ~window ~stress:S.nominal
+             ~kind ~placement:D.True_bl ~detection S.Cycle_time
+             [ 55e-9; 60e-9 ]))
+  in
+  let reference = keys () in
+  Alcotest.(check int) "search, plane, Shmoo and two samples" 5
+    (List.length reference);
+  List.iter
+    (fun (name, config) ->
+      Alcotest.(check (list string)) (name ^ ": same keys") reference
+        (keys ~config ()))
+    [ ("Sc.default", Sc.default);
+      ("jobs 1", Sc.v ~jobs:1 ());
+      ("lanes 8", Sc.v ~lanes:8 ());
+      ("deadline 1000 s", Sc.v ~deadline:1000. ());
+      ("explicit default options",
+       Sc.v ~sim:Dramstress_engine.Options.default ()) ];
+  List.iter
+    (fun (name, config) ->
+      let moved = keys ~config () in
+      Alcotest.(check bool) (name ^ ": every key moves") true
+        (List.for_all (fun k -> not (List.mem k reference)) moved))
+    [ ("steps per cycle", Sc.v ~steps_per_cycle:300 ());
+      ("a technology field",
+       Sc.v
+         ~tech:
+           { Dramstress_dram.Tech.default with
+             Dramstress_dram.Tech.c_bl = 310e-15 }
+         ());
+      ("the retry ladder", Sc.v ~retry:Sc.no_retry ()) ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -433,5 +551,8 @@ let () =
           slow "timing edge" test_shmoo_timing_axis;
           tc "invalid SCs marked" test_shmoo_invalid_points;
         ] );
-      ("store keys", [ tc "pinned across refactors" test_store_keys_pinned ]);
+      ( "store keys",
+        [ tc "pinned across refactors" test_store_keys_pinned;
+          tc "scheduling stays out, physics moves them"
+            test_keys_ignore_scheduling ] );
     ]

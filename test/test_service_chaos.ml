@@ -147,7 +147,7 @@ let test_kill_restart_resubmit () =
   let ss = St.open_ ~name:"chaos-t" srv_dir in
   List.iter
     (fun p ->
-      let key = Plan.descriptor m p in
+      let key = p.Plan.key in
       let survived = St.find ss ~key and reference = St.find rs ~key in
       Alcotest.(check bool) "point recorded on both sides" true
         (survived <> None && reference <> None);
@@ -268,7 +268,7 @@ let test_sandbox_poison_point_quarantined () =
   List.iter
     (fun p ->
       let descr = Format.asprintf "%a" Plan.pp_point p in
-      let key = Plan.descriptor m p in
+      let key = p.Plan.key in
       let survived = St.find ss ~key and reference = St.find rs ~key in
       let contains s sub =
         let n = String.length s and k = String.length sub in

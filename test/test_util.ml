@@ -862,10 +862,14 @@ let test_ck_glued_half_record () =
   Alcotest.(check int) "one entry" 1 (Ck.entries t);
   Ck.close t
 
+(* a store address is the digest of a printed key: named fields, [%h]
+   floats *)
+let printed_key (a, b, c) = Printf.sprintf "k|a=%h,b=%h,c=%h" a b c
+
 let test_ck_fingerprint_stable () =
-  let a = Ck.fingerprint ("plane", 1.5, [ 1; 2; 3 ]) in
-  let b = Ck.fingerprint ("plane", 1.5, [ 1; 2; 3 ]) in
-  let c = Ck.fingerprint ("plane", 1.5, [ 1; 2; 4 ]) in
+  let a = Ck.digest_key (printed_key (1.5, 2.0, 3.0)) in
+  let b = Ck.digest_key (printed_key (1.5, 2.0, 3.0)) in
+  let c = Ck.digest_key (printed_key (1.5, 2.0, 0x1.0000000000001p+1)) in
   Alcotest.(check string) "deterministic" a b;
   Alcotest.(check bool) "sensitive to the value" true (a <> c)
 
@@ -1243,11 +1247,17 @@ let test_store_memo_hit_miss_fallback () =
   Alcotest.(check int) "recomputed on decode failure" 2 !calls;
   St.close s
 
-(* fingerprints are content addresses: distinct values must never
-   collide, equal values must agree across domains and re-serialization *)
+(* printed keys are content addresses: distinct values must never
+   collide ([%h] is exact, down to the sign of zero), equal values must
+   agree across domains and re-serialization *)
 
 let has_nan (a, b, c) =
   Float.is_nan a || Float.is_nan b || Float.is_nan c
+
+let same_bits (a1, b1, c1) (a2, b2, c2) =
+  List.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    [ a1; b1; c1 ] [ a2; b2; c2 ]
 
 let prop_fingerprint_injective =
   QCheck.Test.make ~count:200
@@ -1258,32 +1268,33 @@ let prop_fingerprint_injective =
         (triple float float float))
     (fun (a, b) ->
       QCheck.assume (not (has_nan a) && not (has_nan b));
-      if a = b then Ck.fingerprint a = Ck.fingerprint b
-      else Ck.fingerprint a <> Ck.fingerprint b)
+      let ka = Ck.digest_key (printed_key a)
+      and kb = Ck.digest_key (printed_key b) in
+      if same_bits a b then ka = kb else ka <> kb)
 
 let prop_fingerprint_stable_reserialized =
-  (* the fingerprint keys durable stores, so it must survive a
+  (* the printed key addresses durable stores, so it must survive a
      round-trip through the record file byte-exactly *)
   QCheck.Test.make ~count:50
     ~name:"fingerprint round-trips through a store"
     QCheck.(triple float float float)
     (fun v ->
       QCheck.assume (not (has_nan v));
-      let fp = Ck.fingerprint v in
       with_store_dir @@ fun dir ->
       let s = St.open_ ~engine:"e" ~name:"fp" dir in
-      St.put s ~key:fp "seen";
+      St.put s ~key:(printed_key v) "seen";
       St.close s;
       let s = St.open_ ~engine:"e" ~name:"fp" dir in
-      let hit = St.find s ~key:(Ck.fingerprint v) = Some "seen" in
+      let hit = St.find s ~key:(printed_key v) = Some "seen" in
       St.close s;
       hit)
 
 let test_fingerprint_domain_stable () =
-  let v = ("stress", 2.4, 60e-9, [ 1; 2; 3 ]) in
-  let expected = Ck.fingerprint v in
+  let v = (2.4, 60e-9, 300.15) in
+  let expected = Ck.digest_key (printed_key v) in
   let fps =
-    List.init 4 (fun _ -> Domain.spawn (fun () -> Ck.fingerprint v))
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> Ck.digest_key (printed_key v)))
     |> List.map Domain.join
   in
   List.iter
