@@ -63,6 +63,12 @@ let[@inline] eval_pulse p t =
     else p.v0
   end
 
+(* the value on interval [i], the one with [fst arr.(i) <= t < fst
+   arr.(i + 1)] *)
+let[@inline] lerp arr i t =
+  let t0, v0 = arr.(i) and t1, v1 = arr.(i + 1) in
+  v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
+
 let[@inline] eval_pwl arr t =
   let n = Array.length arr in
   if t <= fst arr.(0) then snd arr.(0)
@@ -75,9 +81,7 @@ let[@inline] eval_pwl arr t =
       let m = (!lo + !hi) / 2 in
       if fst arr.(m) <= t then lo := m else hi := m
     done;
-    let i = !lo in
-    let t0, v0 = arr.(i) and t1, v1 = arr.(i + 1) in
-    v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
+    lerp arr !lo t
   end
 
 let[@inline] eval_unboxed w t =
@@ -88,11 +92,27 @@ let[@inline] eval_unboxed w t =
 
 let eval w t = eval_unboxed w t
 
-(* the value is stored straight into a float array, so unlike [eval]'s
-   result it is never boxed *)
-let eval_into ws t out =
+(* The value is stored straight into a float array, so unlike [eval]'s
+   result it is never boxed. A PWL waveform starts from its cursor's
+   interval and walks to the one that holds [t]: the interval is
+   unique (breakpoints strictly increase), so it is the one bisection
+   finds, whatever the cursor held, and a time point that moves
+   forward a step walks at most an interval or two. *)
+let eval_into ws ~cursors t out =
   for i = 0 to Array.length ws - 1 do
-    out.(i) <- eval_unboxed ws.(i) t
+    match ws.(i) with
+    | Pwl arr ->
+      let n = Array.length arr in
+      if t <= fst arr.(0) then out.(i) <- snd arr.(0)
+      else if t >= fst arr.(n - 1) then out.(i) <- snd arr.(n - 1)
+      else begin
+        let c = ref (Int.max 0 (Int.min (n - 2) cursors.(i))) in
+        while fst arr.(!c + 1) <= t do incr c done;
+        while fst arr.(!c) > t do decr c done;
+        cursors.(i) <- !c;
+        out.(i) <- lerp arr !c t
+      end
+    | w -> out.(i) <- eval_unboxed w t
   done
 
 let shift dt = function

@@ -23,9 +23,13 @@ and pulse = {
 (** [eval w t] is the waveform value at time [t]. *)
 val eval : t -> float -> float
 
-(** [eval_into ws t out] sets [out.(i)] to [eval ws.(i) t] for every
-    waveform of [ws], without allocating. *)
-val eval_into : t array -> float -> float array -> unit
+(** [eval_into ws ~cursors t out] sets [out.(i)] to [eval ws.(i) t]
+    for every waveform of [ws], bit for bit, without allocating.
+    [cursors.(i)] is where the search for a PWL waveform's interval
+    starts, and is left at the interval found: keeping [cursors] across
+    calls at nearby times makes each search a step or two. Any
+    starting values give the same result. *)
+val eval_into : t array -> cursors:int array -> float -> float array -> unit
 
 (** [dc v] is [Dc v]. *)
 val dc : float -> t

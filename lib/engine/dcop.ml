@@ -30,4 +30,4 @@ let solve compiled ?(opts = Options.default) ?(guess = []) () =
       in
       step 1e-3 x0
   in
-  Mna.voltages sys x
+  Mna.voltages sys ws x

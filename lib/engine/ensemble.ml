@@ -257,8 +257,11 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   (* accept the converged iterate in [xw] as lane [li]'s new state;
      [reacts.(li)] still holds the reactive record of the solve that
      produced the iterate (same dt', prev arrays alias this lane's
-     rows), and [cap_currents_into] updates the history in place —
-     each slot's previous current is read before it is overwritten *)
+     rows), and the workspace the controls of its time point. Only the
+     trapezoidal rule reads the capacitor history, which
+     [cap_currents_into] updates in place — each slot's previous
+     current is read before it is overwritten *)
+  let trapezoidal = opts.Options.integrator = Options.Trapezoidal in
   let commit li =
     let x = xw.(li) in
     let oldest = xpp.(li) in
@@ -268,8 +271,10 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     hdt2.(li) <- hdt.(li);
     hdt.(li) <- reacts.(li).Mna.dt;
     Array.blit x 0 oldest 0 size;
-    Mna.cap_currents_into sys ~opts ~x ~reactive:reacts.(li) ~out:pcs.(li);
-    Mna.voltages_into sys x ~out:pvs.(li)
+    if trapezoidal then
+      Mna.cap_currents_into sys ws ~opts ~x ~reactive:reacts.(li)
+        ~out:pcs.(li);
+    Mna.voltages_into sys ws x ~out:pvs.(li)
   in
   (* initial quasi-static solve: a near-zero BE step pins capacitor
      voltages at their ICs while making resistive nodes consistent. A

@@ -17,17 +17,20 @@ module Sp = Dramstress_util.Sparse_lu
 (* Pre-resolved stamp plans: every name lookup, node-to-row mapping and
    matrix position is resolved once at [make] time, so the per-iteration
    hot path only walks flat arrays of integers and floats. The system
-   matrix is a flat vector of {!Sp} slot values, and each plan carries
-   the slots its stamps add into ([-1] where a stamp would touch the
-   ground row or column, which is dropped). Devices split into a
-   *static-linear* part (resistors, voltage-source topology, capacitor
-   conductances — fixed for a given time step and integrator) that is
-   pre-stamped into a cached template, and a *dynamic* part (switches,
-   source values, capacitor history, MOSFET linearizations) restamped on
-   top of a copy of the template. *)
+   matrix is a flat vector of {!Sp} slot values followed by one
+   coupling slot per (free row, fixed column) position, and each plan
+   carries the slots its stamps add into ([-1] where a stamp would
+   touch a ground row or column, or the row of a fixed node, which are
+   dropped). Devices split into a *static-linear* part (resistors,
+   voltage-source topology, capacitor conductances — fixed for a given
+   time step and integrator) that is pre-stamped into a cached
+   template, and a *dynamic* part (switches, source values, capacitor
+   history, MOSFET linearizations) restamped on top of a copy of the
+   template. *)
 
 (* the slots of a conductance between nodes a and b: (a,a), (b,b),
-   (a,b) and (b,a) *)
+   (a,b) and (b,a); with one node fixed, one of [ab] and [ba] is a
+   coupling slot and the other dropped *)
 type g4 = { aa : int; bb : int; ab : int; ba : int }
 
 type res_plan = { r_slots : g4; g_res : float }
@@ -42,10 +45,20 @@ type switch_plan = {
   threshold : float;
 }
 
-type cap_plan = { c_a : int; c_b : int; c_slots : g4; hist : int; cap : float }
+(* [c_a]/[c_b] are nodes (they index per-node voltages), [c_ra]/[c_rb]
+   their rows *)
+type cap_plan = {
+  c_a : int;
+  c_b : int;
+  c_ra : int;
+  c_rb : int;
+  c_slots : g4;
+  hist : int;
+  cap : float;
+}
 
-(* [row] is the branch row; the ±1 incidences sit at (pos,row),
-   (row,pos), (neg,row) and (row,neg) *)
+(* a floating source: [row] is its branch row; the ±1 incidences sit at
+   (pos,row), (row,pos), (neg,row) and (row,neg) *)
 type vsrc_plan = {
   row : int;
   pos_row : int;
@@ -55,14 +68,18 @@ type vsrc_plan = {
   v_wave : int;
 }
 
+(* [i_pos]/[i_neg] are rows *)
 type isrc_plan = { i_pos : int; i_neg : int; i_wave : int }
 
 (* gds stamps like a conductance d-s; the gm VCCS adds at (d,g), (d,s),
-   (s,g) and (s,s), the second and fourth shared with [m_gds] *)
+   (s,g) and (s,s), the second and fourth shared with [m_gds].
+   [m_d]/[m_g]/[m_s] are nodes, [m_rd]/[m_rs] rows *)
 type mos_plan = {
   m_d : int;
   m_g : int;
   m_s : int;
+  m_rd : int;
+  m_rs : int;
   model : C.Mosfet.model;
   mult : float;
   m_gds : g4;
@@ -73,14 +90,19 @@ type mos_plan = {
 type t = {
   compiled : C.Netlist.compiled;
   n_nodes : int;
-  n_vsources : int;
+  n_free : int;  (* free node unknowns, x.(0 .. n_free-1) *)
   size : int;
-  vsrc_branch : (string, int) Hashtbl.t;  (* vsource name -> branch index *)
+  unk : int array;        (* per node: its unknown, -1 for ground or fixed *)
+  node_wave : int array;  (* per node: its fixing source's wave, or -1 *)
+  (* vsource name -> branch unknown; -1 for a grounded source *)
+  vsrc_branch : (string, int) Hashtbl.t;
   res_index : (string, int) Hashtbl.t;    (* resistor name -> plan index *)
   n_caps : int;
   sp : Sp.t;  (* slots and column order of the pattern; never factored *)
-  nnz : int;  (* slot count *)
-  gmin_slots : int array;      (* per node 1..n_nodes-1: its diagonal *)
+  nnz : int;  (* LU slot count; coupling slots follow *)
+  coup_row : int array;   (* per coupling slot: its row *)
+  coup_wave : int array;  (* per coupling slot: its fixed column's wave *)
+  gmin_slots : int array;      (* per free node: its diagonal *)
   row0_slots : int array;      (* the slots of row 0 (chaos site) *)
   waves : C.Waveform.t array;  (* distinct control waveforms *)
   resistors : res_plan array;
@@ -91,26 +113,33 @@ type t = {
   mosfets : mos_plan array;
 }
 
+(* A voltage source from a node to ground fixes that node: its voltage
+   is the source's value, known before any solve. The first such source
+   of a node fixes it; the node and the source's branch current leave
+   the unknowns. Every other source keeps its branch row. *)
+let is_grounded fixing = function
+  | C.Device.Vsource { pos; neg = 0; _ } ->
+    pos > 0 && Option.is_none fixing.(pos)
+  | _ -> false
+
 (* The structural nonzero pattern of every system any assembly can
    produce — derived from the devices, never from numeric values: a
    MOSFET's gm is zero below threshold and nonzero above, a switch
    conductance swings between g_on and g_off, but the stamped POSITIONS
    are fixed. This is what {!Sp} numbers into slots and analyses once
-   per topology. *)
-let structural_pattern (compiled : C.Netlist.compiled) ~size ~branch_row =
+   per topology. Positions in the row or column of ground or of a fixed
+   node ([unk] -1) are not in it. *)
+let structural_pattern (compiled : C.Netlist.compiled) ~size ~unk ~branch_row =
   let pat = Array.make_matrix size size false in
-  (* matrix indices; ground's [-1] is dropped *)
   let mark r c = if r >= 0 && c >= 0 then pat.(r).(c) <- true in
   let mark_g a b =
-    let ia = a - 1 and ib = b - 1 in
+    let ia = unk.(a) and ib = unk.(b) in
     mark ia ia;
     mark ib ib;
     mark ia ib;
     mark ib ia
   in
-  for node = 1 to compiled.n_nodes - 1 do
-    mark (node - 1) (node - 1) (* gmin *)
-  done;
+  Array.iter (fun r -> mark r r (* gmin *)) unk;
   Array.iter
     (fun d ->
       match d with
@@ -120,49 +149,21 @@ let structural_pattern (compiled : C.Netlist.compiled) ~size ~branch_row =
         mark_g a b
       | C.Device.Vsource { name; pos; neg; _ } ->
         let row = branch_row name in
-        mark (pos - 1) row;
-        mark row (pos - 1);
-        mark (neg - 1) row;
-        mark row (neg - 1)
+        mark unk.(pos) row;
+        mark row unk.(pos);
+        mark unk.(neg) row;
+        mark row unk.(neg)
       | C.Device.Isource _ -> ()
       | C.Device.Mosfet { d; g; s; _ } ->
         (* gds between d and s, plus the gm VCCS controlled by (g, s) *)
         mark_g d s;
-        mark (d - 1) (g - 1);
-        mark (s - 1) (g - 1))
+        mark unk.(d) unk.(g);
+        mark unk.(s) unk.(g))
     compiled.devices;
   pat
 
 let make (compiled : C.Netlist.compiled) =
   let n_nodes = compiled.n_nodes in
-  let vsrc_branch = Hashtbl.create 8 in
-  let nv = ref 0 and nc = ref 0 in
-  Array.iter
-    (fun d ->
-      match d with
-      | C.Device.Vsource { name; _ } ->
-        Hashtbl.add vsrc_branch name !nv;
-        incr nv
-      | C.Device.Capacitor _ -> incr nc
-      | C.Device.Resistor _ | C.Device.Isource _ | C.Device.Switch _
-      | C.Device.Mosfet _ ->
-        ())
-    compiled.devices;
-  let size = n_nodes - 1 + !nv in
-  let branch_row name = n_nodes - 1 + Hashtbl.find vsrc_branch name in
-  let pattern = structural_pattern compiled ~size ~branch_row in
-  (* slots and column order, computed once per topology: every
-     workspace's handle is a [Sp.fresh] copy of this one *)
-  let sp = Sp.make ~n:size ~pattern in
-  let at r c = if r >= 0 && c >= 0 then Sp.slot sp r c else -1 in
-  let g4 a b =
-    let ia = a - 1 and ib = b - 1 in
-    { aa = at ia ia; bb = at ib ib; ab = at ia ib; ba = at ib ia }
-  in
-  let resistors = ref [] and switches = ref [] and caps = ref [] in
-  let vsrcs = ref [] and isrcs = ref [] and mosfets = ref [] in
-  let res_index = Hashtbl.create 8 in
-  let nr = ref 0 and hist = ref 0 in
   (* a column's switches and sources share a few control waveforms (six
      switches read the precharge signal): each distinct one is evaluated
      once per time point *)
@@ -176,6 +177,76 @@ let make (compiled : C.Netlist.compiled) =
       waves := w :: !waves;
       i
   in
+  (* per node, the waveform of the source that fixes it; then the free
+     nodes' and the floating sources' unknowns *)
+  let fixing = Array.make n_nodes None in
+  let vsrc_branch = Hashtbl.create 8 in
+  Array.iter
+    (fun d ->
+      match d with
+      | C.Device.Vsource { name; pos; wave; _ } when is_grounded fixing d ->
+        fixing.(pos) <- Some wave;
+        Hashtbl.add vsrc_branch name (-1)
+      | _ -> ())
+    compiled.devices;
+  let unk = Array.make n_nodes (-1) in
+  let n_free = ref 0 in
+  for node = 1 to n_nodes - 1 do
+    if Option.is_none fixing.(node) then begin
+      unk.(node) <- !n_free;
+      incr n_free
+    end
+  done;
+  let n_free = !n_free in
+  let nv = ref 0 and nc = ref 0 in
+  Array.iter
+    (fun d ->
+      match d with
+      | C.Device.Vsource { name; _ } when not (Hashtbl.mem vsrc_branch name) ->
+        Hashtbl.add vsrc_branch name (n_free + !nv);
+        incr nv
+      | C.Device.Capacitor _ -> incr nc
+      | C.Device.Vsource _ | C.Device.Resistor _ | C.Device.Isource _
+      | C.Device.Switch _ | C.Device.Mosfet _ ->
+        ())
+    compiled.devices;
+  let size = n_free + !nv in
+  let branch_row name = Hashtbl.find vsrc_branch name in
+  let pattern = structural_pattern compiled ~size ~unk ~branch_row in
+  (* slots and column order, computed once per topology: every
+     workspace's handle is a [Sp.fresh] copy of this one *)
+  let sp = Sp.make ~n:size ~pattern in
+  let nnz = Sp.nnz sp in
+  let node_wave =
+    Array.map (function Some w -> wave_index w | None -> -1) fixing
+  in
+  let at r c = if r >= 0 && c >= 0 then Sp.slot sp r c else -1 in
+  (* the slot of (row [r], column of node [b]): an LU slot for a free
+     node, a coupling slot (numbered from [nnz] up, one per position)
+     for a fixed one *)
+  let coup = Hashtbl.create 16 and coup_rows = ref [] in
+  let at_node r b =
+    if r < 0 then -1
+    else if unk.(b) >= 0 then Sp.slot sp r unk.(b)
+    else if node_wave.(b) < 0 then -1
+    else
+      match Hashtbl.find_opt coup (r, b) with
+      | Some s -> s
+      | None ->
+        let s = nnz + Hashtbl.length coup in
+        Hashtbl.add coup (r, b) s;
+        coup_rows := (r, node_wave.(b)) :: !coup_rows;
+        s
+  in
+  let g4 a b =
+    let ia = unk.(a) and ib = unk.(b) in
+    { aa = at_node ia a; bb = at_node ib b;
+      ab = at_node ia b; ba = at_node ib a }
+  in
+  let resistors = ref [] and switches = ref [] and caps = ref [] in
+  let vsrcs = ref [] and isrcs = ref [] and mosfets = ref [] in
+  let res_index = Hashtbl.create 8 in
+  let nr = ref 0 and hist = ref 0 in
   Array.iter
     (fun d ->
       match d with
@@ -188,42 +259,54 @@ let make (compiled : C.Netlist.compiled) =
           { s_slots = g4 a b; s_wave = wave_index ctrl; g_on; g_off; threshold }
           :: !switches
       | C.Device.Capacitor { a; b; c; _ } ->
-        caps := { c_a = a; c_b = b; c_slots = g4 a b; hist = !hist; cap = c }
-                :: !caps;
+        caps :=
+          { c_a = a; c_b = b; c_ra = unk.(a); c_rb = unk.(b); c_slots = g4 a b;
+            hist = !hist; cap = c }
+          :: !caps;
         incr hist
       | C.Device.Vsource { name; pos; neg; wave } ->
         let row = branch_row name in
-        vsrcs :=
-          { row; pos_row = at (pos - 1) row; row_pos = at row (pos - 1);
-            neg_row = at (neg - 1) row; row_neg = at row (neg - 1);
-            v_wave = wave_index wave }
-          :: !vsrcs
+        if row >= 0 then
+          vsrcs :=
+            { row; pos_row = at unk.(pos) row; row_pos = at_node row pos;
+              neg_row = at unk.(neg) row; row_neg = at_node row neg;
+              v_wave = wave_index wave }
+            :: !vsrcs
       | C.Device.Isource { pos; neg; wave; _ } ->
         isrcs :=
-          { i_pos = pos; i_neg = neg; i_wave = wave_index wave } :: !isrcs
+          { i_pos = unk.(pos); i_neg = unk.(neg); i_wave = wave_index wave }
+          :: !isrcs
       | C.Device.Mosfet { d; g; s; model; m; _ } ->
         mosfets :=
-          { m_d = d; m_g = g; m_s = s; model; mult = m; m_gds = g4 d s;
-            m_dg = at (d - 1) (g - 1); m_sg = at (s - 1) (g - 1) }
+          { m_d = d; m_g = g; m_s = s; m_rd = unk.(d); m_rs = unk.(s); model;
+            mult = m; m_gds = g4 d s; m_dg = at_node unk.(d) g;
+            m_sg = at_node unk.(s) g }
           :: !mosfets)
     compiled.devices;
   let arr l = Array.of_list (List.rev !l) in
+  let coup = arr coup_rows in
   {
     compiled;
     n_nodes;
-    n_vsources = !nv;
+    n_free;
     size;
+    unk;
+    node_wave;
     vsrc_branch;
     res_index;
     n_caps = !nc;
     sp;
-    nnz = Sp.nnz sp;
-    gmin_slots = Array.init (n_nodes - 1) (fun i -> at i i);
+    nnz;
+    coup_row = Array.map fst coup;
+    coup_wave = Array.map snd coup;
+    gmin_slots = Array.init n_free (fun i -> at i i);
     row0_slots =
-      Array.of_list
-        (List.filter_map
-           (fun j -> if pattern.(0).(j) then Some (at 0 j) else None)
-           (List.init size Fun.id));
+      (if size = 0 then [||]
+       else
+         Array.of_list
+           (List.filter_map
+              (fun j -> if pattern.(0).(j) then Some (at 0 j) else None)
+              (List.init size Fun.id)));
     waves = arr waves;
     resistors = arr resistors;
     switches = arr switches;
@@ -235,27 +318,23 @@ let make (compiled : C.Netlist.compiled) =
 
 let size sys = sys.size
 let n_nodes sys = sys.n_nodes
+let n_free_nodes sys = sys.n_free
 let n_capacitors sys = sys.n_caps
 let resistor_index sys name = Hashtbl.find_opt sys.res_index name
 let resistor_g sys index = sys.resistors.(index).g_res
 
-let[@inline] node_voltage _sys x node = if node = 0 then 0.0 else x.(node - 1)
-
-let voltages sys x =
-  Array.init sys.n_nodes (fun n -> if n = 0 then 0.0 else x.(n - 1))
-
-let voltages_into sys x ~out =
-  out.(0) <- 0.0;
-  for n = 1 to sys.n_nodes - 1 do
-    out.(n) <- x.(n - 1)
-  done
-
 let pack sys node_voltages =
-  Array.init sys.size (fun i ->
-      if i < sys.n_nodes - 1 then node_voltages.(i + 1) else 0.0)
+  let x = Array.make sys.size 0.0 in
+  Array.iteri (fun n u -> if u >= 0 then x.(u) <- node_voltages.(n)) sys.unk;
+  x
 
 let branch_current sys x name =
-  x.(sys.n_nodes - 1 + Hashtbl.find sys.vsrc_branch name)
+  let b = Hashtbl.find sys.vsrc_branch name in
+  if b < 0 then
+    invalid_arg
+      ("Mna.branch_current: " ^ name
+     ^ " is grounded: it fixes its node and its current is no unknown")
+  else x.(b)
 
 type reactive = {
   mutable dt : float;
@@ -267,75 +346,55 @@ let dc_reactive sys =
   { dt = 0.0; prev_v = Array.make sys.n_nodes 0.0;
     prev_cap_current = Array.make sys.n_caps 0.0 }
 
-(* Stamping helpers. Node indices map to matrix rows as [node - 1];
-   ground (0) contributions are dropped. All [@inline]: without flambda
-   a float argument to a call that is not inlined is boxed, once per
-   stamp per Newton iteration. *)
-
-let[@inline] stamp_g g mat a b =
-  let ia = a - 1 and ib = b - 1 in
-  if ia >= 0 then mat.(ia).(ia) <- mat.(ia).(ia) +. g;
-  if ib >= 0 then mat.(ib).(ib) <- mat.(ib).(ib) +. g;
-  if ia >= 0 && ib >= 0 then begin
-    mat.(ia).(ib) <- mat.(ia).(ib) -. g;
-    mat.(ib).(ia) <- mat.(ib).(ia) -. g
-  end
-
-(* current [i] injected INTO node [n] appears on the RHS *)
-let[@inline] stamp_i i rhs n = if n > 0 then rhs.(n - 1) <- rhs.(n - 1) +. i
-
-(* VCCS: current g * (v_cp - v_cn) flows from node [p] to node [n]
-   (leaves p, enters n). First-order function on purpose — an inner
-   closure here would allocate once per MOSFET per Newton iteration. *)
-let[@inline] stamp_vccs_set mat r c v =
-  if r > 0 && c > 0 then mat.(r - 1).(c - 1) <- mat.(r - 1).(c - 1) +. v
-
-let[@inline] stamp_vccs g mat p n cp cn =
-  stamp_vccs_set mat p cp g;
-  stamp_vccs_set mat p cn (-.g);
-  stamp_vccs_set mat n cp (-.g);
-  stamp_vccs_set mat n cn g
-
 (* capacitor companion conductance for one time step *)
 let[@inline] cap_g ~(opts : Options.t) ~dt c =
   match opts.integrator with
   | Options.Backward_euler -> c /. dt
   | Options.Trapezoidal -> 2.0 *. c /. dt
 
-let mosfet_stamps ~temp mat rhs x sys (m : C.Device.t) =
-  match m with
-  | C.Device.Mosfet { d; g; s; model; m = mult; _ } ->
-    let vd = node_voltage sys x d
-    and vg = node_voltage sys x g
-    and vs = node_voltage sys x s in
-    let vgs = vg -. vs and vds = vd -. vs in
-    let e = C.Mosfet.ids model ~temp ~vgs ~vds in
-    let id = e.id *. mult and gm = e.gm *. mult and gds = e.gds *. mult in
-    (* linearized: Id(v) = Ieq + gm*vgs + gds*vds *)
-    let ieq = id -. (gm *. vgs) -. (gds *. vds) in
-    (* gds acts like a resistor d-s *)
-    stamp_g gds mat d s;
-    (* gm: current gm*(vg - vs) flowing d -> s *)
-    stamp_vccs gm mat d s g s;
-    (* Ieq flows from d to s through the device: leaves d, enters s *)
-    stamp_i (-.ieq) rhs d;
-    stamp_i ieq rhs s
-  | C.Device.Resistor _ | C.Device.Capacitor _ | C.Device.Vsource _
-  | C.Device.Isource _ | C.Device.Switch _ ->
-    assert false
-
-(* Reference from-scratch assembly (the seed implementation). Kept alive
-   as the golden baseline: the incremental workspace path below must
-   produce identical systems, which the regression tests assert. *)
+(* Reference from-scratch assembly (the seed implementation, on the
+   reduced layout). Kept alive as the golden baseline: the incremental
+   workspace path below must produce the same systems, which the
+   regression tests assert. It stamps entries in the columns of fixed
+   nodes into a dense per-node coupling matrix and moves them to the
+   right-hand side at the end, each fixed voltage evaluated afresh. *)
 let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
   let n = sys.size in
   let mat = L.create n n in
   let rhs = Array.make n 0.0 in
-  (* gmin to ground on every node keeps floating subcircuits solvable *)
-  for node = 1 to sys.n_nodes - 1 do
-    mat.(node - 1).(node - 1) <- mat.(node - 1).(node - 1) +. opts.gmin
+  let cpl = Array.make_matrix n sys.n_nodes 0.0 in
+  let v =
+    Array.init sys.n_nodes (fun node ->
+        let u = sys.unk.(node) and w = sys.node_wave.(node) in
+        if u >= 0 then x.(u)
+        else if w >= 0 then C.Waveform.eval sys.waves.(w) t_now
+        else 0.0)
+  in
+  (* entry (row [r], column of node [b]) *)
+  let add_rn r b g =
+    if r >= 0 then begin
+      let c = sys.unk.(b) in
+      if c >= 0 then mat.(r).(c) <- mat.(r).(c) +. g
+      else if b > 0 then cpl.(r).(b) <- cpl.(r).(b) +. g
+    end
+  in
+  let add a b g = add_rn sys.unk.(a) b g in
+  let stamp_g g a b =
+    add a a g;
+    add b b g;
+    add a b (-.g);
+    add b a (-.g)
+  in
+  (* current [i] injected INTO node [a] *)
+  let stamp_i i a =
+    let r = sys.unk.(a) in
+    if r >= 0 then rhs.(r) <- rhs.(r) +. i
+  in
+  (* gmin to ground on every free node keeps floating subcircuits
+     solvable *)
+  for r = 0 to sys.n_free - 1 do
+    mat.(r).(r) <- mat.(r).(r) +. opts.gmin
   done;
-  let branch_row name = sys.n_nodes - 1 + Hashtbl.find sys.vsrc_branch name in
   let res_plan = ref 0 and cap_hist = ref 0 in
   Array.iter
     (fun d ->
@@ -347,10 +406,10 @@ let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
           | Some _ | None -> 1.0 /. r
         in
         incr res_plan;
-        stamp_g g mat a b
+        stamp_g g a b
       | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
         let g = if C.Waveform.eval ctrl t_now > threshold then g_on else g_off in
-        stamp_g g mat a b
+        stamp_g g a b
       | C.Device.Capacitor { a; b; c; _ } ->
         let slot = !cap_hist in
         incr cap_hist;
@@ -363,56 +422,73 @@ let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
             | Options.Trapezoidal ->
               (g *. vab_prev) +. reactive.prev_cap_current.(slot)
           in
-          stamp_g g mat a b;
-          stamp_i i_hist rhs a;
-          stamp_i (-.i_hist) rhs b
+          stamp_g g a b;
+          stamp_i i_hist a;
+          stamp_i (-.i_hist) b
         end
       | C.Device.Vsource { name; pos; neg; wave } ->
-        let row = branch_row name in
-        (* branch current leaves pos, enters neg *)
-        if pos > 0 then begin
-          mat.(pos - 1).(row) <- mat.(pos - 1).(row) +. 1.0;
-          mat.(row).(pos - 1) <- mat.(row).(pos - 1) +. 1.0
-        end;
-        if neg > 0 then begin
-          mat.(neg - 1).(row) <- mat.(neg - 1).(row) -. 1.0;
-          mat.(row).(neg - 1) <- mat.(row).(neg - 1) -. 1.0
-        end;
-        rhs.(row) <- C.Waveform.eval wave t_now
+        let row = Hashtbl.find sys.vsrc_branch name in
+        if row >= 0 then begin
+          (* branch current leaves pos, enters neg *)
+          let pr = sys.unk.(pos) and nr = sys.unk.(neg) in
+          if pr >= 0 then mat.(pr).(row) <- mat.(pr).(row) +. 1.0;
+          add_rn row pos 1.0;
+          if nr >= 0 then mat.(nr).(row) <- mat.(nr).(row) -. 1.0;
+          add_rn row neg (-1.0);
+          rhs.(row) <- C.Waveform.eval wave t_now
+        end
       | C.Device.Isource { pos; neg; wave; _ } ->
         let i = C.Waveform.eval wave t_now in
         (* positive current flows pos -> neg through the source: leaves
            the pos node, is injected into the neg node *)
-        stamp_i (-.i) rhs pos;
-        stamp_i i rhs neg
-      | C.Device.Mosfet _ ->
-        mosfet_stamps ~temp:opts.temp mat rhs x sys d)
+        stamp_i (-.i) pos;
+        stamp_i i neg
+      | C.Device.Mosfet { d; g; s; model; m = mult; _ } ->
+        let vgs = v.(g) -. v.(s) and vds = v.(d) -. v.(s) in
+        let e = C.Mosfet.ids model ~temp:opts.temp ~vgs ~vds in
+        let id = e.id *. mult and gm = e.gm *. mult and gds = e.gds *. mult in
+        (* linearized: Id(v) = Ieq + gm*vgs + gds*vds *)
+        let ieq = id -. (gm *. vgs) -. (gds *. vds) in
+        (* gds acts like a resistor d-s *)
+        stamp_g gds d s;
+        (* gm: current gm*(vg - vs) flowing d -> s *)
+        add d g gm;
+        add d s (-.gm);
+        add s g (-.gm);
+        add s s gm;
+        (* Ieq flows from d to s through the device: leaves d, enters s *)
+        stamp_i (-.ieq) d;
+        stamp_i ieq s)
     sys.compiled.devices;
+  for r = 0 to n - 1 do
+    for b = 1 to sys.n_nodes - 1 do
+      if sys.unk.(b) < 0 then rhs.(r) <- rhs.(r) -. (cpl.(r).(b) *. v.(b))
+    done
+  done;
   (mat, rhs)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental assembly workspace                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Slot stamps: the same additions, in the same order, as the dense
-   [stamp_g] / [stamp_vccs] above, into the slot vector. A [-1] slot is
-   a ground row or column. *)
+(* Slot stamps into the slot vector; [-1] is a dropped position. All
+   [@inline]: without flambda a float argument to a call that is not
+   inlined is boxed, once per stamp per Newton iteration. *)
 
 let[@inline] stamp_at v s x = if s >= 0 then v.(s) <- v.(s) +. x
 
 let[@inline] stamp_g4 g v q =
-  if q.aa >= 0 then v.(q.aa) <- v.(q.aa) +. g;
-  if q.bb >= 0 then v.(q.bb) <- v.(q.bb) +. g;
-  if q.ab >= 0 then begin
-    v.(q.ab) <- v.(q.ab) -. g;
-    v.(q.ba) <- v.(q.ba) -. g
-  end
+  stamp_at v q.aa g;
+  stamp_at v q.bb g;
+  stamp_at v q.ab (-.g);
+  stamp_at v q.ba (-.g)
 
 type workspace = {
   w_size : int;
   vals : float array;      (* stamped system by slot, factored from here *)
   rhs : float array;       (* stamped RHS, overwritten with the solution *)
   tmpl : float array;      (* cached static-linear template, by slot *)
+  cap_gs : float array;    (* per capacitor: its template conductance *)
   (* scalar fields rather than a key tuple: the validity check runs every
      Newton iteration and must not allocate *)
   mutable tmpl_valid : bool;
@@ -434,9 +510,14 @@ type workspace = {
   mutable override_lane : int;
   (* cached control evaluations for the current t_now, shared across
      ensemble lanes (one waveform walk per time point, not per lane):
-     each distinct waveform's value, and each switch's conductance *)
+     each distinct waveform's value and PWL cursor, each switch's
+     conductance, and the largest fixed node voltage (one float, kept
+     in an array so that storing it boxes nothing) *)
   wave_v : float array;
+  cursors : int array;
   sw_g : float array;
+  fixed_max : float array;
+  newton_acc : float array;  (* [Newton.update]'s three results *)
   scratch : float array;
   slu : Sp.t;  (* [Sp.fresh] of [sys]'s: the same slots and order *)
   (* per-MOSFET temperature-resolved constants, valid for [mos_temp]
@@ -449,11 +530,17 @@ type workspace = {
 
 let make_workspace sys =
   let n = sys.size in
+  let n_slots = sys.nnz + Array.length sys.coup_row in
+  (* sized by the layout (a device has at most one waveform), not by
+     how many waveforms happen to be equal: a workspace serves every
+     system of one layout *)
+  let n_waves = Array.length sys.compiled.devices in
   {
     w_size = n;
-    vals = Array.make sys.nnz 0.0;
+    vals = Array.make n_slots 0.0;
     rhs = Array.make n 0.0;
-    tmpl = Array.make sys.nnz 0.0;
+    tmpl = Array.make n_slots 0.0;
+    cap_gs = Array.make sys.n_caps 0.0;
     tmpl_valid = false;
     tmpl_dt = 0.0;
     tmpl_gmin = 0.0;
@@ -462,14 +549,11 @@ let make_workspace sys =
     excluded_res = -1;
     override_gs = [||];
     override_lane = 0;
-    (* sized by the layout, not by how many waveforms happen to be
-       equal: a workspace serves every system of one layout *)
-    wave_v =
-      Array.make
-        (Array.length sys.switches + Array.length sys.vsrcs
-        + Array.length sys.isrcs)
-        0.0;
+    wave_v = Array.make n_waves 0.0;
+    cursors = Array.make n_waves 0;
     sw_g = Array.make (Array.length sys.switches) 0.0;
+    fixed_max = [| 0.0 |];
+    newton_acc = Array.make 3 0.0;
     scratch = Array.make n 0.0;
     slu = Sp.fresh sys.sp;
     mos_temp = Float.nan;
@@ -487,6 +571,24 @@ let resistor_override ws =
   if ws.excluded_res < 0 then None
   else Some (ws.excluded_res, ws.override_gs.(ws.override_lane))
 
+(* per-node voltages of [x]: free nodes from [x], fixed ones from the
+   controls left by the last [eval_controls_into] *)
+let voltages_into sys ws x ~out =
+  let wv = ws.wave_v in
+  out.(0) <- 0.0;
+  for node = 1 to sys.n_nodes - 1 do
+    let u = sys.unk.(node) in
+    out.(node) <- (if u >= 0 then x.(u) else wv.(sys.node_wave.(node)))
+  done
+
+let voltages sys ws x =
+  let out = Array.make sys.n_nodes 0.0 in
+  voltages_into sys ws x ~out;
+  out
+
+let fixed_abs_max ws = ws.fixed_max
+let newton_acc ws = ws.newton_acc
+
 (* static-linear part: gmin regularization, resistors, voltage-source
    topology and — for a fixed (dt, integrator) — the capacitor companion
    conductances. Everything here is independent of t, x and history. A
@@ -501,18 +603,17 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
     sys.resistors;
   Array.iter
     (fun p ->
-      if p.pos_row >= 0 then begin
-        tmpl.(p.pos_row) <- tmpl.(p.pos_row) +. 1.0;
-        tmpl.(p.row_pos) <- tmpl.(p.row_pos) +. 1.0
-      end;
-      if p.neg_row >= 0 then begin
-        tmpl.(p.neg_row) <- tmpl.(p.neg_row) -. 1.0;
-        tmpl.(p.row_neg) <- tmpl.(p.row_neg) -. 1.0
-      end)
+      stamp_at tmpl p.pos_row 1.0;
+      stamp_at tmpl p.row_pos 1.0;
+      stamp_at tmpl p.neg_row (-1.0);
+      stamp_at tmpl p.row_neg (-1.0))
     sys.vsrcs;
   if dt > 0.0 then
-    Array.iter
-      (fun p -> stamp_g4 (cap_g ~opts ~dt p.cap) tmpl p.c_slots)
+    Array.iteri
+      (fun i p ->
+        let g = cap_g ~opts ~dt p.cap in
+        ws.cap_gs.(i) <- g;
+        stamp_g4 g tmpl p.c_slots)
       sys.caps
 
 (* Evaluate every control waveform at [t_now] into the workspace
@@ -521,11 +622,20 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
    (they integrate on one shared grid). *)
 let eval_controls_into sys ws ~t_now =
   let wv = ws.wave_v in
-  C.Waveform.eval_into sys.waves t_now wv;
+  C.Waveform.eval_into sys.waves ~cursors:ws.cursors t_now wv;
   for i = 0 to Array.length sys.switches - 1 do
     let p = sys.switches.(i) in
     ws.sw_g.(i) <- (if wv.(p.s_wave) > p.threshold then p.g_on else p.g_off)
-  done
+  done;
+  let m = ref 0.0 in
+  for node = 1 to sys.n_nodes - 1 do
+    let w = sys.node_wave.(node) in
+    if w >= 0 then begin
+      let a = Float.abs wv.(w) in
+      if a > !m || a <> a then m := a
+    end
+  done;
+  ws.fixed_max.(0) <- !m
 
 (* assembly from pre-evaluated controls ([eval_controls_into]) *)
 let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
@@ -551,8 +661,8 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
      ws.tmpl_trapezoidal <- trapezoidal;
      ws.tmpl_excluded <- ws.excluded_res
    end);
-  let v = ws.vals and rhs = ws.rhs in
-  Array.blit ws.tmpl 0 v 0 sys.nnz;
+  let v = ws.vals and rhs = ws.rhs and wv = ws.wave_v in
+  Array.blit ws.tmpl 0 v 0 (Array.length v);
   Array.fill rhs 0 n 0.0;
   (if ws.excluded_res >= 0 then
      stamp_g4 ws.override_gs.(ws.override_lane) v
@@ -568,25 +678,24 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     for i = 0 to Array.length sys.caps - 1 do
       let p = sys.caps.(i) in
       let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-      let g = cap_g ~opts ~dt:reactive.dt p.cap in
+      let g = ws.cap_gs.(i) in
       let i_hist =
-        match opts.integrator with
-        | Options.Backward_euler -> g *. vab_prev
-        | Options.Trapezoidal ->
+        if trapezoidal then
           (g *. vab_prev) +. reactive.prev_cap_current.(p.hist)
+        else g *. vab_prev
       in
-      stamp_i i_hist rhs p.c_a;
-      stamp_i (-.i_hist) rhs p.c_b
+      stamp_at rhs p.c_ra i_hist;
+      stamp_at rhs p.c_rb (-.i_hist)
     done;
   for i = 0 to Array.length sys.vsrcs - 1 do
     let p = sys.vsrcs.(i) in
-    rhs.(p.row) <- ws.wave_v.(p.v_wave)
+    rhs.(p.row) <- wv.(p.v_wave)
   done;
   for i = 0 to Array.length sys.isrcs - 1 do
     let p = sys.isrcs.(i) in
-    let i_src = ws.wave_v.(p.i_wave) in
-    stamp_i (-.i_src) rhs p.i_pos;
-    stamp_i i_src rhs p.i_neg
+    let i_src = wv.(p.i_wave) in
+    stamp_at rhs p.i_pos (-.i_src);
+    stamp_at rhs p.i_neg i_src
   done;
   if not (ws.mos_temp = opts.temp) then begin
     ws.mos_prep <-
@@ -596,7 +705,7 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     ws.mos_temp <- opts.temp
   end;
   let nv = ws.node_v and e = ws.mos_eval in
-  if Array.length sys.mosfets > 0 then voltages_into sys x ~out:nv;
+  if Array.length sys.mosfets > 0 then voltages_into sys ws x ~out:nv;
   for i = 0 to Array.length sys.mosfets - 1 do
     let p = sys.mosfets.(i) in
     C.Mosfet.ids_into ws.mos_prep.(i) nv ~d:p.m_d ~g:p.m_g ~s:p.m_s e;
@@ -607,13 +716,19 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     let ieq = id -. (gm *. vgs) -. (gds *. vds) in
     let q = p.m_gds in
     stamp_g4 gds v q;
-    (* the gm VCCS, in [stamp_vccs] order *)
+    (* the gm VCCS *)
     stamp_at v p.m_dg gm;
     stamp_at v q.ab (-.gm);
     stamp_at v p.m_sg (-.gm);
     stamp_at v q.bb gm;
-    stamp_i (-.ieq) rhs p.m_d;
-    stamp_i ieq rhs p.m_s
+    stamp_at rhs p.m_rd (-.ieq);
+    stamp_at rhs p.m_rs ieq
+  done;
+  (* the columns of fixed nodes move to the right-hand side *)
+  let nnz = sys.nnz in
+  for k = 0 to Array.length sys.coup_row - 1 do
+    let r = sys.coup_row.(k) in
+    rhs.(r) <- rhs.(r) -. (v.(nnz + k) *. wv.(sys.coup_wave.(k)))
   done
 
 module Chaos = Dramstress_util.Chaos
@@ -634,11 +749,13 @@ let lu_schedule ws = Sp.schedule ws.slu
 (* [out] may alias [reactive.prev_cap_current]: each capacitor reads
    only its own slot's previous current before overwriting that same
    slot, so the in-place update is well-defined. *)
-let cap_currents_into sys ~(opts : Options.t) ~x ~reactive ~out =
+let cap_currents_into sys ws ~(opts : Options.t) ~x ~reactive ~out =
+  let nv = ws.node_v in
+  if reactive.dt > 0.0 then voltages_into sys ws x ~out:nv;
   for k = 0 to Array.length sys.caps - 1 do
     let p = sys.caps.(k) in
     if reactive.dt > 0.0 then begin
-      let vab = node_voltage sys x p.c_a -. node_voltage sys x p.c_b in
+      let vab = nv.(p.c_a) -. nv.(p.c_b) in
       let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
       let i =
         match opts.integrator with

@@ -1,12 +1,21 @@
 (** Modified nodal analysis: system layout and stamping.
 
-    Unknown vector layout for a circuit with [n] nodes (ground excluded)
-    and [m] voltage sources:
-    {v x = [ v_1 .. v_(n-1) ; i_vsrc_0 .. i_vsrc_(m-1) ] v}
+    A voltage source from a node to ground fixes that node: its voltage
+    is the source's value at the time point, known before any solve.
+    Such a node is no unknown, and neither is its source's branch
+    current (the first grounded source of a node fixes it; any other
+    source keeps its branch row). For a circuit with [f] free nodes
+    (neither ground nor fixed) and [m] floating voltage sources, the
+    unknown vector is
+    {v x = [ v_free_0 .. v_free_(f-1) ; i_vsrc_0 .. i_vsrc_(m-1) ] v}
+    with the free nodes in node order. The DRAM column's 15 nodes and 5
+    grounded sources give 10 unknowns, not 20.
 
     One assembly produces the linearized system [G x_new = b] around a
     Newton iterate, with companion models for capacitors (BE or
-    trapezoidal) and linearized MOSFETs. *)
+    trapezoidal) and linearized MOSFETs. Rows of fixed nodes are
+    dropped, as ground's are, and entries in their columns move to [b]
+    times the fixed voltage. *)
 
 type t
 
@@ -22,25 +31,19 @@ val size : t -> int
 (** [n_nodes sys] is the node count including ground. *)
 val n_nodes : t -> int
 
-(** [node_voltage sys x node] reads a node voltage from an unknown vector
-    (0.0 for ground). *)
-val node_voltage : t -> float array -> Dramstress_circuit.Device.node -> float
-
-(** [voltages sys x] expands the unknown vector to a per-node voltage
-    array indexed by node id (entry 0 is ground = 0.0). *)
-val voltages : t -> float array -> float array
-
-(** [voltages_into sys x ~out] is {!voltages} written into [out]
-    (length [n_nodes]). *)
-val voltages_into : t -> float array -> out:float array -> unit
+(** [n_free_nodes sys] is the number of free node voltages, the first
+    unknowns; the branch currents follow them. *)
+val n_free_nodes : t -> int
 
 (** [pack sys node_voltages] builds an unknown vector from per-node
-    voltages (branch currents zeroed). *)
+    voltages (branch currents zeroed; fixed nodes' entries unread). *)
 val pack : t -> float array -> float array
 
-(** [branch_current sys x name] reads a voltage source's branch current
-    from an unknown vector (positive out of the + terminal through the
-    external circuit). Raises [Not_found] for unknown sources. *)
+(** [branch_current sys x name] reads a floating voltage source's
+    branch current from an unknown vector (positive out of the +
+    terminal through the external circuit). Raises [Not_found] for
+    unknown sources and [Invalid_argument] naming the source for a
+    grounded one, whose current is no unknown. *)
 val branch_current : t -> float array -> string -> float
 
 (** Dynamic (reactive) inputs to one assembly. [prev_v] is the per-node
@@ -73,8 +76,10 @@ val resistor_g : t -> int -> float
     linearized system at time [t] around iterate [x] and returns freshly
     allocated [(g, b)]. [override = (index, g)] stamps conductance [g]
     for resistor plan [index] (see {!set_resistor_override}). This is
-    the reference from-scratch path; the workspace API below produces
-    identical systems without allocating. *)
+    the reference from-scratch path, on the same reduced layout: each
+    fixed node voltage is evaluated afresh from its waveform. The
+    workspace API below produces the same systems without
+    allocating. *)
 val assemble :
   ?override:int * float ->
   t ->
@@ -89,11 +94,12 @@ val assemble :
     slot values over the structural pattern of [sys] (every position
     any assembly can write, derived from the devices, never from
     numeric values); {!make} resolves the slots of every stamp once per
-    topology. The workspace holds that vector and the RHS, the cached
-    static-linear template in the same slots (gmin, resistors,
-    voltage-source topology, capacitor conductances for the current
-    [(dt, gmin, integrator)]), restored by one blit, and the sparse LU
-    handle with its substitution scratch. One workspace serves any
+    topology; after them come the coupling slots, one per (free row,
+    fixed column) position. The workspace holds that vector and the
+    RHS, the cached static-linear template in the same slots (gmin,
+    resistors, voltage-source topology, capacitor conductances for the
+    current [(dt, gmin, integrator)]), restored by one blit, and the
+    sparse LU handle with its substitution scratch. One workspace serves any
     number of sequential solves on the same system; it must not be
     shared between domains. *)
 type workspace
@@ -119,20 +125,44 @@ val set_resistor_override :
 val resistor_override : workspace -> (int * float) option
 
 (** [eval_controls_into sys ws ~t_now] evaluates every control waveform
-    (switch controls, source values) at [t_now] into workspace buffers
-    consumed by {!assemble_into_pre}. Split from assembly so each time
-    point walks each waveform once, not once per Newton iteration or
-    ensemble lane. *)
+    (switch controls, source values, so the fixed node voltages) at
+    [t_now] into workspace buffers consumed by {!assemble_into_pre},
+    {!voltages_into} and {!fixed_abs_max}. Split from assembly so each
+    time point walks each waveform once, not once per Newton iteration
+    or ensemble lane; each PWL waveform's search starts from where the
+    last one ended ({!Dramstress_circuit.Waveform.eval_into}). *)
 val eval_controls_into : t -> workspace -> t_now:float -> unit
+
+(** [voltages_into sys ws x ~out] expands the unknown vector [x] into
+    per-node voltages indexed by node id (length [n_nodes]; entry 0 is
+    ground = 0.0), the fixed nodes at their sources' values from the
+    last {!eval_controls_into}. *)
+val voltages_into : t -> workspace -> float array -> out:float array -> unit
+
+(** [voltages sys ws x] is {!voltages_into} into a fresh array. *)
+val voltages : t -> workspace -> float array -> float array
+
+(** [(fixed_abs_max ws).(0)] is the largest magnitude of a fixed node
+    voltage at the last {!eval_controls_into} (0.0 without fixed
+    nodes): the part of Newton's [max |v|] that is not in the unknowns.
+    A one-element array rather than a float, so that reading it from
+    another module boxes nothing. *)
+val fixed_abs_max : workspace -> float array
+
+(** [newton_acc ws] is a three-float buffer owned by the workspace, where
+    [Newton.iterate] collects the results of its update pass without
+    boxing them. *)
+val newton_acc : workspace -> float array
 
 (** [assemble_into_pre sys ws ~opts ~x ~reactive] stamps the system from
     the control values left by the last {!eval_controls_into}: template
     blit (rebuilt only when [(dt, gmin, integrator, override)] changed),
     then dynamic stamps — switch states, source values, capacitor
     history, MOSFET linearization around [x] (device constants resolved
-    once per temperature, see {!Dramstress_circuit.Mosfet.prepare}).
-    Produces systems identical to {!assemble} without heap
-    allocation. *)
+    once per temperature, see {!Dramstress_circuit.Mosfet.prepare}) —
+    and last one pass moving each coupling slot times its fixed voltage
+    to the RHS. Produces the systems of {!assemble}, up to the order of
+    floating-point additions, without heap allocation. *)
 val assemble_into_pre :
   t ->
   workspace ->
@@ -159,14 +189,16 @@ val solution : workspace -> float array
     [None] before its first {!solve_in_place}. *)
 val lu_schedule : workspace -> Dramstress_util.Sparse_lu.schedule option
 
-(** [cap_currents_into sys ~opts ~x ~reactive ~out] writes each
+(** [cap_currents_into sys ws ~opts ~x ~reactive ~out] writes each
     capacitor's branch current at the just-solved point (needed to
-    advance the trapezoidal rule) into [out] (length >= n_capacitors).
+    advance the trapezoidal rule) into [out] (length >= n_capacitors),
+    the fixed nodes at the controls of the last {!eval_controls_into}.
     [out] may alias [reactive.prev_cap_current]: each capacitor reads only
     its own slot before overwriting it. With [reactive.dt <= 0] the slots
     are zeroed. *)
 val cap_currents_into :
   t ->
+  workspace ->
   opts:Options.t ->
   x:float array ->
   reactive:reactive ->

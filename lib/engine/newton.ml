@@ -39,36 +39,39 @@ let h_iterations =
 let[@inline] max_abs (acc : float) (a : float) =
   if a > acc || a <> a then a else acc
 
-(* shared convergence bookkeeping: apply the clamped update from [x_new]
-   onto [x] and return the worst node-voltage move. Plain comparisons
-   instead of [Float.min]/[Float.max] (which box their result even when
-   inlined) and indexed loops instead of a fold keep this per-iteration
-   path allocation-free. For a clamp [max_step_v >= 0] the result is
-   [Float.max (-.m) (Float.min m dx)] for every [dx], signed zeros and
-   NaN (which passes through unclamped, and so is counted) included. *)
-let[@inline] apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
-  let m = opts.max_step_v in
-  let worst = ref 0.0 in
-  let clamped = ref 0 in
-  for i = 0 to Array.length x - 1 do
-    let dx = x_new.(i) -. x.(i) in
-    if i < n_node_unknowns then begin
-      let dx_clamped = if dx > m then m else if dx < -.m then -.m else dx in
-      if dx_clamped <> dx then incr clamped;
-      x.(i) <- x.(i) +. dx_clamped;
-      worst := max_abs !worst (Float.abs dx)
-    end
-    else x.(i) <- x_new.(i)
-  done;
-  Tel.Counter.add c_clamps !clamped;
-  !worst
+let[@inline] clamp m dx = if dx > m then m else if dx < -.m then -.m else dx
 
-let[@inline] tolerance ~(opts : Options.t) x =
-  let acc = ref 0.0 in
+(* the bound for a state whose largest magnitude is [m] *)
+let[@inline] bound ~(opts : Options.t) m = opts.abstol +. (opts.reltol *. m)
+
+(* One pass over the new iterate: the clamped update from [x_new] onto
+   [x], the worst free-node move, [max |x|] and the finiteness sum; see
+   the interface. Plain comparisons instead of [Float.min]/[Float.max]
+   (which box their result even when inlined), local float refs and an
+   indexed loop keep it allocation-free; the three floats leave through
+   [acc], since a float or tuple result would be boxed. *)
+let[@inline] update ~max_step_v:m ~n_free x x_new acc =
+  let worst = ref 0.0 and clamped = ref 0 in
+  let mx = ref acc.(1) and sum = ref 0.0 in
   for i = 0 to Array.length x - 1 do
-    acc := max_abs !acc (Float.abs x.(i))
+    let xi =
+      if i < n_free then begin
+        let dx = x_new.(i) -. x.(i) in
+        let dx_clamped = clamp m dx in
+        if dx_clamped <> dx then incr clamped;
+        worst := max_abs !worst (Float.abs dx);
+        x.(i) +. dx_clamped
+      end
+      else x_new.(i)
+    in
+    x.(i) <- xi;
+    mx := max_abs !mx (Float.abs xi);
+    sum := !sum +. (xi -. xi)
   done;
-  opts.abstol +. (opts.reltol *. !acc)
+  acc.(0) <- !worst;
+  acc.(1) <- !mx;
+  acc.(2) <- !sum;
+  !clamped
 
 let record_solve iterations =
   Tel.Counter.incr c_solves;
@@ -184,12 +187,20 @@ let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter ~diverge x =
       Mna.solution ws
     end
   in
-  let worst =
-    apply_update ~opts ~n_node_unknowns:(Mna.n_nodes sys - 1) x x_new
-  in
+  (* the bound's max|x| takes in the fixed node voltages too, as when
+     they were unknowns *)
+  let acc = Mna.newton_acc ws in
+  acc.(1) <- (Mna.fixed_abs_max ws).(0);
+  Tel.Counter.add c_clamps
+    (update ~max_step_v:opts.max_step_v ~n_free:(Mna.n_free_nodes sys) x
+       x_new acc);
+  (* the chaos site sits between the update and the scan, whose verdict
+     it may change *)
   chaos_nan x;
-  check_finite ~t_now ~iter x;
-  if (not diverge) && worst <= tolerance ~opts x then begin
+  if not (acc.(2) = 0.0) || Chaos.armed () then check_finite ~t_now ~iter x;
+  let worst = acc.(0) in
+  let tol = bound ~opts acc.(1) in
+  if (not diverge) && worst <= tol then begin
     record_solve iter;
     true
   end

@@ -55,7 +55,10 @@ val solve :
 (** [iterate sys ws ~opts ~t_now ~reactive ~iter ~diverge x] performs
     Newton iteration number [iter] on [x] in place and returns whether
     the solve converged: whether the worst node-voltage move (before
-    clamping) is within {!tolerance} of the updated [x]. A converged
+    clamping) is within [abstol + reltol * max |v|], the maximum taken
+    over the updated [x] and the fixed node voltages
+    ({!Mna.fixed_abs_max}), so the bound is the one a state holding
+    every node as an unknown would give. A converged
     solve is counted in the solve/iteration telemetry. An iteration
     that reaches [opts.max_newton] unconverged raises {!No_convergence};
     [diverge] (the [Force_newton_diverge] chaos site) holds the solve
@@ -68,7 +71,10 @@ val solve :
     updates are clamped to [opts.max_step_v].
 
     The state vector is checked for NaN/Inf after every update, and a
-    singular LU is converted into {!Numerical_health}. *)
+    singular LU is converted into {!Numerical_health}. The update, the
+    worst move, the maximum and the finiteness sum are one pass over
+    [x] ({!update}, into {!Mna.newton_acc}); the [Inject_nan_state]
+    chaos site runs after it, before the check. *)
 val iterate :
   Mna.t ->
   Mna.workspace ->
@@ -87,21 +93,31 @@ val iterate :
 val check_deadline : deadline_at:(float * float) option -> t_now:float -> unit
 
 (** [check_finite ~t_now ~iter x] raises {!Numerical_health} naming the
-    first unknown of [x] that holds a NaN or an infinity; {!iterate}
-    runs it after every update.
-    Exposed so the bench can price the scan it adds to each
-    iteration. *)
+    first unknown of [x] that holds a NaN or an infinity. {!iterate}
+    judges each update by {!update}'s finiteness sum and calls this
+    only to name the bad unknown of a sick state, or on every
+    iteration while chaos is armed. *)
 val check_finite : t_now:float -> iter:int -> float array -> unit
 
-(** [apply_update ~opts ~n_node_unknowns x x_new] applies the clamped
-    Newton update from [x_new] onto [x] and returns the worst
-    node-voltage move (before clamping). *)
-val apply_update :
-  opts:Options.t -> n_node_unknowns:int -> float array -> float array -> float
-
-(** [tolerance ~opts x] is the convergence bound
-    [abstol + reltol * max_i |x_i|]. *)
-val tolerance : opts:Options.t -> float array -> float
+(** [update ~max_step_v ~n_free x x_new acc] is {!iterate}'s single pass
+    over the new iterate. For [i < n_free] (the node voltages) it moves
+    [x.(i)] by [x_new.(i) -. x.(i)] clamped to [±max_step_v], exactly
+    [Float.max (-.m) (Float.min m dx)] for [max_step_v >= 0], signed
+    zeros included; a NaN move passes through unclamped. Past [n_free]
+    (branch currents) it copies [x_new.(i)]. It leaves in [acc]:
+    [acc.(0)] the worst node move before clamping, [acc.(1)] the
+    maximum of [acc.(1)] on entry and every [|x.(i)|] after the update,
+    and [acc.(2)] the sum of [x.(i) -. x.(i)], [0.0] exactly when every
+    entry is finite. Both maxima fold like [Float.max], so a NaN sticks.
+    Returns the number of moves whose clamped value differs from the
+    move, NaN moves included. *)
+val update :
+  max_step_v:float ->
+  n_free:int ->
+  float array ->
+  float array ->
+  float array ->
+  int
 
 (** [chaos_diverge ()] queries the [Force_newton_diverge] chaos site —
     [true] forces this solve to run to its iteration cap. *)

@@ -1,6 +1,6 @@
 type integrator = Backward_euler | Trapezoidal
 
-let epoch = 1
+let epoch = 2
 
 type t = {
   abstol : float;

@@ -35,7 +35,7 @@ let run compiled ?(opts = Options.default) ~source ~values () =
             homotopy 1e-3 !x
         in
         x := x_new;
-        { value; voltages = Mna.voltages sys x_new; unknowns = x_new })
+        { value; voltages = Mna.voltages sys_v ws x_new; unknowns = x_new })
       values
   in
   { source; points; compiled }

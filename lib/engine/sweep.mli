@@ -9,7 +9,9 @@
 type point = {
   value : float;               (** swept source value *)
   voltages : float array;      (** node voltages by node id *)
-  unknowns : float array;      (** raw MNA vector (incl. branch currents) *)
+  unknowns : float array;
+      (** raw MNA vector: free node voltages, then the floating
+          sources' branch currents ({!Mna}) *)
 }
 
 type t = {

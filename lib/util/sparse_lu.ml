@@ -324,10 +324,10 @@ exception Stale
    reported: the result is [true] when some pivot fell under the
    guard, and the caller must then revalidate the order
    ({!unique_pivots}) before trusting the factors. *)
-let refactor an a ~strict =
+let refactor an a ~nnz ~strict =
   (* unchecked accesses: [factor] checked that [a] holds [nnz] values,
      [lu] extends them, and every schedule index was built for [lu] *)
-  let lu = an.lu and nnz = Array.length a in
+  let lu = an.lu in
   (* load, and the pivot scale on the way; off-pattern entries are
      exactly 0.0 by construction, so they add nothing to either *)
   let scale = ref 0.0 in
@@ -411,7 +411,7 @@ let record_refactor ~reused =
 let reanalyse t a =
   analyse t a;
   let an = Option.get t.analysis in
-  ignore (refactor an a ~strict:true : bool);
+  ignore (refactor an a ~nnz:(nnz t) ~strict:true : bool);
   record_refactor ~reused:false
 
 let stale t a =
@@ -419,14 +419,14 @@ let stale t a =
   reanalyse t a
 
 let factor t a =
-  if Array.length a <> nnz t then invalid_arg "Sparse_lu.factor: value count";
+  if Array.length a < nnz t then invalid_arg "Sparse_lu.factor: value count";
   match t.analysis with
   | None ->
     check_finite t a;
     Tel.Counter.incr c_analyses;
     reanalyse t a
   | Some an -> (
-    match refactor an a ~strict:false with
+    match refactor an a ~nnz:(nnz t) ~strict:false with
     | false -> record_refactor ~reused:true
     | true ->
       (* a small pivot is not a wrong pivot: on long holds C/dt sinks

@@ -111,8 +111,9 @@ val nnz : t -> int
     [Invalid_argument] for a position off the pattern. *)
 val slot : t -> int -> int -> int
 
-(** [factor t a] (re)factors the system whose slot values are [a]
-    (length {!nnz}) under the stored analysis, creating or refreshing
+(** [factor t a] (re)factors the system whose slot values are the
+    first {!nnz} of [a] (a caller may keep slots of its own after them)
+    under the stored analysis, creating or refreshing
     the analysis as needed. [a] is left intact. Raises
     [Linalg.Singular] when the system is genuinely rank-deficient or
     contains non-finite entries. *)

@@ -88,6 +88,62 @@ let prop_pulse_bounded =
       let v = W.eval p t in
       v >= -1.0 -. 1e-12 && v <= 3.0 +. 1e-12)
 
+(* [eval_into] starts each PWL search from a cursor kept across calls.
+   Over control-like [pwl_steps] waveforms (plus a DC and a pulse in
+   the same array), a random forward walk with steps from far below an
+   edge to several edges long, landing on breakpoints and outside the
+   range too, and a backward jump after each step (a halving retry
+   re-evaluates between the last two times) must give [eval]'s bits
+   at every call, whatever the cursors held. *)
+let test_eval_into_cursor_bitwise () =
+  let rng = Random.State.make [| 28 |] in
+  let bits = Int64.bits_of_float in
+  for trial = 1 to 50 do
+    let t_edge = 1e-10 *. (1.0 +. Random.State.float rng 4.0) in
+    let steps =
+      List.init (1 + Random.State.int rng 8) (fun k ->
+          ( (1e-9 *. float_of_int (k + 1)) +. Random.State.float rng 5e-10,
+            Random.State.float rng 3.0 -. 0.5 ))
+    in
+    let pwl = W.pwl_steps ~t_edge (Random.State.float rng 2.0) steps in
+    let ws =
+      [| pwl; W.dc 1.2;
+         W.pulse ~v0:0.0 ~v1:1.0 ~delay:1e-9 ~rise:1e-10 ~width:1e-9
+           ~fall:1e-10 ();
+         W.shift 3e-10 pwl |]
+    in
+    let n = Array.length ws in
+    let cursors = Array.init n (fun _ -> Random.State.int rng 40 - 20) in
+    let out = Array.make n 0.0 in
+    let check t =
+      W.eval_into ws ~cursors t out;
+      Array.iteri
+        (fun i w ->
+          if bits out.(i) <> bits (W.eval w t) then
+            Alcotest.failf "trial %d: waveform %d at t=%h: %h, eval %h" trial i
+              t out.(i) (W.eval w t))
+        ws
+    in
+    let breakpoints = W.breakpoints ~until:1.0 pwl in
+    let t = ref (-1e-10) in
+    while !t < 1.2e-8 do
+      let t_prev = !t in
+      (t :=
+         match Random.State.int rng 4 with
+         | 0 -> t_prev +. Random.State.float rng 1e-12
+         | 1 -> t_prev +. Random.State.float rng t_edge
+         | 2 -> t_prev +. Random.State.float rng 3e-9
+         | _ -> (
+           (* land exactly on the next breakpoint, when there is one *)
+           match List.find_opt (fun b -> b > t_prev) breakpoints with
+           | Some b -> b
+           | None -> t_prev +. 1e-10));
+      check !t;
+      check (t_prev +. ((!t -. t_prev) /. 2.0));
+      check !t
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Mosfet                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -610,6 +666,8 @@ let () =
           tc "shift" test_shift;
           tc "breakpoints" test_breakpoints;
           QCheck_alcotest.to_alcotest prop_pulse_bounded;
+          tc "eval_into with cursors matches eval bit for bit"
+            test_eval_into_cursor_bitwise;
         ] );
       ( "mosfet",
         [

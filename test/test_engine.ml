@@ -323,6 +323,53 @@ let test_naive_assembly_matches_incremental () =
         a.E.Transient.final_v)
     [ E.Options.Backward_euler; E.Options.Trapezoidal ]
 
+(* A capacitor from a ramping grounded source to a free node: its
+   companion conductance sits in a coupling slot and its history reads
+   the fixed node's voltage, which the DRAM column never exercises.
+   Both assemblies must agree as on the pass gate above, and with the
+   same circuit whose source floats on a 0 V grounded one, so that
+   [in] keeps its unknown and the source its branch row. *)
+let test_naive_matches_incremental_fixed_cap () =
+  let circuit ~floating =
+    let nl = N.create () in
+    let ramp = W.pwl_steps ~t_edge:2e-9 0.0 [ (1e-9, 1.5); (6e-9, 0.3) ] in
+    if floating then begin
+      N.vsource nl ~name:"vin" "in" "g" ramp;
+      N.vsource nl ~name:"vg" "g" "0" (W.dc 0.0)
+    end
+    else N.vsource nl ~name:"vin" "in" "0" ramp;
+    N.capacitor nl ~name:"c" "in" "out" 2e-13;
+    N.resistor nl ~name:"r" "out" "0" 5000.0;
+    N.capacitor nl ~name:"cl" "out" "0" 1e-13;
+    N.compile nl
+  in
+  let run ?(floating = false) naive integrator =
+    let opts =
+      { E.Options.default with E.Options.naive_assembly = naive; integrator }
+    in
+    run1 (circuit ~floating) ~opts ~segments:[ (1e-8, 5e-11) ] ~ics:[]
+      ~probes:[ "out"; "in" ] ()
+  in
+  let same ~eps what (a : E.Transient.result) (b : E.Transient.result) =
+    Array.iteri
+      (fun i va ->
+        Array.iteri
+          (fun k v ->
+            check_float ~eps what v b.E.Transient.probe_values.(i).(k))
+          va)
+      a.E.Transient.probe_values
+  in
+  List.iter
+    (fun integrator ->
+      let b = run false integrator in
+      same ~eps:1e-9 "naive trace match" (run true integrator) b;
+      same ~eps:1e-6 "branch-row trace match"
+        (run ~floating:true false integrator) b;
+      (* the ramp is seen through the capacitor *)
+      Alcotest.(check bool) "the ramp couples to out" true
+        (Array.exists (fun v -> v > 0.1) b.E.Transient.probe_values.(0)))
+    [ E.Options.Backward_euler; E.Options.Trapezoidal ]
+
 (* ------------------------------------------------------------------ *)
 (* Numerical health guards                                             *)
 (* ------------------------------------------------------------------ *)
@@ -466,11 +513,15 @@ let test_expired_deadline_within_16_iterations () =
     [ 1; 4 ]
 
 (* a run that dies at t=0 must not pay for its grid: the words it
-   allocates are the same for a 10-step and a 10^6-step plan *)
+   allocates are the same for a 10-step and a 10^6-step plan. The minor
+   words come from [Gc.minor_words]: OCaml 5.1's [Gc.counters] counts
+   the words in the current minor heap an eighth of their number, so a
+   minor collection inside the window read as ~229k words of it *)
 let test_dead_at_t0_allocates_no_grid () =
   let c = rc_fixture () in
   let words steps =
-    let minor0, promoted0, major0 = Gc.counters () in
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
     (match
        E.Ensemble.run c
          ~segments:[ (1e-10 *. float_of_int steps, 1e-10) ]
@@ -479,7 +530,8 @@ let test_dead_at_t0_allocates_no_grid () =
      with
     | [| Error (E.Newton.Numerical_health _) |] -> ()
     | _ -> Alcotest.fail "expected a health failure at t=0");
-    let minor1, promoted1, major1 = Gc.counters () in
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
     minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
   in
   ignore (words 10);
@@ -497,48 +549,61 @@ module D = Dramstress_defect.Defect
 
 let bits = Array.map Int64.bits_of_float
 
-(* the hot-path clamp and maxima are hand-written comparisons; they must
+(* [Newton.update], the one pass [Newton.iterate] makes per iteration,
+   clamps and takes maxima with hand-written comparisons; they must
    return what [Float.min]/[Float.max] return, NaN and signed zeros
-   included *)
+   included, and count a clamp exactly when the clamped move differs *)
 let test_newton_update_matches_float_minmax () =
   let specials =
     [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0;
       1e-300; -1e-300; 0.25; -0.25; 1.0; -1.0; Float.succ 1.0;
       Float.pred (-1.0); 3.0; -3.0 ]
   in
+  let fmax seed a =
+    Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) seed a
+  in
   List.iter
     (fun m ->
-      let opts = { E.Options.default with E.Options.max_step_v = m } in
       List.iter
         (fun dx ->
-          let x = [| 0.0; 5.0 |] in
-          let worst =
-            E.Newton.apply_update ~opts ~n_node_unknowns:1 x [| dx; dx |]
+          let x = [| 0.0; 5.0 |] and acc = [| Float.nan; 0.5; Float.nan |] in
+          let n =
+            E.Newton.update ~max_step_v:m ~n_free:1 x [| dx; dx |] acc
           in
-          let clamped = 0.0 +. Float.max (-.m) (Float.min m dx) in
-          Alcotest.(check (array int64))
-            (Printf.sprintf "m=%h dx=%h update" m dx)
+          let c = Float.max (-.m) (Float.min m dx) in
+          let clamped = 0.0 +. c in
+          let name what = Printf.sprintf "m=%h dx=%h %s" m dx what in
+          Alcotest.(check (array int64)) (name "update")
             (bits [| clamped; dx |]) (bits x);
-          Alcotest.(check (array int64))
-            (Printf.sprintf "m=%h dx=%h worst" m dx)
-            (bits [| Float.max 0.0 (Float.abs dx) |])
-            (bits [| worst |]))
+          Alcotest.(check (array int64)) (name "worst, max")
+            (bits [| Float.max 0.0 (Float.abs dx); fmax 0.5 [| clamped; dx |] |])
+            (bits [| acc.(0); acc.(1) |]);
+          Alcotest.(check bool) (name "finite sum")
+            (Float.is_finite clamped && Float.is_finite dx)
+            (acc.(2) = 0.0);
+          Alcotest.(check int) (name "clamps")
+            (if c <> dx then 1 else 0)
+            n)
         specials)
     [ 0.0; 0.25; 1.0; Float.infinity ];
-  (* a NaN, once seen, sticks through the running maximum *)
+  (* the maximum starts from the fixed node voltages' one; a NaN, once
+     seen, sticks *)
   List.iter
-    (fun x ->
-      let fold =
-        Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
-      in
-      let opts = E.Options.default in
-      Alcotest.(check (array int64)) "tolerance"
-        (bits [| opts.E.Options.abstol +. (opts.E.Options.reltol *. fold) |])
-        (bits [| E.Newton.tolerance ~opts x |]))
+    (fun (seed, x_new) ->
+      let x = Array.map (fun _ -> 0.0) x_new and acc = [| 1.0; seed; 1.0 |] in
+      let n = E.Newton.update ~max_step_v:0.0 ~n_free:0 x x_new acc in
+      Alcotest.(check (array int64)) "branch currents copied" (bits x_new)
+        (bits x);
+      Alcotest.(check (array int64)) "no node move, max"
+        (bits [| 0.0; fmax seed x_new |])
+        (bits [| acc.(0); acc.(1) |]);
+      Alcotest.(check int) "branch currents never clamp" 0 n)
     [
-      [| 1.0; Float.nan; 2.0 |];
-      [| -3.0; 0.5; -0.0 |];
-      [| Float.neg_infinity; 1.0 |];
+      (0.0, [| 1.0; Float.nan; 2.0 |]);
+      (4.0, [| -3.0; 0.5; -0.0 |]);
+      (0.0, [| Float.neg_infinity; 1.0 |]);
+      (Float.nan, [| 1.0; 2.0 |]);
+      (3.0, [| -1.0 |]);
     ]
 
 let digest_traces traces =
@@ -568,9 +633,13 @@ let o1 r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r
    again (fdb58a7f... and 6ec78c51...), none moving a stored border. A
    change that moves these records the new digests as a new entry,
    which moves the epoch and with it every store key: results of the
-   earlier numerics are then simulated afresh instead of reused. *)
+   earlier numerics are then simulated afresh instead of reused. Epoch
+   2 solves for the free nodes only: grounded sources fix their nodes,
+   which leave the unknowns, and the Newton iterates move within the
+   tolerance. *)
 let epochs =
-  [ (1, "813c59fa6797eb11f92719c108b7d4dd", "6206fe7f8d10077e935c941af223b5dd") ]
+  [ (1, "813c59fa6797eb11f92719c108b7d4dd", "6206fe7f8d10077e935c941af223b5dd");
+    (2, "71b8c97f13ab0b8f88711b622fbc35ee", "185ebc6726055c66e7de1d00d4ae2139") ]
 
 let current_epoch =
   List.iteri
@@ -611,6 +680,41 @@ let test_ensemble_waveform_pinned () =
   Alcotest.(check (pair int string)) "epoch and 4-lane ensemble digest"
     (epoch, ensemble)
     (E.Options.epoch, digest_traces (ensemble_run ()))
+
+(* ------------------------------------------------------------------ *)
+(* Free-node layout                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* the column's 15 nodes and its 5 grounded sources (supply, three word
+   lines, reference mid-level): 10 free nodes and no branch current *)
+let test_column_free_nodes () =
+  let module Col = Dramstress_dram.Column in
+  let module T = Dramstress_dram.Tech in
+  let dc = W.dc 0.0 in
+  let controls =
+    { Col.wl = dc; wl_ref = dc; wl_nb = dc; pre = dc; sae = dc;
+      wr_acc_hi = dc; wr_acc_lo = dc; wr_ref_hi = dc; wr_ref_lo = dc;
+      colsel = dc }
+  in
+  let col =
+    Col.build ~tech:T.default ~vdd:2.4 ~controls ~defect:(o1 200e3) ()
+  in
+  let sys = E.Mna.make col.Col.compiled in
+  Alcotest.(check (pair int int)) "nodes with ground, unknowns" (16, 10)
+    (E.Mna.n_nodes sys, E.Mna.size sys);
+  Alcotest.(check int) "all unknowns are node voltages" 10
+    (E.Mna.n_free_nodes sys)
+
+let test_grounded_branch_current_rejected () =
+  let c = rc_fixture () in
+  let sys = E.Mna.make c in
+  Alcotest.check_raises "grounded source"
+    (Invalid_argument
+       "Mna.branch_current: v is grounded: it fixes its node and its \
+        current is no unknown")
+    (fun () -> ignore (E.Mna.branch_current sys [| 0.0 |] "v"));
+  Alcotest.check_raises "unknown source" Not_found (fun () ->
+      ignore (E.Mna.branch_current sys [| 0.0 |] "nope"))
 
 (* ------------------------------------------------------------------ *)
 (* Newton predictor                                                    *)
@@ -760,6 +864,19 @@ let test_sweep_nmos_transfer () =
     | a :: (b :: _ as rest) -> a <= b +. 1e-12 && monotone rest
     | [ _ ] | [] -> true
   in
+  (* the ammeter is floating (vdd to d), so it keeps its branch row:
+     vdd is fixed, d sits at 2.4 V and the current is the drain's plus
+     gmin's from d to ground. Relative, so that a wrong sign or a lost
+     branch current fails in sub-threshold too *)
+  let o = E.Options.default in
+  List.iter
+    (fun (vgs, i) ->
+      let e = M.ids model ~temp:o.E.Options.temp ~vgs ~vds:2.4 in
+      let want = e.M.id +. (o.E.Options.gmin *. 2.4) in
+      if not (Float.abs (i -. want) <= 1e-6 *. Float.abs want) then
+        Alcotest.failf "ammeter at vgs=%g reads %h, Id + gmin*Vd is %h" vgs i
+          want)
+    curve;
   Alcotest.(check bool) "monotone in Vgs" true (monotone currents);
   Alcotest.(check bool) "off leakage small" true (List.hd currents < 1e-9);
   Alcotest.(check bool) "on current substantial" true
@@ -806,6 +923,14 @@ let () =
           tc "naive assembly matches incremental"
             test_naive_assembly_matches_incremental;
           QCheck_alcotest.to_alcotest prop_rc_matches_analytic;
+          tc "naive matches incremental: capacitor on a fixed node"
+            test_naive_matches_incremental_fixed_cap;
+        ] );
+      ( "layout",
+        [
+          tc "the O1 column solves for 10 free nodes" test_column_free_nodes;
+          tc "a grounded source has no branch current"
+            test_grounded_branch_current_rejected;
         ] );
       ( "health",
         [

@@ -353,7 +353,7 @@ let keys_written f =
 (* the printed physics of [Sim_config.v ~jobs:1 ()], which keys carry
    as its MD5, and the printed nominal stress *)
 let pinned_physics =
-  "epoch=1,c_bl=0x1.51c51ce3718e1p-42,\
+  "epoch=2,c_bl=0x1.51c51ce3718e1p-42,\
      c_cell=0x1.6849b86a12b9bp-44,c_ref=0x1.323ea98d5cb77p-45,\
      c_sa=0x1.6849b86a12b9bp-46,c_out=0x1.0e374a4f8e0b4p-45,\
      access=(name=acc,nmos,vt0=0x1.6666666666666p-1,\
