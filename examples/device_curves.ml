@@ -1,33 +1,19 @@
-(* Device characterization with the DC sweep engine: the access
-   transistor's transfer and output characteristics across temperature,
-   the raw material of the paper's stress mechanisms.
+(* Device characterization: the access transistor's transfer
+   characteristic across temperature, the raw material of the paper's
+   stress mechanisms, evaluated straight from the device model.
 
    Run with: dune exec examples/device_curves.exe *)
 
-module N = Dramstress_circuit.Netlist
-module W = Dramstress_circuit.Waveform
-module E = Dramstress_engine
+module M = Dramstress_circuit.Mosfet
 module T = Dramstress_dram.Tech
 module A = Dramstress_util.Ascii_plot
 
+(* Id(Vgs) at Vds = 2.4 V, source grounded *)
 let transfer_curve ~temp_c =
-  (* Id(Vgs) at Vds = 2.4 V through a zero-volt ammeter source *)
-  let nl = N.create () in
-  N.vsource nl ~name:"vdd" "vdd" "0" (W.dc 2.4);
-  N.vsource nl ~name:"vg" "g" "0" (W.dc 0.0);
-  N.vsource nl ~name:"amm" "vdd" "d" (W.dc 0.0);
-  N.mosfet nl ~name:"m" ~d:"d" ~g:"g" ~s:"0" ~model:T.default.T.access ();
-  let compiled = N.compile nl in
-  let opts =
-    { E.Options.default with
-      E.Options.temp = Dramstress_util.Units.celsius_to_kelvin temp_c }
-  in
-  let sweep =
-    E.Sweep.run compiled ~opts ~source:"vg"
-      ~values:(Dramstress_util.Grid.linspace 0.0 3.2 33)
-      ()
-  in
-  E.Sweep.source_current_curve sweep "amm"
+  let temp = Dramstress_util.Units.celsius_to_kelvin temp_c in
+  List.map
+    (fun vgs -> (vgs, (M.ids T.default.T.access ~temp ~vgs ~vds:2.4).M.id))
+    (Dramstress_util.Grid.linspace 0.0 3.2 33)
 
 let () =
   print_endline

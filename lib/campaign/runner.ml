@@ -122,7 +122,7 @@ let simulate_point ?store ?(hint = []) (m : Manifest.t) (p : Plan.point) =
     in
     { Plan.detection = d; br }
 
-let run ?jobs ?gate ?on_point ?executor ?(fanout = `Domains) ~store
+let run ?jobs ?gate ?on_point ?executor ~store
     (m : Manifest.t) =
   let points = Plan.points m in
   let planned = List.length points in
@@ -236,14 +236,14 @@ let run ?jobs ?gate ?on_point ?executor ?(fanout = `Domains) ~store
     in
     List.rev outcomes
   in
-  (* Domains for a local run; systhreads when the process must stay
-     fork-capable (the sandboxed service daemon) — exec'ing a point on a
-     pool worker blocks outside the runtime anyway, so threads lose
-     nothing there. *)
+  (* Domains for a local run; systhreads under an executor, whose
+     process must stay fork-capable (the sandboxed service daemon) —
+     exec'ing a point on a pool worker blocks outside the runtime
+     anyway, so threads lose nothing there. *)
   let fan =
-    match fanout with
-    | `Domains -> Par.parallel_map
-    | `Threads -> Par.concurrent_map
+    match executor with
+    | None -> Par.parallel_map
+    | Some _ -> Par.concurrent_map
   in
   let outcomes =
     List.concat (fan ~jobs chain_outcomes (chains_of classified))

@@ -112,7 +112,7 @@ val simulate_point :
   Plan.point ->
   Plan.result
 
-(** [run ?jobs ?gate ?on_point ?executor ?fanout ~store m] executes the
+(** [run ?jobs ?gate ?on_point ?executor ~store m] executes the
     campaign: expands the plan, reuses stored successes, simulates the
     rest as warm-start chains fanned out over the config's domain count
     ([?jobs] overrides). Solver failures become [failures], not
@@ -130,16 +130,15 @@ val simulate_point :
     Classification, gating, store writes and failure records stay in
     this process either way.
 
-    [?fanout] selects the fan-out mechanism for the chains:
-    [`Domains] (default) for local runs, [`Threads] for a process that
-    must remain fork-capable — the sandboxed daemon, whose chains spend
-    their time blocked on pool pipes, not in OCaml code. *)
+    The chains fan out over domains, or over systhreads when an
+    [?executor] is given: the sandboxed daemon must remain fork-capable,
+    and its chains spend their time blocked on pool pipes, not in OCaml
+    code. *)
 val run :
   ?jobs:int ->
   ?gate:gate ->
   ?on_point:(Plan.point -> event -> unit) ->
   ?executor:(hint:float list -> Plan.point -> Plan.result) ->
-  ?fanout:[ `Domains | `Threads ] ->
   store:Dramstress_util.Store.t ->
   Manifest.t ->
   summary

@@ -339,7 +339,7 @@ let handle_submit srv ~send ~manifest ~jobs =
                 Sandbox.executor pool ~manifest_text:manifest m
               in
               Runner.run ~jobs:(Procpool.size pool) ~gate:(gate srv)
-                ~on_point ~executor ~fanout:`Threads ~store:srv.store m
+                ~on_point ~executor ~store:srv.store m
             | None ->
               let jobs = match jobs with Some _ -> jobs | None -> srv.jobs in
               Runner.run ?jobs ~gate:(gate srv) ~on_point ~store:srv.store m

@@ -209,29 +209,6 @@ let compile nl =
   in
   { devices = devs; n_nodes; names; n_vsources }
 
-let with_dc_source c name value =
-  let found = ref false in
-  let devices =
-    Array.map
-      (fun d ->
-        match d with
-        | Device.Vsource ({ name = n; wave; _ } as r) when n = name -> begin
-          match wave with
-          | Waveform.Dc _ ->
-            found := true;
-            Device.Vsource { r with wave = Waveform.Dc value }
-          | Waveform.Pulse _ | Waveform.Pwl _ ->
-            invalid_arg ("Netlist.with_dc_source: " ^ name ^ " is not DC")
-        end
-        | Device.Vsource _ | Device.Resistor _ | Device.Capacitor _
-        | Device.Isource _ | Device.Switch _ | Device.Mosfet _ ->
-          d)
-      c.devices
-  in
-  if not !found then
-    invalid_arg ("Netlist.with_dc_source: no DC source named " ^ name);
-  { c with devices }
-
 let compiled_node c name =
   let rec find i =
     if i >= Array.length c.names then raise Not_found

@@ -109,10 +109,5 @@ val compile : t -> compiled
     [Not_found]. *)
 val compiled_node : compiled -> string -> Device.node
 
-(** [with_dc_source c name value] is a compiled copy with the named DC
-    voltage source set to [value] — the primitive behind DC sweeps.
-    Raises [Invalid_argument] if the source is absent or not DC. *)
-val with_dc_source : compiled -> string -> float -> compiled
-
 (** [pp ppf nl] dumps the netlist, one device per line. *)
 val pp : Format.formatter -> t -> unit

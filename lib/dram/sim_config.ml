@@ -88,7 +88,9 @@ module O = Dramstress_engine.Options
 
 (* Records are taken apart field by field, so a field added to [Tech.t],
    [Mosfet.model] or [Options.t] does not compile here until the key
-   prints it. [temp] comes from the stress, which every key prints. *)
+   prints it. [temp] comes from the stress, which every key prints. The
+   Newton bound prints as its two terms at [tol_scale] and gmin as the
+   engine's constant, so the text names every number the solve used. *)
 let physics_key
     { tech; sim; steps_per_cycle; retry; jobs = _; lanes = _; deadline = _ } =
   let h k v = Printf.sprintf "%s=%h" k v and d k v = Printf.sprintf "%s=%d" k v in
@@ -108,8 +110,8 @@ let physics_key
   let { Tech.c_bl; c_cell; c_ref; c_sa; c_out; access; sa_n; sa_p; wl_boost;
         g_switch; g_write; g_off; t_wl_on; t_share; t_wr_cmd; t_margin0;
         t_margin_duty; t_decide; t_edge } = tech
-  and { O.abstol; reltol; max_newton; gmin; max_step_v; temp = _; integrator;
-        naive_assembly; dt_scale } = Option.value sim ~default:O.default in
+  and { O.tol_scale; max_newton; max_step_v; temp = _; integrator; dt_scale }
+      = Option.value sim ~default:O.default in
   String.concat ","
     [ d "epoch" O.epoch; h "c_bl" c_bl; h "c_cell" c_cell; h "c_ref" c_ref;
       h "c_sa" c_sa; h "c_out" c_out; mos "access" access; mos "sa_n" sa_n;
@@ -117,11 +119,12 @@ let physics_key
       h "g_write" g_write; h "g_off" g_off; h "t_wl_on" t_wl_on;
       h "t_share" t_share; h "t_wr_cmd" t_wr_cmd; h "t_margin0" t_margin0;
       h "t_margin_duty" t_margin_duty; h "t_decide" t_decide;
-      h "t_edge" t_edge; h "abstol" abstol; h "reltol" reltol;
-      d "max_newton" max_newton; h "gmin" gmin; h "max_step_v" max_step_v;
+      h "t_edge" t_edge; h "abstol" (tol_scale *. O.abstol);
+      h "reltol" (tol_scale *. O.reltol); d "max_newton" max_newton;
+      h "gmin" O.gmin; h "max_step_v" max_step_v;
       (if integrator = O.Backward_euler then "integrator=be"
        else "integrator=trap");
-      Printf.sprintf "naive_assembly=%b" naive_assembly; h "dt_scale" dt_scale;
+      h "dt_scale" dt_scale;
       d "steps_per_cycle" steps_per_cycle;
       "retry=" ^ String.concat ";" (List.map stage retry.stages) ]
 

@@ -1,16 +1,9 @@
 module C = Dramstress_circuit
-module L = Dramstress_util.Linalg
 module Tel = Dramstress_util.Telemetry
 
 let c_template_rebuilds = Tel.Counter.make "engine.mna.template_rebuilds"
 let c_lu_factors = Tel.Counter.make "engine.mna.lu_factors"
 let c_lu_solves = Tel.Counter.make "engine.mna.lu_solves"
-
-(* one factorization + one substitution happened (the naive Newton path
-   calls this; the incremental path counts inside [solve_in_place]) *)
-let record_factor_solve () =
-  Tel.Counter.incr c_lu_factors;
-  Tel.Counter.incr c_lu_solves
 
 module Sp = Dramstress_util.Sparse_lu
 
@@ -94,8 +87,6 @@ type t = {
   size : int;
   unk : int array;        (* per node: its unknown, -1 for ground or fixed *)
   node_wave : int array;  (* per node: its fixing source's wave, or -1 *)
-  (* vsource name -> branch unknown; -1 for a grounded source *)
-  vsrc_branch : (string, int) Hashtbl.t;
   res_index : (string, int) Hashtbl.t;    (* resistor name -> plan index *)
   n_caps : int;
   sp : Sp.t;  (* slots and column order of the pattern; never factored *)
@@ -292,7 +283,6 @@ let make (compiled : C.Netlist.compiled) =
     size;
     unk;
     node_wave;
-    vsrc_branch;
     res_index;
     n_caps = !nc;
     sp;
@@ -328,23 +318,11 @@ let pack sys node_voltages =
   Array.iteri (fun n u -> if u >= 0 then x.(u) <- node_voltages.(n)) sys.unk;
   x
 
-let branch_current sys x name =
-  let b = Hashtbl.find sys.vsrc_branch name in
-  if b < 0 then
-    invalid_arg
-      ("Mna.branch_current: " ^ name
-     ^ " is grounded: it fixes its node and its current is no unknown")
-  else x.(b)
-
 type reactive = {
   mutable dt : float;
   prev_v : float array;
   prev_cap_current : float array;
 }
-
-let dc_reactive sys =
-  { dt = 0.0; prev_v = Array.make sys.n_nodes 0.0;
-    prev_cap_current = Array.make sys.n_caps 0.0 }
 
 (* capacitor companion conductance for one time step *)
 let[@inline] cap_g ~(opts : Options.t) ~dt c =
@@ -352,123 +330,8 @@ let[@inline] cap_g ~(opts : Options.t) ~dt c =
   | Options.Backward_euler -> c /. dt
   | Options.Trapezoidal -> 2.0 *. c /. dt
 
-(* Reference from-scratch assembly (the seed implementation, on the
-   reduced layout). Kept alive as the golden baseline: the incremental
-   workspace path below must produce the same systems, which the
-   regression tests assert. It stamps entries in the columns of fixed
-   nodes into a dense per-node coupling matrix and moves them to the
-   right-hand side at the end, each fixed voltage evaluated afresh. *)
-let assemble ?override sys ~(opts : Options.t) ~t_now ~x ~reactive =
-  let n = sys.size in
-  let mat = L.create n n in
-  let rhs = Array.make n 0.0 in
-  let cpl = Array.make_matrix n sys.n_nodes 0.0 in
-  let v =
-    Array.init sys.n_nodes (fun node ->
-        let u = sys.unk.(node) and w = sys.node_wave.(node) in
-        if u >= 0 then x.(u)
-        else if w >= 0 then C.Waveform.eval sys.waves.(w) t_now
-        else 0.0)
-  in
-  (* entry (row [r], column of node [b]) *)
-  let add_rn r b g =
-    if r >= 0 then begin
-      let c = sys.unk.(b) in
-      if c >= 0 then mat.(r).(c) <- mat.(r).(c) +. g
-      else if b > 0 then cpl.(r).(b) <- cpl.(r).(b) +. g
-    end
-  in
-  let add a b g = add_rn sys.unk.(a) b g in
-  let stamp_g g a b =
-    add a a g;
-    add b b g;
-    add a b (-.g);
-    add b a (-.g)
-  in
-  (* current [i] injected INTO node [a] *)
-  let stamp_i i a =
-    let r = sys.unk.(a) in
-    if r >= 0 then rhs.(r) <- rhs.(r) +. i
-  in
-  (* gmin to ground on every free node keeps floating subcircuits
-     solvable *)
-  for r = 0 to sys.n_free - 1 do
-    mat.(r).(r) <- mat.(r).(r) +. opts.gmin
-  done;
-  let res_plan = ref 0 and cap_hist = ref 0 in
-  Array.iter
-    (fun d ->
-      match d with
-      | C.Device.Resistor { a; b; r; _ } ->
-        let g =
-          match override with
-          | Some (index, g) when index = !res_plan -> g
-          | Some _ | None -> 1.0 /. r
-        in
-        incr res_plan;
-        stamp_g g a b
-      | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
-        let g = if C.Waveform.eval ctrl t_now > threshold then g_on else g_off in
-        stamp_g g a b
-      | C.Device.Capacitor { a; b; c; _ } ->
-        let slot = !cap_hist in
-        incr cap_hist;
-        if reactive.dt > 0.0 then begin
-          let vab_prev = reactive.prev_v.(a) -. reactive.prev_v.(b) in
-          let g = cap_g ~opts ~dt:reactive.dt c in
-          let i_hist =
-            match opts.integrator with
-            | Options.Backward_euler -> g *. vab_prev
-            | Options.Trapezoidal ->
-              (g *. vab_prev) +. reactive.prev_cap_current.(slot)
-          in
-          stamp_g g a b;
-          stamp_i i_hist a;
-          stamp_i (-.i_hist) b
-        end
-      | C.Device.Vsource { name; pos; neg; wave } ->
-        let row = Hashtbl.find sys.vsrc_branch name in
-        if row >= 0 then begin
-          (* branch current leaves pos, enters neg *)
-          let pr = sys.unk.(pos) and nr = sys.unk.(neg) in
-          if pr >= 0 then mat.(pr).(row) <- mat.(pr).(row) +. 1.0;
-          add_rn row pos 1.0;
-          if nr >= 0 then mat.(nr).(row) <- mat.(nr).(row) -. 1.0;
-          add_rn row neg (-1.0);
-          rhs.(row) <- C.Waveform.eval wave t_now
-        end
-      | C.Device.Isource { pos; neg; wave; _ } ->
-        let i = C.Waveform.eval wave t_now in
-        (* positive current flows pos -> neg through the source: leaves
-           the pos node, is injected into the neg node *)
-        stamp_i (-.i) pos;
-        stamp_i i neg
-      | C.Device.Mosfet { d; g; s; model; m = mult; _ } ->
-        let vgs = v.(g) -. v.(s) and vds = v.(d) -. v.(s) in
-        let e = C.Mosfet.ids model ~temp:opts.temp ~vgs ~vds in
-        let id = e.id *. mult and gm = e.gm *. mult and gds = e.gds *. mult in
-        (* linearized: Id(v) = Ieq + gm*vgs + gds*vds *)
-        let ieq = id -. (gm *. vgs) -. (gds *. vds) in
-        (* gds acts like a resistor d-s *)
-        stamp_g gds d s;
-        (* gm: current gm*(vg - vs) flowing d -> s *)
-        add d g gm;
-        add d s (-.gm);
-        add s g (-.gm);
-        add s s gm;
-        (* Ieq flows from d to s through the device: leaves d, enters s *)
-        stamp_i (-.ieq) d;
-        stamp_i ieq s)
-    sys.compiled.devices;
-  for r = 0 to n - 1 do
-    for b = 1 to sys.n_nodes - 1 do
-      if sys.unk.(b) < 0 then rhs.(r) <- rhs.(r) -. (cpl.(r).(b) *. v.(b))
-    done
-  done;
-  (mat, rhs)
-
 (* ------------------------------------------------------------------ *)
-(* Incremental assembly workspace                                      *)
+(* Assembly workspace                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Slot stamps into the slot vector; [-1] is a dropped position. All
@@ -493,8 +356,6 @@ type workspace = {
      Newton iteration and must not allocate *)
   mutable tmpl_valid : bool;
   mutable tmpl_dt : float;
-  mutable tmpl_gmin : float;
-  mutable tmpl_trapezoidal : bool;
   mutable tmpl_excluded : int;
   (* per-lane resistance override (ensemble sweeps): plan index of the
      resistor excluded from the template, and the conductance stamped in
@@ -543,8 +404,6 @@ let make_workspace sys =
     cap_gs = Array.make sys.n_caps 0.0;
     tmpl_valid = false;
     tmpl_dt = 0.0;
-    tmpl_gmin = 0.0;
-    tmpl_trapezoidal = false;
     tmpl_excluded = -1;
     excluded_res = -1;
     override_gs = [||];
@@ -567,10 +426,6 @@ let set_resistor_override ws ~index ~gs ~lane =
   ws.override_gs <- gs;
   ws.override_lane <- lane
 
-let resistor_override ws =
-  if ws.excluded_res < 0 then None
-  else Some (ws.excluded_res, ws.override_gs.(ws.override_lane))
-
 (* per-node voltages of [x]: free nodes from [x], fixed ones from the
    controls left by the last [eval_controls_into] *)
 let voltages_into sys ws x ~out =
@@ -580,11 +435,6 @@ let voltages_into sys ws x ~out =
     let u = sys.unk.(node) in
     out.(node) <- (if u >= 0 then x.(u) else wv.(sys.node_wave.(node)))
   done
-
-let voltages sys ws x =
-  let out = Array.make sys.n_nodes 0.0 in
-  voltages_into sys ws x ~out;
-  out
 
 let fixed_abs_max ws = ws.fixed_max
 let newton_acc ws = ws.newton_acc
@@ -597,7 +447,7 @@ let newton_acc ws = ws.newton_acc
 let rebuild_template sys ws ~(opts : Options.t) ~dt =
   let tmpl = ws.tmpl in
   Array.fill tmpl 0 (Array.length tmpl) 0.0;
-  Array.iter (fun s -> stamp_at tmpl s opts.gmin) sys.gmin_slots;
+  Array.iter (fun s -> stamp_at tmpl s Options.gmin) sys.gmin_slots;
   Array.iteri
     (fun i p -> if i <> ws.excluded_res then stamp_g4 p.g_res tmpl p.r_slots)
     sys.resistors;
@@ -608,13 +458,12 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
       stamp_at tmpl p.neg_row (-1.0);
       stamp_at tmpl p.row_neg (-1.0))
     sys.vsrcs;
-  if dt > 0.0 then
-    Array.iteri
-      (fun i p ->
-        let g = cap_g ~opts ~dt p.cap in
-        ws.cap_gs.(i) <- g;
-        stamp_g4 g tmpl p.c_slots)
-      sys.caps
+  Array.iteri
+    (fun i p ->
+      let g = cap_g ~opts ~dt p.cap in
+      ws.cap_gs.(i) <- g;
+      stamp_g4 g tmpl p.c_slots)
+    sys.caps
 
 (* Evaluate every control waveform at [t_now] into the workspace
    buffers. Split out of assembly so the ensemble engine can walk the
@@ -649,16 +498,12 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
   (if
      (not ws.tmpl_valid)
      || ws.tmpl_dt <> reactive.dt
-     || ws.tmpl_gmin <> opts.gmin
-     || ws.tmpl_trapezoidal <> trapezoidal
      || ws.tmpl_excluded <> ws.excluded_res
    then begin
      Tel.Counter.incr c_template_rebuilds;
      rebuild_template sys ws ~opts ~dt:reactive.dt;
      ws.tmpl_valid <- true;
      ws.tmpl_dt <- reactive.dt;
-     ws.tmpl_gmin <- opts.gmin;
-     ws.tmpl_trapezoidal <- trapezoidal;
      ws.tmpl_excluded <- ws.excluded_res
    end);
   let v = ws.vals and rhs = ws.rhs and wv = ws.wave_v in
@@ -674,19 +519,17 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
   for i = 0 to Array.length sys.switches - 1 do
     stamp_g4 ws.sw_g.(i) v sys.switches.(i).s_slots
   done;
-  if reactive.dt > 0.0 then
-    for i = 0 to Array.length sys.caps - 1 do
-      let p = sys.caps.(i) in
-      let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-      let g = ws.cap_gs.(i) in
-      let i_hist =
-        if trapezoidal then
-          (g *. vab_prev) +. reactive.prev_cap_current.(p.hist)
-        else g *. vab_prev
-      in
-      stamp_at rhs p.c_ra i_hist;
-      stamp_at rhs p.c_rb (-.i_hist)
-    done;
+  for i = 0 to Array.length sys.caps - 1 do
+    let p = sys.caps.(i) in
+    let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
+    let g = ws.cap_gs.(i) in
+    let i_hist =
+      if trapezoidal then (g *. vab_prev) +. reactive.prev_cap_current.(p.hist)
+      else g *. vab_prev
+    in
+    stamp_at rhs p.c_ra i_hist;
+    stamp_at rhs p.c_rb (-.i_hist)
+  done;
   for i = 0 to Array.length sys.vsrcs - 1 do
     let p = sys.vsrcs.(i) in
     rhs.(p.row) <- wv.(p.v_wave)
@@ -734,7 +577,8 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
 module Chaos = Dramstress_util.Chaos
 
 let solve_in_place sys ws =
-  record_factor_solve ();
+  Tel.Counter.incr c_lu_factors;
+  Tel.Counter.incr c_lu_solves;
   if Chaos.armed () && Chaos.fire Chaos.Perturb_jacobian then
     (* zero a row: crisply rank-deficient, so the factorization's pivot
        guard must catch it — the detection the chaos harness asserts *)
@@ -751,20 +595,15 @@ let lu_schedule ws = Sp.schedule ws.slu
    slot, so the in-place update is well-defined. *)
 let cap_currents_into sys ws ~(opts : Options.t) ~x ~reactive ~out =
   let nv = ws.node_v in
-  if reactive.dt > 0.0 then voltages_into sys ws x ~out:nv;
+  voltages_into sys ws x ~out:nv;
   for k = 0 to Array.length sys.caps - 1 do
     let p = sys.caps.(k) in
-    if reactive.dt > 0.0 then begin
-      let vab = nv.(p.c_a) -. nv.(p.c_b) in
-      let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-      let i =
-        match opts.integrator with
-        | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
-        | Options.Trapezoidal ->
-          (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
-          -. reactive.prev_cap_current.(p.hist)
-      in
-      out.(p.hist) <- i
-    end
-    else out.(p.hist) <- 0.0
+    let vab = nv.(p.c_a) -. nv.(p.c_b) in
+    let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
+    out.(p.hist) <-
+      (match opts.integrator with
+      | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
+      | Options.Trapezoidal ->
+        (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
+        -. reactive.prev_cap_current.(p.hist))
   done

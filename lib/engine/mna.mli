@@ -15,7 +15,8 @@
     Newton iterate, with companion models for capacitors (BE or
     trapezoidal) and linearized MOSFETs. Rows of fixed nodes are
     dropped, as ground's are, and entries in their columns move to [b]
-    times the fixed voltage. *)
+    times the fixed voltage. The tests check this layout against a
+    dense full-MNA simulator that shares none of it ([test/reference]). *)
 
 type t
 
@@ -39,27 +40,17 @@ val n_free_nodes : t -> int
     voltages (branch currents zeroed; fixed nodes' entries unread). *)
 val pack : t -> float array -> float array
 
-(** [branch_current sys x name] reads a floating voltage source's
-    branch current from an unknown vector (positive out of the +
-    terminal through the external circuit). Raises [Not_found] for
-    unknown sources and [Invalid_argument] naming the source for a
-    grounded one, whose current is no unknown. *)
-val branch_current : t -> float array -> string -> float
-
 (** Dynamic (reactive) inputs to one assembly. [prev_v] is the per-node
     voltage array at the previous accepted time point; [prev_cap_current]
     stores per-capacitor branch current for the trapezoidal rule (indexed
-    by capacitor order of appearance); [dt <= 0.0] means "no reactive
-    stamps" (pure DC). [dt] is mutable so that a transient lane keeps one
-    record for its whole run and only sets each step's length. *)
+    by capacitor order of appearance); [dt > 0] is the step's length.
+    [dt] is mutable so that a transient lane keeps one record for its
+    whole run and only sets each step's length. *)
 type reactive = {
   mutable dt : float;
   prev_v : float array;
   prev_cap_current : float array;
 }
-
-(** [dc_reactive sys] is a [reactive] that disables capacitor stamps. *)
-val dc_reactive : t -> reactive
 
 (** [n_capacitors sys] — size of [prev_cap_current]. *)
 val n_capacitors : t -> int
@@ -72,24 +63,7 @@ val resistor_index : t -> string -> int option
 (** [resistor_g sys index] is the base conductance of plan [index]. *)
 val resistor_g : t -> int -> float
 
-(** [assemble ?override sys ~opts ~t ~x ~reactive] stamps the full
-    linearized system at time [t] around iterate [x] and returns freshly
-    allocated [(g, b)]. [override = (index, g)] stamps conductance [g]
-    for resistor plan [index] (see {!set_resistor_override}). This is
-    the reference from-scratch path, on the same reduced layout: each
-    fixed node voltage is evaluated afresh from its waveform. The
-    workspace API below produces the same systems without
-    allocating. *)
-val assemble :
-  ?override:int * float ->
-  t ->
-  opts:Options.t ->
-  t_now:float ->
-  x:float array ->
-  reactive:reactive ->
-  Dramstress_util.Linalg.matrix * float array
-
-(** Reusable per-solve buffers for the incremental assembly path. The
+(** Reusable per-solve buffers for the assembly. The
     system matrix is one flat vector of {!Dramstress_util.Sparse_lu}
     slot values over the structural pattern of [sys] (every position
     any assembly can write, derived from the devices, never from
@@ -98,10 +72,11 @@ val assemble :
     fixed column) position. The workspace holds that vector and the
     RHS, the cached static-linear template in the same slots (gmin,
     resistors, voltage-source topology, capacitor conductances for the
-    current [(dt, gmin, integrator)]), restored by one blit, and the
-    sparse LU handle with its substitution scratch. One workspace serves any
-    number of sequential solves on the same system; it must not be
-    shared between domains. *)
+    current [dt]), restored by one blit, and the sparse LU handle with
+    its substitution scratch. One workspace serves any number of
+    sequential solves on the same system under one [opts] (the
+    template is keyed on [dt] and the resistor override only); it must
+    not be shared between domains. *)
 type workspace
 
 (** [make_workspace sys] allocates buffers sized for [sys]. *)
@@ -119,11 +94,6 @@ val make_workspace : t -> workspace
 val set_resistor_override :
   workspace -> index:int -> gs:float array -> lane:int -> unit
 
-(** [resistor_override ws] is the [(index, g)] set by
-    {!set_resistor_override}, if any — what the reference {!assemble}
-    needs to reproduce a lane. *)
-val resistor_override : workspace -> (int * float) option
-
 (** [eval_controls_into sys ws ~t_now] evaluates every control waveform
     (switch controls, source values, so the fixed node voltages) at
     [t_now] into workspace buffers consumed by {!assemble_into_pre},
@@ -139,9 +109,6 @@ val eval_controls_into : t -> workspace -> t_now:float -> unit
     last {!eval_controls_into}. *)
 val voltages_into : t -> workspace -> float array -> out:float array -> unit
 
-(** [voltages sys ws x] is {!voltages_into} into a fresh array. *)
-val voltages : t -> workspace -> float array -> float array
-
 (** [(fixed_abs_max ws).(0)] is the largest magnitude of a fixed node
     voltage at the last {!eval_controls_into} (0.0 without fixed
     nodes): the part of Newton's [max |v|] that is not in the unknowns.
@@ -156,13 +123,12 @@ val newton_acc : workspace -> float array
 
 (** [assemble_into_pre sys ws ~opts ~x ~reactive] stamps the system from
     the control values left by the last {!eval_controls_into}: template
-    blit (rebuilt only when [(dt, gmin, integrator, override)] changed),
+    blit (rebuilt only when [dt] or the override changed),
     then dynamic stamps — switch states, source values, capacitor
     history, MOSFET linearization around [x] (device constants resolved
     once per temperature, see {!Dramstress_circuit.Mosfet.prepare}) —
     and last one pass moving each coupling slot times its fixed voltage
-    to the RHS. Produces the systems of {!assemble}, up to the order of
-    floating-point additions, without heap allocation. *)
+    to the RHS. Allocates nothing. *)
 val assemble_into_pre :
   t ->
   workspace ->
@@ -194,8 +160,7 @@ val lu_schedule : workspace -> Dramstress_util.Sparse_lu.schedule option
     advance the trapezoidal rule) into [out] (length >= n_capacitors),
     the fixed nodes at the controls of the last {!eval_controls_into}.
     [out] may alias [reactive.prev_cap_current]: each capacitor reads only
-    its own slot before overwriting it. With [reactive.dt <= 0] the slots
-    are zeroed. *)
+    its own slot before overwriting it. *)
 val cap_currents_into :
   t ->
   workspace ->
@@ -204,8 +169,3 @@ val cap_currents_into :
   reactive:reactive ->
   out:float array ->
   unit
-
-(** [record_factor_solve ()] bumps the [engine.mna.lu_factors] /
-    [engine.mna.lu_solves] telemetry counters — called by solver paths
-    that factor outside {!solve_in_place} (the naive reference path). *)
-val record_factor_solve : unit -> unit

@@ -42,7 +42,8 @@ let[@inline] max_abs (acc : float) (a : float) =
 let[@inline] clamp m dx = if dx > m then m else if dx < -.m then -.m else dx
 
 (* the bound for a state whose largest magnitude is [m] *)
-let[@inline] bound ~(opts : Options.t) m = opts.abstol +. (opts.reltol *. m)
+let[@inline] bound ~(opts : Options.t) m =
+  opts.tol_scale *. (Options.abstol +. (Options.reltol *. m))
 
 (* One pass over the new iterate: the clamped update from [x_new] onto
    [x], the worst free-node move, [max |x|] and the finiteness sum; see
@@ -90,8 +91,8 @@ let sick ~t_now ~iter what =
   Tel.Counter.add c_iterations iter;
   raise (Numerical_health { t = t_now; iterations = iter; what })
 
-(* a singular LU surfaced from either factorization path: counted on the
-   health counter, then converted to the typed error *)
+(* a singular LU: counted on the health counter, then converted to the
+   typed error *)
 let sick_singular ~t_now ~iter ~row ~pivot =
   Tel.Counter.incr c_singular;
   sick ~t_now ~iter
@@ -157,36 +158,18 @@ let chaos_nan x =
   if Chaos.armed () && Chaos.fire Chaos.Inject_nan_state then
     x.(0) <- Float.nan
 
-(* One Newton iteration on [x], in place. The incremental path works
-   entirely inside [ws] (zero per-iteration matrix allocation) from the
-   controls left by the last [Mna.eval_controls_into]; with
-   [naive_assembly] the reference path allocates and factors a fresh
-   system instead, honouring the workspace's resistor override. The
-   updated state is always scanned for NaN/Inf. The verdict is a bool,
-   not the worst move: a float result would be boxed on every
-   iteration. *)
+(* One Newton iteration on [x], in place, entirely inside [ws] (no
+   per-iteration matrix allocation) from the controls left by the last
+   [Mna.eval_controls_into]. The updated state is always scanned for
+   NaN/Inf. The verdict is a bool, not the worst move: a float result
+   would be boxed on every iteration. *)
 let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter ~diverge x =
-  let x_new =
-    if opts.naive_assembly then begin
-      let mat, rhs =
-        Mna.assemble ?override:(Mna.resistor_override ws) sys ~opts ~t_now ~x
-          ~reactive
-      in
-      Mna.record_factor_solve ();
-      match L.lu_solve (L.lu_factor mat) rhs with
-      | x_new -> x_new
-      | exception L.Singular { row; pivot } ->
-        sick_singular ~t_now ~iter ~row ~pivot
-    end
-    else begin
-      Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
-      (match Mna.solve_in_place sys ws with
-      | () -> ()
-      | exception L.Singular { row; pivot } ->
-        sick_singular ~t_now ~iter ~row ~pivot);
-      Mna.solution ws
-    end
-  in
+  Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
+  (match Mna.solve_in_place sys ws with
+  | () -> ()
+  | exception L.Singular { row; pivot } ->
+    sick_singular ~t_now ~iter ~row ~pivot);
+  let x_new = Mna.solution ws in
   (* the bound's max|x| takes in the fixed node voltages too, as when
      they were unknowns *)
   let acc = Mna.newton_acc ws in
@@ -206,17 +189,3 @@ let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter ~diverge x =
   end
   else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
   else false
-
-let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =
-  let ws = match ws with Some w -> w | None -> Mna.make_workspace sys in
-  let x = Array.copy x0 in
-  let diverge = chaos_diverge () in
-  (* t_now is fixed for the whole solve: walk the control waveforms
-     once, not once per iteration *)
-  Mna.eval_controls_into sys ws ~t_now;
-  let rec loop iter =
-    check_deadline ~deadline_at ~t_now;
-    if iterate sys ws ~opts ~t_now ~reactive ~iter ~diverge x then x
-    else loop (iter + 1)
-  in
-  loop 1

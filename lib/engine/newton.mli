@@ -1,4 +1,6 @@
-(** Damped Newton–Raphson solve of one (possibly nonlinear) MNA system. *)
+(** Damped Newton–Raphson iteration of one (possibly nonlinear) MNA
+    system: the building blocks {!Ensemble} iterates every lane through,
+    interleaving the lanes' iterations. *)
 
 exception No_convergence of { t : float; iterations : int; worst : float }
 (** Raised when the iteration cap is hit; [worst] is the largest remaining
@@ -20,38 +22,6 @@ exception Timeout of { t : float; budget_s : float }
     its budget only burns more, so it surfaces directly as a [Failed]
     sweep outcome. *)
 
-(** [solve sys ?ws ?deadline_at ~opts ~t_now ~reactive ~x0 ()] iterates
-    {!iterate} from initial guess [x0] until every node-voltage update is
-    below [abstol + reltol * |v|]. Returns the converged unknown vector
-    (freshly allocated; independent of [x0] and [ws]). Used by the DC
-    analyses ({!Dcop}, {!Sweep}); transient lanes iterate through
-    {!Ensemble}'s masked sweep instead.
-
-    [deadline_at], when given as [(at, budget_s)], is an absolute
-    [Unix.gettimeofday]-clock instant checked once per iteration
-    ({!check_deadline}); past it the solve raises [Timeout { t; budget_s }].
-
-    [ws] supplies reusable assembly/factorization buffers
-    ({!Mna.make_workspace}); when omitted a workspace is allocated for
-    this call. Callers solving many systems of the same layout should
-    create one workspace and pass it to every call. *)
-val solve :
-  Mna.t ->
-  ?ws:Mna.workspace ->
-  ?deadline_at:float * float ->
-  opts:Options.t ->
-  t_now:float ->
-  reactive:Mna.reactive ->
-  x0:float array ->
-  unit ->
-  float array
-
-(** {2 Iteration building blocks}
-
-    Exposed for {!Ensemble}, which interleaves the iterations of many
-    lanes and therefore cannot call {!solve} — but iterates each lane
-    through the same {!iterate}. Not a stable API for other callers. *)
-
 (** [iterate sys ws ~opts ~t_now ~reactive ~iter ~diverge x] performs
     Newton iteration number [iter] on [x] in place and returns whether
     the solve converged: whether the worst node-voltage move (before
@@ -62,13 +32,10 @@ val solve :
     solve is counted in the solve/iteration telemetry. An iteration
     that reaches [opts.max_newton] unconverged raises {!No_convergence};
     [diverge] (the [Force_newton_diverge] chaos site) holds the solve
-    unconverged until then. The default path assembles
-    into [ws] from the controls left by the last
-    {!Mna.eval_controls_into} and factors with {!Mna.solve_in_place}
-    (no matrix allocation); with [opts.naive_assembly] the reference
-    from-scratch assembly ({!Mna.assemble}, honouring the workspace's
-    resistor override) and allocating LU run instead. Node-voltage
-    updates are clamped to [opts.max_step_v].
+    unconverged until then. It assembles into [ws] from the controls
+    left by the last {!Mna.eval_controls_into} and factors with
+    {!Mna.solve_in_place} (no matrix allocation). Node-voltage updates
+    are clamped to [opts.max_step_v].
 
     The state vector is checked for NaN/Inf after every update, and a
     singular LU is converted into {!Numerical_health}. The update, the

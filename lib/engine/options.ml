@@ -1,28 +1,25 @@
 type integrator = Backward_euler | Trapezoidal
 
 let epoch = 2
+let gmin = 1e-12
+let abstol = 1e-6
+let reltol = 1e-4
 
 type t = {
-  abstol : float;
-  reltol : float;
+  tol_scale : float;
   max_newton : int;
-  gmin : float;
   max_step_v : float;
   temp : float;
   integrator : integrator;
-  naive_assembly : bool;
   dt_scale : float;
 }
 
 let default =
   {
-    abstol = 1e-6;
-    reltol = 1e-4;
+    tol_scale = 1.0;
     max_newton = 80;
-    gmin = 1e-12;
     max_step_v = 1.0;
     temp = 300.15;
     integrator = Backward_euler;
-    naive_assembly = false;
     dt_scale = 1.0;
   }

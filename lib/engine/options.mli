@@ -6,19 +6,27 @@ type integrator = Backward_euler | Trapezoidal
     change that deliberately moves waveform bits bumps it. *)
 val epoch : int
 
+(** [gmin] is the conductance, 1e-12 S, that ties every free node to
+    ground. *)
+val gmin : float
+
+(** [abstol] (1e-6 V) and [reltol] (1e-4) give Newton's convergence
+    bound at [tol_scale = 1.0]: a time point has converged once no free
+    node moves by more than [tol_scale *. (abstol +. reltol *. max |v|)]. *)
+val abstol : float
+
+val reltol : float
+
 type t = {
-  abstol : float;       (** absolute voltage tolerance, V *)
-  reltol : float;       (** relative tolerance *)
+  tol_scale : float;
+      (** multiplier on Newton's convergence bound ({!abstol},
+          {!reltol}); 1.0 in production. The tests that compare the engine
+          with a full-MNA reference set 1e-6, which makes each step's
+          fixed point unique far below their comparison bounds. *)
   max_newton : int;     (** Newton iteration cap per time point *)
-  gmin : float;         (** node-to-ground regularization conductance, S *)
   max_step_v : float;   (** Newton per-iteration voltage step clamp, V *)
   temp : float;         (** simulation temperature, K *)
   integrator : integrator;
-  naive_assembly : bool;
-      (** use the reference from-scratch MNA assembly and allocating LU
-          path instead of the incremental workspace engine. Slower;
-          kept alive as the golden baseline for regression tests and
-          A/B benchmarks. *)
   dt_scale : float;
       (** multiplier applied to every transient segment's nominal time
           step (must be positive; default 1.0). Values below 1 refine
@@ -28,7 +36,6 @@ type t = {
           initial dt after a Newton failure. *)
 }
 
-(** Defaults: abstol 1e-6 V, reltol 1e-4, 80 Newton iterations, gmin 1e-12 S,
-    1.0 V step clamp, 300.15 K, backward Euler, incremental assembly,
-    dt_scale 1.0. *)
+(** Defaults: tol_scale 1.0, 80 Newton iterations, 1.0 V step clamp,
+    300.15 K, backward Euler, dt_scale 1.0. *)
 val default : t

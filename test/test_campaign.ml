@@ -673,7 +673,7 @@ let test_golden_table1_claims () =
   List.iter
     (fun f ->
       copy_file (Filename.concat "golden/table1_store" f) (Filename.concat dir f))
-    [ "records.jsonl"; "index.json" ];
+    [ "records.jsonl"; "name" ];
   let was = Tel.enabled () in
   Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
   Tel.set_enabled true;

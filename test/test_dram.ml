@@ -277,58 +277,33 @@ let test_temperature_leakage_direction () =
   Alcotest.(check bool) "hot leaks more" true (drift 87.0 > drift (-33.0))
 
 (* ------------------------------------------------------------------ *)
-(* Incremental engine vs naive assembly (golden regression)            *)
+(* Production engine vs the full-MNA reference                          *)
 (* ------------------------------------------------------------------ *)
 
 module E = Dramstress_engine
+module Col = Dramstress_dram.Column
 
-let compare_naive_incremental a b =
-  Alcotest.(check (list int))
-    "sensed bits agree" (O.sensed_bits a) (O.sensed_bits b);
-  let ta = a.O.trace and tb = b.O.trace in
-  Alcotest.(check int)
-    "same point count"
-    (Array.length ta.E.Transient.times)
-    (Array.length tb.E.Transient.times);
-  let close eps v w = Float.abs (v -. w) <= eps *. (1.0 +. Float.abs w) in
-  Array.iteri
-    (fun i v ->
-      let w = tb.E.Transient.final_v.(i) in
-      if not (close 1e-9 v w) then
-        Alcotest.failf "final_v.(%d): naive %.12g vs incremental %.12g" i v w)
-    ta.E.Transient.final_v;
-  (* mid-trace points pass through sense-amp regeneration, whose
-     positive feedback amplifies last-ulp summation-order differences
-     before the rails collapse them again — hence the looser bound here;
-     summation-order-independent trace equality at 1e-9 is covered by
-     the engine-level pass-gate test *)
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun k v ->
-          let w = tb.E.Transient.probe_values.(i).(k) in
-          if not (close 1e-6 v w) then
-            Alcotest.failf "probe %s at %d: naive %.12g vs incremental %.12g"
-              ta.E.Transient.probe_names.(i) k v w)
-        row)
-    ta.E.Transient.probe_values
-
-let test_incremental_matches_naive () =
-  (* the optimized workspace path must reproduce the allocating baseline
-     on a full DRAM column with a defect, for both integrators, in a
+(* [trace] against its replay by the dense full-MNA reference
+   (test/reference), which shares no layout, slot plan or sparse LU
+   with the engine *)
+let test_engine_matches_reference () =
+  (* a full DRAM column with a defect, for both integrators, in a
      one-lane run and in a two-lane ensemble (where each lane's defect
-     resistance is a resistor override) *)
+     resistance is a resistor override), replayed by the reference from
+     the same netlist, initial conditions and time points *)
   let ops = [ O.W1; O.R; O.W0; O.Pause 1e-5; O.R ] in
+  let vc_init = 1.0 and vdd = nominal.S.vdd in
+  (* the nominal stress's neighbours hold a 1 *)
+  Alcotest.(check bool) "all-1 neighbours" true (nominal.S.pattern = S.All_1);
   List.iter
     (fun (integrator, rs) ->
-      let run naive =
-        (* tight Newton tolerances: the fixed point is then unique to far
-           below the 1e-9 comparison, so the check is about the assembly
-           paths and not about where Newton happened to stop *)
-        let sim =
-          { E.Options.default with E.Options.naive_assembly = naive;
-            integrator; abstol = 1e-12; reltol = 1e-10 }
-        in
+      (* tight Newton tolerances: the fixed point is then unique to far
+         below the 1e-9 comparison, so the check is about the assembly
+         and the solve and not about where Newton happened to stop *)
+      let sim =
+        { E.Options.default with E.Options.integrator; tol_scale = 1e-6 }
+      in
+      let outcomes =
         List.map
           (function Ok oc -> oc | Error e -> raise e)
           (O.run_batch ~config:(Dramstress_dram.Sim_config.v ~sim ())
@@ -338,11 +313,32 @@ let test_incremental_matches_naive () =
                (List.map
                   (fun r ->
                     { O.defect = Some (D.v D.Short_to_gnd D.True_bl r);
-                      vc_init = 1.0 })
+                      vc_init })
                   rs)
              ops)
       in
-      List.iter2 compare_naive_incremental (run true) (run false))
+      let multi = List.length rs > 1 in
+      List.iter2
+        (fun r (oc : O.outcome) ->
+          let built = oc.O.built and trace = oc.O.trace in
+          let ref_ =
+            Reference.replay built.Col.compiled
+              ~opts:{ sim with E.Options.temp = S.temp_kelvin nominal }
+              ?override:(if multi then Some ("r_defect", r) else None)
+              ~ics:
+                (Col.initial_conditions built ~vdd ~vc_init ~v_neighbour:vdd)
+              ~probes:built.Col.probes ~times:trace.E.Transient.times ()
+          in
+          (* mid-trace points pass through sense-amp regeneration, whose
+             positive feedback amplifies last-ulp summation-order
+             differences before the rails collapse them again — hence
+             the looser trace bound; trace equality at 1e-9 is covered
+             by the engine-level pass-gate and fixed-node capacitor
+             tests *)
+          Reference.check ~eps_final:1e-9 ~eps_trace:1e-6
+            ~what:(Printf.sprintf "%d lanes, r=%g" (List.length rs) r)
+            ref_ trace)
+        rs outcomes)
     [ (E.Options.Backward_euler, [ 500e3 ]);
       (E.Options.Trapezoidal, [ 500e3 ]);
       (E.Options.Backward_euler, [ 500e3; 2e6 ]) ]
@@ -529,7 +525,9 @@ let test_column_lu_fill_free () =
               let sys = E.Mna.make col.Col.compiled in
               let ws = E.Mna.make_workspace sys in
               let reactive =
-                { (E.Mna.dc_reactive sys) with E.Mna.dt = 1e-10 }
+                { E.Mna.dt = 1e-10;
+                  prev_v = Array.make (E.Mna.n_nodes sys) 0.0;
+                  prev_cap_current = Array.make (E.Mna.n_capacitors sys) 0.0 }
               in
               E.Mna.eval_controls_into sys ws ~t_now:0.0;
               E.Mna.assemble_into_pre sys ws ~opts:E.Options.default
@@ -954,8 +952,8 @@ let test_batch_nan_lane_falls_back () =
    Two scratch mutations fail both inputs: allocating a 20x21 matrix in
    every [Newton.iterate], and copying the committed state row in every
    predicted step, so the limits also pin the Newton predictor as
-   allocation-free per step. The naive reference path, which allocates
-   and factors a fresh system every Newton iteration, reads ~2,500. *)
+   allocation-free per step. A path that allocates and factors a fresh
+   dense system every Newton iteration read ~2,500. *)
 let test_batch_minor_words_per_lane () =
   let words_per_lane_point resistances =
     let lanes =
@@ -1199,7 +1197,7 @@ let () =
         ] );
       ( "engine integration",
         [
-          tc "incremental matches naive assembly" test_incremental_matches_naive;
+          tc "engine matches the reference" test_engine_matches_reference;
           tc "memo cache replays identical runs" test_memo_cache_replays;
           tc "simulations count with the cache off"
             test_simulations_count_with_cache_off;

@@ -376,7 +376,7 @@ let pinned_physics =
      t_decide=0x1.9c511dc3a41dfp-28,t_edge=0x1.12e0be826d695p-31,\
      abstol=0x1.0c6f7a0b5ed8dp-20,reltol=0x1.a36e2eb1c432dp-14,\
      max_newton=80,gmin=0x1.19799812dea11p-40,max_step_v=0x1p+0,\
-     integrator=be,naive_assembly=false,dt_scale=0x1p+0,\
+     integrator=be,dt_scale=0x1p+0,\
      steps_per_cycle=400,\
      retry=halve-dt;steps-x4;damped-newton(0x1p-2,x4)"
 
