@@ -344,10 +344,41 @@ let fig2_guard () =
       [ ("scalar", scalar); ("batched", batched) ]
   | _ -> assert false
 
+(* [E.Newton.update] without its finiteness sum, the scan-free side of
+   the health scan's A/B: same clamped update, worst move and maximum.
+   [op_guards] checks it against the real pass before timing it, so an
+   update this copy no longer mirrors fails the bench instead of
+   mispricing the scan. *)
+let update_without_scan ~max_step_v:m ~n_free x x_new acc =
+  let worst = ref 0.0 and clamped = ref 0 and mx = ref acc.(1) in
+  for i = 0 to Array.length x - 1 do
+    let xi =
+      if i < n_free then begin
+        let dx = x_new.(i) -. x.(i) in
+        let dx_clamped = if dx > m then m else if dx < -.m then -.m else dx in
+        if dx_clamped <> dx then incr clamped;
+        let a = Float.abs dx in
+        if a > !worst || a <> a then worst := a;
+        x.(i) +. dx_clamped
+      end
+      else x_new.(i)
+    in
+    x.(i) <- xi;
+    let a = Float.abs xi in
+    if a > !mx || a <> a then mx := a
+  done;
+  acc.(0) <- !worst;
+  acc.(1) <- !mx;
+  !clamped
+
 (* The probes, the health scan and the deadline poll are compiled into
    the hot path, so there is no build without them to A/B against.
    Each is priced as its unit cost times the number of times one w0 op
-   fires it, against that op's wall time (memo cache off, one lane). *)
+   fires it, against that op's wall time (memo cache off, one lane).
+   The health scan is the finiteness sum that Newton's update pass
+   ({!E.Newton.update}) carries ({!E.Newton.check_finite} runs only on
+   a sick state): its unit cost is that pass less the same pass
+   without the sum. *)
 let op_guards () =
   let config = Sc.v ~retry:Sc.no_retry ~jobs:1 ~lanes:1 () in
   let defect = D.v open_kind D.True_bl 200e3 in
@@ -375,15 +406,15 @@ let op_guards () =
     + (2 * count "engine.transient.runs")
     + (3 * count "dram.ops.requests")
   in
-  (* each Newton iteration scans the state and checks the deadline *)
+  (* each Newton iteration runs one update pass and polls the deadline *)
   let iters = count "engine.newton.iterations" in
   let probe_c = Tel.Counter.make "bench.telemetry.probe" in
   let probe_h =
     Tel.Histogram.make ~lo:1.0 ~hi:10.0 ~buckets:4 "bench.telemetry.probe_ms"
   in
-  (* the scan walks the op's whole MNA state, whose size does not depend
-     on the control waveforms *)
-  let state =
+  (* the pass walks the op's whole MNA state, whose size does not
+     depend on the control waveforms *)
+  let sys =
     let dc = Dramstress_circuit.Waveform.dc 0.0 in
     let controls =
       { Col.wl = dc; wl_ref = dc; wl_nb = dc; pre = dc; sae = dc;
@@ -391,8 +422,22 @@ let op_guards () =
         colsel = dc }
     in
     let col = Col.build ~tech:T.default ~vdd:2.4 ~controls ~defect () in
-    Array.make (E.Mna.size (E.Mna.make col.Col.compiled)) 1.0
+    E.Mna.make col.Col.compiled
   in
+  let n = E.Mna.size sys and n_free = E.Mna.n_free_nodes sys in
+  let max_step_v = E.Options.default.E.Options.max_step_v in
+  (* moves on both sides of the clamp *)
+  let target = Array.init n (fun i -> float_of_int (i - (n / 2))) in
+  let pass update =
+    let x = Array.make n 0.0 and acc = [| 0.0; 0.0; 0.0 |] in
+    let clamped = update ~max_step_v ~n_free x target acc in
+    (x, acc.(0), acc.(1), clamped)
+  in
+  if pass E.Newton.update <> pass update_without_scan then
+    failwith "bench: update_without_scan no longer mirrors Newton.update";
+  (* the timed passes move nothing, so the state stays put *)
+  let state = Array.make n 1.0 in
+  let next = Array.copy state and acc = Array.make 3 0.0 in
   let reps = 2_000_000 and far = Some (infinity, 3600.0) in
   let t =
     time_runs
@@ -406,7 +451,12 @@ let op_guards () =
         ( reps,
           fun () ->
             for _ = 1 to reps do
-              E.Newton.check_finite ~t_now:0.0 ~iter:1 state
+              ignore (E.Newton.update ~max_step_v ~n_free state next acc)
+            done );
+        ( reps,
+          fun () ->
+            for _ = 1 to reps do
+              ignore (update_without_scan ~max_step_v ~n_free state next acc)
             done );
         ( reps,
           fun () ->
@@ -415,26 +465,32 @@ let op_guards () =
             done ) ]
   in
   Printf.printf
-    "  one w0 op: %d probes, %d Newton iterations (a scan of %d unknowns \
-     and a deadline check each)\n"
-    probes iters (Array.length state);
+    "  one w0 op: %d probes, %d Newton iterations (an update pass over %d \
+     unknowns and a deadline poll each)\n"
+    probes iters n;
   match t with
-  | [ op_t; probe_t; scan_t; check_t ] ->
+  | [ op_t; probe_t; update_t; bare_update_t; check_t ] ->
     let pct cost base = 100.0 *. cost /. base in
-    let scan_s = float_of_int iters *. scan_t.median in
+    let scan_s =
+      float_of_int iters
+      *. Float.max 0.0 (update_t.median -. bare_update_t.median)
+    in
     let check_s = float_of_int iters *. check_t.median in
     (* the op is timed with its scans; the bound divides by the op
        without them *)
     let bare_op = op_t.median -. scan_s in
+    let scan =
+      [ ("update", update_t); ("update_without_scan", bare_update_t) ]
+    in
     [ at_most "telemetry_overhead" ~unit_:"%" 2.0
         (pct (float_of_int probes *. probe_t.median) op_t.median)
         [ ("op", op_t); ("probe", probe_t) ];
       at_most "health_scan_overhead" ~unit_:"%" 2.0
         (pct scan_s bare_op)
-        [ ("op", op_t); ("scan", scan_t) ];
+        (("op", op_t) :: scan);
       at_most "health_scan_poll_overhead" ~unit_:"%" 2.0
         (pct (scan_s +. check_s) bare_op)
-        [ ("op", op_t); ("scan", scan_t); ("deadline", check_t) ] ]
+        ((("op", op_t) :: scan) @ [ ("deadline", check_t) ]) ]
   | _ -> assert false
 
 let campaign_manifest =

@@ -1,10 +1,8 @@
 (* Wire protocol of the campaign service: small s-expressions in
-   length-prefixed frames over a local Unix-domain socket.
+   length-prefixed frames ({!Dramstress_util.Frame}) over a local
+   Unix-domain socket. *)
 
-   A frame is an 8-hex-digit payload length followed by exactly that
-   many bytes of rendered s-expression. Hex keeps the header fixed
-   width and human-greppable in captures; the length prefix means
-   neither side ever scans for a terminator inside manifest text. *)
+module Frame = Dramstress_util.Frame
 
 type sexp = Sexp.t = Atom of string | List of sexp list
 
@@ -13,59 +11,14 @@ type sexp = Sexp.t = Atom of string | List of sexp list
 (* well above any manifest or rendered diff, well below a typo'd header *)
 let max_frame = 16 * 1024 * 1024
 
-let rec write_all fd buf off len =
-  if len > 0 then begin
-    let n = Unix.write fd buf off len in
-    write_all fd buf (off + n) (len - n)
-  end
-
-let write_frame fd x =
-  let payload = Bytes.of_string (Sexp.to_string x) in
-  let header = Bytes.of_string (Printf.sprintf "%08x" (Bytes.length payload)) in
-  write_all fd header 0 8;
-  write_all fd payload 0 (Bytes.length payload)
-
-(* [deadline] is an absolute instant: once a frame has started
-   arriving, every further byte must land before it, enforced with
-   [Unix.select] ahead of each read — the defence against slowloris
-   peers that trickle half a frame and hold the connection hostage. *)
-let read_exact ?deadline fd len =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off >= len then `Ok buf
-    else begin
-      let ready =
-        match deadline with
-        | None -> `Ready
-        | Some d ->
-          let rec wait () =
-            let remaining = d -. Unix.gettimeofday () in
-            if remaining <= 0.0 then `Timeout
-            else begin
-              match Unix.select [ fd ] [] [] remaining with
-              | [], _, _ -> `Timeout
-              | _ -> `Ready
-              | exception Unix.Unix_error (EINTR, _, _) -> wait ()
-            end
-          in
-          wait ()
-      in
-      match ready with
-      | `Timeout -> `Timeout
-      | `Ready -> begin
-        match Unix.read fd buf off (len - off) with
-        | 0 -> `Eof
-        | n -> go (off + n)
-        | exception Unix.Unix_error (EINTR, _, _) -> go off
-      end
-    end
-  in
-  go 0
+let write_frame fd x = Frame.write fd (Sexp.to_string x)
 
 let read_frame ?frame_timeout fd =
   (* Block indefinitely for the first byte: an idle keep-alive client
      is welcome to sit silent between requests. The deadline starts
-     the moment a frame begins. *)
+     the moment a frame begins, and every further byte must land before
+     it — the defence against slowloris peers that trickle half a frame
+     and hold the connection hostage. *)
   let first = Bytes.create 1 in
   let rec first_read () =
     match Unix.read fd first 0 1 with
@@ -79,23 +32,18 @@ let read_frame ?frame_timeout fd =
     let deadline =
       Option.map (fun t -> Unix.gettimeofday () +. t) frame_timeout
     in
-    match read_exact ?deadline fd 7 with
-    | `Eof -> Error `Eof
-    | `Timeout -> Error `Timeout
+    match Frame.read_exact ~deadline fd (Frame.header_len - 1) with
+    | (`Eof | `Timeout) as e -> Error e
     | `Ok rest -> (
-      let h = Bytes.to_string first ^ Bytes.to_string rest in
-      match int_of_string_opt ("0x" ^ h) with
-      | None -> Error (`Protocol "bad frame header")
-      | Some len when len < 0 || len > max_frame ->
-        Error (`Protocol "oversized frame")
-      | Some len -> (
-        match read_exact ?deadline fd len with
-        | `Eof -> Error `Eof
-        | `Timeout -> Error `Timeout
-        | `Ok payload -> (
-          match Sexp.of_string (Bytes.to_string payload) with
-          | Ok x -> Ok x
-          | Error m -> Error (`Protocol m)))))
+      match
+        Frame.read_payload ~max:max_frame ~deadline fd
+          (Bytes.to_string first ^ rest)
+      with
+      | Error e -> Error e
+      | Ok payload -> (
+        match Sexp.of_string payload with
+        | Ok x -> Ok x
+        | Error m -> Error (`Protocol m))))
 
 (* ---- typed requests and responses ---- *)
 

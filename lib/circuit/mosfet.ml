@@ -12,17 +12,20 @@ type model = {
   t_ref : float;
 }
 
+(* every model's reference temperature: 27 C, the paper's nominal, K *)
+let t_ref = 300.15
+
 let make polarity ?(lambda = 0.05) ?(vt_tc = 2e-3) ?(mu_exp = 1.5)
-    ?(n_sub = 1.4) ?(t_ref = 300.15) ~name ~vt0 ~kp () =
+    ?(n_sub = 1.4) ~name ~vt0 ~kp () =
   if vt0 < 0.0 || kp <= 0.0 then
     invalid_arg "Mosfet: vt0 and kp must be positive magnitudes";
   { name; polarity; vt0; kp; lambda; vt_tc; mu_exp; n_sub; t_ref }
 
-let nmos ?lambda ?vt_tc ?mu_exp ?n_sub ?t_ref ~name ~vt0 ~kp () =
-  make Nmos ?lambda ?vt_tc ?mu_exp ?n_sub ?t_ref ~name ~vt0 ~kp ()
+let nmos ?lambda ?vt_tc ?mu_exp ?n_sub ~name ~vt0 ~kp () =
+  make Nmos ?lambda ?vt_tc ?mu_exp ?n_sub ~name ~vt0 ~kp ()
 
-let pmos ?lambda ?vt_tc ?mu_exp ?n_sub ?t_ref ~name ~vt0 ~kp () =
-  make Pmos ?lambda ?vt_tc ?mu_exp ?n_sub ?t_ref ~name ~vt0 ~kp ()
+let pmos ?lambda ?vt_tc ?mu_exp ?n_sub ~name ~vt0 ~kp () =
+  make Pmos ?lambda ?vt_tc ?mu_exp ?n_sub ~name ~vt0 ~kp ()
 
 let[@inline] vth_mag m ~temp = m.vt0 -. (m.vt_tc *. (temp -. m.t_ref))
 

@@ -32,15 +32,16 @@ type model = {
 
 (** [nmos ~name ~vt0 ~kp ()] builds an NMOS model with typical defaults:
     [lambda = 0.05], [vt_tc = 2e-3], [mu_exp = 1.5], [n_sub = 1.4],
-    [t_ref = 300.15] (27 C). Optional arguments override each. *)
+    and reference temperature [t_ref = 300.15] (27 C). Optional
+    arguments override the first four. *)
 val nmos :
   ?lambda:float -> ?vt_tc:float -> ?mu_exp:float -> ?n_sub:float ->
-  ?t_ref:float -> name:string -> vt0:float -> kp:float -> unit -> model
+  name:string -> vt0:float -> kp:float -> unit -> model
 
 (** [pmos ~name ~vt0 ~kp ()] like {!nmos}; [vt0] and [kp] are magnitudes. *)
 val pmos :
   ?lambda:float -> ?vt_tc:float -> ?mu_exp:float -> ?n_sub:float ->
-  ?t_ref:float -> name:string -> vt0:float -> kp:float -> unit -> model
+  name:string -> vt0:float -> kp:float -> unit -> model
 
 (** [vth model ~temp] is the signed threshold at temperature [temp] (K):
     positive for NMOS, negative for PMOS. *)

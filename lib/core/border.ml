@@ -4,7 +4,6 @@ module D = Dramstress_defect.Defect
 module U = Dramstress_util.Units
 module O = Dramstress_dram.Ops
 module Sc = Dramstress_dram.Sim_config
-module E = Dramstress_engine
 module St = Dramstress_util.Store
 module Par = Dramstress_util.Par
 module Tel = Dramstress_util.Telemetry
@@ -220,17 +219,6 @@ let adaptive_scan ~n ~coarse ~seeds probe_many =
 (* Electrical search                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* only genuine solver failures are skippable; anything else is a bug
-   and must propagate. Health-guard errors are solver failures too: the
-   point is untrustworthy, not the program. A deadline is not: a probe
-   it cuts short says nothing about the defect, so it fails the whole
-   search rather than leaving a skipped sample in a stored result. *)
-let is_solver_failure = function
-  | E.Transient.Step_failed _ | E.Newton.No_convergence _
-  | E.Newton.Numerical_health _ | O.Exhausted_retries _ ->
-    true
-  | _ -> false
-
 let encode_edge = function
   | Exact v -> Printf.sprintf "e%h" v
   | Unknown { lo; hi } -> Printf.sprintf "u%h,%h" lo hi
@@ -354,7 +342,12 @@ let search ?config ?store ?window:(w = Window.default)
         (fun r res ->
           match res with
           | Ok outcome -> (r, Some (Detection.judge cond outcome))
-          | Error e when is_solver_failure e ->
+          (* only solver failures are skippable; anything else is a bug
+             and must propagate. A deadline is not one: a probe it cuts
+             short says nothing about the defect, so it fails the whole
+             search rather than leaving a skipped sample in a stored
+             result. *)
+          | Error e when O.is_solver_failure e ->
             Tel.Counter.incr c_skipped;
             (r, None)
           | Error e -> raise e)
@@ -436,7 +429,7 @@ let search ?config ?store ?window:(w = Window.default)
          continuous residual to interpolate, only a sign. *)
       match B.threshold_log ~rel_tol:w.Window.rel_tol detect r0 r1 with
       | v -> Exact v
-      | exception e when is_solver_failure e ->
+      | exception e when O.is_solver_failure e ->
         Tel.Counter.incr c_unknown_edges;
         Unknown { lo = r0; hi = r1 }
     in

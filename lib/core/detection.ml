@@ -116,7 +116,11 @@ let initial_vc cond ~stress ~defect =
   in
   if physical = 1 then stress.S.vdd else 0.0
 
-let judge ?(min_separation = 0.5) cond outcome =
+(* the least bit-line separation at strobe time a tester's VOH/VOL
+   levels accept, V *)
+let min_separation = 0.5
+
+let judge cond outcome =
   let reads =
     List.filter_map
       (fun r ->
@@ -131,10 +135,10 @@ let judge ?(min_separation = 0.5) cond outcome =
     (fun (actual, separation) e -> actual <> e || separation < min_separation)
     reads expected
 
-let detects ?config ?min_separation ~stress ~defect cond =
+let detects ?config ~stress ~defect cond =
   let vc_init = initial_vc cond ~stress ~defect in
   let outcome = O.run ?config ~stress ~defect ~vc_init (ops cond) in
-  judge ?min_separation cond outcome
+  judge cond outcome
 
 let pp ppf cond =
   let pp_step ppf = function

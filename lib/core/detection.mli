@@ -65,26 +65,23 @@ val initial_vc :
   t -> stress:Dramstress_dram.Stress.t -> defect:Dramstress_defect.Defect.t ->
   float
 
-(** [judge ?min_separation cond outcome] is the pure detection verdict
-    for an already-simulated run of [ops cond]: true when any read fails
-    — a wrong bit, or a bit-line separation at strobe time below
-    [min_separation] (default 0.5 V). Split out from {!detects} so
+(** [judge cond outcome] is the pure detection verdict for an
+    already-simulated run of [ops cond]: true when any read fails — a
+    wrong bit, or a bit-line separation at strobe time below 0.5 V.
+    Split out from {!detects} so
     batched sweeps ({!Border.search}) can simulate many resistances in
     one ensemble ({!Dramstress_dram.Ops.run_batch}) and judge each lane
     outcome separately. *)
-val judge :
-  ?min_separation:float -> t -> Dramstress_dram.Ops.outcome -> bool
+val judge : t -> Dramstress_dram.Ops.outcome -> bool
 
-(** [detects ?config ?min_separation ~stress ~defect cond] runs the
-    condition electrically and reports whether any read fails: a wrong
-    bit, or a bit-line separation at strobe time below [min_separation]
-    (default 0.5 V) — a metastable output that a tester's VOH/VOL levels
-    reject. [config] (default {!Dramstress_dram.Sim_config.default})
+(** [detects ?config ~stress ~defect cond] runs the condition
+    electrically and reports whether any read fails: a wrong bit, or a
+    bit-line separation at strobe time below 0.5 V — a metastable output
+    that a tester's VOH/VOL levels reject. [config] (default {!Dramstress_dram.Sim_config.default})
     parameterises the underlying run. Equivalent to simulating
     [ops cond] from [initial_vc] and applying {!judge}. *)
 val detects :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?min_separation:float ->
   stress:Dramstress_dram.Stress.t ->
   defect:Dramstress_defect.Defect.t ->
   t ->

@@ -22,7 +22,8 @@ type t = {
 (** [optimize ?config ?tcyc_values ?temp_values ?vdd_values ~nominal
     ~kind ~placement detection] evaluates the BR of [detection] at every
     combination. Default grids: t_cyc {55, 60, 65 ns} x T {-33, 27,
-    87 C} x V_dd {2.1, 2.4, 2.7 V}.
+    87 C} x V_dd {2.1, 2.4, 2.7 V}. Each border search runs under
+    {!Border.Window.default}.
 
     [config] (default {!Dramstress_dram.Sim_config.default})
     parameterises every border search; its [jobs] caps the domains
@@ -37,7 +38,6 @@ type t = {
     point survived. *)
 val optimize :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?window:Border.Window.t ->
   ?tcyc_values:float list ->
   ?temp_values:float list ->
   ?vdd_values:float list ->
@@ -63,7 +63,6 @@ type comparison = {
     under one [config] and reports the simulation budgets. *)
 val compare_methods :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?window:Border.Window.t ->
   nominal:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
   placement:Dramstress_defect.Defect.placement ->

@@ -26,18 +26,12 @@ type t = {
   stress : S.t;
 }
 
+(* the resistance axis of a plane sweep without an explicit [rops] *)
 let default_rops = G.logspace 1e3 1e6 12
 
-(* the resistance axis of a plane sweep, resolved from the explicit
-   [rops] list when given, else from a [Border.Window]'s bounds and
-   resolution, else the historical 12-point default *)
-let resolve_rops ?window ?rops () =
-  match (rops, window) with
-  | Some rops, _ -> rops
-  | None, Some w ->
-    G.logspace w.Border.Window.r_min w.Border.Window.r_max
-      w.Border.Window.grid_points
-  | None, None -> default_rops
+(* the read plane seeds its trajectories this far either side of V_sa,
+   V (Figure 2) *)
+let read_offset = 0.2
 
 let vsa_substitute stress = function
   | Vsa v -> v
@@ -295,9 +289,8 @@ let curves_of ~n_ops ~label points =
 
 (* write plane: store-missing resistances become lanes — one round
    of [n_ops] writes, then the lockstep Vsa bisection *)
-let write_plane ?(config = Sc.default) ?store ?window ?(n_ops = 4)
-    ?rops ~stress ~kind ~placement ~op () =
-  let rops = resolve_rops ?window ?rops () in
+let write_plane ?(config = Sc.default) ?store ?(n_ops = 4)
+    ?(rops = default_rops) ~stress ~kind ~placement ~op () =
   (match op with
   | O.W0 | O.W1 -> ()
   | O.R | O.Pause _ | O.Ham _ ->
@@ -363,14 +356,14 @@ let write_plane ?(config = Sc.default) ?store ?window ?(n_ops = 4)
 
 (* read plane: the lockstep Vsa bisection first, then two rounds of
    [n_ops] reads seeded just below / above each lane's own threshold *)
-let read_plane ?(config = Sc.default) ?store ?window ?(n_ops = 3)
-    ?rops ?(offset = 0.2) ~stress ~kind ~placement () =
-  let rops = resolve_rops ?window ?rops () in
+let read_plane ?(config = Sc.default) ?store ?(n_ops = 3)
+    ?(rops = default_rops) ~stress ~kind ~placement () =
   if n_ops < 1 then invalid_arg "Plane.read_plane: n_ops < 1";
   let jobs = Sc.resolve_jobs config in
   let base_key =
     Sc.key config "plane.read" ~stress ~kind ~placement
-      [ Printf.sprintf "n_ops=%d" n_ops; Printf.sprintf "offset=%h" offset ]
+      [ Printf.sprintf "n_ops=%d" n_ops;
+        Printf.sprintf "offset=%h" read_offset ]
   in
   let rops_arr = Array.of_list rops in
   let n = Array.length rops_arr in
@@ -413,8 +406,8 @@ let read_plane ?(config = Sc.default) ?store ?window ?(n_ops = 3)
             (live_indices slots)));
     vcs
   in
-  let below = trajectory_round (fun vsa -> vsa -. offset) in
-  let above = trajectory_round (fun vsa -> vsa +. offset) in
+  let below = trajectory_round (fun vsa -> vsa -. read_offset) in
+  let above = trajectory_round (fun vsa -> vsa +. read_offset) in
   List.iter
     (fun i ->
       commit_point ~store ~encode:encode_read_point ~descr ~keys ~slots i

@@ -61,13 +61,11 @@ val vsa :
   unit ->
   vsa_value
 
-(** [write_plane ?config ?window ?n_ops ?rops ~stress ~kind ~placement
+(** [write_plane ?config ?store ?n_ops ?rops ~stress ~kind ~placement
     ~op ()] generates the plane for a repeated write ([W0] planes start from
     a floating full-1 cell, [W1] planes from a full-0 cell, following
     the paper). [n_ops] defaults to 4. The resistance axis is [rops]
-    when given; otherwise it derives from [window] ({!Border.Window.t}
-    bounds and grid resolution, so planes and border searches of one
-    campaign share an axis); otherwise 12 points over [1 kOhm, 1 MOhm].
+    (default 12 points over [1 kOhm, 1 MOhm]).
     Raises [Invalid_argument] if [op] is a read or pause.
 
     Each resistance is one lane of ensemble-width chunks
@@ -86,7 +84,6 @@ val vsa :
 val write_plane :
   ?config:Dramstress_dram.Sim_config.t ->
   ?store:Dramstress_util.Store.t ->
-  ?window:Border.Window.t ->
   ?n_ops:int ->
   ?rops:float list ->
   stress:Dramstress_dram.Stress.t ->
@@ -96,18 +93,16 @@ val write_plane :
   unit ->
   t
 
-(** [read_plane ?config ?n_ops ?rops ?offset ~stress ~kind ~placement ()]
+(** [read_plane ?config ?store ?n_ops ?rops ~stress ~kind ~placement ()]
     generates the repeated-read plane: two trajectories per resistance,
-    seeded just below and just above [V_sa] (offset defaults to 0.2 V,
-    the paper's choice). [config], [store] and failure handling as
-    in {!write_plane}. *)
+    seeded 0.2 V below and above [V_sa], the paper's choice. [n_ops]
+    defaults to 3. [config], [store], [rops] and failure handling as in
+    {!write_plane}. *)
 val read_plane :
   ?config:Dramstress_dram.Sim_config.t ->
   ?store:Dramstress_util.Store.t ->
-  ?window:Border.Window.t ->
   ?n_ops:int ->
   ?rops:float list ->
-  ?offset:float ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
   placement:Dramstress_defect.Defect.placement ->

@@ -84,8 +84,8 @@ let figure2 ?config ?store ?rops ~stress ~kind ~placement () =
     (figure2_with_failures ?config ?store ?rops ~stress ~kind
        ~placement ())
 
-let figure_st_panels ?config ~stress ~axis ~values ~kind ~placement
-    ?(analysis_r = 200e3) () =
+let figure_st_panels ?config ~stress ~axis ~values ~kind ~placement () =
+  let analysis_r = Stressor.analysis_r in
   let defect = D.v kind placement analysis_r in
   let victim = D.logical_victim kind placement in
   let victim_op = if victim = 0 then O.W0 else O.W1 in

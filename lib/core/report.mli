@@ -30,10 +30,11 @@ val figure2_with_failures :
   unit ->
   string * float Dramstress_util.Outcome.failure list
 
-(** [figure_st_panels ?config ~stress ~axis ~values ~kind ~placement
-    ~analysis_r ()] renders the two time-domain panels of Figures 3–5:
-    V_c(t) during a victim write and during a read of a marginal cell,
-    one series per stress value, every run under [config]. *)
+(** [figure_st_panels ?config ~stress ~axis ~values ~kind ~placement ()]
+    renders the two time-domain panels of Figures 3–5 at
+    {!Stressor.analysis_r}: V_c(t) during a victim write and during a
+    read of a marginal cell, one series per stress value, every run
+    under [config]. *)
 val figure_st_panels :
   ?config:Dramstress_dram.Sim_config.t ->
   stress:Dramstress_dram.Stress.t ->
@@ -41,7 +42,6 @@ val figure_st_panels :
   values:float list ->
   kind:Dramstress_defect.Defect.kind ->
   placement:Dramstress_defect.Defect.placement ->
-  ?analysis_r:float ->
   unit ->
   string
 

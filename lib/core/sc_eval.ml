@@ -14,8 +14,10 @@ type t = {
   improvement : float option;
 }
 
-let candidate_detections ?(allow_pause = true) ?(pause = 1e-3) ~placement
-    kind =
+(* the retention element's pause, s *)
+let pause = 1e-3
+
+let candidate_detections ?(allow_pause = true) ~placement kind =
   let victim = D.logical_victim kind placement in
   let standards =
     List.map (fun primes -> Detection.standard ~victim ~primes) [ 1; 2; 3; 4 ]
@@ -31,8 +33,8 @@ let candidate_detections ?(allow_pause = true) ?(pause = 1e-3) ~placement
   | D.Bridge_to_neighbour ->
     standards
 
-let best_detection ?config ?store ?window ?hint ?allow_pause
-    ?pause ~stress ~kind ~placement () =
+let best_detection ?config ?store ?window ?hint ?allow_pause ~stress ~kind
+    ~placement () =
   let polarity = D.polarity kind in
   let scored =
     List.map
@@ -40,7 +42,7 @@ let best_detection ?config ?store ?window ?hint ?allow_pause
         ( cond,
           Border.search ?config ?store ?window ?hint ~stress
             ~kind ~placement cond ))
-      (candidate_detections ?allow_pause ?pause ~placement kind)
+      (candidate_detections ?allow_pause ~placement kind)
   in
   match scored with
   | [] -> assert false
@@ -51,21 +53,21 @@ let best_detection ?config ?store ?window ?hint ?allow_pause
       first rest
 
 let evaluate ?config ?store ?window
-    ?(axes = [ S.Cycle_time; S.Temperature; S.Supply_voltage ])
-    ?(analysis_r = 200e3) ?pause ~nominal ~kind ~placement () =
+    ?(axes = [ S.Cycle_time; S.Temperature; S.Supply_voltage ]) ~nominal
+    ~kind ~placement () =
   (* retention pauses are part of the stress repertoire, not the nominal
      test: the nominal detection is pause-free *)
   let nominal_detection, nominal_br =
     best_detection ?config ?store ?window ~allow_pause:false
-      ?pause ~stress:nominal ~kind ~placement ()
+      ~stress:nominal ~kind ~placement ()
   in
   (* probe each axis at the nominal point, resolving by BR against the
      nominal best detection *)
   let probes =
     List.map
       (fun axis ->
-        Stressor.probe_axis ?config ?store ?window ~analysis_r
-          ~stress:nominal ~kind ~placement ~detection:nominal_detection axis
+        Stressor.probe_axis ?config ?store ?window ~stress:nominal ~kind
+          ~placement ~detection:nominal_detection axis
           (Stressor.default_values axis ~stress:nominal))
       axes
   in
@@ -76,8 +78,8 @@ let evaluate ?config ?store ?window
   in
   (* Section 4.4: re-derive the detection condition under the applied SC *)
   let stressed_detection, stressed_br =
-    best_detection ?config ?store ?window ?pause ~stress:stressed
-      ~kind ~placement ()
+    best_detection ?config ?store ?window ~stress:stressed ~kind
+      ~placement ()
   in
   let improvement =
     Border.improvement ?window (D.polarity kind) ~nominal:nominal_br

@@ -20,13 +20,14 @@ type t = {
     (** covered-range growth factor, per the defect polarity *)
 }
 
-(** [candidate_detections kind ~pause] — the detection conditions the
-    synthesis chooses among: the paper's standard shape with 1–4 priming
-    writes, plus — when [allow_pause] (default true) — a retention
-    element for shorts ([pause] defaults to 1 ms). Retention pauses
-    count as a stress, so the nominal evaluation excludes them. *)
+(** [candidate_detections ?allow_pause ~placement kind] — the detection
+    conditions the synthesis chooses among: the paper's standard shape
+    with 1–4 priming writes, plus — when [allow_pause] (default true) —
+    a retention element with a 1 ms pause for shorts and bridges.
+    Retention pauses count as a stress, so the nominal evaluation
+    excludes them. *)
 val candidate_detections :
-  ?allow_pause:bool -> ?pause:float ->
+  ?allow_pause:bool ->
   placement:Dramstress_defect.Defect.placement ->
   Dramstress_defect.Defect.kind -> Detection.t list
 
@@ -42,15 +43,15 @@ val best_detection :
   ?window:Border.Window.t ->
   ?hint:float list ->
   ?allow_pause:bool ->
-  ?pause:float ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
   placement:Dramstress_defect.Defect.placement ->
   unit ->
   Detection.t * Border.result
 
-(** [evaluate ?config ?axes ?analysis_r ~nominal ~kind ~placement ()]
-    runs the complete flow. Every border search and every stress probe
+(** [evaluate ?config ?store ?window ?axes ~nominal ~kind ~placement ()]
+    runs the complete flow, probing each axis at
+    {!Stressor.analysis_r}. Every border search and every stress probe
     runs under [config] (default {!Dramstress_dram.Sim_config.default}).
     [axes] defaults to cycle time, temperature and supply voltage (the
     paper's three STs). [store] memoizes every border search of
@@ -61,8 +62,6 @@ val evaluate :
   ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
   ?axes:Dramstress_dram.Stress.axis list ->
-  ?analysis_r:float ->
-  ?pause:float ->
   nominal:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
   placement:Dramstress_defect.Defect.placement ->

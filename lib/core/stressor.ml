@@ -26,8 +26,13 @@ type probe = {
 
 let default_values axis ~stress = (Ax.of_axis axis).Ax.probe_values stress
 
+let analysis_r = 200e3
+
+(* the significance floor for calling a direction, V *)
+let epsilon = 0.01
+
 (* direction of the stress metric: does the metric grow with the axis? *)
-let metric_direction ~epsilon samples metric =
+let metric_direction samples metric =
   match samples with
   | [] | [ _ ] -> Neutral
   | first :: _ ->
@@ -43,9 +48,8 @@ let victim_write kind placement =
   (* the physical level under attack is placement-independent *)
   (logical_op, D.victim_bit kind)
 
-let probe_axis ?config ?store ?window ?(analysis_r = 200e3)
-    ?(epsilon = 0.01)
-    ?(force_br = false) ~stress ~kind ~placement ~detection axis values =
+let probe_axis ?config ?store ?window ~stress ~kind ~placement ~detection
+    axis values =
   if List.length values < 2 then
     invalid_arg "Stressor.probe_axis: need at least two values";
   let victim_op, physical_target = victim_write kind placement in
@@ -94,10 +98,10 @@ let probe_axis ?config ?store ?window ?(analysis_r = 200e3)
   in
   let samples = List.map sample values in
   let write_direction =
-    metric_direction ~epsilon samples (fun s -> s.write_residual)
+    metric_direction samples (fun s -> s.write_residual)
   in
   let read_direction =
-    metric_direction ~epsilon samples (fun s -> s.vsa_shift)
+    metric_direction samples (fun s -> s.vsa_shift)
   in
   let lo = List.hd values and hi = List.nth values (List.length values - 1) in
   let polarity = D.polarity kind in
@@ -116,24 +120,19 @@ let probe_axis ?config ?store ?window ?(analysis_r = 200e3)
     (verdict, [ b_lo; b_hi ])
   in
   let verdict, br_at_extremes, rationale =
-    if force_br then begin
+    match (write_direction, read_direction) with
+    | Increase, (Increase | Neutral) | Neutral, Increase ->
+      (Increase, [], "write and read probes agree: drive the axis up")
+    | Decrease, (Decrease | Neutral) | Neutral, Decrease ->
+      (Decrease, [], "write and read probes agree: drive the axis down")
+    | Neutral, Neutral ->
+      (Neutral, [], "no measurable effect on either operation")
+    | Increase, Decrease | Decrease, Increase ->
       let v, brs = br_compare () in
-      (v, brs, "resolved by border-resistance comparison (forced)")
-    end
-    else
-      match (write_direction, read_direction) with
-      | Increase, (Increase | Neutral) | Neutral, Increase ->
-        (Increase, [], "write and read probes agree: drive the axis up")
-      | Decrease, (Decrease | Neutral) | Neutral, Decrease ->
-        (Decrease, [], "write and read probes agree: drive the axis down")
-      | Neutral, Neutral ->
-        (Neutral, [], "no measurable effect on either operation")
-      | Increase, Decrease | Decrease, Increase ->
-        let v, brs = br_compare () in
-        ( v,
-          brs,
-          "write and read probes conflict: resolved by border-resistance \
-           comparison (the paper's V_dd situation)" )
+      ( v,
+        brs,
+        "write and read probes conflict: resolved by border-resistance \
+         comparison (the paper's V_dd situation)" )
   in
   {
     axis;

@@ -33,17 +33,18 @@ type probe = {
   read_direction : direction;
   verdict : direction;
   br_at_extremes : (float * Border.result) list;
-    (** filled when the verdict needed a BR comparison, or always when
-        [force_br] was set *)
+    (** filled when the verdict needed a BR comparison *)
   rationale : string;
 }
 
-(** [probe_axis ?config ?analysis_r ?epsilon ?force_br ~stress ~kind
-    ~placement ~detection axis values] measures the axis at the given
-    candidate [values] (ordered; at least two). [analysis_r] is the
-    defect resistance the probes run at (default 200 kOhm, the paper's
-    choice). [epsilon] is the significance floor for calling a direction
-    (default 10 mV). [force_br] always resolves by BR comparison.
+(** The defect resistance the write and read probes run at: 200 kOhm,
+    the paper's choice (Section 4). *)
+val analysis_r : float
+
+(** [probe_axis ?config ?store ?window ~stress ~kind ~placement
+    ~detection axis values] measures the axis at the given candidate
+    [values] (ordered; at least two) at {!analysis_r}. A metric that
+    moves by at most 10 mV across the values calls no direction.
     Every probe simulation and fallback BR search runs under [config]
     (default {!Dramstress_dram.Sim_config.default}). [store]
     memoizes each sample's two measurements and the BR searches a
@@ -54,9 +55,6 @@ val probe_axis :
   ?config:Dramstress_dram.Sim_config.t ->
   ?store:Dramstress_util.Store.t ->
   ?window:Border.Window.t ->
-  ?analysis_r:float ->
-  ?epsilon:float ->
-  ?force_br:bool ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
   placement:Dramstress_defect.Defect.placement ->

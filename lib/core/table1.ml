@@ -21,9 +21,8 @@ type t = {
   nominal : S.t;
 }
 
-let generate ?(config = Sc.default) ?store ?window ?(nominal = S.nominal)
-    ?(entries = D.catalog) ?(placements = [ D.True_bl; D.Comp_bl ]) ?axes
-    ?pause () =
+let generate ?(config = Sc.default) ?store ?(entries = D.catalog)
+    ?(placements = [ D.True_bl; D.Comp_bl ]) ?axes () =
   (* one work item per (defect, placement) row; rows are independent.
      A row whose evaluation fails outright becomes a [Failed] slot so
      one pathological defect cannot sink the whole table. *)
@@ -49,8 +48,8 @@ let generate ?(config = Sc.default) ?store ?window ?(nominal = S.nominal)
                   defect_id = entry.D.id;
                   placement;
                   evaluation =
-                    Sc_eval.evaluate ~config ?store ?window ?axes ?pause
-                      ~nominal ~kind:entry.D.kind ~placement ();
+                    Sc_eval.evaluate ~config ?store ?axes
+                      ~nominal:S.nominal ~kind:entry.D.kind ~placement ();
                 })))
       work
   in
@@ -61,7 +60,7 @@ let generate ?(config = Sc.default) ?store ?window ?(nominal = S.nominal)
             (fun ((entry : D.entry), placement) -> (entry.D.id, placement)))
          outcomes)
   in
-  { rows; failures; nominal }
+  { rows; failures; nominal = S.nominal }
 
 let dir_arrow probe =
   match probe.Stressor.verdict with

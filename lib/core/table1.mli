@@ -17,8 +17,11 @@ type t = {
   nominal : Dramstress_dram.Stress.t;
 }
 
-(** [generate ?config ?nominal ?entries ?placements ()] runs the full
-    optimization for every catalog entry and placement. The three opens
+(** [generate ?config ?store ?entries ?placements ?axes ()] runs the
+    full optimization from the paper's nominal SC
+    ({!Dramstress_dram.Stress.nominal}) for every catalog entry and
+    placement, each border search under {!Border.Window.default}. The
+    three opens
     are electrically equivalent; pass [entries] to restrict (e.g. one
     open representative) when compute time matters. Every simulation of
     every row — border searches and stress probes alike — runs under
@@ -41,12 +44,9 @@ type t = {
 val generate :
   ?config:Dramstress_dram.Sim_config.t ->
   ?store:Dramstress_util.Store.t ->
-  ?window:Border.Window.t ->
-  ?nominal:Dramstress_dram.Stress.t ->
   ?entries:Dramstress_defect.Defect.entry list ->
   ?placements:Dramstress_defect.Defect.placement list ->
   ?axes:Dramstress_dram.Stress.axis list ->
-  ?pause:float ->
   unit ->
   t
 

@@ -236,6 +236,23 @@ type cache_key = {
   k_ops : op list;
 }
 
+(* [Hashtbl.hash] stops after 10 meaningful words, breadth first: on the
+   bare record it reads the step count, the initial voltages and the
+   first technology floats, never the defect, the stress or the op list,
+   so every key of a sweep would share one bucket. The LRU is keyed by
+   the record paired with a hash that takes each field on its own. *)
+let hashed k =
+  ( Hashtbl.hash
+      ( Hashtbl.hash k.k_defect,
+        Hashtbl.hash_param 16 64 k.k_stress,
+        Hashtbl.hash_param 64 256 k.k_ops,
+        Hashtbl.hash k.k_vc_init,
+        Hashtbl.hash k.k_v_neighbour,
+        k.k_steps,
+        Hashtbl.hash k.k_sim,
+        Hashtbl.hash k.k_tech ),
+    k )
+
 module Lru = Dramstress_util.Lru
 
 module Cache = struct
@@ -250,24 +267,20 @@ module Cache = struct
 
   type t = {
     lock : Mutex.t;
-    mutable lru : (cache_key, outcome) Lru.t;
+    mutable lru : (int * cache_key, outcome) Lru.t;
     enabled : bool Atomic.t;
     hits : int Atomic.t;
     misses : int Atomic.t;
   }
 
-  let env_enabled () =
-    match Sys.getenv_opt "DRAMSTRESS_CACHE" with
-    | Some ("off" | "0" | "false" | "no") -> false
-    | Some _ | None -> true
+  (* outcomes a fresh handle holds before LRU eviction *)
+  let capacity = 512
 
-  let create ?(capacity = 512) ?enabled () =
+  let create ?(enabled = true) () =
     {
       lock = Mutex.create ();
       lru = Lru.create ~capacity ();
-      enabled =
-        Atomic.make
-          (match enabled with Some b -> b | None -> env_enabled ());
+      enabled = Atomic.make enabled;
       hits = Atomic.make 0;
       misses = Atomic.make 0;
     }
@@ -316,6 +329,20 @@ let simulations () = (Cache.stats Cache.default).misses
 (* ------------------------------------------------------------------ *)
 (* Retry / degradation ladder                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* the solver failures the ladder retries. Newton.Timeout is deliberately
+   absent: a point that exhausted its wall-clock budget must not walk the
+   ladder (each stage only costs more wall time), so it propagates
+   straight to the sweep layer as a Failed outcome *)
+let recoverable = function
+  | E.Transient.Step_failed _ | E.Newton.No_convergence _
+  | E.Newton.Numerical_health _ ->
+    true
+  | _ -> false
+
+let is_solver_failure = function
+  | Exhausted_retries _ -> true
+  | e -> recoverable e
 
 (* A solver failure at one awkward resistance must not kill a 10k-point
    campaign: walk the configured escalation stages, each applied on top
@@ -458,16 +485,6 @@ let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress
     | [| Error e |] -> raise e
     | _ -> assert false
   in
-  (* Newton.Timeout is deliberately absent: a point that exhausted its
-     wall-clock budget must not walk the ladder (each stage only costs
-     more wall time), so it propagates straight to the sweep layer as a
-     Failed outcome *)
-  let recoverable = function
-    | E.Transient.Step_failed _ | E.Newton.No_convergence _
-    | E.Newton.Numerical_health _ ->
-      true
-    | _ -> false
-  in
   try exec cfg
   with e when recoverable e ->
     let bt = Printexc.get_raw_backtrace () in
@@ -562,10 +579,11 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
   let keys =
     Array.map
       (fun l ->
-        { k_tech = cfg.Sim_config.tech; k_stress = stress;
-          k_sim = cfg.Sim_config.sim;
-          k_steps = cfg.Sim_config.steps_per_cycle; k_defect = l.defect;
-          k_vc_init = l.vc_init; k_v_neighbour = v_neighbour; k_ops = ops })
+        hashed
+          { k_tech = cfg.Sim_config.tech; k_stress = stress;
+            k_sim = cfg.Sim_config.sim;
+            k_steps = cfg.Sim_config.steps_per_cycle; k_defect = l.defect;
+            k_vc_init = l.vc_init; k_v_neighbour = v_neighbour; k_ops = ops })
       lanes_arr
   in
   let slots : (outcome, exn) result option array = Array.make n None in

@@ -28,6 +28,15 @@ exception
     {!Dramstress_util.Par.parallel_map_outcomes}. *)
 val retries_of : exn -> int
 
+(** [is_solver_failure e] holds for the errors that say a point could
+    not be simulated, not that the program is wrong: the solver
+    failures the retry ladder walks on ([Transient.Step_failed],
+    [Newton.No_convergence], the [Newton.Numerical_health] guards) and
+    {!Exhausted_retries}. [Newton.Timeout] is not one: a deadline says
+    nothing about the point. Sweep layers turn these into a failed
+    sample or cell and let anything else propagate. *)
+val is_solver_failure : exn -> bool
+
 type op =
   | W0            (** write logical 0 *)
   | W1            (** write logical 1 *)
@@ -97,9 +106,8 @@ val sensed_bits : outcome -> int list
     handle. A handle is shared across domains and guarded internally by
     a mutex; cached outcomes are immutable.
 
-    Caching is on by default; set the environment variable
-    [DRAMSTRESS_CACHE] to [off]/[0]/[false]/[no] (read when a handle is
-    created) or call {!Cache.set_enabled} to disable it.
+    Caching is on by default; {!Cache.set_enabled} (or
+    [Cache.create ~enabled:false]) turns it off for one handle.
 
     When {!Dramstress_util.Telemetry} is enabled, requests, hits, misses
     and evictions also feed the [dram.ops.requests] /
@@ -126,10 +134,9 @@ module Cache : sig
     capacity : int;   (** maximum entries before LRU eviction *)
   }
 
-  (** [create ?capacity ?enabled ()] makes an independent cache (default
-      capacity 512). [enabled] defaults to the [DRAMSTRESS_CACHE]
-      environment setting. *)
-  val create : ?capacity:int -> ?enabled:bool -> unit -> t
+  (** [create ?enabled ()] makes an independent cache of capacity 512,
+      caching unless [enabled] is [false]. *)
+  val create : ?enabled:bool -> unit -> t
 
   (** The process-wide cache used by {!Ops.run} when no handle is
       passed. *)

@@ -55,7 +55,6 @@ let nominal =
   }
 
 let temp_kelvin sc = Dramstress_util.Units.celsius_to_kelvin sc.temp_c
-let temp_k = temp_kelvin
 
 let with_tcyc sc tcyc = { sc with tcyc }
 let with_duty sc duty = { sc with duty }

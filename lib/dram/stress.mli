@@ -58,10 +58,6 @@ val nominal : t
     +27 °C maps to 300.15 K. *)
 val temp_kelvin : t -> float
 
-(** [temp_k] is {!temp_kelvin} — the original (ambiguously named)
-    spelling, kept for existing callers. *)
-val temp_k : t -> float
-
 val with_tcyc : t -> float -> t
 val with_duty : t -> float -> t
 val with_vdd : t -> float -> t

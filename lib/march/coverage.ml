@@ -12,8 +12,10 @@ let standard_faults =
     { label = "CFid<w1;1>"; fault = Memsim.Coupling_idem (0, 1) };
   ]
 
-let electrical_faults ?config ?(rs = [ 50e3; 200e3; 500e3; 1e6 ]) ~stress ~kind
-    ~placement () =
+(* the resistances the weak-cell cases are fitted at, Ohm *)
+let rs = [ 50e3; 200e3; 500e3; 1e6 ]
+
+let electrical_faults ?config ~stress ~kind ~placement () =
   List.map
     (fun r ->
       let defect = D.v kind placement r in
@@ -31,7 +33,10 @@ type result = {
   coverage : float;
 }
 
-let evaluate ?(size = 16) test cases =
+(* cells in each fault's memory *)
+let size = 16
+
+let evaluate test cases =
   let detected =
     List.map
       (fun case -> (case, Memsim.detects ~size ~fault:case.fault test))
@@ -44,8 +49,7 @@ let evaluate ?(size = 16) test cases =
     coverage = float_of_int hits /. float_of_int (List.length cases);
   }
 
-let compare_tests ?size tests cases =
-  List.map (fun t -> evaluate ?size t cases) tests
+let compare_tests tests cases = List.map (fun t -> evaluate t cases) tests
 
 let render results =
   match results with

@@ -6,12 +6,11 @@ type case = { label : string; fault : Memsim.fault }
 (** The classic digital fault list: SA0, SA1, TF0, TF1, CFin, CFid. *)
 val standard_faults : case list
 
-(** [electrical_faults ?config ?rs ~stress ~kind ~placement ()] builds
+(** [electrical_faults ?config ~stress ~kind ~placement ()] builds
     weak-cell cases fitted from the electrical model under [config] at
-    each resistance in [rs] (default 50 k, 200 k, 500 k, 1 MOhm). *)
+    50 k, 200 k, 500 k and 1 MOhm. *)
 val electrical_faults :
   ?config:Dramstress_dram.Sim_config.t ->
-  ?rs:float list ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
   placement:Dramstress_defect.Defect.placement ->
@@ -24,13 +23,13 @@ type result = {
   coverage : float;  (** fraction detected *)
 }
 
-(** [evaluate ?size test cases] runs the test against each fault in its
-    own memory (default 16 cells). *)
-val evaluate : ?size:int -> March.t -> case list -> result
+(** [evaluate test cases] runs the test against each fault in its own
+    16-cell memory. *)
+val evaluate : March.t -> case list -> result
 
-(** [compare_tests ?size tests cases] evaluates several tests on the same
+(** [compare_tests tests cases] evaluates several tests on the same
     fault list. *)
-val compare_tests : ?size:int -> March.t list -> case list -> result list
+val compare_tests : March.t list -> case list -> result list
 
 (** [render results] tabulates tests x faults as text. *)
 val render : result list -> string

@@ -1,7 +1,6 @@
 module S = Dramstress_dram.Stress
 module Sc = Dramstress_dram.Sim_config
 module O = Dramstress_dram.Ops
-module E = Dramstress_engine
 module C = Dramstress_core
 module D = Dramstress_defect.Defect
 module St = Dramstress_util.Store
@@ -37,12 +36,6 @@ type t = {
   defect : Dramstress_defect.Defect.t;
 }
 
-let is_solver_failure = function
-  | E.Transient.Step_failed _ | E.Newton.No_convergence _
-  | O.Exhausted_retries _ ->
-    true
-  | _ -> false
-
 let generate ?(config = Sc.default) ?store ~stress ~defect ~detection
     ~x:(x_axis, x_values) ~y:(y_axis, y_values) () =
   if x_values = [] || y_values = [] then
@@ -56,7 +49,7 @@ let generate ?(config = Sc.default) ?store ~stress ~defect ~detection
     | true -> Fail
     | false -> Pass
     | exception Invalid_argument _ -> Invalid
-    | exception e when is_solver_failure e ->
+    | exception e when O.is_solver_failure e ->
       (* the SC is nominally operable but the solver cannot follow it
          even degraded: an honest separate verdict, not a silent Pass or
          Invalid *)

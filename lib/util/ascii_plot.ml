@@ -12,8 +12,12 @@ let series ?glyph label pts =
 
 let finite v = Float.is_finite v
 
-let render ?(width = 72) ?(height = 22) ?(x_axis = Linear) ?(x_label = "")
-    ?(y_label = "") ?(hlines = []) ~title ss =
+(* plotting area, characters *)
+let width = 72
+let height = 22
+
+let render ?(x_axis = Linear) ?(x_label = "") ?(y_label = "") ?(hlines = [])
+    ~title ss =
   let tx x = match x_axis with Linear -> x | Log10 -> log10 x in
   let all_pts =
     List.concat_map

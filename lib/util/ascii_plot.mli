@@ -16,13 +16,11 @@ type series = {
     first character of [label], or ['*'] if empty. *)
 val series : ?glyph:char -> string -> (float * float) list -> series
 
-(** [render ?width ?height ?x_axis ?x_label ?y_label ?hlines ~title ss]
-    draws all series on a shared canvas. [hlines] are [(label, y)] dashed
-    horizontal markers. Ranges come from the data (and marker lines).
-    Default canvas is 72 x 22 characters of plotting area. *)
+(** [render ?x_axis ?x_label ?y_label ?hlines ~title ss] draws all
+    series on a shared canvas of 72 x 22 characters of plotting area.
+    [hlines] are [(label, y)] dashed horizontal markers. Ranges come
+    from the data (and marker lines). *)
 val render :
-  ?width:int ->
-  ?height:int ->
   ?x_axis:axis ->
   ?x_label:string ->
   ?y_label:string ->

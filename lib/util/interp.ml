@@ -14,11 +14,6 @@ let of_points pts =
   let ys = Array.of_list (List.map snd sorted) in
   { xs; ys }
 
-let of_arrays xs ys =
-  if Array.length xs <> Array.length ys then
-    invalid_arg "Interp.of_arrays: length mismatch";
-  of_points (Array.to_list (Array.map2 (fun x y -> (x, y)) xs ys))
-
 let of_sorted_arrays xs ys =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Interp.of_sorted_arrays: empty";

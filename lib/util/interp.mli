@@ -8,9 +8,6 @@ type t
     empty list. *)
 val of_points : (float * float) list -> t
 
-(** [of_arrays xs ys] like {!of_points} from parallel arrays. *)
-val of_arrays : float array -> float array -> t
-
 (** [of_sorted_arrays xs ys] builds a curve directly over the given
     arrays, which must already be strictly increasing in [xs] — no sort,
     no copy (the arrays are aliased, so callers must not mutate them).

@@ -81,11 +81,3 @@ let clear c =
   c.tail <- None
 
 let reset_stats c = c.evictions <- 0
-
-(* keys from most to least recently used, for tests and debugging *)
-let keys c =
-  let rec walk acc = function
-    | None -> List.rev acc
-    | Some node -> walk (node.key :: acc) node.next
-  in
-  walk [] c.head

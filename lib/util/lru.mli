@@ -37,6 +37,3 @@ val reset_stats : ('k, 'v) t -> unit
 
 (** [clear c] drops every entry (the eviction count is kept). *)
 val clear : ('k, 'v) t -> unit
-
-(** [keys c] lists keys from most to least recently used. *)
-val keys : ('k, 'v) t -> 'k list

@@ -10,8 +10,6 @@ type 'p failure = { point : 'p; error : exn; retries : int }
 
 type ('p, 'a) t = Ok of 'a | Failed of 'p failure
 
-let ok = function Ok v -> Some v | Failed _ -> None
-
 let value ~default = function Ok v -> v | Failed _ -> default
 
 let map f = function

@@ -15,7 +15,6 @@ type 'p failure = {
 
 type ('p, 'a) t = Ok of 'a | Failed of 'p failure
 
-val ok : ('p, 'a) t -> 'a option
 val value : default:'a -> ('p, 'a) t -> 'a
 val map : ('a -> 'b) -> ('p, 'a) t -> ('p, 'b) t
 val map_point : ('p -> 'q) -> ('p, 'a) t -> ('q, 'a) t

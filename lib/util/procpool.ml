@@ -23,46 +23,18 @@ let () =
       Some (Printf.sprintf "Worker_lost (%d worker death(s) on this point)" n)
     | _ -> None)
 
-(* ---- framing: 8-hex-digit length prefix, same shape as the campaign
-   service protocol but self-contained (util must not depend on it) *)
+(* ---- framing ({!Frame}) ---- *)
 
 let max_frame = 64 * 1024 * 1024
 
-let rec write_all fd buf off len =
-  if len > 0 then begin
-    let n = Unix.write fd buf off len in
-    write_all fd buf (off + n) (len - n)
-  end
-
-let write_frame fd s =
-  let payload = Bytes.of_string s in
-  let header = Bytes.of_string (Printf.sprintf "%08x" (Bytes.length payload)) in
-  write_all fd header 0 8;
-  write_all fd payload 0 (Bytes.length payload)
-
-(* [None] on EOF, short read or garbage — all of which mean the peer
-   process is gone or broken, and for a pipe peer that is death *)
-let read_exact fd len =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off >= len then Some buf
-    else
-      match Unix.read fd buf off (len - off) with
-      | 0 -> None
-      | n -> go (off + n)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-      | exception Unix.Unix_error _ -> None
-  in
-  go 0
-
+(* [None] on EOF, short read, garbage or a read error — all of which
+   mean the peer process is gone or broken, and for a pipe peer that is
+   death *)
 let read_frame fd =
-  match read_exact fd 8 with
-  | None -> None
-  | Some h -> (
-    match int_of_string_opt ("0x" ^ Bytes.to_string h) with
-    | None -> None
-    | Some len when len < 0 || len > max_frame -> None
-    | Some len -> Option.map Bytes.to_string (read_exact fd len))
+  match Frame.read ~max:max_frame fd with
+  | Ok payload -> Some payload
+  | Error (`Eof | `Protocol _ | `Timeout) -> None
+  | exception Unix.Unix_error _ -> None
 
 (* ---- pool structure ---- *)
 
@@ -139,7 +111,7 @@ let fork_worker pool slot =
             | v -> "K" ^ v
             | exception e -> "E" ^ Printexc.to_string e
           in
-          write_frame res_w reply;
+          Frame.write res_w reply;
           serve ())
     in
     (try serve () with _ -> ());
@@ -301,8 +273,8 @@ let exec pool task =
       | Some slot -> (
         let sent =
           try
-            write_frame slot.to_worker (string_of_int deaths);
-            write_frame slot.to_worker task;
+            Frame.write slot.to_worker (string_of_int deaths);
+            Frame.write slot.to_worker task;
             true
           with Unix.Unix_error _ | Sys_error _ -> false
         in

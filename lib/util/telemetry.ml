@@ -236,7 +236,7 @@ module Sink = struct
       close = (fun () -> close_out oc);
     }
 
-  let custom ?(close = fun () -> ()) emit = { emit = Some emit; close }
+  let custom emit = { emit = Some emit; close = (fun () -> ()) }
 end
 
 let current_sink = Atomic.make Sink.null

@@ -115,9 +115,10 @@ module Sink : sig
       the sink is replaced or {!close_sink} is called. *)
   val jsonl_file : string -> t
 
-  (** [custom ?close emit] builds a sink from any event consumer —
-      the extension point for tests and embedders. *)
-  val custom : ?close:(unit -> unit) -> (event -> unit) -> t
+  (** [custom emit] builds a sink from any event consumer — the
+      extension point for tests and embedders; replacing it closes
+      nothing. *)
+  val custom : (event -> unit) -> t
 end
 
 (** [set_sink s] installs [s], closing the previously installed sink. *)

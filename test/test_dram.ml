@@ -35,7 +35,7 @@ let test_stress_axes () =
   Alcotest.(check (float 1e-9)) "set/get" 2.1 (S.get sc S.Supply_voltage);
   Alcotest.(check (float 1e-9)) "others untouched" nominal.S.tcyc
     (S.get sc S.Cycle_time);
-  Alcotest.(check (float 1e-9)) "kelvin" 300.15 (S.temp_k nominal);
+  Alcotest.(check (float 1e-9)) "kelvin" 300.15 (S.temp_kelvin nominal);
   (* discrete extension axes decode from the float representation *)
   let sc = S.set nominal S.Hammer 99.6 in
   Alcotest.(check bool) "hammer rounds" true (sc.S.hammer = 100);

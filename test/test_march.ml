@@ -324,6 +324,35 @@ let test_shmoo_invalid_points () =
   | Sh.Invalid -> ()
   | Sh.Pass | Sh.Fail | Sh.Errored -> Alcotest.fail "expected invalid SC"
 
+let test_shmoo_health_guard_errored () =
+  (* a NaN in the first cell's Newton state trips the finiteness guard;
+     without a retry ladder [Newton.Numerical_health] reaches the Shmoo
+     cell, which must draw it as Errored, not abort the plot *)
+  let module Chaos = Dramstress_util.Chaos in
+  let defect = D.v (D.Open_cell D.At_bitline_contact) D.True_bl 200e3 in
+  Dramstress_dram.Ops.clear_cache ();
+  let shmoo =
+    Fun.protect ~finally:Chaos.disarm (fun () ->
+        Chaos.configure ~seed:0 "inject_nan_state@+1";
+        Sh.generate
+          ~config:
+            (Dramstress_dram.Sim_config.v ~jobs:1
+               ~retry:Dramstress_dram.Sim_config.no_retry ())
+          ~stress:S.nominal ~defect
+          ~detection:(C.Detection.standard ~victim:0 ~primes:1)
+          ~x:(S.Cycle_time, [ 55e-9; 60e-9 ])
+          ~y:(S.Supply_voltage, [ 2.4 ])
+          ())
+  in
+  (match shmoo.Sh.grid.(0).(0) with
+  | Sh.Errored -> ()
+  | Sh.Pass | Sh.Fail | Sh.Invalid -> Alcotest.fail "expected Errored");
+  (match shmoo.Sh.grid.(0).(1) with
+  | Sh.Pass | Sh.Fail -> ()
+  | Sh.Invalid | Sh.Errored -> Alcotest.fail "the second cell simulates");
+  Alcotest.(check bool) "drawn as '!'" true
+    (String.contains (Sh.render shmoo) '!')
+
 (* ------------------------------------------------------------------ *)
 (* Stored keys                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -550,6 +579,8 @@ let () =
         [
           slow "timing edge" test_shmoo_timing_axis;
           tc "invalid SCs marked" test_shmoo_invalid_points;
+          tc "health-guard failure drawn as Errored"
+            test_shmoo_health_guard_errored;
         ] );
       ( "store keys",
         [ tc "pinned across refactors" test_store_keys_pinned;

@@ -18,8 +18,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_temp_kelvin () =
   (* the paper's nominal SC is 27 degC; the solver works in Kelvin *)
   check_float "nominal 27 degC is 300.15 K" 300.15 (S.temp_kelvin S.nominal);
-  check_float "temp_k alias agrees" (S.temp_kelvin S.nominal)
-    (S.temp_k S.nominal);
   check_float "explicit 27 degC" 300.15
     (S.temp_kelvin (S.with_temp_c S.nominal 27.0));
   check_float "0 degC is 273.15 K" 273.15

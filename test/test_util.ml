@@ -252,17 +252,9 @@ let prop_lu_roundtrip =
 (* Bisect                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_root_linear () =
-  let x = B.root (fun x -> x -. 1.5) 0.0 10.0 in
-  check_float ~eps:1e-6 "root" 1.5 x
-
-let test_root_cos () =
-  let x = B.root cos 0.0 3.0 in
-  check_float ~eps:1e-6 "pi/2" (Float.pi /. 2.0) x
-
-let test_root_no_bracket () =
+let test_threshold_no_bracket () =
   Alcotest.check_raises "no bracket" B.No_bracket (fun () ->
-      ignore (B.root (fun x -> (x *. x) +. 1.0) (-1.0) 1.0))
+      ignore (B.threshold (fun x -> x > 2.0) (-1.0) 1.0))
 
 let test_threshold_updown () =
   (* predicate true below 2.0 *)
@@ -276,17 +268,6 @@ let test_threshold_log () =
   let x = B.threshold_log (fun r -> r < 2.0e5) 1e3 1e7 in
   if Float.abs (x -. 2.0e5) > 0.01 *. 2.0e5 then
     Alcotest.failf "log threshold: got %g" x
-
-let test_guarded () =
-  (match B.guarded_threshold (fun _ -> true) 0.0 1.0 with
-  | B.All_true -> ()
-  | B.All_false | B.Crossing _ -> Alcotest.fail "expected All_true");
-  (match B.guarded_threshold (fun _ -> false) 0.0 1.0 with
-  | B.All_false -> ()
-  | B.All_true | B.Crossing _ -> Alcotest.fail "expected All_false");
-  match B.guarded_threshold (fun x -> x < 0.5) 0.0 1.0 with
-  | B.Crossing x -> check_float ~eps:1e-6 "crossing" 0.5 x
-  | B.All_true | B.All_false -> Alcotest.fail "expected Crossing"
 
 let prop_threshold_finds_boundary =
   QCheck.Test.make ~count:200 ~name:"threshold: recovers the cut point"
@@ -2165,12 +2146,9 @@ let () =
         ] );
       ( "bisect",
         [
-          tc "linear root" test_root_linear;
-          tc "cosine root" test_root_cos;
-          tc "missing bracket raises" test_root_no_bracket;
+          tc "missing bracket raises" test_threshold_no_bracket;
           tc "threshold, both orientations" test_threshold_updown;
           tc "log-axis threshold" test_threshold_log;
-          tc "guarded threshold" test_guarded;
           QCheck_alcotest.to_alcotest prop_threshold_finds_boundary;
         ] );
       ( "interp",
