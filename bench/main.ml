@@ -49,7 +49,9 @@ let best_br ?allow_pause stress =
 let fig2 () =
   heading "fig2" "result planes for w0, w1, r at the nominal SC";
   print_string
-    (C.Report.figure2 ~stress:nominal ~kind:open_kind ~placement:D.True_bl ());
+    (fst
+       (C.Report.figure2 ~stress:nominal ~kind:open_kind ~placement:D.True_bl
+          ()));
   let plane =
     C.Plane.write_plane ~n_ops:2 ~stress:nominal ~kind:open_kind
       ~placement:D.True_bl ~op:O.W0 ()
@@ -135,8 +137,9 @@ let fig6 () =
   heading "fig6"
     "result planes at the stressed SC (t_cyc=55 ns, T=+87 C, Vdd=2.1 V)";
   print_string
-    (C.Report.figure2 ~stress:stressed_sc ~kind:open_kind
-       ~placement:D.True_bl ());
+    (fst
+       (C.Report.figure2 ~stress:stressed_sc ~kind:open_kind
+          ~placement:D.True_bl ()));
   let nom_det, nom_br =
     C.Sc_eval.best_detection ~allow_pause:false ~stress:nominal
       ~kind:open_kind ~placement:D.True_bl ()
@@ -197,20 +200,6 @@ let methods () =
 let ablation () =
   heading "ablation" "model design choices";
   let defect = D.v open_kind D.True_bl 200e3 in
-  (* integrator choice: backward Euler vs trapezoidal on a full op *)
-  let residual integrator =
-    let config =
-      Sc.v ~sim:{ Dramstress_engine.Options.default with integrator } ()
-    in
-    let oc = O.run ~config ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
-    (List.hd oc.O.results).O.vc_end
-  in
-  let r_be = residual Dramstress_engine.Options.Backward_euler in
-  let r_tr = residual Dramstress_engine.Options.Trapezoidal in
-  Printf.printf
-    "  integrator: w0 residual BE %.4f V vs trapezoidal %.4f V (delta %.1f mV)\n"
-    r_be r_tr
-    (1e3 *. Float.abs (r_be -. r_tr));
   (* reference-cell sizing moves the defect-free threshold *)
   List.iter
     (fun c_ref ->

@@ -13,6 +13,22 @@ open Cmdliner
 (* shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Input the library rejects is a usage error: cmdliner prints the
+   message and exits 124. Each value is checked where it is taken in,
+   by the library's own validator, which raises [Invalid_argument]. *)
+let invalid_as_msg f x =
+  match f x with v -> Ok v | exception Invalid_argument m -> Error (`Msg m)
+
+(* parses like [base], then [check]s the value; the message names it *)
+let checked_conv base check =
+  let parse s =
+    Result.bind (Arg.conv_parser base s) (fun v ->
+        Result.map_error
+          (fun (`Msg m) -> `Msg (s ^ ": " ^ m))
+          (invalid_as_msg (fun v -> check v; v) v))
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 let defect_kind_conv =
   let parse s =
     match D.find_entry s with
@@ -39,7 +55,12 @@ let placement_arg =
        & info [ "p"; "placement" ] ~docv:"SIDE" ~doc:"Bit-line placement: true or comp.")
 
 let r_arg =
-  Arg.(value & opt float 200e3
+  (* [D.v] checks the resistance the same way for every kind *)
+  let r_conv =
+    checked_conv Arg.float (fun r ->
+        ignore (D.v (D.Open_cell D.At_bitline_contact) D.True_bl r))
+  in
+  Arg.(value & opt r_conv 200e3
        & info [ "r"; "resistance" ] ~docv:"OHM" ~doc:"Defect resistance in ohm.")
 
 let tcyc_arg =
@@ -104,23 +125,31 @@ let tras_trim_arg =
 let stress_term =
   let v tcyc vdd temp duty wait pattern hammer leak couple twr_trim tras_trim
       =
-    {
-      S.tcyc;
-      vdd;
-      temp_c = temp;
-      duty;
-      wait;
-      pattern;
-      hammer;
-      leak;
-      couple;
-      twr_trim;
-      tras_trim;
-    }
+    let sc =
+      {
+        S.tcyc;
+        vdd;
+        temp_c = temp;
+        duty;
+        wait;
+        pattern;
+        hammer;
+        leak;
+        couple;
+        twr_trim;
+        tras_trim;
+      }
+    in
+    (* the axes constrain each other (a trim against tcyc), so the
+       stress is checked whole *)
+    match S.validate sc with
+    | () -> `Ok sc
+    | exception Invalid_argument m ->
+      `Error (true, Format.asprintf "invalid stress (%a): %s" S.pp sc m)
   in
-  Term.(const v $ tcyc_arg $ vdd_arg $ temp_arg $ duty_arg $ wait_arg
-        $ pattern_arg $ hammer_arg $ leak_arg $ couple_arg $ twr_trim_arg
-        $ tras_trim_arg)
+  Term.(ret (const v $ tcyc_arg $ vdd_arg $ temp_arg $ duty_arg $ wait_arg
+             $ pattern_arg $ hammer_arg $ leak_arg $ couple_arg
+             $ twr_trim_arg $ tras_trim_arg))
 
 (* repeatable --axis flag: which axes a direction analysis probes *)
 let axes_term =
@@ -172,13 +201,17 @@ let adaptive_arg =
 
 let window_term =
   let v r_min r_max grid_points rel_tol adaptive =
-    C.Border.Window.v ?r_min ?r_max ?grid_points ?rel_tol
-      ~strategy:
-        (if adaptive then C.Border.Window.Adaptive else C.Border.Window.Grid)
-      ()
+    match
+      C.Border.Window.v ?r_min ?r_max ?grid_points ?rel_tol
+        ~strategy:
+          (if adaptive then C.Border.Window.Adaptive else C.Border.Window.Grid)
+        ()
+    with
+    | w -> `Ok w
+    | exception Invalid_argument m -> `Error (true, m)
   in
-  Term.(const v $ r_min_arg $ r_max_arg $ grid_points_arg $ rel_tol_arg
-        $ adaptive_arg)
+  Term.(ret (const v $ r_min_arg $ r_max_arg $ grid_points_arg $ rel_tol_arg
+             $ adaptive_arg))
 
 (* ------------------------------------------------------------------ *)
 (* telemetry: --metrics / --trace on every subcommand                  *)
@@ -314,7 +347,11 @@ let fail_on_error_arg =
                  scripts and CI.")
 
 let deadline_arg =
-  Arg.(value & opt (some float) None
+  let deadline_conv =
+    checked_conv Arg.float (fun d ->
+        ignore (Dramstress_dram.Sim_config.v ~deadline:d ()))
+  in
+  Arg.(value & opt (some deadline_conv) None
        & info [ "deadline" ] ~docv:"SEC"
            ~doc:"Wall-clock budget per sweep point, covering the point's \
                  whole retry ladder. A point that exceeds it is cut off \
@@ -342,16 +379,20 @@ let failures_exit ~fail_on_error errors =
 
 let run_cmd =
   let seq_arg =
-    Arg.(value & pos 0 string "w1 w1 w0 r"
+    let seq_conv =
+      Arg.conv
+        ( invalid_as_msg O.parse_seq,
+          fun ppf ops -> Format.pp_print_string ppf (O.seq_to_string ops) )
+    in
+    Arg.(value & pos 0 seq_conv (O.parse_seq "w1 w1 w0 r")
          & info [] ~docv:"SEQ" ~doc:"Operation sequence, e.g. 'w1 w1 w0 r' or 'w0 p1e-3 r'.")
   in
   let vc_arg =
     Arg.(value & opt float 0.0 & info [ "vc" ] ~docv:"V" ~doc:"Initial cell voltage.")
   in
-  let run tel seq kind placement r vc stress =
+  let run tel ops kind placement r vc stress =
     with_telemetry tel @@ fun () ->
     let defect = D.v kind placement r in
-    let ops = O.parse_seq seq in
     let outcome = O.run ~stress ~defect ~vc_init:vc ops in
     Format.printf "defect: %a@.stress: %a@." D.pp defect S.pp stress;
     List.iter
@@ -374,7 +415,11 @@ let run_cmd =
 
 let plane_cmd =
   let points_arg =
-    Arg.(value & opt (some int) None
+    let points_conv =
+      checked_conv Arg.int (fun n ->
+          if n < 2 then invalid_arg "plane: --points must be >= 2")
+    in
+    Arg.(value & opt (some points_conv) None
          & info [ "points" ] ~docv:"N"
              ~doc:"Number of resistance points per plane (default 12); \
                    small values make quick smoke runs.")
@@ -384,14 +429,10 @@ let plane_cmd =
       with_telemetry tel @@ fun () ->
       with_store ~name:"plane" store @@ fun store ->
       let rops =
-        Option.map
-          (fun n ->
-            if n < 2 then failwith "plane: --points must be >= 2"
-            else Dramstress_util.Grid.logspace 1e3 1e6 n)
-          points
+        Option.map (Dramstress_util.Grid.logspace 1e3 1e6) points
       in
       let rendered, failures =
-        C.Report.figure2_with_failures
+        C.Report.figure2
           ?config:(config_of_deadline deadline)
           ?store ?rops ~stress ~kind ~placement ()
       in
@@ -585,37 +626,42 @@ let sim_cmd =
   in
   let run tel deck tstop dt probes ics =
     with_telemetry tel @@ fun () ->
-    let nl = Dramstress_circuit.Spice.parse_file deck in
-    let compiled = Dramstress_circuit.Netlist.compile nl in
-    let result =
-      match
-        Dramstress_engine.Ensemble.run compiled
-          ~segments:[ (tstop, dt) ]
-          ~lanes:[| { Dramstress_engine.Ensemble.ics; override = None } |]
-          ~probes ()
-      with
-      | [| Ok result |] -> result
-      | [| Error e |] -> raise e
-      | _ -> assert false
-    in
-    let rows =
-      Array.to_list
-        (Array.mapi
-           (fun k t ->
-             t
-             :: Array.to_list
-                  (Array.map
-                     (fun vs -> vs.(k))
-                     result.Dramstress_engine.Transient.probe_values))
-           result.Dramstress_engine.Transient.times)
-    in
-    print_string
-      (Dramstress_util.Csvout.of_floats ~header:("time_s" :: probes) rows)
+    match Dramstress_circuit.Spice.parse_file deck with
+    | exception Dramstress_circuit.Spice.Parse_error { line; message } ->
+      `Error (false, Printf.sprintf "%s:%d: %s" deck line message)
+    | nl ->
+      let module E = Dramstress_engine.Ensemble in
+      let compiled = Dramstress_circuit.Netlist.compile nl in
+      let segments = [ (tstop, dt) ] in
+      let lanes = [| { E.ics; override = None } |] in
+      (* the step, probes and ICs can only be checked against the deck *)
+      match E.check compiled ~segments ~lanes ~probes with
+      | exception Invalid_argument m -> `Error (true, m)
+      | () -> (
+        match E.run compiled ~segments ~lanes ~probes () with
+        | [| Error e |] -> raise e
+        | [| Ok result |] ->
+          let rows =
+            Array.to_list
+              (Array.mapi
+                 (fun k t ->
+                   t
+                   :: Array.to_list
+                        (Array.map
+                           (fun vs -> vs.(k))
+                           result.Dramstress_engine.Transient.probe_values))
+                 result.Dramstress_engine.Transient.times)
+          in
+          print_string
+            (Dramstress_util.Csvout.of_floats ~header:("time_s" :: probes)
+               rows);
+          `Ok ()
+        | _ -> assert false)
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Transient-simulate a SPICE deck, CSV to stdout")
-    Term.(const run $ telemetry_term $ deck_arg $ tstop_arg
-          $ dt_arg $ probes_arg $ ic_arg)
+    Term.(ret (const run $ telemetry_term $ deck_arg $ tstop_arg
+               $ dt_arg $ probes_arg $ ic_arg))
 
 (* ------------------------------------------------------------------ *)
 (* chaos: deterministic fault-injection self-test                      *)
@@ -759,12 +805,12 @@ let chaos_cmd =
       let rops = Dramstress_util.Grid.logspace 1e3 1e6 4 in
       O.clear_cache ();
       Chaos.disarm ();
-      let clean = C.Report.figure2 ~rops ~stress ~kind ~placement () in
+      let clean, _ = C.Report.figure2 ~rops ~stress ~kind ~placement () in
       let dir = Filename.temp_dir "dramstress_chaos" ".store" in
       (* the sweep runs against a store, as [plane --store] does *)
       let figure2_in_store () =
         with_store ~name:"chaos" (Some dir) @@ fun store ->
-        C.Report.figure2 ?store ~rops ~stress ~kind ~placement ()
+        fst (C.Report.figure2 ?store ~rops ~stress ~kind ~placement ())
       in
       Fun.protect
         ~finally:(fun () ->

@@ -27,7 +27,7 @@ let plane_chart ~title (plane : Plane.t) =
     ~title
     (List.mapi series_of_curve plane.Plane.curves @ [ vsa_series ])
 
-let figure2_with_failures ?config ?store ?rops ~stress ~kind
+let figure2 ?config ?store ?rops ~stress ~kind
     ~placement () =
   let w0 =
     Plane.write_plane ?config ?store ?rops ~stress ~kind
@@ -78,11 +78,6 @@ let figure2_with_failures ?config ?store ?rops ~stress ~kind
        ]
       @ failure_lines),
     failures )
-
-let figure2 ?config ?store ?rops ~stress ~kind ~placement () =
-  fst
-    (figure2_with_failures ?config ?store ?rops ~stress ~kind
-       ~placement ())
 
 let figure_st_panels ?config ~stress ~axis ~values ~kind ~placement () =
   let analysis_r = Stressor.analysis_r in

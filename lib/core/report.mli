@@ -1,26 +1,15 @@
 (** Text rendering of the paper's figures. *)
 
-(** [figure2 ?config ?rops ~stress ~kind ~placement ()] renders
+(** [figure2 ?config ?store ?rops ~stress ~kind ~placement ()] renders
     the three result planes (w0, w1, r) with the V_sa curve and V_mp
-    marker — Figure 2 at the nominal SC, Figure 6 at a stressed SC.
-    Also reports the geometric BR when the curves cross. [config]
-    bundles solver options, retry policy and per-point deadline as in
-    {!Plane.write_plane}. *)
+    marker — Figure 2 at the nominal SC, Figure 6 at a stressed SC —
+    and returns the rendering with the per-point sweep failures of all
+    three planes (in plane order w0, w1, r), so front ends can turn
+    failed points into an exit status. The rendering reports the
+    geometric BR when the curves cross and lists failed points at its
+    end, never interpolated over. [config] bundles solver options,
+    retry policy and per-point deadline as in {!Plane.write_plane}. *)
 val figure2 :
-  ?config:Dramstress_dram.Sim_config.t ->
-  ?store:Dramstress_util.Store.t ->
-  ?rops:float list ->
-  stress:Dramstress_dram.Stress.t ->
-  kind:Dramstress_defect.Defect.kind ->
-  placement:Dramstress_defect.Defect.placement ->
-  unit ->
-  string
-
-(** Like {!figure2} but also returns the per-point sweep failures of
-    all three planes (in plane order w0, w1, r), so front ends can
-    turn failed points into an exit status. Failed points are listed
-    at the end of the rendering, never interpolated over. *)
-val figure2_with_failures :
   ?config:Dramstress_dram.Sim_config.t ->
   ?store:Dramstress_util.Store.t ->
   ?rops:float list ->

@@ -110,7 +110,7 @@ let physics_key
   let { Tech.c_bl; c_cell; c_ref; c_sa; c_out; access; sa_n; sa_p; wl_boost;
         g_switch; g_write; g_off; t_wl_on; t_share; t_wr_cmd; t_margin0;
         t_margin_duty; t_decide; t_edge } = tech
-  and { O.tol_scale; max_newton; max_step_v; temp = _; integrator; dt_scale }
+  and { O.tol_scale; max_newton; max_step_v; temp = _; dt_scale }
       = Option.value sim ~default:O.default in
   String.concat ","
     [ d "epoch" O.epoch; h "c_bl" c_bl; h "c_cell" c_cell; h "c_ref" c_ref;
@@ -122,8 +122,9 @@ let physics_key
       h "t_edge" t_edge; h "abstol" (tol_scale *. O.abstol);
       h "reltol" (tol_scale *. O.reltol); d "max_newton" max_newton;
       h "gmin" O.gmin; h "max_step_v" max_step_v;
-      (if integrator = O.Backward_euler then "integrator=be"
-       else "integrator=trap");
+      (* backward Euler is the engine's only rule; still printed, as
+         gmin is, so that every stored key keeps its text *)
+      "integrator=be";
       h "dt_scale" dt_scale;
       d "steps_per_cycle" steps_per_cycle;
       "retry=" ^ String.concat ";" (List.map stage retry.stages) ]

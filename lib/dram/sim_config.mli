@@ -103,8 +103,11 @@ val validate : t -> unit
     numerics epoch ({!Dramstress_engine.Options.epoch}), every
     {!Tech.t} field, the solver options but [temp] (set from the
     stress), [steps_per_cycle] and the retry ladder, as named [k=v]
-    fields with [%h] floats. [jobs], [lanes] and [deadline] never move
-    a stored value and stay out. *)
+    fields with [%h] floats. Two constants of the engine are printed
+    too, so that every key recorded before they stopped being options
+    keeps its text: [gmin] ({!Dramstress_engine.Options.gmin}) and
+    [integrator=be] (backward Euler, the engine's only rule). [jobs],
+    [lanes] and [deadline] never move a stored value and stay out. *)
 val physics_key : t -> string
 
 (** [key t layer ~stress ~kind ~placement fields] is the store key of

@@ -40,13 +40,14 @@ let walk_segment f span t0 (t_end, dt) =
   done;
   if !t > t_end then !t else t_end
 
-let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
-    ~probes () =
+(* [run]'s arguments checked against the deck before anything is
+   integrated: every [Invalid_argument] of a run comes from here. Returns
+   the segments scaled by [opts.dt_scale], the system, the overridden
+   resistor's index (-1 for none) with each lane's conductance for it,
+   the probes' node ids, and each lane's initial node voltages. *)
+let prepare compiled ~opts ~segments ~lanes ~probes =
   let n_lanes = Array.length lanes in
   if n_lanes = 0 then invalid_arg "Ensemble.run: no lanes";
-  Tel.Counter.incr c_batches;
-  Tel.Counter.add c_lanes n_lanes;
-  Tel.Counter.add c_runs n_lanes;
   if not (opts.Options.dt_scale > 0.0) then
     invalid_arg "Ensemble.run: dt_scale must be positive";
   (* the degradation knob: refine every segment's nominal step uniformly
@@ -63,16 +64,13 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     ignore
       (List.fold_left
          (fun t_prev (t_end, dt) ->
-           if dt <= 0.0 then invalid_arg "Ensemble.run: dt <= 0";
+           if dt <= 0.0 then
+             invalid_arg (Printf.sprintf "Ensemble.run: dt %g <= 0" dt);
            if t_end <= t_prev then
              invalid_arg "Ensemble.run: segment ends must increase";
            t_end)
          0.0 segments));
   let sys = Mna.make compiled in
-  let ws = Mna.make_workspace sys in
-  let n_nodes = Mna.n_nodes sys in
-  let size = Mna.size sys in
-  let n_caps = Mna.n_capacitors sys in
   (* one shared topology: every overriding lane must name the same
      resistor; lanes without an override ride at the netlist value *)
   let override_index = ref (-1) in
@@ -108,18 +106,50 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
              invalid_arg ("Ensemble.run: unknown probe node " ^ name))
          probes)
   in
+  let initial_v =
+    Array.map
+      (fun lane ->
+        let v = Array.make (Mna.n_nodes sys) 0.0 in
+        List.iter
+          (fun (name, value) ->
+            match
+              try Some (C.Netlist.compiled_node compiled name)
+              with Not_found -> None
+            with
+            | Some n ->
+              if n = 0 then invalid_arg "Ensemble.run: cannot set ground IC";
+              v.(n) <- value
+            | None -> invalid_arg ("Ensemble.run: unknown IC node " ^ name))
+          lane.ics;
+        v)
+      lanes
+  in
+  (segments, sys, override_index, override_g, probe_ids, initial_v)
+
+let check compiled ~segments ~lanes ~probes =
+  ignore (prepare compiled ~opts:Options.default ~segments ~lanes ~probes)
+
+let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
+    ~probes () =
+  let segments, sys, override_index, override_g, probe_ids, pvs =
+    prepare compiled ~opts ~segments ~lanes ~probes
+  in
+  let n_lanes = Array.length lanes in
+  Tel.Counter.incr c_batches;
+  Tel.Counter.add c_lanes n_lanes;
+  Tel.Counter.add c_runs n_lanes;
+  let ws = Mna.make_workspace sys in
+  let size = Mna.size sys in
   let n_probes = Array.length probe_ids in
   (* per-lane state rows: committed unknowns, working Newton iterate,
-     previous accepted node voltages, capacitor history, and the
-     predictor's history. The iterate, voltage and history rows keep
+     previous accepted node voltages ([pvs], the capacitors' only
+     history, from [prepare]) and the predictor's history. The iterate, voltage and history rows keep
      their identity for the whole run — the Newton loop and [Mna] (via
      the [reactive] records below) read and write them directly, so a
      solve allocates nothing per lane; the committed row rotates through
      the predictor's rows instead of being copied into them. *)
   let xs = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   let xw = Array.init n_lanes (fun _ -> Array.make size 0.0) in
-  let pvs = Array.init n_lanes (fun _ -> Array.make n_nodes 0.0) in
-  let pcs = Array.init n_lanes (fun _ -> Array.make (Int.max 1 n_caps) 0.0) in
   (* predictor history: the unknowns before the lane's last accepted
      step and before the one ahead of it, and the two steps' lengths
      (0 while there is none). [commit] rotates the three state rows. *)
@@ -128,22 +158,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let hdt = Array.make n_lanes 0.0 in
   let hdt2 = Array.make n_lanes 0.0 in
   (* per-lane ICs -> committed state *)
-  Array.iteri
-    (fun li lane ->
-      let v = pvs.(li) in
-      List.iter
-        (fun (name, value) ->
-          match
-            try Some (C.Netlist.compiled_node compiled name)
-            with Not_found -> None
-          with
-          | Some n ->
-            if n = 0 then invalid_arg "Ensemble.run: cannot set ground IC";
-            v.(n) <- value
-          | None -> invalid_arg ("Ensemble.run: unknown IC node " ^ name))
-        lane.ics;
-      Array.blit (Mna.pack sys v) 0 xs.(li) 0 size)
-    lanes;
+  Array.iteri (fun li v -> Array.blit (Mna.pack sys v) 0 xs.(li) 0 size) pvs;
   let dead : exn option array = Array.make n_lanes None in
   let n_live = ref n_lanes in
   let lane_failed li e =
@@ -157,11 +172,10 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let lane_err : exn option array = Array.make n_lanes None in
   let lane_diverge = Array.make n_lanes false in
   (* per-lane reactive records, one per lane for the whole run: each
-     solve sets its step length, and the prev arrays alias the lane's
-     state rows, so [Mna] reads them with no copying *)
+     solve sets its step length, and prev_v aliases the lane's node
+     voltage row, so [Mna] reads it with no copying *)
   let reacts =
-    Array.init n_lanes (fun li ->
-        { Mna.dt = 0.0; prev_v = pvs.(li); prev_cap_current = pcs.(li) })
+    Array.init n_lanes (fun li -> { Mna.dt = 0.0; prev_v = pvs.(li) })
   in
   (* Newton's starting point for a step of length [dt'] from lane [li]'s
      committed state x_n: the quadratic through its last three accepted
@@ -256,12 +270,8 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   in
   (* accept the converged iterate in [xw] as lane [li]'s new state;
      [reacts.(li)] still holds the reactive record of the solve that
-     produced the iterate (same dt', prev arrays alias this lane's
-     rows), and the workspace the controls of its time point. Only the
-     trapezoidal rule reads the capacitor history, which
-     [cap_currents_into] updates in place — each slot's previous
-     current is read before it is overwritten *)
-  let trapezoidal = opts.Options.integrator = Options.Trapezoidal in
+     produced the iterate (same dt', prev_v aliases this lane's row),
+     and the workspace the controls of its time point *)
   let commit li =
     let x = xw.(li) in
     let oldest = xpp.(li) in
@@ -271,9 +281,6 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     hdt2.(li) <- hdt.(li);
     hdt.(li) <- reacts.(li).Mna.dt;
     Array.blit x 0 oldest 0 size;
-    if trapezoidal then
-      Mna.cap_currents_into sys ws ~opts ~x ~reactive:reacts.(li)
-        ~out:pcs.(li);
     Mna.voltages_into sys ws x ~out:pvs.(li)
   in
   (* initial quasi-static solve: a near-zero BE step pins capacitor

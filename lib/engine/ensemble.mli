@@ -92,10 +92,8 @@ type lane = {
       slot: a budget is a per-request contract, which is why deadline
       callers run one lane at a time.
 
-    Raises [Invalid_argument] for an empty lane array, invalid segments,
-    unknown IC/probe nodes, a non-positive override resistance, an
-    unknown override resistor, or lanes overriding different
-    resistors. *)
+    Raises [Invalid_argument], before it integrates anything, where
+    {!check} does. *)
 val run :
   Dramstress_circuit.Netlist.compiled ->
   ?opts:Options.t ->
@@ -105,3 +103,17 @@ val run :
   probes:string list ->
   unit ->
   (Transient.result, exn) result array
+
+(** [check compiled ~segments ~lanes ~probes] checks the arguments of
+    [run] (under {!Options.default}) against the deck without
+    integrating. Raises [Invalid_argument] for an empty lane array,
+    invalid segments, unknown IC/probe nodes, a ground IC, a
+    non-positive override resistance, an unknown override resistor, or
+    lanes overriding different resistors; [run] also rejects a
+    non-positive [opts.dt_scale]. *)
+val check :
+  Dramstress_circuit.Netlist.compiled ->
+  segments:(float * float) list ->
+  lanes:lane array ->
+  probes:string list ->
+  unit

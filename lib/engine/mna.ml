@@ -16,7 +16,7 @@ module Sp = Dramstress_util.Sparse_lu
    touch a ground row or column, or the row of a fixed node, which are
    dropped). Devices split into a *static-linear* part (resistors,
    voltage-source topology, capacitor conductances — fixed for a given
-   time step and integrator) that is pre-stamped into a cached
+   time step) that is pre-stamped into a cached
    template, and a *dynamic* part (switches, source values, capacitor
    history, MOSFET linearizations) restamped on top of a copy of the
    template. *)
@@ -46,7 +46,6 @@ type cap_plan = {
   c_ra : int;
   c_rb : int;
   c_slots : g4;
-  hist : int;
   cap : float;
 }
 
@@ -88,7 +87,6 @@ type t = {
   unk : int array;        (* per node: its unknown, -1 for ground or fixed *)
   node_wave : int array;  (* per node: its fixing source's wave, or -1 *)
   res_index : (string, int) Hashtbl.t;    (* resistor name -> plan index *)
-  n_caps : int;
   sp : Sp.t;  (* slots and column order of the pattern; never factored *)
   nnz : int;  (* LU slot count; coupling slots follow *)
   coup_row : int array;   (* per coupling slot: its row *)
@@ -189,16 +187,15 @@ let make (compiled : C.Netlist.compiled) =
     end
   done;
   let n_free = !n_free in
-  let nv = ref 0 and nc = ref 0 in
+  let nv = ref 0 in
   Array.iter
     (fun d ->
       match d with
       | C.Device.Vsource { name; _ } when not (Hashtbl.mem vsrc_branch name) ->
         Hashtbl.add vsrc_branch name (n_free + !nv);
         incr nv
-      | C.Device.Capacitor _ -> incr nc
-      | C.Device.Vsource _ | C.Device.Resistor _ | C.Device.Isource _
-      | C.Device.Switch _ | C.Device.Mosfet _ ->
+      | C.Device.Vsource _ | C.Device.Resistor _ | C.Device.Capacitor _
+      | C.Device.Isource _ | C.Device.Switch _ | C.Device.Mosfet _ ->
         ())
     compiled.devices;
   let size = n_free + !nv in
@@ -237,7 +234,7 @@ let make (compiled : C.Netlist.compiled) =
   let resistors = ref [] and switches = ref [] and caps = ref [] in
   let vsrcs = ref [] and isrcs = ref [] and mosfets = ref [] in
   let res_index = Hashtbl.create 8 in
-  let nr = ref 0 and hist = ref 0 in
+  let nr = ref 0 in
   Array.iter
     (fun d ->
       match d with
@@ -252,9 +249,8 @@ let make (compiled : C.Netlist.compiled) =
       | C.Device.Capacitor { a; b; c; _ } ->
         caps :=
           { c_a = a; c_b = b; c_ra = unk.(a); c_rb = unk.(b); c_slots = g4 a b;
-            hist = !hist; cap = c }
-          :: !caps;
-        incr hist
+            cap = c }
+          :: !caps
       | C.Device.Vsource { name; pos; neg; wave } ->
         let row = branch_row name in
         if row >= 0 then
@@ -284,7 +280,6 @@ let make (compiled : C.Netlist.compiled) =
     unk;
     node_wave;
     res_index;
-    n_caps = !nc;
     sp;
     nnz;
     coup_row = Array.map fst coup;
@@ -309,7 +304,6 @@ let make (compiled : C.Netlist.compiled) =
 let size sys = sys.size
 let n_nodes sys = sys.n_nodes
 let n_free_nodes sys = sys.n_free
-let n_capacitors sys = sys.n_caps
 let resistor_index sys name = Hashtbl.find_opt sys.res_index name
 let resistor_g sys index = sys.resistors.(index).g_res
 
@@ -318,17 +312,7 @@ let pack sys node_voltages =
   Array.iteri (fun n u -> if u >= 0 then x.(u) <- node_voltages.(n)) sys.unk;
   x
 
-type reactive = {
-  mutable dt : float;
-  prev_v : float array;
-  prev_cap_current : float array;
-}
-
-(* capacitor companion conductance for one time step *)
-let[@inline] cap_g ~(opts : Options.t) ~dt c =
-  match opts.integrator with
-  | Options.Backward_euler -> c /. dt
-  | Options.Trapezoidal -> 2.0 *. c /. dt
+type reactive = { mutable dt : float; prev_v : float array }
 
 (* ------------------------------------------------------------------ *)
 (* Assembly workspace                                                 *)
@@ -401,7 +385,7 @@ let make_workspace sys =
     vals = Array.make n_slots 0.0;
     rhs = Array.make n 0.0;
     tmpl = Array.make n_slots 0.0;
-    cap_gs = Array.make sys.n_caps 0.0;
+    cap_gs = Array.make (Array.length sys.caps) 0.0;
     tmpl_valid = false;
     tmpl_dt = 0.0;
     tmpl_excluded = -1;
@@ -440,11 +424,11 @@ let fixed_abs_max ws = ws.fixed_max
 let newton_acc ws = ws.newton_acc
 
 (* static-linear part: gmin regularization, resistors, voltage-source
-   topology and — for a fixed (dt, integrator) — the capacitor companion
-   conductances. Everything here is independent of t, x and history. A
-   resistor under lane override is left out (its lane conductance is
-   stamped fresh after each template copy instead). *)
-let rebuild_template sys ws ~(opts : Options.t) ~dt =
+   topology and — for a fixed dt — the capacitor companion conductances
+   C/dt. Everything here is independent of t, x and history. A resistor
+   under lane override is left out (its lane conductance is stamped
+   fresh after each template copy instead). *)
+let rebuild_template sys ws ~dt =
   let tmpl = ws.tmpl in
   Array.fill tmpl 0 (Array.length tmpl) 0.0;
   Array.iter (fun s -> stamp_at tmpl s Options.gmin) sys.gmin_slots;
@@ -460,7 +444,7 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
     sys.vsrcs;
   Array.iteri
     (fun i p ->
-      let g = cap_g ~opts ~dt p.cap in
+      let g = p.cap /. dt in
       ws.cap_gs.(i) <- g;
       stamp_g4 g tmpl p.c_slots)
     sys.caps
@@ -490,18 +474,13 @@ let eval_controls_into sys ws ~t_now =
 let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
   let n = ws.w_size in
   assert (n = sys.size);
-  let trapezoidal =
-    match opts.integrator with
-    | Options.Backward_euler -> false
-    | Options.Trapezoidal -> true
-  in
   (if
      (not ws.tmpl_valid)
      || ws.tmpl_dt <> reactive.dt
      || ws.tmpl_excluded <> ws.excluded_res
    then begin
      Tel.Counter.incr c_template_rebuilds;
-     rebuild_template sys ws ~opts ~dt:reactive.dt;
+     rebuild_template sys ws ~dt:reactive.dt;
      ws.tmpl_valid <- true;
      ws.tmpl_dt <- reactive.dt;
      ws.tmpl_excluded <- ws.excluded_res
@@ -522,11 +501,7 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
   for i = 0 to Array.length sys.caps - 1 do
     let p = sys.caps.(i) in
     let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-    let g = ws.cap_gs.(i) in
-    let i_hist =
-      if trapezoidal then (g *. vab_prev) +. reactive.prev_cap_current.(p.hist)
-      else g *. vab_prev
-    in
+    let i_hist = ws.cap_gs.(i) *. vab_prev in
     stamp_at rhs p.c_ra i_hist;
     stamp_at rhs p.c_rb (-.i_hist)
   done;
@@ -589,21 +564,3 @@ let solve_in_place sys ws =
 let solution ws = ws.rhs
 
 let lu_schedule ws = Sp.schedule ws.slu
-
-(* [out] may alias [reactive.prev_cap_current]: each capacitor reads
-   only its own slot's previous current before overwriting that same
-   slot, so the in-place update is well-defined. *)
-let cap_currents_into sys ws ~(opts : Options.t) ~x ~reactive ~out =
-  let nv = ws.node_v in
-  voltages_into sys ws x ~out:nv;
-  for k = 0 to Array.length sys.caps - 1 do
-    let p = sys.caps.(k) in
-    let vab = nv.(p.c_a) -. nv.(p.c_b) in
-    let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-    out.(p.hist) <-
-      (match opts.integrator with
-      | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
-      | Options.Trapezoidal ->
-        (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
-        -. reactive.prev_cap_current.(p.hist))
-  done

@@ -12,10 +12,12 @@
     grounded sources give 10 unknowns, not 20.
 
     One assembly produces the linearized system [G x_new = b] around a
-    Newton iterate, with companion models for capacitors (BE or
-    trapezoidal) and linearized MOSFETs. Rows of fixed nodes are
-    dropped, as ground's are, and entries in their columns move to [b]
-    times the fixed voltage. The tests check this layout against a
+    Newton iterate, with linearized MOSFETs and the backward-Euler
+    companion of each capacitor: a conductance [C/dt] in parallel with
+    the history current [C/dt * v_prev]. Backward Euler is the only
+    rule; it needs no history beyond the previous node voltages. Rows
+    of fixed nodes are dropped, as ground's are, and entries in their
+    columns move to [b] times the fixed voltage. The tests check this layout against a
     dense full-MNA simulator that shares none of it ([test/reference]). *)
 
 type t
@@ -41,19 +43,11 @@ val n_free_nodes : t -> int
 val pack : t -> float array -> float array
 
 (** Dynamic (reactive) inputs to one assembly. [prev_v] is the per-node
-    voltage array at the previous accepted time point; [prev_cap_current]
-    stores per-capacitor branch current for the trapezoidal rule (indexed
-    by capacitor order of appearance); [dt > 0] is the step's length.
+    voltage array at the previous accepted time point, all the history
+    the backward-Euler companions read; [dt > 0] is the step's length.
     [dt] is mutable so that a transient lane keeps one record for its
     whole run and only sets each step's length. *)
-type reactive = {
-  mutable dt : float;
-  prev_v : float array;
-  prev_cap_current : float array;
-}
-
-(** [n_capacitors sys] — size of [prev_cap_current]. *)
-val n_capacitors : t -> int
+type reactive = { mutable dt : float; prev_v : float array }
 
 (** [resistor_index sys name] is the plan index of the named resistor,
     for {!set_resistor_override} — the hook ensemble sweeps use to vary
@@ -154,18 +148,3 @@ val solution : workspace -> float array
     workspace's factorization compiled ({!Dramstress_util.Sparse_lu.schedule}),
     [None] before its first {!solve_in_place}. *)
 val lu_schedule : workspace -> Dramstress_util.Sparse_lu.schedule option
-
-(** [cap_currents_into sys ws ~opts ~x ~reactive ~out] writes each
-    capacitor's branch current at the just-solved point (needed to
-    advance the trapezoidal rule) into [out] (length >= n_capacitors),
-    the fixed nodes at the controls of the last {!eval_controls_into}.
-    [out] may alias [reactive.prev_cap_current]: each capacitor reads only
-    its own slot before overwriting it. *)
-val cap_currents_into :
-  t ->
-  workspace ->
-  opts:Options.t ->
-  x:float array ->
-  reactive:reactive ->
-  out:float array ->
-  unit

@@ -1,5 +1,3 @@
-type integrator = Backward_euler | Trapezoidal
-
 let epoch = 2
 let gmin = 1e-12
 let abstol = 1e-6
@@ -10,7 +8,6 @@ type t = {
   max_newton : int;
   max_step_v : float;
   temp : float;
-  integrator : integrator;
   dt_scale : float;
 }
 
@@ -20,6 +17,5 @@ let default =
     max_newton = 80;
     max_step_v = 1.0;
     temp = 300.15;
-    integrator = Backward_euler;
     dt_scale = 1.0;
   }

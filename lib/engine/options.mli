@@ -1,6 +1,6 @@
-(** Numerical options for the solver. *)
-
-type integrator = Backward_euler | Trapezoidal
+(** Numerical options for the solver. The time integration is
+    backward Euler, the one companion rule of {!Mna}; no option chooses
+    another. *)
 
 (** [epoch] is the numerics epoch, printed into every store key: a
     change that deliberately moves waveform bits bumps it. *)
@@ -26,7 +26,6 @@ type t = {
   max_newton : int;     (** Newton iteration cap per time point *)
   max_step_v : float;   (** Newton per-iteration voltage step clamp, V *)
   temp : float;         (** simulation temperature, K *)
-  integrator : integrator;
   dt_scale : float;
       (** multiplier applied to every transient segment's nominal time
           step (must be positive; default 1.0). Values below 1 refine
@@ -37,5 +36,5 @@ type t = {
 }
 
 (** Defaults: tol_scale 1.0, 80 Newton iterations, 1.0 V step clamp,
-    300.15 K, backward Euler, dt_scale 1.0. *)
+    300.15 K, dt_scale 1.0. *)
 val default : t

@@ -46,13 +46,11 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
          (function D.Capacitor { a; b; c; _ } -> Some (a, b, c) | _ -> None)
          (Array.to_list devices))
   in
-  let trapezoidal = opts.integrator = E.Options.Trapezoidal in
-  let companion c dt = if trapezoidal then 2.0 *. c /. dt else c /. dt in
   let v x n = if n = 0 then 0.0 else x.(n - 1) in
-  (* The system linearized around [x] at time [t], for a step of length
-     [dt] from the accepted state [prev] whose capacitor currents are
-     [prev_i]. Rows and columns are unknowns; -1 is ground. *)
-  let assemble ~t ~dt ~prev ~prev_i x =
+  (* The system linearized around [x] at time [t], for a backward-Euler
+     step of length [dt] from the accepted state [prev]. Rows and columns
+     are unknowns; -1 is ground. *)
+  let assemble ~t ~dt ~prev x =
     let a = L.create size size and b = Array.make size 0.0 in
     let add i j g = if i >= 0 && j >= 0 then a.(i).(j) <- a.(i).(j) +. g in
     let inject n i = if n > 0 then b.(n - 1) <- b.(n - 1) +. i in
@@ -65,13 +63,12 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
     for i = 0 to n_v - 1 do
       add i i E.Options.gmin
     done;
-    (* each capacitor's companion: a conductance in parallel with the
-       history current *)
-    Array.iteri
-      (fun k (p, q, c) ->
-        let g = companion c dt in
+    (* each capacitor's companion: a conductance C/dt in parallel with the
+       history current C/dt * v_prev *)
+    Array.iter
+      (fun (p, q, c) ->
+        let g = c /. dt in
         let hist = g *. (v prev p -. v prev q) in
-        let hist = if trapezoidal then hist +. prev_i.(k) else hist in
         conductance g p q;
         inject p hist;
         inject q (-.hist))
@@ -119,10 +116,10 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
     (a, b)
   in
   (* damped Newton from [x0], every node move clamped *)
-  let solve ~t ~dt ~prev ~prev_i x0 =
+  let solve ~t ~dt ~prev x0 =
     let x = Array.copy x0 in
     let rec iterate iter =
-      let a, b = assemble ~t ~dt ~prev ~prev_i x in
+      let a, b = assemble ~t ~dt ~prev x in
       let x_new = L.lu_solve (L.lu_factor a) b in
       let worst = ref 0.0 and largest = ref 0.0 in
       for i = 0 to size - 1 do
@@ -145,14 +142,6 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
     in
     iterate 1
   in
-  (* each capacitor's current over the step just accepted *)
-  let cap_currents ~dt ~prev ~prev_i x =
-    Array.mapi
-      (fun k (p, q, c) ->
-        let i = companion c dt *. (v x p -. v x q -. (v prev p -. v prev q)) in
-        if trapezoidal then i -. prev_i.(k) else i)
-      caps
-  in
   let n_times = Array.length times in
   if n_times = 0 || times.(0) <> 0.0 then
     invalid_arg "Reference.replay: times must start at 0.0";
@@ -163,24 +152,19 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
   in
   let x_ic = Array.make size 0.0 in
   List.iter (fun (name, value) -> x_ic.(node name - 1) <- value) ics;
-  let step ~t ~dt (prev, prev_i) =
-    let x = solve ~t ~dt ~prev ~prev_i prev in
-    (x, cap_currents ~dt ~prev ~prev_i x)
-  in
-  let state =
-    ref (step ~t:0.0 ~dt:dt_quasi_static (x_ic, Array.map (fun _ -> 0.0) caps))
-  in
-  record 0 (fst !state);
+  let step ~t ~dt prev = solve ~t ~dt ~prev prev in
+  let state = ref (step ~t:0.0 ~dt:dt_quasi_static x_ic) in
+  record 0 !state;
   for k = 1 to n_times - 1 do
     state := step ~t:times.(k) ~dt:(times.(k) -. times.(k - 1)) !state;
-    record k (fst !state)
+    record k !state
   done;
   let probe_names = Array.of_list probes in
   {
     E.Transient.times = Array.copy times;
     probe_names;
     probe_values = samples;
-    final_v = Array.init n_nodes (v (fst !state));
+    final_v = Array.init n_nodes (v !state);
     probe_interps = E.Transient.make_interps times probe_names samples;
   }
 

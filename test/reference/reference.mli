@@ -13,7 +13,8 @@
     It does not choose its own time points: {!replay} steps through the
     accepted times of a production run, from the same initial
     conditions, with the same quasi-static step at t=0 and the same
-    capacitor companions, so a production trace and its replay solve
+    backward-Euler capacitor companions (a conductance [C/dt] in
+    parallel with the history current [C/dt * v_prev]), so a production trace and its replay solve
     the same discretized equations. *)
 
 (** [replay compiled ~opts ?override ~ics ~probes ~times ()] integrates
@@ -22,7 +23,7 @@
     would: the [probes] at every time, and every node voltage at the
     last.
 
-    - [opts]: [integrator] and [temp] are the physics, with gmin
+    - [opts]: [temp] is the physics, with gmin
       {!Dramstress_engine.Options.gmin}; Newton stops once no node
       voltage moves by more than
       [tol_scale *. (abstol +. reltol *. max |v|)]
@@ -32,7 +33,7 @@
       ([Failure]).
     - [override = (name, ohms)] replaces the named resistor's value.
     - [ics]: initial node voltages by name, the others 0 V. As in
-      production, a step of 1e-18 s at t=0 (with [opts.integrator]'s
+      production, a step of 1e-18 s at t=0 (with the same
       companions) makes the resistive nodes consistent while the
       capacitors hold their ICs.
 

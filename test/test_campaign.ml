@@ -1259,11 +1259,8 @@ let test_service_slowloris_dropped () =
   Unix.close idle
 
 (* enough electrical work (4 points, fine grid, tight tolerance) that a
-   submission reliably holds its admission slot while the test pokes
-   the server from other connections *)
-(* a submission that must still be in flight a few tenths of a second
-   after it starts: a fine grid and a tight tolerance keep its four
-   points busy for well over a second *)
+   submission holds its admission slot while the test pokes the server
+   from other connections *)
 let slow_manifest =
   {|
 (campaign
@@ -1336,7 +1333,11 @@ let test_service_admission_busy () =
   | None -> Alcotest.fail "slow client never reported"
 
 let test_service_graceful_drain () =
-  with_service @@ fun ~socket ->
+  (* one slot, held by the slow submission: a submission that arrives
+     before the drainer thread flips the state (it does so
+     asynchronously after Bye) queues, and the flip answers it
+     Draining, so no wait is needed to make the answer certain *)
+  with_service ~max_active:1 @@ fun ~socket ->
   O.clear_cache ();
   let draining_before = counter_value "campaign.service.draining_rejections" in
   let slow_result = ref None in
@@ -1351,8 +1352,6 @@ let test_service_graceful_drain () =
   (match Svc.Client.request ~socket Pr.Shutdown with
   | Pr.Bye -> ()
   | _ -> Alcotest.fail "expected bye");
-  (* the drainer thread flips the state asynchronously after Bye *)
-  Unix.sleepf 0.3;
   (* new submissions are rejected with the typed Draining response *)
   (match Svc.Client.submit ~socket run_manifest with
   | exception Svc.Client.Draining -> ()

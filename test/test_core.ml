@@ -493,7 +493,7 @@ let test_plane_all_points_failed_renders () =
   let config = Sc.v ~jobs:1 ~retry:Sc.no_retry ~deadline:1e-9 () in
   let rops = [ 1e3; 1e5; 1e6 ] in
   let rendered, failures =
-    C.Report.figure2_with_failures ~config ~rops ~stress:nominal
+    C.Report.figure2 ~config ~rops ~stress:nominal
       ~kind:open_kind ~placement:D.True_bl ()
   in
   Alcotest.(check int) "every point of all three planes failed"
@@ -829,7 +829,7 @@ let contains haystack needle =
   scan 0
 
 let test_report_figure2 () =
-  let out =
+  let out, _ =
     C.Report.figure2
       ~rops:(Dramstress_util.Grid.logspace 1e4 1e6 5)
       ~stress:nominal ~kind:open_kind ~placement:D.True_bl ()
