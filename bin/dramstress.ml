@@ -29,6 +29,12 @@ let checked_conv base check =
   in
   Arg.conv (parse, Arg.conv_printer base)
 
+(* a command line that parsed but cannot be used (a flag missing its
+   partner, a store that is not there) is a usage error too *)
+let usage_error m =
+  prerr_endline ("dramstress: " ^ m);
+  exit Cmd.Exit.cli_error
+
 let defect_kind_conv =
   let parse s =
     match D.find_entry s with
@@ -388,7 +394,11 @@ let run_cmd =
          & info [] ~docv:"SEQ" ~doc:"Operation sequence, e.g. 'w1 w1 w0 r' or 'w0 p1e-3 r'.")
   in
   let vc_arg =
-    Arg.(value & opt float 0.0 & info [ "vc" ] ~docv:"V" ~doc:"Initial cell voltage.")
+    let vc_conv =
+      checked_conv Arg.float (fun v ->
+          if not (Float.is_finite v) then invalid_arg "--vc must be finite")
+    in
+    Arg.(value & opt vc_conv 0.0 & info [ "vc" ] ~docv:"V" ~doc:"Initial cell voltage.")
   in
   let run tel ops kind placement r vc stress =
     with_telemetry tel @@ fun () ->
@@ -879,6 +889,16 @@ let store_dir_of manifest = function
   | Some dir -> dir
   | None -> Filename.remove_extension manifest ^ ".campaign"
 
+(* a verb that only reads a store refuses a directory that holds none,
+   rather than creating a fresh, empty store there *)
+let require_store dir =
+  if not (Store.is_store dir) then usage_error ("no campaign store at " ^ dir)
+
+(* nothing listening at the socket is the user's to fix, not a crash *)
+let no_daemon socket why =
+  Printf.eprintf "dramstress: no daemon at %s (%s)\n%!" socket why;
+  exit 1
+
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "j"; "jobs" ] ~docv:"N"
@@ -917,6 +937,7 @@ let campaign_run_cmd =
            Cp.Service.Client.submit_retrying ?jobs ~attempts:reconnect
              ~on_event ~socket text
          with
+        | exception Cp.Service.Client.Transport m -> no_daemon socket m
         | Ok o ->
           Printf.printf
             "campaign: %d point(s) planned, %d reused, %d simulated, %d \
@@ -957,6 +978,7 @@ let campaign_status_cmd =
     with_telemetry tel @@ fun () ->
     let m = Cp.Manifest.load manifest in
     let dir = store_dir_of manifest store_dir in
+    require_store dir;
     with_store ~name:m.Cp.Manifest.name (Some dir) @@ fun store ->
     let store = Option.get store in
     let states = Cp.Runner.states ~store m in
@@ -1002,6 +1024,7 @@ let campaign_query_cmd =
     with_telemetry tel @@ fun () ->
     let m = Cp.Manifest.load manifest in
     let dir = store_dir_of manifest store_dir in
+    require_store dir;
     with_store ~name:m.Cp.Manifest.name (Some dir) @@ fun store ->
     let store = Option.get store in
     Cp.Runner.states ~store m
@@ -1062,6 +1085,14 @@ let campaign_diff_cmd =
                    a side — the self-diff-must-be-empty check in CI.")
   in
   let run tel ma da mb db sa sb csv fail_on_diff =
+    let pairing =
+      match (sa, sb) with
+      | None, None -> Cp.Diff.Matched_stresses
+      | Some a, Some b -> Cp.Diff.Stress_pair { a; b }
+      | _ -> usage_error "--stress-a and --stress-b must be given together"
+    in
+    require_store da;
+    require_store db;
     let shifted_or_missing =
       with_telemetry tel @@ fun () ->
       let side mpath dpath =
@@ -1080,13 +1111,6 @@ let campaign_diff_cmd =
           Store.close a.Cp.Diff.store;
           Store.close b.Cp.Diff.store)
         (fun () ->
-          let pairing =
-            match (sa, sb) with
-            | None, None -> Cp.Diff.Matched_stresses
-            | Some a, Some b -> Cp.Diff.Stress_pair { a; b }
-            | _ ->
-              failwith "--stress-a and --stress-b must be given together"
-          in
           let d = Cp.Diff.v ~pairing ~a ~b () in
           print_string (Cp.Diff.render d);
           Option.iter
@@ -1204,27 +1228,29 @@ let serve_cmd =
       match (socket, store_dir) with
       | Some s, _ -> s
       | None, Some d -> Filename.concat d "dramstress.sock"
-      | None, None -> failwith "serve: need --socket or --store"
+      | None, None -> usage_error "serve: need --socket or --store"
+    in
+    let request req =
+      let socket = socket_of () in
+      match Cp.Service.Client.request ~socket req with
+      | reply -> reply
+      | exception Unix.Unix_error (e, _, _) ->
+        no_daemon socket (Unix.error_message e)
+      | exception Cp.Service.Client.Transport m -> no_daemon socket m
     in
     if stop then begin
-      match
-        Cp.Service.Client.request ~socket:(socket_of ()) Cp.Protocol.Shutdown
-      with
+      match request Cp.Protocol.Shutdown with
       | Cp.Protocol.Bye -> print_endline "server stopping"
       | _ -> failwith "unexpected reply to shutdown"
     end
     else if counters then begin
-      match
-        Cp.Service.Client.request ~socket:(socket_of ()) Cp.Protocol.Counters
-      with
+      match request Cp.Protocol.Counters with
       | Cp.Protocol.Counter_values cs ->
         List.iter (fun (n, v) -> Printf.printf "%s %d\n" n v) cs
       | _ -> failwith "unexpected reply to counters"
     end
     else if status then begin
-      match
-        Cp.Service.Client.request ~socket:(socket_of ()) Cp.Protocol.Status
-      with
+      match request Cp.Protocol.Status with
       | Cp.Protocol.Status_report { name; engine; records; shards; inflight }
         ->
         Printf.printf
@@ -1237,7 +1263,7 @@ let serve_cmd =
       let dir =
         match store_dir with
         | Some d -> d
-        | None -> failwith "serve: --store DIR required to run the daemon"
+        | None -> usage_error "serve: --store DIR required to run the daemon"
       in
       let store = Store.open_ ~name ~shards dir in
       let socket_path = socket_of () in
@@ -1288,8 +1314,7 @@ let store_merge_cmd =
   in
   let run tel src dst =
     with_telemetry tel @@ fun () ->
-    if not (Sys.file_exists src && Sys.is_directory src) then
-      failwith (src ^ " is not a store directory");
+    require_store src;
     (* an existing store keeps its own name; a fresh DST is "store" *)
     let dst_store = Store.open_ ~name:"store" dst in
     let src_store = Store.open_ ~name:"merge-src" src in

@@ -522,6 +522,12 @@ module Client = struct
       | Draining -> Some "server is draining (shutting down)"
       | _ -> None)
 
+  (* connection trouble is [Transport], whichever system call met it *)
+  let transport f x =
+    try f x
+    with Unix.Unix_error (e, call, _) ->
+      raise (Transport (call ^ ": " ^ Unix.error_message e))
+
   let connect path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (try Unix.connect fd (Unix.ADDR_UNIX path)
@@ -530,14 +536,15 @@ module Client = struct
        raise e);
     fd
 
-  let with_connection path f =
-    let fd = connect path in
+  let send fd req = transport (P.write_frame fd) (P.encode_request req)
+
+  let with_connection fd f =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> f fd)
 
   let read_response fd =
-    match P.read_frame fd with
+    match transport P.read_frame fd with
     | Error `Eof -> raise (Transport "connection closed")
     | Error `Timeout -> raise (Transport "read timeout")
     | Error (`Protocol m) -> raise (Transport ("protocol: " ^ m))
@@ -546,10 +553,11 @@ module Client = struct
       | Ok r -> r
       | Error m -> raise (Transport ("protocol: " ^ m)))
 
-  (* one-shot request/response *)
+  (* one-shot request/response; a failed connect stays the
+     [Unix.Unix_error] a caller waiting for a starting daemon polls on *)
   let request ~socket req =
-    with_connection socket (fun fd ->
-        P.write_frame fd (P.encode_request req);
+    with_connection (connect socket) (fun fd ->
+        send fd req;
         read_response fd)
 
   type outcome = {
@@ -566,8 +574,8 @@ module Client = struct
      {!Transport}, capacity rejections raise {!Busy} / {!Draining} so
      retry logic can tell the three apart. *)
   let submit ?jobs ?(on_event = fun _ -> ()) ~socket manifest =
-    with_connection socket (fun fd ->
-        P.write_frame fd (P.encode_request (P.Submit { manifest; jobs }));
+    with_connection (transport connect socket) (fun fd ->
+        send fd (P.Submit { manifest; jobs });
         let rec loop () =
           match read_response fd with
           | P.Point _ as p ->
@@ -606,11 +614,7 @@ module Client = struct
       | exception Busy { retry_after } when n > 1 ->
         Unix.sleepf (retry_after *. (0.75 +. Random.State.float rng 0.5));
         go (n - 1) (tried + 1)
-      | exception
-          ( Transport _ | Draining
-          | Unix.Unix_error
-              ((ECONNREFUSED | ECONNRESET | ENOENT | EPIPE), _, _) )
-        when n > 1 ->
+      | exception (Transport _ | Draining) when n > 1 ->
         Unix.sleepf (backoff tried);
         go (n - 1) (tried + 1)
     in

@@ -109,7 +109,10 @@ module Client : sig
   exception Draining
 
   (** [request ~socket req] is a one-shot request/response exchange.
-      Raises {!Transport}. Not for [Submit] — use {!submit}. *)
+      Raises [Unix.Unix_error] from [connect] when nothing listens at
+      [socket] (ENOENT, ECONNREFUSED: what a caller waiting for a
+      starting daemon polls on), and {!Transport} on a broken exchange.
+      Not for [Submit] — use {!submit}. *)
   val request : socket:string -> Protocol.request -> Protocol.response
 
   type outcome = {
@@ -123,8 +126,8 @@ module Client : sig
   (** [submit ?jobs ?on_event ~socket manifest] submits manifest text
       and streams [on_event] per [point] frame until the final tally.
       [Error] carries a server-side message; {!Transport} is raised on
-      connection trouble, {!Busy} / {!Draining} on capacity
-      rejections. *)
+      connection trouble (a failed connect included), {!Busy} /
+      {!Draining} on capacity rejections. *)
   val submit :
     ?jobs:int ->
     ?on_event:(Protocol.response -> unit) ->

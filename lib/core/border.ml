@@ -5,7 +5,6 @@ module U = Dramstress_util.Units
 module O = Dramstress_dram.Ops
 module Sc = Dramstress_dram.Sim_config
 module St = Dramstress_util.Store
-module Par = Dramstress_util.Par
 module Tel = Dramstress_util.Telemetry
 
 let c_skipped = Tel.Counter.make "core.border.skipped_samples"
@@ -313,30 +312,22 @@ let search ?config ?store ?window:(w = Window.default)
       Array.of_list (G.logspace w.Window.r_min w.Window.r_max w.Window.grid_points)
     in
     let n = Array.length grid in
-    (* [scan rs] simulates each resistance of [rs]: the resistances are
-       lanes of ensemble-width chunks ([O.run_batch], {!Sc.sweep_lanes})
-       judged per lane. The refinement bisections below walk one
-       resistance trajectory each, and caching makes revisits free. *)
+    (* [scan rs] simulates each resistance of [rs] as one lane of a
+       single [O.run_batch] and judges each lane. The refinement
+       bisections below walk one resistance trajectory each, and
+       caching makes revisits free. *)
     let scan rs =
-      let defects = List.map (fun r -> D.v kind placement r) rs in
+      let lanes =
+        List.map
+          (fun r ->
+            let defect = D.v kind placement r in
+            { O.defect = Some defect;
+              vc_init = Detection.initial_vc cond ~stress ~defect })
+          rs
+      in
+      Tel.Counter.add c_probes (List.length lanes);
       let results =
-        List.concat
-          (Par.parallel_map ~jobs:(Sc.resolve_jobs cfg)
-             (fun chunk ->
-               let lanes =
-                 List.map
-                   (fun defect ->
-                     { O.defect = Some defect;
-                       vc_init = Detection.initial_vc cond ~stress ~defect })
-                   chunk
-               in
-               Tel.Counter.add c_probes (List.length lanes);
-               match
-                 O.run_batch ~config:cfg ~stress ~lanes (Detection.ops cond)
-               with
-               | res -> res
-               | exception e -> List.map (fun _ -> Error e) lanes)
-             (Par.chunks ~size:(Sc.sweep_lanes cfg) defects))
+        O.run_batch ~config:cfg ~stress ~lanes (Detection.ops cond)
       in
       List.map2
         (fun r res ->

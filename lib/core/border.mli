@@ -150,10 +150,10 @@ val adaptive_scan :
     13 points over [1 kOhm, 100 GOhm]) for detection-outcome changes and
     refines each edge by bisection to the window's [rel_tol]. One edge
     yields {!Br}; an interior detected region yields {!Faulty_band};
-    multiple regions or unrefinable edges yield {!Bands}. Scanned
-    samples run as the lanes of ensemble-width chunks
-    ({!Dramstress_dram.Sim_config.sweep_lanes}). Every simulation runs
-    under [config] (default {!Dramstress_dram.Sim_config.default}).
+    multiple regions or unrefinable edges yield {!Bands}. The scanned
+    samples of a pass are the lanes of one
+    {!Dramstress_dram.Ops.run_batch}. Every simulation runs under
+    [config] (default {!Dramstress_dram.Sim_config.default}).
 
     With [window.strategy = Adaptive] only a sparse subset of the grid
     is simulated (see {!Window.strategy} for the oracle relationship and

@@ -4,10 +4,8 @@ module Sc = Dramstress_dram.Sim_config
 module D = Dramstress_defect.Defect
 module I = Dramstress_util.Interp
 module G = Dramstress_util.Grid
-module Par = Dramstress_util.Par
 module Out = Dramstress_util.Outcome
 module St = Dramstress_util.Store
-module Tel = Dramstress_util.Telemetry
 
 type point = { r : float; vc : float }
 
@@ -97,51 +95,26 @@ let decode_read_point s =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Batched evaluation                                                  *)
+(* Batched evaluation: each round of a plane is one [O.run_batch]      *)
 (* ------------------------------------------------------------------ *)
-
-(* Every plane evaluation runs in rounds: each resistance of a sweep is
-   one lane of a shared ensemble integration ([O.run_batch]), so
-   topology planning, symbolic sparse-LU analysis and waveform
-   evaluation are paid once per batch. [pts] are [(key, lane)] pairs,
-   cut into ensemble-width chunks ({!Sc.sweep_lanes}: one lane per run
-   under a per-point deadline or an armed chaos harness) that fan out
-   over domains. A raise from [O.run_batch] itself (e.g. a topology
-   build failure, which would fail each of its lanes identically)
-   degrades to per-lane [Error]s instead of aborting the sweep. *)
-let run_rounds ~config ~jobs ~stress ~ops pts =
-  List.concat
-    (Par.parallel_map ~jobs
-       (fun chunk ->
-         Tel.with_span "plane.batch"
-           ~attrs:(fun () -> [ ("lanes", Tel.Int (List.length chunk)) ])
-           (fun () ->
-             let lanes = List.map snd chunk in
-             let res =
-               match O.run_batch ~config ~stress ~lanes ops with
-               | res -> res
-               | exception e -> List.map (fun _ -> Error e) lanes
-             in
-             List.map2 (fun (k, _) r -> (k, r)) chunk res))
-       (Par.chunks ~size:(Sc.sweep_lanes config) pts))
 
 (* The guarded V_sa bisection on the initial storage voltage, for
    every lane at once ([None] = the defect-free column): probe both ends
    of [0, vdd]; equal verdicts saturate, otherwise bisect to [tol] (the
    iteration cap of {!Dramstress_util.Bisect.threshold}). Each predicate
-   round evaluates all still-active lanes in one [run_rounds], and all
+   round evaluates all still-active lanes in one [O.run_batch], and all
    Crossing lanes share the bracket, so they stay in lockstep and the
    whole bisection costs [log2 (vdd / tol)] rounds for the entire
    batch. A lane whose simulation fails carries its exception out as
    [Error] without disturbing its batch mates. *)
-let vsa_many ~config ~jobs ~stress defects =
+let vsa_many ~config ~stress defects =
   let n = Array.length defects in
   let vdd = stress.S.vdd in
   let tol = 5e-3 and max_iter = 200 in
   let out = Array.make n None in
   let pred_round pts =
-    List.map
-      (fun (i, r) ->
+    List.map2
+      (fun (i, _) r ->
         ( i,
           Result.map
             (fun outcome ->
@@ -157,10 +130,11 @@ let vsa_many ~config ~jobs ~stress defects =
               in
               physical = 0)
             r ))
-      (run_rounds ~config ~jobs ~stress ~ops:[ O.R ]
-         (List.map
-            (fun ((i : int), vc) -> (i, { O.defect = defects.(i); vc_init = vc }))
-            pts))
+      pts
+      (O.run_batch ~config ~stress
+         ~lanes:
+           (List.map (fun (i, vc) -> { O.defect = defects.(i); vc_init = vc }) pts)
+         [ O.R ])
   in
   let plo = Array.make n false in
   List.iter
@@ -213,7 +187,7 @@ let vsa_many ~config ~jobs ~stress defects =
   Array.map Option.get out
 
 let vsa_one ~config ~stress defect =
-  match vsa_many ~config ~jobs:1 ~stress [| defect |] with
+  match vsa_many ~config ~stress [| defect |] with
   | [| Ok v |] -> v
   | [| Error e |] -> raise e
   | _ -> assert false
@@ -259,6 +233,25 @@ let live_indices slots =
     (fun i -> Option.is_none slots.(i))
     (List.init (Array.length slots) Fun.id)
 
+(* one round of [n_ops] [op]s over the points still live in [slots],
+   point [i] from [vc_init i]: each point's cell voltage after every op,
+   or its error in [slots] *)
+let trajectories ~config ~stress ~slots ~defects ~vc_init ~n_ops op =
+  let vcs = Array.make (Array.length slots) [] in
+  let live = live_indices slots in
+  List.iter2
+    (fun i r ->
+      match r with
+      | Ok outcome ->
+        vcs.(i) <- List.map (fun res -> res.O.vc_end) outcome.O.results
+      | Error e -> slots.(i) <- Some (Error e))
+    live
+    (O.run_batch ~config ~stress
+       ~lanes:
+         (List.map (fun i -> { O.defect = defects.(i); vc_init = vc_init i }) live)
+       (List.init n_ops (fun _ -> op)));
+  vcs
+
 let commit_point ~store ~encode ~descr ~keys ~slots i payload =
   Option.iter
     (fun st -> St.put st ~key:keys.(i) ~descr:(descr i) (encode payload))
@@ -296,7 +289,6 @@ let write_plane ?(config = Sc.default) ?store ?(n_ops = 4)
   | O.R | O.Pause _ | O.Ham _ ->
     invalid_arg "Plane.write_plane: op must be a write");
   if n_ops < 1 then invalid_arg "Plane.write_plane: n_ops < 1";
-  let jobs = Sc.resolve_jobs config in
   let vc_init =
     if physical_target placement op = 0 then stress.S.vdd else 0.0
   in
@@ -311,23 +303,14 @@ let write_plane ?(config = Sc.default) ?store ?(n_ops = 4)
     plane_slots ~store ~decode:decode_write_point ~kind ~placement ~keys
       rops_arr
   in
-  (* write trajectories: one ensemble run of [n_ops] writes per chunk *)
-  let vcs_arr = Array.make (Array.length rops_arr) [] in
-  List.iter
-    (fun (i, r) ->
-      match r with
-      | Ok outcome ->
-        vcs_arr.(i) <- List.map (fun res -> res.O.vc_end) outcome.O.results
-      | Error e -> slots.(i) <- Some (Error e))
-    (run_rounds ~config ~jobs ~stress
-       ~ops:(List.init n_ops (fun _ -> op))
-       (List.map
-          (fun i -> (i, { O.defect = defects.(i); O.vc_init }))
-          (live_indices slots)));
+  let vcs_arr =
+    trajectories ~config ~stress ~slots ~defects ~vc_init:(fun _ -> vc_init)
+      ~n_ops op
+  in
   (* sense-amp thresholds of the surviving points *)
   let live = live_indices slots in
   let vsas =
-    vsa_many ~config ~jobs ~stress
+    vsa_many ~config ~stress
       (Array.of_list (List.map (fun i -> defects.(i)) live))
   in
   List.iteri
@@ -359,7 +342,6 @@ let write_plane ?(config = Sc.default) ?store ?(n_ops = 4)
 let read_plane ?(config = Sc.default) ?store ?(n_ops = 3)
     ?(rops = default_rops) ~stress ~kind ~placement () =
   if n_ops < 1 then invalid_arg "Plane.read_plane: n_ops < 1";
-  let jobs = Sc.resolve_jobs config in
   let base_key =
     Sc.key config "plane.read" ~stress ~kind ~placement
       [ Printf.sprintf "n_ops=%d" n_ops;
@@ -376,7 +358,7 @@ let read_plane ?(config = Sc.default) ?store ?(n_ops = 3)
   let vsas = Array.make n Reads_all_1 in
   let live = live_indices slots in
   let res =
-    vsa_many ~config ~jobs ~stress
+    vsa_many ~config ~stress
       (Array.of_list (List.map (fun i -> defects.(i)) live))
   in
   List.iteri
@@ -386,25 +368,10 @@ let read_plane ?(config = Sc.default) ?store ?(n_ops = 3)
       | Error e -> slots.(i) <- Some (Error e))
     live;
   let trajectory_round seed_of =
-    let vcs = Array.make n [] in
-    List.iter
-      (fun (i, r) ->
-        match r with
-        | Ok outcome ->
-          vcs.(i) <- List.map (fun res -> res.O.vc_end) outcome.O.results
-        | Error e -> slots.(i) <- Some (Error e))
-      (run_rounds ~config ~jobs ~stress
-         ~ops:(List.init n_ops (fun _ -> O.R))
-         (List.map
-            (fun i ->
-              let seed =
-                Float.max 0.0
-                  (Float.min stress.S.vdd
-                     (seed_of (vsa_substitute stress vsas.(i))))
-              in
-              (i, { O.defect = defects.(i); O.vc_init = seed }))
-            (live_indices slots)));
-    vcs
+    trajectories ~config ~stress ~slots ~defects ~n_ops O.R
+      ~vc_init:(fun i ->
+        Float.max 0.0
+          (Float.min stress.S.vdd (seed_of (vsa_substitute stress vsas.(i)))))
   in
   let below = trajectory_round (fun vsa -> vsa -. read_offset) in
   let above = trajectory_round (fun vsa -> vsa +. read_offset) in

@@ -68,13 +68,13 @@ val vsa :
     (default 12 points over [1 kOhm, 1 MOhm]).
     Raises [Invalid_argument] if [op] is a read or pause.
 
-    Each resistance is one lane of ensemble-width chunks
-    ({!Dramstress_dram.Sim_config.sweep_lanes}): one round of writes,
-    then a lockstep [V_sa] bisection. [config.jobs] caps the number of
-    domains the chunks fan out over
+    Each resistance is one lane of every round: one round of writes,
+    then a lockstep [V_sa] bisection, each round one
+    {!Dramstress_dram.Ops.run_batch}, which cuts the lanes into
+    ensembles and fans them out over [config.jobs] domains
     ({!Dramstress_dram.Sim_config.resolve_jobs}; [Some 1] forces a
-    sequential sweep). When {!Dramstress_util.Telemetry} is enabled,
-    each chunk emits a [plane.batch] span.
+    sequential sweep). A point's values do not depend on that
+    batching.
 
     A point that raises — even after {!Dramstress_dram.Ops.run}'s retry
     ladder — lands in [t.failures] instead of aborting the sweep.

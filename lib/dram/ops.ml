@@ -3,6 +3,7 @@ module D = Dramstress_defect.Defect
 module E = Dramstress_engine
 module I = Dramstress_util.Interp
 module Tel = Dramstress_util.Telemetry
+module Par = Dramstress_util.Par
 
 let c_requests = Tel.Counter.make "dram.ops.requests"
 let c_hits = Tel.Counter.make "dram.ops.cache_hits"
@@ -423,11 +424,12 @@ type lane = { defect : D.t option; vc_init : float }
 
 (* one ensemble run of [lanes] over a shared topology (defect kind and
    placement fixed across lanes): the column is built once, with the
-   first lane's defect. In a multi-lane run every lane (the first
+   first lane's defect, and every lane with a defect (the first
    included) overrides [r_defect] with its own resistance as an {!Mna}
-   resistor override, so the netlist value never leaks into any lane; a
-   single lane simply runs on its own netlist value. Per-lane initial
-   cell voltages travel as lane ICs. *)
+   resistor override. The overridden resistor stays out of the static
+   template, so the netlist value never leaks into any lane and a lane
+   computes the same bits alone or beside any batch mates. Per-lane
+   initial cell voltages travel as lane ICs. *)
 let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes
     ops =
   let tech = cfg.Sim_config.tech in
@@ -450,7 +452,6 @@ let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes
     let base = Option.value cfg.Sim_config.sim ~default:E.Options.default in
     { base with E.Options.temp = Stress.temp_kelvin stress }
   in
-  let single = List.compare_length_with lanes 1 = 0 in
   let elanes =
     Array.of_list
       (List.map
@@ -464,9 +465,7 @@ let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes
              E.Ensemble.ics =
                Column.initial_conditions built ~vdd ~vc_init:l.vc_init
                  ~v_neighbour:v_nb;
-             override =
-               (if single then None
-                else Option.map (fun d -> ("r_defect", d.D.r)) l.defect);
+             override = Option.map (fun d -> ("r_defect", d.D.r)) l.defect;
            })
          lanes)
   in
@@ -475,56 +474,11 @@ let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes
     (E.Ensemble.run built.Column.compiled ~opts ?deadline_at ~segments
        ~lanes:elanes ~probes:built.Column.probes ())
 
-(* one lane through the configured retry/degradation ladder *)
-let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress
-    ~lane ops =
-  let exec (c : Sim_config.t) =
-    match execute ~cfg:c ?deadline_at ?v_neighbour ~stress ~lanes:[ lane ] ops
-    with
-    | [| Ok outcome |] -> outcome
-    | [| Error e |] -> raise e
-    | _ -> assert false
-  in
-  try exec cfg
-  with e when recoverable e ->
-    let bt = Printexc.get_raw_backtrace () in
-    let stages = cfg.Sim_config.retry.Sim_config.stages in
-    if stages = [] then Printexc.raise_with_backtrace e bt
-    else begin
-      let rec attempt c stage_idx tried last_err = function
-        | [] ->
-          Tel.Counter.incr c_failed;
-          raise
-            (Exhausted_retries
-               { error = last_err; attempts = List.length tried;
-                 stages = List.rev tried })
-        | stage :: rest -> begin
-          Tel.Counter.incr c_retry_attempts;
-          let c = degrade_config c stage in
-          let tried = Sim_config.stage_name stage :: tried in
-          match
-            Tel.with_span "ops.retry"
-              ~attrs:(fun () ->
-                [ ("stage", Tel.Str (Sim_config.stage_name stage));
-                  ("attempt", Tel.Int stage_idx) ])
-              (fun () -> exec c)
-          with
-          | outcome ->
-            Tel.Counter.incr c_degraded;
-            Tel.Histogram.observe h_retry_stage (float_of_int stage_idx);
-            outcome
-          | exception e when recoverable e ->
-            attempt c (stage_idx + 1) tried e rest
-        end
-      in
-      attempt cfg 1 [] e stages
-    end
-
-(* the full one-lane treatment minus the cache: deadline pinning,
-   tracing span, deadline counting and the retry ladder. A lane that
-   misses alone, runs under a deadline, or falls out of a multi-lane
-   ensemble takes this path. *)
-let execute_with_ladder ~(cfg : Sim_config.t) ?v_neighbour ~stress ~lane ops =
+(* one lane, the full one-lane treatment minus the cache: deadline
+   pinning, tracing span, the configured retry/degradation ladder and
+   deadline counting. A lane alone in its ensemble, and one that falls
+   out of a multi-lane ensemble, takes this path. *)
+let execute_one ~(cfg : Sim_config.t) ?v_neighbour ~stress ~lane ops =
   (* the wall-clock budget covers the whole request — base attempt
      plus every retry stage — so it is pinned to an absolute instant
      here, once, rather than restarting per attempt *)
@@ -533,11 +487,45 @@ let execute_with_ladder ~(cfg : Sim_config.t) ?v_neighbour ~stress ~lane ops =
       (fun budget_s -> (Unix.gettimeofday () +. budget_s, budget_s))
       cfg.Sim_config.deadline
   in
+  let exec (c : Sim_config.t) =
+    match execute ~cfg:c ?deadline_at ?v_neighbour ~stress ~lanes:[ lane ] ops
+    with
+    | [| Ok outcome |] -> outcome
+    | [| Error e |] -> raise e
+    | _ -> assert false
+  in
+  let rec attempt c stage_idx tried last_err = function
+    | [] ->
+      Tel.Counter.incr c_failed;
+      raise
+        (Exhausted_retries
+           { error = last_err; attempts = List.length tried;
+             stages = List.rev tried })
+    | stage :: rest -> begin
+      Tel.Counter.incr c_retry_attempts;
+      let c = degrade_config c stage in
+      let tried = Sim_config.stage_name stage :: tried in
+      match
+        Tel.with_span "ops.retry"
+          ~attrs:(fun () ->
+            [ ("stage", Tel.Str (Sim_config.stage_name stage));
+              ("attempt", Tel.Int stage_idx) ])
+          (fun () -> exec c)
+      with
+      | outcome ->
+        Tel.Counter.incr c_degraded;
+        Tel.Histogram.observe h_retry_stage (float_of_int stage_idx);
+        outcome
+      | exception e when recoverable e -> attempt c (stage_idx + 1) tried e rest
+    end
+  in
+  let stages = cfg.Sim_config.retry.Sim_config.stages in
   Tel.with_span "ops.run"
     ~attrs:(fun () -> [ ("seq", Tel.Str (seq_to_string ops)) ])
     (fun () ->
       match
-        execute_resilient ~cfg ?deadline_at ?v_neighbour ~stress ~lane ops
+        try exec cfg
+        with e when recoverable e && stages <> [] -> attempt cfg 1 [] e stages
       with
       | outcome -> outcome
       | exception (E.Newton.Timeout _ as e) ->
@@ -558,19 +546,12 @@ let c_lane_fallbacks = Tel.Counter.make "dram.ops.lane_fallbacks"
 let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
     ?(cache = Cache.default) ~stress ~lanes ops =
   if ops = [] then invalid_arg "Ops.run_batch: empty sequence";
-  if lanes = [] then invalid_arg "Ops.run_batch: no lanes";
   Stress.validate stress;
-  let shape = function
-    | None -> None
-    | Some { D.kind; placement; r = _ } -> Some (kind, placement)
+  let shape l =
+    Option.map (fun { D.kind; placement; r = _ } -> (kind, placement)) l.defect
   in
-  let shape0 = shape (List.hd lanes).defect in
-  List.iter
-    (fun l ->
-      if shape l.defect <> shape0 then
-        invalid_arg
-          "Ops.run_batch: lanes must share one defect kind and placement")
-    lanes;
+  if List.exists (fun l -> shape l <> shape (List.hd lanes)) lanes then
+    invalid_arg "Ops.run_batch: lanes must share one defect kind and placement";
   Sim_config.validate cfg;
   let lanes_arr = Array.of_list lanes in
   let n = Array.length lanes_arr in
@@ -604,10 +585,9 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
         Atomic.incr cache.Cache.misses;
         Tel.Counter.incr c_misses)
     keys;
-  let missing = ref [] in
-  for i = n - 1 downto 0 do
-    if Option.is_none slots.(i) then missing := i :: !missing
-  done;
+  let missing =
+    List.filter (fun i -> Option.is_none slots.(i)) (List.init n Fun.id)
+  in
   (* a run rescued by a degraded stage is cached under the BASE config
      key on purpose: the base configuration cannot produce an outcome
      at all (it fails), and repeat requests should get the degraded
@@ -617,14 +597,11 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
     slots.(i) <- Some (Ok outcome)
   in
   let one_lane i =
-    match
-      execute_with_ladder ~cfg ?v_neighbour ~stress ~lane:lanes_arr.(i) ops
-    with
+    match execute_one ~cfg ?v_neighbour ~stress ~lane:lanes_arr.(i) ops with
     | outcome -> finish i outcome
     | exception e -> slots.(i) <- Some (Error e)
   in
   let ensemble = function
-    | [] -> ()
     | [ i ] -> one_lane i
     | group ->
       let results =
@@ -643,20 +620,34 @@ let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
           | Ok outcome -> finish i outcome
           | Error _ ->
             (* the lane died inside the ensemble (after its in-batch
-               dt-halving retries), where the pivot order its batch mates
-               shaped may fail where its own would not: retry it alone —
-               base attempt plus retry ladder. Non-convergent lanes end
-               up as [Error Exhausted_retries] slots without disturbing
-               batch mates. *)
+               dt-halving retries). Its bits do not depend on its batch
+               mates, so a deterministic failure repeats alone; the solo
+               re-run — base attempt plus retry ladder — rescues a fault
+               that does not repeat, such as an injected one, and walks
+               the ladder for the rest. Non-convergent lanes end up as
+               [Error Exhausted_retries] slots without disturbing batch
+               mates. *)
             Tel.Counter.incr c_lane_fallbacks;
             one_lane i)
         group
   in
-  (* the wall-clock budget is a per-point contract; inside a shared
-     ensemble one slow lane would burn every lane's budget, so
-     deadline-bound requests run one lane per ensemble *)
-  if cfg.Sim_config.deadline = None then ensemble !missing
-  else List.iter one_lane !missing;
+  (* the one batching decision: misses are cut into ensembles of the
+     configured width, which fan out over domains. The wall-clock budget
+     is a per-point contract; inside a shared ensemble one slow lane
+     would burn every lane's budget, so deadline-bound requests run one
+     lane per ensemble. A raise from a whole ensemble (e.g. a topology
+     build failure, which would fail each of its lanes identically)
+     becomes an [Error] for each of its lanes. *)
+  let width =
+    if cfg.Sim_config.deadline = None then Sim_config.resolve_lanes cfg
+    else 1
+  in
+  ignore
+    (Par.parallel_map ~jobs:(Sim_config.resolve_jobs cfg)
+       (fun group ->
+         try ensemble group
+         with e -> List.iter (fun i -> slots.(i) <- Some (Error e)) group)
+       (Par.chunks ~size:width missing));
   Array.to_list (Array.map Option.get slots)
 
 let run ?defect ?(vc_init = 0.0) ?v_neighbour ?config ?cache ~stress ops =

@@ -233,25 +233,31 @@ type lane = {
 }
 
 (** [run_batch ?v_neighbour ?config ?cache ~stress ~lanes ops] is the
-    batched [run]: one result slot per lane,
-    in lane order.
+    batched [run], one result slot per lane in lane order, and the one
+    place that decides how lanes are batched.
 
     Each lane has its own cache key (a lane of any batch and a {!run}
     call are interchangeable in the cache) and its own hit-or-miss
-    tick. Lanes that miss are integrated together in one ensemble;
-    a lane that fails inside a multi-lane ensemble is retried alone —
-    its own base attempt plus the retry ladder, counted on
-    [dram.ops.lane_fallbacks], because the pivot order its batch mates
-    shaped can fail where its own would not — and surfaces as [Error]
-    (typically {!Exhausted_retries}) only if that fails too, without
-    disturbing its batch mates. A lane that misses alone, and every
-    miss of a request with a wall-clock [deadline] configured, runs as
-    a one-lane ensemble with that treatment from the start (a per-point
-    budget has no meaning inside a shared ensemble).
+    tick. The misses are cut, in order, into ensembles of
+    {!Sim_config.resolve_lanes} lanes (one each under a wall-clock
+    [deadline], which is a per-point budget), which fan out over
+    {!Sim_config.resolve_jobs} domains. Every lane with a defect
+    carries its resistance as the same resistor override, so its bits
+    do not depend on the width, the batch mates or cache history.
 
-    Raises [Invalid_argument] for an empty [lanes] or [ops] list, for
-    lanes mixing defect kinds/placements, or for a [config] that
-    {!Sim_config.validate} rejects. *)
+    A lane that fails inside a multi-lane ensemble is retried alone,
+    base attempt plus retry ladder, counted on
+    [dram.ops.lane_fallbacks]: a deterministic failure repeats alone,
+    so the solo base attempt only helps a fault that does not repeat,
+    such as an injected one; the ladder may rescue the rest. It
+    surfaces as [Error] (typically
+    {!Exhausted_retries}) only if that fails too, without disturbing
+    its batch mates; a one-lane ensemble gets that treatment from the
+    start. A raise from a whole ensemble becomes an [Error] per lane.
+
+    An empty [lanes] gives []. Raises [Invalid_argument] for an empty
+    [ops] list, for lanes mixing defect kinds/placements, or for a
+    [config] that {!Sim_config.validate} rejects. *)
 val run_batch :
   ?v_neighbour:float ->
   ?config:Sim_config.t ->

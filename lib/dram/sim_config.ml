@@ -142,7 +142,3 @@ let key t =
 
 let resolve_jobs t = Dramstress_util.Par.resolve_jobs ?jobs:t.jobs ()
 let resolve_lanes t = Dramstress_util.Par.resolve_lanes ?lanes:t.lanes ()
-
-let sweep_lanes t =
-  if t.deadline <> None || Dramstress_util.Chaos.armed () then 1
-  else resolve_lanes t

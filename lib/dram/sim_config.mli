@@ -55,12 +55,12 @@ type t = {
           [DRAMSTRESS_JOBS] then the recommended domain count
           ({!Dramstress_util.Par.resolve_jobs}) *)
   lanes : int option;
-      (** ensemble width for batched sweeps — how many operating points
-          one {!Ops.run_batch} integrates simultaneously; [None] defers
-          to [DRAMSTRESS_LANES] then
-          {!Dramstress_util.Par.default_lanes}
+      (** ensemble width: the most operating points {!Ops.run_batch}
+          integrates in one ensemble; [None] defers to
+          [DRAMSTRESS_LANES] then {!Dramstress_util.Par.default_lanes}
           ({!Dramstress_util.Par.resolve_lanes}). [Some 1] runs every
-          point as its own one-lane ensemble. *)
+          point as its own one-lane ensemble. The width sets the speed
+          only: a lane's result is the same bits at every width. *)
   retry : retry_policy;
       (** what {!Ops.run} tries when the solver fails on a point *)
   deadline : float option;
@@ -107,7 +107,10 @@ val validate : t -> unit
     too, so that every key recorded before they stopped being options
     keeps its text: [gmin] ({!Dramstress_engine.Options.gmin}) and
     [integrator=be] (backward Euler, the engine's only rule). [jobs],
-    [lanes] and [deadline] never move a stored value and stay out. *)
+    [lanes] and [deadline] stay out: they only group lanes into
+    ensembles and domains ({!Ops.run_batch}), which never moves a
+    lane's bits, and a deadline can fail a point but never change
+    one. *)
 val physics_key : t -> string
 
 (** [key t layer ~stress ~kind ~placement fields] is the store key of
@@ -134,8 +137,3 @@ val resolve_jobs : t -> int
     values are clamped to at least 1. *)
 val resolve_lanes : t -> int
 
-(** [sweep_lanes t] is the ensemble width sweeps cut their points into:
-    1 under a per-point [deadline] (a budget has no meaning inside a
-    shared solve) or an armed chaos harness (whose fault plans reason
-    about per-point runs), else {!resolve_lanes}. *)
-val sweep_lanes : t -> int

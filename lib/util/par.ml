@@ -88,8 +88,8 @@ let resolve_lanes ?lanes () =
     ~default:(fun () -> default_lanes) ()
 
 (* order-preserving split into consecutive runs of at most [size]; used
-   by batched sweeps to cut a lane list into ensemble-width chunks that
-   then fan out over domains *)
+   by the batcher in Ops to cut a lane list into ensemble-width chunks
+   that then fan out over domains *)
 let chunks ~size xs =
   if size < 1 then invalid_arg "Par.chunks: size < 1";
   let rec go acc cur k = function

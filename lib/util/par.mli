@@ -59,8 +59,9 @@ val default_lanes : int
 
 (** [chunks ~size xs] splits [xs] into consecutive runs of at most
     [size] elements, preserving order ([List.concat (chunks ~size xs) =
-    xs]). Batched sweeps use it to cut a lane list into ensemble-width
-    chunks before fanning the chunks out over domains. Raises
+    xs]). The one batcher, {!Dramstress_dram.Ops.run_batch}, uses it
+    to cut a sweep's lanes into ensemble-width chunks before fanning the
+    chunks out over domains. Raises
     [Invalid_argument] when [size < 1]. *)
 val chunks : size:int -> 'a list -> 'a list list
 

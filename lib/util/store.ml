@@ -93,6 +93,11 @@ let shard_of_digest count digest =
   in
   (match prefix with Some p -> p | None -> Hashtbl.hash digest) mod count
 
+let is_store dir =
+  List.exists
+    (fun f -> Sys.file_exists (Filename.concat dir f))
+    [ records_file; name_file; shards_dirname ]
+
 let open_ ?engine ?shards ~name dirpath =
   let engine =
     match engine with Some e -> e | None -> Build_info.identity

@@ -73,6 +73,10 @@ type t
     single-file store raises [Invalid_argument]. *)
 val open_ : ?engine:string -> ?shards:int -> name:string -> string -> t
 
+(** [is_store dir] holds when [dir] holds a store's record file, name
+    file or shard directory; {!open_} would create one anywhere else. *)
+val is_store : string -> bool
+
 val dir : t -> string
 
 (** [name t] is the name the store was created with (see {!open_}). *)

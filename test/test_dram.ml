@@ -747,20 +747,21 @@ let test_sweep_survives_singular_chaos () =
 (* Lane parity: an N-lane ensemble against one-lane runs               *)
 (* ------------------------------------------------------------------ *)
 
-let rel_close eps a b = Float.abs (a -. b) <= eps *. (1.0 +. Float.abs b)
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let check_op_parity ~ctx (br : O.op_result) (sr : O.op_result) =
   Alcotest.(check bool)
-    (ctx ^ ": vc_end matches one-lane")
+    (ctx ^ ": vc_end matches one-lane bit for bit")
     true
-    (rel_close 1e-9 br.O.vc_end sr.O.vc_end);
+    (bits_equal br.O.vc_end sr.O.vc_end);
   (match (br.O.sensed, sr.O.sensed) with
   | Some b, Some s -> Alcotest.(check int) (ctx ^ ": sensed bit") s b
   | None, None -> ()
   | _ -> Alcotest.failf "%s: sensed presence differs" ctx);
   match (br.O.separation, sr.O.separation) with
   | Some b, Some s ->
-    Alcotest.(check bool) (ctx ^ ": separation") true (rel_close 1e-9 b s)
+    Alcotest.(check bool) (ctx ^ ": separation bit for bit") true
+      (bits_equal b s)
   | None, None -> ()
   | _ -> Alcotest.failf "%s: separation presence differs" ctx
 
@@ -799,7 +800,7 @@ let lanes_vs_one_lane ?(stress = nominal) ~tag ~kind ~placement ~rs ops =
 let test_lanes_match_one_lane_all_classes () =
   (* every defect class (and both placements for the open), through the
      paper's detection sequence: per-lane cycle-end voltages, sensed
-     bits and sense separations agree with one-lane runs to 1e-9 *)
+     bits and sense separations equal one-lane runs bit for bit *)
   let ops = [ O.W1; O.W1; O.W0; O.R ] in
   let rs = [ 1e4; 3e5; 1e7; 1e8 ] in
   List.iter
@@ -824,6 +825,74 @@ let test_lanes_match_one_lane_retention_stream () =
     ~rs ops;
   lanes_vs_one_lane ~tag:"B2/pause" ~kind:D.Bridge_to_neighbour
     ~placement:D.True_bl ~rs ops
+
+(* A lane's bits must not depend on the batch it rides in, or a stored
+   value would depend on the ensemble width and on which lanes of a
+   sweep missed the memo cache. Every lane of a 13-lane ensemble equals
+   its own one-lane run in every time point, probe sample and final
+   node voltage, and a lane that fails, fails alone with the same
+   error. The grid: O1, O3, Sg, Sv, B1 and B2 on both placements, 13
+   resistances over 1e3..1e11 Ohm, and two sequences, one with a
+   retention pause; 312 lanes. *)
+let test_lane_bits_independent_of_batch () =
+  let config = Sc.v ~lanes:13 () in
+  let rs = Dramstress_util.Grid.logspace 1e3 1e11 13 in
+  let bits a = Array.map Int64.bits_of_float a in
+  let trace_bits (oc : O.outcome) =
+    let t = oc.O.trace in
+    ( bits t.E.Transient.times,
+      Array.map bits t.E.Transient.probe_values,
+      bits t.E.Transient.final_v )
+  in
+  let differing = ref [] in
+  List.iter
+    (fun ops ->
+      List.iter
+        (fun (tag, kind) ->
+          List.iter
+            (fun placement ->
+              let lanes =
+                List.map
+                  (fun r ->
+                    { O.defect = Some (D.v kind placement r); vc_init = 0.0 })
+                  rs
+              in
+              let batched =
+                O.run_batch ~config ~cache:(O.Cache.create ~enabled:false ())
+                  ~stress:nominal ~lanes ops
+              in
+              List.iter2
+                (fun lane res ->
+                  let alone =
+                    O.run_batch ~config
+                      ~cache:(O.Cache.create ~enabled:false ())
+                      ~stress:nominal ~lanes:[ lane ] ops
+                  in
+                  let same =
+                    match (res, alone) with
+                    | Ok b, [ Ok a ] -> trace_bits b = trace_bits a
+                    | Error b, [ Error a ] ->
+                      Printexc.to_string b = Printexc.to_string a
+                    | _, _ -> false
+                  in
+                  if not same then
+                    differing :=
+                      Format.asprintf "%s/%a r=%g %s" tag D.pp_placement
+                        placement
+                        (Option.get lane.O.defect).D.r
+                        (O.seq_to_string ops)
+                      :: !differing)
+                lanes batched)
+            [ D.True_bl; D.Comp_bl ])
+        [ ("O1", D.Open_cell D.At_bitline_contact);
+          ("O3", D.Open_cell D.At_plate_contact);
+          ("Sg", D.Short_to_gnd);
+          ("Sv", D.Short_to_vdd);
+          ("B1", D.Bridge_to_paired_bl);
+          ("B2", D.Bridge_to_neighbour) ])
+    [ O.parse_seq "w1 w1 w0 r"; O.parse_seq "w1 p1e-4 r w0 r" ];
+  Alcotest.(check (list string))
+    "lanes whose bits differ from their own run" [] (List.rev !differing)
 
 (* the lane-fallback count is the [dram.ops.lane_fallbacks] counter *)
 let with_fallback_count f =
@@ -1222,6 +1291,8 @@ let () =
           tc "all classes match one lane" test_lanes_match_one_lane_all_classes;
           tc "retention matches one lane"
             test_lanes_match_one_lane_retention_stream;
+          tc "a lane's bits do not depend on its batch"
+            test_lane_bits_independent_of_batch;
           tc "exhausted lane isolated" test_batch_exhausted_lane_isolated;
           tc "NaN lane falls back, batch mates bitwise"
             test_batch_nan_lane_falls_back;
