@@ -482,14 +482,20 @@ let op_guards () =
         ((("op", op_t) :: scan) @ [ ("deadline", check_t) ]) ]
   | _ -> assert false
 
+(* 60 points, about 0.6 s cold in-process on a 2-vCPU host: with 4
+   points (about 0.1 s) host jitter alone crossed the 15% sandbox limit
+   in 1 run of 7 *)
 let campaign_manifest =
   {|
 (campaign
   (name bench)
-  (defects (O1 true))
+  (defects O1 (Sg true) (Sv true))
   (stress nominal)
   (stress low-vdd (vdd 2.1))
-  (detections (seq "w1 w1 w0 r0") (seq "w1 w0 r0"))
+  (stress high-vdd (vdd 2.7))
+  (stress hot (temp 87))
+  (stress cold (temp -33))
+  (detections (seq "w1 w1 w0 r0") (seq "w1 w0 r0") (seq "w0 w0 w1 r1"))
   (border (r-min 1e4) (r-max 1e8) (grid-points 5) (rel-tol 0.05)))
 |}
 

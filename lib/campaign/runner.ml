@@ -236,17 +236,29 @@ let run ?jobs ?gate ?on_point ?executor ~store
     in
     List.rev outcomes
   in
-  (* Domains for a local run; systhreads under an executor, whose
-     process must stay fork-capable (the sandboxed service daemon) —
-     exec'ing a point on a pool worker blocks outside the runtime
-     anyway, so threads lose nothing there. *)
+  (* A chain whose every point is stored only replays its records, so
+     it is walked here, on the caller's thread: a warm resubmission
+     starts no domain or thread at all. Only the chains with a missing
+     point fan out — domains for a local run; systhreads under an
+     executor, whose process must stay fork-capable (the sandboxed
+     service daemon) — exec'ing a point on a pool worker blocks outside
+     the runtime anyway, so threads lose nothing there. Hints flow
+     within a chain only, so splitting the chains moves no result. *)
+  let stored, to_simulate =
+    List.partition
+      (List.for_all (fun (_, r) -> Option.is_some r))
+      (chains_of classified)
+  in
+  List.iter (fun c -> ignore (chain_outcomes c)) stored;
   let fan =
     match executor with
     | None -> Par.parallel_map
     | Some _ -> Par.concurrent_map
   in
   let outcomes =
-    List.concat (fan ~jobs chain_outcomes (chains_of classified))
+    match to_simulate with
+    | [] -> []
+    | chains -> List.concat (fan ~jobs chain_outcomes chains)
   in
   let succeeded, failures = Outcome.partition outcomes in
   let fresh =

@@ -31,7 +31,10 @@
     point-parallel behaviour (hints are ignored), only the scheduling
     order differs. Points whose BR is already bounded by a stored
     record are skipped before any scheduling happens and still feed
-    their stored estimates into the chain.
+    their stored estimates into the chain. A chain whose points are
+    all stored is walked on the caller's thread; only the chains with
+    a missing point fan out, so a fully stored campaign starts no
+    domain or thread.
 
     Counters: [campaign.points_planned], [campaign.points_reused],
     [campaign.points_simulated], [campaign.points_failed]. A warm rerun
@@ -130,10 +133,11 @@ val simulate_point :
     Classification, gating, store writes and failure records stay in
     this process either way.
 
-    The chains fan out over domains, or over systhreads when an
-    [?executor] is given: the sandboxed daemon must remain fork-capable,
-    and its chains spend their time blocked on pool pipes, not in OCaml
-    code. *)
+    The chains with a missing point fan out over domains, or over
+    systhreads when an [?executor] is given: the sandboxed daemon must
+    remain fork-capable, and its chains spend their time blocked on pool
+    pipes, not in OCaml code. Fully stored chains only stream their
+    [`Reused] events, from the caller's thread, before the fan-out. *)
 val run :
   ?jobs:int ->
   ?gate:gate ->

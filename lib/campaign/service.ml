@@ -469,8 +469,27 @@ let handle_connection srv fd =
       else loop ())
 
 (* accept loop; returns once a drain (stop / shutdown verb / SIGTERM)
-   has completed and every connection thread has drained *)
+   has completed and every connection thread has drained. Connection
+   threads are counted, not kept: a long-lived daemon must not hold a
+   [Thread.t] for every connection it ever accepted. *)
 let serve srv =
+  let live = ref 0 in
+  let live_lock = Mutex.create () in
+  let live_cond = Condition.create () in
+  let connection_done () =
+    Mutex.protect live_lock (fun () ->
+        decr live;
+        if !live = 0 then Condition.broadcast live_cond)
+  in
+  let spawn fd =
+    Mutex.protect live_lock (fun () -> incr live);
+    ignore
+      (Thread.create
+         (fun () ->
+           Fun.protect ~finally:connection_done (fun () ->
+               handle_connection srv fd))
+         ())
+  in
   let drainer =
     Thread.create
       (fun () ->
@@ -481,25 +500,24 @@ let serve srv =
       ()
   in
   let stopped () = Mutex.protect srv.adm (fun () -> srv.state = Stopped) in
-  let rec accept_loop threads =
-    if stopped () then threads
-    else
+  let rec accept_loop () =
+    if not (stopped ()) then
       match Unix.accept srv.listen_fd with
       | fd, _ ->
-        if stopped () then begin
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          threads
-        end
+        if stopped () then (try Unix.close fd with Unix.Unix_error _ -> ())
         else begin
-          let th = Thread.create (fun () -> handle_connection srv fd) () in
-          accept_loop (th :: threads)
+          spawn fd;
+          accept_loop ()
         end
-      | exception Unix.Unix_error (EINTR, _, _) -> accept_loop threads
+      | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
       | exception Unix.Unix_error ((EBADF | EINVAL | ECONNABORTED), _, _) ->
-        threads
+        ()
   in
-  let threads = accept_loop [] in
-  List.iter Thread.join threads;
+  accept_loop ();
+  Mutex.protect live_lock (fun () ->
+      while !live > 0 do
+        Condition.wait live_cond live_lock
+      done);
   Thread.join drainer;
   (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.close srv.drain_r with Unix.Unix_error _ -> ());

@@ -13,10 +13,14 @@ let rec write_all fd buf off len =
     write_all fd buf (off + n) (len - n)
   end
 
+(* header and payload leave in one buffer, so a frame costs one write
+   (and wakes the reader once) unless the pipe or socket is full *)
 let write fd payload =
-  let header = Bytes.of_string (Printf.sprintf "%08x" (String.length payload)) in
-  write_all fd header 0 header_len;
-  write_all fd (Bytes.of_string payload) 0 (String.length payload)
+  let len = String.length payload in
+  let buf = Bytes.create (header_len + len) in
+  Bytes.blit_string (Printf.sprintf "%08x" len) 0 buf 0 header_len;
+  Bytes.blit_string payload 0 buf header_len len;
+  write_all fd buf 0 (header_len + len)
 
 (* [deadline] is an absolute instant: every further byte must land
    before it, enforced with [Unix.select] ahead of each read *)

@@ -9,8 +9,8 @@ type error = [ `Eof | `Protocol of string | `Timeout ]
 (** Bytes in a frame header (8). *)
 val header_len : int
 
-(** [write fd payload] writes one frame, looping over short writes.
-    Unix errors propagate. *)
+(** [write fd payload] writes one frame, header and payload from one
+    buffer, looping over short writes. Unix errors propagate. *)
 val write : Unix.file_descr -> string -> unit
 
 (** [read_exact ~deadline fd len] reads exactly [len] bytes, or [`Eof]

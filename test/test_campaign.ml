@@ -395,6 +395,68 @@ let test_runner_cold_then_warm () =
       ("16 shards", Some 16, run_manifest, 2);
       ("wait sweep", None, wait_manifest, 3) ]
 
+(* two placements of O1 are two warm-start chains; [extra] adds more
+   defects, each its own chain *)
+let fan_manifest ?(extra = "") () =
+  Printf.sprintf
+    {|
+(campaign
+  (name fan-t)
+  (defects O1 %s)
+  (stress nominal)
+  (stress low-vdd (vdd 2.1))
+  (detections (seq "w1 w1 w0 r0"))
+  (border (r-min 1e4) (r-max 1e8) (grid-points 5) (rel-tol 0.05)))
+|}
+    extra
+
+(* A stored chain only replays its records, so a fully stored campaign
+   must call no fan-out and start no domain or thread, with an executor
+   (the sandboxed service's path) or without; a partly stored one fans
+   out only the chains that still need simulating *)
+let test_runner_stored_chains_inline () =
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled true;
+  with_store_dir @@ fun dir ->
+  let store = St.open_ ~name:"fan-t" dir in
+  Fun.protect ~finally:(fun () -> St.close store) @@ fun () ->
+  let m = Manifest.of_string (fan_manifest ()) in
+  let cold = Runner.run ~jobs:1 ~store m in
+  Alcotest.(check int) "cold: both chains simulated" 4 cold.Runner.simulated;
+  let counter name = Tel.Counter.value (Tel.Counter.make name) in
+  let key (p : Plan.point) = p.Plan.key in
+  (* [fanned] is the (fan-out calls, chains fanned out) the run adds *)
+  let run label ~fanned ~reused ~simulated m run =
+    let before () =
+      (counter "util.par.sweeps", counter "util.par.tasks",
+       counter "util.par.domains_spawned")
+    in
+    let s0, t0, d0 = before () in
+    let s = run m in
+    let s1, t1, d1 = before () in
+    let check what = Alcotest.(check int) (label ^ ": " ^ what) in
+    check "reused" reused s.Runner.reused;
+    check "simulated" simulated s.Runner.simulated;
+    Alcotest.(check (pair int int)) (label ^ ": fan-out calls, chains")
+      fanned (s1 - s0, t1 - t0);
+    check "domains spawned" 0 (d1 - d0);
+    Alcotest.(check (list string)) (label ^ ": results in plan order")
+      (List.map key (Plan.points m))
+      (List.map (fun (p, _) -> key p) s.Runner.results)
+  in
+  let refuse ~hint:_ _ = Alcotest.fail "a stored point was simulated" in
+  run "warm" ~fanned:(0, 0) ~reused:4 ~simulated:0 m
+    (Runner.run ~jobs:4 ~store);
+  run "warm, executor" ~fanned:(0, 0) ~reused:4 ~simulated:0 m
+    (Runner.run ~jobs:4 ~executor:refuse ~store);
+  (* one missing chain among stored ones: the executor (no engine
+     sweeps of its own) sees one chain, mapped inline *)
+  let canned = snd (List.hd cold.Runner.results) in
+  run "one chain missing" ~fanned:(1, 1) ~reused:4 ~simulated:2
+    (Manifest.of_string (fan_manifest ~extra:"(Sg true)" ()))
+    (Runner.run ~jobs:4 ~executor:(fun ~hint:_ _ -> canned) ~store)
+
 let test_runner_failure_retry () =
   let module Chaos = Dramstress_util.Chaos in
   Fun.protect ~finally:(fun () -> Chaos.disarm ()) @@ fun () ->
@@ -1451,6 +1513,17 @@ let test_service_concurrent_dedup () =
         + o.Svc.Client.deduped))
     outs
 
+(* a warm resubmission is served on the connection's own thread *)
+let test_service_warm_fans_out_nothing () =
+  with_service @@ fun ~socket ->
+  let cold = ok_outcome (Svc.Client.submit ~socket run_manifest) in
+  Alcotest.(check int) "cold: everything simulated" 2 cold.Svc.Client.simulated;
+  let sweeps = counter_value "util.par.sweeps" in
+  let o = ok_outcome (Svc.Client.submit ~socket run_manifest) in
+  Alcotest.(check int) "warm: everything reused" 2 o.Svc.Client.reused;
+  Alcotest.(check int) "warm submission calls no fan-out" sweeps
+    (counter_value "util.par.sweeps")
+
 let test_service_merge_verb_and_diff () =
   (* build a second store with the low-vdd half of the plan, absorb it
      through the merge verb, and check the server now reuses it *)
@@ -1603,6 +1676,8 @@ let () =
             test_adaptive_retention_no_escalation;
           tc "a result cut short by a deadline is not stored"
             test_deadline_result_not_stored;
+          tc "stored chains walked inline, only missing ones fan out"
+            test_runner_stored_chains_inline;
         ] );
       ( "diff",
         [
@@ -1644,6 +1719,8 @@ let () =
             test_service_already_running;
           tc "concurrent clients: one simulation per point"
             test_service_concurrent_dedup;
+          tc "warm resubmission calls no fan-out"
+            test_service_warm_fans_out_nothing;
           tc "merge verb absorbs a store, diff verb renders"
             test_service_merge_verb_and_diff;
           tc "merged sharded halves equal one full run"

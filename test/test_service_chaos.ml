@@ -227,6 +227,38 @@ let test_sandbox_worker_kill_survives () =
   shutdown_clean ~socket server;
   try Sys.remove socket with Sys_error _ -> ()
 
+(* a warm resubmission to the sandboxed daemon reaches no worker and
+   starts no chain thread: the daemon's fan-out counter stays put *)
+let test_sandbox_warm_fans_out_nothing () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_dir @@ fun dir ->
+  let socket = fresh_socket () in
+  let server = fork_server ~sandbox:true ~dir ~socket () in
+  (* a failed check must not leave the daemon running *)
+  Fun.protect ~finally:(fun () ->
+      (try Unix.kill server Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] server) with Unix.Unix_error _ -> ());
+      try Sys.remove socket with Sys_error _ -> ())
+  @@ fun () ->
+  let submit () =
+    match
+      Svc.Client.submit_retrying ~attempts:40 ~delay:0.25 ~socket manifest_text
+    with
+    | Ok o -> o
+    | Error msg -> Alcotest.failf "submission rejected: %s" msg
+  in
+  Alcotest.(check int) "cold: everything simulated" 2
+    (submit ()).Svc.Client.simulated;
+  let before = counters ~socket in
+  Alcotest.(check int) "warm: everything reused" 2 (submit ()).Svc.Client.reused;
+  let after = counters ~socket in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) ("warm: " ^ name ^ " unchanged") (counter before name)
+        (counter after name))
+    [ "util.par.sweeps"; "util.procpool.tasks"; "campaign.points_simulated" ];
+  shutdown_clean ~socket server
+
 (* a point that kills EVERY worker that touches it: quarantined as
    Failed after K deaths, the other point lands, the daemon lives, and
    the surviving record is byte-identical to an uninjured local run *)
@@ -299,5 +331,7 @@ let () =
             test_sandbox_worker_kill_survives;
           tc "sandbox: poison point quarantined after K deaths"
             test_sandbox_poison_point_quarantined;
+          tc "sandbox: warm resubmission calls no fan-out"
+            test_sandbox_warm_fans_out_nothing;
         ] );
     ]

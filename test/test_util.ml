@@ -2036,6 +2036,85 @@ let prop_col_order_from_pattern =
       List.sort compare (Array.to_list q) = List.init n Fun.id
       && List.for_all (fun h -> Sp.col_order h = q) [ h1; h2; h3 ])
 
+(* ------------------------------------------------------------------ *)
+(* frames                                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Frame = Dramstress_util.Frame
+module Pr = Dramstress_campaign.Protocol
+
+(* [write] runs on its own thread: a payload larger than the socket
+   buffer blocks the writer until the reader drains it, which also
+   drives [Frame.write]'s loop over partial writes *)
+let through_socketpair write read =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close a; Unix.close b)
+    (fun () ->
+      let writer = Thread.create write a in
+      let got = read b in
+      Thread.join writer;
+      got)
+
+(* every byte [Frame.write] puts on the wire *)
+let raw_bytes payload =
+  through_socketpair
+    (fun fd ->
+      Frame.write fd payload;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND)
+    (fun fd ->
+      let buf = Buffer.create 64 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> Buffer.contents buf
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+      in
+      drain ())
+
+let test_frame_bytes_pinned () =
+  List.iter
+    (fun (payload, wire) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d-byte payload on the wire" (String.length payload))
+        wire (raw_bytes payload))
+    [ ("", "00000000"); ("abc", "00000003abc");
+      ("abcdefghijklmnopqrstuvwxyz", "0000001aabcdefghijklmnopqrstuvwxyz") ]
+
+let big = String.init (300 * 1024) (fun i -> Char.chr (i * 7 mod 256))
+
+let test_frame_round_trip () =
+  let max = 1 lsl 20 in
+  List.iter
+    (fun payload ->
+      let got =
+        through_socketpair (fun fd -> Frame.write fd payload) (Frame.read ~max)
+      in
+      match got with
+      | Ok p ->
+        Alcotest.(check int) "payload length" (String.length payload)
+          (String.length p);
+        Alcotest.(check bool) "payload bytes" true (String.equal payload p)
+      | Error _ -> Alcotest.fail "Frame.read refused a frame Frame.write made")
+    [ ""; big ];
+  (* the service protocol reads the same frames, its first byte apart *)
+  List.iter
+    (fun atom ->
+      let got =
+        through_socketpair
+          (fun fd -> Pr.write_frame fd (Pr.Atom atom))
+          (fun fd -> Pr.read_frame fd)
+      in
+      match got with
+      | Ok (Pr.Atom a) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%d-byte atom round-trips" (String.length atom))
+          true (String.equal atom a)
+      | Ok _ | Error _ ->
+        Alcotest.fail "Protocol.read_frame refused a frame Frame.write made")
+    [ ""; String.map (fun c -> Char.chr (97 + (Char.code c mod 26))) big ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dramstress_util"
@@ -2175,6 +2254,11 @@ let () =
           tc "summary statistics" test_stats_basic;
           tc "empty input raises" test_stats_empty;
           tc "unit conversions and SI printing" test_units;
+        ] );
+      ( "frame",
+        [
+          tc "header then payload, bytes pinned" test_frame_bytes_pinned;
+          tc "empty and 300 KiB frames round-trip" test_frame_round_trip;
         ] );
       ( "csv+plot",
         [
