@@ -135,10 +135,14 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     prepare compiled ~opts ~segments ~lanes ~probes
   in
   let n_lanes = Array.length lanes in
-  Tel.Counter.incr c_batches;
-  Tel.Counter.add c_lanes n_lanes;
-  Tel.Counter.add c_runs n_lanes;
   let ws = Mna.make_workspace sys in
+  (* the run counts in its workspace, added to the registry once, when
+     the run ends or raises *)
+  let tally = Mna.tally ws in
+  Fun.protect ~finally:(fun () -> Mna.flush ws) @@ fun () ->
+  Tel.Tally.incr tally c_batches;
+  Tel.Tally.add tally c_lanes n_lanes;
+  Tel.Tally.add tally c_runs n_lanes;
   let size = Mna.size sys in
   let n_probes = Array.length probe_ids in
   (* per-lane state rows: committed unknowns, working Newton iterate,
@@ -164,7 +168,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let lane_failed li e =
     dead.(li) <- Some e;
     decr n_live;
-    Tel.Counter.incr c_lane_failures
+    Tel.Tally.incr tally c_lane_failures
   in
   (* per-solve flags, reused across solves *)
   let active = Array.make n_lanes false in
@@ -242,7 +246,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
       if iter > 1 then begin
         (* lanes that already converged sit this sweep out *)
         let masked = !n_active - !remaining in
-        if masked > 0 then Tel.Counter.add c_masked masked
+        if masked > 0 then Tel.Tally.add tally c_masked masked
       end;
       for li = 0 to n_lanes - 1 do
         if active.(li) && (not lane_done.(li)) && lane_err.(li) = None then begin
@@ -326,11 +330,13 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     for li = 0 to n_lanes - 1 do
       if dead.(li) = None then record li 0
     done;
-    (* the histogram sample is a boxed float: build it only when it is
-       kept *)
+    (* the step length reaches the histogram through a float array,
+       which boxes nothing *)
+    let dt_cell = [| 0.0 |] in
     let[@inline] accepted dt =
-      Tel.Counter.incr c_accepted;
-      if Tel.enabled () then Tel.Histogram.observe h_dt dt
+      Tel.Tally.incr tally c_accepted;
+      dt_cell.(0) <- dt;
+      Tel.Tally.observe_at tally h_dt dt_cell 0
     in
     let max_retries = 4 in
     (* per-lane catch-up after a failed batch step: the halving
@@ -353,7 +359,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
         end
         else handle t_prev dt retries (Option.get lane_err.(li))
       and handle t_prev dt retries err =
-        Tel.Counter.incr c_rejected;
+        Tel.Tally.incr tally c_rejected;
         match err with
         | Newton.No_convergence { t; iterations; worst } ->
           if retries > 0 then attempt t_prev (dt /. 2.0) (retries - 1)

@@ -365,6 +365,12 @@ type workspace = {
   newton_acc : float array;  (* [Newton.update]'s three results *)
   scratch : float array;
   slu : Sp.t;  (* [Sp.fresh] of [sys]'s: the same slots and order *)
+  (* counts since the last [flush]: template rebuilds and LU factors
+     here (each factor is also one solve), and the tally the engine's
+     other per-run counters go to *)
+  mutable n_rebuilds : int;
+  mutable n_factors : int;
+  tally : Tel.Tally.t;
   (* per-MOSFET temperature-resolved constants, valid for [mos_temp]
      (nan until the first assembly) *)
   mutable mos_temp : float;
@@ -399,6 +405,9 @@ let make_workspace sys =
     newton_acc = Array.make 3 0.0;
     scratch = Array.make n 0.0;
     slu = Sp.fresh sys.sp;
+    n_rebuilds = 0;
+    n_factors = 0;
+    tally = Tel.Tally.create ();
     mos_temp = Float.nan;
     mos_prep = [||];
     node_v = Array.make sys.n_nodes 0.0;
@@ -479,7 +488,7 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
      || ws.tmpl_dt <> reactive.dt
      || ws.tmpl_excluded <> ws.excluded_res
    then begin
-     Tel.Counter.incr c_template_rebuilds;
+     ws.n_rebuilds <- ws.n_rebuilds + 1;
      rebuild_template sys ws ~dt:reactive.dt;
      ws.tmpl_valid <- true;
      ws.tmpl_dt <- reactive.dt;
@@ -552,8 +561,7 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
 module Chaos = Dramstress_util.Chaos
 
 let solve_in_place sys ws =
-  Tel.Counter.incr c_lu_factors;
-  Tel.Counter.incr c_lu_solves;
+  ws.n_factors <- ws.n_factors + 1;
   if Chaos.armed () && Chaos.fire Chaos.Perturb_jacobian then
     (* zero a row: crisply rank-deficient, so the factorization's pivot
        guard must catch it — the detection the chaos harness asserts *)
@@ -562,5 +570,16 @@ let solve_in_place sys ws =
   Sp.solve ws.slu ~scratch:ws.scratch ws.rhs
 
 let solution ws = ws.rhs
+
+let tally ws = ws.tally
+
+let flush ws =
+  Tel.Tally.add ws.tally c_template_rebuilds ws.n_rebuilds;
+  Tel.Tally.add ws.tally c_lu_factors ws.n_factors;
+  Tel.Tally.add ws.tally c_lu_solves ws.n_factors;
+  ws.n_rebuilds <- 0;
+  ws.n_factors <- 0;
+  Tel.Tally.flush ws.tally;
+  Sp.flush ws.slu
 
 let lu_schedule ws = Sp.schedule ws.slu

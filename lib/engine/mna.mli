@@ -67,7 +67,8 @@ val resistor_g : t -> int -> float
     RHS, the cached static-linear template in the same slots (gmin,
     resistors, voltage-source topology, capacitor conductances for the
     current [dt]), restored by one blit, and the sparse LU handle with
-    its substitution scratch. One workspace serves any number of
+    its substitution scratch, and the counts of its solves ({!flush}).
+    One workspace serves any number of
     sequential solves on the same system under one [opts] (the
     template is keyed on [dt] and the resistor override only); it must
     not be shared between domains. *)
@@ -138,6 +139,18 @@ val assemble_into_pre :
     Raises [Dramstress_util.Linalg.Singular] on a rank-deficient (or
     non-finite) system. *)
 val solve_in_place : t -> workspace -> unit
+
+(** [tally ws] is the tally that the solvers using [ws] count in per
+    iteration and per step ([Newton], [Ensemble]). *)
+val tally : workspace -> Dramstress_util.Telemetry.Tally.t
+
+(** [flush ws] adds everything counted on [ws] since the last flush to
+    the telemetry registry: the workspace's own template rebuilds and LU
+    factors and solves (plain ints, bumped without a call), its sparse
+    LU handle's activity ({!Dramstress_util.Sparse_lu.flush}) and its
+    {!tally}. [Ensemble.run] flushes once per run, also when the run
+    raises. *)
+val flush : workspace -> unit
 
 (** [solution ws] is the workspace RHS buffer, holding the solution
     after {!solve_in_place}. The array is reused by the next

@@ -74,12 +74,12 @@ let[@inline] update ~max_step_v:m ~n_free x x_new acc =
   acc.(2) <- !sum;
   !clamped
 
-let record_solve iterations =
-  Tel.Counter.incr c_solves;
-  Tel.Counter.add c_iterations iterations;
-  (* the sample is a boxed float: build it only when it is kept *)
-  if Tel.enabled () then
-    Tel.Histogram.observe h_iterations (float_of_int iterations)
+(* a converged solve counts in the workspace's tally; the failures
+   below are rare and raise, so they count on the registry directly *)
+let record_solve tally iterations =
+  Tel.Tally.incr tally c_solves;
+  Tel.Tally.add tally c_iterations iterations;
+  Tel.Tally.observe_int tally h_iterations iterations
 
 let fail ~t_now ~iter ~worst =
   Tel.Counter.incr c_failures;
@@ -165,6 +165,7 @@ let chaos_nan x =
    would be boxed on every iteration. *)
 let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter ~diverge x =
   Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
+  let tally = Mna.tally ws in
   (match Mna.solve_in_place sys ws with
   | () -> ()
   | exception L.Singular { row; pivot } ->
@@ -174,7 +175,7 @@ let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter ~diverge x =
      they were unknowns *)
   let acc = Mna.newton_acc ws in
   acc.(1) <- (Mna.fixed_abs_max ws).(0);
-  Tel.Counter.add c_clamps
+  Tel.Tally.add tally c_clamps
     (update ~max_step_v:opts.max_step_v ~n_free:(Mna.n_free_nodes sys) x
        x_new acc);
   (* the chaos site sits between the update and the scan, whose verdict
@@ -184,7 +185,7 @@ let iterate sys ws ~(opts : Options.t) ~t_now ~reactive ~iter ~diverge x =
   let worst = acc.(0) in
   let tol = bound ~opts acc.(1) in
   if (not diverge) && worst <= tol then begin
-    record_solve iter;
+    record_solve tally iter;
     true
   end
   else if iter >= opts.max_newton then fail ~t_now ~iter ~worst

@@ -29,7 +29,8 @@ exception Timeout of { t : float; budget_s : float }
     over the updated [x] and the fixed node voltages
     ({!Mna.fixed_abs_max}), so the bound is the one a state holding
     every node as an unknown would give. A converged
-    solve is counted in the solve/iteration telemetry. An iteration
+    solve is counted in the solve/iteration telemetry, through the
+    workspace's tally ({!Mna.tally}). An iteration
     that reaches [opts.max_newton] unconverged raises {!No_convergence};
     [diverge] (the [Force_newton_diverge] chaos site) holds the solve
     unconverged until then. It assembles into [ws] from the controls

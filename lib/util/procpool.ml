@@ -36,6 +36,67 @@ let read_frame fd =
   | Error (`Eof | `Protocol _ | `Timeout) -> None
   | exception Unix.Unix_error _ -> None
 
+(* ---- task and reply codecs ---- *)
+
+(* A task is one frame: the count of workers it has killed, a newline,
+   the payload. *)
+let encode_task ~attempt task = string_of_int attempt ^ "\n" ^ task
+
+let decode_task frame =
+  match String.index_opt frame '\n' with
+  | None -> (0, frame)
+  | Some i ->
+    let attempt =
+      Option.value ~default:0 (int_of_string_opt (String.sub frame 0 i))
+    in
+    (attempt, String.sub frame (i + 1) (String.length frame - i - 1))
+
+type reply = { ok : bool; deltas : (string * int) list; body : string }
+
+(* A reply is one frame: 'K' or 'E', the counter deltas as
+   [name=n,name=n] up to the first newline, then the body. Counter
+   names hold no comma or newline. *)
+let encode_reply r =
+  String.concat ""
+    [ (if r.ok then "K" else "E");
+      String.concat ","
+        (List.map (fun (name, n) -> name ^ "=" ^ string_of_int n) r.deltas);
+      "\n";
+      r.body ]
+
+let decode_delta field =
+  match String.rindex_opt field '=' with
+  | None -> Error (`Malformed ("counter delta without '=': " ^ field))
+  | Some i -> (
+    let name = String.sub field 0 i
+    and value = String.sub field (i + 1) (String.length field - i - 1) in
+    match int_of_string_opt value with
+    | Some n when name <> "" -> Ok (name, n)
+    | _ -> Error (`Malformed ("bad counter delta: " ^ field)))
+
+let decode_reply frame =
+  let len = String.length frame in
+  if len = 0 then Error (`Malformed "empty reply")
+  else
+    match (frame.[0], String.index_from_opt frame 1 '\n') with
+    | ('K' | 'E'), None -> Error (`Malformed "reply without a delta line")
+    | (('K' | 'E') as tag), Some nl ->
+      let line = String.sub frame 1 (nl - 1) in
+      let fields = if line = "" then [] else String.split_on_char ',' line in
+      let rec deltas acc = function
+        | [] -> Ok (List.rev acc)
+        | f :: rest -> (
+          match decode_delta f with
+          | Ok d -> deltas (d :: acc) rest
+          | Error _ as e -> e)
+      in
+      Result.map
+        (fun deltas ->
+          { ok = tag = 'K'; deltas;
+            body = String.sub frame (nl + 1) (len - nl - 1) })
+        (deltas [] fields)
+    | c, _ -> Error (`Malformed (Printf.sprintf "reply tag %C" c))
+
 (* ---- pool structure ---- *)
 
 type wstatus =
@@ -96,23 +157,22 @@ let fork_worker pool slot =
        here, and may reference descriptors we just closed *)
     Sys.set_signal Sys.sigterm Sys.Signal_default;
     Sys.set_signal Sys.sigint Sys.Signal_ignore;
+    (* what this process counts from here on is the worker's: each
+       reply ships the counters that moved since the last one *)
+    let since = Tel.mark () in
     let rec serve () =
       match read_frame task_r with
       | None -> ()  (* parent closed the pipe: clean retirement *)
-      | Some attempt_s -> (
-        match read_frame task_r with
-        | None -> ()
-        | Some payload ->
-          let attempt =
-            match int_of_string_opt attempt_s with Some a -> a | None -> 0
-          in
-          let reply =
-            match pool.worker_fn ~attempt payload with
-            | v -> "K" ^ v
-            | exception e -> "E" ^ Printexc.to_string e
-          in
-          Frame.write res_w reply;
-          serve ())
+      | Some frame ->
+        let attempt, payload = decode_task frame in
+        let ok, body =
+          match pool.worker_fn ~attempt payload with
+          | v -> (true, v)
+          | exception e -> (false, Printexc.to_string e)
+        in
+        Frame.write res_w
+          (encode_reply { ok; deltas = Tel.deltas_since since; body });
+        serve ()
     in
     (try serve () with _ -> ());
     Unix._exit 0
@@ -273,8 +333,7 @@ let exec pool task =
       | Some slot -> (
         let sent =
           try
-            Frame.write slot.to_worker (string_of_int deaths);
-            Frame.write slot.to_worker task;
+            Frame.write slot.to_worker (encode_task ~attempt:deaths task);
             true
           with Unix.Unix_error _ | Sys_error _ -> false
         in
@@ -284,13 +343,14 @@ let exec pool task =
           dispatch (deaths + 1)
         end
         else
-          match read_frame slot.from_worker with
-          | Some reply when String.length reply >= 1 ->
+          match Option.map decode_reply (read_frame slot.from_worker) with
+          | Some (Ok r) ->
             release pool slot ~completed:true;
-            let body = String.sub reply 1 (String.length reply - 1) in
-            if reply.[0] = 'K' then Ok body else Error (`Worker_error body)
-          | Some _ | None ->
-            (* EOF or torn reply: the worker died mid-task *)
+            Tel.add_deltas r.deltas;
+            if r.ok then Ok r.body else Error (`Worker_error r.body)
+          | Some (Error (`Malformed _)) | None ->
+            (* EOF or torn reply: the worker died mid-task, and what it
+               counted on the task dies with it *)
             died pool slot;
             dispatch (deaths + 1))
   in

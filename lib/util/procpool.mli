@@ -21,7 +21,16 @@
     daemon is exactly that shape.
 
     Counters: [util.procpool.tasks], [util.procpool.worker_deaths],
-    [util.procpool.worker_restarts], [util.procpool.tasks_lost]. *)
+    [util.procpool.worker_restarts], [util.procpool.tasks_lost].
+
+    A worker's own counters reach the parent: every reply carries the
+    deltas of the worker's telemetry counters since its previous reply
+    (since the fork, for the first), and {!exec} adds them to the
+    parent's registry, so a counter read in the parent totals the work
+    of every worker. The fork-time values are the baseline, so nothing
+    the parent counted before forking is counted twice. What a worker
+    counted on a task it died on (killed, crashed, or a torn reply) is
+    lost with it. Histograms and spans stay in the worker. *)
 
 type t
 
@@ -77,6 +86,24 @@ val size : t -> int
       task; the task is quarantined, the pool lives on. *)
 val exec :
   t -> string -> (string, [ `Worker_lost of int | `Worker_error of string ]) result
+
+(** {1 Wire codec}
+
+    Each task travels as one frame ({!Frame}) holding the attempt
+    number and the payload; each reply as one frame holding the
+    verdict, the counter deltas and the body. Exposed for tests. *)
+
+type reply = {
+  ok : bool;  (** the worker function returned (it did not raise) *)
+  deltas : (string * int) list;  (** counter name, change *)
+  body : string;  (** the result, or the printed exception *)
+}
+
+val encode_reply : reply -> string
+
+(** [decode_reply frame] is the reply [frame] holds, or [`Malformed]
+    naming what is wrong with it; it never raises. *)
+val decode_reply : string -> (reply, [ `Malformed of string ]) result
 
 (** [shutdown t] closes every worker's task pipe (an idle worker exits
     on EOF; a busy worker finishes its task first), reaps them all and

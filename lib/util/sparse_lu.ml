@@ -1,14 +1,21 @@
 module L = Linalg
 module Tel = Telemetry
 
-let c_analyses = Tel.Counter.make "util.sparse_lu.symbolic_analyses"
-let c_reuse = Tel.Counter.make "util.sparse_lu.symbolic_reuse"
-let c_refactor = Tel.Counter.make "util.sparse_lu.numeric_refactor"
-let c_reanalyses = Tel.Counter.make "util.sparse_lu.reanalyses"
-
-(* stale refactors rescued by pivot revalidation instead of a dense
+(* a handle's activity, counted in its own [counts] cell by cell, in
+   this order, and added to the registry by [flush]; a revalidation is
+   a stale refactor rescued by pivot revalidation instead of a dense
    re-analysis *)
-let c_revalidations = Tel.Counter.make "util.sparse_lu.pivot_revalidations"
+let counters =
+  Array.map Tel.Counter.make
+    [| "util.sparse_lu.symbolic_analyses"; "util.sparse_lu.symbolic_reuse";
+       "util.sparse_lu.numeric_refactor"; "util.sparse_lu.reanalyses";
+       "util.sparse_lu.pivot_revalidations" |]
+
+let c_analyses = 0
+let c_reuse = 1
+let c_refactor = 2
+let c_reanalyses = 3
+let c_revalidations = 4
 
 (* The factors live in one flat [lu] vector over the permuted pattern
    closed under fill-in, and every loop of a refactor or a substitution
@@ -51,6 +58,7 @@ type t = {
   order : int array;  (* Q: column k of A·Q is column order.(k) of A *)
   qcol : int array;   (* per input slot: its column in A·Q *)
   mutable analysis : analysis option;
+  counts : int array;  (* per [counters] entry, since the last [flush] *)
 }
 
 (* CSR over the positions [(i, j)] of an [n]x[n] grid with [keep i j],
@@ -179,9 +187,21 @@ let make ~n ~pattern =
   let pos = Array.make n 0 in
   Array.iteri (fun k j -> pos.(j) <- k) order;
   { n; row_start; col; order; qcol = Array.map (fun j -> pos.(j)) col;
-    analysis = None }
+    analysis = None; counts = Array.make (Array.length counters) 0 }
 
-let fresh t = { t with analysis = None }
+let fresh t =
+  { t with analysis = None; counts = Array.make (Array.length counters) 0 }
+
+let[@inline] count t k = t.counts.(k) <- t.counts.(k) + 1
+
+let flush t =
+  Array.iteri
+    (fun k n ->
+      if n <> 0 then begin
+        Tel.Counter.add counters.(k) n;
+        t.counts.(k) <- 0
+      end)
+    t.counts
 
 let col_order t = Array.copy t.order
 
@@ -400,9 +420,9 @@ let unique_pivots an =
   done;
   !ok
 
-let record_refactor ~reused =
-  Tel.Counter.incr c_refactor;
-  if reused then Tel.Counter.incr c_reuse
+let record_refactor t ~reused =
+  count t c_refactor;
+  if reused then count t c_reuse
 
 (* A fresh analysis at the current values. Callers run [check_finite]
    first: it raises L.Singular before [analyse] mutates [t.analysis],
@@ -412,10 +432,10 @@ let reanalyse t a =
   analyse t a;
   let an = Option.get t.analysis in
   ignore (refactor an a ~nnz:(nnz t) ~strict:true : bool);
-  record_refactor ~reused:false
+  record_refactor t ~reused:false
 
 let stale t a =
-  Tel.Counter.incr c_reanalyses;
+  count t c_reanalyses;
   reanalyse t a
 
 let factor t a =
@@ -423,11 +443,11 @@ let factor t a =
   match t.analysis with
   | None ->
     check_finite t a;
-    Tel.Counter.incr c_analyses;
+    count t c_analyses;
     reanalyse t a
   | Some an -> (
     match refactor an a ~nnz:(nnz t) ~strict:false with
-    | false -> record_refactor ~reused:true
+    | false -> record_refactor t ~reused:true
     | true ->
       (* a small pivot is not a wrong pivot: on long holds C/dt sinks
          below the guard while the stored order is still the
@@ -435,8 +455,8 @@ let factor t a =
          dense analysis that would pick the same permutation again. *)
       check_finite t a;
       if unique_pivots an then begin
-        Tel.Counter.incr c_revalidations;
-        record_refactor ~reused:true
+        count t c_revalidations;
+        record_refactor t ~reused:true
       end
       else stale t a
     | exception Stale ->

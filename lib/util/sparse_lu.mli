@@ -75,7 +75,9 @@
 
     Activity feeds the [util.sparse_lu.symbolic_analyses] /
     [symbolic_reuse] / [numeric_refactor] / [reanalyses] telemetry
-    counters. A successful revalidation counts as a numeric refactor
+    counters. A handle counts in plain ints of its own, and {!flush}
+    adds them to the registry: its owner flushes once per run, not once
+    per factorization. A successful revalidation counts as a numeric refactor
     with symbolic reuse, and on the
     [util.sparse_lu.pivot_revalidations] counter; [reanalyses] counts
     dense re-analyses only.
@@ -94,8 +96,8 @@ val make : n:int -> pattern:bool array array -> t
 
 (** [fresh t] is a handle for the same pattern as [t], sharing its
     slots and its {!col_order} without recomputing them, and with no
-    analysis yet: a second solver on one topology at the cost of an
-    allocation. *)
+    analysis and no counts yet: a second solver on one topology at the
+    cost of an allocation. *)
 val fresh : t -> t
 
 (** [col_order t] is a copy of the column order [Q]: column [k] of the
@@ -118,6 +120,11 @@ val slot : t -> int -> int -> int
     [Linalg.Singular] when the system is genuinely rank-deficient or
     contains non-finite entries. *)
 val factor : t -> float array -> unit
+
+(** [flush t] adds what [t] counted since the last flush to the
+    telemetry counters (only while telemetry is on, as a direct probe
+    would) and zeroes its cells. *)
+val flush : t -> unit
 
 (** [perm t] is a copy of the stored row pivot order (factored row [i]
     holds row [(perm t).(i)] of [A·Q]), [None] before the first

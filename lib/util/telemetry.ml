@@ -20,8 +20,13 @@ let now () = Unix.gettimeofday ()
 (* ------------------------------------------------------------------ *)
 
 module Counter = struct
-  type t = { c_name : string; cell : int Atomic.t }
+  (* [id] numbers the counters in registration order, from 0: a
+     {!Tally} keeps one plain int per id *)
+  type t = { c_name : string; cell : int Atomic.t; id : int }
 
+  (* newest first; an immutable list behind a ref, so a reader that
+     cannot take the lock (a freshly forked child) still sees a
+     consistent list *)
   let registry : t list ref = ref []
   let registry_lock = Mutex.create ()
 
@@ -30,7 +35,9 @@ module Counter = struct
         match List.find_opt (fun c -> c.c_name = name) !registry with
         | Some c -> c
         | None ->
-          let c = { c_name = name; cell = Atomic.make 0 } in
+          let c =
+            { c_name = name; cell = Atomic.make 0; id = List.length !registry }
+          in
           registry := c :: !registry;
           c)
 
@@ -54,9 +61,13 @@ module Histogram = struct
      magnitude cheaper than the simulation work it measures. *)
   type t = {
     h_name : string;
+    id : int;  (* registration order, from 0, as for counters *)
     unit_ : string;
     lo : float;
     log_ratio : float;  (* bin width in log space *)
+    edges : float array;
+        (* [edges.(k - 1)] is the least float that [bin_index] puts in
+           bin [k] or above: the lock-free path bins by comparison *)
     bins : int array;
     lock : Mutex.t;
     mutable count : int;
@@ -68,6 +79,21 @@ module Histogram = struct
   let registry : t list ref = ref []
   let registry_lock = Mutex.create ()
 
+  let bin_index_of ~lo ~log_ratio ~buckets v =
+    if v <= lo then 0
+    else Int.min (buckets - 1) (int_of_float (log (v /. lo) /. log_ratio))
+
+  (* the least float in bin [k] or above, found from the closed form
+     by stepping one float at a time until [bin_index_of] changes its
+     verdict, so that comparing against it reproduces the log formula
+     bit for bit *)
+  let edge ~lo ~log_ratio ~buckets k =
+    let bin = bin_index_of ~lo ~log_ratio ~buckets in
+    let c = ref (lo *. exp (log_ratio *. float_of_int k)) in
+    while bin !c >= k do c := Float.pred !c done;
+    while bin !c < k do c := Float.succ !c done;
+    !c
+
   let make ?(unit_ = "") ~lo ~hi ~buckets name =
     if not (lo > 0.0 && hi > lo && buckets >= 1) then
       invalid_arg "Telemetry.Histogram.make: need 0 < lo < hi, buckets >= 1";
@@ -75,9 +101,12 @@ module Histogram = struct
         match List.find_opt (fun h -> h.h_name = name) !registry with
         | Some h -> h
         | None ->
+          let log_ratio = log (hi /. lo) /. float_of_int buckets in
           let h =
-            { h_name = name; unit_; lo;
-              log_ratio = log (hi /. lo) /. float_of_int buckets;
+            { h_name = name; id = List.length !registry; unit_; lo; log_ratio;
+              edges =
+                Array.init (buckets - 1) (fun k ->
+                    edge ~lo ~log_ratio ~buckets (k + 1));
               bins = Array.make buckets 0; lock = Mutex.create ();
               count = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity }
           in
@@ -85,11 +114,18 @@ module Histogram = struct
           h)
 
   let bin_index h v =
-    if v <= h.lo then 0
-    else
-      Int.min
-        (Array.length h.bins - 1)
-        (int_of_float (log (v /. h.lo) /. h.log_ratio))
+    bin_index_of ~lo:h.lo ~log_ratio:h.log_ratio ~buckets:(Array.length h.bins)
+      v
+
+  (* [bin_index h v] by binary search over [h.edges]: no [log] *)
+  let[@inline] bin_of_edges h v =
+    let e = h.edges in
+    let lo = ref 0 and hi = ref (Array.length e) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if v >= Array.unsafe_get e mid then lo := mid + 1 else hi := mid
+    done;
+    !lo
 
   let observe h v =
     if Atomic.get enabled_flag then
@@ -103,6 +139,7 @@ module Histogram = struct
 
   let count h = h.count
   let name h = h.h_name
+  let bins h = Mutex.protect h.lock (fun () -> Array.copy h.bins)
 
   (* upper edge of bin [i], the value reported for quantiles landing
      there *)
@@ -139,6 +176,106 @@ module Histogram = struct
       y
     end
     else f ()
+end
+
+(* ------------------------------------------------------------------ *)
+(* Tallies                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Tally = struct
+  (* one histogram's lock-free bins; [stats] holds sum, min and max in
+     a flat float array, where a store boxes nothing; [last] is the bin
+     of the last sample, which the next one most often shares *)
+  type local = {
+    bins : int array;
+    stats : float array;
+    mutable n : int;
+    mutable last : int;
+  }
+
+  type t = { counts : int array; locals : local option array }
+
+  let create () =
+    { counts = Array.make (List.length !Counter.registry) 0;
+      locals = Array.make (List.length !Histogram.registry) None }
+
+  (* a counter made after [create] has no cell here and takes the
+     atomic path *)
+  let[@inline] add t (c : Counter.t) n =
+    if c.id < Array.length t.counts then
+      Array.unsafe_set t.counts c.id (Array.unsafe_get t.counts c.id + n)
+    else Counter.add c n
+
+  let[@inline] incr t c = add t c 1
+
+  let local t (h : Histogram.t) =
+    match t.locals.(h.id) with
+    | Some l -> l
+    | None ->
+      let l =
+        { bins = Array.make (Array.length h.bins) 0;
+          stats = [| 0.0; infinity; neg_infinity |]; n = 0; last = 0 }
+      in
+      t.locals.(h.id) <- Some l;
+      l
+
+  let[@inline] record l (h : Histogram.t) v =
+    let e = h.edges and b = l.last in
+    let i =
+      if (b = 0 || v >= Array.unsafe_get e (b - 1))
+         && (b = Array.length e || v < Array.unsafe_get e b)
+      then b
+      else begin
+        let i = Histogram.bin_of_edges h v in
+        l.last <- i;
+        i
+      end
+    in
+    Array.unsafe_set l.bins i (Array.unsafe_get l.bins i + 1);
+    l.n <- l.n + 1;
+    let st = l.stats in
+    st.(0) <- st.(0) +. v;
+    if v < st.(1) then st.(1) <- v;
+    if v > st.(2) then st.(2) <- v
+
+  (* both take their sample unboxed: a float argument to a function in
+     another module is boxed at the call *)
+  let observe_at t (h : Histogram.t) a i =
+    if Atomic.get enabled_flag then
+      if h.id < Array.length t.locals then record (local t h) h a.(i)
+      else Histogram.observe h a.(i)
+
+  let observe_int t (h : Histogram.t) n =
+    if Atomic.get enabled_flag then
+      if h.id < Array.length t.locals then
+        record (local t h) h (float_of_int n)
+      else Histogram.observe h (float_of_int n)
+
+  let merge (h : Histogram.t) l =
+    Mutex.protect h.lock (fun () ->
+        Array.iteri (fun i n -> h.bins.(i) <- h.bins.(i) + n) l.bins;
+        h.count <- h.count + l.n;
+        h.sum <- h.sum +. l.stats.(0);
+        if l.stats.(1) < h.min_v then h.min_v <- l.stats.(1);
+        if l.stats.(2) > h.max_v then h.max_v <- l.stats.(2))
+
+  let flush t =
+    if Atomic.get enabled_flag then begin
+      List.iter
+        (fun (c : Counter.t) ->
+          if c.id < Array.length t.counts && t.counts.(c.id) <> 0 then
+            Counter.add c t.counts.(c.id))
+        !Counter.registry;
+      List.iter
+        (fun (h : Histogram.t) ->
+          if h.id < Array.length t.locals then
+            match t.locals.(h.id) with
+            | Some l when l.n > 0 -> merge h l
+            | Some _ | None -> ())
+        !Histogram.registry
+    end;
+    Array.fill t.counts 0 (Array.length t.counts) 0;
+    Array.fill t.locals 0 (Array.length t.locals) None
 end
 
 (* ------------------------------------------------------------------ *)
@@ -290,6 +427,37 @@ let configure_from_env () =
   | Some path ->
     set_enabled true;
     set_sink (Sink.jsonl_file path)
+
+(* ------------------------------------------------------------------ *)
+(* Counter deltas between processes                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* the counter values at the last reading, by id; read without the
+   registry lock, which a forked child may have inherited held *)
+type mark = { mutable seen : int array }
+
+let counter_values counters =
+  let a = Array.make (List.length counters) 0 in
+  List.iter (fun (c : Counter.t) -> a.(c.id) <- Counter.value c) counters;
+  a
+
+let mark () = { seen = counter_values !Counter.registry }
+
+let deltas_since m =
+  let counters = !Counter.registry in
+  let now = counter_values counters in
+  let seen = m.seen in
+  m.seen <- now;
+  List.filter_map
+    (fun (c : Counter.t) ->
+      let before = if c.id < Array.length seen then seen.(c.id) else 0 in
+      let d = now.(c.id) - before in
+      if d <> 0 then Some (c.c_name, d) else None)
+    counters
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let add_deltas ds =
+  List.iter (fun (name, n) -> Counter.add (Counter.make name) n) ds
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot and export                                                 *)

@@ -76,11 +76,79 @@ module Histogram : sig
   val count : t -> int
   val name : t -> string
 
+  (** [bins h] is a copy of the per-bin counts, lowest bin first. *)
+  val bins : t -> int array
+
   (** [time_ms h f] runs [f] and observes its wall duration in
       milliseconds. While disabled [f] runs untimed — the cost is the
       usual load-and-branch. *)
   val time_ms : t -> (unit -> 'a) -> 'a
 end
+
+(** {1 Tallies}
+
+    A probe on the engine's inner loop (a Newton iteration, an accepted
+    step) would pay an atomic add, or a lock, a [log] and an allocation
+    for a histogram sample, on every call while telemetry is on. A
+    tally takes those calls instead: it is one run's private counter
+    cells, plain ints, and lock-free histogram bins, owned by one
+    domain, and the owner adds it to the registry once with {!flush}
+    when the run ends. Totals, bins, [min] and [max] equal those the
+    direct probes would have recorded; a histogram's [sum] may differ
+    in its last bits, being added up in another order. *)
+
+module Tally : sig
+  type t
+
+  (** [create ()] is an empty tally for the metrics registered so far
+      (a metric made later takes the direct, locked path). *)
+  val create : unit -> t
+
+  (** [add t c n] adds [n] to [c]'s cell, whether or not telemetry is
+      on: a plain int add. *)
+  val add : t -> Counter.t -> int -> unit
+
+  val incr : t -> Counter.t -> unit
+
+  (** [observe_at t h a i] records the sample [a.(i)] in [t]'s bins
+      for [h], by comparison against bin edges computed when [h] was
+      made: no lock, no [log], and no allocation past the first sample
+      of a run (the sample is read from [a], so no float is boxed to
+      pass it). A no-op while disabled. *)
+  val observe_at : t -> Histogram.t -> float array -> int -> unit
+
+  (** [observe_int t h n] records the sample [float_of_int n], as
+      {!observe_at}. *)
+  val observe_int : t -> Histogram.t -> int -> unit
+
+  (** [flush t] adds every cell to its counter and every histogram's
+      bins to the registry's (only while telemetry is on, as the direct
+      probes would), and empties [t]. *)
+  val flush : t -> unit
+end
+
+(** {1 Counter deltas between processes}
+
+    A forked worker counts into its own copy of the registry. It ships
+    what it counted as deltas, and the parent adds them to its own
+    registry: one counter total across the processes. *)
+
+(** A reading of every registered counter. *)
+type mark
+
+(** [mark ()] reads every counter now. It takes no lock, so a child
+    may call it right after [fork]. *)
+val mark : unit -> mark
+
+(** [deltas_since m] is every counter whose value moved since [m] was
+    read, with the change, sorted by name; [m] then holds the values
+    now. *)
+val deltas_since : mark -> (string * int) list
+
+(** [add_deltas ds] adds each [(name, n)] to the counter [name], made
+    if this process has none (a no-op while disabled, like
+    {!Counter.add}). *)
+val add_deltas : (string * int) list -> unit
 
 (** {1 Spans and sinks} *)
 

@@ -1322,7 +1322,13 @@ let test_service_slowloris_dropped () =
 
 (* enough electrical work (4 points, fine grid, tight tolerance) that a
    submission holds its admission slot while the test pokes the server
-   from other connections *)
+   from other connections. The grid is sized by time. The service turns
+   telemetry on, and with the engine's telemetry tallied per run the
+   compute thread no longer blocks on a histogram lock, so the other
+   threads of the in-process server get the runtime lock only at its
+   ticks and each status poll takes longer: at 65 grid points (0.20 s)
+   the polls or the drain's next submission sometimes came after the
+   submission had finished. 513 points take about 1.3 s *)
 let slow_manifest =
   {|
 (campaign
@@ -1331,7 +1337,7 @@ let slow_manifest =
   (stress nominal)
   (stress low-vdd (vdd 2.1))
   (detections (seq "w1 w1 w0 r0"))
-  (border (r-min 1e4) (r-max 1e8) (grid-points 65) (rel-tol 0.001)))
+  (border (r-min 1e4) (r-max 1e8) (grid-points 513) (rel-tol 0.001)))
 |}
 
 (* wait until the server has admitted a submission AND is simulating:

@@ -501,10 +501,57 @@ let test_expired_deadline_within_16_iterations () =
           (List.assoc_opt "engine.mna.lu_factors"
              (Tel.snapshot ()).Tel.counters)
       in
-      if factors > 16 then
+      (* the run's tally reaches the registry though the run raised *)
+      if factors < 1 || factors > 16 then
         Alcotest.failf "%d lanes: %d iterations before the timeout" n_lanes
           factors)
     [ 1; 4 ]
+
+(* every converged solve is one sample of the iterations histogram and
+   every accepted lane-step one of the step-length histogram, on a
+   3-lane run where lane 0 dies at t=0 (a NaN on the first iterate) and
+   a later solve is forced to diverge, so its step is halved *)
+let test_tally_counts_match_histograms () =
+  let module Tel = Dramstress_util.Telemetry in
+  let c = rc_fixture () in
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  with_chaos @@ fun () ->
+  Tel.set_enabled true;
+  Tel.reset ();
+  Chaos.configure ~seed:0 "inject_nan_state@+1,force_newton_diverge@+5";
+  let results =
+    E.Ensemble.run c
+      ~segments:[ (5e-9, 1e-10) ]
+      ~lanes:
+        (Array.init 3 (fun i ->
+             { E.Ensemble.ics = [ ("out", 0.1 *. float_of_int i) ];
+               override = None }))
+      ~probes:[ "out" ] ()
+  in
+  Alcotest.(check (list bool)) "lane 0 dead, the others ran"
+    [ false; true; true ]
+    (Array.to_list (Array.map Result.is_ok results));
+  let snap = Tel.snapshot () in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name snap.Tel.counters)
+  and samples name =
+    match List.assoc_opt name snap.Tel.histograms with
+    | Some h -> h.Tel.h_count
+    | None -> 0
+  in
+  Alcotest.(check bool) "a step was halved" true
+    (counter "engine.transient.steps_rejected" > 0);
+  Alcotest.(check int) "one lane failure" 1
+    (counter "engine.ensemble.lane_failures");
+  Alcotest.(check bool) "steps accepted" true
+    (counter "engine.transient.steps_accepted" > 0);
+  Alcotest.(check int) "solves = iterations_per_solve samples"
+    (counter "engine.newton.solves")
+    (samples "engine.newton.iterations_per_solve");
+  Alcotest.(check int) "steps accepted = dt_s samples"
+    (counter "engine.transient.steps_accepted")
+    (samples "engine.transient.dt_s")
 
 (* a run that dies at t=0 must not pay for its grid: the words it
    allocates are the same for a 10-step and a 10^6-step plan. The minor
@@ -809,6 +856,36 @@ let test_minor_words_per_step () =
     [ ("scalar retention", retention_run, 13.0);
       ("4-lane ensemble", ensemble_run, 4.0) ]
 
+(* the same runs with telemetry on, under the same limits: the engine
+   counts in its run's tally and bins both histograms locally, so
+   turning telemetry on allocates nothing per step (the scalar
+   retention run reads 9.05; a histogram observation that boxes its
+   sample and takes a closure per lock reads 26.9 there) *)
+let test_minor_words_per_step_traced () =
+  let module Tel = Dramstress_util.Telemetry in
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled true;
+  List.iter
+    (fun (what, run, limit) ->
+      ignore (run ());
+      let w0 = Gc.minor_words () in
+      let traces = run () in
+      let words = Gc.minor_words () -. w0 in
+      let steps =
+        List.fold_left
+          (fun acc (r : E.Transient.result) ->
+            acc + Array.length r.E.Transient.times - 1)
+          0 traces
+      in
+      let per_step = words /. float_of_int steps in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per accepted step (limit %.1f)"
+           what per_step limit)
+        true (per_step <= limit))
+    [ ("scalar retention", retention_run, 13.0);
+      ("4-lane ensemble", ensemble_run, 4.0) ]
+
 (* ------------------------------------------------------------------ *)
 (* DC sweep                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -900,4 +977,11 @@ let () =
         ] );
       ( "alloc",
         [ tc "minor words per accepted step" test_minor_words_per_step ] );
+      ( "tally",
+        [
+          tc "solves and accepted steps match their histograms"
+            test_tally_counts_match_histograms;
+          tc "telemetry on allocates nothing more per step"
+            test_minor_words_per_step_traced;
+        ] );
     ]

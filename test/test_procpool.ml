@@ -151,6 +151,67 @@ let test_shutdown () =
   | 0, _ -> Alcotest.fail "a child is still running after shutdown"
   | _ -> Alcotest.fail "a zombie survived shutdown"
 
+(* ---- counters across the process boundary ---- *)
+
+let c_worker = Tel.Counter.make "test.procpool.worker_count"
+
+(* "N" adds N to [c_worker] and returns it; "raise:N" adds N, then
+   raises *)
+let counting_worker ~attempt:_ payload =
+  match String.split_on_char ':' payload with
+  | [ "raise"; n ] ->
+    Tel.Counter.add c_worker (int_of_string n);
+    failwith "counted, then raised"
+  | [ n ] ->
+    Tel.Counter.add c_worker (int_of_string n);
+    n
+  | _ -> failwith ("unknown task " ^ payload)
+
+(* the parent's count before the fork is the workers' baseline, so it
+   is not shipped back; each reply, K or E, carries what its worker
+   counted since its last reply *)
+let test_worker_counters_reach_parent () =
+  let was = Tel.enabled () in
+  Tel.set_enabled true;
+  let before = Tel.Counter.value c_worker in
+  Tel.Counter.add c_worker 5;
+  let pool =
+    Procpool.create ~backoff:fast_backoff ~workers:2 ~worker:counting_worker ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Procpool.shutdown pool;
+      Tel.set_enabled was)
+  @@ fun () ->
+  List.iter
+    (fun n -> Alcotest.(check string) "echoed" n (ok (Procpool.exec pool n)))
+    [ "1"; "20"; "300" ];
+  (match Procpool.exec pool "raise:4000" with
+  | Error (`Worker_error _) -> ()
+  | _ -> Alcotest.fail "expected a worker error");
+  Alcotest.(check int) "pre-fork count once, then every worker's" 4326
+    (Tel.Counter.value c_worker - before)
+
+let test_reply_codec () =
+  let r =
+    { Procpool.ok = false; deltas = [ ("a.b", 3); ("c", -2) ];
+      body = "line 1\nline 2, with a comma=and an equals" }
+  in
+  Alcotest.(check bool) "round trip" true
+    (Procpool.decode_reply (Procpool.encode_reply r) = Ok r);
+  let empty = { Procpool.ok = true; deltas = []; body = "" } in
+  Alcotest.(check bool) "no deltas, empty body" true
+    (Procpool.decode_reply (Procpool.encode_reply empty) = Ok empty);
+  List.iter
+    (fun frame ->
+      match Procpool.decode_reply frame with
+      | Error (`Malformed _) -> ()
+      | Ok _ -> Alcotest.failf "decoded malformed reply %S" frame
+      | exception e ->
+        Alcotest.failf "%S raised %s" frame (Printexc.to_string e))
+    [ ""; "K"; "Kbody"; "X\nbody"; "Ka=1,b\nbody"; "Ka=x\nbody";
+      "K=1\nbody"; "Ka=1,,b=2\n"; "Ka=99999999999999999999999\n" ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dramstress_procpool"
@@ -166,5 +227,8 @@ let () =
           tc "task timeout SIGKILLs a wedged worker"
             test_task_timeout_kills_wedged_worker;
           tc "shutdown reaps every worker" test_shutdown;
+          tc "worker counters reach the parent"
+            test_worker_counters_reach_parent;
+          tc "reply codec refuses malformed deltas" test_reply_codec;
         ] );
     ]

@@ -188,6 +188,22 @@ let await_restarts ~socket want =
   in
   go 100
 
+(* [f ()] with the daemon [server] killed and reaped and its socket
+   removed afterwards, so a failed check cannot leave it running; a
+   daemon already reaped (ECHILD) is not signalled, since its pid may
+   have been reused *)
+let with_server ~socket server f =
+  Fun.protect
+    ~finally:(fun () ->
+      (match Unix.waitpid [ Unix.WNOHANG ] server with
+      | 0, _ ->
+        (try Unix.kill server Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] server)
+      | _ -> ()
+      | exception Unix.Unix_error _ -> ());
+      try Sys.remove socket with Sys_error _ -> ())
+    f
+
 let shutdown_clean ~socket server =
   (match Svc.Client.request ~socket Pr.Shutdown with
   | Pr.Bye -> ()
@@ -209,6 +225,7 @@ let test_sandbox_worker_kill_survives () =
     fork_server ~sandbox:true ~worker_deaths:3
       ~env:("DRAMSTRESS_WORKER_KILL", "low-vdd:2") ~dir ~socket ()
   in
+  with_server ~socket server @@ fun () ->
   (match
      Svc.Client.submit_retrying ~attempts:40 ~delay:0.25 ~socket manifest_text
    with
@@ -224,8 +241,7 @@ let test_sandbox_worker_kill_survives () =
   let cs = counters ~socket in
   Alcotest.(check int) "a retried point is not poison" 0
     (counter cs "util.procpool.tasks_lost");
-  shutdown_clean ~socket server;
-  try Sys.remove socket with Sys_error _ -> ()
+  shutdown_clean ~socket server
 
 (* a warm resubmission to the sandboxed daemon reaches no worker and
    starts no chain thread: the daemon's fan-out counter stays put *)
@@ -234,12 +250,7 @@ let test_sandbox_warm_fans_out_nothing () =
   with_dir @@ fun dir ->
   let socket = fresh_socket () in
   let server = fork_server ~sandbox:true ~dir ~socket () in
-  (* a failed check must not leave the daemon running *)
-  Fun.protect ~finally:(fun () ->
-      (try Unix.kill server Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] server) with Unix.Unix_error _ -> ());
-      try Sys.remove socket with Sys_error _ -> ())
-  @@ fun () ->
+  with_server ~socket server @@ fun () ->
   let submit () =
     match
       Svc.Client.submit_retrying ~attempts:40 ~delay:0.25 ~socket manifest_text
@@ -271,6 +282,7 @@ let test_sandbox_poison_point_quarantined () =
     fork_server ~sandbox:true ~worker_deaths:3
       ~env:("DRAMSTRESS_WORKER_KILL", "low-vdd:1000") ~dir:srv_dir ~socket ()
   in
+  with_server ~socket server (fun () ->
   (match
      Svc.Client.submit_retrying ~attempts:40 ~delay:0.25 ~socket manifest_text
    with
@@ -288,7 +300,7 @@ let test_sandbox_poison_point_quarantined () =
   (match Svc.Client.request ~socket Pr.Status with
   | Pr.Status_report _ -> ()
   | _ -> Alcotest.fail "daemon must survive a poison point");
-  shutdown_clean ~socket server;
+  shutdown_clean ~socket server);
   (* the surviving record vs an uninjured single-process reference *)
   let m = Manifest.of_string manifest_text in
   let rs = St.open_ ~name:"ref" ref_dir in
@@ -316,8 +328,57 @@ let test_sandbox_poison_point_quarantined () =
           survived)
     (Plan.points m);
   St.close rs;
-  St.close ss;
-  try Sys.remove socket with Sys_error _ -> ()
+  St.close ss
+
+(* the sandboxed daemon's counters include what its workers counted:
+   the engine and memo counters of a cold submission equal those of
+   the same manifest run in this process from a cleared memo cache
+   (one worker, one job: the same points in the same order through
+   one cache) *)
+let test_sandbox_worker_counters_reach_daemon () =
+  let module Tel = Dramstress_util.Telemetry in
+  let module O = Dramstress_dram.Ops in
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_dir @@ fun srv_dir ->
+  with_dir @@ fun ref_dir ->
+  let socket = fresh_socket () in
+  (* the daemon's workers inherit this process's memo cache, which the
+     reference runs above filled *)
+  O.clear_cache ();
+  let server = fork_server ~sandbox:true ~dir:srv_dir ~socket () in
+  let names =
+    [ "engine.newton.iterations"; "engine.ensemble.lanes";
+      "dram.ops.cache_misses" ]
+  in
+  let daemon =
+    with_server ~socket server @@ fun () ->
+    (match
+       Svc.Client.submit_retrying ~attempts:40 ~delay:0.25 ~socket
+         manifest_text
+     with
+    | Error msg -> Alcotest.failf "submission rejected: %s" msg
+    | Ok o -> Alcotest.(check int) "cold: everything simulated" 2
+                o.Svc.Client.simulated);
+    let cs = counters ~socket in
+    shutdown_clean ~socket server;
+    List.map (counter cs) names
+  in
+  let was = Tel.enabled () in
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+  Tel.set_enabled true;
+  O.clear_cache ();
+  Tel.reset ();
+  let rs = St.open_ ~name:"ref" ref_dir in
+  let r = Runner.run ~jobs:1 ~store:rs (Manifest.of_string manifest_text) in
+  St.close rs;
+  Alcotest.(check int) "reference run clean" 0 (List.length r.Runner.failures);
+  let snap = (Tel.snapshot ()).Tel.counters in
+  List.iter2
+    (fun name d ->
+      let local = Option.value ~default:0 (List.assoc_opt name snap) in
+      Alcotest.(check bool) (name ^ " counted") true (local > 0);
+      Alcotest.(check int) (name ^ ": sandboxed = in-process") local d)
+    names daemon
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -333,5 +394,7 @@ let () =
             test_sandbox_poison_point_quarantined;
           tc "sandbox: warm resubmission calls no fan-out"
             test_sandbox_warm_fans_out_nothing;
+          tc "sandbox: worker counters reach the daemon"
+            test_sandbox_worker_counters_reach_daemon;
         ] );
     ]

@@ -130,6 +130,104 @@ let test_counter_monotone_under_par () =
     (Tel.Counter.value c')
 
 (* ------------------------------------------------------------------ *)
+(* Tallies                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* a tally bins by comparison against edges, the locked path by [log]:
+   every sample, edges and their neighbouring floats included, lands in
+   the same bin either way, with the same count, min and max *)
+let test_tally_bins_match_locked () =
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
+  List.iter
+    (fun (lo, hi, buckets, tag) ->
+      let mk side =
+        Tel.Histogram.make ~lo ~hi ~buckets
+          (Printf.sprintf "test.tally.%s.%s" tag side)
+      in
+      let locked = mk "locked" and tallied = mk "tallied" in
+      let ratio = (hi /. lo) ** (1.0 /. float_of_int buckets) in
+      let edges =
+        List.init (buckets + 1) (fun k -> lo *. (ratio ** float_of_int k))
+      in
+      let rng = Random.State.make [| buckets |] in
+      let samples =
+        List.concat_map (fun e -> [ Float.pred e; e; Float.succ e ]) edges
+        @ List.init 2000 (fun _ ->
+              lo /. 10.0 *. ((100.0 *. hi /. lo) ** Random.State.float rng 1.0))
+        @ List.init 130 float_of_int
+      in
+      let tally = Tel.Tally.create () in
+      let cell = [| 0.0 |] in
+      List.iter
+        (fun v ->
+          Tel.Histogram.observe locked v;
+          cell.(0) <- v;
+          Tel.Tally.observe_at tally tallied cell 0)
+        samples;
+      Alcotest.(check int) "nothing reaches the registry before the flush" 0
+        (Tel.Histogram.count tallied);
+      Tel.Tally.flush tally;
+      Alcotest.(check (array int)) (tag ^ ": same bins")
+        (Tel.Histogram.bins locked) (Tel.Histogram.bins tallied);
+      let summary h =
+        List.assoc (Tel.Histogram.name h) (Tel.snapshot ()).Tel.histograms
+      in
+      let a = summary locked and b = summary tallied in
+      Alcotest.(check (list (float 0.0))) (tag ^ ": count, min, max")
+        [ float_of_int a.Tel.h_count; a.Tel.h_min; a.Tel.h_max ]
+        [ float_of_int b.Tel.h_count; b.Tel.h_min; b.Tel.h_max ])
+    [ (1e-15, 1e-3, 48, "dt"); (1.0, 128.0, 14, "iters");
+      (0.1, 100.0, 8, "ms") ]
+
+(* cells are plain ints until the flush, which adds them only while
+   telemetry is on, and empties the tally either way *)
+let test_tally_flush () =
+  let c = Tel.Counter.make "test.tally.counter" in
+  let c0 = Tel.Counter.value c in
+  let tally = Tel.Tally.create () in
+  let late = Tel.Counter.make "test.tally.made_after_create" in
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
+  Tel.Tally.add tally c 40;
+  Tel.Tally.incr tally c;
+  Tel.Tally.incr tally late;
+  Alcotest.(check int) "a late counter takes the direct path" 1
+    (Tel.Counter.value late);
+  Alcotest.(check int) "nothing added before the flush" c0
+    (Tel.Counter.value c);
+  Tel.Tally.flush tally;
+  Alcotest.(check int) "added once" (c0 + 41) (Tel.Counter.value c);
+  Tel.Tally.flush tally;
+  Alcotest.(check int) "a flushed tally is empty" (c0 + 41)
+    (Tel.Counter.value c);
+  Tel.Tally.add tally c 7;
+  Tel.set_enabled false;
+  Tel.Tally.flush tally;
+  Tel.set_enabled true;
+  Tel.Tally.flush tally;
+  Alcotest.(check int) "flushed while off: dropped" (c0 + 41)
+    (Tel.Counter.value c)
+
+(* deltas since a mark: only what moved, and the mark advances *)
+let test_counter_deltas () =
+  let c = Tel.Counter.make "test.deltas.counter" in
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
+  let m = Tel.mark () in
+  Tel.Counter.add c 3;
+  let fresh = Tel.Counter.make "test.deltas.made_after_mark" in
+  Tel.Counter.add fresh 2;
+  Alcotest.(check (list (pair string int))) "what moved, by name"
+    [ ("test.deltas.counter", 3); ("test.deltas.made_after_mark", 2) ]
+    (Tel.deltas_since m);
+  Alcotest.(check (list (pair string int))) "the mark advanced" []
+    (Tel.deltas_since m);
+  let v = Tel.Counter.value c in
+  Tel.add_deltas [ ("test.deltas.counter", 5) ];
+  Alcotest.(check int) "deltas added" (v + 5) (Tel.Counter.value c)
+
+(* ------------------------------------------------------------------ *)
 (* JSON-lines sink round-trip                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -261,5 +359,14 @@ let () =
         [
           Alcotest.test_case "counters reconcile with cache_stats" `Slow
             test_cache_counters_reconcile;
+        ] );
+      ( "tally",
+        [
+          Alcotest.test_case "bins match the locked path" `Quick
+            test_tally_bins_match_locked;
+          Alcotest.test_case "flush adds once, only while on" `Quick
+            test_tally_flush;
+          Alcotest.test_case "counter deltas since a mark" `Quick
+            test_counter_deltas;
         ] );
     ]

@@ -1758,7 +1758,11 @@ let slot_values h a =
     a;
   v
 
-let factor h a = Sp.factor h (slot_values h a)
+(* the handle's counts are added to the registry at once, so that
+   [lu_activity] reads each factor's own *)
+let factor h a =
+  Fun.protect ~finally:(fun () -> Sp.flush h) (fun () ->
+      Sp.factor h (slot_values h a))
 
 (* (pivot revalidations, dense re-analyses) during [f] *)
 let lu_activity f =
