@@ -7,7 +7,7 @@
    Run everything:        dune exec bench/main.exe
    Run some targets:      dune exec bench/main.exe -- guards table1 ...
    Available targets: guards fig2 fig3 fig4 fig5 fig6 table1 methods
-                      ablation *)
+                      ablation convergence convergence-ci *)
 
 module S = Dramstress_dram.Stress
 module T = Dramstress_dram.Tech
@@ -175,6 +175,165 @@ let table1 () =
   paper_vs "table1 Sg" "~1 MOhm -> ~10 GOhm" "see Sg rows";
   paper_vs "table1 true/comp" "same BR, detection with 0/1 interchanged"
     "compare row pairs"
+
+let failed = ref false
+
+(* ------------------------------------------------------------------ *)
+(* Numerical convergence of Table 1                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The Table-1 catalog on several grids (steps per cycle), each judged
+   against a reference run on a finer one: per border edge, its signed
+   log-resistance distance d_N = ln (R_N / R_ref) in units of the
+   window's rel_tol, and a Richardson estimate of the default grid N's
+   own error, (d_N - d_2N) * 4/3 for a second-order rule. Stressed
+   borders compare only on rows whose stressed SC and directions match
+   the reference's; the others are listed, as are rows whose synthesized
+   detection differs (among candidates whose borders tie, the pick is
+   resolution-sensitive). Fails (exit 1) unless, on the default grid,
+   every row matches the reference's stressed SC and directions and
+   every edge lies within [bound] rel_tol. *)
+let convergence_against ~grids ~reference ~with_tol ~bound =
+  let rel_tol = C.Border.Window.default.C.Border.Window.rel_tol in
+  let base = Sc.default_steps_per_cycle in
+  let run label config =
+    let t0 = Unix.gettimeofday () in
+    let table = C.Table1.generate ~config () in
+    Printf.printf "  %-12s %d rows, %d failed, %.1f s\n%!" label
+      (List.length table.C.Table1.rows)
+      (List.length table.C.Table1.failures)
+      (Unix.gettimeofday () -. t0);
+    table
+  in
+  let on_grid n = run (Printf.sprintf "%d steps" n) (Sc.v ~steps_per_cycle:n ()) in
+  let ref_table = on_grid reference in
+  let on_grids = List.map (fun n -> (Printf.sprintf "%d" n, on_grid n)) grids in
+  let tol_label = Printf.sprintf "%d tol/10" base in
+  let runs =
+    if not with_tol then on_grids
+    else
+      on_grids
+      @ [ ( tol_label,
+            run tol_label
+              (Sc.v
+                 ~sim:{ Dramstress_engine.Options.default with tol_scale = 0.1 }
+                 ()) ) ]
+  in
+  let diffs =
+    List.map (fun (l, t) -> (l, C.Table1.compare t ref_table)) runs
+  in
+  let judged = string_of_int base and twice = string_of_int (2 * base) in
+  let row_of rows id pl =
+    List.find_opt
+      (fun d ->
+        d.C.Table1.a_row.C.Table1.defect_id = id
+        && d.C.Table1.a_row.C.Table1.placement = pl)
+      rows
+  in
+  let place = D.placement_name in
+  Printf.printf
+    "\n  ln(R / R_ref) / rel_tol per edge, R_ref at %d steps (rel_tol %g)\n"
+    reference rel_tol;
+  Printf.printf "  %-4s %-5s %-4s %-8s" "row" "place" "br" "R_ref";
+  List.iter (fun (l, _) -> Printf.printf " %10s" l) runs;
+  Printf.printf " %10s\n" ("rich. " ^ judged);
+  List.iter
+    (fun (rr : C.Table1.row) ->
+      let id = rr.C.Table1.defect_id and pl = rr.C.Table1.placement in
+      let ev = rr.C.Table1.evaluation in
+      List.iter
+        (fun (which, br, pick) ->
+          List.iteri
+            (fun e r_ref ->
+              Printf.printf "  %-4s %-5s %-4s %-8s" id (place pl) which
+                (U.si_string r_ref);
+              let d_of rows =
+                Option.bind (row_of rows id pl) (fun d ->
+                    Option.map (fun l -> List.nth l e) (pick d))
+              in
+              List.iter
+                (fun (_, rows) ->
+                  match d_of rows with
+                  | Some d -> Printf.printf " %10.2f" (d /. rel_tol)
+                  | None -> Printf.printf " %10s" "--")
+                diffs;
+              (* the reference itself is at distance 0 from itself *)
+              let d_twice =
+                if reference = 2 * base then Some 0.0
+                else Option.bind (List.assoc_opt twice diffs) d_of
+              in
+              (match (Option.bind (List.assoc_opt judged diffs) d_of, d_twice)
+               with
+              | Some d1, Some d2 ->
+                Printf.printf " %10.2f" ((d1 -. d2) *. 4.0 /. 3.0 /. rel_tol)
+              | _ -> Printf.printf " %10s" "--");
+              print_newline ())
+            (C.Border.edge_values br))
+        [ ("nom", ev.C.Sc_eval.nominal_br, fun d -> d.C.Table1.nominal_d);
+          ("str", ev.C.Sc_eval.stressed_br, fun d -> d.C.Table1.stressed_d) ])
+    ref_table.C.Table1.rows;
+  let names ds =
+    String.concat ""
+      (List.map
+         (fun d ->
+           let r = d.C.Table1.a_row in
+           Printf.sprintf " %s/%s" r.C.Table1.defect_id
+             (place r.C.Table1.placement))
+         ds)
+  in
+  List.iter
+    (fun (l, rows) ->
+      let off = List.filter (fun d -> not d.C.Table1.same_sc) rows in
+      let det = List.filter (fun d -> not d.C.Table1.same_detection) rows in
+      Printf.printf
+        "  %s: %d of %d rows differ in stressed SC or directions%s; %d in \
+         detection%s\n"
+        l (List.length off) (List.length rows) (names off)
+        (List.length det) (names det))
+    diffs;
+  let rows = Option.value ~default:[] (List.assoc_opt judged diffs) in
+  let worst =
+    List.fold_left
+      (fun acc d ->
+        List.fold_left
+          (fun acc w -> Float.max acc (Option.value ~default:0.0 w))
+          acc
+          [ C.Table1.worst d.C.Table1.nominal_d;
+            C.Table1.worst d.C.Table1.stressed_d ])
+      0.0 rows
+  in
+  let close = function Some w -> w <= bound *. rel_tol | None -> false in
+  let matched = List.for_all (fun d -> d.C.Table1.same_sc) rows in
+  let ok =
+    List.length rows = List.length ref_table.C.Table1.rows
+    && matched
+    && List.for_all
+         (fun d ->
+           close (C.Table1.worst d.C.Table1.nominal_d)
+           && close (C.Table1.worst d.C.Table1.stressed_d))
+         rows
+  in
+  Printf.printf
+    "  default %s steps against %d: worst edge %.2f rel_tol (limit %g), \
+     every row's stressed SC and directions match: %b -> %s\n"
+    judged reference (worst /. rel_tol) bound matched
+    (if ok then "ok" else "FAIL");
+  if not ok then failed := true
+
+(* the full sweep: the default grid, 2x, 4x and 8x it and the default
+   at a tenth of the Newton tolerance, against 1600 steps per cycle *)
+let convergence () =
+  heading "convergence" "Table 1 against a 1600-step reference";
+  let n = Sc.default_steps_per_cycle in
+  convergence_against ~grids:[ n; 2 * n; 4 * n; 8 * n ] ~reference:1600
+    ~with_tol:true ~bound:2.0
+
+(* the CI form: the default grid against twice as fine *)
+let convergence_ci () =
+  heading "convergence-ci" "Table 1 at the default grid against 2x";
+  let n = Sc.default_steps_per_cycle in
+  convergence_against ~grids:[ n ] ~reference:(2 * n) ~with_tol:false
+    ~bound:2.0
 
 (* ------------------------------------------------------------------ *)
 (* Method comparison: exhaustive baseline vs the paper's probes        *)
@@ -645,7 +804,6 @@ let history_line guards =
     tm.Unix.tm_sec runs
     (String.concat "," (List.map guard guards))
 
-let failed = ref false
 
 external pin : unit -> int = "dramstress_bench_pin"
 external unpin : unit -> unit = "dramstress_bench_unpin"
@@ -698,6 +856,7 @@ let all_targets =
     ("guards", guards); ("fig2", fig2); ("fig3", fig3); ("fig4", fig4);
     ("fig5", fig5); ("fig6", fig6); ("table1", table1);
     ("methods", methods); ("ablation", ablation);
+    ("convergence", convergence); ("convergence-ci", convergence_ci);
   ]
 
 let () =

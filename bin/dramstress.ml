@@ -1084,15 +1084,61 @@ let campaign_diff_cmd =
              ~doc:"Exit with status 5 when any row shifted or is missing \
                    a side — the self-diff-must-be-empty check in CI.")
   in
-  let run tel ma da mb db sa sb csv fail_on_diff =
+  let rel_tol_arg =
+    Arg.(value & opt float 0.0
+         & info [ "rel-tol" ] ~docv:"R"
+             ~doc:"Let borders differ by at most $(docv) in log-resistance \
+                   (the search window's rel_tol is 0.01); bracket shapes, \
+                   band counts, stress directions and synthesized \
+                   detections must still match exactly. Default 0: any \
+                   differing bit shifts a row.")
+  in
+  let side_pos idx docv =
+    Arg.(required & pos idx (some string) None
+         & info [] ~docv
+             ~doc:"Campaign manifest file, or $(b,table1) for a store \
+                   written by $(b,dramstress table1 --store).")
+  in
+  (* a table1 store read back without simulating: a record it does not
+     hold fails its row instead of being computed *)
+  let table1_side dir =
+    let store = Store.open_ ~name:"table1" dir in
+    Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+    Store.replay_only store;
+    C.Table1.generate ~store ()
+  in
+  let run tel ma da mb db sa sb csv fail_on_diff rel_tol =
     let pairing =
       match (sa, sb) with
       | None, None -> Cp.Diff.Matched_stresses
       | Some a, Some b -> Cp.Diff.Stress_pair { a; b }
       | _ -> usage_error "--stress-a and --stress-b must be given together"
     in
+    if not (Float.is_finite rel_tol && rel_tol >= 0.0) then
+      usage_error
+        (Printf.sprintf "--rel-tol must be a finite value >= 0, got %g"
+           rel_tol);
+    List.iter
+      (fun m ->
+        if m <> "table1" && not (Sys.file_exists m) then
+          usage_error ("no manifest file " ^ m))
+      [ ma; mb ];
     require_store da;
     require_store db;
+    if ma = "table1" || mb = "table1" then begin
+      if ma <> mb then
+        usage_error "a table1 store compares only with a table1 store";
+      if sa <> None || sb <> None || csv <> None then
+        usage_error "--stress-a, --stress-b and --csv apply to campaign stores";
+      let report, bad =
+        with_telemetry tel @@ fun () ->
+        Cp.Diff.table1 ~rel_tol ~a_label:da ~b_label:db (table1_side da)
+          (table1_side db)
+      in
+      print_string report;
+      if fail_on_diff && bad > 0 then exit 5
+    end
+    else
     let shifted_or_missing =
       with_telemetry tel @@ fun () ->
       let side mpath dpath =
@@ -1111,7 +1157,7 @@ let campaign_diff_cmd =
           Store.close a.Cp.Diff.store;
           Store.close b.Cp.Diff.store)
         (fun () ->
-          let d = Cp.Diff.v ~pairing ~a ~b () in
+          let d = Cp.Diff.v ~pairing ~rel_tol ~a ~b () in
           print_string (Cp.Diff.render d);
           Option.iter
             (fun file ->
@@ -1125,10 +1171,10 @@ let campaign_diff_cmd =
     (Cmd.info "diff"
        ~doc:"Compare two campaign stores (or two stress settings) and \
              report border-resistance shifts per defect")
-    Term.(const run $ telemetry_term $ manifest_pos 0 "MANIFEST_A"
-          $ dir_pos 1 "DIR_A" $ manifest_pos 2 "MANIFEST_B"
+    Term.(const run $ telemetry_term $ side_pos 0 "MANIFEST_A"
+          $ dir_pos 1 "DIR_A" $ side_pos 2 "MANIFEST_B"
           $ dir_pos 3 "DIR_B" $ stress_a_arg $ stress_b_arg $ csv_arg
-          $ fail_on_diff_arg)
+          $ fail_on_diff_arg $ rel_tol_arg)
 
 let campaign_cmd =
   Cmd.group

@@ -1,6 +1,7 @@
 module D = Dramstress_defect.Defect
 module Border = Dramstress_core.Border
 module Table1 = Dramstress_core.Table1
+module Sc_eval = Dramstress_core.Sc_eval
 module Store = Dramstress_util.Store
 
 type side = { store : Store.t; manifest : Manifest.t; label : string }
@@ -38,7 +39,18 @@ let lookup side make ~stress_label ~defect ~placement ~detection =
     | `Done r -> Some r
     | `Failed _ | `Missing -> None)
 
-let v ?(pairing = Matched_stresses) ~a ~b () =
+(* two results agree when their shapes match and every edge lies within
+   [rel_tol] in log-resistance; at 0 only equal results agree *)
+let agree ~rel_tol (ra : Plan.result) (rb : Plan.result) =
+  if rel_tol = 0.0 then Border.equal_result ra.Plan.br rb.Plan.br
+  else
+    ra.Plan.detection = rb.Plan.detection
+    &&
+    match Border.edge_distances ra.Plan.br rb.Plan.br with
+    | Some ds -> List.for_all (fun d -> Float.abs d <= rel_tol) ds
+    | None -> false
+
+let v ?(pairing = Matched_stresses) ?(rel_tol = 0.0) ~a ~b () =
   let a_labels = List.map fst a.manifest.Manifest.stresses in
   let b_labels = List.map fst b.manifest.Manifest.stresses in
   let pairs, unpaired =
@@ -77,8 +89,7 @@ let v ?(pairing = Matched_stresses) ~a ~b () =
                 in
                 let shifted =
                   match (ra, rb) with
-                  | Some ra, Some rb ->
-                    not (Border.equal_result ra.Plan.br rb.Plan.br)
+                  | Some ra, Some rb -> not (agree ~rel_tol ra rb)
                   | _, _ -> false
                 in
                 {
@@ -165,3 +176,75 @@ let to_csv d =
            r.shifted))
     d.rows;
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Table-1 stores                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let table1 ~rel_tol ~a_label ~b_label (a : Table1.t) (b : Table1.t) =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf
+    (Printf.sprintf "Table-1 diff: A = %s, B = %s, rel_tol %g\n" a_label
+       b_label rel_tol);
+  Buffer.add_string buf
+    (Printf.sprintf "%-6s %-6s %-12s %-12s %-18s %-18s %-9s %s\n" "Defect"
+       "Place" "Nom. A" "Nom. B" "Str. A" "Str. B" "ln dist" "Verdict");
+  Buffer.add_string buf (String.make 100 '-' ^ "\n");
+  let diffs = Table1.compare a b in
+  let off = ref 0 in
+  List.iter
+    (fun (d : Table1.row_diff) ->
+      let ea = d.Table1.a_row.Table1.evaluation
+      and eb = d.Table1.b_row.Table1.evaluation in
+      let worst =
+        match
+          (Table1.worst d.Table1.nominal_d, Table1.worst d.Table1.stressed_d)
+        with
+        | Some x, Some y -> Some (Float.max x y)
+        | _, _ -> None
+      in
+      let verdict =
+        if not d.Table1.same_sc then "SC/DIRECTIONS DIFFER"
+        else if not d.Table1.same_detection then "DETECTION DIFFERS"
+        else
+          match worst with
+          | None -> "SHAPE DIFFERS"
+          | Some 0.0 -> "="
+          | Some w when w <= rel_tol -> "within"
+          | Some _ -> "MOVED"
+      in
+      if verdict <> "=" && verdict <> "within" then incr off;
+      Buffer.add_string buf
+        (Printf.sprintf "%-6s %-6s %-12s %-12s %-18s %-18s %-9s %s\n"
+           d.Table1.a_row.Table1.defect_id
+           (D.placement_name d.Table1.a_row.Table1.placement)
+           (Table1.br_string ea.Sc_eval.nominal_br)
+           (Table1.br_string eb.Sc_eval.nominal_br)
+           (Table1.br_string ea.Sc_eval.stressed_br)
+           (Table1.br_string eb.Sc_eval.stressed_br)
+           (match worst with Some w -> Printf.sprintf "%.4f" w | None -> "--")
+           verdict))
+    diffs;
+  (* a replayed row whose records a store lacks fails, and its partner
+     is then on one side only *)
+  let one_side =
+    List.length a.Table1.rows + List.length b.Table1.rows
+    - (2 * List.length diffs)
+  and failed = List.length a.Table1.failures + List.length b.Table1.failures in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "\n%d row(s) compared, %d out of tolerance; %d on one side only, %d \
+        failed to replay.\n"
+       (List.length diffs) !off one_side failed);
+  List.iter
+    (fun (label, (t : Table1.t)) ->
+      List.iter
+        (fun f ->
+          let id, placement = f.Dramstress_util.Outcome.point in
+          Buffer.add_string buf
+            (Printf.sprintf "  %s: %s %s failed: %s\n" label id
+               (D.placement_name placement)
+               (Dramstress_util.Outcome.error_message f)))
+        t.Table1.failures)
+    [ (a_label, a); (b_label, b) ];
+  (Buffer.contents buf, !off + one_side + failed)

@@ -39,7 +39,8 @@ type row = {
           ({!Dramstress_core.Border.improvement}); [None] unless both
           sides are present and comparable *)
   shifted : bool;
-      (** both sides present and the border results differ *)
+      (** both sides present and the border results differ (beyond the
+          [rel_tol] of {!v}) *)
 }
 
 type t = {
@@ -52,13 +53,18 @@ type t = {
       (** stress labels skipped by [Matched_stresses] *)
 }
 
-(** [v ?pairing ~a ~b ()] builds the report. Rows follow side A's
+(** [v ?pairing ?rel_tol ~a ~b ()] builds the report. With [rel_tol]
+    (default 0: any differing bit shifts a row), a row shifts unless
+    both borders have the same bracket shape (constructor, band count,
+    {!Dramstress_core.Border.Unknown} edges), every edge lies within
+    [rel_tol] in log-resistance and the synthesized detections are
+    equal. Rows follow side A's
     manifest order (defects outermost). The plan/addressing comes from
     each side's own manifest, so the sides may disagree on scheduling
     (jobs, deadline) and still compare — but not on physics, which is
     part of the address. Raises [Invalid_argument] if a [Stress_pair]
     label is not declared in the corresponding manifest. *)
-val v : ?pairing:pairing -> a:side -> b:side -> unit -> t
+val v : ?pairing:pairing -> ?rel_tol:float -> a:side -> b:side -> unit -> t
 
 (** [render d] is the Table-1-style text report; border cells use
     {!Dramstress_core.Table1.br_string}, so a campaign diff and the
@@ -66,3 +72,18 @@ val v : ?pairing:pairing -> a:side -> b:side -> unit -> t
 val render : t -> string
 
 val to_csv : t -> string
+
+(** [table1 ~rel_tol ~a_label ~b_label a b] compares two Table-1 runs
+    row by row (defect and placement) and returns the text report with
+    the number of rows that do not agree: rows missing or failed on
+    either side, and rows whose stressed SC, probe directions,
+    synthesized detections or bracket shapes differ, or whose border
+    edges lie more than [rel_tol] apart in log-resistance
+    ({!Dramstress_core.Table1.compare}). *)
+val table1 :
+  rel_tol:float ->
+  a_label:string ->
+  b_label:string ->
+  Dramstress_core.Table1.t ->
+  Dramstress_core.Table1.t ->
+  string * int

@@ -77,9 +77,9 @@ let hints_of (r : Plan.result) =
    and stresses next, so grouping by everything BUT the stress keeps
    each chain in manifest stress order *)
 let chain_key (p : Plan.point) =
-  Format.asprintf "%s|%a|%s" p.Plan.defect.D.id D.pp_placement
-    p.Plan.placement
-    (Manifest.detection_label p.Plan.detection)
+  String.concat "|"
+    [ p.Plan.defect.D.id; D.placement_name p.Plan.placement;
+      Manifest.detection_label p.Plan.detection ]
 
 let chains_of classified =
   let order = ref [] in

@@ -55,6 +55,11 @@ val states :
   Manifest.t ->
   (Plan.point * state) list
 
+(** [chain_key p] names the warm-start chain of [p]: its defect id,
+    placement and detection label, ["O1|true|seq:w1,w0,r0"]. Points with
+    equal keys differ only in their stress. *)
+val chain_key : Plan.point -> string
+
 type summary = {
   planned : int;
   reused : int;  (** points answered from the store *)

@@ -98,7 +98,8 @@ let eval w t = eval_unboxed w t
    unique (breakpoints strictly increase), so it is the one bisection
    finds, whatever the cursor held, and a time point that moves
    forward a step walks at most an interval or two. *)
-let eval_into ws ~cursors t out =
+let eval_into ws ~cursors times k out =
+  let t = times.(k) in
   for i = 0 to Array.length ws - 1 do
     match ws.(i) with
     | Pwl arr ->

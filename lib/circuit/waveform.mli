@@ -23,13 +23,16 @@ and pulse = {
 (** [eval w t] is the waveform value at time [t]. *)
 val eval : t -> float -> float
 
-(** [eval_into ws ~cursors t out] sets [out.(i)] to [eval ws.(i) t]
-    for every waveform of [ws], bit for bit, without allocating.
-    [cursors.(i)] is where the search for a PWL waveform's interval
-    starts, and is left at the interval found: keeping [cursors] across
-    calls at nearby times makes each search a step or two. Any
-    starting values give the same result. *)
-val eval_into : t array -> cursors:int array -> float -> float array -> unit
+(** [eval_into ws ~cursors times k out] sets [out.(i)] to
+    [eval ws.(i) times.(k)] for every waveform of [ws], bit for bit,
+    without allocating. The time is read from an array so that a caller
+    evaluating at an instant it computed boxes nothing. [cursors.(i)] is
+    where the search for a PWL waveform's interval starts, and is left
+    at the interval found: keeping [cursors] across calls at nearby
+    times makes each search a step or two. Any starting values give the
+    same result. *)
+val eval_into :
+  t array -> cursors:int array -> float array -> int -> float array -> unit
 
 (** [dc v] is [Dc v]. *)
 val dc : float -> t

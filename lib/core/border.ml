@@ -283,6 +283,38 @@ let decode_result s =
 
 let equal_result a b = String.equal (encode_result a) (encode_result b)
 
+(* each result's edges in order, with their kind: an [Unknown] bracket
+   compares by its geometric midpoint but its kind must still match *)
+let edges = function
+  | Br r -> [ (true, r) ]
+  | Faulty_band { lo; hi } -> [ (true, lo); (true, hi) ]
+  | Bands bands ->
+    List.concat_map
+      (fun { b_lo; b_hi } ->
+        List.map
+          (fun e -> ((match e with Exact _ -> true | Unknown _ -> false),
+                     edge_mid e))
+          [ b_lo; b_hi ])
+      bands
+  | Always_faulty | Never_faulty | Unsampled -> []
+
+let shape = function
+  | Br _ -> "br"
+  | Faulty_band _ -> "band"
+  | Bands bands -> Printf.sprintf "bands%d" (List.length bands)
+  | Always_faulty -> "always"
+  | Never_faulty -> "never"
+  | Unsampled -> "unsampled"
+
+let edge_distances a b =
+  let ea = edges a and eb = edges b in
+  if shape a <> shape b || List.map fst ea <> List.map fst eb then None
+  else
+    Some
+      (List.map2 (fun (_, x) (_, y) -> log (x /. y)) ea eb)
+
+let edge_values r = List.map snd (edges r)
+
 let encode_probe = function Some true -> "1" | Some false -> "0" | None -> "x"
 
 let decode_probe = function

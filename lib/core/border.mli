@@ -198,6 +198,18 @@ val search :
     campaign self-diff. *)
 val equal_result : result -> result -> bool
 
+(** [edge_distances a b] compares two results edge by edge: [None] when
+    their bracket shapes differ (constructor, band count, or which edges
+    are {!Unknown}), else each edge's signed [ln (a / b)] in order
+    ({!Unknown} edges at their {!edge_mid}; no edge for
+    {!Always_faulty}, {!Never_faulty} or {!Unsampled}). The measure of
+    [campaign diff --rel-tol] and [bench convergence]. *)
+val edge_distances : result -> result -> float list option
+
+(** [edge_values r] is [r]'s edges in the order {!edge_distances}
+    lists them. *)
+val edge_values : result -> float list
+
 (** [encode_result] / [decode_result] — the compact stable string form
     used by the store ([%h] floats, so round-trips are exact).
     [decode_result] is total: it returns [None] on any foreign string. *)

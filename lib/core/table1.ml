@@ -203,3 +203,53 @@ let to_csv table =
       table.rows
   in
   Dramstress_util.Csvout.to_string ~header rows
+
+type row_diff = {
+  a_row : row;
+  b_row : row;
+  same_sc : bool;
+  same_detection : bool;
+  nominal_d : float list option;
+  stressed_d : float list option;
+}
+
+(* the stressed SC with each probe's direction, and both synthesized
+   detection conditions *)
+let sc_signature (e : Sc_eval.t) =
+  ( S.key e.Sc_eval.stressed,
+    List.map (fun p -> (p.Stressor.axis, p.Stressor.verdict)) e.Sc_eval.probes )
+
+let detections (e : Sc_eval.t) =
+  ( Detection.to_string e.Sc_eval.nominal_detection,
+    Detection.to_string e.Sc_eval.stressed_detection )
+
+let compare a b =
+  List.filter_map
+    (fun ra ->
+      List.find_opt
+        (fun rb ->
+          rb.defect_id = ra.defect_id && rb.placement = ra.placement)
+        b.rows
+      |> Option.map (fun rb ->
+             let ea = ra.evaluation and eb = rb.evaluation in
+             let same_sc = sc_signature ea = sc_signature eb in
+             {
+               a_row = ra;
+               b_row = rb;
+               same_sc;
+               same_detection = detections ea = detections eb;
+               nominal_d =
+                 Border.edge_distances ea.Sc_eval.nominal_br
+                   eb.Sc_eval.nominal_br;
+               stressed_d =
+                 (if same_sc then
+                    Border.edge_distances ea.Sc_eval.stressed_br
+                      eb.Sc_eval.stressed_br
+                  else None);
+             }))
+    a.rows
+
+let worst = function
+  | Some ds ->
+    Some (List.fold_left (fun acc d -> Float.max acc (Float.abs d)) 0.0 ds)
+  | None -> None

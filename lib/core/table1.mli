@@ -65,3 +65,29 @@ val render : t -> string
     ["<axis>_dir"] per probed axis — ["tcyc_dir"; "temp_dir";
     "vdd_dir"] for the default trio, unchanged from earlier versions. *)
 val to_csv : t -> string
+
+(** One row of {!compare}: a row of the first table against the row of
+    the second with the same defect and placement. *)
+type row_diff = {
+  a_row : row;
+  b_row : row;  (** the same defect and placement *)
+  same_sc : bool;
+      (** the stressed SC and every probe direction are equal *)
+  same_detection : bool;
+      (** both synthesized detection conditions are equal *)
+  nominal_d : float list option;
+      (** the nominal border's {!Border.edge_distances}; [None] when
+          the bracket shapes differ *)
+  stressed_d : float list option;
+      (** the same for the stressed border; [None] also when [same_sc]
+          does not hold, since borders under different SCs do not
+          compare *)
+}
+
+(** [compare a b] pairs every row of [a] with [b]'s row of the same
+    defect and placement (rows missing from [b] are left out). *)
+val compare : t -> t -> row_diff list
+
+(** [worst ds] is the largest magnitude of the distances, [None] for
+    [None]. *)
+val worst : float list option -> float option

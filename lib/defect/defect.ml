@@ -60,18 +60,18 @@ let find_entry id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> String.lowercase_ascii e.id = id) catalog
 
-let pp_kind ppf = function
-  | Open_cell At_bitline_contact -> Format.pp_print_string ppf "O1"
-  | Open_cell At_capacitor_contact -> Format.pp_print_string ppf "O2"
-  | Open_cell At_plate_contact -> Format.pp_print_string ppf "O3"
-  | Short_to_gnd -> Format.pp_print_string ppf "Sg"
-  | Short_to_vdd -> Format.pp_print_string ppf "Sv"
-  | Bridge_to_paired_bl -> Format.pp_print_string ppf "B1"
-  | Bridge_to_neighbour -> Format.pp_print_string ppf "B2"
+let kind_name = function
+  | Open_cell At_bitline_contact -> "O1"
+  | Open_cell At_capacitor_contact -> "O2"
+  | Open_cell At_plate_contact -> "O3"
+  | Short_to_gnd -> "Sg"
+  | Short_to_vdd -> "Sv"
+  | Bridge_to_paired_bl -> "B1"
+  | Bridge_to_neighbour -> "B2"
 
-let pp_placement ppf = function
-  | True_bl -> Format.pp_print_string ppf "true"
-  | Comp_bl -> Format.pp_print_string ppf "comp."
+let placement_name = function True_bl -> "true" | Comp_bl -> "comp."
+let pp_kind ppf k = Format.pp_print_string ppf (kind_name k)
+let pp_placement ppf p = Format.pp_print_string ppf (placement_name p)
 
 let pp ppf (d : t) =
   Format.fprintf ppf "%a (%a) R=%a" pp_kind d.kind pp_placement d.placement

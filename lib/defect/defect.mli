@@ -65,6 +65,14 @@ val catalog : entry list
     case-insensitively. *)
 val find_entry : string -> entry option
 
+(** [kind_name k] is the catalog id ("O1" .. "B2") that {!pp_kind}
+    prints, and [placement_name p] the text {!pp_placement} prints
+    ("true", "comp."): store keys are built from them by concatenation,
+    which allocates a fraction of what a formatter does. *)
+val kind_name : kind -> string
+
+val placement_name : placement -> string
+
 (** [pp_kind], [pp_placement], [pp]: human-readable forms. *)
 val pp_kind : Format.formatter -> kind -> unit
 val pp_placement : Format.formatter -> placement -> unit

@@ -134,21 +134,60 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
   let wacc_hi = ref [] and wacc_lo = ref [] in
   let wref_hi = ref [] and wref_lo = ref [] in
   let segments = ref [] and schedule = ref [] in
+  (* the instants where a control waveform of the current cycle bends,
+     each step event's start and the end of its [t_edge] ramp, and
+     where a switch it drives flips, the ramp's midpoint (every control
+     steps between 0 and 1 V or drives no switch; switches flip at
+     0.5 V) *)
+  let corners = ref [] in
   let push r ev = r := ev :: !r in
+  let event r ((t, _) as ev) =
+    push r ev;
+    let e = tech.Tech.t_edge in
+    corners := t :: (t +. (e /. 2.0)) :: (t +. e) :: !corners
+  in
+  (* the cycle [off, t_end] as uniform pieces between its corners, each
+     stepped at most [dt_active] apart, so that every control corner is
+     a grid point: a ramp that falls between two grid points would move
+     by up to a step, and with it the write window the border depends
+     on. Corners closer than a quarter step merge. *)
+  let cycle_segments off t_end =
+    let min_piece = dt_active /. 4.0 in
+    let cuts =
+      List.sort_uniq Float.compare
+        (List.filter (fun t -> t > off && t < t_end) !corners)
+    in
+    corners := [];
+    let piece t0 t1 =
+      let n = Float.ceil (((t1 -. t0) /. dt_active) -. 1e-9) in
+      push segments (t1, (t1 -. t0) /. Float.max 1.0 n)
+    in
+    let last =
+      List.fold_left
+        (fun t0 t ->
+          if t -. t0 < min_piece || t_end -. t < min_piece then t0
+          else begin
+            piece t0 t;
+            t
+          end)
+        off cuts
+    in
+    piece last t_end
+  in
   let active_cycle off op =
     (* a hammer cycle activates the neighbour (aggressor) row: same
        precharge/sense choreography, but the pulse lands on wl_nb *)
     let row = match op with Ham _ -> wlnb | W0 | W1 | R | Pause _ -> wl in
-    push pre (off +. ph.Timing.t_pre_off, 0.0);
-    push pre (off +. ph.Timing.t_wl_off +. 1e-9, 1.0);
-    push row (off +. ph.Timing.t_wl_on, wl_high);
-    push row (off +. ph.Timing.t_wl_off, 0.0);
+    event pre (off +. ph.Timing.t_pre_off, 0.0);
+    event pre (off +. ph.Timing.t_wl_off +. 1e-9, 1.0);
+    event row (off +. ph.Timing.t_wl_on, wl_high);
+    event row (off +. ph.Timing.t_wl_off, 0.0);
     (* the reference word line is cut off at sense enable so the dummy
        does not load the paired line during latch regeneration *)
-    push wlr (off +. ph.Timing.t_wl_on, wl_high);
-    push wlr (off +. ph.Timing.t_sense -. 0.5e-9, 0.0);
-    push sae (off +. ph.Timing.t_sense, 1.0);
-    push sae (off +. ph.Timing.t_wl_off, 0.0);
+    event wlr (off +. ph.Timing.t_wl_on, wl_high);
+    event wlr (off +. ph.Timing.t_sense -. 0.5e-9, 0.0);
+    event sae (off +. ph.Timing.t_sense, 1.0);
+    event sae (off +. ph.Timing.t_wl_off, 0.0);
     (match op with
     | W0 | W1 ->
       if ph.Timing.t_wr < ph.Timing.t_wl_off -. 1e-9 then begin
@@ -157,17 +196,17 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
         let physical = if inverted then 1 - logical else logical in
         let acc_drive = if physical = 1 then wacc_hi else wacc_lo in
         let ref_drive = if physical = 1 then wref_lo else wref_hi in
-        push acc_drive (off +. ph.Timing.t_wr, 1.0);
-        push acc_drive (off +. ph.Timing.t_wl_off, 0.0);
-        push ref_drive (off +. ph.Timing.t_wr, 1.0);
-        push ref_drive (off +. ph.Timing.t_wl_off, 0.0)
+        event acc_drive (off +. ph.Timing.t_wr, 1.0);
+        event acc_drive (off +. ph.Timing.t_wl_off, 0.0);
+        event ref_drive (off +. ph.Timing.t_wr, 1.0);
+        event ref_drive (off +. ph.Timing.t_wl_off, 0.0)
       end
     | R ->
       (* connect the output buffer once the latch has regenerated *)
-      push colsel (off +. ph.Timing.t_decide, 1.0);
-      push colsel (off +. ph.Timing.t_wl_off, 0.0)
+      event colsel (off +. ph.Timing.t_decide, 1.0);
+      event colsel (off +. ph.Timing.t_wl_off, 0.0)
     | Pause _ | Ham _ -> ());
-    push segments (off +. ph.Timing.t_cyc, dt_active)
+    cycle_segments off (off +. ph.Timing.t_cyc)
   in
   let off = ref 0.0 in
   List.iter

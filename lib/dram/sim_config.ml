@@ -40,6 +40,11 @@ let validate_policy p =
           invalid_arg "Sim_config: Damped_newton max_newton_scale < 1")
     p.stages
 
+(* the transient resolution: BDF2 at 150 steps per cycle keeps every
+   Table-1 border within the search window's rel_tol of a 1600-step
+   reference (EXPERIMENTS.md, "One second-order integrator") *)
+let default_steps_per_cycle = 150
+
 type t = {
   tech : Tech.t;
   sim : Dramstress_engine.Options.t option;
@@ -54,7 +59,7 @@ let default =
   {
     tech = Tech.default;
     sim = None;
-    steps_per_cycle = 400;
+    steps_per_cycle = default_steps_per_cycle;
     jobs = None;
     lanes = None;
     retry = default_retry;
@@ -72,7 +77,8 @@ let validate t =
   validate_policy t.retry;
   validate_deadline t.deadline
 
-let v ?(tech = Tech.default) ?sim ?(steps_per_cycle = 400) ?jobs ?lanes
+let v ?(tech = Tech.default) ?sim
+    ?(steps_per_cycle = default_steps_per_cycle) ?jobs ?lanes
     ?(retry = default_retry) ?deadline () =
   let t = { tech; sim; steps_per_cycle; jobs; lanes; retry; deadline } in
   validate t;
@@ -122,22 +128,24 @@ let physics_key
       h "t_edge" t_edge; h "abstol" (tol_scale *. O.abstol);
       h "reltol" (tol_scale *. O.reltol); d "max_newton" max_newton;
       h "gmin" O.gmin; h "max_step_v" max_step_v;
-      (* backward Euler is the engine's only rule; still printed, as
-         gmin is, so that every stored key keeps its text *)
-      "integrator=be";
+      (* BDF2 is the engine's only rule; still printed, as gmin is, so
+         that the text names the rule its values came from *)
+      "integrator=bdf2";
       h "dt_scale" dt_scale;
       d "steps_per_cycle" steps_per_cycle;
       "retry=" ^ String.concat ";" (List.map stage retry.stages) ]
 
 (* the physics enters a key as the digest of its text, printed once per
-   application to [t] *)
+   application to [t]; the rest is concatenated, not formatted, since a
+   warm campaign builds several keys per point *)
 let key t =
   let physics = "physics=" ^ Digest.to_hex (Digest.string (physics_key t)) in
   fun layer ~stress ~kind ~placement fields ->
     String.concat "|"
       (layer :: physics :: Stress.key stress
-      :: Format.asprintf "defect=%a/%s" Defect.pp_kind kind
-           (if placement = Defect.True_bl then "true" else "comp")
+      :: String.concat ""
+           [ "defect="; Defect.kind_name kind;
+             (if placement = Defect.True_bl then "/true" else "/comp") ]
       :: fields)
 
 let resolve_jobs t = Dramstress_util.Par.resolve_jobs ?jobs:t.jobs ()

@@ -73,9 +73,14 @@ type t = {
           it. *)
 }
 
+(** [default_steps_per_cycle] is 150, the coarsest grid at which every
+    Table-1 border stays within the search window's [rel_tol] of a
+    1600-step reference ([bench convergence]). *)
+val default_steps_per_cycle : int
+
 (** [default]: {!Tech.default}, engine-default solver options,
-    400 steps per cycle, automatic job count, {!default_retry}, no
-    deadline. *)
+    {!default_steps_per_cycle} steps per cycle, automatic job count,
+    {!default_retry}, no deadline. *)
 val default : t
 
 (** [v ?tech ?sim ?steps_per_cycle ?jobs ?lanes ?retry ?deadline ()]

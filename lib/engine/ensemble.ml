@@ -21,15 +21,16 @@ type lane = {
   override : (string * float) option;
 }
 
-(* one segment of the fixed piecewise-uniform grid: for each of its
-   steps, in order, [span.(0)] and [span.(1)] are set to the step's start
-   and end and [f ()] runs; returns the time the next segment starts
-   from. The step times travel through [span] rather than as arguments,
-   so the walk allocates nothing per step and a run can count its grid
-   before committing memory to it. [Float.min] and [Float.max] are
-   spelled as comparisons: same values, no boxing. *)
-let walk_segment f span t0 (t_end, dt) =
-  let t = ref t0 in
+(* one segment of the fixed piecewise-uniform grid, walked from the time
+   in [span.(1)]: for each of its steps, in order, [span.(0)] and
+   [span.(1)] are set to the step's start and end and [f ()] runs; then
+   [span.(1)] holds the time the next segment starts from. The times
+   travel through [span] rather than as arguments or results, so the
+   walk allocates nothing per step or per segment, and a run can count
+   its grid before committing memory to it. [Float.min] and [Float.max]
+   are spelled as comparisons: same values, no boxing. *)
+let walk_segment f span (t_end, dt) =
+  let t = ref span.(1) in
   while !t < t_end -. (dt /. 2.0) do
     let s = !t +. dt in
     let t_next = if s < t_end then s else t_end in
@@ -38,7 +39,7 @@ let walk_segment f span t0 (t_end, dt) =
     f ();
     t := t_next
   done;
-  if !t > t_end then !t else t_end
+  span.(1) <- (if !t > t_end then !t else t_end)
 
 (* [run]'s arguments checked against the deck before anything is
    integrated: every [Invalid_argument] of a run comes from here. Returns
@@ -146,12 +147,12 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let size = Mna.size sys in
   let n_probes = Array.length probe_ids in
   (* per-lane state rows: committed unknowns, working Newton iterate,
-     previous accepted node voltages ([pvs], the capacitors' only
-     history, from [prepare]) and the predictor's history. The iterate, voltage and history rows keep
-     their identity for the whole run — the Newton loop and [Mna] (via
-     the [reactive] records below) read and write them directly, so a
-     solve allocates nothing per lane; the committed row rotates through
-     the predictor's rows instead of being copied into them. *)
+     the node voltages at the last two accepted time points (the
+     capacitors' history, held by the [reactive] records below; the
+     last from [prepare]) and the predictor's history. The Newton loop
+     and [Mna] read and write these rows directly, so a solve allocates
+     nothing per lane; the committed rows rotate instead of being
+     copied. *)
   let xs = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   let xw = Array.init n_lanes (fun _ -> Array.make size 0.0) in
   (* predictor history: the unknowns before the lane's last accepted
@@ -176,10 +177,12 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   let lane_err : exn option array = Array.make n_lanes None in
   let lane_diverge = Array.make n_lanes false in
   (* per-lane reactive records, one per lane for the whole run: each
-     solve sets its step length, and prev_v aliases the lane's node
-     voltage row, so [Mna] reads it with no copying *)
+     solve sets its step length and ratio, and [commit] rotates the two
+     node-voltage rows *)
   let reacts =
-    Array.init n_lanes (fun li -> { Mna.dt = 0.0; prev_v = pvs.(li) })
+    Array.init n_lanes (fun li ->
+        { Mna.step = { Mna.dt = 0.0; omega = 0.0 }; prev_v = pvs.(li);
+          prev2_v = Array.make (Mna.n_nodes sys) 0.0 })
   in
   (* Newton's starting point for a step of length [dt'] from lane [li]'s
      committed state x_n: the quadratic through its last three accepted
@@ -224,7 +227,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
      converged lane's iterate is in its [xw] row. [Newton.Timeout] is
      not a lane verdict: it leaves the whole run. *)
   let solve_batch ~t_now ~dt' ~sel =
-    Mna.eval_controls_into sys ws ~t_now;
+    Mna.eval_controls_into sys ws ~t_now ~dt:dt';
     let n_active = ref 0 in
     for li = 0 to n_lanes - 1 do
       let a = dead.(li) = None && sel li in
@@ -235,7 +238,17 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
       if a then begin
         incr n_active;
         predict li dt';
-        reacts.(li).Mna.dt <- dt'
+        (* the BDF2 ratio: 0, which is backward Euler, when the lane has
+           no last step (the t=0 step and the one after it) or when [dt']
+           more than doubles it (active cycle -> pause); a halving
+           catch-up (ratios 1/2, then up to 2) stays BDF2. The slack
+           absorbs grid steps that differ from their nominal length in
+           the last bits. *)
+        let st = reacts.(li).Mna.step and h = hdt.(li) in
+        st.Mna.omega <-
+          (if h > 0.0 && dt' <= 2.0 *. h *. (1.0 +. 1e-9) then dt' /. h
+           else 0.0);
+        st.Mna.dt <- dt'
       end
     done;
     let remaining = ref !n_active in
@@ -274,23 +287,28 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   in
   (* accept the converged iterate in [xw] as lane [li]'s new state;
      [reacts.(li)] still holds the reactive record of the solve that
-     produced the iterate (same dt', prev_v aliases this lane's row),
-     and the workspace the controls of its time point *)
+     produced the iterate (same dt'), and the workspace the controls of
+     its time point, which fill the fixed nodes of the new voltage row *)
   let commit li =
     let x = xw.(li) in
     let oldest = xpp.(li) in
     xpp.(li) <- xp.(li);
     xp.(li) <- xs.(li);
     xs.(li) <- oldest;
+    let r = reacts.(li) in
     hdt2.(li) <- hdt.(li);
-    hdt.(li) <- reacts.(li).Mna.dt;
+    hdt.(li) <- r.Mna.step.Mna.dt;
     Array.blit x 0 oldest 0 size;
-    Mna.voltages_into sys ws x ~out:pvs.(li)
+    let older = r.Mna.prev2_v in
+    r.Mna.prev2_v <- r.Mna.prev_v;
+    r.Mna.prev_v <- older;
+    Mna.voltages_into sys ws x ~out:older
   in
-  (* initial quasi-static solve: a near-zero BE step pins capacitor
-     voltages at their ICs while making resistive nodes consistent. A
-     lane whose init solve fails carries the Newton error itself (no
-     step retries exist at t=0). *)
+  (* initial quasi-static solve: a near-zero backward-Euler step (the
+     lane has no last step yet) pins capacitor voltages at their ICs
+     while making resistive nodes consistent. A lane whose init solve
+     fails carries the Newton error itself (no step retries exist at
+     t=0). *)
   let dt0_qs = 1e-18 in
   solve_batch ~t_now:0.0 ~dt':dt0_qs ~sel:(fun _ -> true);
   for li = 0 to n_lanes - 1 do
@@ -298,7 +316,8 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     | Some e -> lane_failed li e
     | None -> commit li
   done;
-  (* the quasi-static step is no history to extrapolate from *)
+  (* the quasi-static step is no history to extrapolate from, nor for
+     BDF2 to difference across: the first grid step is backward Euler *)
   Array.fill hdt 0 n_lanes 0.0;
   Array.fill hdt2 0 n_lanes 0.0;
   let probe_names = Array.of_list probes in
@@ -309,10 +328,8 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
   else begin
     let span = [| 0.0; 0.0 |] in
     let n_steps = ref 0 in
-    ignore
-      (List.fold_left
-         (fun t seg -> walk_segment (fun () -> incr n_steps) span t seg)
-         0.0 segments);
+    let count () = incr n_steps in
+    List.iter (walk_segment count span) segments;
     let n_pts = !n_steps + 1 in
     let times = Array.make n_pts 0.0 in
     let samples =
@@ -322,7 +339,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     in
     let record li pt =
       let lane_samples = samples.(li) in
-      let pv = pvs.(li) in
+      let pv = reacts.(li).Mna.prev_v in
       for p = 0 to n_probes - 1 do
         lane_samples.(p).(pt) <- pv.(probe_ids.(p))
       done
@@ -346,7 +363,10 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
        point died; a numerically sick step gets the same halving
        retries — a smaller step often routes around the sick region —
        but re-raises the typed health error itself when they run out. *)
-    let catchup li ~seg_start ~seg_end ~t_next ~t_prev0 ~dt0 ~first_err =
+    (* the nominal start and end of the segment being walked, read only
+       to report a failed step *)
+    let seg_bounds = [| 0.0; 0.0 |] in
+    let catchup li ~t_next ~t_prev0 ~dt0 ~first_err =
       let sel i = i = li in
       let rec attempt t_prev dt retries =
         let t_now = t_prev +. dt in
@@ -366,8 +386,8 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
           else
             raise
               (Transient.Step_failed
-                 { seg_start; seg_end; t; dt; retries = max_retries;
-                   iterations; worst })
+                 { seg_start = seg_bounds.(0); seg_end = seg_bounds.(1); t;
+                   dt; retries = max_retries; iterations; worst })
         | _ ->
           if retries > 0 then attempt t_prev (dt /. 2.0) (retries - 1)
           else raise err
@@ -379,7 +399,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
     let step_ok = Array.make n_lanes false in
     let step_err : exn option array = Array.make n_lanes None in
     let pt = ref 0 in
-    let step ~seg_start ~seg_end () =
+    let step () =
       if !n_live > 0 then begin
         let t_prev = span.(0) and t_next = span.(1) in
         let dt0 = t_next -. t_prev in
@@ -398,8 +418,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
           if dead.(li) = None && not step_ok.(li) then begin
             let first_err = Option.get step_err.(li) in
             match
-              catchup li ~seg_start ~seg_end ~t_next ~t_prev0:t_prev ~dt0
-                ~first_err
+              catchup li ~t_next ~t_prev0:t_prev ~dt0 ~first_err
             with
             | () -> ()
             | exception
@@ -414,18 +433,23 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
         done
       end
     in
-    ignore
-      (List.fold_left
-         (fun (seg_start, t) ((t_end, dt) as seg) ->
-           ( t_end,
-             Tel.with_span "transient.segment"
-               ~attrs:(fun () ->
-                 [ ("t_start", Tel.Float seg_start);
-                   ("t_end", Tel.Float t_end);
-                   ("dt", Tel.Float dt) ])
-               (fun () ->
-                 walk_segment (step ~seg_start ~seg_end:t_end) span t seg) ))
-         (0.0, 0.0) segments);
+    span.(1) <- 0.0;
+    List.iter
+      (fun ((t_end, dt) as seg) ->
+        seg_bounds.(0) <- seg_bounds.(1);
+        seg_bounds.(1) <- t_end;
+        (* the span's closures only while telemetry records them: a
+           cycle is a few dozen segments, one per stretch between
+           control corners *)
+        if Tel.enabled () then
+          let seg_start = seg_bounds.(0) in
+          Tel.with_span "transient.segment"
+            ~attrs:(fun () ->
+              [ ("t_start", Tel.Float seg_start); ("t_end", Tel.Float t_end);
+                ("dt", Tel.Float dt) ])
+            (fun () -> walk_segment step span seg)
+        else walk_segment step span seg)
+      segments;
     Array.init n_lanes (fun li ->
         match dead.(li) with
         | Some e -> Error e
@@ -436,7 +460,7 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
               Transient.times;
               probe_names;
               probe_values;
-              final_v = Array.copy pvs.(li);
+              final_v = Array.copy reacts.(li).Mna.prev_v;
               probe_interps =
                 Transient.make_interps times probe_names probe_values;
             })

@@ -13,6 +13,10 @@
       switching activity without an adaptive controller;
     - control waveforms are evaluated once per time point and shared by
       every lane ({!Mna.eval_controls_into});
+    - the capacitors integrate with variable-step BDF2 ({!Mna.reactive});
+      a step whose lane has no usable last step — the t=0 solve, the
+      first step after it, and any step more than twice the last
+      (active cycle -> pause) — is backward Euler ([omega = 0]);
     - the sparse-LU symbolic analysis is shared across lanes (the
       structural pattern is a property of the topology, not the values);
     - Newton iterations run as {e masked sweeps}: each sweep performs
@@ -50,16 +54,17 @@
     the surviving lanes are unaffected.
 
     Lane state lives in per-lane [float array] rows (committed unknowns,
-    Newton iterate, node voltages, capacitor history, the unknowns
-    before the last two accepted steps) that the solver reads and
-    writes in place, so a 16-lane run costs one workspace plus
-    [16 x 6] rows, not 16 workspaces. Sample times and probe rows are
+    Newton iterate, the node voltages at the last two accepted points,
+    the unknowns before the last two accepted steps) that the solver
+    reads and writes in place, so a 16-lane run costs one workspace
+    plus [16 x 6] rows, not 16 workspaces. Sample times and probe rows are
     allocated only once the initial solve leaves a live lane.
 
     Telemetry keeps per-lane meaning: [engine.transient.runs] counts
     lanes, [engine.transient.steps_accepted]/[steps_rejected] count
     lane-solves, [engine.transient.dt_s] observes accepted lane steps,
-    and each segment is one [transient.segment] span. *)
+    and each segment is one [transient.segment] span while telemetry
+    is on. *)
 
 (** One ensemble member. [ics] are the lane's initial node voltages by
     node name; unnamed nodes start at 0 V and are made consistent by an

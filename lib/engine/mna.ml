@@ -312,7 +312,23 @@ let pack sys node_voltages =
   Array.iteri (fun n u -> if u >= 0 then x.(u) <- node_voltages.(n)) sys.unk;
   x
 
-type reactive = { mutable dt : float; prev_v : float array }
+(* all floats, so stored flat: setting a field boxes nothing *)
+type step = { mutable dt : float; mutable omega : float }
+
+type reactive = {
+  step : step;
+  mutable prev_v : float array;
+  mutable prev2_v : float array;
+}
+
+(* The variable-step BDF2 companion of a capacitor C for a step of
+   length h after one of length h_ (omega = h/h_):
+     i = (C/h) [ (1+2w)/(1+w) v_{n+1} - (1+w) v_n + w^2/(1+w) v_{n-1} ],
+   a conductance C·[companion_factor] in parallel with the history
+   current C·[(1+w)/h · v_n - w^2/((1+w) h) · v_{n-1}]. At omega = 0
+   every term in v_{n-1} drops and the rule is backward Euler. *)
+let[@inline] companion_factor ~dt ~omega =
+  (1.0 +. (2.0 *. omega)) /. ((1.0 +. omega) *. dt)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly workspace                                                 *)
@@ -335,11 +351,10 @@ type workspace = {
   vals : float array;      (* stamped system by slot, factored from here *)
   rhs : float array;       (* stamped RHS, overwritten with the solution *)
   tmpl : float array;      (* cached static-linear template, by slot *)
-  cap_gs : float array;    (* per capacitor: its template conductance *)
   (* scalar fields rather than a key tuple: the validity check runs every
      Newton iteration and must not allocate *)
   mutable tmpl_valid : bool;
-  mutable tmpl_dt : float;
+  mutable tmpl_k : float;  (* the companion factor the template holds *)
   mutable tmpl_excluded : int;
   (* per-lane resistance override (ensemble sweeps): plan index of the
      resistor excluded from the template, and the conductance stamped in
@@ -359,6 +374,8 @@ type workspace = {
      conductance, and the largest fixed node voltage (one float, kept
      in an array so that storing it boxes nothing) *)
   wave_v : float array;
+  wave_mid : float array;  (* the same at the step's midpoint *)
+  times : float array;     (* the step's end and midpoint *)
   cursors : int array;
   sw_g : float array;
   fixed_max : float array;
@@ -391,14 +408,15 @@ let make_workspace sys =
     vals = Array.make n_slots 0.0;
     rhs = Array.make n 0.0;
     tmpl = Array.make n_slots 0.0;
-    cap_gs = Array.make (Array.length sys.caps) 0.0;
     tmpl_valid = false;
-    tmpl_dt = 0.0;
+    tmpl_k = 0.0;
     tmpl_excluded = -1;
     excluded_res = -1;
     override_gs = [||];
     override_lane = 0;
     wave_v = Array.make n_waves 0.0;
+    wave_mid = Array.make n_waves 0.0;
+    times = [| 0.0; 0.0 |];
     cursors = Array.make n_waves 0;
     sw_g = Array.make (Array.length sys.switches) 0.0;
     fixed_max = [| 0.0 |];
@@ -433,42 +451,55 @@ let fixed_abs_max ws = ws.fixed_max
 let newton_acc ws = ws.newton_acc
 
 (* static-linear part: gmin regularization, resistors, voltage-source
-   topology and — for a fixed dt — the capacitor companion conductances
-   C/dt. Everything here is independent of t, x and history. A resistor
-   under lane override is left out (its lane conductance is stamped
-   fresh after each template copy instead). *)
-let rebuild_template sys ws ~dt =
+   topology and — for a fixed companion factor [k] — the capacitor
+   companion conductances C·k. Everything here is independent of t, x
+   and history. A resistor under lane override is left out (its lane
+   conductance is stamped fresh after each template copy instead). *)
+let rebuild_template sys ws ~k =
+  (* indexed loops: the grid's control corners change the companion
+     factor a few dozen times per cycle, and a closure over [k] would be
+     allocated on each rebuild *)
   let tmpl = ws.tmpl in
   Array.fill tmpl 0 (Array.length tmpl) 0.0;
-  Array.iter (fun s -> stamp_at tmpl s Options.gmin) sys.gmin_slots;
-  Array.iteri
-    (fun i p -> if i <> ws.excluded_res then stamp_g4 p.g_res tmpl p.r_slots)
-    sys.resistors;
-  Array.iter
-    (fun p ->
-      stamp_at tmpl p.pos_row 1.0;
-      stamp_at tmpl p.row_pos 1.0;
-      stamp_at tmpl p.neg_row (-1.0);
-      stamp_at tmpl p.row_neg (-1.0))
-    sys.vsrcs;
-  Array.iteri
-    (fun i p ->
-      let g = p.cap /. dt in
-      ws.cap_gs.(i) <- g;
-      stamp_g4 g tmpl p.c_slots)
-    sys.caps
+  for i = 0 to Array.length sys.gmin_slots - 1 do
+    stamp_at tmpl sys.gmin_slots.(i) Options.gmin
+  done;
+  for i = 0 to Array.length sys.resistors - 1 do
+    let p = sys.resistors.(i) in
+    if i <> ws.excluded_res then stamp_g4 p.g_res tmpl p.r_slots
+  done;
+  for i = 0 to Array.length sys.vsrcs - 1 do
+    let p = sys.vsrcs.(i) in
+    stamp_at tmpl p.pos_row 1.0;
+    stamp_at tmpl p.row_pos 1.0;
+    stamp_at tmpl p.neg_row (-1.0);
+    stamp_at tmpl p.row_neg (-1.0)
+  done;
+  for i = 0 to Array.length sys.caps - 1 do
+    let p = sys.caps.(i) in
+    stamp_g4 (p.cap *. k) tmpl p.c_slots
+  done
 
 (* Evaluate every control waveform at [t_now] into the workspace
    buffers. Split out of assembly so the ensemble engine can walk the
    waveforms once per time point and share the values across all lanes
-   (they integrate on one shared grid). *)
-let eval_controls_into sys ws ~t_now =
-  let wv = ws.wave_v in
-  C.Waveform.eval_into sys.waves ~cursors:ws.cursors t_now wv;
-  for i = 0 to Array.length sys.switches - 1 do
-    let p = sys.switches.(i) in
-    ws.sw_g.(i) <- (if wv.(p.s_wave) > p.threshold then p.g_on else p.g_off)
-  done;
+   (they integrate on one shared grid). A switch takes its state from
+   the middle of the step, [t_now - dt/2], not from its end: its control
+   crossing the threshold at a grid point then flips it exactly there,
+   rising or falling, and a crossing between two grid points rounds to
+   the nearer one instead of always to the later. *)
+let eval_controls_into sys ws ~t_now ~dt =
+  let wv = ws.wave_v and wm = ws.wave_mid and ts = ws.times in
+  ts.(0) <- t_now;
+  ts.(1) <- t_now -. (dt /. 2.0);
+  if Array.length sys.switches > 0 then begin
+    C.Waveform.eval_into sys.waves ~cursors:ws.cursors ts 1 wm;
+    for i = 0 to Array.length sys.switches - 1 do
+      let p = sys.switches.(i) in
+      ws.sw_g.(i) <- (if wm.(p.s_wave) > p.threshold then p.g_on else p.g_off)
+    done
+  end;
+  C.Waveform.eval_into sys.waves ~cursors:ws.cursors ts 0 wv;
   let m = ref 0.0 in
   for node = 1 to sys.n_nodes - 1 do
     let w = sys.node_wave.(node) in
@@ -483,15 +514,17 @@ let eval_controls_into sys ws ~t_now =
 let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
   let n = ws.w_size in
   assert (n = sys.size);
+  let dt = reactive.step.dt and omega = reactive.step.omega in
+  let k = companion_factor ~dt ~omega in
   (if
      (not ws.tmpl_valid)
-     || ws.tmpl_dt <> reactive.dt
+     || ws.tmpl_k <> k
      || ws.tmpl_excluded <> ws.excluded_res
    then begin
      ws.n_rebuilds <- ws.n_rebuilds + 1;
-     rebuild_template sys ws ~dt:reactive.dt;
+     rebuild_template sys ws ~k;
      ws.tmpl_valid <- true;
-     ws.tmpl_dt <- reactive.dt;
+     ws.tmpl_k <- k;
      ws.tmpl_excluded <- ws.excluded_res
    end);
   let v = ws.vals and rhs = ws.rhs and wv = ws.wave_v in
@@ -507,10 +540,15 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
   for i = 0 to Array.length sys.switches - 1 do
     stamp_g4 ws.sw_g.(i) v sys.switches.(i).s_slots
   done;
+  let h1 = (1.0 +. omega) /. dt
+  and h2 = omega *. omega /. ((1.0 +. omega) *. dt) in
+  let pv = reactive.prev_v and ppv = reactive.prev2_v in
   for i = 0 to Array.length sys.caps - 1 do
     let p = sys.caps.(i) in
-    let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-    let i_hist = ws.cap_gs.(i) *. vab_prev in
+    let a = p.c_a and b = p.c_b in
+    let i_hist =
+      p.cap *. ((h1 *. (pv.(a) -. pv.(b))) -. (h2 *. (ppv.(a) -. ppv.(b))))
+    in
     stamp_at rhs p.c_ra i_hist;
     stamp_at rhs p.c_rb (-.i_hist)
   done;

@@ -12,10 +12,11 @@
     grounded sources give 10 unknowns, not 20.
 
     One assembly produces the linearized system [G x_new = b] around a
-    Newton iterate, with linearized MOSFETs and the backward-Euler
-    companion of each capacitor: a conductance [C/dt] in parallel with
-    the history current [C/dt * v_prev]. Backward Euler is the only
-    rule; it needs no history beyond the previous node voltages. Rows
+    Newton iterate, with linearized MOSFETs and the variable-step BDF2
+    companion of each capacitor (see {!reactive}): a conductance in
+    parallel with a history current read from the node voltages at the
+    last two accepted time points. BDF2 is the only rule; backward
+    Euler is its [omega = 0] case. Rows
     of fixed nodes are dropped, as ground's are, and entries in their
     columns move to [b] times the fixed voltage. The tests check this layout against a
     dense full-MNA simulator that shares none of it ([test/reference]). *)
@@ -42,12 +43,28 @@ val n_free_nodes : t -> int
     voltages (branch currents zeroed; fixed nodes' entries unread). *)
 val pack : t -> float array -> float array
 
-(** Dynamic (reactive) inputs to one assembly. [prev_v] is the per-node
-    voltage array at the previous accepted time point, all the history
-    the backward-Euler companions read; [dt > 0] is the step's length.
-    [dt] is mutable so that a transient lane keeps one record for its
-    whole run and only sets each step's length. *)
-type reactive = { mutable dt : float; prev_v : float array }
+(** A step's length [dt > 0] and its ratio [omega = dt / dt_prev] to
+    the previous accepted step's length. All floats, so the record is
+    stored flat and setting a field allocates nothing. *)
+type step = { mutable dt : float; mutable omega : float }
+
+(** Dynamic (reactive) inputs to one assembly: the {!step}, and the
+    per-node voltages at the last two accepted time points, [prev_v]
+    (v_n) and [prev2_v] (v_(n-1)). A capacitor C
+    stamps the variable-step BDF2 companion: the conductance
+    [C (1 + 2 omega) / ((1 + omega) dt)] in parallel with the history
+    current [C/dt * ((1+omega) v_n - omega^2/(1+omega) v_(n-1))].
+    [omega = 0] is backward Euler ([C/dt], history [C/dt * v_n]), which
+    does not read [prev2_v]: the step after a start or after a step
+    that more than doubled has no usable second point. The fields are
+    mutable so that a transient lane keeps one record for its whole run,
+    sets each step's length and ratio, and rotates its two voltage
+    rows. *)
+type reactive = {
+  step : step;
+  mutable prev_v : float array;
+  mutable prev2_v : float array;
+}
 
 (** [resistor_index sys name] is the plan index of the named resistor,
     for {!set_resistor_override} — the hook ensemble sweeps use to vary
@@ -89,14 +106,17 @@ val make_workspace : t -> workspace
 val set_resistor_override :
   workspace -> index:int -> gs:float array -> lane:int -> unit
 
-(** [eval_controls_into sys ws ~t_now] evaluates every control waveform
-    (switch controls, source values, so the fixed node voltages) at
-    [t_now] into workspace buffers consumed by {!assemble_into_pre},
-    {!voltages_into} and {!fixed_abs_max}. Split from assembly so each
+(** [eval_controls_into sys ws ~t_now ~dt] evaluates every control
+    waveform for the step of length [dt] that ends at [t_now] into
+    workspace buffers consumed by {!assemble_into_pre}, {!voltages_into}
+    and {!fixed_abs_max}: source values, so the fixed node voltages, at
+    [t_now], and each switch's state at the step's midpoint
+    [t_now - dt/2], so that a switch whose control crosses its threshold
+    at a grid point flips exactly there. Split from assembly so each
     time point walks each waveform once, not once per Newton iteration
     or ensemble lane; each PWL waveform's search starts from where the
     last one ended ({!Dramstress_circuit.Waveform.eval_into}). *)
-val eval_controls_into : t -> workspace -> t_now:float -> unit
+val eval_controls_into : t -> workspace -> t_now:float -> dt:float -> unit
 
 (** [voltages_into sys ws x ~out] expands the unknown vector [x] into
     per-node voltages indexed by node id (length [n_nodes]; entry 0 is
@@ -118,7 +138,8 @@ val newton_acc : workspace -> float array
 
 (** [assemble_into_pre sys ws ~opts ~x ~reactive] stamps the system from
     the control values left by the last {!eval_controls_into}: template
-    blit (rebuilt only when [dt] or the override changed),
+    blit (rebuilt only when the companion factor or the override
+    changed),
     then dynamic stamps — switch states, source values, capacitor
     history, MOSFET linearization around [x] (device constants resolved
     once per temperature, see {!Dramstress_circuit.Mosfet.prepare}) —

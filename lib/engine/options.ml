@@ -1,4 +1,4 @@
-let epoch = 2
+let epoch = 3
 let gmin = 1e-12
 let abstol = 1e-6
 let reltol = 1e-4

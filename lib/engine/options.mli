@@ -1,5 +1,6 @@
 (** Numerical options for the solver. The time integration is
-    backward Euler, the one companion rule of {!Mna}; no option chooses
+    variable-step BDF2, the one companion rule of {!Mna} (backward Euler
+    on the steps that have no usable history); no option chooses
     another. *)
 
 (** [epoch] is the numerics epoch, printed into every store key: a

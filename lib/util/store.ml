@@ -75,7 +75,15 @@ type t = {
   io_lock : Mutex.t;
   lock_fd : Unix.file_descr;
   mutable closed : bool;
+  mutable replay_only : bool;
 }
+
+exception Missing of string
+
+let () =
+  Printexc.register_printer (function
+    | Missing what -> Some ("the store holds no record for " ^ what)
+    | _ -> None)
 
 let shard_dir t ix =
   if t.shards = 0 then t.dir
@@ -169,6 +177,7 @@ let open_ ?engine ?shards ~name dirpath =
     io_lock = Mutex.create ();
     lock_fd;
     closed = false;
+    replay_only = false;
   }
 
 let dir t = t.dir
@@ -227,6 +236,8 @@ let find_digest t d = Checkpoint.find (route_digest t d) d
 
 let find t ~key = find_digest t (Checkpoint.digest_key key)
 
+let replay_only t = t.replay_only <- true
+
 (* every record reaches its digest's shard through here, under the
    inter-process lock *)
 let append t d ?descr ?overwrite ?extra value =
@@ -252,6 +263,8 @@ let memo t ~key ?descr ~encode ~decode f =
     let corrupt = payload <> None in
     if corrupt then Tel.Counter.incr c_skipped_records;
     Tel.Counter.incr c_misses;
+    if t.replay_only then
+      raise (Missing (match descr with Some d -> d | None -> key));
     let v = f () in
     append t d ?descr ~overwrite:corrupt (encode v);
     v

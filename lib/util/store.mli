@@ -103,6 +103,16 @@ val find : t -> key:string -> string option
     last record wins (used for failure markers). *)
 val put : t -> key:string -> ?descr:string -> ?overwrite:bool -> string -> unit
 
+(** Raised by {!memo} on a store switched to {!replay_only} for a key
+    it does not hold; carries the record's description (or its key). *)
+exception Missing of string
+
+(** [replay_only t] switches [t] to replay: from then on {!memo} on a
+    key the store does not hold raises {!Missing} instead of computing
+    it, so a sweep run against [t] simulates nothing ([campaign diff]
+    reads a [table1] store this way). *)
+val replay_only : t -> unit
+
 (** [memo t ~key ?descr ~encode ~decode f] is the per-point resume
     hook of every sweep layer: the decoded stored value of [key] if
     present (a [util.checkpoint.hits] count), else [f ()] recorded

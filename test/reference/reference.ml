@@ -47,10 +47,11 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
          (Array.to_list devices))
   in
   let v x n = if n = 0 then 0.0 else x.(n - 1) in
-  (* The system linearized around [x] at time [t], for a backward-Euler
-     step of length [dt] from the accepted state [prev]. Rows and columns
-     are unknowns; -1 is ground. *)
-  let assemble ~t ~dt ~prev x =
+  (* The system linearized around [x] at time [t], for a step of length
+     [dt] from the accepted state [prev], whose own step had length
+     [dt_prev] from the state [prev2] before it ([dt_prev] 0 when there
+     is none). Rows and columns are unknowns; -1 is ground. *)
+  let assemble ~t ~dt ~dt_prev ~prev ~prev2 x =
     let a = L.create size size and b = Array.make size 0.0 in
     let add i j g = if i >= 0 && j >= 0 then a.(i).(j) <- a.(i).(j) +. g in
     let inject n i = if n > 0 then b.(n - 1) <- b.(n - 1) +. i in
@@ -63,12 +64,24 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
     for i = 0 to n_v - 1 do
       add i i E.Options.gmin
     done;
-    (* each capacitor's companion: a conductance C/dt in parallel with the
-       history current C/dt * v_prev *)
+    (* each capacitor's companion, from the variable-step BDF2 formula
+         C dv/dt ~ (C/dt) [ (1+2w)/(1+w) v - (1+w) v_prev
+                            + w^2/(1+w) v_prev2 ],  w = dt/dt_prev:
+       a conductance in parallel with the history current. Backward
+       Euler, C/dt and C/dt * v_prev, on a step with no previous one or
+       one that more than doubles it. *)
     Array.iter
       (fun (p, q, c) ->
-        let g = c /. dt in
-        let hist = g *. (v prev p -. v prev q) in
+        let vab s = v s p -. v s q in
+        let g, hist =
+          if dt_prev > 0.0 && dt <= 2.0 *. dt_prev *. (1.0 +. 1e-9) then
+            let w = dt /. dt_prev in
+            ( c /. dt *. (1.0 +. (2.0 *. w)) /. (1.0 +. w),
+              c /. dt
+              *. (((1.0 +. w) *. vab prev)
+                 -. (w *. w /. (1.0 +. w) *. vab prev2)) )
+          else (c /. dt, c /. dt *. vab prev)
+        in
         conductance g p q;
         inject p hist;
         inject q (-.hist))
@@ -80,7 +93,9 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
         | D.Resistor { name; a = p; b = q; r } ->
           conductance (1.0 /. resistance name r) p q
         | D.Switch { a = p; b = q; ctrl; g_on; g_off; threshold; _ } ->
-          conductance (if W.eval ctrl t > threshold then g_on else g_off) p q
+          (* the switch state at the step's midpoint *)
+          let on = W.eval ctrl (t -. (dt /. 2.0)) > threshold in
+          conductance (if on then g_on else g_off) p q
         | D.Vsource { pos; neg; wave; _ } ->
           (* the branch current leaves [pos] and enters [neg]; its row
              holds v_pos - v_neg = V(t) *)
@@ -116,10 +131,10 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
     (a, b)
   in
   (* damped Newton from [x0], every node move clamped *)
-  let solve ~t ~dt ~prev x0 =
+  let solve ~t ~dt ~dt_prev ~prev ~prev2 x0 =
     let x = Array.copy x0 in
     let rec iterate iter =
-      let a, b = assemble ~t ~dt ~prev x in
+      let a, b = assemble ~t ~dt ~dt_prev ~prev ~prev2 x in
       let x_new = L.lu_solve (L.lu_factor a) b in
       let worst = ref 0.0 and largest = ref 0.0 in
       for i = 0 to size - 1 do
@@ -152,11 +167,18 @@ let replay (compiled : C.Netlist.compiled) ~(opts : E.Options.t) ?override
   in
   let x_ic = Array.make size 0.0 in
   List.iter (fun (name, value) -> x_ic.(node name - 1) <- value) ics;
-  let step ~t ~dt prev = solve ~t ~dt ~prev prev in
-  let state = ref (step ~t:0.0 ~dt:dt_quasi_static x_ic) in
+  (* the t=0 step and the first step after it have no previous step *)
+  let state = ref (solve ~t:0.0 ~dt:dt_quasi_static ~dt_prev:0.0 ~prev:x_ic
+                     ~prev2:x_ic x_ic) in
+  let before = ref !state in
   record 0 !state;
   for k = 1 to n_times - 1 do
-    state := step ~t:times.(k) ~dt:(times.(k) -. times.(k - 1)) !state;
+    let dt = times.(k) -. times.(k - 1) in
+    let dt_prev = if k = 1 then 0.0 else times.(k - 1) -. times.(k - 2) in
+    let next = solve ~t:times.(k) ~dt ~dt_prev ~prev:!state ~prev2:!before
+                 !state in
+    before := !state;
+    state := next;
     record k !state
   done;
   let probe_names = Array.of_list probes in

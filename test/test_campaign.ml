@@ -199,6 +199,40 @@ let mini ?(detections = {|(detections (seq "w1 w1 w0 r0"))|}) ?(sim = "")
     (Printf.sprintf "(campaign (name mini) (defects (O1 true)) %s %s %s %s)"
        stress detections sim border)
 
+(* Store keys and chain keys are built by concatenation, not by a
+   formatter; the text must be the formatter's, byte for byte, or every
+   stored record stops being found. Pinned for every catalog defect on
+   both placements, at two stresses, and for every point of a manifest
+   that spans three defects and four detection kinds. *)
+let test_keys_concatenate_as_formatted () =
+  let key = Sc.key (Sc.v ~jobs:1 ()) in
+  let physics = "physics=" ^ Digest.to_hex (Digest.string (Sc.physics_key (Sc.v ~jobs:1 ()))) in
+  List.iter
+    (fun (e : D.entry) ->
+      List.iter
+        (fun placement ->
+          List.iter
+            (fun stress ->
+              let fields = [ "f=1"; "g=2" ] in
+              Alcotest.(check string) "Sim_config.key"
+                (String.concat "|"
+                   ("border.search" :: physics :: S.key stress
+                   :: Format.asprintf "defect=%a/%s" D.pp_kind e.D.kind
+                        (if placement = D.True_bl then "true" else "comp")
+                   :: fields))
+                (key "border.search" ~stress ~kind:e.D.kind ~placement fields))
+            [ S.nominal; S.with_vdd (S.with_temp_c S.nominal 87.0) 2.1 ])
+        [ D.True_bl; D.Comp_bl ])
+    D.catalog;
+  List.iter
+    (fun (p : Plan.point) ->
+      Alcotest.(check string) "Runner.chain_key"
+        (Format.asprintf "%s|%a|%s" p.Plan.defect.D.id D.pp_placement
+           p.Plan.placement
+           (Manifest.detection_label p.Plan.detection))
+        (Runner.chain_key p))
+    (Plan.points (Manifest.of_string full_manifest))
+
 let test_plan_cross_product () =
   let m = Manifest.of_string full_manifest in
   let pts = Plan.points m in
@@ -724,6 +758,76 @@ let test_golden_store_reuse () =
   Alcotest.(check int) "nothing simulated" 0 r.Runner.simulated;
   Alcotest.(check int) "no failures" 0 (List.length r.Runner.failures)
 
+(* [campaign diff --rel-tol] on Table-1 runs: the golden table read
+   back twice compares clean; a copy with one stressed border moved by
+   0.5% is within a 1% tolerance and out of an exact one, a 2% move is
+   out of both, a band that loses an edge is a shape change, and a
+   flipped direction fails the row whatever its borders *)
+let test_table1_diff_tolerance () =
+  with_store_dir @@ fun dir ->
+  Sys.mkdir dir 0o755;
+  List.iter
+    (fun f ->
+      copy_file (Filename.concat "golden/table1_store" f) (Filename.concat dir f))
+    [ "records.jsonl"; "name" ];
+  let replay () =
+    let s = St.open_ ~name:"table1" dir in
+    Fun.protect ~finally:(fun () -> St.close s) @@ fun () ->
+    St.replay_only s;
+    C.Table1.generate ~store:s ()
+  in
+  let a = replay () and b = replay () in
+  let off ~rel_tol b =
+    snd (Diff.table1 ~rel_tol ~a_label:"a" ~b_label:"b" a b)
+  in
+  Alcotest.(check int) "self-diff" 0 (off ~rel_tol:0.0 b);
+  let edit id f (t : C.Table1.t) =
+    { t with
+      C.Table1.rows =
+        List.map
+          (fun (r : C.Table1.row) ->
+            if r.C.Table1.defect_id = id && r.C.Table1.placement = D.True_bl
+            then { r with C.Table1.evaluation = f r.C.Table1.evaluation }
+            else r)
+          t.C.Table1.rows }
+  in
+  let scale k (e : C.Sc_eval.t) =
+    match e.C.Sc_eval.stressed_br with
+    | C.Border.Br r -> { e with C.Sc_eval.stressed_br = C.Border.Br (r *. k) }
+    | _ -> Alcotest.fail "O1's stressed border is one edge"
+  in
+  Alcotest.(check int) "0.5% within 1%" 0 (off ~rel_tol:0.01 (edit "O1" (scale 1.005) b));
+  Alcotest.(check int) "0.5% not exact" 1 (off ~rel_tol:0.0 (edit "O1" (scale 1.005) b));
+  Alcotest.(check int) "2% out of 1%" 1 (off ~rel_tol:0.01 (edit "O1" (scale 1.02) b));
+  let one_edge (e : C.Sc_eval.t) =
+    match e.C.Sc_eval.stressed_br with
+    | C.Border.Faulty_band { lo; _ } ->
+      { e with C.Sc_eval.stressed_br = C.Border.Br lo }
+    | _ -> Alcotest.fail "B2's stressed border is a band"
+  in
+  Alcotest.(check int) "a band turned border" 1
+    (off ~rel_tol:1.0 (edit "B2" one_edge b));
+  let flip (e : C.Sc_eval.t) =
+    { e with
+      C.Sc_eval.probes =
+        List.map
+          (fun (p : C.Stressor.probe) ->
+            if p.C.Stressor.axis = S.Cycle_time then
+              { p with C.Stressor.verdict = C.Stressor.Neutral }
+            else p)
+          e.C.Sc_eval.probes }
+  in
+  Alcotest.(check int) "a flipped direction" 1
+    (off ~rel_tol:1.0 (edit "O1" flip b));
+  Alcotest.(check int) "a row on one side only" 1
+    (off ~rel_tol:1.0
+       { b with
+         C.Table1.rows =
+           List.filter
+             (fun (r : C.Table1.row) -> r.C.Table1.defect_id <> "Sg"
+               || r.C.Table1.placement <> D.Comp_bl)
+             b.C.Table1.rows })
+
 (* The paper's qualitative Table-1 claims, asserted on the values of a
    warm [Table1.generate] over a copy of the checked-in Table-1 store:
    every border is read back, none is simulated, so the claims are
@@ -806,7 +910,8 @@ let test_golden_table1_claims () =
         (flip t.C.Sc_eval.nominal_detection = c.C.Sc_eval.nominal_detection
         && flip t.C.Sc_eval.stressed_detection = c.C.Sc_eval.stressed_detection))
     ids;
-  (* stressing the open lowers its border: 160.1 k -> 93.9 k *)
+  (* stressing the open lowers its border: 159.2 k -> 92.22 k (160.1 k
+     -> 93.9 k on the 1600-step reference of "bench convergence") *)
   let o1 = ev "O1" D.True_bl in
   let nom = br "O1 nominal" o1.C.Sc_eval.nominal_br
   and str = br "O1 stressed" o1.C.Sc_eval.stressed_br in
@@ -814,8 +919,8 @@ let test_golden_table1_claims () =
     (Printf.sprintf "O1 stressed %.4g < nominal %.4g" str nom)
     true
     (str < nom
-    && Float.abs (nom -. 160.1e3) < 0.05e3
-    && Float.abs (str -. 93.9e3) < 0.05e3);
+    && Float.abs (nom -. 159.2e3) < 0.05e3
+    && Float.abs (str -. 92.22e3) < 0.05e3);
   (* the shorts' stressed borders climb past 1 GOhm *)
   List.iter
     (fun id ->
@@ -1664,6 +1769,8 @@ let () =
           tc "extension axes stamp addresses compatibly"
             test_descriptor_extension_suffix;
           tc "result codec round-trips" test_result_codec_roundtrip;
+          tc "keys concatenate to the formatted text"
+            test_keys_concatenate_as_formatted;
         ] );
       ( "runner",
         [
@@ -1676,6 +1783,7 @@ let () =
             test_golden_store_reuse;
           tc "golden Table-1 store replays the paper's claims"
             test_golden_table1_claims;
+          tc "Table-1 diff within a tolerance" test_table1_diff_tolerance;
           tc "adaptive parity holds on the wait axis"
             test_adaptive_parity_wait_axis;
           tc "adaptive retention searches never escalate"

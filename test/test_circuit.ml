@@ -116,7 +116,7 @@ let test_eval_into_cursor_bitwise () =
     let cursors = Array.init n (fun _ -> Random.State.int rng 40 - 20) in
     let out = Array.make n 0.0 in
     let check t =
-      W.eval_into ws ~cursors t out;
+      W.eval_into ws ~cursors [| t |] 0 out;
       Array.iteri
         (fun i w ->
           if bits out.(i) <> bits (W.eval w t) then

@@ -154,7 +154,14 @@ let test_open_blocks_w0 () =
     (vc 1e3 < 0.1 && vc 200e3 > 0.8 && vc 200e3 < vc 1e6)
 
 let test_open_sites_equivalent () =
-  (* O1, O2, O3 sit in the same series path: equal residuals *)
+  (* O1, O2, O3 sit in the same series path: close residuals. O2 and O3
+     both sit between the access transistor and the cell, and read the
+     same to within 1 uV; O1, on the bit-line side of the transistor,
+     reads 51 mV higher once the waveform is converged (800 and 1600
+     steps per cycle, under backward Euler and BDF2 alike). The bound
+     was 50 mV, which backward Euler at 400 steps met only through its
+     discretization error (49.2 mV); it is 60 mV, above the converged
+     gap. *)
   let vc site =
     let d = D.v (D.Open_cell site) D.True_bl 200e3 in
     let oc = O.run ~stress:nominal ~defect:d ~vc_init:2.4 [ O.W0 ] in
@@ -166,7 +173,7 @@ let test_open_sites_equivalent () =
   Alcotest.(check bool)
     (Printf.sprintf "O1=%.3f O2=%.3f O3=%.3f" v1 v2 v3)
     true
-    (Float.abs (v1 -. v2) < 0.05 && Float.abs (v1 -. v3) < 0.05)
+    (Float.abs (v1 -. v2) < 0.06 && Float.abs (v2 -. v3) < 1e-6)
 
 let test_open_detected_by_paper_sequence () =
   let oc =
@@ -520,10 +527,11 @@ let test_column_lu_fill_free () =
               let sys = E.Mna.make col.Col.compiled in
               let ws = E.Mna.make_workspace sys in
               let reactive =
-                { E.Mna.dt = 1e-10;
-                  prev_v = Array.make (E.Mna.n_nodes sys) 0.0 }
+                { E.Mna.step = { E.Mna.dt = 1e-10; omega = 0.0 };
+                  prev_v = Array.make (E.Mna.n_nodes sys) 0.0;
+                  prev2_v = Array.make (E.Mna.n_nodes sys) 0.0 }
               in
-              E.Mna.eval_controls_into sys ws ~t_now:0.0;
+              E.Mna.eval_controls_into sys ws ~t_now:0.0 ~dt:1e-10;
               E.Mna.assemble_into_pre sys ws ~opts:E.Options.default
                 ~x:(Array.make (E.Mna.size sys) 0.0) ~reactive;
               E.Mna.solve_in_place sys ws;
@@ -1030,7 +1038,13 @@ let test_batch_minor_words_per_lane () =
         resistances
     in
     let cache = O.Cache.create ~enabled:false () in
-    let batch () = O.run_batch ~cache ~stress:nominal ~lanes [ O.W0 ] in
+    (* on the 400-step grid the limits were read on: the per-point
+       reading includes the batch's setup, which a coarser grid spreads
+       over fewer points *)
+    let config = Sc.v ~steps_per_cycle:400 () in
+    let batch () =
+      O.run_batch ~config ~cache ~stress:nominal ~lanes [ O.W0 ]
+    in
     let points =
       match batch () with
       | Ok oc :: _ -> Array.length oc.O.trace.E.Transient.times

@@ -382,7 +382,7 @@ let keys_written f =
 (* the printed physics of [Sim_config.v ~jobs:1 ()], which keys carry
    as its MD5, and the printed nominal stress *)
 let pinned_physics =
-  "epoch=2,c_bl=0x1.51c51ce3718e1p-42,\
+  "epoch=3,c_bl=0x1.51c51ce3718e1p-42,\
      c_cell=0x1.6849b86a12b9bp-44,c_ref=0x1.323ea98d5cb77p-45,\
      c_sa=0x1.6849b86a12b9bp-46,c_out=0x1.0e374a4f8e0b4p-45,\
      access=(name=acc,nmos,vt0=0x1.6666666666666p-1,\
@@ -405,8 +405,8 @@ let pinned_physics =
      t_decide=0x1.9c511dc3a41dfp-28,t_edge=0x1.12e0be826d695p-31,\
      abstol=0x1.0c6f7a0b5ed8dp-20,reltol=0x1.a36e2eb1c432dp-14,\
      max_newton=80,gmin=0x1.19799812dea11p-40,max_step_v=0x1p+0,\
-     integrator=be,dt_scale=0x1p+0,\
-     steps_per_cycle=400,\
+     integrator=bdf2,dt_scale=0x1p+0,\
+     steps_per_cycle=150,\
      retry=halve-dt;steps-x4;damped-newton(0x1p-2,x4)"
 
 let pinned_nominal =

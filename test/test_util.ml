@@ -1226,6 +1226,21 @@ let test_store_memo_hit_miss_fallback () =
   let v = St.memo s ~key:"k" ~encode:enc ~decode:(fun _ -> None) compute in
   Alcotest.(check (float 0.0)) "fallback value" 3.25 v;
   Alcotest.(check int) "recomputed on decode failure" 2 !calls;
+  (* a replay-only handle answers what the store holds and raises on a
+     miss, computing and recording nothing *)
+  St.replay_only s;
+  let v = St.memo s ~key:"k" ~encode:enc ~decode:dec compute in
+  Alcotest.(check (float 0.0)) "replay hit" 3.25 v;
+  (match
+     St.memo s ~key:"absent" ~descr:"point absent" ~encode:enc ~decode:dec
+       compute
+   with
+  | _ -> Alcotest.fail "a replay-only miss must raise"
+  | exception St.Missing what ->
+    Alcotest.(check string) "Missing names the record" "point absent" what);
+  Alcotest.(check int) "nothing computed on replay" 2 !calls;
+  Alcotest.(check (option string)) "nothing recorded" None
+    (St.find s ~key:"absent");
   St.close s
 
 (* printed keys are content addresses: distinct values must never
