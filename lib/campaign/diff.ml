@@ -39,13 +39,14 @@ let lookup side make ~stress_label ~defect ~placement ~detection =
     | `Done r -> Some r
     | `Failed _ | `Missing -> None)
 
-(* two results agree when their shapes match and every edge lies within
-   [rel_tol] in log-resistance; at 0 only equal results agree *)
+(* two results agree when their detections are equal, their shapes
+   match and every edge lies within [rel_tol] in log-resistance; at 0
+   only equal borders agree *)
 let agree ~rel_tol (ra : Plan.result) (rb : Plan.result) =
+  ra.Plan.detection = rb.Plan.detection
+  &&
   if rel_tol = 0.0 then Border.equal_result ra.Plan.br rb.Plan.br
   else
-    ra.Plan.detection = rb.Plan.detection
-    &&
     match Border.edge_distances ra.Plan.br rb.Plan.br with
     | Some ds -> List.for_all (fun d -> Float.abs d <= rel_tol) ds
     | None -> false

@@ -66,6 +66,11 @@ type t = {
     label is not declared in the corresponding manifest. *)
 val v : ?pairing:pairing -> ?rel_tol:float -> a:side -> b:side -> unit -> t
 
+(** [agree ~rel_tol a b] is [true] when a row with sides [a] and [b]
+    does not shift in {!v} at [rel_tol]: equal detections, and equal
+    borders at 0 or borders within [rel_tol] otherwise. *)
+val agree : rel_tol:float -> Plan.result -> Plan.result -> bool
+
 (** [render d] is the Table-1-style text report; border cells use
     {!Dramstress_core.Table1.br_string}, so a campaign diff and the
     canonical table render the same values identically. *)

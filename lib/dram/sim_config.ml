@@ -40,10 +40,11 @@ let validate_policy p =
           invalid_arg "Sim_config: Damped_newton max_newton_scale < 1")
     p.stages
 
-(* the transient resolution: BDF2 at 150 steps per cycle keeps every
-   Table-1 border within the search window's rel_tol of a 1600-step
-   reference (EXPERIMENTS.md, "One second-order integrator") *)
-let default_steps_per_cycle = 150
+(* the transient resolution: BDF2 at 100 steps per cycle keeps every
+   Table-1 row's stressed SC and directions, and every border within
+   2 rel_tol of the search window, of a 1600-step reference
+   (EXPERIMENTS.md, "One second-order integrator") *)
+let default_steps_per_cycle = 100
 
 type t = {
   tech : Tech.t;

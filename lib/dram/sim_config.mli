@@ -73,9 +73,10 @@ type t = {
           it. *)
 }
 
-(** [default_steps_per_cycle] is 150, the coarsest grid at which every
-    Table-1 border stays within the search window's [rel_tol] of a
-    1600-step reference ([bench convergence]). *)
+(** [default_steps_per_cycle] is 100, the coarsest grid at which every
+    Table-1 row keeps the stressed SC and directions of a 1600-step
+    reference and every border stays within twice the search window's
+    [rel_tol] of it ([bench convergence]). *)
 val default_steps_per_cycle : int
 
 (** [default]: {!Tech.default}, engine-default solver options,

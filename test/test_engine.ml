@@ -768,14 +768,14 @@ let o1 r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r
    2 solves for the free nodes only: grounded sources fix their nodes,
    which leave the unknowns, and the Newton iterates move within the
    tolerance. Epoch 3 integrates with BDF2 instead of backward Euler,
-   puts a grid point at every control corner and takes each switch's
-   state from the step's midpoint: every waveform moves by the
-   discretization error. (Both runs are on the 400-step grid; see
-   [grid_400].) *)
+   puts a grid point at every control corner, takes each piece between
+   two corners in at least two steps and each switch's state from the
+   step's midpoint: every waveform moves by the discretization error.
+   Both runs are on the default grid. *)
 let epochs =
   [ (1, "813c59fa6797eb11f92719c108b7d4dd", "6206fe7f8d10077e935c941af223b5dd");
     (2, "71b8c97f13ab0b8f88711b622fbc35ee", "185ebc6726055c66e7de1d00d4ae2139");
-    (3, "d2b2dc8579a249963c5378c1aee3b4ac", "4c90e48e1f5688406ef0bcdacc961eb9") ]
+    (3, "978480fa2f2b764093355eb55002c0c0", "4ff6606e2dc64c64f8e0b34b61783cdd") ]
 
 let current_epoch =
   List.iteri
@@ -784,22 +784,16 @@ let current_epoch =
     epochs;
   List.nth epochs (List.length epochs - 1)
 
-(* Both runs, and the allocation and predictor readings below, are on
-   the 400-step grid their limits were read on: a per-step reading
-   includes the run's setup, which a coarser grid spreads over fewer
-   steps. *)
-let grid_400 = 400
-
-let retention_run () =
+let retention_run ?(steps_per_cycle = Sc.default_steps_per_cycle) () =
   let oc =
-    O.run ~config:(Sc.v ~steps_per_cycle:grid_400 ~deadline:600.0 ())
+    O.run ~config:(Sc.v ~steps_per_cycle ~deadline:600.0 ())
       ~cache:(O.Cache.create ~enabled:false ())
       ~stress:Dramstress_dram.Stress.nominal ~defect:(o1 200e3) ~vc_init:0.0
       [ O.W1; O.Pause 2.0; O.R ]
   in
   [ oc.O.trace ]
 
-let ensemble_run () =
+let ensemble_run ?(steps_per_cycle = Sc.default_steps_per_cycle) () =
   let lanes =
     List.map
       (fun r -> { O.defect = Some (o1 r); vc_init = 0.0 })
@@ -807,7 +801,7 @@ let ensemble_run () =
   in
   List.map
     (function Ok oc -> oc.O.trace | Error e -> raise e)
-    (O.run_batch ~config:(Sc.v ~steps_per_cycle:grid_400 ())
+    (O.run_batch ~config:(Sc.v ~steps_per_cycle ())
        ~cache:(O.Cache.create ~enabled:false ())
        ~stress:Dramstress_dram.Stress.nominal ~lanes
        [ O.W1; O.W1; O.W0; O.R ])
@@ -864,7 +858,13 @@ let counted f =
   let counters = (Tel.snapshot ()).Tel.counters in
   fun name -> Option.value ~default:0 (List.assoc_opt name counters)
 
-let run_ops ?(config = Sc.v ~steps_per_cycle:grid_400 ()) ~stress ops =
+(* The predictor's readings are per accepted step, and a longer step
+   starts further from its solution: they are taken on the 400-step grid
+   their limits were read on. On the default grid (100 steps per cycle)
+   the Figure-6 run reads 1.77 iterations per step but takes 504 steps,
+   893 iterations in all, against 1.24 and 1,623 steps, 2,008
+   iterations, at 400. *)
+let run_ops ?(config = Sc.v ~steps_per_cycle:400 ()) ~stress ops =
   ignore
     (O.run ~config ~cache:(O.Cache.create ~enabled:false ()) ~stress
        ~defect:(o1 200e3) ~vc_init:0.0 ops)
@@ -923,76 +923,59 @@ let test_no_extrapolation_across_jump () =
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor words per accepted time point (per lane) of the two digest runs,
-   memo cache and telemetry off, in this domain (Gc.minor_words is
-   per-domain); a first run warms up anything built once. Each run's
-   setup (netlist, MNA plans, symbolic LU) is included. Each limit is
-   the reading plus 25%: the scalar retention run read 10.33 (limit
-   13.0) and the 4-lane batch 3.19 (limit 4.0) under backward Euler;
-   under BDF2 with a grid point at every control corner they read 9.97
-   and 3.44 (the corners' extra segments and companion-template
-   rebuilds cost 0.8 and 0.6 words per step over BDF2 alone, after the
-   walk stopped allocating per segment; evaluating the switches at a
-   computed midpoint cost 2.0 more until the time travelled through an
-   array). What is left per step is the step's time and length, boxed
-   once per time point to pass them on. Before the control waveforms were evaluated once each into a
-   float array, the Newton verdict became a bool and each lane kept one
-   reactive record, the runs read 47.6 and 27.2. *)
-let test_minor_words_per_step () =
+(* Minor words per accepted time point (per lane) of the two digest
+   runs, memo cache off, in this domain (Gc.minor_words is per-domain);
+   a first run warms up anything built once. The reading is the
+   difference between each run on the default grid and on one twice as
+   fine, per step it adds, so that the run's setup (netlist, MNA plans,
+   symbolic LU), which does not grow with the grid, cancels: the scalar
+   retention run reads 4.09 and the 4-lane batch 1.02, so each limit,
+   the reading plus 25%, is 5.2 and 1.3. They read 10.33 and 3.19
+   under backward Euler at 400 steps per cycle, setup included (limits
+   13.0 and 4.0 then). Before the control waveforms
+   were evaluated once each into a float array, the Newton verdict
+   became a bool and each lane kept one reactive record, the runs read
+   47.6 and 27.2. *)
+let minor_words_per_step ~telemetry =
   let module Tel = Dramstress_util.Telemetry in
   let was = Tel.enabled () in
   Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
-  Tel.set_enabled false;
+  Tel.set_enabled telemetry;
+  let words_and_steps run steps_per_cycle =
+    ignore (run steps_per_cycle);
+    let w0 = Gc.minor_words () in
+    let traces = run steps_per_cycle in
+    let words = Gc.minor_words () -. w0 in
+    ( words,
+      List.fold_left
+        (fun acc (r : E.Transient.result) ->
+          acc + Array.length r.E.Transient.times - 1)
+        0 traces )
+  in
+  let n = Sc.default_steps_per_cycle in
   List.iter
     (fun (what, run, limit) ->
-      ignore (run ());
-      let w0 = Gc.minor_words () in
-      let traces = run () in
-      let words = Gc.minor_words () -. w0 in
-      let steps =
-        List.fold_left
-          (fun acc (r : E.Transient.result) ->
-            acc + Array.length r.E.Transient.times - 1)
-          0 traces
-      in
-      let per_step = words /. float_of_int steps in
+      let w1, s1 = words_and_steps run n
+      and w2, s2 = words_and_steps run (2 * n) in
+      let per_step = (w2 -. w1) /. float_of_int (s2 - s1) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.2f minor words per accepted step (limit %.1f)"
            what per_step limit)
         true (per_step <= limit))
-    [ ("scalar retention", retention_run, 13.0);
-      ("4-lane ensemble", ensemble_run, 4.0) ]
+    [ ("scalar retention",
+       (fun steps_per_cycle -> retention_run ~steps_per_cycle ()), 5.2);
+      ("4-lane ensemble",
+       (fun steps_per_cycle -> ensemble_run ~steps_per_cycle ()), 1.3) ]
+
+let test_minor_words_per_step () = minor_words_per_step ~telemetry:false
 
 (* the same runs with telemetry on, under the same limits: the engine
    counts in its run's tally and bins both histograms locally, so
    turning telemetry on allocates nothing per step (the scalar
-   retention run read 9.05 under backward Euler and reads 10.42 with
-   the corner grid, whose segments each open a span; a histogram observation that boxes its
-   sample and takes a closure per lock reads 26.9 there) *)
-let test_minor_words_per_step_traced () =
-  let module Tel = Dramstress_util.Telemetry in
-  let was = Tel.enabled () in
-  Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
-  Tel.set_enabled true;
-  List.iter
-    (fun (what, run, limit) ->
-      ignore (run ());
-      let w0 = Gc.minor_words () in
-      let traces = run () in
-      let words = Gc.minor_words () -. w0 in
-      let steps =
-        List.fold_left
-          (fun acc (r : E.Transient.result) ->
-            acc + Array.length r.E.Transient.times - 1)
-          0 traces
-      in
-      let per_step = words /. float_of_int steps in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %.2f minor words per accepted step (limit %.1f)"
-           what per_step limit)
-        true (per_step <= limit))
-    [ ("scalar retention", retention_run, 13.0);
-      ("4-lane ensemble", ensemble_run, 4.0) ]
+   retention run read 9.05 under backward Euler at 400 steps, setup
+   included; a histogram observation that boxes its sample and takes a
+   closure per lock reads 26.9 there) *)
+let test_minor_words_per_step_traced () = minor_words_per_step ~telemetry:true
 
 (* ------------------------------------------------------------------ *)
 (* DC sweep                                                            *)

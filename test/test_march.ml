@@ -406,7 +406,7 @@ let pinned_physics =
      abstol=0x1.0c6f7a0b5ed8dp-20,reltol=0x1.a36e2eb1c432dp-14,\
      max_newton=80,gmin=0x1.19799812dea11p-40,max_step_v=0x1p+0,\
      integrator=bdf2,dt_scale=0x1p+0,\
-     steps_per_cycle=150,\
+     steps_per_cycle=100,\
      retry=halve-dt;steps-x4;damped-newton(0x1p-2,x4)"
 
 let pinned_nominal =
